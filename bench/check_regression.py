@@ -2,8 +2,9 @@
 """CI bench-regression guard for the serving benches.
 
 The serving benches (sweep_concurrency, sweep_shards) append one JSON line
-per measurement cell to $GAUSS_BENCH_JSON — QPS, p99 latency, logical
-pages/query, and prefetch hit rate. This script compares such a file against
+per measurement cell to $GAUSS_BENCH_JSON — QPS, p99 latency and logical
+pages/query (micro_kernels adds per-entry kernel cost); sweep_concurrency's
+file-backed cell is named `file`. This script compares such a file against
 the committed baseline (bench/BENCH_serving.baseline.json) and fails (exit 1)
 when any cell regresses:
 

@@ -12,12 +12,9 @@
 // reports hardware_concurrency so the context is visible in the output).
 //
 // A second section reruns the workload against a *file-backed* copy of the
-// database through a cache much smaller than the tree, sweeping the
-// asynchronous read-ahead knob (ServeOptions::prefetch_depth): answers must
-// stay identical to the reference and pages/query (logical reads) must not
-// move — prefetching overlaps device reads with compute, it never changes
-// what is read — while the prefetch-hit counters show the read-ahead doing
-// real work. The bench exits non-zero if either invariant breaks.
+// database through a cache much smaller than the tree: answers must stay
+// identical to the reference (the bench exits non-zero otherwise), and its
+// pages/query is the same logical-read count as the in-memory cells.
 //
 // GAUSS_BENCH_SCALE in (0,1] shrinks the dataset for quick runs. When
 // GAUSS_BENCH_JSON names a file, every cell appends its metrics as a JSON
@@ -155,72 +152,43 @@ void Run() {
   std::cout << "speedup is vs 1 worker / batch 512; answers of every cell "
                "verified identical to the single-worker run\n";
 
-  // ---- File-backed prefetch section -------------------------------------
+  // ---- File-backed section ----------------------------------------------
   // Same gallery persisted to disk, served through a cache far smaller than
-  // the tree so traversals genuinely wait on the device; read-ahead depth 0
-  // (synchronous baseline) vs 4. Pages/query must be depth-invariant: a
-  // prefetch is a hint, never an access.
-  PrintBanner(std::cout, "File-backed async prefetch (cache << tree, 3-MLIQ)");
-  const std::string path = "sweep_concurrency_prefetch.db";
-  GaussDb file_db = GaussDb::CreateOnFile(path, config.dim);
-  file_db.Build(dataset);
-
-  Table ptable({"prefetch", "qps", "p50 us", "p99 us", "pages/query",
-                "prefetch hits", "hit rate"});
-  double pages_at_depth0 = -1.0;
-  for (const size_t depth : {size_t{0}, size_t{4}}) {
+  // the tree so traversals genuinely read the device on misses.
+  PrintBanner(std::cout, "File-backed serving (cache << tree, 3-MLIQ)");
+  const std::string path = "sweep_concurrency_file.db";
+  {
+    GaussDb file_db = GaussDb::CreateOnFile(path, config.dim);
+    file_db.Build(dataset);
     ServeOptions serve;
     serve.num_workers = 2;
     serve.cache_pages = 128;  // far below the tree's page count
     serve.queue_capacity = 512;
-    serve.prefetch_depth = depth;
     Session session = file_db.Serve(serve);
 
     const BatchResult result = session.ExecuteBatch(make_batch(512));
     if (!SameAnswers(result, reference)) {
-      std::cout << "ERROR: file-backed answers diverged at prefetch depth "
-                << depth << "\n";
+      std::cout << "ERROR: file-backed answers diverged\n";
       std::exit(1);
     }
 
     const ServiceStats& stats = result.stats;
-    const double pages = stats.pages_per_query();
-    if (depth == 0) {
-      pages_at_depth0 = pages;
-    } else if (pages != pages_at_depth0) {
-      std::cout << "ERROR: pages/query moved under prefetch: " << pages
-                << " vs " << pages_at_depth0 << "\n";
-      std::exit(1);
-    } else if (stats.io.prefetch_hits == 0) {
-      std::cout << "ERROR: prefetch depth " << depth
-                << " produced zero prefetch hits on the file-backed path\n";
-      std::exit(1);
-    }
-    const double hit_rate =
-        stats.io.prefetch_issued > 0
-            ? static_cast<double>(stats.io.prefetch_hits) /
-                  static_cast<double>(stats.io.prefetch_issued)
-            : 0.0;
-    ptable.AddRow({Table::Int(depth), Table::Num(stats.qps),
-                   Table::Num(stats.latency.p50_us),
-                   Table::Num(stats.latency.p99_us), Table::Num(pages),
-                   Table::Int(stats.io.prefetch_hits),
-                   Table::Pct(100 * hit_rate)});
+    Table ftable({"qps", "p50 us", "p99 us", "pages/query"});
+    ftable.AddRow({Table::Num(stats.qps), Table::Num(stats.latency.p50_us),
+                   Table::Num(stats.latency.p99_us),
+                   Table::Num(stats.pages_per_query())});
+    ftable.Print(std::cout);
+    std::cout << "answers identical to the in-memory reference\n";
 
     BenchCellMetrics metrics;
     metrics.bench = "sweep_concurrency";
     metrics.scale = scale;
-    metrics.cell = "file,prefetch=" + std::to_string(depth);
+    metrics.cell = "file";
     metrics.qps = stats.qps;
     metrics.p99_us = stats.latency.p99_us;
-    metrics.pages_per_query = pages;
-    metrics.prefetch_hit_rate = hit_rate;
+    metrics.pages_per_query = stats.pages_per_query();
     AppendBenchJson(metrics);
   }
-  ptable.Print(std::cout);
-  std::cout << "answers identical to the in-memory reference at every depth; "
-               "pages/query depth-invariant (prefetch hints are not "
-               "accesses)\n";
   std::remove(path.c_str());
 
   // ---- Mixed insert + query (live ingest) -------------------------------

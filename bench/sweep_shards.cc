@@ -205,10 +205,6 @@ void Run(bool directory_devices, bool rpc_backend) {
     metrics.qps = s.qps;
     metrics.p99_us = s.latency.p99_us;
     metrics.pages_per_query = s.pages_per_query();
-    if (s.io.prefetch_issued > 0) {
-      metrics.prefetch_hit_rate = static_cast<double>(s.io.prefetch_hits) /
-                                  static_cast<double>(s.io.prefetch_issued);
-    }
     AppendBenchJson(metrics);
   };
   emit_cell("reference", reference.stats);

@@ -41,7 +41,7 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s --file=SHARD.gauss | --dir=PATH [--shard=N]\n"
       "          [--host=ADDR] [--port=P] [--workers=N]\n"
-      "          [--cache-pages=N] [--prefetch-depth=N] [--max-seconds=S]\n"
+      "          [--cache-pages=N] [--max-seconds=S]\n"
       "\n"
       "Serves one Gauss-tree shard over the binary shard protocol.\n"
       "--port=0 (default) picks an ephemeral port and prints it.\n"
@@ -78,8 +78,6 @@ int main(int argc, char** argv) {
       serve.num_workers = static_cast<size_t>(std::atoll(arg + 10));
     } else if (std::strncmp(arg, "--cache-pages=", 14) == 0) {
       serve.cache_pages = static_cast<size_t>(std::atoll(arg + 14));
-    } else if (std::strncmp(arg, "--prefetch-depth=", 17) == 0) {
-      serve.prefetch_depth = static_cast<size_t>(std::atoll(arg + 17));
     } else if (std::strncmp(arg, "--max-seconds=", 14) == 0) {
       max_seconds = static_cast<uint64_t>(std::atoll(arg + 14));
     } else {

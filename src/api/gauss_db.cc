@@ -779,8 +779,7 @@ Session GaussDb::Serve(ServeOptions options) {
   for (size_t s = 0; s < shards; ++s) {
     ShardServingStack stack;
     // Directory layout: each shard's serving cache sits on the shard's own
-    // device, so its misses and prefetch batches never queue behind another
-    // shard's reads (per-device async engines run in parallel).
+    // device, so its misses never queue behind another shard's reads.
     stack.pool = std::make_unique<ShardedBufferPool>(
         devices_[DeviceOf(s)].get(), pages_per_shard, options.num_shards);
     stack.tree = GaussTree::Open(stack.pool.get(), shard_metas_[s]);
@@ -788,7 +787,6 @@ Session GaussDb::Serve(ServeOptions options) {
     QueryServiceOptions service_options;
     service_options.num_workers = workers_per_shard;
     service_options.queue_capacity = options.queue_capacity;
-    service_options.prefetch_depth = options.prefetch_depth;
     stack.service =
         std::make_unique<QueryService>(*stack.tree, service_options);
     stacks.push_back(std::move(stack));

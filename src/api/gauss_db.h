@@ -138,11 +138,10 @@ namespace gauss {
 //     — so any shard file is independently openable with OpenFile() for
 //     inspection or repair, and per-shard files can live on different
 //     mounts via symlinks. Each shard gets its own BufferPool during build
-//     and its own ShardedBufferPool + async read engine during serving, so
-//     reads (including prefetch batches) overlap across all N files truly
-//     in parallel. Session::io_stats() still merges the per-shard counters
-//     into one per-session view. OpenDirectory() reattaches; the manifest's
-//     facts override the caller's ShardOptions.
+//     and its own ShardedBufferPool during serving, so reads proceed across
+//     all N files truly in parallel. Session::io_stats() still merges the
+//     per-shard counters into one per-session view. OpenDirectory()
+//     reattaches; the manifest's facts override the caller's ShardOptions.
 //
 // Lifetime rules: GaussDb owns the device(s); every Session borrows them, so
 // a Session must be destroyed before its GaussDb. Serve() may be called
@@ -286,20 +285,6 @@ struct ServeOptions {
   // Sharded databases only: threads driving the scatter-gather merge and
   // refinement logic (service/shard_coordinator.h).
   size_t coordinator_threads = 2;
-  // Asynchronous read-ahead depth of the serving traversals: after each
-  // node expansion a traversal hints the serving cache
-  // (PageCache::Prefetch) about up to this many of its best still-enqueued
-  // subtree pages, so the next expansions find warm frames instead of
-  // waiting on the device. 0 (default) disables read-ahead — today's fully
-  // synchronous behavior. Purely a latency knob: answers are byte-identical
-  // at every depth, and the paper's page-access metric (logical reads per
-  // query) is unchanged; IoStats::prefetch_* counters report how many hints
-  // became hits. Most useful with a file-backed database and a cache
-  // smaller than the tree; a per-query MliqOptions/TiqOptions::
-  // prefetch_depth overrides this serving-wide default. Under the directory
-  // layout each shard prefetches through its own device's async engine, so
-  // read-ahead overlaps across all shard files.
-  size_t prefetch_depth = 0;
   // ServeRemote() only: TCP connect + handshake patience per shard endpoint,
   // and the per-request ceiling (a query's own deadline tightens the latter;
   // see RpcBackendOptions in net/rpc_backend.h).

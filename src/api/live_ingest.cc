@@ -135,7 +135,6 @@ std::shared_ptr<LiveIngest::Epoch> LiveIngest::BuildLocalEpoch(uint64_t id) {
     QueryServiceOptions service_options;
     service_options.num_workers = split.workers_per_shard;
     service_options.queue_capacity = serve_.queue_capacity;
-    service_options.prefetch_depth = serve_.prefetch_depth;
     stack.service =
         std::make_unique<QueryService>(*stack.tree, service_options);
     epoch->stacks.push_back(std::move(stack));

@@ -42,7 +42,6 @@ struct BenchCellMetrics {
   double qps = 0.0;
   double p99_us = 0.0;
   double pages_per_query = 0.0;      // logical reads / query: deterministic
-  double prefetch_hit_rate = 0.0;    // prefetch_hits / prefetch_issued (0 if none)
   double ns_per_entry = 0.0;         // micro_kernels: per-entry kernel cost
                                      // (timing metric, min-collapsed like
                                      // p99_us; 0 = not a kernel cell)

@@ -23,10 +23,6 @@ MliqTraversal::MliqTraversal(const GaussTree& tree, const Pfv& q, size_t k,
   GAUSS_CHECK(k_ > 0);
   if (tree_.size() == 0) return;  // empty frontier: exhausted from the start
 
-  // Read-ahead only makes sense once nodes live on pages; during the build
-  // phase Load() bypasses the cache entirely.
-  if (tree_.store().finalized()) prefetch_depth_ = options_.prefetch_depth;
-
   log_ref_ = internal::ComputeLogRef(tree_, q_);
   // Rebase the coordinator's absolute floor into this traversal's scale.
   // exp(-inf - log_ref) == 0 disables cleanly; an overflow to +inf means
@@ -78,11 +74,6 @@ void MliqTraversal::Expand(const ActiveNode& active) {
                                scratch_.scaled_lower[j]});
     }
   }
-  // With the popped node's children enqueued, the queue's best entries are
-  // exactly the pages the next pops will load — hint them to the cache so
-  // their device reads overlap with the density evaluations above.
-  internal::PrefetchFrontier(tracker_, tree_.pool(), prefetch_depth_,
-                             &prefetch_pages_);
 }
 
 void MliqTraversal::Run() {

@@ -32,15 +32,6 @@ struct MliqOptions {
   // and `probability` fields are filled from the denominator bounds reached
   // at that point, without further refinement.
   bool refine_probabilities = true;
-  // Asynchronous read-ahead: after each node expansion, hint the tree's
-  // PageCache (PageCache::Prefetch) about up to this many of the best
-  // still-enqueued subtree pages — the pages the best-first order will
-  // expand next — so their device reads overlap with compute. 0 disables
-  // (and is the meaning of "unset": the serving layer substitutes its
-  // ServeOptions::prefetch_depth then). Purely a latency knob: answers are
-  // byte-identical at every depth. Ignored on a non-finalized tree (nodes
-  // live in memory; there are no pages to read ahead).
-  size_t prefetch_depth = 0;
   // Absolute target for the scaled denominator gap (denominator_hi -
   // denominator_lo), applied after the refine_probabilities phase; < 0
   // disables. A shard coordinator sets this per shard so each shard refines
@@ -164,10 +155,6 @@ class MliqTraversal {
   std::vector<ScoredObject> items_;  // current top-k, descending density
   // SoA decode + batch-score scratch, reused across Expand calls.
   internal::BatchScratch scratch_;
-  // Effective read-ahead depth (0 unless the tree is finalized) and the
-  // scratch list CollectTopPages fills each expansion.
-  size_t prefetch_depth_ = 0;
-  std::vector<PageId> prefetch_pages_;
   bool ran_ = false;
 };
 

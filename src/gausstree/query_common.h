@@ -69,11 +69,10 @@ struct ActiveNode {
 // subtrees (paper Section 5.2.2). exact_sum accumulates the scaled densities
 // of every object seen in visited leaves.
 //
-// The queue is an explicit binary heap (push_heap/pop_heap — the exact
-// algorithm std::priority_queue is specified in terms of, so pop order is
-// bit-identical to the old implementation) because prefetching needs what
-// priority_queue hides: read-only access to the best few unexpanded
-// entries, served by CollectTopPages() without disturbing the heap.
+// The queue is an explicit binary heap over push_heap/pop_heap, the exact
+// algorithm std::priority_queue is specified in terms of: pop order is
+// bit-identical to a priority_queue's, and Top() reads the best entry in
+// place for the traversals' stopping tests.
 class DenominatorTracker {
  public:
   void Push(const ActiveNode& node) {
@@ -95,36 +94,6 @@ class DenominatorTracker {
   bool Empty() const { return heap_.empty(); }
   const ActiveNode& Top() const { return heap_.front(); }
 
-  // Appends the page ids of the k best-ranked queued nodes (exact top-k by
-  // upper bound) to `out` — the pages the traversal will expand next, i.e.
-  // the ones worth hinting to PageCache::Prefetch. A heap-prefix walk: the
-  // best unvisited element is always a child of a visited one, so a k-step
-  // walk over candidate indices yields the exact top-k in O(k log k)
-  // without touching the heap itself.
-  void CollectTopPages(size_t k, std::vector<PageId>* out) const {
-    if (k == 0 || heap_.empty()) return;
-    // Max-heap of heap indices by the node's upper bound; ties broken by
-    // index so the hint order is deterministic.
-    const auto before = [this](size_t a, size_t b) {
-      if (heap_[a].upper != heap_[b].upper) return heap_[a] < heap_[b];
-      return a > b;
-    };
-    std::vector<size_t> candidates;
-    candidates.push_back(0);
-    for (size_t taken = 0; taken < k && !candidates.empty(); ++taken) {
-      std::pop_heap(candidates.begin(), candidates.end(), before);
-      const size_t i = candidates.back();
-      candidates.pop_back();
-      out->push_back(heap_[i].page);
-      for (const size_t child : {2 * i + 1, 2 * i + 2}) {
-        if (child < heap_.size()) {
-          candidates.push_back(child);
-          std::push_heap(candidates.begin(), candidates.end(), before);
-        }
-      }
-    }
-  }
-
   void AddExact(double scaled_density) { exact_.Add(scaled_density); }
 
   double exact_sum() const { return exact_.Value(); }
@@ -142,29 +111,6 @@ class DenominatorTracker {
   KahanSum rest_min_;
   KahanSum rest_max_;
 };
-
-// Resolves the effective read-ahead depth of one traversal: a query-level
-// prefetch_depth of 0 means "unset — inherit the serving stack's default"
-// (MliqOptions/TiqOptions::prefetch_depth docs). Shared by the QueryService
-// worker path and the ShardCoordinator scatter path so the sentinel
-// semantics cannot drift between them.
-inline size_t EffectivePrefetchDepth(size_t query_depth,
-                                     size_t service_default) {
-  return query_depth != 0 ? query_depth : service_default;
-}
-
-// Issues PageCache::Prefetch hints for the `depth` best still-enqueued
-// subtree pages — the pages a best-first traversal will expand next.
-// `scratch` avoids reallocation across expansions. Shared by the MLIQ and
-// TIQ traversals (called after each node expansion).
-inline void PrefetchFrontier(const DenominatorTracker& tracker,
-                             PageCache* cache, size_t depth,
-                             std::vector<PageId>* scratch) {
-  if (depth == 0) return;
-  scratch->clear();
-  tracker.CollectTopPages(depth, scratch);
-  for (const PageId page : *scratch) cache->Prefetch(page);
-}
 
 // Reference log scale for a query: the root's joint log upper hull, the
 // largest log density any stored object can attain against q.

@@ -22,10 +22,6 @@ TiqTraversal::TiqTraversal(const GaussTree& tree, const Pfv& q,
   GAUSS_CHECK(threshold_ > 0.0 && threshold_ <= 1.0);
   if (tree_.size() == 0) return;  // empty frontier: exhausted from the start
 
-  // Read-ahead only makes sense once nodes live on pages; during the build
-  // phase Load() bypasses the cache entirely.
-  if (tree_.store().finalized()) prefetch_depth_ = options_.prefetch_depth;
-
   log_ref_ = internal::ComputeLogRef(tree_, q_);
   tracker_.Push(ActiveNode{tree_.root(), static_cast<uint32_t>(tree_.size()),
                            1.0, 0.0});
@@ -68,11 +64,6 @@ void TiqTraversal::Expand(const ActiveNode& active) {
                                scratch_.scaled_lower[j]});
     }
   }
-  // With the popped node's children enqueued, the queue's best entries are
-  // exactly the pages the next pops will load — hint them to the cache so
-  // their device reads overlap with the density evaluations above.
-  internal::PrefetchFrontier(tracker_, tree_.pool(), prefetch_depth_,
-                             &prefetch_pages_);
 }
 
 void TiqTraversal::Sweep() {

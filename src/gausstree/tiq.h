@@ -30,10 +30,6 @@ struct TiqOptions {
   // algorithm may have to access more pages" (Section 5.2.3).
   bool refine_probabilities = false;
   double probability_accuracy = 1e-6;
-  // Asynchronous read-ahead depth; see MliqOptions::prefetch_depth (same
-  // contract: 0 = off / inherit the serving knob, answers byte-identical at
-  // every depth, ignored on a non-finalized tree).
-  size_t prefetch_depth = 0;
   // Absolute target for the scaled denominator gap after the
   // refine_probabilities phase; < 0 disables. See
   // MliqOptions::denominator_target_gap.
@@ -147,10 +143,6 @@ class TiqTraversal {
   std::vector<ScoredObject> candidates_;
   // SoA decode + batch-score scratch, reused across Expand calls.
   internal::BatchScratch scratch_;
-  // Effective read-ahead depth (0 unless the tree is finalized) and the
-  // scratch list CollectTopPages fills each expansion.
-  size_t prefetch_depth_ = 0;
-  std::vector<PageId> prefetch_pages_;
   bool ran_ = false;
 };
 

@@ -174,11 +174,8 @@ std::future<ShardBackend::StartResult> InProcessBackend::Start(
     StartResult result;
     Traversal t;
     if (q->kind() == QueryKind::kMliq) {
-      MliqOptions options = q->mliq_options();
-      options.prefetch_depth = internal::EffectivePrefetchDepth(
-          options.prefetch_depth, service_->prefetch_depth());
       t.mliq = std::make_unique<MliqTraversal>(service_->tree(), q->pfv(),
-                                               q->k(), options);
+                                               q->k(), q->mliq_options());
       t.mliq->Run();
       result.partial.log_ref = t.mliq->log_ref();
       result.partial.denominator_lo = t.mliq->denominator_lo();
@@ -190,11 +187,8 @@ std::future<ShardBackend::StartResult> InProcessBackend::Start(
       result.partial.objects_evaluated = s.objects_evaluated;
       result.partial.items = t.mliq->top_items();
     } else {
-      TiqOptions options = q->tiq_options();
-      options.prefetch_depth = internal::EffectivePrefetchDepth(
-          options.prefetch_depth, service_->prefetch_depth());
       t.tiq = std::make_unique<TiqTraversal>(service_->tree(), q->pfv(),
-                                             q->threshold(), options);
+                                             q->threshold(), q->tiq_options());
       t.tiq->Run();
       result.partial.log_ref = t.tiq->log_ref();
       result.partial.denominator_lo = t.tiq->denominator_lo();

@@ -2,10 +2,10 @@
 
 #include <chrono>
 #include <future>
+#include <string>
 #include <utility>
 
 #include "common/macros.h"
-#include "gausstree/query_common.h"
 #include "net/frame_io.h"
 
 namespace gauss {
@@ -34,6 +34,27 @@ RefineUpdate UpdateFromTiq(const TiqTraversal& t) {
   u.leaf_nodes_visited = s.leaf_nodes_visited;
   u.objects_evaluated = s.objects_evaluated;
   return u;
+}
+
+// Rejects a decoded query that the traversal constructors would abort on.
+// Their preconditions are GAUSS_CHECKs, and a kStart body is untrusted bytes
+// that DecodeQuery only checks for shape, not meaning.
+NetError ValidateQuery(const Query& query, size_t dim) {
+  if (query.pfv().dim() != dim) {
+    return {NetErrorCode::kProtocolError,
+            "query dimensionality " + std::to_string(query.pfv().dim()) +
+                " != tree dimensionality " + std::to_string(dim)};
+  }
+  if (!query.pfv().Valid()) {
+    return {NetErrorCode::kProtocolError,
+            "query pfv needs finite means and finite positive sigmas"};
+  }
+  if (query.kind() == QueryKind::kMliq) {
+    if (query.k() == 0) return {NetErrorCode::kProtocolError, "mliq k == 0"};
+  } else if (!(query.threshold() > 0.0 && query.threshold() <= 1.0)) {
+    return {NetErrorCode::kProtocolError, "tiq threshold outside (0, 1]"};
+  }
+  return {};
 }
 
 }  // namespace
@@ -165,9 +186,12 @@ void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
     switch (frame.type) {
       case MsgType::kStart: {
         auto start = std::make_shared<WireStart>();
-        if (NetError err = DecodeStart(frame.body.data(), frame.body.size(),
-                                       start.get());
-            !err.ok()) {
+        NetError err =
+            DecodeStart(frame.body.data(), frame.body.size(), start.get());
+        if (err.ok()) {
+          err = ValidateQuery(*start->query, service_->tree().dim());
+        }
+        if (!err.ok()) {
           SendError(conn, frame.request_id, err);
           open = false;
           break;
@@ -265,11 +289,8 @@ void ShardServer::HandleStart(const std::shared_ptr<Connection>& conn,
   ShardPartial partial;
   Traversal t;
   if (query.kind() == QueryKind::kMliq) {
-    MliqOptions options = query.mliq_options();
-    options.prefetch_depth = internal::EffectivePrefetchDepth(
-        options.prefetch_depth, service_->prefetch_depth());
     t.mliq = std::make_shared<MliqTraversal>(service_->tree(), query.pfv(),
-                                             query.k(), options);
+                                             query.k(), query.mliq_options());
     t.mliq->Run();
     partial.log_ref = t.mliq->log_ref();
     partial.denominator_lo = t.mliq->denominator_lo();
@@ -281,11 +302,9 @@ void ShardServer::HandleStart(const std::shared_ptr<Connection>& conn,
     partial.objects_evaluated = s.objects_evaluated;
     partial.items = t.mliq->top_items();
   } else {
-    TiqOptions options = query.tiq_options();
-    options.prefetch_depth = internal::EffectivePrefetchDepth(
-        options.prefetch_depth, service_->prefetch_depth());
     t.tiq = std::make_shared<TiqTraversal>(service_->tree(), query.pfv(),
-                                           query.threshold(), options);
+                                           query.threshold(),
+                                           query.tiq_options());
     t.tiq->Run();
     partial.log_ref = t.tiq->log_ref();
     partial.denominator_lo = t.tiq->denominator_lo();

@@ -143,7 +143,6 @@ void EncodeQuery(const Query& query, std::vector<uint8_t>* body) {
     writer.U64(query.k());
     writer.U8(options.refine_probabilities ? 1 : 0);
     writer.F64(options.probability_accuracy);
-    writer.U64(options.prefetch_depth);
     writer.F64(options.denominator_target_gap);
     writer.F64(options.density_floor_log);
   } else {
@@ -152,7 +151,6 @@ void EncodeQuery(const Query& query, std::vector<uint8_t>* body) {
     writer.U8(options.exact_membership ? 1 : 0);
     writer.U8(options.refine_probabilities ? 1 : 0);
     writer.F64(options.probability_accuracy);
-    writer.U64(options.prefetch_depth);
     writer.F64(options.denominator_target_gap);
     writer.F64(options.denominator_floor);
   }
@@ -196,13 +194,10 @@ NetError DecodeQuery(WireReader& reader, std::optional<Query>* out) {
     reader.U64(&k);
     reader.U8(&refine);
     reader.F64(&options.probability_accuracy);
-    uint64_t prefetch_depth = 0;
-    reader.U64(&prefetch_depth);
     reader.F64(&options.denominator_target_gap);
     reader.F64(&options.density_floor_log);
     if (!reader.ok()) return ProtocolError("truncated mliq parameters");
     options.refine_probabilities = refine != 0;
-    options.prefetch_depth = static_cast<size_t>(prefetch_depth);
     query = Query::Mliq(std::move(pfv), static_cast<size_t>(k), options);
   } else {
     double threshold = 0.0;
@@ -212,14 +207,11 @@ NetError DecodeQuery(WireReader& reader, std::optional<Query>* out) {
     reader.U8(&exact);
     reader.U8(&refine);
     reader.F64(&options.probability_accuracy);
-    uint64_t prefetch_depth = 0;
-    reader.U64(&prefetch_depth);
     reader.F64(&options.denominator_target_gap);
     reader.F64(&options.denominator_floor);
     if (!reader.ok()) return ProtocolError("truncated tiq parameters");
     options.exact_membership = exact != 0;
     options.refine_probabilities = refine != 0;
-    options.prefetch_depth = static_cast<size_t>(prefetch_depth);
     query = Query::Tiq(std::move(pfv), threshold, options);
   }
 
@@ -392,9 +384,6 @@ void EncodeIoStats(const IoStats& io, WireWriter& writer) {
   writer.U64(io.physical_reads);
   writer.U64(io.physical_writes);
   writer.U64(io.evictions);
-  writer.U64(io.prefetch_issued);
-  writer.U64(io.prefetch_hits);
-  writer.U64(io.prefetch_wasted);
 }
 
 NetError DecodeIoStats(WireReader& reader, IoStats* out) {
@@ -402,9 +391,6 @@ NetError DecodeIoStats(WireReader& reader, IoStats* out) {
   reader.U64(&out->physical_reads);
   reader.U64(&out->physical_writes);
   reader.U64(&out->evictions);
-  reader.U64(&out->prefetch_issued);
-  reader.U64(&out->prefetch_hits);
-  reader.U64(&out->prefetch_wasted);
   if (!reader.ok()) return ProtocolError("truncated io-stats");
   return {};
 }

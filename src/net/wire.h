@@ -43,7 +43,9 @@ namespace gauss {
 inline constexpr uint64_t kWireMagic = 0x4754424a47415553ull;  // "GAUSSJBTG"
 // v2: Query bodies carry denominator_target_gap; kFetchSketch/kSketchReply
 // added (kError renumbered 10 -> 12 to keep it the last tag).
-inline constexpr uint32_t kWireVersion = 2;
+// v3: Query bodies lose the read-ahead depth; IoStats bodies lose the three
+// read-ahead counters.
+inline constexpr uint32_t kWireVersion = 3;
 inline constexpr size_t kMaxFramePayload = 1u << 24;  // 16 MiB
 
 enum class MsgType : uint8_t {
@@ -197,9 +199,10 @@ void EncodeHelloAck(const WireHelloAck& msg, std::vector<uint8_t>* body);
 NetError DecodeHelloAck(const uint8_t* data, size_t size, WireHelloAck* out);
 
 // The Query descriptor serializer: kind, probe pfv, kind-specific options
-// (k / threshold, accuracy, refinement and membership flags, prefetch
-// depth), and the deadline as a *relative* budget in nanoseconds (-1 = no
-// deadline) — absolute steady_clock instants don't transfer across hosts.
+// (k / threshold, accuracy, refinement and membership flags, denominator
+// target gap and floor), and the deadline as a *relative* budget in
+// nanoseconds (-1 = no deadline) — absolute steady_clock instants don't
+// transfer across hosts.
 // Decoding re-anchors the budget on the receiver's clock.
 void EncodeQuery(const Query& query, std::vector<uint8_t>* body);
 NetError DecodeQuery(WireReader& reader, std::optional<Query>* out);

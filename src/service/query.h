@@ -106,22 +106,6 @@ class Query {
     return std::move(this->ExactMembership(exact));
   }
 
-  // Asynchronous read-ahead depth of this query's traversal (see
-  // MliqOptions::prefetch_depth): 0 inherits the serving stack's
-  // ServeOptions::prefetch_depth. Purely a latency knob — answers are
-  // byte-identical at every depth.
-  Query& PrefetchDepth(size_t depth) & {
-    if (auto* m = std::get_if<MliqParams>(&params_)) {
-      m->options.prefetch_depth = depth;
-    } else {
-      std::get<TiqParams>(params_).options.prefetch_depth = depth;
-    }
-    return *this;
-  }
-  Query&& PrefetchDepth(size_t depth) && {
-    return std::move(this->PrefetchDepth(depth));
-  }
-
   // Absolute target for the traversal's scaled denominator gap, applied
   // after the (possibly disabled) relative refinement phase; < 0 disables
   // (see MliqOptions::denominator_target_gap). A shard coordinator sets this

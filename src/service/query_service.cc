@@ -13,26 +13,19 @@ namespace gauss {
 namespace {
 
 // The single execution path: every query — streamed or batched — goes
-// through here inside a worker thread. The service-level prefetch depth
-// fills in for queries that left the knob unset (0); it never overrides an
-// explicit per-query depth.
-QueryResponse ExecuteQuery(const GaussTree& tree, const Query& query,
-                           size_t default_prefetch_depth) {
+// through here inside a worker thread.
+QueryResponse ExecuteQuery(const GaussTree& tree, const Query& query) {
   QueryResponse resp;
   resp.kind = query.kind();
   const auto start = std::chrono::steady_clock::now();
   if (query.kind() == QueryKind::kMliq) {
-    MliqOptions options = query.mliq_options();
-    options.prefetch_depth = internal::EffectivePrefetchDepth(
-        options.prefetch_depth, default_prefetch_depth);
-    MliqResult r = QueryMliq(tree, query.pfv(), query.k(), options);
+    MliqResult r =
+        QueryMliq(tree, query.pfv(), query.k(), query.mliq_options());
     resp.items = std::move(r.items);
     resp.stats = r.stats;
   } else {
-    TiqOptions options = query.tiq_options();
-    options.prefetch_depth = internal::EffectivePrefetchDepth(
-        options.prefetch_depth, default_prefetch_depth);
-    TiqResult r = QueryTiq(tree, query.pfv(), query.threshold(), options);
+    TiqResult r =
+        QueryTiq(tree, query.pfv(), query.threshold(), query.tiq_options());
     resp.items = std::move(r.items);
     resp.stats = r.stats;
   }
@@ -47,7 +40,6 @@ QueryResponse ExecuteQuery(const GaussTree& tree, const Query& query,
 
 QueryService::QueryService(const GaussTree& tree, QueryServiceOptions options)
     : tree_(tree),
-      prefetch_depth_(options.prefetch_depth),
       queue_(options.queue_capacity) {
   GAUSS_CHECK_MSG(tree.store().finalized(),
                   "QueryService requires a finalized tree");
@@ -123,7 +115,7 @@ void QueryService::WorkerLoop() {
         task->CompleteUnexecuted(QueryResponse::Status::kDeadlineExceeded);
         continue;
       }
-      task->promise.set_value(ExecuteQuery(tree_, *query, prefetch_depth_));
+      task->promise.set_value(ExecuteQuery(tree_, *query));
     } else {
       auto& work = std::get<std::function<QueryResponse()>>(task->payload);
       task->promise.set_value(work());

@@ -155,13 +155,6 @@ struct QueryServiceOptions {
   size_t num_workers = 0;
   // Bound of the admission queue (backpressure/shedding threshold).
   size_t queue_capacity = 1024;
-  // Default asynchronous read-ahead depth applied to every executed query
-  // whose own options leave prefetch_depth at 0 (see
-  // MliqOptions::prefetch_depth): after each node expansion the traversal
-  // hints the cache about the next `prefetch_depth` frontier pages so
-  // device reads overlap with compute. 0 = no read-ahead. Answers are
-  // byte-identical at every depth.
-  size_t prefetch_depth = 0;
 };
 
 class QueryService {
@@ -198,16 +191,10 @@ class QueryService {
   const GaussTree& tree() const { return tree_; }
   size_t num_workers() const { return workers_.size(); }
 
-  // The service-level read-ahead default (a ShardCoordinator applies it to
-  // the shard-local traversals it runs through SubmitWork, which bypasses
-  // the query execution path).
-  size_t prefetch_depth() const { return prefetch_depth_; }
-
  private:
   void WorkerLoop();
 
   const GaussTree& tree_;
-  const size_t prefetch_depth_;
   RequestQueue queue_;
   std::vector<std::thread> workers_;
 };

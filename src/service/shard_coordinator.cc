@@ -162,27 +162,24 @@ void ShardCoordinator::Init(ShardCoordinatorOptions options) {
     GAUSS_CHECK_MSG(backend->dim() == dim_,
                     "all shards must share one dimensionality");
   }
-  refinement_ = options.refinement;
-  if (refinement_ == RefinementPolicy::kMassProportional) {
-    // Cache one coarse denominator sketch per shard so Start queries can
-    // carry water-filled initial gap targets. All-or-nothing: a single
-    // failed or malformed fetch disables sketch planning entirely, keeping
-    // target computation deterministic (a per-shard mix of "had a sketch"
-    // and "didn't" would make the refinement path depend on transient I/O).
-    sketches_.reserve(backends_.size());
-    have_sketches_ = true;
-    for (ShardBackend* backend : backends_) {
-      ShardBackend::SketchResult result = backend->FetchSketch();
-      const bool usable =
-          result.error.ok() && (result.sketch.tree_size == 0 ||
-                                result.sketch.root_bounds.size() == dim_);
-      if (!usable) {
-        have_sketches_ = false;
-        sketches_.clear();
-        break;
-      }
-      sketches_.push_back(std::move(result.sketch));
+  // Cache one coarse denominator sketch per shard so Start queries can
+  // carry water-filled initial gap targets. All-or-nothing: a single
+  // failed or malformed fetch disables sketch planning entirely, keeping
+  // target computation deterministic (a per-shard mix of "had a sketch"
+  // and "didn't" would make the refinement path depend on transient I/O).
+  sketches_.reserve(backends_.size());
+  have_sketches_ = true;
+  for (ShardBackend* backend : backends_) {
+    ShardBackend::SketchResult result = backend->FetchSketch();
+    const bool usable =
+        result.error.ok() && (result.sketch.tree_size == 0 ||
+                              result.sketch.root_bounds.size() == dim_);
+    if (!usable) {
+      have_sketches_ = false;
+      sketches_.clear();
+      break;
     }
+    sketches_.push_back(std::move(result.sketch));
   }
   size_t threads = options.num_threads;
   if (threads == 0) threads = 1;
@@ -278,7 +275,6 @@ ShardCoordinator::StartOutcome ShardCoordinator::StartAll(const Query& query) {
 
 bool ShardCoordinator::PlanShardQueries(const Query& query,
                                         std::vector<Query>* out) const {
-  if (refinement_ != RefinementPolicy::kMassProportional) return false;
   const bool refining = query.kind() == QueryKind::kMliq
                             ? query.mliq_options().refine_probabilities
                             : query.tiq_options().refine_probabilities;
@@ -423,38 +419,26 @@ ShardCoordinator::RoundOutcome ShardCoordinator::RefineRound(
   RoundOutcome out;
   std::vector<size_t> shard_of;
   std::vector<std::future<ShardBackend::RefineResult>> futures;
-  if (refinement_ == RefinementPolicy::kMassProportional) {
-    // Water-fill the budget (an absolute combined-scale gap the round may
-    // leave behind) over the shards' rebased gaps. Exhausted shards carry a
-    // zero gap (their denominator is exact) and drop out naturally.
-    std::vector<std::pair<double, size_t>> gaps;
-    for (size_t s = 0; s < runs.size(); ++s) {
-      const ShardPartial& p = runs[s].partial;
-      const double gap = (p.denominator_hi - p.denominator_lo) * factor[s];
-      if (p.exhausted || gap <= 0.0) continue;
-      gaps.push_back({gap, s});
-    }
-    const double level = WaterFillLevel(&gaps, budget);
-    for (const auto& [gap, s] : gaps) {
-      // Already below the water level: this shard's whole gap fits inside
-      // the budget. Skip it outright — no frame, no I/O.
-      if (gap <= level) continue;
-      shard_of.push_back(s);
-      // Targets derive from *transported* doubles (raw IEEE-754 on the
-      // wire), so RPC and in-process shards receive bit-identical targets.
-      futures.push_back(
-          backends_[s]->Refine({{runs[s].id, level / factor[s]}}));
-    }
-  } else {
-    for (size_t s = 0; s < runs.size(); ++s) {
-      const ShardPartial& p = runs[s].partial;
-      const double gap = p.denominator_hi - p.denominator_lo;
-      if (p.exhausted || gap <= 0.0) continue;
-      // Legacy uniform policy: halve the shard's local gap — geometric
-      // convergence of the combined gap, but every shard pays every round.
-      futures.push_back(backends_[s]->Refine({{runs[s].id, 0.5 * gap}}));
-      shard_of.push_back(s);
-    }
+  // Water-fill the budget (an absolute combined-scale gap the round may
+  // leave behind) over the shards' rebased gaps. Exhausted shards carry a
+  // zero gap (their denominator is exact) and drop out naturally.
+  std::vector<std::pair<double, size_t>> gaps;
+  for (size_t s = 0; s < runs.size(); ++s) {
+    const ShardPartial& p = runs[s].partial;
+    const double gap = (p.denominator_hi - p.denominator_lo) * factor[s];
+    if (p.exhausted || gap <= 0.0) continue;
+    gaps.push_back({gap, s});
+  }
+  const double level = WaterFillLevel(&gaps, budget);
+  for (const auto& [gap, s] : gaps) {
+    // Already below the water level: this shard's whole gap fits inside
+    // the budget. Skip it outright — no frame, no I/O.
+    if (gap <= level) continue;
+    shard_of.push_back(s);
+    // Targets derive from *transported* doubles (raw IEEE-754 on the
+    // wire), so RPC and in-process shards receive bit-identical targets.
+    futures.push_back(
+        backends_[s]->Refine({{runs[s].id, level / factor[s]}}));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
     ShardBackend::RefineResult result = futures[i].get();

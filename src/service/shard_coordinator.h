@@ -63,7 +63,7 @@ namespace gauss {
 //    Figure 5 contract (no false dismissals; straddling candidates are
 //    reported) without extra rounds.
 //
-// Refinement budgets (RefinementPolicy::kMassProportional, the default):
+// Refinement budgets (mass-proportional):
 // refinement cost is made proportional to contribution. Per-shard Start
 // queries suppress the shard-local relative certification (the coordinator
 // certifies against the *combined* interval instead — refining every shard
@@ -88,9 +88,6 @@ namespace gauss {
 // filtering divides by it instead of the ~N-times-smaller local bound).
 // Both are conservative bounds, so answers stay byte-identical — only
 // pages-per-query moves.
-// RefinementPolicy::kUniformHalving keeps the legacy behaviour — every
-// non-exhausted shard halves its local gap each round — as a comparison
-// baseline.
 //
 // All targets are computed at the coordinator from *transported* doubles
 // (raw IEEE-754 over the wire), so RPC and in-process shards receive
@@ -121,24 +118,12 @@ namespace gauss {
 // under them) must outlive the coordinator.
 // ============================================================================
 
-// How the coordinator spends refinement I/O across shards (class comment).
-enum class RefinementPolicy : uint8_t {
-  // Water-fill a combined-interval budget over the shards' global-scale
-  // gaps: heavy shards refine, light shards are skipped. The default.
-  kMassProportional = 0,
-  // Legacy: every non-exhausted shard halves its local gap each round.
-  // Kept as a measurable baseline (tests/shard_equivalence_test.cc).
-  kUniformHalving = 1,
-};
-
 struct ShardCoordinatorOptions {
   // Threads executing the per-query merge + refinement logic. Each blocks in
   // gather while shard workers traverse, so a few go a long way.
   size_t num_threads = 2;
   // Bound of the front-door admission queue.
   size_t queue_capacity = 1024;
-  // Refinement budget allocation (see class comment).
-  RefinementPolicy refinement = RefinementPolicy::kMassProportional;
 };
 
 class ShardCoordinator {
@@ -234,11 +219,9 @@ class ShardCoordinator {
   // same arithmetic the shards' round 1 performs). No-op plan without
   // sketches.
   SketchPlan PlanFromSketches(const Query& query) const;
-  // One refinement round. kMassProportional: water-fill `budget` (an
-  // absolute combined-scale gap) over the shards' rebased gaps (factor[s] =
-  // shard->global rebase, <= 1) and skip shards already below the level.
-  // kUniformHalving ignores budget/factor and halves every non-exhausted
-  // shard's local gap. Updates `runs` in place.
+  // One refinement round: water-fill `budget` (an absolute combined-scale
+  // gap) over the shards' rebased gaps (factor[s] = shard->global rebase,
+  // <= 1) and skip shards already below the level. Updates `runs` in place.
   RoundOutcome RefineRound(std::vector<ShardRun>& runs,
                            const std::vector<double>& factor, double budget);
   // Frees backend-side traversal state (fire-and-forget).
@@ -246,7 +229,6 @@ class ShardCoordinator {
 
   std::vector<std::unique_ptr<ShardBackend>> owned_backends_;
   std::vector<ShardBackend*> backends_;
-  RefinementPolicy refinement_ = RefinementPolicy::kMassProportional;
   // Per-shard coarse denominator sketches, fetched once at construction.
   // All-or-nothing (have_sketches_), so planning is deterministic.
   std::vector<ShardSketch> sketches_;

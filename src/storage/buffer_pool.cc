@@ -35,7 +35,6 @@ void BufferPool::EvictIfFull() {
       device_->Write(frame_it->first, frame.data.get());
       ++stats_.physical_writes;
     }
-    if (frame.prefetched) ++stats_.prefetch_wasted;
     it = std::make_reverse_iterator(lru_.erase(frame.lru_pos));
     frames_.erase(frame_it);
     ++stats_.evictions;
@@ -44,14 +43,10 @@ void BufferPool::EvictIfFull() {
   // failing.
 }
 
-BufferPool::Frame& BufferPool::GetFrame(PageId id, bool count_read) {
-  if (count_read) ++stats_.logical_reads;
+BufferPool::Frame& BufferPool::GetFrame(PageId id) {
+  ++stats_.logical_reads;
   auto it = frames_.find(id);
   if (it != frames_.end()) {
-    if (count_read && it->second.prefetched) {
-      it->second.prefetched = false;
-      ++stats_.prefetch_hits;
-    }
     Touch(id, it->second);
     return it->second;
   }
@@ -61,30 +56,20 @@ BufferPool::Frame& BufferPool::GetFrame(PageId id, bool count_read) {
   Frame& frame = pos->second;
   frame.data = std::make_unique<uint8_t[]>(device_->page_size());
   device_->Read(id, frame.data.get());
-  if (count_read) ++stats_.physical_reads;
+  ++stats_.physical_reads;
   lru_.push_front(id);
   frame.lru_pos = lru_.begin();
   return frame;
 }
 
-void BufferPool::Prefetch(PageId id) {
-  if (frames_.find(id) != frames_.end()) return;  // resident: free no-op
-  // The ordinary miss-fill path, minus the logical-read count (a hint is
-  // not an access); the device read still counts as physical.
-  Frame& frame = GetFrame(id, /*count_read=*/false);
-  frame.prefetched = true;
-  ++stats_.prefetch_issued;
-  ++stats_.physical_reads;
-}
-
 PageRef BufferPool::Fetch(PageId id) {
-  Frame& frame = GetFrame(id, /*count_read=*/true);
+  Frame& frame = GetFrame(id);
   frame.pins.fetch_add(1, std::memory_order_relaxed);
   return PageRef(frame.data.get(), &frame.pins);
 }
 
 PageRef BufferPool::FetchMutable(PageId id) {
-  Frame& frame = GetFrame(id, /*count_read=*/true);
+  Frame& frame = GetFrame(id);
   frame.dirty = true;
   frame.pins.fetch_add(1, std::memory_order_relaxed);
   return PageRef(frame.data.get(), &frame.pins);
@@ -102,11 +87,6 @@ void BufferPool::WritePage(PageId id, const void* data) {
     lru_.push_front(id);
     frame.lru_pos = lru_.begin();
   } else {
-    // Overwriting a prefetched frame discards the prefetched bytes unread.
-    if (it->second.prefetched) {
-      it->second.prefetched = false;
-      ++stats_.prefetch_wasted;
-    }
     Touch(id, it->second);
   }
   std::memcpy(it->second.data.get(), data, device_->page_size());
@@ -128,7 +108,6 @@ void BufferPool::Clear() {
   // Pinned frames survive a Clear: dropping them would dangle live refs.
   for (auto it = frames_.begin(); it != frames_.end();) {
     if (it->second.pins.load(std::memory_order_acquire) == 0) {
-      if (it->second.prefetched) ++stats_.prefetch_wasted;
       lru_.erase(it->second.lru_pos);
       it = frames_.erase(it);
     } else {

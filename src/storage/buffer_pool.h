@@ -41,14 +41,6 @@ class BufferPool : public PageCache {
   // Fetch for writing: marks the frame dirty. Same pin semantics.
   PageRef FetchMutable(PageId id) override;
 
-  // Fills the frame for `id` immediately when absent (single-threaded pool:
-  // there is no latch to hold and no second thread to overlap with, so the
-  // "async" prefetch degenerates to a synchronous fill). Counts
-  // prefetch_issued on a fill; the first Fetch of the frame counts
-  // prefetch_hits, eviction/Clear of an untouched prefetched frame counts
-  // prefetch_wasted. No logical read is counted — a hint is not an access.
-  void Prefetch(PageId id) override;
-
   // Writes a whole page through the pool (allocating a frame, marking dirty).
   void WritePage(PageId id, const void* data) override;
 
@@ -71,7 +63,6 @@ class BufferPool : public PageCache {
   struct Frame {
     std::unique_ptr<uint8_t[]> data;
     bool dirty = false;
-    bool prefetched = false;  // installed by Prefetch, not Fetched yet
     std::atomic<uint32_t> pins{0};
     std::list<PageId>::iterator lru_pos;
   };
@@ -83,7 +74,8 @@ class BufferPool : public PageCache {
   // frame if needed. No-op when every frame is pinned.
   void EvictIfFull();
 
-  Frame& GetFrame(PageId id, bool count_read);
+  // Frame lookup/load with LRU maintenance; counts one logical read.
+  Frame& GetFrame(PageId id);
 
   PageDevice* device_;
   size_t capacity_;

@@ -5,29 +5,14 @@
 
 namespace gauss {
 
-// Counters maintained by the BufferPool. "Physical" reads hit the device
+// Counters maintained by the page caches. "Physical" reads hit the device
 // (these are the paper's "page accesses"); "logical" reads are buffer-pool
 // fetches regardless of residency.
-//
-// Prefetch accounting (PageCache::Prefetch): `prefetch_issued` counts hints
-// that actually scheduled a device read (hints for resident or already
-// in-flight pages are free and uncounted). Each issued prefetch eventually
-// resolves exactly once — `prefetch_hits` when a Fetch first lands on the
-// prefetched frame, `prefetch_wasted` when the frame is evicted/cleared
-// untouched or a synchronous Fetch overtook the in-flight read. After the
-// cache quiesces and drops its frames, issued == hits + wasted.
-// Prefetch device reads are counted in `physical_reads` when they complete
-// (whether the frame installs or a racing Fetch already won), so
-// physical_reads stays "device reads", while logical_reads — the paper's
-// page-access metric — is untouched by prefetching.
 struct IoStats {
   uint64_t logical_reads = 0;
   uint64_t physical_reads = 0;
   uint64_t physical_writes = 0;
   uint64_t evictions = 0;
-  uint64_t prefetch_issued = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetch_wasted = 0;
 
   void Reset() { *this = IoStats(); }
 
@@ -37,9 +22,6 @@ struct IoStats {
     d.physical_reads = physical_reads - other.physical_reads;
     d.physical_writes = physical_writes - other.physical_writes;
     d.evictions = evictions - other.evictions;
-    d.prefetch_issued = prefetch_issued - other.prefetch_issued;
-    d.prefetch_hits = prefetch_hits - other.prefetch_hits;
-    d.prefetch_wasted = prefetch_wasted - other.prefetch_wasted;
     return d;
   }
 
@@ -49,9 +31,6 @@ struct IoStats {
     physical_reads += other.physical_reads;
     physical_writes += other.physical_writes;
     evictions += other.evictions;
-    prefetch_issued += other.prefetch_issued;
-    prefetch_hits += other.prefetch_hits;
-    prefetch_wasted += other.prefetch_wasted;
     return *this;
   }
 };

@@ -93,23 +93,7 @@ class PageCache {
   // Fetch for writing: marks the frame dirty. Same pin semantics.
   virtual PageRef FetchMutable(PageId id) = 0;
 
-  // Hints that `id` will be fetched soon. Purely advisory — a prefetch never
-  // changes any Fetch result, only (maybe) its latency — so callers may
-  // issue hints speculatively and redundantly; a hint for a resident or
-  // already-scheduled page is a cheap no-op. The default implementation
-  // ignores the hint entirely.
-  //
-  // Contract for implementations that honor it:
-  //  * Non-blocking: Prefetch must not wait on the device. ShardedBufferPool
-  //    schedules the fill through PageDevice::ReadAsync and only takes the
-  //    shard latch to install the completed frame; BufferPool (single-
-  //    threaded, no latch to hold) fills synchronously.
-  //  * The filled frame is installed *unpinned* — it is eviction fodder like
-  //    any other frame until a Fetch pins it.
-  //  * Accounting per IoStats: a hint that schedules a device read counts
-  //    prefetch_issued and later resolves to exactly one of prefetch_hits
-  //    (first Fetch lands on the frame) or prefetch_wasted (frame evicted or
-  //    cleared untouched, or a Fetch raced past the in-flight read).
+  // No-op with no caller in src/; kept because bench/e2e overrides it.
   virtual void Prefetch(PageId id) { (void)id; }
 
   // Writes a whole page through the cache (allocating a frame, marking

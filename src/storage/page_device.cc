@@ -3,118 +3,13 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <bit>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
-#include <thread>
 
 #include "common/macros.h"
 
-#if defined(GAUSS_HAVE_IOURING)
-#include <liburing.h>
-#endif
-
 namespace gauss {
-
-// ------------------------------------------------------------ async engine --
-
-// Thread-backed async read engine shared by every PageDevice. One background
-// thread drains the pending queue in batches: all requests queued at wake-up
-// time are issued through one ReadBatch() call (an io_uring backend turns
-// that into one kernel submission), then each completion callback runs in
-// submission order. Lazily started on the first ReadAsync.
-struct PageDevice::AsyncEngine {
-  struct Pending {
-    ReadRequest request;
-    std::function<void()> done;
-  };
-
-  explicit AsyncEngine(const PageDevice* device) : device(device) {
-    worker = std::thread([this] { Loop(); });
-  }
-
-  ~AsyncEngine() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      stop = true;
-    }
-    cv.notify_all();
-    worker.join();
-  }
-
-  void Enqueue(PageId id, void* out, std::function<void()> done) {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      GAUSS_CHECK_MSG(!stop, "ReadAsync after DrainAsyncReads");
-      queue.push_back(Pending{ReadRequest{id, out}, std::move(done)});
-    }
-    cv.notify_all();
-  }
-
-  void Loop() {
-    std::vector<Pending> batch;
-    std::vector<ReadRequest> requests;
-    std::unique_lock<std::mutex> lock(mu);
-    while (true) {
-      cv.wait(lock, [this] { return stop || !queue.empty(); });
-      if (queue.empty()) {
-        if (stop) return;
-        continue;
-      }
-      batch.assign(std::make_move_iterator(queue.begin()),
-                   std::make_move_iterator(queue.end()));
-      queue.clear();
-      lock.unlock();
-
-      requests.clear();
-      for (const Pending& p : batch) requests.push_back(p.request);
-      device->ReadBatch(requests.data(), requests.size());
-      for (Pending& p : batch) {
-        if (p.done) p.done();
-      }
-      batch.clear();
-
-      lock.lock();
-    }
-  }
-
-  const PageDevice* device;
-  std::mutex mu;
-  std::condition_variable cv;  // wakes the worker
-  std::deque<Pending> queue;
-  bool stop = false;
-  std::thread worker;
-};
-
-PageDevice::PageDevice(uint32_t page_size) : page_size_(page_size) {}
-
-PageDevice::~PageDevice() { DrainAsyncReads(); }
-
-void PageDevice::ReadBatch(const ReadRequest* requests, size_t count) const {
-  for (size_t i = 0; i < count; ++i) Read(requests[i].id, requests[i].out);
-}
-
-void PageDevice::ReadAsync(PageId id, void* out, std::function<void()> done) {
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    if (engine_ == nullptr) engine_ = std::make_unique<AsyncEngine>(this);
-  }
-  engine_->Enqueue(id, out, std::move(done));
-}
-
-void PageDevice::DrainAsyncReads() {
-  std::unique_ptr<AsyncEngine> engine;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    engine = std::move(engine_);
-  }
-  // ~AsyncEngine completes the queue before joining (stop only exits the
-  // loop once the queue is empty).
-  engine.reset();
-}
 
 // ----------------------------------------------------------- in-memory -----
 
@@ -122,7 +17,6 @@ InMemoryPageDevice::InMemoryPageDevice(uint32_t page_size)
     : PageDevice(page_size) {}
 
 InMemoryPageDevice::~InMemoryPageDevice() {
-  DrainAsyncReads();
   for (std::atomic<uint8_t*>& segment : segments_) {
     delete[] segment.load(std::memory_order_relaxed);
   }
@@ -261,7 +155,6 @@ FilePageDevice::FilePageDevice(int fd, uint32_t page_size, size_t page_count)
 }
 
 FilePageDevice::~FilePageDevice() {
-  DrainAsyncReads();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -279,97 +172,6 @@ void FilePageDevice::Read(PageId id, void* out) const {
   GAUSS_CHECK(id < page_count_.load(std::memory_order_acquire));
   PreadFully(fd_, out, page_size(), static_cast<off_t>(id) * page_size());
 }
-
-#if defined(GAUSS_HAVE_IOURING)
-
-// Persistent process-wide ring, created on first use: per-batch
-// io_uring_queue_init/exit (a syscall plus several mmaps each) would cost
-// more than the handful of preads a typical prefetch batch replaces. All
-// ReadBatch callers serialize on the ring mutex — in practice there is one
-// caller, the device's async engine thread. Batches larger than the ring
-// are submitted in chunks.
-namespace {
-
-constexpr unsigned kRingEntries = 64;
-
-struct SharedRing {
-  std::mutex mu;
-  struct io_uring ring;
-  bool ready = false;
-  bool failed = false;  // setup failed (e.g. locked-memory limits)
-};
-
-SharedRing& GetSharedRing() {
-  static SharedRing* shared = new SharedRing();  // leaked: process lifetime
-  return *shared;
-}
-
-}  // namespace
-
-void FilePageDevice::ReadBatch(const ReadRequest* requests,
-                               size_t count) const {
-  SharedRing& shared = GetSharedRing();
-  std::unique_lock<std::mutex> lock(shared.mu);
-  if (!shared.ready && !shared.failed) {
-    shared.failed = io_uring_queue_init(kRingEntries, &shared.ring, 0) != 0;
-    shared.ready = !shared.failed;
-  }
-  if (shared.failed || count < 2) {
-    lock.unlock();
-    for (size_t i = 0; i < count; ++i) Read(requests[i].id, requests[i].out);
-    return;
-  }
-
-  for (size_t chunk = 0; chunk < count; chunk += kRingEntries) {
-    const size_t n = std::min<size_t>(kRingEntries, count - chunk);
-    for (size_t i = 0; i < n; ++i) {
-      const ReadRequest& req = requests[chunk + i];
-      GAUSS_CHECK(req.id < page_count_.load(std::memory_order_acquire));
-      struct io_uring_sqe* sqe = io_uring_get_sqe(&shared.ring);
-      GAUSS_CHECK(sqe != nullptr);
-      io_uring_prep_read(sqe, fd_, req.out, page_size(),
-                         static_cast<off_t>(req.id) * page_size());
-      // Index via the classic void* user_data (liburing 0.x compatible).
-      io_uring_sqe_set_data(
-          sqe, reinterpret_cast<void*>(static_cast<uintptr_t>(chunk + i)));
-    }
-    // submit/wait can both return -EINTR under non-SA_RESTART signals
-    // (profilers, application timers) — retry, same as PreadFully.
-    size_t submitted = 0;
-    while (submitted < n) {
-      const int rc = io_uring_submit(&shared.ring);
-      if (rc == -EINTR) continue;
-      GAUSS_CHECK(rc >= 0);
-      submitted += static_cast<size_t>(rc);
-    }
-    for (size_t i = 0; i < n; ++i) {
-      struct io_uring_cqe* cqe = nullptr;
-      int rc;
-      while ((rc = io_uring_wait_cqe(&shared.ring, &cqe)) == -EINTR) {
-      }
-      GAUSS_CHECK(rc == 0);
-      const size_t index = static_cast<size_t>(
-          reinterpret_cast<uintptr_t>(io_uring_cqe_get_data(cqe)));
-      const int res = cqe->res;
-      io_uring_cqe_seen(&shared.ring, cqe);
-      if (res != static_cast<int>(page_size())) {
-        // -EINTR or a short read: finish this page with the retrying
-        // pread path rather than aborting on a transient condition.
-        GAUSS_CHECK(res == -EINTR || res >= 0);
-        Read(requests[index].id, requests[index].out);
-      }
-    }
-  }
-}
-
-#else  // !GAUSS_HAVE_IOURING
-
-void FilePageDevice::ReadBatch(const ReadRequest* requests,
-                               size_t count) const {
-  for (size_t i = 0; i < count; ++i) Read(requests[i].id, requests[i].out);
-}
-
-#endif  // GAUSS_HAVE_IOURING
 
 void FilePageDevice::Write(PageId id, const void* data) {
   GAUSS_CHECK(id < page_count_.load(std::memory_order_acquire));

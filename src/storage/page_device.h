@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,10 +18,9 @@ namespace gauss {
 // must be deterministic; all I/O accounting happens in the page-cache layer
 // above, not here.
 //
-// Thread-safety contract: `Read`/`ReadBatch` must be safe to call
-// concurrently with other reads — the ShardedBufferPool issues parallel
-// reads from different shards and the async prefetch engine reads from its
-// own thread. `Allocate` and `Write` may run concurrently with reads of
+// Thread-safety contract: `Read` must be safe to call concurrently with
+// other reads — the ShardedBufferPool issues parallel reads from different
+// shards. `Allocate` and `Write` may run concurrently with reads of
 // *already-allocated* pages: the live-ingest merge thread appends a fresh
 // tree image onto a device that the previous epoch is still serving reads
 // from. Writers themselves need external serialization against each other,
@@ -32,24 +30,10 @@ namespace gauss {
 // descriptor plus an acquire/release page count; InMemoryPageDevice with a
 // fixed directory of geometrically-growing segments, so a published page's
 // address never moves while an append installs new segments.
-//
-// Asynchronous reads: ReadAsync() queues a read and returns immediately;
-// a device-owned background thread drains the queue in batches through
-// ReadBatch() and runs each completion callback after its page bytes have
-// landed. This is the engine underneath PageCache::Prefetch — the cache
-// schedules fills without holding any latch across the device wait.
-// Implementations that override the destructor must call DrainAsyncReads()
-// first so no engine thread can touch derived state mid-teardown.
 class PageDevice {
  public:
-  // One positioned read: `out` must hold page_size() bytes.
-  struct ReadRequest {
-    PageId id = kInvalidPageId;
-    void* out = nullptr;
-  };
-
-  explicit PageDevice(uint32_t page_size);
-  virtual ~PageDevice();
+  explicit PageDevice(uint32_t page_size) : page_size_(page_size) {}
+  virtual ~PageDevice() = default;
 
   PageDevice(const PageDevice&) = delete;
   PageDevice& operator=(const PageDevice&) = delete;
@@ -60,17 +44,6 @@ class PageDevice {
   // Copies the page contents into `out` (page_size() bytes).
   virtual void Read(PageId id, void* out) const = 0;
 
-  // Reads `count` pages in one submission where the backend supports it
-  // (io_uring FilePageDevice); the default loops Read(). The async engine
-  // funnels every queued ReadAsync through here, so a batched backend
-  // accelerates prefetching without the cache knowing.
-  virtual void ReadBatch(const ReadRequest* requests, size_t count) const;
-
-  // Queues a read and returns immediately; `done` runs on the engine thread
-  // after the page bytes are in `out`. `out` must stay valid until then.
-  // Completions of one device run on one thread, in submission order.
-  void ReadAsync(PageId id, void* out, std::function<void()> done);
-
   // Overwrites the page with `data` (page_size() bytes).
   virtual void Write(PageId id, const void* data) = 0;
 
@@ -79,18 +52,8 @@ class PageDevice {
 
   uint32_t page_size() const { return page_size_; }
 
- protected:
-  // Completes every queued ReadAsync and joins the engine thread. Must be
-  // called by any derived destructor (before derived members die); invoked
-  // again by ~PageDevice as a harmless no-op.
-  void DrainAsyncReads();
-
  private:
-  struct AsyncEngine;
-
   uint32_t page_size_;
-  mutable std::mutex engine_mu_;  // guards lazy engine creation
-  std::unique_ptr<AsyncEngine> engine_;
 };
 
 // Heap-backed device; the default for experiments (the disk model converts
@@ -125,12 +88,10 @@ class InMemoryPageDevice : public PageDevice {
 };
 
 // File-backed device for persistence tests and on-disk operation. Built on
-// positioned pread/pwrite over a raw descriptor: concurrent reads (including
-// async prefetch batches) proceed in parallel without shared seek state,
-// which is what lets traversal compute overlap with device I/O. Every
-// FilePageDevice owns its own descriptor and its own async read engine, so
-// a multi-device database (one device per shard — GaussDb's directory
-// layout) overlaps reads across all its files genuinely in parallel.
+// positioned pread/pwrite over a raw descriptor: concurrent reads proceed in
+// parallel without shared seek state. Every FilePageDevice owns its own
+// descriptor, so a multi-device database (one device per shard — GaussDb's
+// directory layout) reads all its files genuinely in parallel.
 class FilePageDevice : public PageDevice {
  public:
   // Opens (or creates) the backing file. `truncate` discards existing
@@ -151,7 +112,6 @@ class FilePageDevice : public PageDevice {
 
   PageId Allocate() override;
   void Read(PageId id, void* out) const override;
-  void ReadBatch(const ReadRequest* requests, size_t count) const override;
   void Write(PageId id, const void* data) override;
   size_t PageCount() const override;
 

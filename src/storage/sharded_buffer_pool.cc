@@ -44,85 +44,6 @@ ShardedBufferPool::ShardedBufferPool(PageDevice* device, size_t capacity_pages,
   }
 }
 
-ShardedBufferPool::~ShardedBufferPool() {
-  // A completion callback dereferences `this`; none may be outstanding once
-  // the shards start dying.
-  WaitForInflightPrefetches();
-}
-
-void ShardedBufferPool::WaitForInflightPrefetches() {
-  std::unique_lock<std::mutex> lock(prefetch_mu_);
-  prefetch_cv_.wait(lock, [this] { return prefetch_inflight_ == 0; });
-}
-
-void ShardedBufferPool::InstallPrefetchLocked(Shard& shard, PageId id,
-                                              uint64_t permit,
-                                              std::unique_ptr<uint8_t[]> data) {
-  // Install only with a matching permit: a writer (WritePage/FetchMutable)
-  // revokes it because bytes read before the write are stale and must
-  // never be installed — even if the writer's own frame has since been
-  // evicted — and a newer Prefetch of the page holds a fresh ticket this
-  // stale read cannot match. An already-resident frame (a synchronous
-  // Fetch overtook the read) also discards the staging buffer. The device
-  // performed the read either way, so it counts as physical —
-  // physical_reads means "device reads", discarded included.
-  const auto permit_it = shard.inflight_prefetch.find(id);
-  const bool permitted =
-      permit_it != shard.inflight_prefetch.end() && permit_it->second == permit;
-  if (permitted) shard.inflight_prefetch.erase(permit_it);
-  if (!permitted || shard.frames.find(id) != shard.frames.end()) {
-    prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    physical_reads_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  EvictIfFullLocked(shard);
-  auto [pos, inserted] = shard.frames.try_emplace(id);
-  GAUSS_CHECK(inserted);
-  Frame& frame = pos->second;
-  frame.data = std::move(data);
-  frame.prefetched = true;
-  shard.lru.push_front(id);
-  frame.lru_pos = shard.lru.begin();
-  physical_reads_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ShardedBufferPool::Prefetch(PageId id) {
-  Shard& shard = ShardFor(id);
-  uint64_t permit = 0;
-  {
-    std::lock_guard<std::mutex> lock(shard.latch);
-    if (shard.frames.find(id) != shard.frames.end()) return;  // resident
-    auto [it, inserted] = shard.inflight_prefetch.try_emplace(id, 0);
-    if (!inserted) return;  // a live prefetch is already scheduled
-    permit = ++shard.next_permit;
-    it->second = permit;
-  }
-  {
-    std::lock_guard<std::mutex> lock(prefetch_mu_);
-    ++prefetch_inflight_;
-  }
-  prefetch_issued_.fetch_add(1, std::memory_order_relaxed);
-
-  // The staging buffer travels through the callback; no latch is held while
-  // the device reads into it. shared_ptr only because std::function requires
-  // copyable captures.
-  auto staging = std::make_shared<std::unique_ptr<uint8_t[]>>(
-      std::make_unique<uint8_t[]>(device_->page_size()));
-  uint8_t* out = staging->get();
-  Shard* target = &shard;  // outlives the callback: shards_ never resizes
-  device_->ReadAsync(id, out, [this, id, permit, staging, target] {
-    {
-      std::lock_guard<std::mutex> lock(target->latch);
-      InstallPrefetchLocked(*target, id, permit, std::move(*staging));
-    }
-    // Last touch of pool state: signal under the lock so the destructor
-    // cannot win the race between our decrement and its teardown.
-    std::lock_guard<std::mutex> lock(prefetch_mu_);
-    --prefetch_inflight_;
-    if (prefetch_inflight_ == 0) prefetch_cv_.notify_all();
-  });
-}
-
 void ShardedBufferPool::EvictIfFullLocked(Shard& shard) {
   // Evict until strictly below capacity so earlier pin-forced overshoot is
   // reclaimed once the pins are gone, not carried forever.
@@ -139,9 +60,6 @@ void ShardedBufferPool::EvictIfFullLocked(Shard& shard) {
       device_->Write(frame_it->first, frame.data.get());
       physical_writes_.fetch_add(1, std::memory_order_relaxed);
     }
-    if (frame.prefetched) {
-      prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    }
     it = std::make_reverse_iterator(shard.lru.erase(frame.lru_pos));
     shard.frames.erase(frame_it);
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -151,15 +69,10 @@ void ShardedBufferPool::EvictIfFullLocked(Shard& shard) {
 }
 
 ShardedBufferPool::Frame& ShardedBufferPool::GetFrameLocked(Shard& shard,
-                                                            PageId id,
-                                                            bool count_read) {
-  if (count_read) logical_reads_.fetch_add(1, std::memory_order_relaxed);
+                                                            PageId id) {
+  logical_reads_.fetch_add(1, std::memory_order_relaxed);
   auto it = shard.frames.find(id);
   if (it != shard.frames.end()) {
-    if (count_read && it->second.prefetched) {
-      it->second.prefetched = false;
-      prefetch_hits_.fetch_add(1, std::memory_order_relaxed);
-    }
     shard.lru.erase(it->second.lru_pos);
     shard.lru.push_front(id);
     it->second.lru_pos = shard.lru.begin();
@@ -171,7 +84,7 @@ ShardedBufferPool::Frame& ShardedBufferPool::GetFrameLocked(Shard& shard,
   Frame& frame = pos->second;
   frame.data = std::make_unique<uint8_t[]>(device_->page_size());
   device_->Read(id, frame.data.get());
-  if (count_read) physical_reads_.fetch_add(1, std::memory_order_relaxed);
+  physical_reads_.fetch_add(1, std::memory_order_relaxed);
   shard.lru.push_front(id);
   frame.lru_pos = shard.lru.begin();
   return frame;
@@ -180,7 +93,7 @@ ShardedBufferPool::Frame& ShardedBufferPool::GetFrameLocked(Shard& shard,
 PageRef ShardedBufferPool::Fetch(PageId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.latch);
-  Frame& frame = GetFrameLocked(shard, id, /*count_read=*/true);
+  Frame& frame = GetFrameLocked(shard, id);
   frame.pins.fetch_add(1, std::memory_order_relaxed);
   return PageRef(frame.data.get(), &frame.pins);
 }
@@ -188,11 +101,7 @@ PageRef ShardedBufferPool::Fetch(PageId id) {
 PageRef ShardedBufferPool::FetchMutable(PageId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.latch);
-  // The caller intends to change the page: revoke any in-flight prefetch's
-  // install permit (see InstallPrefetchLocked) so pre-write bytes can never
-  // resurface after this frame is evicted.
-  shard.inflight_prefetch.erase(id);
-  Frame& frame = GetFrameLocked(shard, id, /*count_read=*/true);
+  Frame& frame = GetFrameLocked(shard, id);
   frame.dirty = true;
   frame.pins.fetch_add(1, std::memory_order_relaxed);
   return PageRef(frame.data.get(), &frame.pins);
@@ -201,8 +110,6 @@ PageRef ShardedBufferPool::FetchMutable(PageId id) {
 void ShardedBufferPool::WritePage(PageId id, const void* data) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.latch);
-  // See FetchMutable: a revoked permit keeps stale pre-write bytes out.
-  shard.inflight_prefetch.erase(id);
   auto it = shard.frames.find(id);
   if (it == shard.frames.end()) {
     EvictIfFullLocked(shard);
@@ -212,11 +119,6 @@ void ShardedBufferPool::WritePage(PageId id, const void* data) {
     shard.lru.push_front(id);
     frame.lru_pos = shard.lru.begin();
   } else {
-    // Overwriting a prefetched frame discards the prefetched bytes unread.
-    if (it->second.prefetched) {
-      it->second.prefetched = false;
-      prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-    }
     shard.lru.erase(it->second.lru_pos);
     shard.lru.push_front(id);
     it->second.lru_pos = shard.lru.begin();
@@ -244,9 +146,6 @@ void ShardedBufferPool::Clear() {
     std::lock_guard<std::mutex> lock(shard.latch);
     for (auto it = shard.frames.begin(); it != shard.frames.end();) {
       if (it->second.pins.load(std::memory_order_acquire) == 0) {
-        if (it->second.prefetched) {
-          prefetch_wasted_.fetch_add(1, std::memory_order_relaxed);
-        }
         shard.lru.erase(it->second.lru_pos);
         it = shard.frames.erase(it);
       } else {
@@ -262,9 +161,6 @@ IoStats ShardedBufferPool::stats() const {
   s.physical_reads = physical_reads_.load(std::memory_order_relaxed);
   s.physical_writes = physical_writes_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.prefetch_issued = prefetch_issued_.load(std::memory_order_relaxed);
-  s.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  s.prefetch_wasted = prefetch_wasted_.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -273,9 +169,6 @@ void ShardedBufferPool::ResetStats() {
   physical_reads_.store(0, std::memory_order_relaxed);
   physical_writes_.store(0, std::memory_order_relaxed);
   evictions_.store(0, std::memory_order_relaxed);
-  prefetch_issued_.store(0, std::memory_order_relaxed);
-  prefetch_hits_.store(0, std::memory_order_relaxed);
-  prefetch_wasted_.store(0, std::memory_order_relaxed);
 }
 
 size_t ShardedBufferPool::resident_pages() const {

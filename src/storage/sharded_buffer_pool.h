@@ -2,7 +2,6 @@
 #define GAUSS_STORAGE_SHARDED_BUFFER_POOL_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -45,29 +44,10 @@ namespace gauss {
 //    the *same* shard serialize (harmless: they would race on the same LRU
 //    anyway), misses to different shards proceed in parallel. PageDevice
 //    implementations must therefore support concurrent Read calls
-//    (InMemoryPageDevice is naturally safe; FilePageDevice locks
-//    internally).
+//    (InMemoryPageDevice is naturally safe; FilePageDevice uses positioned
+//    reads with no shared seek state).
 //  * IoStats are aggregated with relaxed atomics: counters are exact in
 //    total, but a snapshot taken mid-traffic may be torn across counters.
-//
-// Asynchronous prefetch (the paper's critical path is the page reads a
-// traversal *must* wait for — prefetch moves the wait off that path):
-//  * Prefetch(id) checks residency and in-flight status under the shard
-//    latch, then — for a genuinely new page — records the id as in flight,
-//    releases the latch, and schedules the device read via
-//    PageDevice::ReadAsync into a staging buffer. No latch is held while the
-//    device works. The completion (engine thread) re-takes the latch only to
-//    install the staging buffer as an unpinned frame.
-//  * A Fetch that arrives while the read is still in flight does not wait:
-//    it performs its own synchronous read (identical bytes — serving pages
-//    are immutable), and the late completion counts prefetch_wasted instead
-//    of installing. Correctness never depends on prefetch timing.
-//  * Every issued prefetch resolves to exactly one hit or wasted count; see
-//    IoStats. WaitForInflightPrefetches() + Clear() forces all of them to
-//    resolve, which is what the deterministic accounting tests pivot on.
-//  * The destructor drains in-flight prefetches before any shard dies, so a
-//    completion can never touch freed pool state. The backing PageDevice
-//    must outlive the pool (it already must: frames read from it).
 class ShardedBufferPool : public PageCache {
  public:
   // `capacity_pages` > 0 is the *total* budget, split evenly across shards.
@@ -76,20 +56,8 @@ class ShardedBufferPool : public PageCache {
   ShardedBufferPool(PageDevice* device, size_t capacity_pages,
                     size_t num_shards = 0);
 
-  // Drains in-flight prefetch completions before tearing down the shards.
-  ~ShardedBufferPool() override;
-
   PageRef Fetch(PageId id) override;
   PageRef FetchMutable(PageId id) override;
-
-  // Schedules a non-blocking fill of `id` into an unpinned frame (see class
-  // comment). Safe to call concurrently with everything else.
-  void Prefetch(PageId id) override;
-
-  // Blocks until no prefetch is in flight (queued or mid-completion). With
-  // no concurrent Prefetch callers this is a quiescent point: every issued
-  // prefetch has either installed its frame or been counted wasted.
-  void WaitForInflightPrefetches();
 
   void WritePage(PageId id, const void* data) override;
   void FlushAll() override;
@@ -109,7 +77,6 @@ class ShardedBufferPool : public PageCache {
   struct Frame {
     std::unique_ptr<uint8_t[]> data;
     bool dirty = false;
-    bool prefetched = false;  // installed by Prefetch, not Fetched yet
     std::atomic<uint32_t> pins{0};
     std::list<PageId>::iterator lru_pos;
   };
@@ -118,14 +85,6 @@ class ShardedBufferPool : public PageCache {
     mutable std::mutex latch;
     std::unordered_map<PageId, Frame> frames;
     std::list<PageId> lru;  // front = most recently used
-    // Install permits of in-flight prefetch reads: page -> the ticket the
-    // completion must present to install its bytes. Writers erase the
-    // entry (revocation: bytes read before a write are stale); a newer
-    // Prefetch of the same page overwrites it with a fresh ticket, which
-    // also invalidates the older read's permit (no ABA installs). Guarded
-    // by `latch`.
-    std::unordered_map<PageId, uint64_t> inflight_prefetch;
-    uint64_t next_permit = 0;
     size_t capacity = 0;
   };
 
@@ -137,34 +96,21 @@ class ShardedBufferPool : public PageCache {
     return shards_[(h >> 16) & shard_mask_];
   }
 
-  // Frame lookup/load with LRU maintenance; caller holds `shard.latch`.
-  Frame& GetFrameLocked(Shard& shard, PageId id, bool count_read);
+  // Frame lookup/load with LRU maintenance; counts one logical read.
+  // Caller holds `shard.latch`.
+  Frame& GetFrameLocked(Shard& shard, PageId id);
   void EvictIfFullLocked(Shard& shard);
-  // Installs a completed prefetch read, or counts it wasted if a Fetch
-  // overtook it / its permit was revoked. Runs on the device's async
-  // engine thread.
-  void InstallPrefetchLocked(Shard& shard, PageId id, uint64_t permit,
-                             std::unique_ptr<uint8_t[]> data);
 
   PageDevice* device_;
   size_t capacity_;
   size_t shard_mask_;
   std::vector<Shard> shards_;
 
-  // In-flight prefetch count across all shards, with a condvar for
-  // WaitForInflightPrefetches / the destructor drain.
-  std::mutex prefetch_mu_;
-  std::condition_variable prefetch_cv_;
-  size_t prefetch_inflight_ = 0;
-
   // Relaxed-atomic I/O accounting shared by all shards.
   mutable std::atomic<uint64_t> logical_reads_{0};
   mutable std::atomic<uint64_t> physical_reads_{0};
   mutable std::atomic<uint64_t> physical_writes_{0};
   mutable std::atomic<uint64_t> evictions_{0};
-  mutable std::atomic<uint64_t> prefetch_issued_{0};
-  mutable std::atomic<uint64_t> prefetch_hits_{0};
-  mutable std::atomic<uint64_t> prefetch_wasted_{0};
 };
 
 }  // namespace gauss

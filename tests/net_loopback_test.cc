@@ -12,6 +12,7 @@
 #include <cstring>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -30,7 +31,13 @@
 #include "net/shard_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "pfv/pfv_file.h"
+#include "scan/seq_scan.h"
 #include "service/query.h"
+#include "service/shard_coordinator.h"
+#include "service_test_util.h"
+#include "storage/buffer_pool.h"
+#include "storage/page_device.h"
 
 namespace gauss {
 namespace {
@@ -82,6 +89,7 @@ class ServedShard {
     return probe;
   }
 
+  const PfvDataset& dataset() const { return dataset_; }
   QueryService* service() { return session_->shard_service(0); }
   ShardServer* server() { return server_.get(); }
   uint16_t port() const { return server_->port(); }
@@ -434,6 +442,147 @@ TEST(NetLoopbackTest, ExpiredDeadlineFailsFastBeforeAnyFrameIsWritten) {
   EXPECT_TRUE(alive.error.ok()) << alive.error.ToString();
   EXPECT_EQ(shard.server()->stats().total_queries(), 1u);
   rpc->Release({2});
+}
+
+// --------------------------- hostile start frames ---------------------------
+
+// One kStart body that decodes cleanly but breaks a traversal precondition
+// (the MLIQ/TIQ constructors GAUSS_CHECK them). `make` builds it from a
+// valid probe by editing the Pfv's public fields directly: the checking Pfv
+// constructor would refuse these values, but a peer's bytes are not so
+// polite.
+struct HostileStart {
+  const char* name;
+  std::function<Query(Pfv)> make;
+};
+
+const double kNan = std::numeric_limits<double>::quiet_NaN();
+const double kInf = std::numeric_limits<double>::infinity();
+
+const HostileStart kHostileStarts[] = {
+    {"MliqKZero", [](Pfv p) { return Query::Mliq(std::move(p), 0); }},
+    {"MliqDimBelowTree",
+     [](Pfv p) {
+       p.mu.pop_back();
+       p.sigma.pop_back();
+       return Query::Mliq(std::move(p), 3);
+     }},
+    {"TiqDimAboveTree",
+     [](Pfv p) {
+       p.mu.push_back(0.5);
+       p.sigma.push_back(0.1);
+       return Query::Tiq(std::move(p), 0.2);
+     }},
+    {"NanMu",
+     [](Pfv p) {
+       p.mu[0] = kNan;
+       return Query::Mliq(std::move(p), 3);
+     }},
+    {"InfiniteMu",
+     [](Pfv p) {
+       p.mu[1] = -kInf;
+       return Query::Tiq(std::move(p), 0.2);
+     }},
+    {"ZeroSigma",
+     [](Pfv p) {
+       p.sigma[0] = 0.0;
+       return Query::Mliq(std::move(p), 3);
+     }},
+    {"NegativeSigma",
+     [](Pfv p) {
+       p.sigma[2] = -0.25;
+       return Query::Tiq(std::move(p), 0.2);
+     }},
+    {"NanSigma",
+     [](Pfv p) {
+       p.sigma[1] = kNan;
+       return Query::Mliq(std::move(p), 3);
+     }},
+    {"TiqThresholdZero",
+     [](Pfv p) { return Query::Tiq(std::move(p), 0.0); }},
+    {"TiqThresholdAboveOne",
+     [](Pfv p) { return Query::Tiq(std::move(p), 1.5); }},
+    {"TiqThresholdNan",
+     [](Pfv p) { return Query::Tiq(std::move(p), kNan); }},
+};
+
+class MalformedStartTest : public ::testing::TestWithParam<HostileStart> {};
+
+// The hostile frame comes back as a typed kProtocolError instead of aborting
+// the server; afterwards a fresh connection still answers byte-identically
+// to the in-process backend and exactly like the seq-scan oracle.
+TEST_P(MalformedStartTest, FailsTypedAndServerKeepsAnswering) {
+  ServedShard shard;
+  const Pfv probe = shard.Probe();
+  {
+    auto rpc = MustConnect(shard.port());
+    ASSERT_TRUE(rpc != nullptr);
+    const ShardBackend::StartResult result =
+        rpc->Start(1, GetParam().make(probe)).get();
+    EXPECT_EQ(result.error.code, NetErrorCode::kProtocolError)
+        << result.error.ToString();
+  }
+  // Rejected before any traversal ran.
+  EXPECT_EQ(shard.server()->stats().total_queries(), 0u);
+
+  auto rpc = MustConnect(shard.port());
+  ASSERT_TRUE(rpc != nullptr);
+  InProcessBackend local(shard.service());
+  ShardCoordinator over_rpc(std::vector<ShardBackend*>{rpc.get()});
+  ShardCoordinator in_process(std::vector<ShardBackend*>{&local});
+  const std::vector<Query> batch = {
+      Query::Mliq(probe, 3), Query::Tiq(probe, 0.2).ExactMembership(true)};
+  const BatchResult got = over_rpc.ExecuteBatch(batch);
+  const BatchResult want = in_process.ExecuteBatch(batch);
+
+  InMemoryPageDevice scan_device;
+  BufferPool scan_pool(&scan_device, 1 << 12);
+  PfvFile scan_file(&scan_pool, shard.dim());
+  scan_file.AppendAll(shard.dataset());
+  const SeqScan scan(&scan_file);
+  const std::vector<std::vector<IdentificationResult>> oracle = {
+      scan.QueryMliq(probe, 3).items, scan.QueryTiq(probe, 0.2).items};
+
+  ASSERT_EQ(got.responses.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    ASSERT_EQ(got.responses[i].status, QueryResponse::Status::kOk);
+    test::ExpectItemsBytesEqual(got.responses[i].items,
+                                want.responses[i].items);
+    ASSERT_EQ(got.responses[i].items.size(), oracle[i].size());
+    for (size_t j = 0; j < oracle[i].size(); ++j) {
+      EXPECT_EQ(got.responses[i].items[j].id, oracle[i][j].id);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NetLoopbackTest, MalformedStartTest, ::testing::ValuesIn(kHostileStarts),
+    [](const ::testing::TestParamInfo<HostileStart>& info) {
+      return std::string(info.param.name);
+    });
+
+// A version-2 peer (its query and io-stats bodies carried read-ahead fields
+// that version 3 dropped) is refused at the handshake, typed.
+TEST(NetLoopbackTest, Version2HelloIsRefusedTyped) {
+  ServedShard shard;
+  NetError error;
+  TcpSocket sock = TcpSocket::Connect("127.0.0.1", shard.port(),
+                                      std::chrono::seconds(5), &error);
+  ASSERT_TRUE(sock.valid()) << error.ToString();
+  const SocketDeadline deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  WireHello hello;
+  hello.version = 2;
+  std::vector<uint8_t> body;
+  EncodeHello(hello, &body);
+  ASSERT_TRUE(WriteFrame(sock, MsgType::kHello, 1, body, deadline).ok());
+  Frame reply;
+  ASSERT_TRUE(ReadFrame(sock, &reply, deadline).ok());
+  ASSERT_EQ(reply.type, MsgType::kError);
+  NetError remote;
+  ASSERT_TRUE(DecodeError(reply.body.data(), reply.body.size(), &remote).ok());
+  EXPECT_EQ(remote.code, NetErrorCode::kProtocolMismatch);
 }
 
 }  // namespace

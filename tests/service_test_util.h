@@ -43,11 +43,6 @@ class GatedPageCache : public PageCache {
     WaitWhileGated();
     return inner_->FetchMutable(id);
   }
-  // Prefetch is non-blocking by contract, so hints pass the gate: a worker
-  // pinned at the gate can have its already-issued prefetches complete in
-  // the background, which is exactly what the deterministic prefetch
-  // accounting tests rely on.
-  void Prefetch(PageId id) override { inner_->Prefetch(id); }
   void WritePage(PageId id, const void* data) override {
     inner_->WritePage(id, data);
   }

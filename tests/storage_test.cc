@@ -1,8 +1,6 @@
 #include <atomic>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -157,6 +155,31 @@ TEST(BufferPoolTest, StatsDeltaArithmetic) {
   EXPECT_EQ(delta.physical_reads, 1u);
 }
 
+// Merging per-shard counters (+=) and taking deltas (-) are field-wise
+// inverses over every IoStats counter (the prefetch counters this once
+// covered no longer exist).
+TEST(IoStatsTest, PrefetchCountersMergeAndSubtract) {
+  IoStats part;
+  part.logical_reads = 9;
+  part.physical_reads = 5;
+  part.physical_writes = 3;
+  part.evictions = 1;
+  IoStats merged;
+  merged.logical_reads = 4;
+  merged.physical_reads = 2;
+  merged.physical_writes = 2;
+  merged += part;
+  EXPECT_EQ(merged.logical_reads, 13u);
+  EXPECT_EQ(merged.physical_reads, 7u);
+  EXPECT_EQ(merged.physical_writes, 5u);
+  EXPECT_EQ(merged.evictions, 1u);
+  const IoStats d = merged - part;
+  EXPECT_EQ(d.logical_reads, 4u);
+  EXPECT_EQ(d.physical_reads, 2u);
+  EXPECT_EQ(d.physical_writes, 2u);
+  EXPECT_EQ(d.evictions, 0u);
+}
+
 TEST(BufferPoolTest, CapacityRespected) {
   InMemoryPageDevice device(128);
   std::vector<PageId> ids;
@@ -297,47 +320,9 @@ TEST(FilePageDeviceTest, TryOpenReportsFailuresInsteadOfAborting) {
   std::remove(path.c_str());
 }
 
-TEST(PageDeviceAsyncTest, ReadBatchMatchesSingleReads) {
-  InMemoryPageDevice device(256);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 6; ++i) {
-    ids.push_back(device.Allocate());
-    device.Write(ids.back(), Pattern(256, static_cast<uint8_t>(i + 1)).data());
-  }
-  std::vector<std::vector<uint8_t>> out(ids.size(),
-                                        std::vector<uint8_t>(256, 0));
-  std::vector<PageDevice::ReadRequest> requests;
-  for (size_t i = 0; i < ids.size(); ++i) {
-    requests.push_back({ids[i], out[i].data()});
-  }
-  device.ReadBatch(requests.data(), requests.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(out[i], Pattern(256, static_cast<uint8_t>(i + 1)));
-  }
-}
-
-TEST(PageDeviceAsyncTest, ReadAsyncDeliversBytesThenCallback) {
-  InMemoryPageDevice device(128);
-  const PageId id = device.Allocate();
-  const auto want = Pattern(128, 42);
-  device.Write(id, want.data());
-
-  std::vector<uint8_t> out(128, 0);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  device.ReadAsync(id, out.data(), [&] {
-    std::lock_guard<std::mutex> lock(mu);
-    done = true;
-    cv.notify_all();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done; });
-  EXPECT_EQ(out, want);
-}
-
-TEST(PageDeviceAsyncTest, FileBackedReadBatchAndAsync) {
-  const std::string path = ::testing::TempDir() + "/gauss_async_device_test.db";
+TEST(FilePageDeviceTest, ConcurrentPositionedReadsAreConsistent) {
+  const std::string path =
+      ::testing::TempDir() + "/gauss_concurrent_read_test.db";
   {
     FilePageDevice device(path, 512, /*truncate=*/true);
     std::vector<PageId> ids;
@@ -345,18 +330,8 @@ TEST(PageDeviceAsyncTest, FileBackedReadBatchAndAsync) {
       ids.push_back(device.Allocate());
       device.Write(ids.back(), Pattern(512, static_cast<uint8_t>(i * 5)).data());
     }
-    std::vector<std::vector<uint8_t>> out(ids.size(),
-                                          std::vector<uint8_t>(512, 0));
-    std::vector<PageDevice::ReadRequest> requests;
-    for (size_t i = 0; i < ids.size(); ++i) {
-      requests.push_back({ids[i], out[i].data()});
-    }
-    device.ReadBatch(requests.data(), requests.size());
-    for (size_t i = 0; i < ids.size(); ++i) {
-      EXPECT_EQ(out[i], Pattern(512, static_cast<uint8_t>(i * 5)));
-    }
-
-    // Concurrent positioned reads (no shared seek state to corrupt).
+    // Positioned reads share no seek state, so concurrent readers of
+    // different pages never see each other's bytes.
     std::atomic<int> mismatches{0};
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
@@ -373,208 +348,6 @@ TEST(PageDeviceAsyncTest, FileBackedReadBatchAndAsync) {
     EXPECT_EQ(mismatches.load(), 0);
   }
   std::remove(path.c_str());
-}
-
-TEST(BufferPoolPrefetchTest, PrefetchFillsAndFirstFetchIsHit) {
-  InMemoryPageDevice device(256);
-  const PageId id = device.Allocate();
-  const auto want = Pattern(256, 21);
-  device.Write(id, want.data());
-  BufferPool pool(&device, 4);
-
-  pool.Prefetch(id);
-  EXPECT_EQ(pool.stats().prefetch_issued, 1u);
-  EXPECT_EQ(pool.stats().physical_reads, 1u);
-  EXPECT_EQ(pool.stats().logical_reads, 0u);  // a hint is not an access
-
-  const PageRef ref = pool.Fetch(id);
-  EXPECT_EQ(std::memcmp(ref.data(), want.data(), 256), 0);
-  EXPECT_EQ(pool.stats().prefetch_hits, 1u);
-  EXPECT_EQ(pool.stats().physical_reads, 1u);  // the fetch found a warm frame
-
-  pool.Fetch(id);  // only the *first* fetch counts as a prefetch hit
-  EXPECT_EQ(pool.stats().prefetch_hits, 1u);
-}
-
-TEST(BufferPoolPrefetchTest, UnusedPrefetchIsWastedOnClear) {
-  InMemoryPageDevice device(256);
-  const PageId id = device.Allocate();
-  BufferPool pool(&device, 4);
-  pool.Prefetch(id);
-  pool.Prefetch(id);  // resident: free no-op, not re-issued
-  EXPECT_EQ(pool.stats().prefetch_issued, 1u);
-  pool.Clear();
-  EXPECT_EQ(pool.stats().prefetch_wasted, 1u);
-  EXPECT_EQ(pool.stats().prefetch_hits, 0u);
-}
-
-TEST(ShardedBufferPoolPrefetchTest, PrefetchThenFetchIsHit) {
-  InMemoryPageDevice device(256);
-  const PageId id = device.Allocate();
-  const auto want = Pattern(256, 33);
-  device.Write(id, want.data());
-  ShardedBufferPool pool(&device, 16, /*num_shards=*/4);
-
-  pool.Prefetch(id);
-  pool.WaitForInflightPrefetches();  // quiesce: the frame is now installed
-  EXPECT_EQ(pool.stats().prefetch_issued, 1u);
-  EXPECT_EQ(pool.stats().physical_reads, 1u);
-
-  const PageRef ref = pool.Fetch(id);
-  EXPECT_EQ(std::memcmp(ref.data(), want.data(), 256), 0);
-  const IoStats stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_hits, 1u);
-  EXPECT_EQ(stats.physical_reads, 1u);  // no second device read
-  EXPECT_EQ(stats.logical_reads, 1u);
-}
-
-TEST(ShardedBufferPoolPrefetchTest, EveryIssuedPrefetchResolvesOnce) {
-  InMemoryPageDevice device(256);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 32; ++i) ids.push_back(device.Allocate());
-  // Per-shard capacity comfortably above the worst-case hash skew of 32
-  // pages over 4 shards: no eviction can force a re-issue mid-test.
-  ShardedBufferPool pool(&device, 128, /*num_shards=*/4);
-
-  // Two hint rounds: the second round sees every page resident or still in
-  // flight, so exactly 32 prefetches are issued.
-  for (int round = 0; round < 2; ++round) {
-    for (const PageId id : ids) pool.Prefetch(id);
-  }
-  pool.WaitForInflightPrefetches();
-  EXPECT_EQ(pool.stats().prefetch_issued, 32u);
-
-  for (int i = 0; i < 16; ++i) pool.Fetch(ids[i]);  // first half: hits
-  pool.Clear();                                     // second half: wasted
-  const IoStats stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_hits, 16u);
-  EXPECT_EQ(stats.prefetch_wasted, 16u);
-  EXPECT_EQ(stats.prefetch_issued, stats.prefetch_hits + stats.prefetch_wasted);
-}
-
-TEST(ShardedBufferPoolPrefetchTest, ConcurrentPrefetchAndFetchConsistent) {
-  InMemoryPageDevice device(256);
-  std::vector<PageId> ids;
-  for (int i = 0; i < 64; ++i) {
-    ids.push_back(device.Allocate());
-    device.Write(ids.back(), Pattern(256, static_cast<uint8_t>(i * 7)).data());
-  }
-  // Tiny capacity: prefetch installs race with eviction churn.
-  ShardedBufferPool pool(&device, 8, /*num_shards=*/4);
-  std::atomic<int> mismatches{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int iter = 0; iter < 300; ++iter) {
-        const int i = (iter * 17 + t * 31) % 64;
-        pool.Prefetch(ids[(i + 1) % 64]);
-        const PageRef ref = pool.Fetch(ids[i]);
-        const auto want = Pattern(256, static_cast<uint8_t>(i * 7));
-        if (std::memcmp(ref.data(), want.data(), 256) != 0) ++mismatches;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-
-  // Quiesce and drop all frames: every issued prefetch must have resolved
-  // to exactly one hit or wasted count.
-  pool.WaitForInflightPrefetches();
-  pool.Clear();
-  const IoStats stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_issued, stats.prefetch_hits + stats.prefetch_wasted);
-}
-
-// Device whose reads can be held at a gate: pins an async prefetch read
-// in flight so races against it can be staged deterministically.
-class GatedReadDevice : public InMemoryPageDevice {
- public:
-  explicit GatedReadDevice(uint32_t page_size) : InMemoryPageDevice(page_size) {}
-  ~GatedReadDevice() override {
-    OpenGate();        // never join a reader stuck at the gate
-    DrainAsyncReads(); // engine must stop before the gate members die
-  }
-
-  void Read(PageId id, void* out) const override {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      ++waiting_;
-      cv_.wait(lock, [this] { return !gated_; });
-      --waiting_;
-    }
-    InMemoryPageDevice::Read(id, out);
-  }
-
-  void CloseGate() {
-    std::lock_guard<std::mutex> lock(mu_);
-    gated_ = true;
-  }
-  void OpenGate() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      gated_ = false;
-    }
-    cv_.notify_all();
-  }
-  size_t waiting() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return waiting_;
-  }
-
- private:
-  mutable std::mutex mu_;
-  mutable std::condition_variable cv_;
-  bool gated_ = false;
-  mutable size_t waiting_ = 0;
-};
-
-TEST(ShardedBufferPoolPrefetchTest, WriteRevokesInflightPrefetchInstall) {
-  GatedReadDevice device(256);
-  const PageId id = device.Allocate();
-  const auto old_bytes = Pattern(256, 1);
-  const auto new_bytes = Pattern(256, 2);
-  device.Write(id, old_bytes.data());
-  ShardedBufferPool pool(&device, 16, /*num_shards=*/4);
-
-  // Hold the prefetch's device read at the gate: it has sampled nothing
-  // yet, but its permit exists and the write below must revoke it.
-  device.CloseGate();
-  pool.Prefetch(id);
-  while (device.waiting() == 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  pool.WritePage(id, new_bytes.data());
-  pool.FlushAll();
-  pool.Clear();  // the new bytes leave the cache; only the device has them
-  device.OpenGate();
-  pool.WaitForInflightPrefetches();
-
-  // The stale read must have been discarded, not installed: the next fetch
-  // re-reads the device and sees the post-write bytes.
-  const PageRef ref = pool.Fetch(id);
-  EXPECT_EQ(std::memcmp(ref.data(), new_bytes.data(), 256), 0);
-  const IoStats stats = pool.stats();
-  EXPECT_EQ(stats.prefetch_issued, 1u);
-  EXPECT_EQ(stats.prefetch_wasted, 1u);
-  EXPECT_EQ(stats.prefetch_hits, 0u);
-}
-
-TEST(IoStatsTest, PrefetchCountersMergeAndSubtract) {
-  IoStats a;
-  a.prefetch_issued = 5;
-  a.prefetch_hits = 3;
-  a.prefetch_wasted = 1;
-  IoStats b;
-  b.prefetch_issued = 2;
-  b.prefetch_hits = 2;
-  b += a;
-  EXPECT_EQ(b.prefetch_issued, 7u);
-  EXPECT_EQ(b.prefetch_hits, 5u);
-  EXPECT_EQ(b.prefetch_wasted, 1u);
-  const IoStats d = b - a;
-  EXPECT_EQ(d.prefetch_issued, 2u);
-  EXPECT_EQ(d.prefetch_hits, 2u);
-  EXPECT_EQ(d.prefetch_wasted, 0u);
 }
 
 TEST(DiskModelTest, SequentialFasterThanRandomForManyPages) {

@@ -283,86 +283,31 @@ TEST_F(StreamingTest, DestructorDrainsOutstandingFutures) {
   ExpectItemsBytesEqual(r2.items, direct2.items);
 }
 
-// Asynchronous read-ahead is purely a latency knob: every prefetch depth
-// returns answers byte-identical to the depth-0 (fully synchronous) run and
-// to the low-level API, and the logical page-access count — the paper's
-// page-access metric — is unchanged. The cache is sized well below the tree
-// (GaussTree::Open's reachability walk would otherwise leave every page
-// resident and reduce all hints to no-ops), so the prefetch path schedules
-// real asynchronous fills.
-TEST_F(StreamingTest, PrefetchDepthSweepIsByteIdenticalWithUnchangedAccesses) {
-  uint64_t logical_at_depth0 = 0;
-  for (const size_t depth : {size_t{0}, size_t{2}, size_t{8}}) {
-    ShardedBufferPool pool(&device_, 16, /*num_shards=*/4);
-    auto tree = GaussTree::Open(&pool, meta_page_);
-    QueryServiceOptions options;
-    options.num_workers = 2;
-    options.prefetch_depth = depth;
-    QueryService service(*tree, options);
-
-    const std::vector<Query> batch = MakeBatch();
-    const auto direct = DirectAnswers(*tree, batch);
-    pool.ResetStats();
-
-    const BatchResult result = service.ExecuteBatch(batch);
-    ASSERT_EQ(result.responses.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(result.responses[i].status, QueryResponse::Status::kOk);
-      ExpectItemsBytesEqual(result.responses[i].items, direct[i]);
-    }
-
-    pool.WaitForInflightPrefetches();
-    const IoStats stats = pool.stats();
-    if (depth == 0) {
-      logical_at_depth0 = stats.logical_reads;
-      EXPECT_EQ(stats.prefetch_issued, 0u);
-    } else {
-      // Same traversals -> same fetch sequence, whatever the read-ahead.
-      EXPECT_EQ(stats.logical_reads, logical_at_depth0);
-      // A tree-smaller cache guarantees non-resident frontier pages to
-      // hint about somewhere in the batch.
-      EXPECT_GT(stats.prefetch_issued, 0u);
-    }
-  }
-}
-
-// Deterministic prefetch accounting, pinned through the shared
-// GatedPageCache: a worker blocked at the gate has issued at most the root
-// expansion's hints (the root is pinned in memory, so its expansion — and
-// its read-ahead — happens before the first gated Fetch; every deeper
-// expansion sits behind the gate); once released, the run issues the rest,
-// and after a quiesce + Clear every issued prefetch has resolved to exactly
-// one hit or wasted count.
-TEST_F(StreamingTest, GatedPrefetchAccountingResolvesEveryIssue) {
-  // Capacity well below the tree's page count (see the sweep test above).
+// Serving through a cache far smaller than the tree (so workers evict and
+// re-read pages under each other) returns answers byte-identical to the
+// low-level API over the same pool, and costs exactly the same logical page
+// accesses — the paper's page-access metric does not depend on the path.
+TEST_F(StreamingTest, TreeSmallerCacheIsByteIdenticalWithEqualAccesses) {
   ShardedBufferPool pool(&device_, 16, /*num_shards=*/4);
-  GatedPageCache gated(&pool);
-  auto tree = GaussTree::Open(&gated, meta_page_);
-
-  const MliqResult direct = QueryMliq(*tree, workload_[0].query, 3);
-
+  auto tree = GaussTree::Open(&pool, meta_page_);
   QueryServiceOptions options;
-  options.num_workers = 1;
-  options.prefetch_depth = 8;
+  options.num_workers = 2;
   QueryService service(*tree, options);
 
-  gated.CloseGate();
-  auto future = service.Submit(Query::Mliq(workload_[0].query, 3));
-  SpinUntil([&] { return gated.waiting() == 1; });
-  // Blocked on the first non-root fetch: only the pinned root's expansion
-  // can have hinted so far, and it hints at most prefetch_depth pages.
-  EXPECT_LE(pool.stats().prefetch_issued, 8u);
+  const std::vector<Query> batch = MakeBatch();
+  pool.ResetStats();
+  const auto direct = DirectAnswers(*tree, batch);
+  const uint64_t direct_logical = pool.stats().logical_reads;
+  pool.ResetStats();
 
-  gated.OpenGate();
-  const QueryResponse resp = future.get();
-  EXPECT_EQ(resp.status, QueryResponse::Status::kOk);
-  ExpectItemsBytesEqual(resp.items, direct.items);
-
-  pool.WaitForInflightPrefetches();
-  pool.Clear();
-  const IoStats stats = pool.stats();
-  EXPECT_GT(stats.prefetch_issued, 0u);
-  EXPECT_EQ(stats.prefetch_issued, stats.prefetch_hits + stats.prefetch_wasted);
+  const BatchResult result = service.ExecuteBatch(batch);
+  ASSERT_EQ(result.responses.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(result.responses[i].status, QueryResponse::Status::kOk);
+    ExpectItemsBytesEqual(result.responses[i].items, direct[i]);
+  }
+  EXPECT_GT(direct_logical, 0u);
+  EXPECT_EQ(pool.stats().logical_reads, direct_logical);
 }
 
 // The fluent descriptor fills exactly the selected variant.

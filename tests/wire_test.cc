@@ -154,6 +154,11 @@ TEST(WireHandshake, AcceptsCurrentRejectsForeignAndFuture) {
             NetErrorCode::kProtocolMismatch);
   EXPECT_EQ(CheckHandshake(kWireMagic, 0).code,
             NetErrorCode::kProtocolMismatch);
+  // Version 2 query and io-stats bodies carried read-ahead fields that
+  // version 3 dropped: a v2 peer must be refused, not misparsed.
+  EXPECT_EQ(kWireVersion, 3u);
+  EXPECT_EQ(CheckHandshake(kWireMagic, 2).code,
+            NetErrorCode::kProtocolMismatch);
 }
 
 TEST(WireHandshake, HelloAndAckRoundTrip) {
@@ -209,7 +214,6 @@ TEST(WireMessages, StartRoundTripsMliqBitExactly) {
   MliqOptions options;
   options.probability_accuracy = 3.25e-4;
   options.refine_probabilities = false;
-  options.prefetch_depth = 9;
   options.denominator_target_gap = kNastyDoubles[7];  // smallest normal
   options.density_floor_log = -kNastyDoubles[6];      // largest-magnitude log
   const Query query = Query::Mliq(probe, /*k=*/5, options);
@@ -231,7 +235,6 @@ TEST(WireMessages, StartRoundTripsMliqBitExactly) {
   }
   ExpectBitsEqual(start.query->mliq_options().probability_accuracy, 3.25e-4);
   EXPECT_FALSE(start.query->mliq_options().refine_probabilities);
-  EXPECT_EQ(start.query->mliq_options().prefetch_depth, 9u);
   // The coordinator's mass-proportional budget must survive bit-exactly —
   // byte-identical RPC/in-process answers hinge on identical targets.
   ExpectBitsEqual(start.query->mliq_options().denominator_target_gap,
@@ -424,9 +427,6 @@ TEST(WireMessages, StatsReplyRoundTripsEveryCounter) {
   io.physical_reads = 2;
   io.physical_writes = 3;
   io.evictions = 4;
-  io.prefetch_issued = 5;
-  io.prefetch_hits = 6;
-  io.prefetch_wasted = 7;
   ServiceStats service;
   service.mliq_queries = 10;
   service.tiq_queries = 11;
@@ -449,7 +449,9 @@ TEST(WireMessages, StatsReplyRoundTripsEveryCounter) {
   ServiceStats service2;
   ASSERT_TRUE(DecodeStatsReply(body.data(), body.size(), &io2, &service2).ok());
   EXPECT_EQ(io2.logical_reads, 1u);
-  EXPECT_EQ(io2.prefetch_wasted, 7u);
+  EXPECT_EQ(io2.physical_reads, 2u);
+  EXPECT_EQ(io2.physical_writes, 3u);
+  EXPECT_EQ(io2.evictions, 4u);
   EXPECT_EQ(service2.mliq_queries, 10u);
   EXPECT_EQ(service2.tiq_queries, 11u);
   EXPECT_EQ(service2.shed_queries, 12u);
