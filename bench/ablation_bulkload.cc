@@ -1,9 +1,14 @@
 // Ablation: bulk loading versus repeated insertion — build time, structure
-// quality, and query cost on the paper's data set 2.
+// quality, and query cost on the paper's data set 2. A second table times
+// the bulk load at one thread and at every usable CPU; the bench exits
+// non-zero unless both write the same device image.
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <vector>
 
+#include "common/cpus.h"
 #include "common/stopwatch.h"
 #include "data/paper_datasets.h"
 #include "eval/report.h"
@@ -17,7 +22,16 @@
 namespace gauss::bench {
 namespace {
 
-void Run() {
+// Every page of the device, in page-id order.
+std::vector<uint8_t> DeviceImage(const PageDevice& device) {
+  std::vector<uint8_t> image(device.PageCount() * device.page_size());
+  for (PageId id = 0; id < device.PageCount(); ++id) {
+    device.Read(id, image.data() + size_t{id} * device.page_size());
+  }
+  return image;
+}
+
+int Run() {
   PrintBanner(std::cout, "Ablation: bulk load vs repeated insertion");
   double scale = 1.0;
   if (const char* env = std::getenv("GAUSS_BENCH_SCALE")) {
@@ -73,12 +87,36 @@ void Run() {
                "(orders of magnitude lower hull-integral measure), cutting "
                "query pages several-fold; the figure benches still build by "
                "insertion for fidelity to the paper's Section 5.3\n";
+
+  // BulkLoad's threads only split the partitioning work: the image must not
+  // depend on how many there are.
+  const size_t cpus = UsableCpus();
+  Table threads_table({"BulkLoad threads", "build s", "pages"});
+  std::vector<std::vector<uint8_t>> images;
+  for (size_t threads : {size_t{1}, cpus}) {
+    InMemoryPageDevice device(kDefaultPageSize);
+    BufferPool pool(&device, 1 << 16);
+    GaussTree tree(&pool, data.dataset.dim());
+    Stopwatch build;
+    tree.BulkLoad(data.dataset, threads);
+    const double build_seconds = build.ElapsedSeconds();
+    tree.Finalize();
+    images.push_back(DeviceImage(device));
+    threads_table.AddRow({Table::Int(threads), Table::Num(build_seconds, 3),
+                          Table::Int(device.PageCount())});
+  }
+  threads_table.Print(std::cout);
+  if (images[0] != images[1]) {
+    std::cout << "FAIL: the image built with " << cpus
+              << " threads differs from the one-thread image\n";
+    return 1;
+  }
+  std::cout << "images identical at 1 and " << cpus << " threads ("
+            << images[0].size() << " bytes)\n";
+  return 0;
 }
 
 }  // namespace
 }  // namespace gauss::bench
 
-int main() {
-  gauss::bench::Run();
-  return 0;
-}
+int main() { return gauss::bench::Run(); }

@@ -15,7 +15,6 @@
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "api/live_ingest.h"
@@ -763,15 +762,7 @@ Session GaussDb::Serve(ServeOptions options) {
   }
 
   const size_t shards = shard_metas_.size();
-  size_t total_workers = options.num_workers;
-  if (total_workers == 0) {
-    total_workers = std::thread::hardware_concurrency();
-    if (total_workers == 0) total_workers = 1;
-  }
-  const size_t workers_per_shard = std::max<size_t>(1, total_workers / shards);
-  // Every per-shard pool must be able to hold at least a root-to-leaf path
-  // plus headers, whatever the split says.
-  const size_t pages_per_shard = std::max<size_t>(16, options.cache_pages / shards);
+  const ServeSplit split = SplitServeBudget(options, shards);
 
   std::vector<ShardServingStack> stacks;
   stacks.reserve(shards);
@@ -781,11 +772,11 @@ Session GaussDb::Serve(ServeOptions options) {
     // Directory layout: each shard's serving cache sits on the shard's own
     // device, so its misses never queue behind another shard's reads.
     stack.pool = std::make_unique<ShardedBufferPool>(
-        devices_[DeviceOf(s)].get(), pages_per_shard, options.num_shards);
+        devices_[DeviceOf(s)].get(), split.pages_per_shard, options.num_shards);
     stack.tree = GaussTree::Open(stack.pool.get(), shard_metas_[s]);
     total_size += stack.tree->size();
     QueryServiceOptions service_options;
-    service_options.num_workers = workers_per_shard;
+    service_options.num_workers = split.workers_per_shard;
     service_options.queue_capacity = options.queue_capacity;
     stack.service =
         std::make_unique<QueryService>(*stack.tree, service_options);

@@ -269,9 +269,9 @@ struct IngestStats {
 
 // Serving-stack configuration for one GaussDb::Serve() call.
 struct ServeOptions {
-  // Worker threads; 0 = one per hardware thread. For a sharded database
-  // this is the *total* budget, split evenly over the shards (at least one
-  // worker per shard).
+  // Worker threads; 0 = one per usable CPU (common/cpus.h). For a sharded
+  // database this is the *total* budget, split evenly over the shards (at
+  // least one worker per shard).
   size_t num_workers = 0;
   // Cache budget of the serving pool(s), in pages. For a sharded database
   // the budget is split evenly over the per-shard pools.

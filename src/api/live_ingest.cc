@@ -6,35 +6,19 @@
 #include <string>
 #include <utility>
 
+#include "common/cpus.h"
 #include "common/macros.h"
 
 namespace gauss {
 
-namespace {
-
-// Builds the per-shard serving stacks exactly as a static GaussDb::Serve()
-// call would: same worker split, same cache split, same floors. Keeping the
-// arithmetic identical means enabling ingest changes *what* is served (base
-// + delta), never *how* the base is served.
-struct ServeSplit {
-  size_t workers_per_shard = 1;
-  size_t pages_per_shard = 16;
-};
-
 ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
-  size_t total_workers = options.num_workers;
-  if (total_workers == 0) {
-    total_workers = std::thread::hardware_concurrency();
-    if (total_workers == 0) total_workers = 1;
-  }
+  const size_t total_workers =
+      options.num_workers != 0 ? options.num_workers : UsableCpus();
   ServeSplit split;
   split.workers_per_shard = std::max<size_t>(1, total_workers / shards);
-  split.pages_per_shard =
-      std::max<size_t>(16, options.cache_pages / shards);
+  split.pages_per_shard = std::max<size_t>(16, options.cache_pages / shards);
   return split;
 }
-
-}  // namespace
 
 LiveIngest::LiveIngest(std::vector<ShardSource> sources,
                        Partitioner partitioner, size_t dim,
@@ -248,7 +232,7 @@ bool LiveIngest::MergeOnce() {
       // stays valid). Superseded pages are not reclaimed.
       BufferPool pool(sources_[s].device, build_cache_pages_);
       GaussTree tree(&pool, dim_, tree_options_);
-      tree.BulkLoad(combined);
+      tree.BulkLoad(combined, /*threads=*/1);
       tree.Finalize();
       // Redirect the shard's persistent header to the merged image: copy
       // the freshly written header onto the original header page, so both

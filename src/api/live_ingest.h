@@ -14,6 +14,18 @@
 
 namespace gauss {
 
+// Per-shard share of a ServeOptions budget: the worker pool split evenly
+// over the shards (at least one each; num_workers == 0 means UsableCpus()),
+// and the cache split the same way with a floor of 16 pages, enough for a
+// root-to-leaf path plus headers. GaussDb::Serve() and every live-ingest
+// epoch build their stacks from this one split, so enabling ingest changes
+// *what* is served (base + delta), never *how* the base is served.
+struct ServeSplit {
+  size_t workers_per_shard = 1;
+  size_t pages_per_shard = 16;
+};
+ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards);
+
 // ============================== LiveIngest ==================================
 //
 // The insert-while-serving engine behind GaussDb::Serve() with

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/cpus.h"
 #include "gausstree/node.h"
 #include "gausstree/node_store.h"
 #include "math/hull_integral.h"
@@ -107,7 +108,16 @@ class GaussTree {
   // in (mu, sigma) space, minimizing the paper's hull-integral objective at
   // every cut. Much faster to build and more selective than repeated
   // insertion (bench: ablation_bulkload).
-  void BulkLoad(const PfvDataset& dataset);
+  //
+  // Threading: the partitioning hands one half of a split to a helper
+  // thread while more than one of `threads` remains (0 counts as 1), so up
+  // to `threads` CPUs work on disjoint subtrees. Nodes are then created on
+  // the calling thread, leaves first, in the order a sequential
+  // right-half-first depth-first loader visits them, so page ids, node
+  // contents and the device image are byte-identical for every thread
+  // count. The live-ingest merge passes 1: a background rebuild never takes
+  // CPUs from the serving workers.
+  void BulkLoad(const PfvDataset& dataset, size_t threads = UsableCpus());
 
   // Serializes all nodes to pages and persists the header so the tree can be
   // reattached with Open(); queries then pay honest page I/O.

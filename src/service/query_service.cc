@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "common/cpus.h"
 #include "common/macros.h"
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
@@ -43,11 +44,8 @@ QueryService::QueryService(const GaussTree& tree, QueryServiceOptions options)
       queue_(options.queue_capacity) {
   GAUSS_CHECK_MSG(tree.store().finalized(),
                   "QueryService requires a finalized tree");
-  size_t workers = options.num_workers;
-  if (workers == 0) {
-    workers = std::thread::hardware_concurrency();
-    if (workers == 0) workers = 1;
-  }
+  const size_t workers =
+      options.num_workers != 0 ? options.num_workers : UsableCpus();
   GAUSS_CHECK_MSG(workers == 1 || tree.pool()->thread_safe(),
                   "multi-worker serving needs a thread-safe PageCache "
                   "(use ShardedBufferPool)");

@@ -151,7 +151,7 @@ struct QueryTask {
 }  // namespace internal
 
 struct QueryServiceOptions {
-  // 0 = one worker per hardware thread.
+  // 0 = one worker per usable CPU (UsableCpus(), common/cpus.h).
   size_t num_workers = 0;
   // Bound of the admission queue (backpressure/shedding threshold).
   size_t queue_capacity = 1024;

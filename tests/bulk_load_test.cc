@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "data/generators.h"
+#include "data/paper_datasets.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
@@ -28,6 +29,78 @@ PfvDataset RandomDataset(uint64_t seed, size_t n, size_t dim) {
   PfvDataset dataset(dim);
   for (uint64_t i = 0; i < n; ++i) dataset.Add(RandomPfv(rng, i, dim));
   return dataset;
+}
+
+// Keys drawn from three mu and two sigma values, so most comparisons in
+// the median selection are exact ties.
+PfvDataset TiedDataset(uint64_t seed, size_t n, size_t dim) {
+  constexpr double kMus[] = {0.0, 0.5, 1.0};
+  constexpr double kSigmas[] = {0.05, 0.1};
+  Rng rng(seed);
+  PfvDataset dataset(dim);
+  for (uint64_t i = 0; i < n; ++i) {
+    std::vector<double> mu(dim), sigma(dim);
+    for (double& m : mu) m = kMus[rng.UniformInt(3)];
+    for (double& s : sigma) s = kSigmas[rng.UniformInt(2)];
+    dataset.Add(Pfv(i, std::move(mu), std::move(sigma)));
+  }
+  return dataset;
+}
+
+// FNV-1a over every page of the device: the tree's whole persisted image.
+uint64_t ImageHash(const PageDevice& device) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  std::vector<uint8_t> page(device.page_size());
+  for (PageId id = 0; id < device.PageCount(); ++id) {
+    device.Read(id, page.data());
+    for (uint8_t byte : page) {
+      hash ^= byte;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+// Bulk-loads `dataset` with 1, 2 and 4 threads and checks that every image
+// hashes to `expected`. The constants were recorded with the single-threaded
+// loader that predates the threaded partitioning: a change to them is a
+// change to every database built since, not a refactoring.
+void ExpectPinnedImage(const PfvDataset& dataset, uint32_t page_size,
+                       uint64_t expected) {
+  for (size_t threads : {1, 2, 4}) {
+    InMemoryPageDevice device(page_size);
+    BufferPool pool(&device, 1 << 14);
+    GaussTree tree(&pool, dataset.dim());
+    tree.BulkLoad(dataset, threads);
+    tree.Finalize();
+    tree.Validate();
+    EXPECT_EQ(tree.size(), dataset.size());
+    EXPECT_EQ(ImageHash(device), expected) << "threads=" << threads;
+  }
+}
+
+TEST(BulkLoadTest, PaperDataset2ImageIsPinnedAtEveryThreadCount) {
+  ExpectPinnedImage(GeneratePaperDataset2(20000).dataset, kDefaultPageSize,
+                    0xb5b89db29fea9d56ull);
+}
+
+TEST(BulkLoadTest, RandomDim3ImageIsPinnedAtEveryThreadCount) {
+  ExpectPinnedImage(RandomDataset(310, 5000, 3), 2048,
+                    0x9826ff99886c4d6cull);
+}
+
+TEST(BulkLoadTest, TiedKeysImageIsPinnedAtEveryThreadCount) {
+  ExpectPinnedImage(TiedDataset(311, 3000, 2), 2048, 0xb4fad45d6830f691ull);
+}
+
+TEST(BulkLoadTest, LeafCapacityPlusOneImageIsPinnedAtEveryThreadCount) {
+  const size_t cap = GtCapacities::ForPageSize(2048, 3).leaf;
+  ExpectPinnedImage(RandomDataset(312, cap + 1, 3), 2048,
+                    0x30749679fcaa1086ull);
+}
+
+TEST(BulkLoadTest, Dim1ImageIsPinnedAtEveryThreadCount) {
+  ExpectPinnedImage(RandomDataset(313, 4000, 1), 2048, 0x3753e7a30f4297a0ull);
 }
 
 TEST(BulkLoadTest, StructureInvariantsHold) {

@@ -1,16 +1,40 @@
+#include <sched.h>
+
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/cpus.h"
 #include "common/log_sum_exp.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 
 namespace gauss {
 namespace {
+
+TEST(UsableCpusTest, FollowsTheAffinityMask) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  EXPECT_EQ(UsableCpus(), static_cast<size_t>(CPU_COUNT(&allowed)));
+
+  // A thread confined to one CPU sees one, whatever the machine has.
+  int first = 0;
+  while (!CPU_ISSET(first, &allowed)) ++first;
+  size_t confined = 0;
+  std::thread([&] {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    confined = UsableCpus();
+  }).join();
+  EXPECT_EQ(confined, 1u);
+}
 
 TEST(RngTest, DeterministicForSameSeed) {
   Rng a(42), b(42);
