@@ -246,7 +246,6 @@ void Run(bool directory_devices, bool rpc_backend) {
       serve.cache_pages = 1 << 15;  // sized for the tree: measure
                                     // scatter-gather, not cache misses
       serve.queue_capacity = batch.size();
-      serve.coordinator_threads = 2;
       Session session = db.Serve(serve);
 
       session.ExecuteBatch(batch);  // warm the caches and the threads

@@ -36,17 +36,17 @@
 //   ...
 //   front$ query_server --connect=hostA:7001,hostB:7001,...
 //
-// Pass --enroll-rate=N to enroll new persons *while serving*: the session is
-// opened with live ingest enabled (GaussDbOptions::ingest locally, the
-// IngestOptions argument of ServeRemote() for --connect) and a walk-up
+// Pass --enroll-rate=N to enroll new persons *while serving*: the database is
+// opened with live ingest enabled (GaussDbOptions::ingest) and a walk-up
 // enrollment desk inserts N new persons per second through Session::Insert()
 // concurrently with the probe clients above. Inserts land in an in-memory
 // delta that serves immediately — no rebuild, no pause in query traffic —
-// and (locally) a background merge folds the delta into the base tree once
-// it passes the merge threshold. kDeltaFull is backpressure, not an error:
-// the desk retries after a beat. After the load drains, the demo probes the
-// freshly enrolled faces to show they are queryable the moment Insert()
-// returns.
+// and a background merge folds the delta into the base tree once it passes
+// the merge threshold. kDeltaFull is backpressure, not an error: the desk
+// retries after a beat. After the load drains, the demo probes the freshly
+// enrolled faces to show they are queryable the moment Insert() returns.
+// Remote shards are immutable from the front door, so --enroll-rate does not
+// combine with --connect.
 
 #include <atomic>
 #include <chrono>
@@ -114,6 +114,12 @@ int main(int argc, char** argv) {
                  "--shards/--dir\n");
     return 1;
   }
+  if (!connect.empty() && enroll_rate > 0) {
+    std::fprintf(stderr,
+                 "--connect serves remote shards, which cannot enroll from "
+                 "here; --enroll-rate needs a local gallery\n");
+    return 1;
+  }
   if (!directory.empty() && num_shards == 0) {
     num_shards = 4;  // a directory layout is one device per shard
   }
@@ -129,8 +135,8 @@ int main(int argc, char** argv) {
   serve.num_workers = 4;
   serve.cache_pages = 1 << 12;
 
-  // Walk-up enrollment desk: live ingest is opt-in, and the same
-  // IngestOptions shape configures it for every deployment mode.
+  // Walk-up enrollment desk: live ingest is opt-in, for every local
+  // deployment mode.
   IngestOptions ingest;
   ingest.enabled = enroll_rate > 0;
   ingest.delta_capacity = 1 << 14;
@@ -160,7 +166,7 @@ int main(int argc, char** argv) {
       }
       start = comma + 1;
     }
-    ServeResult remote = GaussDb::ServeRemote(endpoints, serve, ingest);
+    ServeResult remote = GaussDb::ServeRemote(endpoints, serve);
     if (!remote.ok()) {
       std::fprintf(stderr, "cannot connect to remote shards: %s\n",
                    remote.error().message.c_str());

@@ -17,7 +17,7 @@
 #include <sstream>
 #include <utility>
 
-#include "api/live_ingest.h"
+#include "api/serving_engine.h"
 #include "common/macros.h"
 #include "net/rpc_backend.h"
 
@@ -153,62 +153,42 @@ const char* OpenErrorCodeName(OpenErrorCode code) {
   return "unknown";
 }
 
+Session::Session(std::shared_ptr<ServingEngine> engine)
+    : engine_(std::move(engine)) {}
+
 std::future<QueryResponse> Session::Submit(Query query) {
-  if (ingest_ != nullptr) return ingest_->Submit(std::move(query));
-  return coordinator_ ? coordinator_->Submit(std::move(query))
-                      : stacks_[0].service->Submit(std::move(query));
+  return engine_->Submit(std::move(query));
 }
 
 BatchResult Session::ExecuteBatch(const std::vector<Query>& batch) {
-  if (ingest_ != nullptr) return ingest_->ExecuteBatch(batch);
-  return coordinator_ ? coordinator_->ExecuteBatch(batch)
-                      : stacks_[0].service->ExecuteBatch(batch);
+  return engine_->ExecuteBatch(batch);
 }
 
-InsertResult Session::Insert(const Pfv& pfv) {
-  if (ingest_ != nullptr) return ingest_->Insert(pfv);
-  return {InsertOutcome::kFinalized,
-          "static session: the serving pages are immutable (enable "
-          "GaussDbOptions::ingest for live ingest)"};
+InsertResult Session::Insert(const Pfv& pfv) { return engine_->Insert(pfv); }
+
+IngestStats Session::ingest_stats() const { return engine_->stats(); }
+
+bool Session::live_ingest() const { return engine_->live(); }
+
+const GaussTree& Session::tree() const { return engine_->tree(); }
+
+const GaussTree& Session::shard_tree(size_t shard) const {
+  return engine_->shard_tree(shard);
 }
 
-IngestStats Session::ingest_stats() const {
-  return ingest_ != nullptr ? ingest_->stats() : IngestStats{};
+ShardedBufferPool& Session::cache() { return engine_->cache(); }
+
+IoStats Session::io_stats() const { return engine_->io_stats(); }
+
+size_t Session::num_shards() const { return engine_->num_shards(); }
+
+bool Session::sharded() const { return engine_->sharded(); }
+
+QueryService* Session::shard_service(size_t shard) {
+  return engine_->shard_service(shard);
 }
 
-IoStats Session::io_stats() const {
-  if (ingest_ != nullptr) return ingest_->io_stats();
-  if (stacks_.empty() && coordinator_ != nullptr) {
-    return coordinator_->io_stats();
-  }
-  IoStats total;
-  for (const ShardServingStack& stack : stacks_) total += stack.pool->stats();
-  return total;
-}
-
-size_t Session::num_shards() const {
-  if (ingest_ != nullptr) return ingest_->num_shards();
-  return coordinator_ ? coordinator_->num_shards() : stacks_.size();
-}
-
-bool Session::sharded() const {
-  if (ingest_ != nullptr) return ingest_->sharded();
-  return coordinator_ != nullptr;
-}
-
-bool Session::remote() const {
-  if (ingest_ != nullptr) return ingest_->remote();
-  return coordinator_ != nullptr && stacks_.empty();
-}
-
-size_t Session::num_workers() const {
-  if (ingest_ != nullptr) return ingest_->num_workers();
-  size_t total = 0;
-  for (const ShardServingStack& stack : stacks_) {
-    total += stack.service->num_workers();
-  }
-  return total;
-}
+size_t Session::num_workers() const { return engine_->num_workers(); }
 
 const char* InsertOutcomeName(InsertOutcome outcome) {
   switch (outcome) {
@@ -660,7 +640,7 @@ size_t GaussDb::size() const {
     for (const auto& tree : trees_) total += tree->size();
     return total;
   }
-  if (ingest_ != nullptr) return ingest_->size();
+  if (live_ != nullptr) return live_->size();
   return size_;
 }
 
@@ -705,19 +685,18 @@ InsertResult GaussDb::Insert(const Pfv& pfv) {
     tree->Insert(pfv);
     return {InsertOutcome::kRoutedToBuild, std::string()};
   }
-  if (ingest_ != nullptr) return ingest_->Insert(pfv);
+  if (live_ != nullptr) return live_->Insert(pfv);
   return {InsertOutcome::kFinalized,
           "Insert after Serve(): the serving pages are immutable (enable "
           "GaussDbOptions::ingest for live ingest)"};
 }
 
 bool GaussDb::MergeIngest() {
-  if (ingest_ == nullptr) return false;
-  return ingest_->MergeNow();
+  return live_ != nullptr && live_->MergeNow();
 }
 
 IngestStats GaussDb::ingest_stats() const {
-  return ingest_ != nullptr ? ingest_->stats() : IngestStats{};
+  return live_ != nullptr ? live_->stats() : IngestStats{};
 }
 
 void GaussDb::Finalize() {
@@ -742,74 +721,27 @@ Session GaussDb::Serve(ServeOptions options) {
   }
   GAUSS_CHECK_MSG(!shard_metas_.empty(), "Serve on an unbuilt GaussDb");
 
+  // Live ingest: one engine per database, built from the first Serve()
+  // call's options; later calls share it (same epochs, same deltas).
+  if (live_ != nullptr) return Session(live_);
+  std::vector<ServingEngine::ShardSource> sources;
+  sources.reserve(shard_metas_.size());
+  for (size_t s = 0; s < shard_metas_.size(); ++s) {
+    sources.push_back({devices_[DeviceOf(s)].get(), shard_metas_[s]});
+  }
+  auto engine = std::make_shared<ServingEngine>(
+      std::move(sources), sharded_, partitioner_, dim_, options_.tree,
+      options_.build_cache_pages, file_devices_, options, options_.ingest);
   if (options_.ingest.enabled) {
-    // Live ingest: one engine per database, built from the first Serve()
-    // call's options; later calls share it (same epochs, same deltas).
-    if (ingest_ == nullptr) {
-      std::vector<LiveIngest::ShardSource> sources;
-      sources.reserve(shard_metas_.size());
-      for (size_t s = 0; s < shard_metas_.size(); ++s) {
-        sources.push_back(
-            LiveIngest::ShardSource{devices_[DeviceOf(s)].get(),
-                                    shard_metas_[s]});
-      }
-      ingest_ = std::make_shared<LiveIngest>(
-          std::move(sources), partitioner_, dim_, options_.tree,
-          options_.build_cache_pages, file_devices_, options,
-          options_.ingest);
-    }
-    return Session(ingest_);
+    live_ = engine;
+  } else {
+    size_ = engine->size();
   }
-
-  const size_t shards = shard_metas_.size();
-  const ServeSplit split = SplitServeBudget(options, shards);
-
-  std::vector<ShardServingStack> stacks;
-  stacks.reserve(shards);
-  size_t total_size = 0;
-  for (size_t s = 0; s < shards; ++s) {
-    ShardServingStack stack;
-    // Directory layout: each shard's serving cache sits on the shard's own
-    // device, so its misses never queue behind another shard's reads.
-    stack.pool = std::make_unique<ShardedBufferPool>(
-        devices_[DeviceOf(s)].get(), split.pages_per_shard, options.num_shards);
-    stack.tree = GaussTree::Open(stack.pool.get(), shard_metas_[s]);
-    total_size += stack.tree->size();
-    QueryServiceOptions service_options;
-    service_options.num_workers = split.workers_per_shard;
-    service_options.queue_capacity = options.queue_capacity;
-    stack.service =
-        std::make_unique<QueryService>(*stack.tree, service_options);
-    stacks.push_back(std::move(stack));
-  }
-  size_ = total_size;
-
-  std::vector<std::unique_ptr<ShardBackend>> backends;
-  std::unique_ptr<ShardCoordinator> coordinator;
-  if (sharded_) {
-    // The coordinator reaches each shard through the transport-agnostic
-    // ShardBackend seam; locally that is an InProcessBackend per shard
-    // service (zero behavior change vs. wiring the services directly).
-    std::vector<ShardBackend*> backend_ptrs;
-    backends.reserve(shards);
-    backend_ptrs.reserve(shards);
-    for (const ShardServingStack& stack : stacks) {
-      backends.push_back(
-          std::make_unique<InProcessBackend>(stack.service.get()));
-      backend_ptrs.push_back(backends.back().get());
-    }
-    ShardCoordinatorOptions coordinator_options;
-    coordinator_options.num_threads = options.coordinator_threads;
-    coordinator_options.queue_capacity = options.queue_capacity;
-    coordinator = std::make_unique<ShardCoordinator>(std::move(backend_ptrs),
-                                                     coordinator_options);
-  }
-  return Session(std::move(stacks), std::move(backends),
-                 std::move(coordinator));
+  return Session(std::move(engine));
 }
 
 ServeResult GaussDb::ServeRemote(const std::vector<std::string>& endpoints,
-                                 ServeOptions options, IngestOptions ingest) {
+                                 ServeOptions options) {
   if (endpoints.empty()) {
     return NetError{NetErrorCode::kConnectFailed,
                     "ServeRemote needs >= 1 shard endpoint"};
@@ -821,9 +753,7 @@ ServeResult GaussDb::ServeRemote(const std::vector<std::string>& endpoints,
       std::chrono::milliseconds(options.rpc_request_timeout_ms);
 
   std::vector<std::unique_ptr<ShardBackend>> backends;
-  std::vector<ShardBackend*> backend_ptrs;
   backends.reserve(endpoints.size());
-  backend_ptrs.reserve(endpoints.size());
   size_t dim = 0;
   for (const std::string& endpoint : endpoints) {
     const size_t colon = endpoint.rfind(':');
@@ -855,47 +785,11 @@ ServeResult GaussDb::ServeRemote(const std::vector<std::string>& endpoints,
               std::to_string(backend->dim()) +
               " disagrees with the first shard's " + std::to_string(dim)};
     }
-    backend_ptrs.push_back(backend.get());
     backends.push_back(std::move(backend));
   }
 
-  if (ingest.enabled) {
-    // The delta must evaluate densities under the same sigma policy as the
-    // remote shards; their sketches carry it. An all-empty fleet falls back
-    // to the default policy — with zero objects the policies agree anyway,
-    // but enrollments then assume the default.
-    SigmaPolicy policy = SigmaPolicy::kConvolution;
-    bool policy_known = false;
-    NetError sketch_error;
-    for (const auto& backend : backends) {
-      ShardBackend::SketchResult sketch = backend->FetchSketch();
-      if (!sketch.error.ok()) {
-        sketch_error = sketch.error;
-        continue;
-      }
-      if (sketch.sketch.tree_size > 0) {
-        policy = sketch.sketch.sigma_policy;
-        policy_known = true;
-        break;
-      }
-    }
-    if (!policy_known && !sketch_error.ok()) {
-      sketch_error.message =
-          "live ingest needs the shards' sigma policy, but no sketch was "
-          "readable: " + sketch_error.message;
-      return sketch_error;
-    }
-    auto live = std::make_shared<LiveIngest>(std::move(backends), dim, policy,
-                                             options, ingest);
-    return Session(std::move(live));
-  }
-
-  ShardCoordinatorOptions coordinator_options;
-  coordinator_options.num_threads = options.coordinator_threads;
-  coordinator_options.queue_capacity = options.queue_capacity;
-  auto coordinator = std::make_unique<ShardCoordinator>(
-      std::move(backend_ptrs), coordinator_options);
-  return Session({}, std::move(backends), std::move(coordinator));
+  return Session(
+      std::make_shared<ServingEngine>(std::move(backends), options));
 }
 
 }  // namespace gauss

@@ -46,24 +46,32 @@ namespace gauss {
 //   Building ──Serve()──> Serving(static)        (GaussDbOptions::ingest off)
 //   Building ──Serve()──> Serving(live ingest)   (GaussDbOptions::ingest on)
 //
+// A Session is a share of a serving engine (api/serving_engine.h). The
+// engine publishes immutable epochs — per-shard serving stacks (cache +
+// reopened tree + worker pool) behind one front door — and every Session
+// call forwards to the current epoch. The two serving states differ only in
+// the engine's shape: a static engine has a single epoch without deltas,
+// a live one keeps publishing new epochs as enrollments merge.
+//
 //   * Building — CreateInMemory()/CreateOnFile()/CreateOnDirectory() pick
 //     the page device(s) and attach single-threaded BufferPool(s) plus empty
 //     GaussTree(s). Build() bulk-loads; Insert() adds one object and returns
 //     InsertResult{kRoutedToBuild}. Finalize() serializes the nodes to pages
 //     — explicit, or implied by Serve().
 //   * Serving (static) — Serve() switches the stack: it flushes and tears
-//     down the build pool(s), reattaches the finalized tree(s) via
-//     GaussTree::Open() over latch-striped ShardedBufferPool(s), and starts
-//     QueryService worker pools. The returned Session owns that serving
-//     stack; queries go through Session::Submit()/ExecuteBatch(). The pages
-//     are immutable: Insert() now returns InsertResult{kFinalized} — a
-//     typed, recoverable rejection, never an abort (enrollment pipelines
-//     race serving cutover all the time; a lost race must be reportable).
-//   * Serving (live ingest) — with GaussDbOptions::ingest.enabled, Serve()
-//     instead builds an epoch-based serving stack that keeps absorbing
-//     Insert() while queries run (InsertResult{kRoutedToDelta}); see "Live
-//     ingest" below. GaussDb::Insert() and Session::Insert() are the same
-//     entry point in this state.
+//     down the build pool(s), then builds a new engine whose one epoch
+//     reattaches the finalized tree(s) via GaussTree::Open() over
+//     latch-striped ShardedBufferPool(s) and starts QueryService worker
+//     pools. The returned Session is that engine's only share; queries go
+//     through Session::Submit()/ExecuteBatch(). The pages are immutable:
+//     Insert() now returns InsertResult{kFinalized} — a typed, recoverable
+//     rejection, never an abort (enrollment pipelines race serving cutover
+//     all the time; a lost race must be reportable).
+//   * Serving (live ingest) — with GaussDbOptions::ingest.enabled, the
+//     database keeps one engine whose epochs also carry deltas, so it keeps
+//     absorbing Insert() while queries run (InsertResult{kRoutedToDelta});
+//     see "Live ingest" below. GaussDb::Insert() and Session::Insert() are
+//     the same entry point in this state.
 //   * Reopen — OpenFile()/OpenDirectory() attach to a database persisted by
 //     an earlier Create*() + Finalize() run (state: Building, so more
 //     Insert()s are fine). Both return an OpenResult: a missing file,
@@ -111,8 +119,9 @@ namespace gauss {
 // *hosts*. Run one `gauss_shardd` per shard file (examples/gauss_shardd.cc,
 // built on net/shard_server.h), then connect a front door with
 // GaussDb::ServeRemote({"hostA:7001", "hostB:7001", ...}) — the returned
-// Session scatter-gathers over RpcBackends speaking the versioned binary
-// wire protocol (src/net/README.md) instead of in-process worker pools.
+// Session shares an engine whose epoch scatter-gathers over RpcBackends
+// speaking the versioned binary wire protocol (src/net/README.md) instead
+// of in-process worker pools. Remote sessions serve; they do not enroll.
 // Answers are byte-identical to local serving (the loopback differential in
 // tests/shard_equivalence_test.cc proves it); a dead or too-slow shard
 // fails queries with a typed QueryResponse::Status::kShardError instead of
@@ -143,14 +152,17 @@ namespace gauss {
 //     per-shard counters into one per-session view. OpenDirectory()
 //     reattaches; the manifest's facts override the caller's ShardOptions.
 //
-// Lifetime rules: GaussDb owns the device(s); every Session borrows them, so
+// Lifetime rules: GaussDb owns the device(s); every engine borrows them, so
 // a Session must be destroyed before its GaussDb. Serve() may be called
-// multiple times — without ingest each call builds an independent serving
-// stack (own cache budget, own workers) over the same read-only pages,
-// which is how several differently-sized frontends can share one database.
-// With ingest enabled there is one live-ingest stack per database (inserts
-// must have a single routing authority); the first Serve() call's options
-// build it and later calls return additional Sessions sharing it.
+// multiple times — without ingest each call builds an independent engine
+// (own cache budget, own workers) over the same read-only pages, which is
+// how several differently-sized frontends can share one database. With
+// ingest enabled there is one engine per database (inserts must have a
+// single routing authority); the first Serve() call's options build it and
+// later calls return additional Sessions sharing it. Replacing or destroying
+// a Session releases its share; the last share tears the engine down in
+// dependency order: the coordinator drains the queries still in flight,
+// the backends close, then each shard's service, tree and cache go.
 //
 // The low-level layers stay public and documented for callers that need
 // them: QueryMliq()/QueryTiq() over a GaussTree are the re-entrant query
@@ -262,8 +274,7 @@ struct IngestStats {
   uint64_t merges_completed = 0;
   // Buffered objects awaiting a merge that is due: under kBackground, the
   // delta size once it passed merge_threshold (0 below it); under kManual
-  // and for remote front doors (which cannot rebuild remote bases), every
-  // buffered object counts.
+  // every buffered object counts.
   size_t merge_backlog = 0;
 };
 
@@ -278,13 +289,10 @@ struct ServeOptions {
   size_t cache_pages = 1 << 12;
   // Latch shards of the serving pool (power of two); 0 = default.
   size_t num_shards = 0;
-  // Bound of the admission queue (backpressure/shedding threshold). For a
-  // sharded database this bounds the coordinator's front-door queue and
-  // each per-shard queue.
+  // Bound of the admission queue (backpressure/shedding threshold). Behind
+  // a ShardCoordinator (sharded or live-ingest sessions) this bounds the
+  // coordinator's front-door queue and each per-shard queue.
   size_t queue_capacity = 1024;
-  // Sharded databases only: threads driving the scatter-gather merge and
-  // refinement logic (service/shard_coordinator.h).
-  size_t coordinator_threads = 2;
   // ServeRemote() only: TCP connect + handshake patience per shard endpoint,
   // and the per-request ceiling (a query's own deadline tightens the latter;
   // see RpcBackendOptions in net/rpc_backend.h).
@@ -316,57 +324,28 @@ struct OpenError {
 
 class OpenResult;
 
-// One per-shard serving stack: sharded page cache + reopened tree + worker
-// pool. Destruction order (reverse of declaration): service joins its
-// workers first, then the tree detaches, then the cache flushes away.
-struct ShardServingStack {
-  std::unique_ptr<ShardedBufferPool> pool;
-  std::unique_ptr<GaussTree> tree;
-  std::unique_ptr<QueryService> service;
-};
+// The serving engine (api/serving_engine.h): epochs of per-shard serving
+// stacks behind one front door, delta routing and the merge thread under
+// live ingest. Every Session holds a share of one.
+class ServingEngine;
 
-// The live-ingest engine (api/live_ingest.h): epochs, delta routing, and
-// the merge thread. Shared between the GaussDb (insert/merge authority) and
-// every Session it serves.
-class LiveIngest;
-
-// A live serving stack over one finalized GaussDb. Unsharded: one
-// ShardServingStack, queries go straight to its QueryService. Sharded: one
-// stack per shard (each behind an owned InProcessBackend) plus a
-// ShardCoordinator front door that scatter-gathers every query. Remote
-// (GaussDb::ServeRemote): no local stacks at all — the owned backends are
-// RpcBackends onto gauss_shardd servers. Live ingest (local or remote): the
-// session holds a share of the database's LiveIngest engine instead, whose
-// current epoch owns the stacks/backends/coordinator. Move-only; destroying
-// it drains outstanding queries and joins all workers. A local session must
-// not outlive the GaussDb it came from; a remote one has no GaussDb.
+// A share of a serving engine over one finalized GaussDb (or, from
+// GaussDb::ServeRemote, over shard servers on other hosts). Every call
+// forwards to the engine's current epoch; what the engine serves — one tree,
+// N shards behind a ShardCoordinator, a remote fleet, a live base + delta —
+// is invisible here. A static Serve() call gets an engine of its own; a
+// live-ingest database has one engine that every Serve() shares. Move-only;
+// releasing the last share of an engine drains its outstanding queries and
+// joins all its workers. A local session must not outlive the GaussDb it
+// came from; a remote one has no GaussDb.
 class Session {
  public:
   Session(Session&&) = default;
-
-  // Replacing a live session must tear the old one down in dependency order
-  // (the coordinator drains before the backends it scatters through, the
-  // backends close before the shard services under them; each service joins
-  // its workers before their tree and cache disappear) — a defaulted
-  // member-wise move would destroy pools and trees first, letting drained
-  // queries execute against freed objects.
-  Session& operator=(Session&& other) noexcept {
-    if (this != &other) {
-      coordinator_.reset();
-      backends_.clear();
-      stacks_.clear();
-      ingest_.reset();
-      stacks_ = std::move(other.stacks_);
-      backends_ = std::move(other.backends_);
-      coordinator_ = std::move(other.coordinator_);
-      ingest_ = std::move(other.ingest_);
-    }
-    return *this;
-  }
+  Session& operator=(Session&&) = default;
 
   // Streaming submission — see QueryService::Submit() /
-  // ShardCoordinator::Submit(). Live-ingest sessions snapshot the serving
-  // epoch at admission, so each query sees exactly the enrollments
+  // ShardCoordinator::Submit(). Each query snapshots the serving epoch at
+  // admission, so under live ingest it sees exactly the enrollments
   // published before it.
   std::future<QueryResponse> Submit(Query query);
 
@@ -375,8 +354,8 @@ class Session {
   BatchResult ExecuteBatch(const std::vector<Query>& batch);
 
   // Live enrollment against the serving front door: routes to the owning
-  // shard's delta (kRoutedToDelta) on a live-ingest session — local or
-  // remote — and reports kFinalized on a static one. Same typed results as
+  // shard's delta (kRoutedToDelta) on a live-ingest session and reports
+  // kFinalized on a static or remote one. Same typed results as
   // GaussDb::Insert().
   InsertResult Insert(const Pfv& pfv);
 
@@ -384,96 +363,55 @@ class Session {
   // backlog); all zero for static sessions. See IngestStats.
   IngestStats ingest_stats() const;
 
-  // True when this session serves a live-ingest stack.
-  bool live_ingest() const { return ingest_ != nullptr; }
+  // True when this session serves a live-ingest engine.
+  bool live_ingest() const;
 
   // The reopened read-only tree (for the low-level QueryMliq/QueryTiq API
   // and for structural inspection). Unsharded static sessions only — a
   // sharded session has one tree per shard (use shard_tree()), and a
   // live-ingest session's trees are epoch-owned and retire on merge.
-  const GaussTree& tree() const {
-    GAUSS_CHECK_MSG(coordinator_ == nullptr,
-                    "sharded session: use shard_tree(shard)");
-    GAUSS_CHECK_MSG(ingest_ == nullptr,
-                    "live-ingest session: base trees are epoch-owned");
-    return *stacks_[0].tree;
-  }
+  const GaussTree& tree() const;
 
-  // Per-shard tree of a (possibly unsharded, shard 0) static session.
-  const GaussTree& shard_tree(size_t shard) const {
-    GAUSS_CHECK_MSG(ingest_ == nullptr,
-                    "live-ingest session: base trees are epoch-owned");
-    return *stacks_.at(shard).tree;
-  }
+  // Per-shard tree of a (possibly unsharded, shard 0) local static session.
+  const GaussTree& shard_tree(size_t shard) const;
 
   // The serving page cache (I/O statistics, Clear() for cold-start
   // experiments while no queries are in flight). Unsharded static sessions
   // only — sharded sessions have one cache per shard, live-ingest sessions
   // epoch-owned ones; see io_stats().
-  ShardedBufferPool& cache() {
-    GAUSS_CHECK_MSG(coordinator_ == nullptr,
-                    "sharded session: per-shard caches; use io_stats()");
-    GAUSS_CHECK_MSG(ingest_ == nullptr,
-                    "live-ingest session: caches are epoch-owned");
-    return *stacks_[0].pool;
-  }
+  ShardedBufferPool& cache();
 
   // I/O counters summed over all serving caches (1 for unsharded sessions).
-  // Per-session by construction: each Serve() call owns its own caches, so
-  // concurrent sessions over one database never blend their counters — also
-  // true under the directory layout, where the caches additionally sit on
-  // different devices. Remote sessions report the remote shard caches'
-  // counters (fetched over the wire; a dead shard contributes nothing).
-  // Live-ingest sessions report the current epoch's caches plus every
-  // retired epoch's accumulated counters.
+  // Per-session by construction: each static Serve() call owns its own
+  // caches, so concurrent sessions over one database never blend their
+  // counters — also true under the directory layout, where the caches
+  // additionally sit on different devices. Remote sessions report the
+  // remote shard caches' counters (fetched over the wire; a dead shard
+  // contributes nothing). Live-ingest sessions report the current epoch's
+  // caches plus every retired epoch's accumulated counters.
   IoStats io_stats() const;
 
   // Base shards: shard trees for local sessions, endpoints for remote ones
   // (a live-ingest session's deltas are not counted — they hold no pages).
   size_t num_shards() const;
+  // True when a ShardCoordinator scatter-gathers over the base shards: a
+  // sharded database, or a remote fleet.
   bool sharded() const;
-  // True for a GaussDb::ServeRemote() session (shards on other hosts; no
-  // local serving stacks).
-  bool remote() const;
 
-  // The per-shard QueryService of a local session — what a gauss_shardd
-  // process hands to its ShardServer, and what the loopback tests wrap in
-  // per-shard RPC servers. Local static sessions only.
-  QueryService* shard_service(size_t shard) {
-    GAUSS_CHECK_MSG(ingest_ == nullptr,
-                    "live-ingest session: services are epoch-owned");
-    return stacks_.at(shard).service.get();
-  }
-
-  // Shard-coordinator front door of a sharded static session (nullptr
-  // otherwise — a live-ingest session's coordinator is epoch-owned).
-  ShardCoordinator* coordinator() { return coordinator_.get(); }
+  // The per-shard QueryService of a local static session — what a
+  // gauss_shardd process hands to its ShardServer, and what the loopback
+  // tests wrap in per-shard RPC servers.
+  QueryService* shard_service(size_t shard);
 
   // Total query-execution workers across all shards (coordinator threads
-  // not included).
+  // not included; 0 for remote sessions).
   size_t num_workers() const;
 
  private:
   friend class GaussDb;
-  Session(std::vector<ShardServingStack> stacks,
-          std::vector<std::unique_ptr<ShardBackend>> backends,
-          std::unique_ptr<ShardCoordinator> coordinator)
-      : stacks_(std::move(stacks)),
-        backends_(std::move(backends)),
-        coordinator_(std::move(coordinator)) {}
+  explicit Session(std::shared_ptr<ServingEngine> engine);
 
-  explicit Session(std::shared_ptr<LiveIngest> ingest)
-      : ingest_(std::move(ingest)) {}
-
-  // Destruction order (reverse of declaration): the coordinator drains its
-  // in-flight scatter-gathers first, then the backends close (their refine
-  // channels and RPC readers join), then each shard stack tears down
-  // service -> tree -> cache. ingest_ is only a share — the engine lives
-  // until the GaussDb (or the last remote Session) releases it.
-  std::vector<ShardServingStack> stacks_;
-  std::vector<std::unique_ptr<ShardBackend>> backends_;
-  std::unique_ptr<ShardCoordinator> coordinator_;
-  std::shared_ptr<LiveIngest> ingest_;
+  std::shared_ptr<ServingEngine> engine_;
 };
 
 // Success-or-typed-error result of GaussDb::ServeRemote(): connecting to a
@@ -581,38 +519,35 @@ class GaussDb {
   // on its shard's own device, so shard reads never queue behind another
   // shard's device. May be called repeatedly; after the first call the
   // build phase is over (Insert() then reports kFinalized, or keeps
-  // routing to the delta under live ingest). With
-  // GaussDbOptions::ingest.enabled the first call builds the shared
-  // LiveIngest engine from its `options`; later calls return Sessions
-  // sharing that engine.
+  // routing to the delta under live ingest). Without ingest every call
+  // builds a new serving engine from its `options`; with
+  // GaussDbOptions::ingest.enabled the first call builds the database's one
+  // live engine and later calls return Sessions sharing it.
   Session Serve(ServeOptions options = {});
 
   // Connects a scatter-gather front door to shard servers on other hosts:
   // one "host:port" endpoint per shard, each a running gauss_shardd (or any
   // net/shard_server.h). No local GaussDb is involved — the shards own
-  // their storage stacks; the returned Session owns one RpcBackend per
-  // endpoint plus the coordinator. Fails typed (ServeResult) when an
-  // endpoint is unreachable (kConnectFailed/kTimeout), speaks a different
-  // protocol version (kProtocolMismatch), or the shards disagree on
-  // dimensionality (kProtocolMismatch). Only the rpc_*, coordinator_threads
-  // and queue_capacity fields of `options` apply. With `ingest.enabled`
-  // the returned Session accepts Insert(): enrollments land in a
-  // coordinator-side delta that is merged into every scatter-gather
-  // exactly (no wire-protocol change; the remote shard images stay
-  // immutable, so there is no background merge — the delta reports
-  // kDeltaFull at capacity).
+  // their storage stacks; the returned Session is the only share of a
+  // serving engine whose one epoch holds an RpcBackend per endpoint behind
+  // a ShardCoordinator. Fails typed (ServeResult) when an endpoint is
+  // unreachable (kConnectFailed/kTimeout), speaks a different protocol
+  // version (kProtocolMismatch), or the shards disagree on dimensionality
+  // (kProtocolMismatch). Only the rpc_* and queue_capacity fields of
+  // `options` apply. The shard images are immutable from here:
+  // Session::Insert() reports kFinalized — enroll on the hosts that own the
+  // pages, then restart their shard servers.
   static ServeResult ServeRemote(const std::vector<std::string>& endpoints,
-                                 ServeOptions options = {},
-                                 IngestOptions ingest = {});
+                                 ServeOptions options = {});
 
   // Rebuilds the base image from base + delta now (live ingest only;
   // MergePolicy::kManual callers drive merging with this, kBackground
   // callers may force one). Returns false when there was nothing to merge
-  // or the database is remote-less/ingest-less. Blocks until the new epoch
+  // or the database serves without ingest. Blocks until the new epoch
   // serves.
   bool MergeIngest();
 
-  // Live-ingest counters; zeros unless Serve() built an ingest engine.
+  // Live-ingest counters; zeros unless Serve() built a live engine.
   IngestStats ingest_stats() const;
 
   size_t size() const;
@@ -685,11 +620,12 @@ class GaussDb {
   size_t dim_ = 0;
   size_t size_ = 0;  // cached once trees_ are torn down
 
-  // Live-ingest engine, built by the first Serve() call with
-  // options_.ingest.enabled and shared with every Session. Declared last:
-  // its destructor joins the merge thread and drains the current epoch's
-  // coordinator before the devices it reads from go away.
-  std::shared_ptr<LiveIngest> ingest_;
+  // Live serving engine, built by the first Serve() call with
+  // options_.ingest.enabled and shared with every Session (static engines
+  // belong to their Sessions alone). Declared last: its destructor joins the
+  // merge thread and drains the current epoch's coordinator before the
+  // devices it reads from go away.
+  std::shared_ptr<ServingEngine> live_;
 };
 
 // Success-or-typed-error result of OpenFile()/OpenDirectory(). Callers that

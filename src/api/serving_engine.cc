@@ -1,4 +1,4 @@
-#include "api/live_ingest.h"
+#include "api/serving_engine.h"
 
 #include <algorithm>
 #include <chrono>
@@ -11,6 +11,19 @@
 
 namespace gauss {
 
+namespace {
+
+// Per-shard share of a ServeOptions budget: the worker pool split evenly
+// over the shards (at least one each; num_workers == 0 means UsableCpus()),
+// and the cache split the same way with a floor of 16 pages, enough for a
+// root-to-leaf path plus headers. Every epoch builds its stacks from this
+// one split, so enabling ingest changes *what* is served (base + delta),
+// never *how* the base is served.
+struct ServeSplit {
+  size_t workers_per_shard = 1;
+  size_t pages_per_shard = 16;
+};
+
 ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
   const size_t total_workers =
       options.num_workers != 0 ? options.num_workers : UsableCpus();
@@ -20,72 +33,48 @@ ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
   return split;
 }
 
-LiveIngest::LiveIngest(std::vector<ShardSource> sources,
-                       Partitioner partitioner, size_t dim,
-                       GaussTreeOptions tree_options, size_t build_cache_pages,
-                       std::vector<FilePageDevice*> file_devices,
-                       ServeOptions serve, IngestOptions ingest)
-    : remote_(false),
-      dim_(dim),
+}  // namespace
+
+ServingEngine::ServingEngine(std::vector<ShardSource> sources, bool sharded,
+                             Partitioner partitioner, size_t dim,
+                             GaussTreeOptions tree_options,
+                             size_t build_cache_pages,
+                             std::vector<FilePageDevice*> file_devices,
+                             ServeOptions serve, IngestOptions ingest)
+    : dim_(dim),
       num_base_(sources.size()),
+      sharded_(sharded),
       partitioner_(partitioner),
       tree_options_(tree_options),
-      policy_(tree_options.sigma_policy),
       build_cache_pages_(build_cache_pages),
       sources_(std::move(sources)),
       file_devices_(std::move(file_devices)),
       serve_(serve),
       ingest_(ingest) {
-  GAUSS_CHECK_MSG(!sources_.empty(), "live ingest needs >= 1 shard source");
-  GAUSS_CHECK_MSG(ingest_.delta_capacity > 0,
+  GAUSS_CHECK_MSG(!sources_.empty(), "serving needs >= 1 shard source");
+  GAUSS_CHECK_MSG(!ingest_.enabled || ingest_.delta_capacity > 0,
                   "IngestOptions::delta_capacity must be >= 1");
   epoch_ = BuildLocalEpoch(1);
-  if (ingest_.merge_policy == MergePolicy::kBackground) {
+  if (ingest_.enabled && ingest_.merge_policy == MergePolicy::kBackground) {
     merge_thread_ = std::thread([this] { MergeLoop(); });
   }
 }
 
-LiveIngest::LiveIngest(std::vector<std::unique_ptr<ShardBackend>> backends,
-                       size_t dim, SigmaPolicy policy, ServeOptions serve,
-                       IngestOptions ingest)
-    : remote_(true),
-      dim_(dim),
+ServingEngine::ServingEngine(
+    std::vector<std::unique_ptr<ShardBackend>> backends, ServeOptions serve)
+    : dim_(backends.empty() ? 0 : backends.front()->dim()),
       num_base_(backends.size()),
+      sharded_(true),
       partitioner_(1),
-      tree_options_(),
-      policy_(policy),
       build_cache_pages_(0),
-      serve_(serve),
-      ingest_(ingest) {
-  GAUSS_CHECK_MSG(!backends.empty(), "live ingest needs >= 1 shard backend");
-  GAUSS_CHECK_MSG(ingest_.delta_capacity > 0,
-                  "IngestOptions::delta_capacity must be >= 1");
+      serve_(serve) {
   auto epoch = std::make_shared<Epoch>();
-  epoch->id = 1;
-  for (const auto& backend : backends) {
-    epoch->base_objects += backend->FetchSketch().sketch.tree_size;
-  }
-  // One coordinator-side delta: remote enrollments cannot be merged into the
-  // remote shard images, so hash-routing them would buy nothing.
-  epoch->deltas.push_back(
-      std::make_shared<DeltaTree>(dim_, ingest_.delta_capacity));
   epoch->backends = std::move(backends);
-  epoch->backends.push_back(
-      std::make_unique<DeltaBackend>(epoch->deltas[0], policy_));
-  std::vector<ShardBackend*> backend_ptrs;
-  backend_ptrs.reserve(epoch->backends.size());
-  for (const auto& backend : epoch->backends) {
-    backend_ptrs.push_back(backend.get());
-  }
-  ShardCoordinatorOptions coordinator_options;
-  coordinator_options.num_threads = serve_.coordinator_threads;
-  coordinator_options.queue_capacity = serve_.queue_capacity;
-  epoch->coordinator = std::make_unique<ShardCoordinator>(
-      std::move(backend_ptrs), coordinator_options);
+  AttachCoordinator(epoch.get());
   epoch_ = std::move(epoch);
 }
 
-LiveIngest::~LiveIngest() {
+ServingEngine::~ServingEngine() {
   if (merge_thread_.joinable()) {
     {
       std::lock_guard<std::mutex> lock(wake_mu_);
@@ -97,21 +86,23 @@ LiveIngest::~LiveIngest() {
   // epoch_ destruction drains the coordinator before the stacks tear down.
 }
 
-std::shared_ptr<LiveIngest::Epoch> LiveIngest::Current() const {
+std::shared_ptr<ServingEngine::Epoch> ServingEngine::Current() const {
   std::lock_guard<std::mutex> lock(epoch_mu_);
   return epoch_;
 }
 
-std::shared_ptr<LiveIngest::Epoch> LiveIngest::BuildLocalEpoch(uint64_t id) {
+std::shared_ptr<ServingEngine::Epoch> ServingEngine::BuildLocalEpoch(
+    uint64_t id) {
   const size_t shards = sources_.size();
   const ServeSplit split = SplitServeBudget(serve_, shards);
 
   auto epoch = std::make_shared<Epoch>();
   epoch->id = id;
   epoch->stacks.reserve(shards);
-  epoch->deltas.reserve(shards);
   for (size_t s = 0; s < shards; ++s) {
     ShardServingStack stack;
+    // Directory layout: each shard's serving cache sits on the shard's own
+    // device, so its misses never queue behind another shard's reads.
     stack.pool = std::make_unique<ShardedBufferPool>(
         sources_[s].device, split.pages_per_shard, serve_.num_shards);
     stack.tree = GaussTree::Open(stack.pool.get(), sources_[s].meta_page);
@@ -122,35 +113,47 @@ std::shared_ptr<LiveIngest::Epoch> LiveIngest::BuildLocalEpoch(uint64_t id) {
     stack.service =
         std::make_unique<QueryService>(*stack.tree, service_options);
     epoch->stacks.push_back(std::move(stack));
-    epoch->deltas.push_back(
-        std::make_shared<DeltaTree>(dim_, ingest_.delta_capacity));
+    if (ingest_.enabled) {
+      epoch->deltas.push_back(
+          std::make_shared<DeltaTree>(dim_, ingest_.delta_capacity));
+    }
   }
+  if (!sharded_ && epoch->deltas.empty()) return epoch;  // direct front door
 
   // Backend list: the base shards first, then their deltas. The coordinator
   // treats every entry uniformly; a delta's exact degenerate interval means
   // it is never asked to refine.
-  epoch->backends.reserve(2 * shards);
+  epoch->backends.reserve(shards + epoch->deltas.size());
   for (const ShardServingStack& stack : epoch->stacks) {
     epoch->backends.push_back(
         std::make_unique<InProcessBackend>(stack.service.get()));
   }
   for (const auto& delta : epoch->deltas) {
-    epoch->backends.push_back(std::make_unique<DeltaBackend>(delta, policy_));
+    epoch->backends.push_back(
+        std::make_unique<DeltaBackend>(delta, tree_options_.sigma_policy));
   }
+  AttachCoordinator(epoch.get());
+  return epoch;
+}
+
+void ServingEngine::AttachCoordinator(Epoch* epoch) const {
   std::vector<ShardBackend*> backend_ptrs;
   backend_ptrs.reserve(epoch->backends.size());
   for (const auto& backend : epoch->backends) {
     backend_ptrs.push_back(backend.get());
   }
   ShardCoordinatorOptions coordinator_options;
-  coordinator_options.num_threads = serve_.coordinator_threads;
   coordinator_options.queue_capacity = serve_.queue_capacity;
   epoch->coordinator = std::make_unique<ShardCoordinator>(
       std::move(backend_ptrs), coordinator_options);
-  return epoch;
 }
 
-InsertResult LiveIngest::Insert(const Pfv& pfv) {
+InsertResult ServingEngine::Insert(const Pfv& pfv) {
+  if (!ingest_.enabled) {
+    return {InsertOutcome::kFinalized,
+            "static session: the serving pages are immutable (enable "
+            "GaussDbOptions::ingest for live ingest)"};
+  }
   if (pfv.dim() != dim_) {
     return {InsertOutcome::kDimensionMismatch,
             "pfv dimensionality " + std::to_string(pfv.dim()) +
@@ -161,49 +164,49 @@ InsertResult LiveIngest::Insert(const Pfv& pfv) {
             "invalid pfv: mu/sigma lengths differ or sigma <= 0"};
   }
 
-  bool over_threshold = false;
+  const bool background = ingest_.merge_policy == MergePolicy::kBackground;
+  bool accepted = false;
+  bool merge_due = false;
   {
     std::lock_guard<std::mutex> lock(insert_mu_);
     std::shared_ptr<Epoch> epoch = Current();
-    const size_t slot =
-        epoch->deltas.size() == 1 ? 0 : partitioner_.ShardOf(pfv.id);
-    if (!epoch->deltas[slot]->Append(pfv)) {
-      return {InsertOutcome::kDeltaFull,
-              remote_
-                  ? "delta at capacity; remote bases cannot be merged from "
-                    "here — rebuild the shards to absorb enrollments"
-                  : "delta at capacity; retry once the merge catches up"};
-    }
-    inserts_accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (!remote_ && ingest_.merge_policy == MergePolicy::kBackground) {
+    accepted = epoch->deltas[partitioner_.ShardOf(pfv.id)]->Append(pfv);
+    if (accepted) {
+      inserts_accepted_.fetch_add(1, std::memory_order_relaxed);
       size_t buffered = 0;
       for (const auto& delta : epoch->deltas) buffered += delta->size();
-      over_threshold = buffered >= ingest_.merge_threshold;
+      merge_due = background && buffered >= ingest_.merge_threshold;
+    } else {
+      // A full delta below the threshold would otherwise wait forever: only
+      // a merge can drain it.
+      merge_due = background;
     }
   }
-  if (over_threshold) RequestMerge();
+  if (merge_due) RequestMerge();
+  if (!accepted) {
+    return {InsertOutcome::kDeltaFull,
+            "delta at capacity; retry once the merge catches up"};
+  }
   return {InsertOutcome::kRoutedToDelta, std::string()};
 }
 
-std::future<QueryResponse> LiveIngest::Submit(Query query) {
+std::future<QueryResponse> ServingEngine::Submit(Query query) {
   // The epoch copy pins the serving generation for the admission itself;
-  // once the coordinator has the query, epoch retirement waits on the
+  // once the front door has the query, epoch retirement waits on the
   // coordinator's own drain.
   std::shared_ptr<Epoch> epoch = Current();
-  return epoch->coordinator->Submit(std::move(query));
+  return epoch->coordinator
+             ? epoch->coordinator->Submit(std::move(query))
+             : epoch->stacks[0].service->Submit(std::move(query));
 }
 
-BatchResult LiveIngest::ExecuteBatch(const std::vector<Query>& batch) {
+BatchResult ServingEngine::ExecuteBatch(const std::vector<Query>& batch) {
   std::shared_ptr<Epoch> epoch = Current();
-  return epoch->coordinator->ExecuteBatch(batch);
+  return epoch->coordinator ? epoch->coordinator->ExecuteBatch(batch)
+                            : epoch->stacks[0].service->ExecuteBatch(batch);
 }
 
-bool LiveIngest::MergeNow() {
-  if (remote_) return false;
-  return MergeOnce();
-}
-
-bool LiveIngest::MergeOnce() {
+bool ServingEngine::MergeNow() {
   std::lock_guard<std::mutex> merge_lock(merge_mu_);
   std::shared_ptr<Epoch> old = Current();
 
@@ -264,13 +267,19 @@ bool LiveIngest::MergeOnce() {
   return true;
 }
 
-void LiveIngest::RetireEpoch(std::shared_ptr<Epoch> old) {
+void ServingEngine::RetireEpoch(std::shared_ptr<Epoch> old) {
   // Wait until no admission path still holds the epoch (Submit/ExecuteBatch
   // copies are short-lived), then drain: destroying the coordinator blocks
   // until every in-flight scatter-gather over the old generation completes.
   while (old.use_count() > 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
+  // use_count() is a relaxed read, so seeing 1 does not yet order this
+  // thread after what the last admissions did with the epoch (ExecuteBatch
+  // reads the coordinator's backends after its last query returns).
+  // Dropping a copy does: the count's decrement is an acquire-release update
+  // that reads from every earlier snapshot's release.
+  { std::shared_ptr<Epoch> synchronize = old; }
   old->coordinator.reset();
   old->backends.clear();
   IoStats retired;
@@ -283,7 +292,7 @@ void LiveIngest::RetireEpoch(std::shared_ptr<Epoch> old) {
   }
 }
 
-void LiveIngest::RequestMerge() {
+void ServingEngine::RequestMerge() {
   {
     std::lock_guard<std::mutex> lock(wake_mu_);
     merge_requested_ = true;
@@ -291,7 +300,7 @@ void LiveIngest::RequestMerge() {
   wake_cv_.notify_all();
 }
 
-void LiveIngest::MergeLoop() {
+void ServingEngine::MergeLoop() {
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(wake_mu_);
@@ -299,18 +308,19 @@ void LiveIngest::MergeLoop() {
       if (stop_) return;
       merge_requested_ = false;
     }
-    MergeOnce();
+    MergeNow();
   }
 }
 
-IngestStats LiveIngest::stats() const {
+IngestStats ServingEngine::stats() const {
+  if (!ingest_.enabled) return IngestStats{};
   std::shared_ptr<Epoch> epoch = Current();
   IngestStats out;
   for (const auto& delta : epoch->deltas) out.delta_size += delta->size();
   out.epoch = epoch->id;
   out.inserts_accepted = inserts_accepted_.load(std::memory_order_relaxed);
   out.merges_completed = merges_completed_.load(std::memory_order_relaxed);
-  if (remote_ || ingest_.merge_policy == MergePolicy::kManual) {
+  if (ingest_.merge_policy == MergePolicy::kManual) {
     out.merge_backlog = out.delta_size;
   } else {
     out.merge_backlog =
@@ -319,9 +329,10 @@ IngestStats LiveIngest::stats() const {
   return out;
 }
 
-IoStats LiveIngest::io_stats() const {
+IoStats ServingEngine::io_stats() const {
   std::shared_ptr<Epoch> epoch = Current();
-  if (remote_) return epoch->coordinator->io_stats();
+  // Remote shards keep their caches on their own hosts.
+  if (epoch->stacks.empty()) return epoch->coordinator->io_stats();
   IoStats total;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -333,20 +344,50 @@ IoStats LiveIngest::io_stats() const {
   return total;
 }
 
-size_t LiveIngest::size() const {
+size_t ServingEngine::size() const {
   std::shared_ptr<Epoch> epoch = Current();
   size_t total = epoch->base_objects;
   for (const auto& delta : epoch->deltas) total += delta->size();
   return total;
 }
 
-size_t LiveIngest::num_workers() const {
+size_t ServingEngine::num_workers() const {
   std::shared_ptr<Epoch> epoch = Current();
   size_t total = 0;
   for (const ShardServingStack& stack : epoch->stacks) {
     total += stack.service->num_workers();
   }
   return total;
+}
+
+const ShardServingStack& ServingEngine::StaticStack(size_t shard) const {
+  GAUSS_CHECK_MSG(!ingest_.enabled,
+                  "live-ingest session: serving stacks are epoch-owned");
+  // A static engine never replaces its epoch, so the stack outlives the
+  // snapshot taken here.
+  std::shared_ptr<Epoch> epoch = Current();
+  GAUSS_CHECK_MSG(!epoch->stacks.empty(),
+                  "remote session: the shards are served by other hosts");
+  return epoch->stacks.at(shard);
+}
+
+const GaussTree& ServingEngine::shard_tree(size_t shard) const {
+  return *StaticStack(shard).tree;
+}
+
+QueryService* ServingEngine::shard_service(size_t shard) const {
+  return StaticStack(shard).service.get();
+}
+
+const GaussTree& ServingEngine::tree() const {
+  GAUSS_CHECK_MSG(!sharded_, "sharded session: use shard_tree(shard)");
+  return shard_tree(0);
+}
+
+ShardedBufferPool& ServingEngine::cache() const {
+  GAUSS_CHECK_MSG(!sharded_,
+                  "sharded session: per-shard caches; use io_stats()");
+  return *StaticStack(0).pool;
 }
 
 }  // namespace gauss

@@ -137,24 +137,6 @@ TraversalStats SumStats(const Runs& runs, double global_lo, double global_hi) {
 ShardCoordinator::ShardCoordinator(std::vector<ShardBackend*> backends,
                                    ShardCoordinatorOptions options)
     : backends_(std::move(backends)), queue_(options.queue_capacity) {
-  Init(options);
-}
-
-ShardCoordinator::ShardCoordinator(std::vector<QueryService*> shards,
-                                   ShardCoordinatorOptions options)
-    : queue_(options.queue_capacity) {
-  GAUSS_CHECK_MSG(!shards.empty(), "ShardCoordinator needs >= 1 shard");
-  owned_backends_.reserve(shards.size());
-  backends_.reserve(shards.size());
-  for (QueryService* shard : shards) {
-    GAUSS_CHECK(shard != nullptr);
-    owned_backends_.push_back(std::make_unique<InProcessBackend>(shard));
-    backends_.push_back(owned_backends_.back().get());
-  }
-  Init(options);
-}
-
-void ShardCoordinator::Init(ShardCoordinatorOptions options) {
   GAUSS_CHECK_MSG(!backends_.empty(), "ShardCoordinator needs >= 1 shard");
   for (const ShardBackend* backend : backends_) GAUSS_CHECK(backend != nullptr);
   dim_ = backends_.front()->dim();

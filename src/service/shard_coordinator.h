@@ -133,11 +133,6 @@ class ShardCoordinator {
   ShardCoordinator(std::vector<ShardBackend*> backends,
                    ShardCoordinatorOptions options = {});
 
-  // Convenience over in-process shards: wraps each QueryService in an owned
-  // InProcessBackend. Semantics identical to the pre-backend coordinator.
-  explicit ShardCoordinator(std::vector<QueryService*> shards,
-                            ShardCoordinatorOptions options = {});
-
   ShardCoordinator(const ShardCoordinator&) = delete;
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
@@ -184,7 +179,6 @@ class ShardCoordinator {
     NetError error;
   };
 
-  void Init(ShardCoordinatorOptions options);
   void CoordinatorLoop();
   QueryResponse ExecuteSharded(const Query& query);
   QueryResponse ExecuteMliq(const Query& query);
@@ -227,7 +221,6 @@ class ShardCoordinator {
   // Frees backend-side traversal state (fire-and-forget).
   void ReleaseAll(const std::vector<ShardRun>& runs);
 
-  std::vector<std::unique_ptr<ShardBackend>> owned_backends_;
   std::vector<ShardBackend*> backends_;
   // Per-shard coarse denominator sketches, fetched once at construction.
   // All-or-nothing (have_sketches_), so planning is deterministic.

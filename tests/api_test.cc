@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <string>
 #include <vector>
 
@@ -328,22 +329,53 @@ TEST(GaussDbTest, MultipleSessionsServeIndependentlyAndIdentically) {
   EXPECT_GT(tiny.cache().stats().logical_reads, 0u);
 }
 
+// Replacing a session releases its share of the serving engine while its
+// queries are still in flight. A static engine then tears down in
+// dependency order — the coordinator (sharded) drains before the backends
+// and shard services it scatters through, each service joins its workers
+// before their tree and cache go — so every in-flight query still completes
+// with its answer. A live-ingest database keeps its one engine, and the new
+// session shares it.
 TEST(GaussDbTest, SessionMoveAssignmentReplacesServingStack) {
   const PfvDataset dataset = MakeDataset(800);
-  GaussDb db = GaussDb::CreateInMemory(kDim);
-  db.Build(dataset);
-
-  Session session = db.Serve({.num_workers = 2});
   const std::vector<Query> batch = MakeBatch(dataset, 10);
-  const BatchResult first = session.ExecuteBatch(batch);
+  struct Input {
+    const char* name;
+    size_t shards;
+    bool ingest;
+  };
+  for (const Input& input : {Input{"single tree", 0, false},
+                             Input{"3 shards", 3, false},
+                             Input{"live ingest", 0, true}}) {
+    SCOPED_TRACE(input.name);
+    GaussDbOptions options;
+    options.shards.num_shards = input.shards;
+    options.ingest.enabled = input.ingest;
+    GaussDb db = GaussDb::CreateInMemory(kDim, options);
+    db.Build(dataset);
 
-  // Replacing a live session tears the old stack down (service before tree
-  // and cache) and swaps in the new one; answers must be unchanged.
-  session = db.Serve({.num_workers = 1, .cache_pages = 128});
-  const BatchResult second = session.ExecuteBatch(batch);
-  ASSERT_EQ(second.responses.size(), first.responses.size());
-  for (size_t i = 0; i < second.responses.size(); ++i) {
-    ExpectItemsBytesEqual(second.responses[i].items, first.responses[i].items);
+    Session session = db.Serve({.num_workers = 2});
+    const BatchResult first = session.ExecuteBatch(batch);
+    std::vector<std::future<QueryResponse>> in_flight;
+    for (size_t round = 0; round < 4; ++round) {
+      for (const Query& query : batch) {
+        in_flight.push_back(session.Submit(query));
+      }
+    }
+
+    session = db.Serve({.num_workers = 1, .cache_pages = 128});
+    for (size_t i = 0; i < in_flight.size(); ++i) {
+      const QueryResponse response = in_flight[i].get();
+      ASSERT_EQ(response.status, QueryResponse::Status::kOk);
+      ExpectItemsBytesEqual(response.items,
+                            first.responses[i % batch.size()].items);
+    }
+    const BatchResult second = session.ExecuteBatch(batch);
+    ASSERT_EQ(second.responses.size(), first.responses.size());
+    for (size_t i = 0; i < second.responses.size(); ++i) {
+      ExpectItemsBytesEqual(second.responses[i].items,
+                            first.responses[i].items);
+    }
   }
 }
 

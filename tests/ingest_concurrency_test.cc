@@ -1,4 +1,4 @@
-// Concurrency tests for live ingest (api/live_ingest.h), under the
+// Concurrency tests for live ingest (api/serving_engine.h), under the
 // `concurrency` ctest label so the tsan/asan presets inherit them: the
 // epoch-reclamation protocol (deterministic: in-flight queries admitted to
 // the old epoch must all complete while a merge retires it), the full
@@ -8,6 +8,7 @@
 // aborting the process.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <string>
@@ -112,7 +113,7 @@ TEST(IngestConcurrencyTest, EpochReclamationDrainsInFlightQueries) {
   options.ingest.merge_policy = MergePolicy::kManual;
   GaussDb db = GaussDb::CreateInMemory(3, options);
   db.Build(base);
-  Session live = db.Serve({.num_workers = 2, .coordinator_threads = 2});
+  Session live = db.Serve({.num_workers = 2});
 
   for (const Pfv& pfv : extras) {
     ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToDelta);
@@ -160,7 +161,7 @@ TEST(IngestConcurrencyTest, ConcurrentInsertQueryMergeStress) {
   options.ingest.merge_policy = MergePolicy::kBackground;
   GaussDb db = GaussDb::CreateInMemory(3, options);
   db.Build(base);
-  Session live = db.Serve({.num_workers = 4, .coordinator_threads = 2});
+  Session live = db.Serve({.num_workers = 4});
 
   std::atomic<bool> done{false};
   std::atomic<uint64_t> accepted{0};
@@ -245,6 +246,39 @@ TEST(IngestConcurrencyTest, DeltaFullBackpressureIsTypedAndRecoverable) {
 
   ASSERT_TRUE(db.MergeIngest());
   EXPECT_EQ(db.Insert(extras[4]).outcome, InsertOutcome::kRoutedToDelta);
+  EXPECT_EQ(db.size(), base.size() + 5);
+}
+
+// Background merges are not only threshold-driven: with a delta that fills
+// before the buffered total reaches merge_threshold (4 slots against the
+// default 1024), the rejected insert itself must wake the merge thread, or
+// the delta stays full and every later insert reports kDeltaFull forever.
+TEST(IngestConcurrencyTest, FullDeltaBelowThresholdWakesBackgroundMerge) {
+  const PfvDataset base = MakeDataset(100, 3, /*seed=*/71);
+  GaussDbOptions options;
+  options.ingest.enabled = true;
+  options.ingest.delta_capacity = 4;
+  options.ingest.merge_policy = MergePolicy::kBackground;
+  ASSERT_GT(options.ingest.merge_threshold, options.ingest.delta_capacity);
+  GaussDb db = GaussDb::CreateInMemory(3, options);
+  db.Build(base);
+  Session live = db.Serve({.num_workers = 2});
+
+  const std::vector<Pfv> extras =
+      MakeExtras(5, 3, /*first_id=*/750000, /*seed=*/72);
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(live.Insert(extras[i]).outcome, InsertOutcome::kRoutedToDelta);
+  }
+  EXPECT_EQ(live.Insert(extras[4]).outcome, InsertOutcome::kDeltaFull);
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (live.ingest_stats().merges_completed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(live.ingest_stats().merges_completed, 1u);
+  EXPECT_EQ(live.Insert(extras[4]).outcome, InsertOutcome::kRoutedToDelta);
   EXPECT_EQ(db.size(), base.size() + 5);
 }
 

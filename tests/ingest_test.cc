@@ -1,12 +1,11 @@
-// Differential harness for live ingest (api/live_ingest.h): randomized
+// Differential harness for live ingest (api/serving_engine.h): randomized
 // interleaved insert/query schedules against a rebuild-from-scratch oracle.
 // At every interleaving point the live session's MLIQ/TIQ answers must match
 // a static GaussDb freshly built from exactly the objects enrolled so far
 // (ids and ordering exactly; probabilities within the certified interval
 // half-widths when refinement is on) and the seq-scan oracle's id sets —
 // with merges (manual and background) swapping the serving epoch
-// mid-schedule. A remote front door behind real loopback ShardServers runs
-// the same comparison, proving the coordinator-side delta changes nothing.
+// mid-schedule.
 //
 // Why this is the acceptance gate: the delta registers as one more backend
 // behind the coordinator, so correctness rests on its degenerate
@@ -18,7 +17,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -29,8 +27,6 @@
 #include "api/gauss_db.h"
 #include "common/random.h"
 #include "data/generators.h"
-#include "net/net_error.h"
-#include "net/shard_server.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
 #include "service_test_util.h"
@@ -216,7 +212,7 @@ void RunInterleavedSchedule(size_t base_size, size_t extra_count, size_t dim,
   options.ingest.merge_policy = MergePolicy::kManual;
   GaussDb db = GaussDb::CreateInMemory(dim, options);
   db.Build(base);
-  Session live = db.Serve({.num_workers = 2, .coordinator_threads = 2});
+  Session live = db.Serve({.num_workers = 2});
   EXPECT_TRUE(live.live_ingest());
   EXPECT_EQ(live.ingest_stats().epoch, 1u);
 
@@ -292,7 +288,7 @@ TEST(IngestDifferentialTest, BackgroundMergeMidScheduleStaysExact) {
   options.ingest.merge_policy = MergePolicy::kBackground;
   GaussDb db = GaussDb::CreateInMemory(kDim, options);
   db.Build(base);
-  Session live = db.Serve({.num_workers = 2, .coordinator_threads = 2});
+  Session live = db.Serve({.num_workers = 2});
 
   std::vector<Pfv> enrolled(base.objects());
   size_t next = 0;
@@ -315,71 +311,6 @@ TEST(IngestDifferentialTest, BackgroundMergeMidScheduleStaysExact) {
   }
   EXPECT_GE(db.ingest_stats().merges_completed, 1u);
   EXPECT_EQ(db.size(), enrolled.size());
-}
-
-// Remote front door: the same interleaved schedule through ServeRemote()
-// over real loopback ShardServers, with the delta living coordinator-side.
-// No merge is possible (the remote images are immutable from here), so the
-// whole schedule serves from base + delta — and must still match the
-// rebuild-from-scratch oracle at every point.
-TEST(IngestDifferentialTest, RemoteFrontDoorEnrollmentMatchesOracle) {
-  constexpr size_t kDim = 3;
-  constexpr size_t kShards = 2;
-  Rng rng(8888);
-  const PfvDataset base = MakeDataset(300, kDim, 6, /*seed=*/8888);
-  const std::vector<Pfv> extras =
-      MakeExtras(48, kDim, /*first_id=*/3000000, /*seed=*/8889);
-
-  GaussDbOptions options;
-  options.shards.num_shards = kShards;
-  GaussDb db = GaussDb::CreateInMemory(kDim, options);
-  db.Build(base);
-  Session local = db.Serve({.num_workers = 2 * kShards});
-
-  std::vector<std::unique_ptr<ShardServer>> servers;
-  std::vector<std::string> endpoints;
-  for (size_t s = 0; s < local.num_shards(); ++s) {
-    NetError error;
-    std::unique_ptr<ShardServer> server =
-        ShardServer::Listen(local.shard_service(s), {}, &error);
-    ASSERT_NE(server, nullptr) << error.ToString();
-    endpoints.push_back("127.0.0.1:" + std::to_string(server->port()));
-    servers.push_back(std::move(server));
-  }
-  IngestOptions ingest;
-  ingest.enabled = true;
-  ingest.delta_capacity = extras.size();
-  ServeResult connected = GaussDb::ServeRemote(endpoints, {}, ingest);
-  ASSERT_TRUE(connected.ok()) << connected.error().ToString();
-  std::optional<Session> remote_holder(std::move(connected).value());
-  Session& remote = *remote_holder;
-  EXPECT_TRUE(remote.live_ingest());
-  EXPECT_TRUE(remote.remote());
-
-  std::vector<Pfv> enrolled(base.objects());
-  size_t next = 0;
-  while (next < extras.size()) {
-    const size_t chunk = std::min(extras.size() - next, size_t{12});
-    for (size_t i = 0; i < chunk; ++i) {
-      ASSERT_EQ(remote.Insert(extras[next]).outcome,
-                InsertOutcome::kRoutedToDelta);
-      enrolled.push_back(extras[next]);
-      ++next;
-    }
-    SCOPED_TRACE("after " + std::to_string(next) + " remote inserts");
-    ExpectMatchesRebuiltOracle(remote, enrolled, kDim, rng);
-  }
-  // The delta is now exactly full: the next enrollment reports typed
-  // backpressure (remote front doors cannot merge).
-  EXPECT_EQ(remote.ingest_stats().delta_size, extras.size());
-  const InsertResult overflow = remote.Insert(extras[0]);
-  EXPECT_EQ(overflow.outcome, InsertOutcome::kDeltaFull);
-  EXPECT_FALSE(overflow.ok());
-
-  // Teardown order: remote session hangs up first, then the servers it
-  // spoke to shut down, then `local` (owning the shard services) dies.
-  remote_holder.reset();
-  for (std::unique_ptr<ShardServer>& server : servers) server->Shutdown();
 }
 
 // Persistence across a merge: the merged base image must be what a reopen

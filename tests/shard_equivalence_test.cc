@@ -213,8 +213,7 @@ void CheckShardCount(const PfvDataset& dataset, const Reference& ref,
   EXPECT_EQ(db.size(), dataset.size());
   EXPECT_EQ(db.num_shards(), num_shards);
 
-  Session session = db.Serve(
-      {.num_workers = 2 * num_shards, .coordinator_threads = 2});
+  Session session = db.Serve({.num_workers = 2 * num_shards});
   EXPECT_TRUE(session.sharded());
   EXPECT_EQ(session.num_shards(), num_shards);
   size_t sharded_objects = 0;
@@ -729,8 +728,7 @@ class LoopbackStack {
     options.shards.num_shards = num_shards;
     db_.emplace(GaussDb::CreateInMemory(dataset.dim(), options));
     db_->Build(dataset);
-    local_.emplace(
-        db_->Serve({.num_workers = 2 * num_shards, .coordinator_threads = 2}));
+    local_.emplace(db_->Serve({.num_workers = 2 * num_shards}));
     std::vector<std::string> endpoints;
     for (size_t s = 0; s < local_->num_shards(); ++s) {
       NetError error;
@@ -1027,16 +1025,16 @@ TEST(ShardEquivalenceTest, SkewedPartitionProportionalBudgetsBeatUniform) {
   options.shards.hash_seed = kSeed;
   GaussDb db = GaussDb::CreateInMemory(dataset.dim(), options);
   db.Build(dataset);
-  Session session = db.Serve({.num_workers = 4, .coordinator_threads = 2});
+  Session session = db.Serve({.num_workers = 4});
   ASSERT_EQ(session.num_shards(), 2u);
   // The chosen ids really did skew the partition.
   EXPECT_GE(session.shard_tree(0).size(), (kSize * 85) / 100);
 
   const BatchResult via_session = session.ExecuteBatch(ref.batch());
 
-  std::vector<QueryService*> services = {session.shard_service(0),
-                                         session.shard_service(1)};
-  ShardCoordinator proportional(services);
+  InProcessBackend shard0(session.shard_service(0));
+  InProcessBackend shard1(session.shard_service(1));
+  ShardCoordinator proportional(std::vector<ShardBackend*>{&shard0, &shard1});
   const BatchResult prop = proportional.ExecuteBatch(ref.batch());
 
   ASSERT_EQ(prop.responses.size(), ref.batch().size());
@@ -1116,7 +1114,7 @@ TEST(ShardEquivalenceTest, ZeroLowerBoundQueryTerminatesWithoutFullScan) {
   options.shards.num_shards = 3;
   GaussDb db = GaussDb::CreateInMemory(dataset.dim(), options);
   db.Build(dataset);
-  Session session = db.Serve({.num_workers = 6, .coordinator_threads = 2});
+  Session session = db.Serve({.num_workers = 6});
 
   const Pfv probe(777, std::vector<double>(dataset.dim(), 1.0e5),
                   std::vector<double>(dataset.dim(), 0.05));

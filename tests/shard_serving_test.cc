@@ -86,8 +86,11 @@ TEST_F(ShardServingTest, FrontDoorShedsAndExpiresDeterministically) {
   auto tree1 = GaussTree::Open(&pool1, metas_[1]);
   QueryService shard0(*tree0, {.num_workers = 1, .queue_capacity = 8});
   QueryService shard1(*tree1, {.num_workers = 1, .queue_capacity = 8});
-  ShardCoordinator coordinator(std::vector<QueryService*>{&shard0, &shard1},
-                               {.num_threads = 1, .queue_capacity = 2});
+  InProcessBackend backend0(&shard0);
+  InProcessBackend backend1(&shard1);
+  ShardCoordinator coordinator(
+      std::vector<ShardBackend*>{&backend0, &backend1},
+      {.num_threads = 1, .queue_capacity = 2});
 
   gated.CloseGate();
   // f0 is popped by the coordinator thread, which scatters to both shards;
@@ -154,8 +157,10 @@ TEST_F(ShardServingTest, DestructorDrainsInFlightCrossShardQueries) {
   auto tree1 = GaussTree::Open(&pool1, metas_[1]);
   QueryService shard0(*tree0, {.num_workers = 1, .queue_capacity = 8});
   QueryService shard1(*tree1, {.num_workers = 1, .queue_capacity = 8});
+  InProcessBackend backend0(&shard0);
+  InProcessBackend backend1(&shard1);
   auto coordinator = std::make_unique<ShardCoordinator>(
-      std::vector<QueryService*>{&shard0, &shard1},
+      std::vector<ShardBackend*>{&backend0, &backend1},
       ShardCoordinatorOptions{.num_threads = 1, .queue_capacity = 8});
 
   gated.CloseGate();
@@ -191,8 +196,11 @@ TEST_F(ShardServingTest, MergedStatsCountAdmissionOutcomesOnce) {
   auto tree1 = GaussTree::Open(&pool1, metas_[1]);
   QueryService shard0(*tree0, {.num_workers = 1, .queue_capacity = 8});
   QueryService shard1(*tree1, {.num_workers = 1, .queue_capacity = 8});
-  ShardCoordinator coordinator(std::vector<QueryService*>{&shard0, &shard1},
-                               {.num_threads = 2, .queue_capacity = 8});
+  InProcessBackend backend0(&shard0);
+  InProcessBackend backend1(&shard1);
+  ShardCoordinator coordinator(
+      std::vector<ShardBackend*>{&backend0, &backend1},
+      {.num_threads = 2, .queue_capacity = 8});
 
   std::vector<Query> batch;
   batch.push_back(Query::Mliq(workload_[0].query, 3));
@@ -279,7 +287,7 @@ TEST_F(ShardServingTest, ConcurrentSubmittersSeeConsistentAnswers) {
   GaussDb db = GaussDb::CreateInMemory(kDim, options);
   db.Build(dataset_);
   Session session = db.Serve(
-      {.num_workers = 3, .queue_capacity = 256, .coordinator_threads = 3});
+      {.num_workers = 3, .queue_capacity = 256});
 
   std::vector<Query> queries = test::MakeMixedBatch(workload_);
   const BatchResult reference = session.ExecuteBatch(queries);
