@@ -292,11 +292,15 @@ std::vector<double> MakeExpFixture(size_t n, bool edges) {
 }
 
 constexpr size_t kBatchEntries = 64;
+// A node-shaped ragged fill: a dim-10 inner page holds at most 24 child
+// entries and a typical expansion scores ~20, so the last n % width entries
+// run as a partial block. n = 64 is whole blocks on every backend.
+constexpr size_t kRaggedEntries = 21;
 
 void BM_JointLogDensityBatch(benchmark::State& state,
-                             const kernels::KernelBackend* backend,
-                             size_t dim) {
-  const JointFixture f = MakeJointFixture(kBatchEntries, dim, false);
+                             const kernels::KernelBackend* backend, size_t dim,
+                             size_t n) {
+  const JointFixture f = MakeJointFixture(n, dim, false);
   const kernels::JointBatchArgs args = f.Args();
   std::vector<double> out(f.n);
   for (auto _ : state) {
@@ -307,8 +311,9 @@ void BM_JointLogDensityBatch(benchmark::State& state,
 }
 
 void BM_HullBoundsBatch(benchmark::State& state,
-                        const kernels::KernelBackend* backend, size_t dim) {
-  const HullFixture f = MakeHullFixture(kBatchEntries, dim, false);
+                        const kernels::KernelBackend* backend, size_t dim,
+                        size_t n) {
+  const HullFixture f = MakeHullFixture(n, dim, false);
   const kernels::HullBatchArgs args = f.Args();
   std::vector<double> upper(f.n), lower(f.n);
   for (auto _ : state) {
@@ -323,18 +328,21 @@ void RegisterBatchBenchmarks() {
   for (const kernels::KernelBackend* backend : kernels::CompiledBackends()) {
     if (!kernels::Runnable(*backend)) continue;
     for (const size_t dim : {size_t{8}, size_t{27}}) {
-      const std::string suffix =
-          std::string("/") + backend->name + "/dim:" + std::to_string(dim);
-      benchmark::RegisterBenchmark(
-          ("BM_JointLogDensityBatch" + suffix).c_str(),
-          [backend, dim](benchmark::State& state) {
-            BM_JointLogDensityBatch(state, backend, dim);
-          });
-      benchmark::RegisterBenchmark(
-          ("BM_HullBoundsBatch" + suffix).c_str(),
-          [backend, dim](benchmark::State& state) {
-            BM_HullBoundsBatch(state, backend, dim);
-          });
+      for (const size_t n : {kBatchEntries, kRaggedEntries}) {
+        const std::string suffix = std::string("/") + backend->name +
+                                   "/dim:" + std::to_string(dim) +
+                                   "/n:" + std::to_string(n);
+        benchmark::RegisterBenchmark(
+            ("BM_JointLogDensityBatch" + suffix).c_str(),
+            [backend, dim, n](benchmark::State& state) {
+              BM_JointLogDensityBatch(state, backend, dim, n);
+            });
+        benchmark::RegisterBenchmark(
+            ("BM_HullBoundsBatch" + suffix).c_str(),
+            [backend, dim, n](benchmark::State& state) {
+              BM_HullBoundsBatch(state, backend, dim, n);
+            });
+      }
     }
   }
 }
@@ -385,13 +393,22 @@ void EmitKernelCell(const std::string& cell, double ns_per_entry) {
 }
 
 // Smoke mode: cross-check every runnable backend bit-for-bit against the
-// scalar reference (random + edge fixtures, full blocks and a ragged tail),
-// and emit one ns/entry cell per (kernel, backend, dim). Returns the
-// process exit code: non-zero on any bit mismatch.
+// scalar reference (random + edge fixtures at every partial-block length
+// 1..2*kMaxLanes+1 and at node scale), and emit one ns/entry cell per
+// (kernel, backend, dim) at n = 64 and at the ragged node fill n = 21.
+// Returns the process exit code: non-zero on any bit mismatch.
 int RunKernelCells() {
   const kernels::KernelBackend& scalar = kernels::ScalarBackend();
   std::printf("active backend: %s\n", kernels::ActiveBackend().name);
   int failures = 0;
+
+  std::vector<size_t> check_ns;
+  for (size_t n = 1; n <= 2 * kernels::kMaxLanes + 1; ++n) {
+    check_ns.push_back(n);
+  }
+  check_ns.push_back(kRaggedEntries);
+  check_ns.push_back(kBatchEntries - 3);
+  check_ns.push_back(kBatchEntries);
 
   for (const kernels::KernelBackend* backend : kernels::CompiledBackends()) {
     if (!kernels::Runnable(*backend)) {
@@ -400,10 +417,10 @@ int RunKernelCells() {
       continue;
     }
     for (const size_t dim : {size_t{8}, size_t{27}}) {
-      // Bit-identity: full-width batch and a ragged tail, plain and edge
-      // fixtures. kBatchEntries - 3 also exercises the scalar tail path.
+      // Bit-identity: every partial-block length of every backend, plain
+      // and edge fixtures.
       for (const bool edges : {false, true}) {
-        for (const size_t n : {kBatchEntries, kBatchEntries - 3}) {
+        for (const size_t n : check_ns) {
           JointFixture jf = MakeJointFixture(n, dim, edges);
           std::vector<double> ref(n), got(n);
           scalar.joint_log_density(jf.Args(), ref.data());
@@ -441,27 +458,30 @@ int RunKernelCells() {
       }
 
       // Timing cells (ordinary-value fixtures: the hot path's common case).
-      const JointFixture jf = MakeJointFixture(kBatchEntries, dim, false);
-      const kernels::JointBatchArgs jargs = jf.Args();
-      std::vector<double> out(kBatchEntries);
-      const double joint_ns = TimeNsPerEntry(kBatchEntries, [&] {
-        backend->joint_log_density(jargs, out.data());
-        benchmark::DoNotOptimize(out.data());
-      });
-      const HullFixture hf = MakeHullFixture(kBatchEntries, dim, false);
-      const kernels::HullBatchArgs hargs = hf.Args();
-      std::vector<double> upper(kBatchEntries), lower(kBatchEntries);
-      const double hull_ns = TimeNsPerEntry(kBatchEntries, [&] {
-        backend->hull_bounds(hargs, upper.data(), lower.data());
-        benchmark::DoNotOptimize(upper.data());
-      });
-      const std::string key =
-          std::string("backend=") + backend->name + ",dim=" +
-          std::to_string(dim);
-      std::printf("  %-28s joint %7.2f ns/entry   hull %7.2f ns/entry\n",
-                  key.c_str(), joint_ns, hull_ns);
-      EmitKernelCell("kernel=joint_log_density," + key, joint_ns);
-      EmitKernelCell("kernel=hull_bounds," + key, hull_ns);
+      // The n = 64 cells keep their historical names.
+      for (const size_t n : {kBatchEntries, kRaggedEntries}) {
+        const JointFixture jf = MakeJointFixture(n, dim, false);
+        const kernels::JointBatchArgs jargs = jf.Args();
+        std::vector<double> out(n);
+        const double joint_ns = TimeNsPerEntry(n, [&] {
+          backend->joint_log_density(jargs, out.data());
+          benchmark::DoNotOptimize(out.data());
+        });
+        const HullFixture hf = MakeHullFixture(n, dim, false);
+        const kernels::HullBatchArgs hargs = hf.Args();
+        std::vector<double> upper(n), lower(n);
+        const double hull_ns = TimeNsPerEntry(n, [&] {
+          backend->hull_bounds(hargs, upper.data(), lower.data());
+          benchmark::DoNotOptimize(upper.data());
+        });
+        std::string key = std::string("backend=") + backend->name + ",dim=" +
+                          std::to_string(dim);
+        if (n != kBatchEntries) key += ",n=" + std::to_string(n);
+        std::printf("  %-28s joint %7.2f ns/entry   hull %7.2f ns/entry\n",
+                    key.c_str(), joint_ns, hull_ns);
+        EmitKernelCell("kernel=joint_log_density," + key, joint_ns);
+        EmitKernelCell("kernel=hull_bounds," + key, hull_ns);
+      }
     }
   }
 

@@ -92,6 +92,10 @@ void GtNodeStore::PinRoot(PageId id) {
       std::make_unique<GtNode>(GtNode::Deserialize(page.data(), dim_, id));
   pinned_soa_ = std::make_unique<GtNodeSoa>();
   GtNodeSoa::Decode(page.data(), dim_, id, pinned_soa_.get());
+  pinned_bounds_.clear();
+  if (pinned_->EntryCount() > 0) {
+    pinned_bounds_ = pinned_->ComputeBounds(dim_);
+  }
   pinned_id_ = id;
 }
 
@@ -99,6 +103,7 @@ void GtNodeStore::Definalize() {
   if (!finalized_) return;
   pinned_.reset();
   pinned_soa_.reset();
+  pinned_bounds_.clear();
   pinned_id_ = kInvalidPageId;
   for (PageId id : all_pages_) {
     const PageRef page = pool_->Fetch(id);

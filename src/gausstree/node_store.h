@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "gausstree/node.h"
 #include "storage/page_cache.h"
@@ -63,6 +64,13 @@ class GtNodeStore {
   // Definalize() drops the pin (build mode mutates nodes in place).
   void PinRoot(PageId id);
 
+  // The pinned root's MBR (GtNode::ComputeBounds), computed once by
+  // PinRoot so a traversal's reference scale needs no per-query node copy.
+  // nullptr unless `id` is the pinned root; empty for an empty root.
+  const std::vector<DimBounds>* PinnedBounds(PageId id) const {
+    return pinned_ != nullptr && id == pinned_id_ ? &pinned_bounds_ : nullptr;
+  }
+
   // Switches an empty store into query mode over an existing on-device tree
   // whose node pages are `pages` (the root-reachable set). Used by
   // GaussTree::Open.
@@ -83,6 +91,7 @@ class GtNodeStore {
   PageId pinned_id_ = kInvalidPageId;
   std::unique_ptr<GtNode> pinned_;
   std::unique_ptr<GtNodeSoa> pinned_soa_;
+  std::vector<DimBounds> pinned_bounds_;
 };
 
 }  // namespace gauss

@@ -113,13 +113,20 @@ class DenominatorTracker {
 };
 
 // Reference log scale for a query: the root's joint log upper hull, the
-// largest log density any stored object can attain against q.
+// largest log density any stored object can attain against q. A finalized
+// tree's root MBR is cached at pin time; only build mode copies the root.
 inline double ComputeLogRef(const GaussTree& tree, const Pfv& q) {
-  GtNode root;
-  tree.store().Load(tree.root(), &root);
-  if (root.EntryCount() == 0) return 0.0;
-  const std::vector<DimBounds> bounds = root.ComputeBounds(tree.dim());
-  return JointLogUpperHull(bounds.data(), q.mu.data(), q.sigma.data(),
+  const std::vector<DimBounds>* bounds =
+      tree.store().PinnedBounds(tree.root());
+  std::vector<DimBounds> loaded;
+  if (bounds == nullptr) {
+    GtNode root;
+    tree.store().Load(tree.root(), &root);
+    if (root.EntryCount() > 0) loaded = root.ComputeBounds(tree.dim());
+    bounds = &loaded;
+  }
+  if (bounds->empty()) return 0.0;
+  return JointLogUpperHull(bounds->data(), q.mu.data(), q.sigma.data(),
                            tree.dim(), tree.options().sigma_policy);
 }
 

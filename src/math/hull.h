@@ -51,8 +51,10 @@ double LogUpperHull(double x, const DimBounds& b);
 double LowerHull(double x, const DimBounds& b);
 
 // log of LowerHull(). Also evaluated per dimension inside
-// kernels::HullIntegralBoundsBatch (the four-corner minimum vectorizes as
-// elementwise min over the corner evaluations).
+// kernels::HullIntegralBoundsBatch, whose SIMD lanes evaluate only the two
+// corners at the mean farther from x: for a fixed sigma the log density
+// never increases with |fl(x - mu)|, so those two hold the four-corner
+// minimum bit for bit (src/math/README.md, "Hull note").
 double LogLowerHull(double x, const DimBounds& b);
 
 // Bounds with the query uncertainty folded in: the hull of the *joint*

@@ -248,9 +248,22 @@ namespace {
 struct NeonOps {
   using V = float64x2_t;
   using VI = int64x2_t;
+  using M = uint64x2_t;  // all-ones lanes where true
   static constexpr size_t kWidth = 2;
   static V Load(const double* p) { return vld1q_f64(p); }
   static void Store(double* p, V v) { vst1q_f64(p, v); }
+  // NEON has no masked load/store: the lanes go through a stack vector, and
+  // only p[0, count) is copied either way.
+  static V LoadPartial(const double* p, size_t count, double fill) {
+    double lanes[kWidth] = {fill, fill};
+    std::memcpy(lanes, p, count * sizeof(double));
+    return vld1q_f64(lanes);
+  }
+  static void StorePartial(double* p, size_t count, V v) {
+    double lanes[kWidth];
+    vst1q_f64(lanes, v);
+    std::memcpy(p, lanes, count * sizeof(double));
+  }
   static V Set1(double x) { return vdupq_n_f64(x); }
   static VI Set1I(int64_t x) { return vdupq_n_s64(x); }
   static V Add(V a, V b) { return vaddq_f64(a, b); }
@@ -262,6 +275,13 @@ struct NeonOps {
   static V RoundNearest(V a) { return vrndnq_f64(a); }
   static V MinStd(V a, V b) { return vbslq_f64(vcltq_f64(b, a), b, a); }
   static V MaxStd(V a, V b) { return vbslq_f64(vcltq_f64(a, b), b, a); }
+  static M Eq(V a, V b) { return vceqq_f64(a, b); }
+  static M Or(M a, M b) { return vorrq_u64(a, b); }
+  static bool All(M m) {
+    return (vgetq_lane_u64(m, 0) & vgetq_lane_u64(m, 1)) ==
+           ~static_cast<uint64_t>(0);
+  }
+  static V Select(M m, V t, V f) { return vbslq_f64(m, t, f); }
   static VI CastI(V a) { return vreinterpretq_s64_f64(a); }
   static V CastD(VI a) { return vreinterpretq_f64_s64(a); }
   static VI Add64(VI a, VI b) { return vaddq_s64(a, b); }
@@ -270,18 +290,14 @@ struct NeonOps {
   static VI Sra52(VI a) { return vshrq_n_s64(a, 52); }
   static VI Shl52(VI a) { return vshlq_n_s64(a, 52); }
   static V I64ToF64(VI a) { return vcvtq_f64_s64(a); }
-  static bool AllLanes(uint64x2_t m) {
-    return (vgetq_lane_u64(m, 0) & vgetq_lane_u64(m, 1)) ==
-           ~static_cast<uint64_t>(0);
-  }
   static bool AllInRange(V s) {
-    return AllLanes(vandq_u64(vcgeq_f64(s, Set1(simd::kMinNormal)),
+    return All(vandq_u64(vcgeq_f64(s, Set1(simd::kMinNormal)),
                               vcleq_f64(s, Set1(simd::kMaxFinite))));
   }
   static bool AllAbsLe700(V x) {
-    return AllLanes(vcleq_f64(Abs(x), Set1(simd::kExpMainCut)));
+    return All(vcleq_f64(Abs(x), Set1(simd::kExpMainCut)));
   }
-  static bool AllNotNan(V x) { return AllLanes(vceqq_f64(x, x)); }
+  static bool AllNotNan(V x) { return All(vceqq_f64(x, x)); }
 };
 
 void NeonJoint(const JointBatchArgs& args, double* out_log) {

@@ -49,7 +49,8 @@ inline constexpr size_t PadEntries(size_t n) {
 // Concurrency contract: kernels read ONLY plane elements [0, n) — never the
 // padding up to `stride` — because DeltaTree's writer concurrently fills
 // slot n while readers scan the published prefix [0, n). A full-width block
-// is used while j + width <= n; the tail runs through the scalar reference.
+// is used while j + width <= n; the tail is one masked partial block whose
+// loads and stores stop at n.
 struct JointBatchArgs {
   const double* mu = nullptr;       // dim planes of `stride` doubles
   const double* sigma = nullptr;    // dim planes of `stride` doubles
@@ -158,8 +159,9 @@ inline double PortableGaussLogPdf(double x, double mu, double sigma) {
 
 namespace detail {
 
-// Scalar reference ranges over [j0, j1) of a batch — the tail path of every
-// SIMD backend and the whole body of the scalar backend. Implemented as
+// Scalar reference ranges over [j0, j1) of a batch — the fallback of every
+// SIMD block (full or partial) whose lanes leave the main path, and the
+// whole body of the scalar backend. Implemented as
 // loops over the legacy scalar functions (GaussianLogPdf, LogUpperHull,
 // LogLowerHull), so "bit-identical to scalar" means bit-identical to what
 // the rest of the system computes.

@@ -19,9 +19,24 @@ namespace {
 struct Avx2Ops {
   using V = __m256d;
   using VI = __m256i;
+  using M = __m256d;  // all-ones lanes where true
   static constexpr size_t kWidth = 4;
   static V Load(const double* p) { return _mm256_loadu_pd(p); }
   static void Store(double* p, V v) { _mm256_storeu_pd(p, v); }
+  // vmaskmovpd: masked-off lanes are neither read nor written (no fault
+  // past the end); the load zeroes them, so the fill is blended in after.
+  static VI FirstLanes(size_t count) {
+    return _mm256_cmpgt_epi64(Set1I(static_cast<int64_t>(count)),
+                              _mm256_setr_epi64x(0, 1, 2, 3));
+  }
+  static V LoadPartial(const double* p, size_t count, double fill) {
+    const VI mask = FirstLanes(count);
+    return _mm256_blendv_pd(Set1(fill), _mm256_maskload_pd(p, mask),
+                            CastD(mask));
+  }
+  static void StorePartial(double* p, size_t count, V v) {
+    _mm256_maskstore_pd(p, FirstLanes(count), v);
+  }
   static V Set1(double x) { return _mm256_set1_pd(x); }
   static VI Set1I(int64_t x) { return _mm256_set1_epi64x(x); }
   static V Add(V a, V b) { return _mm256_add_pd(a, b); }
@@ -42,6 +57,10 @@ struct Avx2Ops {
   // including which NaN payload survives.
   static V MinStd(V a, V b) { return _mm256_min_pd(b, a); }
   static V MaxStd(V a, V b) { return _mm256_max_pd(b, a); }
+  static M Eq(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
+  static M Or(M a, M b) { return _mm256_or_pd(a, b); }
+  static bool All(M m) { return _mm256_movemask_pd(m) == 0xf; }
+  static V Select(M m, V t, V f) { return _mm256_blendv_pd(f, t, m); }
   static VI CastI(V a) { return _mm256_castpd_si256(a); }
   static V CastD(VI a) { return _mm256_castsi256_pd(a); }
   static VI Add64(VI a, VI b) { return _mm256_add_epi64(a, b); }
@@ -63,18 +82,16 @@ struct Avx2Ops {
     const VI magic = Set1I(0x4338000000000000LL);
     return _mm256_sub_pd(CastD(_mm256_add_epi64(a, magic)), Set1(0x1.8p52));
   }
-  static bool AllLanes(V mask) { return _mm256_movemask_pd(mask) == 0xf; }
   static bool AllInRange(V s) {
-    return AllLanes(
+    return All(
         _mm256_and_pd(_mm256_cmp_pd(s, Set1(simd::kMinNormal), _CMP_GE_OQ),
                       _mm256_cmp_pd(s, Set1(simd::kMaxFinite), _CMP_LE_OQ)));
   }
   static bool AllAbsLe700(V x) {
-    return AllLanes(
-        _mm256_cmp_pd(Abs(x), Set1(simd::kExpMainCut), _CMP_LE_OQ));
+    return All(_mm256_cmp_pd(Abs(x), Set1(simd::kExpMainCut), _CMP_LE_OQ));
   }
   static bool AllNotNan(V x) {
-    return AllLanes(_mm256_cmp_pd(x, x, _CMP_EQ_OQ));
+    return All(_mm256_cmp_pd(x, x, _CMP_EQ_OQ));
   }
 };
 

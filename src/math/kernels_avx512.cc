@@ -19,9 +19,20 @@ namespace {
 struct Avx512Ops {
   using V = __m512d;
   using VI = __m512i;
+  using M = __mmask8;
   static constexpr size_t kWidth = 8;
   static V Load(const double* p) { return _mm512_loadu_pd(p); }
   static void Store(double* p, V v) { _mm512_storeu_pd(p, v); }
+  // Masked-off lanes are neither read nor written (no fault past the end).
+  static M FirstLanes(size_t count) {
+    return static_cast<M>((1u << count) - 1u);
+  }
+  static V LoadPartial(const double* p, size_t count, double fill) {
+    return _mm512_mask_loadu_pd(Set1(fill), FirstLanes(count), p);
+  }
+  static void StorePartial(double* p, size_t count, V v) {
+    _mm512_mask_storeu_pd(p, FirstLanes(count), v);
+  }
   static V Set1(double x) { return _mm512_set1_pd(x); }
   static VI Set1I(int64_t x) { return _mm512_set1_epi64(x); }
   static V Add(V a, V b) { return _mm512_add_pd(a, b); }
@@ -43,6 +54,10 @@ struct Avx512Ops {
   // std::min/std::max exactly.
   static V MinStd(V a, V b) { return _mm512_min_pd(b, a); }
   static V MaxStd(V a, V b) { return _mm512_max_pd(b, a); }
+  static M Eq(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
+  static M Or(M a, M b) { return static_cast<M>(a | b); }
+  static bool All(M m) { return m == 0xff; }
+  static V Select(M m, V t, V f) { return _mm512_mask_blend_pd(m, f, t); }
   static VI CastI(V a) { return _mm512_castpd_si512(a); }
   static V CastD(VI a) { return _mm512_castsi512_pd(a); }
   static VI Add64(VI a, VI b) { return _mm512_add_epi64(a, b); }

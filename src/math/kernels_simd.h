@@ -18,18 +18,26 @@
 //   struct Ops {
 //     using V  = <vector of kWidth doubles>;
 //     using VI = <vector of kWidth int64s, same register width>;
+//     using M  = <per-lane predicate of a V comparison>;
 //     static constexpr size_t kWidth;
 //     // lane-wise IEEE ops (identical rounding to the scalar op):
 //     Load, Store, Set1, Add, Sub, Mul, Div, Sqrt, Abs, RoundNearest
+//     // partial-block memory ops, 0 < count < kWidth: LoadPartial reads
+//     // p[0, count) and fills the other lanes with `fill`; StorePartial
+//     // writes p[0, count). Neither touches p[count] or beyond:
+//     LoadPartial(p, count, fill), StorePartial(p, count, v)
 //     // std-semantics min/max: MinStd(a,b) == std::min(a,b) and
 //     // MaxStd(a,b) == std::max(a,b) PER LANE, including which NaN operand
 //     // comes through (on x86 that is the same instruction with the operand
 //     // order swapped; NEON needs compare+select):
 //     MinStd, MaxStd
+//     // lane predicates: Eq(a,b) is a == b (false on NaN), Or, All, and
+//     // Select(m, t, f) == m ? t : f per lane:
+//     Eq, Or, All, Select
 //     // integer lane ops for exponent surgery:
 //     Set1I, CastI, CastD, Add64, Sub64, And64, Sra52, Shl52, I64ToF64
-//     // whole-vector predicates (scalar bool so control flow stays uniform
-//     // across ISAs — no per-lane masking anywhere):
+//     // whole-vector predicates (scalar bool, so every fallback decision is
+//     // made per block, never per lane):
 //     AllInRange   — every lane in [kMinNormal, kMaxFinite] (false on NaN)
 //     AllAbsLe700  — every lane has |x| <= 700 (false on NaN)
 //     AllNotNan    — no lane is NaN
@@ -41,12 +49,17 @@
 // lane (AllInRange on each log input, AllAbsLe700 on each exp input, final
 // AllNotNan on the accumulators); any failure reruns the whole block through
 // detail::*Range — the scalar reference itself — so special values get the
-// scalar answers by construction, not by re-implementation. The tail
-// (n % kWidth) always runs the scalar reference.
+// scalar answers by construction, not by re-implementation.
+//
+// Partial blocks: the last n % kWidth entries run the same vector body as
+// one more block, loading only lanes [j, n). The lanes past n hold a benign
+// in-domain fill (sigma 1, mu 0, log_shift for exp_shift), so the block's
+// checks above reflect only the real lanes, and a failed check reruns just
+// [j, n) through the scalar reference.
 //
 // Concurrency contract (see JointBatchArgs in kernels.h): no load below ever
 // touches plane elements >= n. Full blocks satisfy j + kWidth <= n, and the
-// scalar tail stops at n.
+// partial block's masked loads and stores stop at n.
 namespace gauss::kernels::simd {
 
 // --- fdlibm log constants (see LogMain in kernels.cc for the derivation) ---
@@ -139,16 +152,26 @@ inline typename O::V VExpMain(typename O::V x) {
   return O::Mul(y, O::CastD(scale_bits));
 }
 
+// log N(x; mu, sigma) given log_sigma == VLogMain(sigma) and
+// dist == x - mu or -(x - mu): PortableGaussLogPdf (kernels.h) mirrored per
+// lane. The sign of dist does not matter: IEEE division is sign-symmetric,
+// so z comes out as +-z and z * z has the same bits either way.
+template <typename O>
+inline typename O::V VGaussLogPdfAt(typename O::V dist, typename O::V sigma,
+                                    typename O::V log_sigma) {
+  using V = typename O::V;
+  const V z = O::Div(dist, sigma);
+  const V zz = O::Mul(z, z);
+  return O::Sub(O::Sub(O::Mul(O::Set1(-0.5), zz), log_sigma),
+                O::Set1(kLogSqrt2Pi));
+}
+
 // log N(x; mu, sigma): PortableGaussLogPdf (kernels.h) mirrored per lane.
 // sigma lanes must already be proven in-range for VLogMain.
 template <typename O>
 inline typename O::V VGaussLogPdf(typename O::V x, typename O::V mu,
                                   typename O::V sigma) {
-  using V = typename O::V;
-  const V z = O::Div(O::Sub(x, mu), sigma);
-  const V zz = O::Mul(z, z);
-  return O::Sub(O::Sub(O::Mul(O::Set1(-0.5), zz), VLogMain<O>(sigma)),
-                O::Set1(kLogSqrt2Pi));
+  return VGaussLogPdfAt<O>(O::Sub(x, mu), sigma, VLogMain<O>(sigma));
 }
 
 // CombineSigma (sigma_policy.h) per lane. The convolution form is two muls,
@@ -162,115 +185,179 @@ inline typename O::V VCombineSigma(typename O::V sv, typename O::V sq,
   return O::Sqrt(O::Add(O::Mul(sv, sv), O::Mul(sq, sq)));
 }
 
+// Lanes [0, count) of one block at p: a whole vector for a full block, a
+// masked load with `fill` in the lanes past count for the partial one.
+template <typename O, bool kPartial>
+inline typename O::V LoadLanes(const double* p, size_t count, double fill) {
+  if constexpr (kPartial) {
+    return O::LoadPartial(p, count, fill);
+  } else {
+    return O::Load(p);
+  }
+}
+
+template <typename O, bool kPartial>
+inline void StoreLanes(double* p, size_t count, typename O::V v) {
+  if constexpr (kPartial) {
+    O::StorePartial(p, count, v);
+  } else {
+    O::Store(p, v);
+  }
+}
+
+// Entries [j, j + count) of a joint batch; count == kWidth unless kPartial.
+template <typename O, bool kPartial>
+void JointBlock(const JointBatchArgs& a, size_t j, size_t count,
+                double* out_log) {
+  using V = typename O::V;
+  const bool additive = a.policy == SigmaPolicy::kAdditive;
+  V acc = O::Set1(0.0);
+  for (size_t i = 0; i < a.dim; ++i) {
+    const V sv = LoadLanes<O, kPartial>(a.sigma + i * a.stride + j, count, 1.0);
+    const V sigma = VCombineSigma<O>(sv, O::Set1(a.sigma_q[i]), additive);
+    // A zero/denormal/inf/NaN combined sigma would take PortableLog's
+    // special path — prove every lane is main-path before trusting
+    // VLogMain, else rerun the block through the scalar reference.
+    if (!O::AllInRange(sigma)) {
+      detail::JointLogDensityRange(a, j, j + count, out_log);
+      return;
+    }
+    const V mu = LoadLanes<O, kPartial>(a.mu + i * a.stride + j, count, 0.0);
+    acc = O::Add(acc, VGaussLogPdf<O>(O::Set1(a.mu_q[i]), mu, sigma));
+  }
+  // A NaN accumulator means non-finite mu data flowed through arithmetic
+  // whose NaN payload propagation we don't promise to mirror — the scalar
+  // rerun gives those lanes the reference bits.
+  if (O::AllNotNan(acc)) {
+    StoreLanes<O, kPartial>(out_log + j, count, acc);
+  } else {
+    detail::JointLogDensityRange(a, j, j + count, out_log);
+  }
+}
+
 template <typename O>
 void JointBatchImpl(const JointBatchArgs& a, double* out_log) {
-  using V = typename O::V;
   constexpr size_t W = O::kWidth;
-  const bool additive = a.policy == SigmaPolicy::kAdditive;
   size_t j = 0;
-  for (; j + W <= a.n; j += W) {
-    V acc = O::Set1(0.0);
-    bool main_path = true;
-    for (size_t i = 0; i < a.dim; ++i) {
-      const V sv = O::Load(a.sigma + i * a.stride + j);
-      const V sigma = VCombineSigma<O>(sv, O::Set1(a.sigma_q[i]), additive);
-      // A zero/denormal/inf/NaN combined sigma would take PortableLog's
-      // special path — prove every lane is main-path before trusting
-      // VLogMain, else rerun the block through the scalar reference.
-      if (!O::AllInRange(sigma)) {
-        main_path = false;
-        break;
-      }
-      const V mu = O::Load(a.mu + i * a.stride + j);
-      acc = O::Add(acc, VGaussLogPdf<O>(O::Set1(a.mu_q[i]), mu, sigma));
+  for (; j + W <= a.n; j += W) JointBlock<O, false>(a, j, W, out_log);
+  if (j < a.n) JointBlock<O, true>(a, j, a.n - j, out_log);
+}
+
+// Entries [j, j + count) of a hull batch; count == kWidth unless kPartial.
+//
+// Each dimension takes the two sigma-corner logs once and shares them:
+//   * Lemma 2 upper hull, branchless form of hull.cc's ArgUpperHull: the
+//     best mean is x clamped into [mu_lo, mu_hi]; the best sigma is the
+//     distance to that mean clamped into [sigma_lo, sigma_hi] (distance 0
+//     inside the mu range resolves to sigma_lo — case IV). Equivalence with
+//     the branchy scalar is bit-exact: |x - mu_lo| == mu_lo - x by IEEE
+//     negation exactness, and clamp == MinStd(MaxStd(v,lo),hi) for every
+//     input including NaN. A clamped sigma equal to a corner reuses that
+//     corner's log (equal positive normals have equal bits); only a block
+//     with a lane strictly inside (cases II and VI) runs a third log.
+//   * Lemma 3 lower hull: the scalar takes min(min(a,c), min(d,e)) over the
+//     four (mu, sigma) corners. For a fixed sigma the log density depends on
+//     the mean only through |fl(x - mu)| and never increases as it grows —
+//     division, squaring and subtraction are monotone under rounding — so
+//     the farther mean attains both per-sigma minima, and the minimum of
+//     the two far-mean corners is the scalar's value bit for bit, ties
+//     included (no corner is -0, and a NaN distance still goes NaN).
+template <typename O, bool kPartial>
+void HullBlock(const HullBatchArgs& a, size_t j, size_t count,
+               double* out_log_upper, double* out_log_lower) {
+  using V = typename O::V;
+  using M = typename O::M;
+  const bool additive = a.policy == SigmaPolicy::kAdditive;
+  V up = O::Set1(0.0);
+  V lo = O::Set1(0.0);
+  for (size_t i = 0; i < a.dim; ++i) {
+    const size_t at = i * a.stride + j;
+    const V sq = O::Set1(a.sigma_q[i]);
+    const V slo = VCombineSigma<O>(
+        LoadLanes<O, kPartial>(a.sigma_lo + at, count, 1.0), sq, additive);
+    const V shi = VCombineSigma<O>(
+        LoadLanes<O, kPartial>(a.sigma_hi + at, count, 1.0), sq, additive);
+    if (!O::AllInRange(slo) || !O::AllInRange(shi)) {
+      detail::HullBoundsRange(a, j, j + count, out_log_upper, out_log_lower);
+      return;
     }
-    // A NaN accumulator means non-finite mu data flowed through arithmetic
-    // whose NaN payload propagation we don't promise to mirror — the scalar
-    // rerun gives those lanes the reference bits.
-    if (main_path && O::AllNotNan(acc)) {
-      O::Store(out_log + j, acc);
-    } else {
-      detail::JointLogDensityRange(a, j, j + W, out_log);
+    const V log_slo = VLogMain<O>(slo);
+    const V log_shi = VLogMain<O>(shi);
+    const V mlo = LoadLanes<O, kPartial>(a.mu_lo + at, count, 0.0);
+    const V mhi = LoadLanes<O, kPartial>(a.mu_hi + at, count, 0.0);
+    const V x = O::Set1(a.mu_q[i]);
+
+    const V mu_c = O::MinStd(O::MaxStd(x, mlo), mhi);
+    const V dist = O::Abs(O::Sub(x, mu_c));
+    const V sg_c = O::MinStd(O::MaxStd(dist, slo), shi);
+    const M at_lo = O::Eq(sg_c, slo);
+    const M at_corner = O::Or(at_lo, O::Eq(sg_c, shi));
+    V log_sg = O::Select(at_lo, log_slo, log_shi);
+    if (!O::All(at_corner)) {
+      // Some lane's sigma lies strictly between the corners (or is NaN,
+      // whose z is NaN whatever its log).
+      log_sg = O::Select(at_corner, log_sg, VLogMain<O>(sg_c));
     }
+    up = O::Add(up, VGaussLogPdfAt<O>(O::Sub(x, mu_c), sg_c, log_sg));
+
+    const V dfar =
+        O::MaxStd(O::Abs(O::Sub(x, mlo)), O::Abs(O::Sub(x, mhi)));
+    lo = O::Add(lo, O::MinStd(VGaussLogPdfAt<O>(dfar, slo, log_slo),
+                              VGaussLogPdfAt<O>(dfar, shi, log_shi)));
   }
-  detail::JointLogDensityRange(a, j, a.n, out_log);
+  // A NaN query coordinate or mu_lo surfaces as NaN in an accumulator
+  // (sg_c clamps a NaN distance to NaN; a NaN mu_lo makes dfar NaN), and
+  // the block reruns scalar. A NaN mu_hi drops out of the clamp and of
+  // dfar's max exactly as it drops out of the scalar's branches and its
+  // min tree, so those lanes already hold the reference bits.
+  if (O::AllNotNan(up) && O::AllNotNan(lo)) {
+    StoreLanes<O, kPartial>(out_log_upper + j, count, up);
+    StoreLanes<O, kPartial>(out_log_lower + j, count, lo);
+  } else {
+    detail::HullBoundsRange(a, j, j + count, out_log_upper, out_log_lower);
+  }
 }
 
 template <typename O>
 void HullBatchImpl(const HullBatchArgs& a, double* out_log_upper,
                    double* out_log_lower) {
-  using V = typename O::V;
   constexpr size_t W = O::kWidth;
-  const bool additive = a.policy == SigmaPolicy::kAdditive;
   size_t j = 0;
   for (; j + W <= a.n; j += W) {
-    V up = O::Set1(0.0);
-    V lo = O::Set1(0.0);
-    bool main_path = true;
-    for (size_t i = 0; i < a.dim; ++i) {
-      const V sq = O::Set1(a.sigma_q[i]);
-      const V slo =
-          VCombineSigma<O>(O::Load(a.sigma_lo + i * a.stride + j), sq, additive);
-      const V shi =
-          VCombineSigma<O>(O::Load(a.sigma_hi + i * a.stride + j), sq, additive);
-      if (!O::AllInRange(slo) || !O::AllInRange(shi)) {
-        main_path = false;
-        break;
-      }
-      const V mlo = O::Load(a.mu_lo + i * a.stride + j);
-      const V mhi = O::Load(a.mu_hi + i * a.stride + j);
-      const V x = O::Set1(a.mu_q[i]);
-      // Lemma 2 upper hull, branchless form of hull.cc's ArgUpperHull: the
-      // best mean is x clamped into [mu_lo, mu_hi]; the best sigma is the
-      // distance to that mean clamped into [sigma_lo, sigma_hi] (distance 0
-      // inside the mu range resolves to sigma_lo — case IV). Equivalence
-      // with the branchy scalar is bit-exact: |x - mu_lo| == mu_lo - x by
-      // IEEE negation exactness, and clamp == MinStd(MaxStd(v,lo),hi) for
-      // every input including NaN.
-      const V mu_c = O::MinStd(O::MaxStd(x, mlo), mhi);
-      const V dist = O::Abs(O::Sub(x, mu_c));
-      const V sg_c = O::MinStd(O::MaxStd(dist, slo), shi);
-      up = O::Add(up, VGaussLogPdf<O>(x, mu_c, sg_c));
-      // Lemma 3 lower hull: min over the four (mu, sigma) corners, with the
-      // scalar's exact min tree min(min(a,c), min(d,e)).
-      const V ta = VGaussLogPdf<O>(x, mlo, slo);
-      const V tc = VGaussLogPdf<O>(x, mlo, shi);
-      const V td = VGaussLogPdf<O>(x, mhi, slo);
-      const V te = VGaussLogPdf<O>(x, mhi, shi);
-      lo = O::Add(lo, O::MinStd(O::MinStd(ta, tc), O::MinStd(td, te)));
-    }
-    // NaN mu bounds (or a NaN query coordinate) surface as NaN in at least
-    // one accumulator: sg_c clamps a NaN distance to NaN, so the upper term
-    // goes NaN whenever any input lane was NaN. Rerun those blocks scalar.
-    if (main_path && O::AllNotNan(up) && O::AllNotNan(lo)) {
-      O::Store(out_log_upper + j, up);
-      O::Store(out_log_lower + j, lo);
-    } else {
-      detail::HullBoundsRange(a, j, j + W, out_log_upper, out_log_lower);
-    }
+    HullBlock<O, false>(a, j, W, out_log_upper, out_log_lower);
   }
-  detail::HullBoundsRange(a, j, a.n, out_log_upper, out_log_lower);
+  if (j < a.n) {
+    HullBlock<O, true>(a, j, a.n - j, out_log_upper, out_log_lower);
+  }
+}
+
+// Entries [j, j + count) of an exp_shift batch. The partial block's fill is
+// log_shift itself, so its idle lanes evaluate exp(0).
+template <typename O, bool kPartial>
+void ExpShiftBlock(const double* log_in, double log_shift, size_t j,
+                   size_t count, double* out) {
+  using V = typename O::V;
+  const V v = O::Sub(LoadLanes<O, kPartial>(log_in + j, count, log_shift),
+                     O::Set1(log_shift));
+  // |v| <= 700 is ExpMain's domain (result and scale stay normal);
+  // anything else — including NaN — takes the scalar reference's special
+  // handling.
+  if (O::AllAbsLe700(v)) {
+    StoreLanes<O, kPartial>(out + j, count, VExpMain<O>(v));
+  } else {
+    detail::ExpShiftRange(log_in, log_shift, j, j + count, out);
+  }
 }
 
 template <typename O>
 void ExpShiftImpl(const double* log_in, double log_shift, size_t n,
                   double* out) {
-  using V = typename O::V;
   constexpr size_t W = O::kWidth;
-  const V shift = O::Set1(log_shift);
   size_t j = 0;
   for (; j + W <= n; j += W) {
-    const V v = O::Sub(O::Load(log_in + j), shift);
-    // |v| <= 700 is ExpMain's domain (result and scale stay normal);
-    // anything else — including NaN — takes the scalar reference's special
-    // handling.
-    if (O::AllAbsLe700(v)) {
-      O::Store(out + j, VExpMain<O>(v));
-    } else {
-      detail::ExpShiftRange(log_in, log_shift, j, j + W, out);
-    }
+    ExpShiftBlock<O, false>(log_in, log_shift, j, W, out);
   }
-  detail::ExpShiftRange(log_in, log_shift, j, n, out);
+  if (j < n) ExpShiftBlock<O, true>(log_in, log_shift, j, n - j, out);
 }
 
 }  // namespace gauss::kernels::simd

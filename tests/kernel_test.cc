@@ -10,14 +10,19 @@
 // The suite prints "active backend: <name>" so CI can grep LastTest.log to
 // prove which backend a lane dispatched to (see .github/workflows/ci.yml).
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/macros.h"
 #include "common/random.h"
 #include "gausstree/delta_tree.h"
 #include "math/gaussian.h"
@@ -369,6 +374,7 @@ TEST(KernelDifferentialTest, HullEdgeQueries) {
 TEST(KernelDifferentialTest, HullQueryAcrossAllSevenCases) {
   // Sweep the query mean across the Lemma 2 piecewise regions of a fixed
   // bound box (hull.h cases I-VII): far left, boundary, inside, far right.
+  // x = 0 is equidistant from both means (the lower hull's far-mean tie).
   HullFixture f = MakeHullFixture(16, 1, 20);
   for (size_t j = 0; j < f.n; ++j) {
     f.mu_lo(0, j) = -1.0;
@@ -380,6 +386,64 @@ TEST(KernelDifferentialTest, HullQueryAcrossAllSevenCases) {
                          1.0, 1.1, 1.5, 1.6, 50.0}) {
     f.mu_q[0] = x;
     ExpectHullMatchesScalar(f, "seven cases");
+  }
+
+  // Per-lane cases at x = 0, ragged n. A "mid" entry sits in case II or VI
+  // (its best sigma lies strictly between the sigma corners, the only lanes
+  // that need a third log); the others sit in cases I, III, IV, V or VII.
+  // Patterns: no mid lane, one mid lane per 8 entries (so some blocks of
+  // every width have exactly one and some none), every lane mid — each also
+  // with sigma_lo == sigma_hi — plus far-mean ties at mu bounds that are
+  // not symmetric about 0 in magnitude.
+  enum class Mid { kNone, kOnePer8, kAll };
+  for (const size_t n : {5u, 13u, 21u}) {
+    for (const Mid mid : {Mid::kNone, Mid::kOnePer8, Mid::kAll}) {
+      for (const bool equal_sigmas : {false, true}) {
+        HullFixture g = MakeHullFixture(n, 2, 23);
+        for (size_t j = 0; j < n; ++j) {
+          const bool is_mid = mid == Mid::kAll ||
+                              (mid == Mid::kOnePer8 && j % 8 == 3);
+          // Means right of x (cases I-IV) or left of it (IV-VII).
+          const double side = j % 2 == 0 ? 1.0 : -1.0;
+          // Distance from x = 0 to the nearer mean: inside (0.1, 0.5) for
+          // mid lanes; otherwise cycle through beyond (I/VII), below
+          // (III/V) and on (IV) the sigma range.
+          const double near_far[] = {3.0, 0.05, 0.0};
+          const double dist = is_mid ? 0.2 + 0.01 * static_cast<double>(j)
+                                     : near_far[j % 3];
+          for (size_t d = 0; d < 2; ++d) {
+            if (side > 0) {
+              g.mu_lo(d, j) = dist;
+              g.mu_hi(d, j) = dist + 1.0;
+            } else {
+              g.mu_lo(d, j) = -dist - 1.0;
+              g.mu_hi(d, j) = -dist;
+            }
+            g.sigma_lo(d, j) = 0.1;
+            g.sigma_hi(d, j) = equal_sigmas ? 0.1 : 0.5;
+          }
+        }
+        for (size_t d = 0; d < 2; ++d) {
+          g.mu_q[d] = 0.0;
+          g.sigma_q[d] = 1e-3;
+        }
+        ExpectHullMatchesScalar(g, "per-lane cases");
+      }
+    }
+    // Exact far-mean ties: x midway between the means, so both distances
+    // round to the same double, on asymmetric bounds.
+    HullFixture t = MakeHullFixture(n, 1, 24);
+    for (size_t j = 0; j < n; ++j) {
+      const double c = 0.25 * static_cast<double>(j);
+      t.mu_lo(0, j) = c - 0.75;
+      t.mu_hi(0, j) = c + 0.75;
+      t.sigma_lo(0, j) = 0.125 * static_cast<double>(j % 4 + 1);
+      t.sigma_hi(0, j) = t.sigma_lo(0, j) * (j % 2 == 0 ? 1.0 : 3.0);
+    }
+    for (const double x : {0.0, 0.25, 1.0, 2.5}) {
+      t.mu_q[0] = x;
+      ExpectHullMatchesScalar(t, "far-mean tie");
+    }
   }
 }
 
@@ -436,6 +500,145 @@ TEST(KernelDifferentialTest, AdditiveSigmaPolicy) {
       backend->hull_bounds(args, got_up.data(), got_lo.data());
       EXPECT_TRUE(SameBits(ref_up, got_up)) << "additive hull " << backend->name;
       EXPECT_TRUE(SameBits(ref_lo, got_lo)) << "additive hull " << backend->name;
+    }
+  }
+}
+
+// `count` doubles whose last element ends exactly where a PROT_NONE page
+// begins: any read or write of element `count` or beyond faults. A partial
+// block that loaded or stored a full vector would touch that page.
+class GuardedArray {
+ public:
+  explicit GuardedArray(size_t count) {
+    const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    const size_t data_pages = (count * sizeof(double) + page - 1) / page;
+    length_ = (data_pages + 1) * page;
+    void* base = mmap(nullptr, length_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    GAUSS_CHECK(base != MAP_FAILED);
+    base_ = static_cast<char*>(base);
+    char* guard = base_ + data_pages * page;
+    const int protected_guard = mprotect(guard, page, PROT_NONE);
+    GAUSS_CHECK(protected_guard == 0);
+    data_ = reinterpret_cast<double*>(guard) - count;
+  }
+  ~GuardedArray() { munmap(base_, length_); }
+  GuardedArray(const GuardedArray&) = delete;
+  GuardedArray& operator=(const GuardedArray&) = delete;
+
+  double* data() const { return data_; }
+
+ private:
+  char* base_ = nullptr;
+  size_t length_ = 0;
+  double* data_ = nullptr;
+};
+
+// Copies `count` doubles into a fresh guarded array.
+std::unique_ptr<GuardedArray> Guarded(const double* src, size_t count) {
+  auto array = std::make_unique<GuardedArray>(count);
+  std::memcpy(array->data(), src, count * sizeof(double));
+  return array;
+}
+
+// Re-lays a fixture's plane groups at stride == n, so each group's final
+// plane ends at its last entry.
+template <typename Fixture>
+void PackToStrideN(Fixture& f, size_t groups) {
+  std::vector<double> packed(groups * f.dim * f.n);
+  for (size_t plane = 0; plane < groups * f.dim; ++plane) {
+    std::memcpy(packed.data() + plane * f.n,
+                f.planes.data() + plane * f.stride, f.n * sizeof(double));
+  }
+  f.planes = std::move(packed);
+  f.stride = f.n;
+}
+
+// Every tail length short of one or two full vectors of the widest backend.
+std::vector<size_t> TailLengths() {
+  std::vector<size_t> ns;
+  for (size_t n = 1; n < 2 * kernels::kMaxLanes; ++n) {
+    if (n != kernels::kMaxLanes) ns.push_back(n);
+  }
+  return ns;
+}
+
+// The kernel contract that no access reaches element n (kernels.h
+// JointBatchArgs, relied on by DeltaTree's concurrent append), checked with
+// guard pages rather than trusted: each plane group, the query arrays, the
+// exp_shift input and every output end exactly at a PROT_NONE page, with
+// stride == n so the final plane of each group ends there too. Each length
+// also runs a variant whose last entry forces the block's scalar rerun.
+TEST(KernelDifferentialTest, TailNeverTouchesPastN) {
+  for (const size_t n : TailLengths()) {
+    for (const size_t dim : {1u, 3u}) {
+      for (const bool fallback : {false, true}) {
+        JointFixture jf = MakeJointFixture(n, dim, 61);
+        PackToStrideN(jf, 2);
+        if (fallback) jf.planes[dim * n - 1] = kNan;  // last mu: NaN acc
+        const auto mu = Guarded(jf.planes.data(), dim * n);
+        const auto sigma = Guarded(jf.planes.data() + dim * n, dim * n);
+        const auto mu_q = Guarded(jf.mu_q.data(), dim);
+        const auto sigma_q = Guarded(jf.sigma_q.data(), dim);
+        kernels::JointBatchArgs jargs = jf.Args();
+        jargs.mu = mu->data();
+        jargs.sigma = sigma->data();
+        jargs.mu_q = mu_q->data();
+        jargs.sigma_q = sigma_q->data();
+        std::vector<double> ref(n);
+        kernels::ScalarBackend().joint_log_density(jargs, ref.data());
+
+        HullFixture hf = MakeHullFixture(n, dim, 62);
+        PackToStrideN(hf, 4);
+        if (fallback) hf.planes.back() = kInf;  // last sigma_hi: out of range
+        std::vector<std::unique_ptr<GuardedArray>> groups;
+        for (size_t g = 0; g < 4; ++g) {
+          groups.push_back(Guarded(hf.planes.data() + g * dim * n, dim * n));
+        }
+        const auto hmu_q = Guarded(hf.mu_q.data(), dim);
+        const auto hsigma_q = Guarded(hf.sigma_q.data(), dim);
+        kernels::HullBatchArgs hargs = hf.Args();
+        hargs.mu_lo = groups[0]->data();
+        hargs.mu_hi = groups[1]->data();
+        hargs.sigma_lo = groups[2]->data();
+        hargs.sigma_hi = groups[3]->data();
+        hargs.mu_q = hmu_q->data();
+        hargs.sigma_q = hsigma_q->data();
+        std::vector<double> ref_up(n), ref_lo(n);
+        kernels::ScalarBackend().hull_bounds(hargs, ref_up.data(),
+                                             ref_lo.data());
+
+        Rng rng(63);
+        std::vector<double> log_in(n);
+        for (double& v : log_in) v = rng.Uniform(-1000, 50);
+        if (fallback) log_in.back() = kNan;
+        const auto exp_in = Guarded(log_in.data(), n);
+        std::vector<double> ref_exp(n);
+        kernels::ScalarBackend().exp_shift(exp_in->data(), -3.5, n,
+                                           ref_exp.data());
+
+        for (const kernels::KernelBackend* backend : RunnableBackends()) {
+          GuardedArray out(n), out_up(n), out_lo(n), out_exp(n);
+          backend->joint_log_density(jargs, out.data());
+          backend->hull_bounds(hargs, out_up.data(), out_lo.data());
+          backend->exp_shift(exp_in->data(), -3.5, n, out_exp.data());
+          const auto got = [n](const GuardedArray& a) {
+            return std::vector<double>(a.data(), a.data() + n);
+          };
+          EXPECT_TRUE(SameBits(ref, got(out)))
+              << "joint " << backend->name << " n=" << n << " dim=" << dim
+              << " fallback=" << fallback;
+          EXPECT_TRUE(SameBits(ref_up, got(out_up)))
+              << "hull upper " << backend->name << " n=" << n
+              << " dim=" << dim << " fallback=" << fallback;
+          EXPECT_TRUE(SameBits(ref_lo, got(out_lo)))
+              << "hull lower " << backend->name << " n=" << n
+              << " dim=" << dim << " fallback=" << fallback;
+          EXPECT_TRUE(SameBits(ref_exp, got(out_exp)))
+              << "exp_shift " << backend->name << " n=" << n
+              << " fallback=" << fallback;
+        }
+      }
     }
   }
 }
