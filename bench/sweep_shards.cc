@@ -7,13 +7,22 @@
 // probabilities within the certified error bounds — so the throughput
 // numbers can't come from computing something different.
 //
-// Expectations: pages/query rises with the shard count (every shard's tree
-// must be consulted — the Bayes denominator spans the whole gallery — and
-// K trees of n/K objects have more upper levels between them than one tree
-// of n), while QPS scales with workers once the machine has cores to give;
-// on a 1-core container all worker columns collapse to single-thread
-// throughput. The interesting sharded win is capacity (a gallery larger
-// than one device) — the sweep quantifies what that costs per query.
+// Expectations: pages/query stays flat in the shard count, near one tree's.
+// Every shard must be consulted — the Bayes denominator spans the whole
+// gallery — but GaussDb cuts its shards by space, and the coordinator's
+// seeded Start runs the most promising shard first and ships its real
+// answer as a pruning floor, so the other shards stop near their roots
+// (service/shard_coordinator.h). QPS scales with workers once the machine
+// has cores to give; on a 1-core container all worker columns collapse to
+// single-thread throughput. The interesting sharded win is capacity (a
+// gallery larger than one device) — the sweep quantifies what that costs
+// per query.
+//
+// The price of a spatial cut is load skew: the shard nearest a query does
+// most of its work. A second table shows, per shard count and shard, the
+// logical pages per query that shard read and the share of queries it
+// seeded, measured through a coordinator wired over the session's own shard
+// services.
 //
 // --devices=dir switches the sharded databases onto the multi-device
 // directory layout (GaussDb::CreateOnDirectory under $TMPDIR): one
@@ -60,7 +69,9 @@
 #include "data/workload.h"
 #include "eval/report.h"
 #include "net/net_error.h"
+#include "net/shard_backend.h"
 #include "net/shard_server.h"
+#include "service/shard_coordinator.h"
 
 namespace gauss::bench {
 namespace {
@@ -136,6 +147,37 @@ void RemoveDirectoryLayout(const std::string& dir, size_t num_shards) {
   ::rmdir(dir.c_str());
 }
 
+// Per-shard pages/query and seed share of one warm session: the batch runs
+// once more through a coordinator wired over the session's shard services,
+// so each shard's cache counters and seed count are its own.
+void AddShardLoadRows(Session& session, const std::vector<Query>& batch,
+                      Table* load) {
+  std::vector<std::unique_ptr<InProcessBackend>> backends;
+  std::vector<ShardBackend*> pointers;
+  for (size_t s = 0; s < session.num_shards(); ++s) {
+    backends.push_back(
+        std::make_unique<InProcessBackend>(session.shard_service(s)));
+    pointers.push_back(backends.back().get());
+  }
+  std::vector<uint64_t> reads_before;
+  for (ShardBackend* backend : pointers) {
+    reads_before.push_back(backend->FetchStats().io.logical_reads);
+  }
+  ShardCoordinator coordinator(pointers);
+  coordinator.ExecuteBatch(batch);
+  const std::vector<uint64_t> seeds = coordinator.seed_counts();
+  const double queries = static_cast<double>(batch.size());
+  for (size_t s = 0; s < pointers.size(); ++s) {
+    const uint64_t reads =
+        pointers[s]->FetchStats().io.logical_reads - reads_before[s];
+    load->AddRow({Table::Int(pointers.size()), Table::Int(s),
+                  Table::Int(session.shard_tree(s).size()),
+                  Table::Num(static_cast<double>(reads) / queries),
+                  Table::Pct(100.0 * static_cast<double>(seeds[s]) /
+                             queries)});
+  }
+}
+
 void Run(bool directory_devices, bool rpc_backend) {
   PrintBanner(std::cout,
               rpc_backend
@@ -189,6 +231,7 @@ void Run(bool directory_devices, bool rpc_backend) {
   const BatchResult reference = ref_session.ExecuteBatch(batch);
 
   Table table({"shards", "workers", "qps", "p50 us", "p99 us", "pages/query"});
+  Table load({"shards", "shard", "objects", "pages/query", "seed share"});
   table.AddRow({"-", Table::Int(1), Table::Num(reference.stats.qps),
                 Table::Num(reference.stats.latency.p50_us),
                 Table::Num(reference.stats.latency.p99_us),
@@ -256,6 +299,8 @@ void Run(bool directory_devices, bool rpc_backend) {
       // measure the wire path. The in-process result just computed over the
       // same shard services is the byte-level cross-check. (Teardown order:
       // the remote session hangs up before its servers go away.)
+      if (workers == 1) AddShardLoadRows(session, batch, &load);
+
       std::vector<std::unique_ptr<ShardServer>> servers;
       if (rpc_backend) {
         std::vector<std::string> endpoints;
@@ -318,6 +363,10 @@ void Run(bool directory_devices, bool rpc_backend) {
   }
   if (directory_devices) ::rmdir(scratch.c_str());
   table.Print(std::cout);
+  std::cout << "\nper-shard load (pages/query: the shard's logical reads "
+               "per query of the batch; seed share: queries it started "
+               "first)\n";
+  load.Print(std::cout);
   std::cout << "answers of every cell verified against the unsharded "
                "single-tree reference (ids exact, probabilities within "
                "certified bounds)\n";

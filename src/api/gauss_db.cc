@@ -30,10 +30,11 @@ namespace {
 // header at page 0) by its magic; followed in-page by num_shards PageId
 // entries naming each shard tree's header page.
 constexpr uint64_t kGaussDbManifestMagic = 0x47415553'53444231ull;  // "GAUSSDB1"
+// v3: added partition_kind (new builds are cut spatially).
 // v2: added hash_seed (the partitioner's routing seed became persistent).
-// v1 (no seed field) is still read — those databases used the unseeded
-// routing, which is exactly hash_seed = 0.
-constexpr uint32_t kGaussDbManifestVersion = 2;
+// v1 and v2 are still read as hash images — v1 used the unseeded routing,
+// which is exactly hash_seed = 0.
+constexpr uint32_t kGaussDbManifestVersion = 3;
 
 struct ManifestLayout {
   uint64_t magic;
@@ -43,14 +44,18 @@ struct ManifestLayout {
   uint32_t page_size;
   uint32_t dim;
   uint32_t num_shards;
-  uint64_t hash_seed;  // v2+; v1 manifests end after num_shards
+  uint64_t hash_seed;       // v2+; v1 manifests end after num_shards
+  uint32_t partition_kind;  // v3+ (PartitionKind); v2 manifests end before
+  uint32_t reserved;
 };
 
 // Byte size of the fixed manifest header as persisted by each version (the
 // shard PageId list starts right after it). v1 ended at num_shards; padding
-// placed hash_seed at offset 24, so v1's header was 24 bytes.
+// placed hash_seed at offset 24, so v1's header was 24 bytes and v2's 32.
 size_t ManifestHeaderBytes(uint32_t version) {
-  return version >= 2 ? sizeof(ManifestLayout) : offsetof(ManifestLayout, hash_seed);
+  if (version >= 3) return sizeof(ManifestLayout);
+  return version == 2 ? offsetof(ManifestLayout, partition_kind)
+                      : offsetof(ManifestLayout, hash_seed);
 }
 
 // Shard count bound: nobody needs more partitions than this on one node.
@@ -66,6 +71,10 @@ size_t ManifestBytes(size_t num_shards) {
 constexpr char kDirManifestName[] = "MANIFEST";
 constexpr char kDirManifestTag[] = "gaussdb-directory";
 constexpr uint32_t kDirManifestVersion = 1;
+// Values of the MANIFEST's `partition` key. A MANIFEST without the key was
+// written before spatial partitioning: a hash image with a `hash_seed` key.
+constexpr char kPartitionHash[] = "hash";
+constexpr char kPartitionSpatial[] = "spatial";
 
 std::string ShardFileName(size_t shard) {
   char name[48];
@@ -207,8 +216,7 @@ void GaussDb::InitShardRouting(const GaussDbOptions& options) {
   if (sharded_) {
     GAUSS_CHECK_MSG(options.shards.num_shards <= kMaxShards,
                     "too many shards");
-    partitioner_ =
-        Partitioner(options.shards.num_shards, options.shards.hash_seed);
+    partitioner_ = Partitioner::Spatial(options.shards.num_shards);
   }
 }
 
@@ -260,7 +268,8 @@ void GaussDb::WriteManifest() {
   manifest.page_size = options_.page_size;
   manifest.dim = static_cast<uint32_t>(dim_);
   manifest.num_shards = static_cast<uint32_t>(shard_metas_.size());
-  manifest.hash_seed = partitioner_.seed();
+  manifest.hash_seed = partitioner_.hash_seed();
+  manifest.partition_kind = static_cast<uint32_t>(partitioner_.kind());
   std::vector<uint8_t> page(options_.page_size, 0);
   std::memcpy(page.data(), &manifest, sizeof(manifest));
   std::memcpy(page.data() + sizeof(manifest), shard_metas_.data(),
@@ -287,8 +296,14 @@ void GaussDb::WriteDirectoryManifest() {
   contents << kDirManifestTag << ' ' << kDirManifestVersion << '\n'
            << "page_size " << options_.page_size << '\n'
            << "dim " << dim_ << '\n'
-           << "hash_seed " << partitioner_.seed() << '\n'
-           << "num_shards " << num_shards() << '\n';
+           << "partition "
+           << (partitioner_.kind() == PartitionKind::kHash ? kPartitionHash
+                                                            : kPartitionSpatial)
+           << '\n';
+  if (partitioner_.kind() == PartitionKind::kHash) {
+    contents << "hash_seed " << partitioner_.hash_seed() << '\n';
+  }
+  contents << "num_shards " << num_shards() << '\n';
   for (size_t s = 0; s < num_shards(); ++s) {
     contents << "shard " << ShardFileName(s) << '\n';
   }
@@ -413,8 +428,18 @@ OpenResult GaussDb::OpenFile(const std::string& path, GaussDbOptions options) {
                      std::to_string(kGaussDbManifestVersion) + " and below");
     }
     // v1 predates the persistent hash seed: those databases were routed
-    // unseeded, which is exactly seed 0.
+    // unseeded, which is exactly seed 0. v1 and v2 predate spatial
+    // partitioning: both are hash images.
     if (manifest.version < 2) manifest.hash_seed = 0;
+    if (manifest.version < 3) {
+      manifest.partition_kind = static_cast<uint32_t>(PartitionKind::kHash);
+    }
+    const uint32_t kind = manifest.partition_kind;
+    if (kind != static_cast<uint32_t>(PartitionKind::kHash) &&
+        kind != static_cast<uint32_t>(PartitionKind::kSpatial)) {
+      return Err(OpenErrorCode::kCorruptManifest,
+                 path + ": unknown partition kind " + std::to_string(kind));
+    }
     if (manifest.page_size != options.page_size) {
       return Err(OpenErrorCode::kPageSizeMismatch,
                  path + ": page size mismatch: the database was created with " +
@@ -432,9 +457,11 @@ OpenResult GaussDb::OpenFile(const std::string& path, GaussDbOptions options) {
                      " shards, outside the representable range");
     }
     db.sharded_ = true;
-    db.partitioner_ = Partitioner(manifest.num_shards, manifest.hash_seed);
+    db.partitioner_ =
+        kind == static_cast<uint32_t>(PartitionKind::kHash)
+            ? Partitioner::Hash(manifest.num_shards, manifest.hash_seed)
+            : Partitioner::Spatial(manifest.num_shards);
     db.options_.shards.num_shards = manifest.num_shards;
-    db.options_.shards.hash_seed = manifest.hash_seed;
     db.shard_metas_.resize(manifest.num_shards);
     std::memcpy(db.shard_metas_.data(), page.data() + header_bytes,
                 manifest.num_shards * sizeof(PageId));
@@ -513,6 +540,7 @@ OpenResult GaussDb::OpenDirectory(const std::string& path,
   uint64_t dim = 0;
   uint64_t hash_seed = 0;
   uint64_t num_shards = 0;
+  std::string partition = kPartitionHash;
   bool have_page_size = false, have_dim = false, have_seed = false,
        have_shards = false;
   std::vector<std::string> shard_paths;
@@ -524,6 +552,12 @@ OpenResult GaussDb::OpenDirectory(const std::string& path,
       have_dim = static_cast<bool>(in >> dim);
     } else if (key == "hash_seed") {
       have_seed = static_cast<bool>(in >> hash_seed);
+    } else if (key == "partition") {
+      if (!(in >> partition) ||
+          (partition != kPartitionHash && partition != kPartitionSpatial)) {
+        return Err(OpenErrorCode::kCorruptManifest,
+                   manifest_path + ": unknown partition '" + partition + "'");
+      }
     } else if (key == "num_shards") {
       have_shards = static_cast<bool>(in >> num_shards);
     } else if (key == "shard") {
@@ -535,8 +569,11 @@ OpenResult GaussDb::OpenDirectory(const std::string& path,
                  manifest_path + ": unknown manifest key '" + key + "'");
     }
   }
-  if (!have_page_size || !have_dim || !have_seed || !have_shards ||
-      dim == 0) {
+  // Only a hash image needs its seed; a MANIFEST without the `partition`
+  // key predates spatial partitioning and is one.
+  const bool hashed = partition == kPartitionHash;
+  if (!have_page_size || !have_dim || (hashed && !have_seed) ||
+      !have_shards || dim == 0) {
     return Err(OpenErrorCode::kCorruptManifest,
                manifest_path + ": truncated manifest (missing page_size/dim/"
                                "hash_seed/num_shards)");
@@ -587,8 +624,8 @@ OpenResult GaussDb::OpenDirectory(const std::string& path,
   GaussDb db;
   db.options_ = options;
   db.options_.shards.num_shards = num_shards;
-  db.options_.shards.hash_seed = hash_seed;
   db.InitShardRouting(db.options_);
+  if (hashed) db.partitioner_ = Partitioner::Hash(num_shards, hash_seed);
   db.per_shard_devices_ = true;
   db.directory_ = path;
   db.dim_ = static_cast<size_t>(dim);
@@ -658,7 +695,11 @@ void GaussDb::Build(const PfvDataset& dataset) {
                   "Build requires an empty database (use Insert to grow one)");
   GAUSS_CHECK_MSG(dataset.dim() == dim_, "dataset dimensionality mismatch");
   if (sharded_) {
-    const std::vector<PfvDataset> parts = partitioner_.Split(dataset);
+    // Build() runs on fresh databases only (a reopened image is finalized),
+    // and every fresh database is spatial.
+    GAUSS_CHECK(partitioner_.kind() == PartitionKind::kSpatial);
+    const std::vector<PfvDataset> parts =
+        partitioner_.SplitSpatial(dataset, trees_[0]->capacities().leaf);
     for (size_t s = 0; s < trees_.size(); ++s) {
       trees_[s]->BulkLoad(parts[s]);
     }
@@ -679,8 +720,14 @@ InsertResult GaussDb::Insert(const Pfv& pfv) {
             "invalid pfv: mu/sigma lengths differ or sigma <= 0"};
   }
   if (!trees_.empty()) {
+    std::vector<GtChildEntry> roots;
+    if (sharded_ && partitioner_.routes_by_bounds()) {
+      roots.reserve(trees_.size());
+      for (const auto& tree : trees_) roots.push_back(tree->RootEntry());
+    }
     GaussTree* tree =
-        trees_[sharded_ ? partitioner_.ShardOf(pfv.id) : 0].get();
+        trees_[sharded_ ? partitioner_.Route(pfv, roots, options_.tree) : 0]
+            .get();
     if (tree->store().finalized()) tree->Definalize();
     tree->Insert(pfv);
     return {InsertOutcome::kRoutedToBuild, std::string()};

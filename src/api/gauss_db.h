@@ -102,15 +102,20 @@ namespace gauss {
 // GC is future work).
 //
 // Sharding (GaussDbOptions::shards, ShardOptions::num_shards >= 1): the
-// gallery is hash-partitioned by object id (api/partitioner.h, optionally
-// seeded by ShardOptions::hash_seed) over N Gauss-trees. Build()/Insert()
-// route each object to its shard's tree; Serve() returns a Session whose
-// front door is a ShardCoordinator scatter-gathering every query across
-// per-shard QueryServices and combining the per-shard Bayes-denominator
-// bounds — with refinement rounds when the combined interval is too loose —
-// so MLIQ/TIQ answers equal the single-tree algorithm's (see
-// service/shard_coordinator.h for the algorithm and its correctness
-// argument, tests/shard_equivalence_test.cc for the differential proof).
+// gallery is cut into N regions of the feature space (api/partitioner.h), one
+// Gauss-tree each. Build() cuts at the median of the widest mu axis,
+// recursively, snapping each cut to a full leaf block; Insert() routes an
+// object to a shard by the paper's Section 5.3 insertion rule applied to the
+// shards' root MBRs. Serve() returns a Session whose front door is a
+// ShardCoordinator scatter-gathering every query across per-shard
+// QueryServices and combining the per-shard Bayes-denominator bounds — with
+// refinement rounds when the combined interval is too loose — so MLIQ/TIQ
+// answers equal the single-tree algorithm's (see service/shard_coordinator.h
+// for the algorithm and its correctness argument, including the seeded Start
+// that lets spatial shards prune each other, and
+// tests/shard_equivalence_test.cc for the differential proof). Databases
+// written before spatial partitioning were cut by an id hash; they reopen,
+// serve and keep routing by their persisted hash seed.
 // The coordinator protocol never sees where a shard's pages live, which is
 // why the same Session serves both storage layouts below unchanged.
 //
@@ -131,20 +136,21 @@ namespace gauss {
 //
 //   * Single-file (CreateOnFile): every shard tree lives as a page region of
 //     the one device. Page 0 holds a GaussDb shard manifest (own magic;
-//     format version, num_shards, hash seed, dimensionality, page size,
-//     per-shard header page ids) written by Finalize(); each shard tree
-//     keeps its ordinary GaussTree header on its own page. An unsharded
-//     database keeps the legacy layout (tree header directly at page 0), and
-//     OpenFile() distinguishes the two by the page-0 magic — both layouts
-//     reopen transparently, sharding options are restored from the manifest
-//     and the caller's ShardOptions are ignored.
+//     format version, num_shards, partition kind, hash seed of a hash image,
+//     dimensionality, page size, per-shard header page ids) written by
+//     Finalize(); each shard tree keeps its ordinary GaussTree header on its
+//     own page. An unsharded database keeps the legacy layout (tree header
+//     directly at page 0), and OpenFile() distinguishes the two by the
+//     page-0 magic — both layouts reopen transparently, sharding options are
+//     restored from the manifest and the caller's ShardOptions are ignored.
 //
 //   * Directory (CreateOnDirectory): one *device per shard*, for galleries
 //     larger than one device. `<dir>/MANIFEST` is a small text file naming
-//     the format version, page size, dimensionality, hash seed, shard count,
-//     and the per-shard relative paths; each `<dir>/shard-NNNN.gauss` is an
-//     ordinary single-tree FilePageDevice image (GaussTree header at page 0)
-//     — so any shard file is independently openable with OpenFile() for
+//     the format version, page size, dimensionality, partition kind (plus
+//     the hash seed of a hash image), shard count, and the per-shard
+//     relative paths; each `<dir>/shard-NNNN.gauss` is an ordinary
+//     single-tree FilePageDevice image (GaussTree header at page 0) — so any
+//     shard file is independently openable with OpenFile() for
 //     inspection or repair, and per-shard files can live on different
 //     mounts via symlinks. Each shard gets its own BufferPool during build
 //     and its own ShardedBufferPool during serving, so reads proceed across
@@ -181,11 +187,6 @@ struct ShardOptions {
   // scatter-gather front door. 1 is a valid degenerate case (one shard
   // behind a coordinator) and useful for testing the combination logic.
   size_t num_shards = 0;
-  // Perturbs the id hash (api/partitioner.h). Part of the database's
-  // persistent identity — recorded in both layouts' manifests so a reopened
-  // database routes inserts exactly as the original build did. 0 (default)
-  // is the historical unseeded routing.
-  uint64_t hash_seed = 0;
 };
 
 // When the live-ingest merge runs (IngestOptions::merge_policy).
@@ -478,8 +479,8 @@ class GaussDb {
 
   // Reattaches to a database directory written by CreateOnDirectory() +
   // Finalize(): parses `path/MANIFEST` and opens every listed shard file as
-  // its shard's device. The manifest's facts (shard count, hash seed, page
-  // size, dimensionality) override `options`. Typed error paths mirror
+  // its shard's device. The manifest's facts (shard count, partition kind,
+  // page size, dimensionality) override `options`. Typed error paths mirror
   // OpenFile()'s and add the directory-specific ones: a manifest naming a
   // missing shard file (kMissingShardFile), a shard list disagreeing with
   // the declared count (kShardCountMismatch), a shard file that is not a
@@ -491,14 +492,16 @@ class GaussDb {
   GaussDb& operator=(GaussDb&&) = default;
 
   // Bulk-loads an empty database (top-down hull-integral partitioning — the
-  // fast, more selective build) and finalizes it. Sharded databases
-  // partition the dataset first and bulk-load every shard tree.
+  // fast, more selective build) and finalizes it. Sharded databases cut the
+  // dataset spatially first (api/partitioner.h) and bulk-load every shard
+  // tree.
   void Build(const PfvDataset& dataset);
 
   // Inserts one object. Build phase: paper Section 5.3 insertion into its
-  // (hash-routed) shard tree, reopening a finalized tree for writing if
-  // necessary (kRoutedToBuild). Serving with live ingest enabled
-  // (GaussDbOptions::ingest): appends to the owning shard's delta
+  // shard tree (routed by the shards' root MBRs, or by the id hash on an
+  // image written before spatial partitioning), reopening a finalized tree
+  // for writing if necessary (kRoutedToBuild). Serving with live ingest
+  // enabled (GaussDbOptions::ingest): appends to the owning shard's delta
   // (kRoutedToDelta) — visible to every query admitted afterwards, with
   // kDeltaFull backpressure when the delta is at capacity and a merge has
   // not caught up. Serving without ingest: kFinalized. Never aborts on
@@ -614,7 +617,7 @@ class GaussDb {
   bool sharded_ = false;
   bool per_shard_devices_ = false;
   std::string directory_;  // CreateOnDirectory/OpenDirectory root
-  Partitioner partitioner_{1};
+  Partitioner partitioner_ = Partitioner::Spatial(1);
   std::vector<PageId> shard_metas_;  // per-shard header page ids
 
   size_t dim_ = 0;

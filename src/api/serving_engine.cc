@@ -65,7 +65,7 @@ ServingEngine::ServingEngine(
     : dim_(backends.empty() ? 0 : backends.front()->dim()),
       num_base_(backends.size()),
       sharded_(true),
-      partitioner_(1),
+      partitioner_(Partitioner::Spatial(1)),
       build_cache_pages_(0),
       serve_(serve) {
   auto epoch = std::make_shared<Epoch>();
@@ -112,6 +112,9 @@ std::shared_ptr<ServingEngine::Epoch> ServingEngine::BuildLocalEpoch(
     service_options.queue_capacity = serve_.queue_capacity;
     stack.service =
         std::make_unique<QueryService>(*stack.tree, service_options);
+    if (ingest_.enabled && partitioner_.routes_by_bounds()) {
+      epoch->routes.push_back(stack.tree->RootEntry());
+    }
     epoch->stacks.push_back(std::move(stack));
     if (ingest_.enabled) {
       epoch->deltas.push_back(
@@ -170,7 +173,7 @@ InsertResult ServingEngine::Insert(const Pfv& pfv) {
   {
     std::lock_guard<std::mutex> lock(insert_mu_);
     std::shared_ptr<Epoch> epoch = Current();
-    accepted = epoch->deltas[partitioner_.ShardOf(pfv.id)]->Append(pfv);
+    accepted = AppendToDelta(epoch.get(), pfv);
     if (accepted) {
       inserts_accepted_.fetch_add(1, std::memory_order_relaxed);
       size_t buffered = 0;
@@ -188,6 +191,13 @@ InsertResult ServingEngine::Insert(const Pfv& pfv) {
             "delta at capacity; retry once the merge catches up"};
   }
   return {InsertOutcome::kRoutedToDelta, std::string()};
+}
+
+bool ServingEngine::AppendToDelta(Epoch* epoch, const Pfv& pfv) const {
+  const size_t shard = partitioner_.Route(pfv, epoch->routes, tree_options_);
+  if (!epoch->deltas[shard]->Append(pfv)) return false;
+  epoch->GrowRoute(shard, pfv);
+  return true;
 }
 
 std::future<QueryResponse> ServingEngine::Submit(Query query) {
@@ -257,6 +267,7 @@ bool ServingEngine::MergeNow() {
       const size_t now = old->deltas[s]->size();
       for (size_t i = cuts[s]; i < now; ++i) {
         GAUSS_CHECK(fresh->deltas[s]->Append(old->deltas[s]->at(i)));
+        fresh->GrowRoute(s, old->deltas[s]->at(i));
       }
     }
     std::lock_guard<std::mutex> epoch_lock(epoch_mu_);

@@ -52,7 +52,9 @@ struct ShardServingStack {
 // the base image and the delta prefix published before t (DeltaTree grows
 // append-only and its size is read once per traversal). Inserts go to the
 // *current* epoch's delta under insert_mu_ — queries never block inserts and
-// vice versa.
+// vice versa. A spatial database routes each insert by the paper's Section
+// 5.3 rule over the shards' root MBRs, each grown by its delta; a hash image
+// routes by the id hash (api/partitioner.h).
 //
 // Merge (live ingest only). Once the buffered delta passes
 // IngestOptions::merge_threshold, or a delta rejects an insert because it is
@@ -155,9 +157,27 @@ class ServingEngine {
     std::vector<std::shared_ptr<DeltaTree>> deltas;  // live ingest only
     std::vector<std::unique_ptr<ShardBackend>> backends;
     std::unique_ptr<ShardCoordinator> coordinator;  // null: direct front door
+    // Live ingest on a spatial database of > 1 shard: each shard's root
+    // entry grown by its delta, what deltas are routed against. Guarded by
+    // the engine's insert_mu_ (only inserts and the merge's re-publication
+    // read or grow it).
+    std::vector<GtChildEntry> routes;
+
+    // Grows shard's route by an object appended to its delta: the shard now
+    // spans base + delta, so later objects route against the MBR a merge
+    // would give its rebuilt root. No-op without routes.
+    void GrowRoute(size_t shard, const Pfv& pfv) {
+      if (routes.empty()) return;
+      routes[shard].Include(pfv);
+      ++routes[shard].count;
+    }
   };
 
   std::shared_ptr<Epoch> Current() const;
+
+  // Routes `pfv` to a shard (api/partitioner.h) and appends it to that
+  // shard's delta; false when the delta is full. Caller holds insert_mu_.
+  bool AppendToDelta(Epoch* epoch, const Pfv& pfv) const;
 
   // Opens serving stacks over sources_, fresh deltas under live ingest, and
   // — when sharded or live — base + delta backends behind a coordinator.

@@ -158,12 +158,65 @@ std::unique_ptr<GaussTree> GaussTree::Open(PageCache* pool,
   return tree;
 }
 
-double GaussTree::NodeCost(const std::vector<DimBounds>& bounds) const {
-  if (options_.split_strategy == SplitStrategy::kVolume) {
+double FootprintCost(const std::vector<DimBounds>& bounds,
+                     const GaussTreeOptions& options) {
+  if (options.split_strategy == SplitStrategy::kVolume) {
     return VolumeCost(bounds);
   }
   return HullIntegralMeasure(bounds.data(), bounds.size(),
-                             options_.integral_method);
+                             options.integral_method);
+}
+
+size_t ChooseSubtree(const std::vector<GtChildEntry>& entries, const Pfv& pfv,
+                     const GaussTreeOptions& options) {
+  GAUSS_CHECK(!entries.empty());
+  size_t best_slot = 0;
+  double best_primary = std::numeric_limits<double>::infinity();
+  double best_secondary = std::numeric_limits<double>::infinity();
+  bool found_containing = false;
+  for (size_t s = 0; s < entries.size(); ++s) {
+    const GtChildEntry& e = entries[s];
+    const bool empty = e.count == 0;
+    const bool contains = !empty && e.Contains(pfv);
+    if (contains && !found_containing) {
+      // First containing entry resets the competition.
+      found_containing = true;
+      best_primary = std::numeric_limits<double>::infinity();
+      best_secondary = std::numeric_limits<double>::infinity();
+    }
+    if (found_containing && !contains) continue;
+
+    const double cost = empty ? 0.0 : FootprintCost(e.bounds, options);
+    double primary;
+    if (contains) {
+      primary = cost;  // selectivity of the containing entry
+    } else {
+      GtChildEntry grown = e;
+      grown.Include(pfv);
+      primary = FootprintCost(grown.bounds, options) - cost;  // growth
+    }
+    if (primary < best_primary ||
+        (primary == best_primary && cost < best_secondary)) {
+      best_primary = primary;
+      best_secondary = cost;
+      best_slot = s;
+    }
+  }
+  return best_slot;
+}
+
+double GaussTree::NodeCost(const std::vector<DimBounds>& bounds) const {
+  return FootprintCost(bounds, options_);
+}
+
+GtChildEntry GaussTree::RootEntry() const {
+  GtNode root;
+  store_.Load(root_, &root);
+  GtChildEntry entry;
+  entry.child = root_;
+  entry.count = root.SubtreeCount();
+  entry.bounds = root.ComputeBounds(dim_);
+  return entry;
 }
 
 PageId GaussTree::ChooseLeaf(const Pfv& pfv, std::vector<PageId>* path,
@@ -175,42 +228,7 @@ PageId GaussTree::ChooseLeaf(const Pfv& pfv, std::vector<PageId>* path,
     path->push_back(current);
     GtNode* node = store_.GetMutable(current);
     if (node->leaf()) return current;
-
-    // Paper Section 5.3 insertion rules: prefer children whose MBR already
-    // contains the new pfv; among several containing children pick the most
-    // selective one (smallest footprint); if none contains it, pick the
-    // child whose footprint grows least.
-    size_t best_slot = 0;
-    double best_primary = std::numeric_limits<double>::infinity();
-    double best_secondary = std::numeric_limits<double>::infinity();
-    bool found_containing = false;
-    for (size_t s = 0; s < node->children.size(); ++s) {
-      const GtChildEntry& e = node->children[s];
-      const bool contains = e.Contains(pfv);
-      if (contains && !found_containing) {
-        // First containing child resets the competition.
-        found_containing = true;
-        best_primary = std::numeric_limits<double>::infinity();
-        best_secondary = std::numeric_limits<double>::infinity();
-      }
-      if (found_containing && !contains) continue;
-
-      const double cost = NodeCost(e.bounds);
-      double primary;
-      if (contains) {
-        primary = cost;  // selectivity of the containing node
-      } else {
-        GtChildEntry grown = e;
-        grown.Include(pfv);
-        primary = NodeCost(grown.bounds) - cost;  // growth
-      }
-      if (primary < best_primary ||
-          (primary == best_primary && cost < best_secondary)) {
-        best_primary = primary;
-        best_secondary = cost;
-        best_slot = s;
-      }
-    }
+    const size_t best_slot = ChooseSubtree(node->children, pfv, options_);
     slots->push_back(best_slot);
     current = node->children[best_slot].child;
   }

@@ -33,6 +33,23 @@ struct GaussTreeOptions {
   SplitStrategy split_strategy = SplitStrategy::kHullIntegral;
 };
 
+// Cost of a parameter-space footprint under `options`' split strategy: the
+// hull-integral access probability (paper Section 5.3), or plain volume for
+// SplitStrategy::kVolume. What the split and the insertion rule minimize.
+double FootprintCost(const std::vector<DimBounds>& bounds,
+                     const GaussTreeOptions& options);
+
+// The paper's Section 5.3 insertion rule over candidate subtrees: among the
+// entries whose MBR contains `pfv`, the one with the smallest cost (the most
+// selective); if none contains it, the one whose cost grows least. Ties on
+// (primary, cost) go to the lowest index. An entry with count 0 has no
+// footprint: it contains nothing, costs 0, and grows by the cost of `pfv`
+// alone. GaussTree::ChooseLeaf applies the rule at every inner node; a
+// sharded GaussDb applies it once more above the trees, to the shards' root
+// entries (api/partitioner.h). `entries` must not be empty.
+size_t ChooseSubtree(const std::vector<GtChildEntry>& entries, const Pfv& pfv,
+                     const GaussTreeOptions& options);
+
 // Aggregate structural information, used by tests/benches and Validate().
 struct GaussTreeStats {
   size_t height = 0;        // 1 = root is a leaf
@@ -128,6 +145,10 @@ class GaussTree {
   size_t size() const { return size_; }
   size_t dim() const { return dim_; }
   PageId root() const { return root_; }
+  // The whole tree as one parent entry: root id, object count and root MBR
+  // (count 0 and inverted infinite bounds when empty). Works in build or
+  // query mode; a pinned root costs no pool fetch.
+  GtChildEntry RootEntry() const;
   const GaussTreeOptions& options() const { return options_; }
   const GtCapacities& capacities() const { return caps_; }
   const GtNodeStore& store() const { return store_; }

@@ -132,6 +132,24 @@ TraversalStats SumStats(const Runs& runs, double global_lo, double global_hi) {
   return total;
 }
 
+// Whether `query` asks for certified probability values (a denominator
+// refinement beyond identification).
+bool RefinesProbabilities(const Query& query) {
+  return query.kind() == QueryKind::kMliq
+             ? query.mliq_options().refine_probabilities
+             : query.tiq_options().refine_probabilities;
+}
+
+// Folds one traversal's refinement result into its partial answer.
+void ApplyRefineUpdate(const RefineUpdate& u, ShardPartial* p) {
+  p->denominator_lo = u.denominator_lo;
+  p->denominator_hi = u.denominator_hi;
+  p->exhausted = u.exhausted;
+  p->nodes_visited = u.nodes_visited;
+  p->leaf_nodes_visited = u.leaf_nodes_visited;
+  p->objects_evaluated = u.objects_evaluated;
+}
+
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(std::vector<ShardBackend*> backends,
@@ -163,6 +181,8 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardBackend*> backends,
     }
     sketches_.push_back(std::move(result.sketch));
   }
+  seed_counts_ =
+      std::make_unique<std::atomic<uint64_t>[]>(backends_.size());
   size_t threads = options.num_threads;
   if (threads == 0) threads = 1;
   workers_.reserve(threads);
@@ -227,46 +247,137 @@ QueryResponse ShardCoordinator::ExecuteSharded(const Query& query) {
 }
 
 ShardCoordinator::StartOutcome ShardCoordinator::StartAll(const Query& query) {
+  const size_t shards = backends_.size();
   StartOutcome out;
-  out.runs.resize(backends_.size());
+  out.runs.resize(shards);
+  for (ShardRun& run : out.runs) run.id = next_traversal_id_.fetch_add(1);
   // Per-shard query copies (when planned) must outlive the gather below,
   // exactly like `query` itself: backends hold references until their Start
-  // futures are ready.
+  // futures are ready. The vector is complete before the first Start and
+  // never reallocates; an entry is only tightened before its own Start.
   std::vector<Query> shard_queries;
-  const bool per_shard = PlanShardQueries(query, &shard_queries);
-  std::vector<std::future<ShardBackend::StartResult>> futures;
-  futures.reserve(backends_.size());
-  for (size_t s = 0; s < backends_.size(); ++s) {
-    out.runs[s].id = next_traversal_id_.fetch_add(1);
-    futures.push_back(backends_[s]->Start(
-        out.runs[s].id, per_shard ? shard_queries[s] : query));
+  SketchPlan plan;
+  const bool per_shard = PlanShardQueries(query, &shard_queries, &plan);
+  std::vector<std::future<ShardBackend::StartResult>> futures(shards);
+  std::vector<bool> started(shards, false), gathered(shards, false);
+  const auto start = [&](size_t s) {
+    started[s] = true;
+    futures[s] = backends_[s]->Start(out.runs[s].id,
+                                     per_shard ? shard_queries[s] : query);
+  };
+  const auto gather = [&](size_t s) {
+    ShardBackend::StartResult result = futures[s].get();
+    gathered[s] = true;
+    if (!result.error.ok()) {
+      if (out.error.ok()) out.error = result.error;
+      return;
+    }
+    out.runs[s].partial = std::move(result.partial);
+  };
+
+  std::future<ShardBackend::RefineResult> seed_refine;
+  if (per_shard && plan.seed != kNoSeed) {
+    // Seeded Start: the seed first. Shards without a sketch (live deltas)
+    // have nothing to rank them by, and shards whose planned gap target
+    // lies below their coarse gap must expand their heavy subtrees for the
+    // denominator whatever the floor: both start alongside the seed. The
+    // seed only identifies: its refinement to its planned gap target runs
+    // as a Refine of the same traversal, overlapping the other shards'
+    // Starts instead of delaying them.
+    const size_t seed = plan.seed;
+    const double seed_target =
+        RefinesProbabilities(query) ? plan.targets[seed] : -1.0;
+    if (seed_target >= 0.0) shard_queries[seed].DenominatorTargetGap(-1.0);
+    start(seed);
+    for (size_t s = 0; s < shards; ++s) {
+      if (s != seed && (sketches_[s].tree_size == 0 || plan.refines[s])) {
+        start(s);
+      }
+    }
+    gather(seed);
+    if (!out.error.ok()) {
+      // The others never start; the early starters are gathered so no
+      // future (and no reference to a query copy) outlives this call.
+      for (size_t s = 0; s < shards; ++s) {
+        if (started[s] && !gathered[s]) gather(s);
+      }
+      return out;
+    }
+    seed_counts_[seed].fetch_add(1, std::memory_order_relaxed);
+    TightenFromSeed(query, plan, out.runs[seed].partial, started,
+                    &shard_queries);
+    const ShardPartial& p = out.runs[seed].partial;
+    if (seed_target >= 0.0 && !p.exhausted &&
+        p.denominator_hi - p.denominator_lo > seed_target) {
+      seed_refine = backends_[seed]->Refine({{out.runs[seed].id, seed_target}});
+    }
+  }
+  for (size_t s = 0; s < shards; ++s) {
+    if (!started[s]) start(s);
   }
   // Gather everything even after a failure: the query must stay alive until
   // every future is ready, and a straggler shard may still hold state worth
   // releasing.
-  for (size_t s = 0; s < backends_.size(); ++s) {
-    ShardBackend::StartResult result = futures[s].get();
+  for (size_t s = 0; s < shards; ++s) {
+    if (!gathered[s]) gather(s);
+  }
+  if (seed_refine.valid()) {
+    ShardBackend::RefineResult result = seed_refine.get();
     if (!result.error.ok()) {
       if (out.error.ok()) out.error = result.error;
-      continue;
+    } else {
+      ApplyRefineUpdate(result.updates.front(),
+                        &out.runs[plan.seed].partial);
     }
-    out.runs[s].partial = std::move(result.partial);
   }
   return out;
 }
 
+void ShardCoordinator::TightenFromSeed(
+    const Query& query, const SketchPlan& plan, const ShardPartial& seed,
+    const std::vector<bool>& started,
+    std::vector<Query>* shard_queries) const {
+  const size_t shards = backends_.size();
+  if (query.kind() == QueryKind::kMliq) {
+    // The seed's k-th item is a real object, and so are the k-1 above it:
+    // k objects fleet-wide sit at or above its log-density.
+    if (seed.items.size() < query.k()) return;
+    const double floor_log = std::max(plan.density_floor_log,
+                                      seed.items[query.k() - 1].log_density);
+    for (size_t s = 0; s < shards; ++s) {
+      if (!started[s]) (*shard_queries)[s].DensityFloorLog(floor_log);
+    }
+    return;
+  }
+  // TIQ: the combined denominator is at least every other shard's coarse
+  // lower bound plus the seed's real Start lower bound, all in the global
+  // scale. The seed's interval lies inside its coarse one, so this is never
+  // looser than the sketch floor; the max below only guards rounding.
+  if (seed.tree_size == 0) return;
+  double combined_lo =
+      seed.denominator_lo * std::exp(seed.log_ref - plan.log_ref);
+  for (size_t s = 0; s < shards; ++s) {
+    if (s != plan.seed) combined_lo += plan.coarse_lo[s];
+  }
+  for (size_t s = 0; s < shards; ++s) {
+    if (started[s]) continue;
+    const double floor = plan.factor[s] > 0.0
+                             ? combined_lo / plan.factor[s]
+                             : std::numeric_limits<double>::infinity();
+    (*shard_queries)[s].DenominatorFloor(std::max(plan.den_floors[s], floor));
+  }
+}
+
 bool ShardCoordinator::PlanShardQueries(const Query& query,
-                                        std::vector<Query>* out) const {
-  const bool refining = query.kind() == QueryKind::kMliq
-                            ? query.mliq_options().refine_probabilities
-                            : query.tiq_options().refine_probabilities;
+                                        std::vector<Query>* out,
+                                        SketchPlan* plan) const {
+  const bool refining = RefinesProbabilities(query);
   // A non-refining query (lazy TIQ, exact-membership-only TIQ, bare MLIQ
   // identification) still benefits from the sketch floors; without sketches
   // there is nothing to plan for it.
   if (!refining && !have_sketches_) return false;
-  SketchPlan plan;
-  if (have_sketches_) plan = PlanFromSketches(query);
-  if (!refining && !plan.valid) return false;
+  if (have_sketches_) *plan = PlanFromSketches(query);
+  if (!refining && !plan->valid) return false;
   out->reserve(backends_.size());
   for (size_t s = 0; s < backends_.size(); ++s) {
     Query q = query;
@@ -277,13 +388,13 @@ bool ShardCoordinator::PlanShardQueries(const Query& query,
       // certifies against the combined interval instead, and the absolute
       // gap target seeds each shard with its mass-proportional share.
       q.RefineProbabilities(false).DenominatorTargetGap(
-          plan.valid ? plan.targets[s] : -1.0);
+          plan->valid ? plan->targets[s] : -1.0);
     }
-    if (plan.valid) {
+    if (plan->valid) {
       if (query.kind() == QueryKind::kMliq) {
-        q.DensityFloorLog(plan.density_floor_log);
+        q.DensityFloorLog(plan->density_floor_log);
       } else {
-        q.DenominatorFloor(plan.den_floors[s]);
+        q.DenominatorFloor(plan->den_floors[s]);
       }
     }
     out->push_back(std::move(q));
@@ -295,6 +406,7 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
     const Query& query) const {
   SketchPlan plan;
   plan.targets.assign(backends_.size(), -1.0);
+  plan.refines.assign(backends_.size(), false);
   plan.den_floors.assign(backends_.size(), 0.0);
   plan.density_floor_log = kNegInf;
   const Pfv& q = query.pfv();
@@ -311,9 +423,15 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
   // entry of every shard — the raw material of the MLIQ k-th density floor.
   std::vector<std::pair<double, uint64_t>> entry_floors;
   double log_ref_g = kNegInf;
+  // Seed candidate: the shard owning the entry with the highest upper hull
+  // (strict >, so ties go to the lowest shard index).
+  double best_hi_log = kNegInf;
+  size_t best_shard = kNoSeed;
+  size_t sketched = 0;
   for (size_t s = 0; s < sketches_.size(); ++s) {
     const ShardSketch& sk = sketches_[s];
     if (sk.tree_size == 0) continue;
+    ++sketched;
     Coarse& c = coarse[s];
     c.log_ref = JointLogUpperHull(sk.root_bounds.data(), q.mu.data(),
                                   q.sigma.data(), dim_, sk.sigma_policy);
@@ -325,20 +443,29 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
       c.lo += e.count * std::exp(lo_log - c.log_ref);
       c.hi += e.count * std::exp(hi_log - c.log_ref);
       entry_floors.push_back({lo_log, e.count});
+      if (best_shard == kNoSeed || hi_log > best_hi_log) {
+        best_hi_log = hi_log;
+        best_shard = s;
+      }
     }
     if (c.lo > c.hi) c.lo = c.hi;  // same rounding guard as ScoreNodeBatch
     log_ref_g = std::max(log_ref_g, c.log_ref);
   }
   if (log_ref_g == kNegInf) return plan;  // every shard empty
   plan.valid = true;
+  plan.log_ref = log_ref_g;
+  if (sketched >= 2) plan.seed = best_shard;
 
   double coarse_lo_g = 0.0, coarse_hi_g = 0.0;
-  std::vector<double> factor(sketches_.size(), 0.0);
+  std::vector<double>& factor = plan.factor;
+  factor.assign(sketches_.size(), 0.0);
+  plan.coarse_lo.assign(sketches_.size(), 0.0);
   std::vector<std::pair<double, size_t>> gaps;
   for (size_t s = 0; s < sketches_.size(); ++s) {
     if (sketches_[s].tree_size == 0) continue;
     factor[s] = std::exp(coarse[s].log_ref - log_ref_g);
-    coarse_lo_g += coarse[s].lo * factor[s];
+    plan.coarse_lo[s] = coarse[s].lo * factor[s];
+    coarse_lo_g += plan.coarse_lo[s];
     coarse_hi_g += coarse[s].hi * factor[s];
     gaps.push_back({(coarse[s].hi - coarse[s].lo) * factor[s], s});
   }
@@ -372,10 +499,7 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
     }
   }
 
-  const bool refining = query.kind() == QueryKind::kMliq
-                            ? query.mliq_options().refine_probabilities
-                            : query.tiq_options().refine_probabilities;
-  if (!refining) return plan;
+  if (!RefinesProbabilities(query)) return plan;
   const double eps = query.kind() == QueryKind::kMliq
                          ? query.mliq_options().probability_accuracy
                          : query.tiq_options().probability_accuracy;
@@ -389,8 +513,8 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
   // already below the level reaches it with zero extra work (its actual
   // round-1 gap is at most the coarse one).
   for (const auto& [gap, s] : gaps) {
-    (void)gap;
     plan.targets[s] = level / factor[s];
+    plan.refines[s] = gap > level;
   }
   return plan;
 }
@@ -428,14 +552,7 @@ ShardCoordinator::RoundOutcome ShardCoordinator::RefineRound(
       if (out.error.ok()) out.error = result.error;
       continue;
     }
-    ShardPartial& p = runs[shard_of[i]].partial;
-    const RefineUpdate& u = result.updates.front();
-    p.denominator_lo = u.denominator_lo;
-    p.denominator_hi = u.denominator_hi;
-    p.exhausted = u.exhausted;
-    p.nodes_visited = u.nodes_visited;
-    p.leaf_nodes_visited = u.leaf_nodes_visited;
-    p.objects_evaluated = u.objects_evaluated;
+    ApplyRefineUpdate(result.updates.front(), &runs[shard_of[i]].partial);
   }
   out.progressed = !futures.empty();
   return out;
@@ -669,6 +786,14 @@ IoStats ShardCoordinator::io_stats() const {
     if (stats.error.ok()) total += stats.io;
   }
   return total;
+}
+
+std::vector<uint64_t> ShardCoordinator::seed_counts() const {
+  std::vector<uint64_t> counts(backends_.size());
+  for (size_t s = 0; s < counts.size(); ++s) {
+    counts[s] = seed_counts_[s].load(std::memory_order_relaxed);
+  }
+  return counts;
 }
 
 BackendRefineCounters ShardCoordinator::refine_counters() const {

@@ -20,9 +20,13 @@ namespace gauss {
 // ============================ ShardCoordinator ==============================
 //
 // The front door of a sharded GaussDb: one Submit()/ExecuteBatch() surface
-// over N shards, each serving one Gauss-tree holding a hash-partition of the
-// gallery. The coordinator talks to its shards exclusively through the
-// ShardBackend seam (net/shard_backend.h) — a shard may be an in-process
+// over N shards, each serving one Gauss-tree holding one part of the
+// gallery — a region of the feature space for every new build, an id-hash
+// part for images written before spatial partitioning (api/partitioner.h).
+// Nothing below assumes either: the merge is exact over any partition.
+//
+// The coordinator talks to its shards exclusively through the ShardBackend
+// seam (net/shard_backend.h) — a shard may be an in-process
 // QueryService (InProcessBackend, what GaussDb::Serve wires) or a remote
 // gauss_shardd reached over the binary wire protocol (RpcBackend, what
 // GaussDb::ServeRemote wires). The merge mathematics below is transport-
@@ -88,6 +92,41 @@ namespace gauss {
 // filtering divides by it instead of the ~N-times-smaller local bound).
 // Both are conservative bounds, so answers stay byte-identical — only
 // pages-per-query moves.
+//
+// Seeded Start (TPUT's first phase: Cao & Wang, "Efficient top-K query
+// calculation in distributed networks", PODC 2004). Sketch floors alone are
+// weak: a hull lower bound of a whole subtree is far below its best object.
+// So when at least two shards have a non-empty sketch, the shard owning the
+// sketch entry with the highest upper hull — the one most likely to hold
+// the answer — Starts first. Two kinds of shard start beside it: those
+// without a sketch (live deltas), which have nothing to rank them by, and,
+// for a refining query, those whose planned gap target lies below their
+// coarse gap — they must expand their heavy subtrees for the denominator
+// whatever the floor, so waiting would only add latency. The seed's real
+// answer then tightens every waiting shard's floor before its Start:
+//   * MLIQ: once the seed returns >= k items, its k-th item and the k-1
+//     above it are k real objects at or above its log-density, so that
+//     density (or the sketch floor, if higher) is met by >= k objects
+//     fleet-wide — a valid floor. A shard prunes only subtrees strictly
+//     below it, so an exact tie still surfaces for the merge.
+//   * TIQ: the combined denominator is at least the seed's real Start
+//     lower bound plus every other shard's coarse sketch lower bound, all
+//     rebased into the sketch's global scale. Each term is a true lower
+//     bound of its shard's partial denominator, so the sum bounds the
+//     whole; the seed's Start interval lies inside its coarse one, so it
+//     is never looser than the sketch floor. It is rebased into each shard's
+//     scale exactly like the sketch floor, and the larger of the two ships.
+// The seed's Start only identifies; for a refining query its refinement to
+// the planned gap target is a Refine of the same traversal, issued together
+// with the other shards' Starts, so it overlaps them instead of delaying
+// them — the seed's traversal is its own round 1 and never runs twice. A
+// per-shard query is never modified once its Start is issued (the backend
+// holds a reference to it). A seed that fails releases every handle and
+// fails the query with its typed error; no other shard starts. On spatial
+// shards the seed usually holds the answer's neighborhood, and the other
+// shards stop near their roots: pages/query stays near one tree's and flat
+// in the shard count. The cost is one sequential hop per query — pure
+// latency on a gallery where the seed's answer prunes nothing.
 //
 // All targets are computed at the coordinator from *transported* doubles
 // (raw IEEE-754 over the wire), so RPC and in-process shards receive
@@ -157,6 +196,9 @@ class ShardCoordinator {
   // Sum of the backends' refinement batching counters.
   BackendRefineCounters refine_counters() const;
 
+  // Per shard: how many queries it seeded (see "Seeded Start" above).
+  std::vector<uint64_t> seed_counts() const;
+
   size_t num_shards() const { return backends_.size(); }
   size_t dim() const { return dim_; }
 
@@ -184,18 +226,33 @@ class ShardCoordinator {
   QueryResponse ExecuteMliq(const Query& query);
   QueryResponse ExecuteTiq(const Query& query);
 
-  // Round 1 on every shard: allocate handles, Start the traversals, gather
-  // all partials (gathers everything even on failure, so no future leaks).
+  // Round 1 on every shard: allocate handles, Start the traversals (the
+  // seed first when the plan has one), gather all partials (gathers
+  // everything even on failure, so no future leaks).
   StartOutcome StartAll(const Query& query);
+  static constexpr size_t kNoSeed = static_cast<size_t>(-1);
+
   // Everything the cached sketches certify about one query before any shard
   // runs: per-shard initial gap targets (refining queries), per-shard
-  // combined-denominator floors (TIQ pruning), and the global k-th density
-  // floor (MLIQ phase-1 pruning). `valid` is false when no sketch covers a
-  // non-empty shard.
+  // combined-denominator floors (TIQ pruning), the global k-th density
+  // floor (MLIQ phase-1 pruning), and the seed. `valid` is false when no
+  // sketch covers a non-empty shard.
   struct SketchPlan {
     bool valid = false;
+    // The seeded Start's first shard (the owner of the sketch entry with the
+    // highest upper hull); kNoSeed when fewer than two shards are sketched.
+    size_t seed = kNoSeed;
+    // Global sketch scale (the maximum root upper hull), each shard's
+    // rebasing factor into it, and each shard's coarse denominator lower
+    // bound in it — what the seed's real bound is combined with.
+    double log_ref = 0.0;
+    std::vector<double> factor;
+    std::vector<double> coarse_lo;
     // Per-shard local-scale absolute gap targets; -1 = none.
     std::vector<double> targets;
+    // Per shard: the target lies below the shard's coarse gap, so its
+    // Start must refine (refining queries only).
+    std::vector<bool> refines;
     // Per-shard local-scale lower bounds on the *combined* denominator
     // (TiqOptions::denominator_floor); 0 = none.
     std::vector<double> den_floors;
@@ -203,12 +260,21 @@ class ShardCoordinator {
     // (MliqOptions::density_floor_log); -inf = none.
     double density_floor_log = 0.0;
   };
-  // Under kMassProportional: fills `out` with one per-shard copy of `query`
-  // carrying the sketch-derived floors, and — for probability-refining
-  // queries — suppressing shard-local certification in favor of the
-  // coordinator's budgets. Returns false (out untouched) when the shards
-  // should just run `query` as-is.
-  bool PlanShardQueries(const Query& query, std::vector<Query>* out) const;
+  // Fills `out` with one per-shard copy of `query` carrying the
+  // sketch-derived floors, and — for probability-refining queries —
+  // suppressing shard-local certification in favor of the coordinator's
+  // budgets; `plan` receives the sketch plan. Returns false (out untouched)
+  // when the shards should just run `query` as-is.
+  bool PlanShardQueries(const Query& query, std::vector<Query>* out,
+                        SketchPlan* plan) const;
+  // Seeded Start, between the seed's Start and everyone else's: raises the
+  // floors of the shards not `started` yet in `shard_queries` with the
+  // seed's real answer (MLIQ: its k-th density; TIQ: its denominator lower
+  // bound).
+  void TightenFromSeed(const Query& query, const SketchPlan& plan,
+                       const ShardPartial& seed,
+                       const std::vector<bool>& started,
+                       std::vector<Query>* shard_queries) const;
   // Evaluates the cached sketches against one query (hull integrals, the
   // same arithmetic the shards' round 1 performs). No-op plan without
   // sketches.
@@ -226,6 +292,7 @@ class ShardCoordinator {
   // All-or-nothing (have_sketches_), so planning is deterministic.
   std::vector<ShardSketch> sketches_;
   bool have_sketches_ = false;
+  std::unique_ptr<std::atomic<uint64_t>[]> seed_counts_;  // per shard
   size_t dim_ = 0;
   std::atomic<uint64_t> next_traversal_id_{1};
   RequestQueue queue_;

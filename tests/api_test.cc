@@ -205,6 +205,23 @@ TEST(GaussDbTest, OpenFileOnCorruptShardManifestReturnsTypedError) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, OpenErrorCode::kCorruptManifest);
 
+  // An unknown partition kind (offset 32, after the hash seed) is corrupt
+  // too.
+  {
+    std::FILE* f = std::fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    const uint32_t restored_shards = 3;
+    std::fseek(f, 20, SEEK_SET);
+    std::fwrite(&restored_shards, sizeof(restored_shards), 1, f);
+    const uint32_t bogus_kind = 7;
+    std::fseek(f, 32, SEEK_SET);
+    std::fwrite(&bogus_kind, sizeof(bogus_kind), 1, f);
+    std::fclose(f);
+  }
+  const OpenResult unknown_kind = GaussDb::OpenFile(path);
+  ASSERT_FALSE(unknown_kind.ok());
+  EXPECT_EQ(unknown_kind.error().code, OpenErrorCode::kCorruptManifest);
+
   // And a bumped manifest version is a version mismatch, not corruption.
   {
     std::FILE* f = std::fopen(path.c_str(), "rb+");
@@ -224,10 +241,10 @@ TEST(GaussDbTest, OpenFileOnCorruptShardManifestReturnsTypedError) {
 }
 
 TEST(GaussDbTest, OpenFileReadsLegacyV1ShardManifest) {
-  // PR 3/4-era sharded databases persisted manifest v1: no hash_seed field,
-  // shard header page ids at byte 24 instead of 32. They used unseeded
-  // routing (= seed 0), so they must keep opening. Forge one by rewriting a
-  // fresh v2 manifest page into the v1 shape.
+  // The earliest sharded databases persisted manifest v1: no hash_seed
+  // field, shard header page ids at byte 24 instead of 40. They used
+  // unseeded hash routing (= seed 0), so they must keep opening. Forge one
+  // by rewriting a fresh v3 manifest page into the v1 shape.
   const std::string path = ::testing::TempDir() + "/gauss_db_v1manifest.db";
   const PfvDataset dataset = MakeDataset(300);
   {
@@ -243,8 +260,8 @@ TEST(GaussDbTest, OpenFileReadsLegacyV1ShardManifest) {
     ASSERT_EQ(std::fread(page.data(), 1, page.size(), f), page.size());
     const uint32_t v1 = 1;
     std::memcpy(page.data() + 8, &v1, sizeof(v1));       // version field
-    std::memmove(page.data() + 24, page.data() + 32,     // shard metas:
-                 3 * sizeof(PageId));                    // v2 -> v1 offset
+    std::memmove(page.data() + 24, page.data() + 40,     // shard metas:
+                 3 * sizeof(PageId));                    // v3 -> v1 offset
     std::fseek(f, 0, SEEK_SET);
     ASSERT_EQ(std::fwrite(page.data(), 1, page.size(), f), page.size());
     std::fclose(f);

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -459,9 +460,9 @@ TEST(ShardEquivalenceTest, DirectoryLayoutMatchesSingleDeviceAndScan) {
   std::remove(file.c_str());
 }
 
-// Close + OpenDirectory round trip: the MANIFEST restores shard count, hash
-// seed, page size, and dimensionality; answers are byte-identical, and a
-// reopened directory keeps routing Insert() by the persisted seed. Every
+// Close + OpenDirectory round trip: the MANIFEST restores shard count,
+// partition kind, page size, and dimensionality; answers are byte-identical,
+// and a reopened directory keeps growing through Insert(). Every
 // shard file is also independently openable as an ordinary single-tree
 // database — the layout's repair/inspection property.
 TEST(ShardEquivalenceTest, DirectoryRoundTripIsByteIdenticalAndGrowable) {
@@ -475,7 +476,6 @@ TEST(ShardEquivalenceTest, DirectoryRoundTripIsByteIdenticalAndGrowable) {
   {
     GaussDbOptions options;
     options.shards.num_shards = kShards;
-    options.shards.hash_seed = 0xfeedface;
     GaussDb db = GaussDb::CreateOnDirectory(dir, dataset.dim(), options);
     db.Build(dataset);
     Session session = db.Serve({.num_workers = kShards});
@@ -499,8 +499,7 @@ TEST(ShardEquivalenceTest, DirectoryRoundTripIsByteIdenticalAndGrowable) {
     }
   }
 
-  // Reopen again and grow: the persisted hash seed routes the new objects
-  // exactly as the original build would have.
+  // Reopen again and grow: the new objects route by the shards' root MBRs.
   {
     GaussDb db = GaussDb::OpenDirectory(dir).value();
     for (size_t i = 0; i < extra.size(); ++i) {
@@ -526,6 +525,255 @@ TEST(ShardEquivalenceTest, DirectoryRoundTripIsByteIdenticalAndGrowable) {
     EXPECT_GT(shard0.size(), 0u);
   }
   RemoveDirectoryLayout(dir, kShards);
+}
+
+// =========================== legacy hash images =============================
+//
+// Databases written before spatial partitioning were cut by an id hash and
+// persisted a page-0 manifest v2 (or v1), or a directory MANIFEST without
+// the `partition` key. They must reopen, answer oracle-identically, and keep
+// routing build-phase Inserts and live-ingest delta appends by their
+// persisted hash seed. Each test forges a fresh image back into its legacy
+// shape; the forges are idempotent, because every Finalize() rewrites the
+// manifest in the current format (still a hash image, with the same seed).
+
+constexpr size_t kLegacyShards = 3;
+constexpr uint64_t kLegacySeed = 0xfeedface;
+
+// Rewrites page 0 of a sharded single-file image as a v2 manifest carrying
+// kLegacySeed: the shard header page ids move from byte 40 back to 32.
+void ForgeV2Manifest(const std::string& path) {
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::vector<uint8_t> page(kDefaultPageSize);
+  ASSERT_EQ(std::fread(page.data(), 1, page.size(), f), page.size());
+  uint32_t version = 0;
+  std::memcpy(&version, page.data() + 8, sizeof(version));
+  ASSERT_EQ(version, 3u);
+  const uint32_t v2 = 2;
+  std::memcpy(page.data() + 8, &v2, sizeof(v2));
+  std::memcpy(page.data() + 24, &kLegacySeed, sizeof(kLegacySeed));
+  std::memmove(page.data() + 32, page.data() + 40,
+               kLegacyShards * sizeof(PageId));
+  std::fseek(f, 0, SEEK_SET);
+  ASSERT_EQ(std::fwrite(page.data(), 1, page.size(), f), page.size());
+  std::fclose(f);
+}
+
+// Rewrites `<dir>/MANIFEST` the way it was written before the partition
+// key existed: no `partition` line, a `hash_seed` line after `dim`.
+void ForgeHashDirectoryManifest(const std::string& dir) {
+  const std::string path = dir + "/MANIFEST";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::ostringstream out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("partition ", 0) == 0 || line.rfind("hash_seed ", 0) == 0) {
+      continue;
+    }
+    out << line << '\n';
+    if (line.rfind("dim ", 0) == 0) out << "hash_seed " << kLegacySeed << '\n';
+  }
+  in.close();
+  std::ofstream(path, std::ios::trunc) << out.str();
+}
+
+// The routing hash images were written with, restated independently of
+// api/partitioner.h: SplitMix64 of (id ^ seed), modulo the shard count.
+size_t LegacyHashShard(uint64_t id, uint64_t seed = kLegacySeed) {
+  uint64_t x = (id ^ seed) + 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return static_cast<size_t>((x ^ (x >> 31)) % kLegacyShards);
+}
+
+std::vector<size_t> BuildTreeSizes(const GaussDb& db) {
+  std::vector<size_t> sizes;
+  for (size_t s = 0; s < db.num_shards(); ++s) {
+    sizes.push_back(db.build_tree(s)->size());
+  }
+  return sizes;
+}
+
+// `pfv` under the first id from `first_id` whose hash shard differs from
+// the shard the spatial rule would pick over `db`'s roots — so an insert
+// that lands on its hash shard cannot have been routed spatially.
+Pfv WithOffSpatialId(const GaussDb& db, Pfv pfv, uint64_t first_id) {
+  std::vector<GtChildEntry> roots;
+  for (size_t s = 0; s < db.num_shards(); ++s) {
+    roots.push_back(db.build_tree(s)->RootEntry());
+  }
+  const size_t spatial = ChooseSubtree(roots, pfv, GaussTreeOptions{});
+  for (pfv.id = first_id; LegacyHashShard(pfv.id) == spatial; ++pfv.id) {
+  }
+  return pfv;
+}
+
+// The legacy-reader contract over one layout. `forge` puts the image into
+// its legacy shape; `open` reopens it; `before` is what the image answered
+// when it was built.
+void ExpectLegacyHashImage(
+    const std::function<void()>& forge,
+    const std::function<OpenResult(GaussDbOptions)>& open,
+    const PfvDataset& dataset, const Reference& ref,
+    const BatchResult& before) {
+  forge();
+  {
+    SCOPED_TRACE("reopen and serve");
+    GaussDb db = open({}).value();
+    EXPECT_TRUE(db.sharded());
+    EXPECT_EQ(db.num_shards(), kLegacyShards);
+    EXPECT_EQ(db.size(), dataset.size());
+    Session session = db.Serve({.num_workers = kLegacyShards});
+    const BatchResult after = session.ExecuteBatch(ref.batch());
+    ExpectBatchBytesEqual(after, before);
+    ExpectMatchesReference(after, ref);
+  }
+
+  forge();
+  {
+    SCOPED_TRACE("build-phase insert");
+    GaussDb db = open({}).value();
+    const Pfv enrolled = WithOffSpatialId(db, dataset[0], 9'000'000);
+    std::vector<size_t> want = BuildTreeSizes(db);
+    ++want[LegacyHashShard(enrolled.id)];
+    ASSERT_TRUE(db.Insert(enrolled).ok());
+    EXPECT_EQ(BuildTreeSizes(db), want);
+    db.Finalize();
+  }
+
+  forge();
+  {
+    SCOPED_TRACE("live delta append");
+    Pfv enrolled;
+    std::vector<size_t> want;
+    {
+      const GaussDb db = open({}).value();
+      enrolled = WithOffSpatialId(db, dataset[1], 9'100'000);
+      want = BuildTreeSizes(db);
+    }
+    ++want[LegacyHashShard(enrolled.id)];
+    {
+      GaussDbOptions options;
+      options.ingest.enabled = true;
+      options.ingest.merge_policy = MergePolicy::kManual;
+      GaussDb db = open(options).value();
+      Session live = db.Serve({.num_workers = kLegacyShards});
+      ASSERT_EQ(live.Insert(enrolled).outcome, InsertOutcome::kRoutedToDelta);
+      ASSERT_TRUE(db.MergeIngest());
+    }
+    // The merge rebuilt exactly the hash shard's image.
+    EXPECT_EQ(BuildTreeSizes(open({}).value()), want);
+  }
+}
+
+TEST(ShardEquivalenceTest, LegacyV2ManifestImageServesAndRoutesByHash) {
+  const std::string path = ::testing::TempDir() + "/gauss_db_legacy_v2.db";
+  const PfvDataset dataset = MakeDataset(600, 3, 8, /*seed=*/616);
+  const Reference ref(dataset, /*probes=*/4, /*seed=*/61);
+  BatchResult before;
+  {
+    GaussDbOptions options;
+    options.shards.num_shards = kLegacyShards;
+    GaussDb db = GaussDb::CreateOnFile(path, dataset.dim(), options);
+    db.Build(dataset);
+    Session session = db.Serve({.num_workers = kLegacyShards});
+    before = session.ExecuteBatch(ref.batch());
+  }
+  ExpectLegacyHashImage(
+      [&] { ForgeV2Manifest(path); },
+      [&](GaussDbOptions options) { return GaussDb::OpenFile(path, options); },
+      dataset, ref, before);
+  std::remove(path.c_str());
+}
+
+TEST(ShardEquivalenceTest, LegacyDirectoryManifestServesAndRoutesByHash) {
+  const std::string dir = ::testing::TempDir() + "/gauss_db_legacy_dir";
+  const PfvDataset dataset = MakeDataset(600, 3, 8, /*seed=*/626);
+  const Reference ref(dataset, /*probes=*/4, /*seed=*/62);
+  BatchResult before;
+  {
+    GaussDbOptions options;
+    options.shards.num_shards = kLegacyShards;
+    GaussDb db = GaussDb::CreateOnDirectory(dir, dataset.dim(), options);
+    db.Build(dataset);
+    Session session = db.Serve({.num_workers = kLegacyShards});
+    before = session.ExecuteBatch(ref.batch());
+  }
+  ExpectLegacyHashImage(
+      [&] { ForgeHashDirectoryManifest(dir); },
+      [&](GaussDbOptions options) {
+        return GaussDb::OpenDirectory(dir, options);
+      },
+      dataset, ref, before);
+  RemoveDirectoryLayout(dir, kLegacyShards);
+}
+
+// A spatial image routes a build-phase Insert and a live delta append to the
+// one shard whose root MBR contains the object — not where an id hash would
+// have sent it.
+TEST(ShardEquivalenceTest, SpatialImageRoutesInsertsByRootMbr) {
+  const std::string path = ::testing::TempDir() + "/gauss_db_spatial_route.db";
+  const PfvDataset dataset = MakeDataset(600, 3, 8, /*seed=*/636);
+  {
+    GaussDbOptions options;
+    options.shards.num_shards = kLegacyShards;
+    GaussDb db = GaussDb::CreateOnFile(path, dataset.dim(), options);
+    db.Build(dataset);
+  }
+  // An object inside exactly one shard's root MBR, and ids that no hash
+  // routing (seed 0) would send there.
+  Pfv probe;
+  size_t owner = kLegacyShards;
+  {
+    const GaussDb db = GaussDb::OpenFile(path).value();
+    std::vector<GtChildEntry> roots;
+    for (size_t s = 0; s < kLegacyShards; ++s) {
+      roots.push_back(db.build_tree(s)->RootEntry());
+    }
+    for (size_t i = 0; i < dataset.size() && owner == kLegacyShards; ++i) {
+      size_t containing = 0;
+      for (size_t s = 0; s < kLegacyShards; ++s) {
+        if (roots[s].Contains(dataset[i])) {
+          ++containing;
+          owner = s;
+        }
+      }
+      if (containing != 1) owner = kLegacyShards;
+      probe = dataset[i];
+    }
+  }
+  ASSERT_LT(owner, kLegacyShards);
+  const auto off_hash_id = [&](uint64_t first_id) {
+    uint64_t id = first_id;
+    while (LegacyHashShard(id, /*seed=*/0) == owner) ++id;
+    return id;
+  };
+
+  std::vector<size_t> want;
+  {
+    GaussDb db = GaussDb::OpenFile(path).value();
+    want = BuildTreeSizes(db);
+    ++want[owner];
+    probe.id = off_hash_id(9'200'000);
+    ASSERT_TRUE(db.Insert(probe).ok());
+    EXPECT_EQ(BuildTreeSizes(db), want);
+    db.Finalize();
+  }
+  {
+    GaussDbOptions options;
+    options.ingest.enabled = true;
+    options.ingest.merge_policy = MergePolicy::kManual;
+    GaussDb db = GaussDb::OpenFile(path, options).value();
+    Session live = db.Serve({.num_workers = kLegacyShards});
+    probe.id = off_hash_id(9'300'000);
+    ASSERT_EQ(live.Insert(probe).outcome, InsertOutcome::kRoutedToDelta);
+    ASSERT_TRUE(db.MergeIngest());
+  }
+  ++want[owner];
+  EXPECT_EQ(BuildTreeSizes(GaussDb::OpenFile(path).value()), want);
+  std::remove(path.c_str());
 }
 
 // The same differential over per-shard devices: small per-shard caches force
@@ -615,6 +863,18 @@ TEST(ShardEquivalenceTest, OpenDirectoryReportsTypedManifestErrors) {
     write_manifest(duplicated);
   }
   expect_error(OpenErrorCode::kCorruptManifest, "duplicate shard file");
+
+  // An unknown partition kind, and a hash image without its seed.
+  {
+    std::string bogus = manifest;
+    const size_t pos = bogus.find("partition spatial");
+    ASSERT_NE(pos, std::string::npos);
+    write_manifest(bogus.replace(pos, 17, "partition bogus"));
+    expect_error(OpenErrorCode::kCorruptManifest, "unknown partition");
+    bogus = manifest;
+    write_manifest(bogus.replace(pos, 17, "partition hash"));
+    expect_error(OpenErrorCode::kCorruptManifest, "hash without a seed");
+  }
 
   // Truncated manifest: header only, metadata gone.
   write_manifest("gaussdb-directory 1\n");
@@ -960,80 +1220,91 @@ TEST(ShardEquivalenceTest, ShardServerShutdownMidBatchResolvesEveryQuery) {
 // the win itself (strictly fewer pages than the uniform-halving baseline on
 // a skewed partition).
 
-// A dataset whose ids are picked so that ~`heavy_fraction` of the objects
-// land on shard 0 of a 2-shard Partitioner with `hash_seed`: hash routing
-// balances loads on real id distributions, so skew is simulated by choosing
-// ids from the preimages of the two shards. The light shard's objects are
-// additionally displaced away from the gallery's core — far enough that
-// they carry a vanishing share of any near-core probe's denominator mass,
-// but near enough that their exact densities stay strictly positive (no
+// A 90/10 gallery over two hand-wired shards: the heavy part sits at the
+// gallery's core; the light part is displaced away from it — far enough
+// that it carries a vanishing share of any near-core probe's denominator
+// mass, but near enough that its exact densities stay strictly positive (no
 // underflow; the combined lower bound must remain certifiable). This is the
 // shape that exposes the sharding I/O tax: a shard whose hull-bound RATIOS
 // at the probe are loose (distance inflates the upper/lower hull spread)
-// but whose absolute contribution is negligible.
-PfvDataset SkewedDataset(size_t size, size_t dim, uint64_t hash_seed,
-                         double heavy_fraction) {
+// but whose absolute contribution is negligible. GaussDb cuts its shards by
+// space and would never produce this split, so the parts are wired by hand
+// over per-shard QueryServices, the way shard_serving_test does.
+struct SkewedParts {
+  PfvDataset all;
+  PfvDataset heavy;
+  PfvDataset light;
+};
+
+SkewedParts SkewedDataset(size_t size, size_t dim, double heavy_fraction) {
   const PfvDataset base = MakeDataset(size, dim, 8, /*seed=*/2222);
-  const Partitioner router(/*num_shards=*/2, hash_seed);
   const size_t heavy = static_cast<size_t>(heavy_fraction * size);
-  std::vector<uint64_t> heavy_ids, light_ids;
-  for (uint64_t id = 0; heavy_ids.size() < heavy || light_ids.size() < size - heavy;
-       ++id) {
-    if (router.ShardOf(id) == 0) {
-      if (heavy_ids.size() < heavy) heavy_ids.push_back(id);
-    } else if (light_ids.size() < size - heavy) {
-      light_ids.push_back(id);
-    }
-  }
-  PfvDataset skewed(dim);
+  SkewedParts parts{PfvDataset(dim), PfvDataset(dim), PfvDataset(dim)};
   for (size_t i = 0; i < size; ++i) {
     Pfv pfv = base[i];
-    pfv.id = i < heavy ? heavy_ids[i] : light_ids[i - heavy];
     if (i >= heavy) {
       // ~1.5 units at sigma >= 0.05 keeps log-density deficits well inside
       // exp() range: the light shard is remote, not impossible.
       for (double& mu : pfv.mu) mu += 1.5;
     }
-    skewed.Add(pfv);
+    parts.all.Add(pfv);
+    (i < heavy ? parts.heavy : parts.light).Add(pfv);
   }
-  return skewed;
+  return parts;
 }
 
+// One hand-wired shard: a bulk-loaded tree reopened over a serving cache
+// and served by its own worker pool.
+class WiredShard {
+ public:
+  WiredShard(const PfvDataset& part, size_t workers) {
+    PageId meta = kInvalidPageId;
+    {
+      BufferPool build(&device_, 1 << 14);
+      GaussTree tree(&build, part.dim());
+      tree.BulkLoad(part);
+      tree.Finalize();
+      meta = tree.meta_page();
+    }
+    pool_ = std::make_unique<ShardedBufferPool>(&device_, 1 << 12);
+    tree_ = GaussTree::Open(pool_.get(), meta);
+    service_ = std::make_unique<QueryService>(
+        *tree_, QueryServiceOptions{.num_workers = workers});
+  }
+
+  QueryService* service() { return service_.get(); }
+
+ private:
+  InMemoryPageDevice device_;
+  std::unique_ptr<ShardedBufferPool> pool_;
+  std::unique_ptr<GaussTree> tree_;
+  std::unique_ptr<QueryService> service_;
+};
+
 // Logical page reads of the tight batch below under mass-proportional
-// refinement, and under the uniform-halving policy it replaced (every
-// non-exhausted shard halved its local gap each round). Both counts were
-// recorded over the very same shard services and repeat exactly across runs
+// refinement with the seeded Start, and under the uniform-halving policy
+// mass-proportional budgets replaced (every non-exhausted shard halved its
+// local gap each round, recorded before the seeded Start). Both counts were
+// recorded over the very same 90/10 parts and repeat exactly across runs
 // and under GAUSS_FORCE_SCALAR=1: logical reads depend only on the
 // traversals, never on cache state, scheduling or the kernel backend.
 constexpr uint64_t kSkewedTightProportionalReads = 310;
 constexpr uint64_t kSkewedTightUniformHalvingReads = 368;
 
-// On a 90/10 partition, the mass-proportional coordinator must (a) answer
-// byte-identically to the session's default coordinator and match the
-// single-tree reference and seq-scan oracle, and (b) read exactly its
+// On a 90/10 partition, the mass-proportional coordinator must (a) match
+// the single-tree reference and seq-scan oracle, and (b) read exactly its
 // recorded page count on a batch tight enough to force refinement, which is
 // strictly fewer pages than the uniform-halving policy read over the same
-// shard services — the light shard stops paying full refinement freight.
+// parts — the light shard stops paying full refinement freight.
 TEST(ShardEquivalenceTest, SkewedPartitionProportionalBudgetsBeatUniform) {
   constexpr size_t kSize = 3000;
-  constexpr uint64_t kSeed = 0xabcdef12345ull;
-  const PfvDataset dataset = SkewedDataset(kSize, 3, kSeed, /*heavy=*/0.9);
-  const Reference ref(dataset, /*probes=*/6, /*seed=*/2223);
+  const SkewedParts parts = SkewedDataset(kSize, 3, /*heavy=*/0.9);
+  const Reference ref(parts.all, /*probes=*/6, /*seed=*/2223);
 
-  GaussDbOptions options;
-  options.shards.num_shards = 2;
-  options.shards.hash_seed = kSeed;
-  GaussDb db = GaussDb::CreateInMemory(dataset.dim(), options);
-  db.Build(dataset);
-  Session session = db.Serve({.num_workers = 4});
-  ASSERT_EQ(session.num_shards(), 2u);
-  // The chosen ids really did skew the partition.
-  EXPECT_GE(session.shard_tree(0).size(), (kSize * 85) / 100);
-
-  const BatchResult via_session = session.ExecuteBatch(ref.batch());
-
-  InProcessBackend shard0(session.shard_service(0));
-  InProcessBackend shard1(session.shard_service(1));
+  WiredShard heavy(parts.heavy, /*workers=*/2);
+  WiredShard light(parts.light, /*workers=*/2);
+  InProcessBackend shard0(heavy.service());
+  InProcessBackend shard1(light.service());
   ShardCoordinator proportional(std::vector<ShardBackend*>{&shard0, &shard1});
   const BatchResult prop = proportional.ExecuteBatch(ref.batch());
 
@@ -1042,9 +1313,6 @@ TEST(ShardEquivalenceTest, SkewedPartitionProportionalBudgetsBeatUniform) {
     SCOPED_TRACE("query " + std::to_string(i));
     const Query& query = ref.batch()[i];
     ASSERT_EQ(prop.responses[i].status, QueryResponse::Status::kOk);
-    // The session's default coordinator IS this one.
-    test::ExpectItemsBytesEqual(prop.responses[i].items,
-                                via_session.responses[i].items);
     if (IsLazyTiq(query)) {
       ExpectLazyTiqContract(prop.responses[i].items, ref.ScanTiq(i));
       continue;

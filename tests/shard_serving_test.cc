@@ -6,7 +6,11 @@
 // submitters. Runs under TSan (`cmake --workflow --preset tsan`) and
 // ASan/UBSan (`--preset asan`).
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
@@ -17,6 +21,7 @@
 
 #include "api/gauss_db.h"
 #include "api/partitioner.h"
+#include "common/log_sum_exp.h"
 #include "data/generators.h"
 #include "data/workload.h"
 #include "gausstree/gauss_tree.h"
@@ -35,7 +40,7 @@ using test::ExpectItemsBytesEqual;
 using test::GatedPageCache;
 using test::SpinUntil;
 
-// Hand-wired two-shard stack: the gallery hash-partitioned over two trees on
+// Hand-wired two-shard stack: the gallery cut spatially over two trees on
 // two devices, exactly what GaussDb does internally — but with the page
 // caches exposed so tests can gate shard 0 and pin the coordinator in a
 // known state.
@@ -52,7 +57,8 @@ class ShardServingTest : public ::testing::Test {
     config.seed = 77;
     dataset_ = GenerateClusteredDataset(config);
 
-    const std::vector<PfvDataset> parts = Partitioner(2).Split(dataset_);
+    const std::vector<PfvDataset> parts = Partitioner::Spatial(2).SplitSpatial(
+        dataset_, GtCapacities::ForPageSize(kDefaultPageSize, kDim).leaf);
     for (size_t s = 0; s < 2; ++s) {
       BufferPool build_pool(&devices_[s], 1 << 14);
       GaussTree tree(&build_pool, kDim);
@@ -315,6 +321,289 @@ TEST_F(ShardServingTest, ConcurrentSubmittersSeeConsistentAnswers) {
       ExpectItemsBytesEqual(resp.items, reference.responses[i].items);
     }
   }
+}
+
+// A backend that forwards to an in-process shard but can fail its Starts
+// with a typed error, counting the Starts and Releases it sees.
+class FailableBackend : public ShardBackend {
+ public:
+  explicit FailableBackend(QueryService* service) : inner_(service) {}
+
+  void set_fail(bool fail) { fail_ = fail; }
+  size_t starts() const { return starts_; }
+  size_t releases() const { return releases_; }
+
+  size_t dim() const override { return inner_.dim(); }
+  std::future<StartResult> Start(uint64_t traversal,
+                                 const Query& query) override {
+    ++starts_;
+    if (!fail_) return inner_.Start(traversal, query);
+    std::promise<StartResult> failed;
+    failed.set_value({NetError{NetErrorCode::kPeerClosed, "shard went away"},
+                      ShardPartial{}});
+    return failed.get_future();
+  }
+  std::future<RefineResult> Refine(std::vector<RefineSpec> specs) override {
+    return inner_.Refine(std::move(specs));
+  }
+  void Release(const std::vector<uint64_t>& traversals) override {
+    releases_ += traversals.size();
+    inner_.Release(traversals);
+  }
+  StatsResult FetchStats() override { return inner_.FetchStats(); }
+  SketchResult FetchSketch() override { return inner_.FetchSketch(); }
+  BackendRefineCounters refine_counters() const override {
+    return inner_.refine_counters();
+  }
+
+ private:
+  InProcessBackend inner_;
+  std::atomic<bool> fail_{false};
+  std::atomic<size_t> starts_{0};
+  std::atomic<size_t> releases_{0};
+};
+
+// A failed seed fails the query with the typed error before any other
+// shard starts, and every handle is released; the next query is unaffected.
+TEST_F(ShardServingTest, SeedStartFailureFailsTypedAndReleasesEveryHandle) {
+  ShardedBufferPool pool0(&devices_[0], 1 << 12);
+  ShardedBufferPool pool1(&devices_[1], 1 << 12);
+  auto tree0 = GaussTree::Open(&pool0, metas_[0]);
+  auto tree1 = GaussTree::Open(&pool1, metas_[1]);
+  QueryService shard0(*tree0, {.num_workers = 1});
+  QueryService shard1(*tree1, {.num_workers = 1});
+  FailableBackend backend0(&shard0);
+  FailableBackend backend1(&shard1);
+  ShardCoordinator coordinator(
+      std::vector<ShardBackend*>{&backend0, &backend1}, {.num_threads = 1});
+
+  for (const bool mliq : {true, false}) {
+    SCOPED_TRACE(mliq ? "mliq" : "tiq");
+    // Non-refining, so no shard has a gap target that would start it
+    // beside the seed.
+    const Query query =
+        mliq ? Query::Mliq(workload_[0].query, 3).RefineProbabilities(false)
+             : Query::Tiq(workload_[0].query, 0.2);
+    backend0.set_fail(true);
+    backend1.set_fail(true);
+    const size_t starts = backend0.starts() + backend1.starts();
+    const size_t releases = backend0.releases() + backend1.releases();
+    const QueryResponse failed = coordinator.Submit(query).get();
+    EXPECT_EQ(failed.status, QueryResponse::Status::kShardError);
+    EXPECT_EQ(failed.error.code, NetErrorCode::kPeerClosed);
+    // Only the seed started; both handles were released.
+    EXPECT_EQ(backend0.starts() + backend1.starts(), starts + 1);
+    EXPECT_EQ(backend0.releases() + backend1.releases(), releases + 2);
+
+    backend0.set_fail(false);
+    backend1.set_fail(false);
+    const QueryResponse ok = coordinator.Submit(query).get();
+    EXPECT_EQ(ok.status, QueryResponse::Status::kOk);
+    EXPECT_EQ(backend0.starts() + backend1.starts(), starts + 3);
+  }
+  EXPECT_EQ(coordinator.seed_counts()[0] + coordinator.seed_counts()[1], 2u);
+}
+
+// ------------------ seeded Start under concurrent enrollment ----------------
+//
+// A live query sees every enrollment acknowledged before its admission, and
+// may also see some that were still being appended: each delta snapshots its
+// size at its own Start. LiveAnswer records that window, extras[lo, hi), and
+// the oracle accepts the answer when some subset of the window, added to
+// base + extras[0, lo), reproduces it exactly.
+struct LiveAnswer {
+  Query query = Query::Mliq(Pfv(), 1);
+  QueryResponse response;
+  size_t lo = 0;
+  size_t hi = 0;
+};
+
+constexpr double kLiveThreshold = 0.2;
+
+bool MatchesSomeVisibleSet(const LiveAnswer& answer, const PfvDataset& base,
+                           const std::vector<Pfv>& extras) {
+  using Scored = std::pair<double, uint64_t>;  // (log density, id)
+  const Pfv& q = answer.query.pfv();
+  const auto score = [&q](const Pfv& v) -> Scored {
+    return {PfvJointLogDensity(v, q, SigmaPolicy::kConvolution), v.id};
+  };
+  const auto denser = [](const Scored& a, const Scored& b) {
+    return a.first > b.first;
+  };
+  // Everything the query must have seen: its denominator and, since more
+  // objects only raise the denominator, every object that could still be
+  // in the answer (MLIQ: the top k; TIQ: anything qualifying against this
+  // smallest denominator).
+  LogSumExp fixed_total;
+  std::vector<Scored> fixed;
+  for (const Pfv& v : base.objects()) fixed.push_back(score(v));
+  for (size_t i = 0; i < answer.lo; ++i) fixed.push_back(score(extras[i]));
+  for (const Scored& x : fixed) fixed_total.Add(x.first);
+  std::stable_sort(fixed.begin(), fixed.end(), denser);
+  const bool mliq = answer.query.kind() == QueryKind::kMliq;
+  const size_t k = mliq ? answer.query.k() : 0;
+  std::vector<Scored> leaders;
+  for (const Scored& x : fixed) {
+    if (mliq ? leaders.size() == k
+             : std::exp(x.first - fixed_total.LogTotal()) < kLiveThreshold) {
+      break;
+    }
+    leaders.push_back(x);
+  }
+  std::vector<Scored> window;
+  for (size_t i = answer.lo; i < answer.hi; ++i) window.push_back(score(extras[i]));
+
+  const std::vector<IdentificationResult>& got = answer.response.items;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << window.size()); ++mask) {
+    LogSumExp total = fixed_total;
+    std::vector<Scored> candidates = leaders;
+    for (size_t w = 0; w < window.size(); ++w) {
+      if ((mask >> w & 1) == 0) continue;
+      total.Add(window[w].first);
+      candidates.push_back(window[w]);
+    }
+    std::stable_sort(candidates.begin(), candidates.end(), denser);
+    const double log_total = total.LogTotal();
+    std::vector<Scored> want;
+    for (const Scored& x : candidates) {
+      if (mliq ? want.size() == k
+               : std::exp(x.first - log_total) < kLiveThreshold) {
+        continue;
+      }
+      want.push_back(x);
+    }
+    bool same = want.size() == got.size();
+    for (size_t i = 0; same && i < want.size(); ++i) {
+      same = got[i].id == want[i].second;
+      // Refined MLIQ probabilities are certified: the exact value lies in
+      // the reported interval.
+      if (same && mliq) {
+        same = std::fabs(got[i].probability -
+                         std::exp(want[i].first - log_total)) <=
+               got[i].probability_error + 1e-12;
+      }
+    }
+    if (same) return true;
+  }
+  return false;
+}
+
+// Many threads submit MLIQ and TIQ through a 4-shard spatial live session
+// while an enroller appends and background merges swap epochs. Every
+// answer goes through the seeded Start (4 sketched base shards) with the
+// deltas started beside the seed, and every answer must be exactly the
+// oracle's over a set of objects the query could have seen. (TSan watches
+// the seed/delta Start ordering here.)
+TEST(ShardServingConcurrencyTest, SeededStartUnderEnrollmentMatchesOracle) {
+  constexpr size_t kDim = 3;
+  constexpr size_t kExtras = 160;
+  constexpr size_t kClients = 4;
+  constexpr size_t kMaxAnswersPerClient = 200;
+  // The enroller's pacing (below) bounds every window to this.
+  constexpr size_t kMaxWindow = 4;
+
+  ClusteredDatasetConfig config;
+  config.size = 800;
+  config.dim = kDim;
+  config.cluster_count = 8;
+  config.seed = 91;
+  const PfvDataset base = GenerateClusteredDataset(config);
+  config.size = kExtras;
+  config.seed = 92;
+  const PfvDataset raw_extras = GenerateClusteredDataset(config);
+  std::vector<Pfv> extras;
+  for (size_t i = 0; i < raw_extras.size(); ++i) {
+    Pfv pfv = raw_extras[i];
+    pfv.id = 1'000'000 + i;
+    extras.push_back(std::move(pfv));
+  }
+
+  GaussDbOptions options;
+  options.shards.num_shards = 4;
+  options.ingest.enabled = true;
+  options.ingest.delta_capacity = 64;
+  options.ingest.merge_threshold = 40;
+  options.ingest.merge_policy = MergePolicy::kBackground;
+  GaussDb db = GaussDb::CreateInMemory(kDim, options);
+  db.Build(base);
+  Session live = db.Serve({.num_workers = 4});
+
+  std::atomic<size_t> acked{0};
+  std::atomic<bool> done{false};
+  // The enroller paces itself by the clients: after each enrollment it waits
+  // until every client still running has answered once more. A query then
+  // spans at most one enrollment beside the ones in flight at its two ends,
+  // so its window stays within kMaxWindow however slowly the build runs.
+  std::vector<std::atomic<size_t>> answered(kClients);
+  std::vector<std::atomic<bool>> finished(kClients);
+  std::thread enroller([&] {
+    std::vector<size_t> seen(kClients);
+    for (size_t i = 0; i < extras.size(); ++i) {
+      for (size_t c = 0; c < kClients; ++c) {
+        seen[c] = answered[c].load(std::memory_order_acquire);
+      }
+      for (;;) {
+        const InsertOutcome outcome = live.Insert(extras[i]).outcome;
+        if (outcome == InsertOutcome::kRoutedToDelta) break;
+        ASSERT_EQ(outcome, InsertOutcome::kDeltaFull);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      acked.store(i + 1, std::memory_order_release);
+      for (size_t c = 0; c < kClients; ++c) {
+        while (answered[c].load(std::memory_order_acquire) == seen[c] &&
+               !finished[c].load(std::memory_order_acquire)) {
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+
+  std::vector<std::vector<LiveAnswer>> answers(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t n = 0; n < kMaxAnswersPerClient &&
+                         !done.load(std::memory_order_acquire);
+           ++n) {
+        LiveAnswer answer;
+        answer.lo = acked.load(std::memory_order_acquire);
+        // Alternate gallery probes with the freshest enrollment.
+        const Pfv& probe = (n % 2 == 1 && answer.lo > 0)
+                               ? extras[answer.lo - 1]
+                               : base[(c * 131 + n * 17) % base.size()];
+        answer.query =
+            (n + c) % 2 == 0
+                ? Query::Mliq(probe, 3).Accuracy(1e-4)
+                : Query::Tiq(probe, kLiveThreshold).ExactMembership(true);
+        answer.response = live.Submit(answer.query).get();
+        answer.hi = std::min(acked.load(std::memory_order_acquire) + 1,
+                             extras.size());
+        answers[c].push_back(std::move(answer));
+        answered[c].fetch_add(1, std::memory_order_release);
+      }
+      finished[c].store(true, std::memory_order_release);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  enroller.join();
+
+  size_t checked = 0;
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t i = 0; i < answers[c].size(); ++i) {
+      const LiveAnswer& answer = answers[c][i];
+      SCOPED_TRACE("client " + std::to_string(c) + " answer " +
+                   std::to_string(i) + " window [" +
+                   std::to_string(answer.lo) + ", " +
+                   std::to_string(answer.hi) + ")");
+      ASSERT_EQ(answer.response.status, QueryResponse::Status::kOk);
+      ASSERT_LE(answer.hi - answer.lo, kMaxWindow);
+      EXPECT_TRUE(MatchesSomeVisibleSet(answer, base, extras));
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, kClients);
+  EXPECT_EQ(db.ingest_stats().inserts_accepted, kExtras);
 }
 
 }  // namespace
