@@ -1,7 +1,8 @@
 // Ablation A7 (DESIGN.md): micro-kernels of the hot query path, measured
 // with google-benchmark — Gaussian density evaluation, the Lemma 2/3 hull
-// bounds, the hull integral, node (de)serialization, and the batch scoring
-// kernels (math/kernels.h) across every SIMD backend this CPU can run.
+// bounds, the hull integral, node serialization and page loads, and the
+// batch scoring kernels (math/kernels.h) across every SIMD backend this CPU
+// can run.
 //
 // Two modes:
 //   * default            — google-benchmark over all registered benches
@@ -22,6 +23,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,11 +31,16 @@
 
 #include "common/random.h"
 #include "eval/report.h"
+#include "data/paper_datasets.h"
+#include "gausstree/gauss_tree.h"
 #include "gausstree/node.h"
 #include "math/gaussian.h"
 #include "math/hull.h"
 #include "math/hull_integral.h"
 #include "math/kernels.h"
+#include "storage/buffer_pool.h"
+#include "storage/sharded_buffer_pool.h"
+#include "tests/legacy_image.h"
 
 namespace gauss {
 namespace {
@@ -147,23 +154,62 @@ void BM_LeafSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_LeafSerialize)->Arg(10)->Arg(27);
 
-void BM_LeafDeserialize(benchmark::State& state) {
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const GtCapacities caps = GtCapacities::ForPageSize(8192, dim);
-  const GtNode node = MakeLeaf(dim, caps.leaf);
-  std::vector<uint8_t> page(8192);
-  node.Serialize(page.data(), dim);
+// Random node loads through GtNodeStore::LoadSoa on the e2e `tree` gallery
+// (paper data set 2 surrogate: 100k objects, dim 10, 8 KiB pages) behind a
+// cache holding the whole tree, once per page format. Every load is a warm,
+// already-verified hit, so the cells isolate what a visit costs beyond the
+// fetch: a transpose into scratch planes for a legacy page (arg 1), a
+// pointer view into the pinned frame for a v3 one (arg 0).
+struct LoadFixture {
+  InMemoryPageDevice device{kDefaultPageSize};
+  std::unique_ptr<ShardedBufferPool> pool;
+  std::unique_ptr<GaussTree> tree;
+  std::vector<PageId> nodes;  // every node but the pinned root
+};
+
+LoadFixture& GalleryTree(bool legacy) {
+  static LoadFixture fixtures[2];
+  LoadFixture& f = fixtures[legacy ? 1 : 0];
+  if (f.tree != nullptr) return f;
+  PageId meta = kInvalidPageId;
+  {
+    BufferPool build(&f.device, 64);
+    GaussTree tree(&build, 10);
+    tree.BulkLoad(GeneratePaperDataset2(100000).dataset);
+    tree.Finalize();
+    meta = tree.meta_page();
+  }
+  if (legacy) test::ForgeLegacyTree(&f.device, meta);
+  f.nodes = test::TreeNodePages(f.device, meta);
+  f.nodes.erase(f.nodes.begin());
+  f.pool = std::make_unique<ShardedBufferPool>(&f.device,
+                                               f.device.PageCount());
+  f.tree = GaussTree::Open(f.pool.get(), meta);
+  return f;
+}
+
+void BM_LoadSoaHit(benchmark::State& state) {
+  const LoadFixture& f = GalleryTree(state.range(0) != 0);
+  const GtNodeStore& store = f.tree->store();
+  Rng rng(8);
+  std::vector<PageId> order(1 << 16);
+  for (PageId& id : order) id = f.nodes[rng.UniformInt(f.nodes.size())];
+  GtNodeSoa view;
+  for (const PageId id : f.nodes) store.LoadSoa(id, &view);  // warm
+  size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GtNode::Deserialize(page.data(), dim, 0));
+    store.LoadSoa(order[i++ & (order.size() - 1)], &view);
+    benchmark::DoNotOptimize(view.planes);
+    view.page.Release();  // as a traversal's Expand does
   }
 }
-BENCHMARK(BM_LeafDeserialize)->Arg(10)->Arg(27);
+BENCHMARK(BM_LoadSoaHit)->ArgName("legacy")->Arg(0)->Arg(1);
 
 // ------------------------------ batch kernels -------------------------------
 
-// SoA fixtures shaped like a finalized node's decode-time view: `n` entries
-// at node scale (a dim-8 8KiB leaf holds ~60 pfvs), stride padded to
-// kernels::kMaxLanes, and — when `edges` — a sprinkling of the values the
+// SoA fixtures shaped like a node view: `n` entries at node scale (a dim-8
+// 8KiB leaf holds ~60 pfvs), stride padded to kernels::kMaxLanes (node
+// pages use stride n; any stride >= n is valid), and — when `edges` — a sprinkling of the values the
 // kernels route through their scalar special-case path (denormal/huge
 // sigmas, far-off means, NaN/inf), so the bit cross-check also covers the
 // block-abort machinery.

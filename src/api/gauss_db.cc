@@ -123,11 +123,12 @@ bool CheckTreeHeader(PageDevice& device, const std::string& what, uint32_t dim,
                  what + ": page 0 does not hold a Gauss-tree header");
     return false;
   }
-  if (info.version != GaussTree::header_version()) {
+  if (!GaussTree::ReadsHeaderVersion(info.version)) {
     *error = Err(OpenErrorCode::kVersionMismatch,
                  what + ": Gauss-tree header version " +
                      std::to_string(info.version) + ", this build reads " +
-                     std::to_string(GaussTree::header_version()));
+                     std::to_string(GaussTree::header_version()) +
+                     " and the version before it");
     return false;
   }
   if (info.page_size != device.page_size()) {
@@ -158,6 +159,7 @@ const char* OpenErrorCodeName(OpenErrorCode code) {
     case OpenErrorCode::kCorruptManifest: return "corrupt_manifest";
     case OpenErrorCode::kMissingShardFile: return "missing_shard_file";
     case OpenErrorCode::kShardCountMismatch: return "shard_count_mismatch";
+    case OpenErrorCode::kCorruptPage: return "corrupt_page";
   }
   return "unknown";
 }
@@ -340,7 +342,7 @@ GaussDb GaussDb::CreateInMemory(size_t dim, GaussDbOptions options) {
   db.InitShardRouting(options);
   db.devices_.push_back(std::make_unique<InMemoryPageDevice>(options.page_size));
   db.build_pools_.push_back(std::make_unique<BufferPool>(
-      db.devices_[0].get(), options.build_cache_pages));
+      db.devices_[0].get(), kBuildPoolPages));
   db.InitFreshTrees();
   return db;
 }
@@ -356,7 +358,7 @@ GaussDb GaussDb::CreateOnFile(const std::string& path, size_t dim,
   db.file_devices_.push_back(device.get());
   db.devices_.push_back(std::move(device));
   db.build_pools_.push_back(std::make_unique<BufferPool>(
-      db.devices_[0].get(), options.build_cache_pages));
+      db.devices_[0].get(), kBuildPoolPages));
   db.InitFreshTrees();
   return db;
 }
@@ -384,7 +386,7 @@ GaussDb GaussDb::CreateOnDirectory(const std::string& path, size_t dim,
     db.file_devices_.push_back(device.get());
     db.devices_.push_back(std::move(device));
     db.build_pools_.push_back(std::make_unique<BufferPool>(
-        db.devices_[s].get(), options.build_cache_pages));
+        db.devices_[s].get(), kBuildPoolPages));
   }
   db.InitFreshTrees();
   return db;
@@ -482,11 +484,12 @@ OpenResult GaussDb::OpenFile(const std::string& path, GaussDbOptions options) {
                    path + ": shard header page " + std::to_string(meta) +
                        " does not hold a matching Gauss-tree header");
       }
-      if (info.version != GaussTree::header_version()) {
+      if (!GaussTree::ReadsHeaderVersion(info.version)) {
         return Err(OpenErrorCode::kVersionMismatch,
                    path + ": shard tree header version " +
                        std::to_string(info.version) + ", this build reads " +
-                       std::to_string(GaussTree::header_version()));
+                       std::to_string(GaussTree::header_version()) +
+                       " and the version before it");
       }
     }
     db.dim_ = manifest.dim;
@@ -501,9 +504,14 @@ OpenResult GaussDb::OpenFile(const std::string& path, GaussDbOptions options) {
   db.file_devices_.push_back(device.get());
   db.devices_.push_back(std::move(device));
   db.build_pools_.push_back(std::make_unique<BufferPool>(
-      db.devices_[0].get(), options.build_cache_pages));
+      db.devices_[0].get(), kBuildPoolPages));
   for (const PageId meta : db.shard_metas_) {
-    db.trees_.push_back(GaussTree::Open(db.build_pools_[0].get(), meta));
+    std::string error;
+    auto tree = GaussTree::TryOpen(db.build_pools_[0].get(), meta, &error);
+    if (tree == nullptr) {
+      return Err(OpenErrorCode::kCorruptPage, path + ": " + error);
+    }
+    db.trees_.push_back(std::move(tree));
   }
   db.dim_ = db.trees_[0]->dim();
   db.options_.tree = db.trees_[0]->options();
@@ -663,9 +671,15 @@ OpenResult GaussDb::OpenDirectory(const std::string& path,
     db.file_devices_.push_back(device.get());
     db.devices_.push_back(std::move(device));
     db.build_pools_.push_back(std::make_unique<BufferPool>(
-        db.devices_[s].get(), options.build_cache_pages));
+        db.devices_[s].get(), kBuildPoolPages));
     db.shard_metas_.push_back(kMetaPage);
-    db.trees_.push_back(GaussTree::Open(db.build_pools_[s].get(), kMetaPage));
+    std::string tree_error;
+    auto tree = GaussTree::TryOpen(db.build_pools_[s].get(), kMetaPage,
+                                   &tree_error);
+    if (tree == nullptr) {
+      return Err(OpenErrorCode::kCorruptPage, shard_path + ": " + tree_error);
+    }
+    db.trees_.push_back(std::move(tree));
   }
   db.options_.tree = db.trees_[0]->options();
   return db;
@@ -778,7 +792,7 @@ Session GaussDb::Serve(ServeOptions options) {
   }
   auto engine = std::make_shared<ServingEngine>(
       std::move(sources), sharded_, partitioner_, dim_, options_.tree,
-      options_.build_cache_pages, file_devices_, options, options_.ingest);
+      file_devices_, options, options_.ingest);
   if (options_.ingest.enabled) {
     live_ = engine;
   } else {

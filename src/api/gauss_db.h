@@ -78,9 +78,11 @@ namespace gauss {
 //     unrecognizable or truncated manifest/header, or a version/page-size/
 //     shard-layout mismatch is reported as a typed OpenError for the caller
 //     to handle (a serving fleet must degrade a bad replica, not abort).
-//     Corruption deeper than the headers — node pages of a structurally
-//     valid-looking tree — still fails loudly on first access, as does API
-//     misuse (serving an unbuilt database, out-of-range shard indexes).
+//     Opening also walks and checksums every node page (kCorruptPage).
+//     A node page damaged after that fails only the queries that reach
+//     it, typed (QueryResponse::Status::kCorrupt, or kShardError carrying
+//     NetErrorCode::kCorrupt). API misuse (serving an unbuilt database,
+//     out-of-range shard indexes) still aborts.
 //
 // Live ingest (GaussDbOptions::ingest, src/gausstree/README.md): the gallery
 // keeps growing while MLIQ/TIQ traffic runs. Each serving epoch is an
@@ -223,11 +225,6 @@ struct GaussDbOptions {
   GaussTreeOptions tree;
   // Page size of the backing device (bytes).
   uint32_t page_size = kDefaultPageSize;
-  // Cache budget of the single-threaded build pool, in pages. When each
-  // shard has its own device (CreateOnDirectory), the budget applies per
-  // shard pool. Live-ingest merges rebuild through a pool of the same
-  // budget.
-  size_t build_cache_pages = 1 << 14;
   // Gallery partitioning over multiple Gauss-trees.
   ShardOptions shards;
   // Insert-while-serving (see the lifecycle overview above).
@@ -313,6 +310,8 @@ enum class OpenErrorCode {
   kCorruptManifest,    // manifest present but truncated or inconsistent
   kMissingShardFile,   // directory manifest names a shard file that is absent
   kShardCountMismatch, // manifest shard count disagrees with its shard list
+  kCorruptPage,        // a node page fails its checksum or is malformed, or
+                       // the tree reaches a page twice
 };
 
 // Human-readable name of an OpenErrorCode ("page_size_mismatch", ...).
@@ -472,8 +471,8 @@ class GaussDb {
   // `options.tree`/`options.shards` are ignored. A missing file, a damaged
   // or foreign manifest/header, or `options.page_size` differing from the
   // page size the file was created with comes back as a typed OpenError
-  // (see OpenResult); node-level corruption behind valid headers still
-  // fails loudly on first access.
+  // (see OpenResult), and so does a node page that fails its checksum or
+  // structural checks (kCorruptPage): opening walks every node page.
   static OpenResult OpenFile(const std::string& path,
                              GaussDbOptions options = {});
 

@@ -38,7 +38,6 @@ ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
 ServingEngine::ServingEngine(std::vector<ShardSource> sources, bool sharded,
                              Partitioner partitioner, size_t dim,
                              GaussTreeOptions tree_options,
-                             size_t build_cache_pages,
                              std::vector<FilePageDevice*> file_devices,
                              ServeOptions serve, IngestOptions ingest)
     : dim_(dim),
@@ -46,7 +45,6 @@ ServingEngine::ServingEngine(std::vector<ShardSource> sources, bool sharded,
       sharded_(sharded),
       partitioner_(partitioner),
       tree_options_(tree_options),
-      build_cache_pages_(build_cache_pages),
       sources_(std::move(sources)),
       file_devices_(std::move(file_devices)),
       serve_(serve),
@@ -66,7 +64,6 @@ ServingEngine::ServingEngine(
       num_base_(backends.size()),
       sharded_(true),
       partitioner_(Partitioner::Spatial(1)),
-      build_cache_pages_(0),
       serve_(serve) {
   auto epoch = std::make_shared<Epoch>();
   epoch->backends = std::move(backends);
@@ -243,7 +240,7 @@ bool ServingEngine::MergeNow() {
       // Rebuild on fresh pages of the same device (appends only — the old
       // image's pages are never touched, so the old epoch's pinned root
       // stays valid). Superseded pages are not reclaimed.
-      BufferPool pool(sources_[s].device, build_cache_pages_);
+      BufferPool pool(sources_[s].device, kBuildPoolPages);
       GaussTree tree(&pool, dim_, tree_options_);
       tree.BulkLoad(combined, /*threads=*/1);
       tree.Finalize();

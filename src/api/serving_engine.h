@@ -14,6 +14,12 @@
 
 namespace gauss {
 
+// Frames of each single-threaded build pool: GaussDb's and every merge's.
+// A build writes its node pages straight to the device and re-reads none of
+// them (GtNodeStore::Finalize), so the pool only carries header and manifest
+// pages and the one-pass page walks of Open and Definalize.
+inline constexpr size_t kBuildPoolPages = 64;
+
 // One per-shard serving stack: sharded page cache + reopened tree + worker
 // pool. Destruction order (reverse of declaration): service joins its
 // workers first, then the tree detaches, then the cache flushes away.
@@ -90,7 +96,7 @@ class ServingEngine {
   // merge, and MergePolicy::kBackground starts the merge thread.
   ServingEngine(std::vector<ShardSource> sources, bool sharded,
                 Partitioner partitioner, size_t dim,
-                GaussTreeOptions tree_options, size_t build_cache_pages,
+                GaussTreeOptions tree_options,
                 std::vector<FilePageDevice*> file_devices, ServeOptions serve,
                 IngestOptions ingest);
 
@@ -196,7 +202,6 @@ class ServingEngine {
   const bool sharded_;
   const Partitioner partitioner_;
   const GaussTreeOptions tree_options_;
-  const size_t build_cache_pages_;
   const std::vector<ShardSource> sources_;          // local only
   const std::vector<FilePageDevice*> file_devices_; // local only
   const ServeOptions serve_;

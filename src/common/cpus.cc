@@ -2,6 +2,7 @@
 
 #include <sched.h>
 
+#include <cstdlib>
 #include <thread>
 
 namespace gauss {
@@ -15,6 +16,12 @@ size_t UsableCpus() {
   }
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware > 0 ? hardware : 1;
+}
+
+bool ScalarForced() {
+  const char* force = std::getenv("GAUSS_FORCE_SCALAR");
+  return force != nullptr && force[0] != '\0' &&
+         !(force[0] == '0' && force[1] == '\0');
 }
 
 }  // namespace gauss

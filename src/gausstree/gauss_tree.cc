@@ -17,7 +17,11 @@ namespace {
 
 // Persistent header written to the meta page on Finalize().
 constexpr uint64_t kGaussTreeMagic = 0x47415553'54524545ull;  // "GAUSSTREE"
-constexpr uint32_t kGaussTreeVersion = 2;  // v2: added page_size
+// v2: added page_size. v3: node pages in the SoA format with a CRC-32C
+// (gausstree/node.h). Open() still reads v2 trees, whose pages keep the
+// legacy row format until the next Finalize() rewrites them.
+constexpr uint32_t kGaussTreeVersion = 3;
+constexpr uint32_t kOldestReadableVersion = 2;
 
 struct MetaPageLayout {
   uint64_t magic;
@@ -118,19 +122,40 @@ GaussTree::HeaderInfo GaussTree::InspectHeader(const void* page_bytes,
 
 uint32_t GaussTree::header_version() { return kGaussTreeVersion; }
 
+bool GaussTree::ReadsHeaderVersion(uint32_t version) {
+  return version >= kOldestReadableVersion && version <= kGaussTreeVersion;
+}
+
 std::unique_ptr<GaussTree> GaussTree::Open(PageCache* pool,
                                            PageId meta_page) {
-  GAUSS_CHECK(pool != nullptr);
+  std::string error;
+  std::unique_ptr<GaussTree> tree = TryOpen(pool, meta_page, &error);
+  GAUSS_CHECK_MSG(tree != nullptr, error.c_str());
+  return tree;
+}
+
+std::unique_ptr<GaussTree> GaussTree::TryOpen(PageCache* pool,
+                                              PageId meta_page,
+                                              std::string* error) {
+  GAUSS_CHECK(pool != nullptr && error != nullptr);
   MetaPageLayout meta;
-  const PageRef page = pool->Fetch(meta_page);
-  std::memcpy(&meta, page.data(), sizeof(meta));
-  GAUSS_CHECK_MSG(meta.magic == kGaussTreeMagic,
-                  "page does not hold a Gauss-tree header");
-  GAUSS_CHECK_MSG(meta.version == kGaussTreeVersion,
-                  "unsupported Gauss-tree version");
-  GAUSS_CHECK_MSG(meta.page_size == pool->device()->page_size(),
-                  "page size mismatch: the device is opened with a different "
-                  "page size than the tree was serialized with");
+  {
+    const PageRef page = pool->Fetch(meta_page);
+    std::memcpy(&meta, page.data(), sizeof(meta));
+  }
+  if (meta.magic != kGaussTreeMagic) {
+    *error = "page does not hold a Gauss-tree header";
+    return nullptr;
+  }
+  if (!ReadsHeaderVersion(meta.version)) {
+    *error = "unsupported Gauss-tree version " + std::to_string(meta.version);
+    return nullptr;
+  }
+  if (meta.page_size != pool->device()->page_size()) {
+    *error = "page size mismatch: the device is opened with a different "
+             "page size than the tree was serialized with";
+    return nullptr;
+  }
   GaussTreeOptions options;
   options.sigma_policy = static_cast<SigmaPolicy>(meta.sigma_policy);
   options.integral_method = static_cast<IntegralMethod>(meta.integral_method);
@@ -139,21 +164,12 @@ std::unique_ptr<GaussTree> GaussTree::Open(PageCache* pool,
   auto tree = std::unique_ptr<GaussTree>(
       new GaussTree(pool, meta.dim, options, meta_page, meta.root,
                     static_cast<size_t>(meta.size)));
-
-  // Enumerate the root-reachable node pages so Definalize() can reload them.
-  std::vector<PageId> pages;
-  std::deque<PageId> queue{meta.root};
-  while (!queue.empty()) {
-    const PageId id = queue.front();
-    queue.pop_front();
-    pages.push_back(id);
-    const GtNode node =
-        GtNode::Deserialize(pool->Fetch(id).data(), meta.dim, id);
-    if (!node.leaf()) {
-      for (const GtChildEntry& e : node.children) queue.push_back(e.child);
-    }
+  // Walks (and checksums) every root-reachable node page, remembering the
+  // set so Definalize() can reload them.
+  if (!tree->store_.OpenFinalized(meta.root,
+                                  /*legacy_pages=*/meta.version < 3, error)) {
+    return nullptr;
   }
-  tree->store_.OpenFinalized(std::move(pages));
   tree->store_.PinRoot(meta.root);
   return tree;
 }

@@ -2,6 +2,8 @@
 #define GAUSS_GAUSSTREE_GAUSS_TREE_H_
 
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/cpus.h"
@@ -90,8 +92,13 @@ class GaussTree {
 
   // Reopens a previously finalized tree from its meta page (persisted by
   // Finalize()). The tree opens in query mode; call Definalize() to insert
-  // more objects. Aborts if `meta_page` does not hold a Gauss-tree header.
+  // more objects. Opening walks every node page and verifies its checksum.
+  // TryOpen returns nullptr with the reason in `*error` when `meta_page`
+  // holds no readable Gauss-tree header or a node page is damaged (bad
+  // checksum, malformed, or reached twice); Open aborts on those instead.
   static std::unique_ptr<GaussTree> Open(PageCache* pool, PageId meta_page);
+  static std::unique_ptr<GaussTree> TryOpen(PageCache* pool, PageId meta_page,
+                                            std::string* error);
 
   // Non-aborting peek at a would-be header page, for callers (GaussDb's
   // typed OpenFile/OpenDirectory error paths) that must report a corrupt or
@@ -107,9 +114,11 @@ class GaussTree {
   };
   static HeaderInfo InspectHeader(const void* page_bytes, size_t len);
 
-  // Header version Finalize() writes and Open() accepts; InspectHeader
-  // callers compare against this for a typed version-mismatch report.
+  // Header version Finalize() writes. Open() also reads the version before
+  // it (v2, legacy node pages); InspectHeader callers check
+  // ReadsHeaderVersion for a typed version-mismatch report.
   static uint32_t header_version();
+  static bool ReadsHeaderVersion(uint32_t version);
 
   // Page holding the persistent header (root id, dimensionality, options);
   // pass it to Open() to reattach.

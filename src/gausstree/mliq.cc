@@ -51,8 +51,11 @@ double MliqTraversal::KthDensity() const {
   return items_.size() < k_ ? 0.0 : items_.back().scaled_density;
 }
 
-void MliqTraversal::Expand(const ActiveNode& active) {
-  tree_.store().LoadSoa(active.page, &scratch_.node);
+bool MliqTraversal::Expand(const ActiveNode& active) {
+  if (!tree_.store().LoadSoa(active.page, &scratch_.node)) {
+    corrupt_ = true;
+    return false;
+  }
   ++counters_.nodes_visited;
   // One batch kernel call scores the whole node against the query (leaf:
   // Lemma 1 joint densities; inner: Lemma 2/3 hull bounds), then the scalar
@@ -73,7 +76,9 @@ void MliqTraversal::Expand(const ActiveNode& active) {
                                scratch_.scaled_upper[j],
                                scratch_.scaled_lower[j]});
     }
-  }
+  }  // Unpin the frame: a traversal parked between refine rounds holds none.
+  scratch_.node.page.Release();
+  return true;
 }
 
 void MliqTraversal::Run() {
@@ -98,7 +103,7 @@ void MliqTraversal::Run() {
     // still be surfaced for the coordinator's merge.
     const bool floor_done = density_floor_ > 0.0 && top_upper < density_floor_;
     if (local_done || floor_done) break;
-    Expand(tracker_.Pop());
+    if (!Expand(tracker_.Pop())) return;
   }
 
   // Phase 2 (Section 5.2.2): tighten the denominator until every reported
@@ -109,7 +114,7 @@ void MliqTraversal::Run() {
       const double lo = tracker_.DenominatorLo();
       const double hi = tracker_.DenominatorHi();
       if (lo > 0.0 && (hi - lo) <= eps * lo) break;
-      Expand(tracker_.Pop());
+      if (!Expand(tracker_.Pop())) return;
     }
   }
 
@@ -122,8 +127,8 @@ void MliqTraversal::Run() {
 
 void MliqTraversal::RefineDenominator(double max_gap) {
   GAUSS_CHECK_MSG(ran_, "RefineDenominator before Run");
-  while (!tracker_.Empty() && denominator_gap() > max_gap) {
-    Expand(tracker_.Pop());
+  while (!corrupt_ && !tracker_.Empty() && denominator_gap() > max_gap) {
+    if (!Expand(tracker_.Pop())) return;
   }
 }
 
@@ -140,6 +145,7 @@ TraversalStats MliqTraversal::stats() const {
 MliqResult MliqTraversal::Result() const {
   MliqResult result;
   result.stats = stats();
+  result.corrupt = corrupt_;
   const double den_lo = result.stats.denominator_lo;
   const double den_hi = result.stats.denominator_hi;
   for (const ScoredObject& c : items_) {

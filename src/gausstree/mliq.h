@@ -54,6 +54,9 @@ using MliqStats = TraversalStats;
 struct MliqResult {
   std::vector<IdentificationResult> items;  // descending probability
   MliqStats stats;
+  // A node page failed validation (GtNodeStore::LoadSoa): the traversal
+  // stopped there, and items/stats are not an answer.
+  bool corrupt = false;
 };
 
 // k-most-likely identification query over the Gauss-tree (paper Definition 3
@@ -111,6 +114,11 @@ class MliqTraversal {
   // collapsed to the exact scaled density sum and cannot tighten further.
   bool exhausted() const { return tracker_.Empty(); }
 
+  // True once a node page failed validation: Run() and RefineDenominator()
+  // stopped at that page and do nothing further, and the traversal's items
+  // and bounds are not an answer.
+  bool corrupt() const { return corrupt_; }
+
   // Reference log scale of this traversal (the root's joint log upper hull);
   // all scaled values are exp(log - log_ref()). Meaningless for an empty
   // tree — callers combining shards must skip shards with tree().size() == 0.
@@ -135,7 +143,9 @@ class MliqTraversal {
   const GaussTree& tree() const { return tree_; }
 
  private:
-  void Expand(const internal::ActiveNode& active);
+  // Loads and scores one node; false (and corrupt_ set) when its page fails
+  // validation, which ends the traversal.
+  bool Expand(const internal::ActiveNode& active);
   void OfferCandidate(const ScoredObject& candidate);
   // Scaled density of the current k-th best (0 while fewer than k seen).
   double KthDensity() const;
@@ -153,9 +163,10 @@ class MliqTraversal {
   internal::DenominatorTracker tracker_;
   internal::QueryCounters counters_;
   std::vector<ScoredObject> items_;  // current top-k, descending density
-  // SoA decode + batch-score scratch, reused across Expand calls.
+  // Node view + batch-score scratch, reused across Expand calls.
   internal::BatchScratch scratch_;
   bool ran_ = false;
+  bool corrupt_ = false;
 };
 
 }  // namespace gauss

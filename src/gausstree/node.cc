@@ -5,22 +5,19 @@
 #include <limits>
 
 #include "common/macros.h"
-#include "math/kernels.h"
+#include "storage/crc32c.h"
 
 namespace gauss {
 
-// Page layout.
-//
-// Header:
-//   [u8  kind]
-//   [u32 entry_count]
-// Leaf record (per pfv):
-//   [u64 id][d x f64 mu][d x f64 sigma]
-// Inner entry (per child):
-//   [u32 child][u32 count][d x (f64 mu_lo, f64 mu_hi, f64 sg_lo, f64 sg_hi)]
+// Page formats: see the GtNodeSoa comment in node.h.
 namespace {
 
-constexpr size_t kHeaderBytes = 1 + sizeof(uint32_t);
+constexpr size_t kHeaderBytes = 8;        // [u8 tag][u8 0][u16 n][u32 crc]
+constexpr size_t kLegacyHeaderBytes = 5;  // [u8 kind][u32 n]
+constexpr uint8_t kLeafTag = 2;
+constexpr uint8_t kInnerTag = 3;
+// n is a u16; capacities are clamped so no node can overflow it.
+constexpr size_t kMaxEntries = 0xFFFF;
 
 size_t LeafRecordBytes(size_t dim) {
   return sizeof(uint64_t) + 2 * dim * sizeof(double);
@@ -28,6 +25,17 @@ size_t LeafRecordBytes(size_t dim) {
 
 size_t InnerEntryBytes(size_t dim) {
   return 2 * sizeof(uint32_t) + 4 * dim * sizeof(double);
+}
+
+// v3 body bytes: the record sizes above, regrouped into planes.
+size_t BodyBytes(GtNodeKind kind, size_t n, size_t dim) {
+  return n * (kind == GtNodeKind::kLeaf ? LeafRecordBytes(dim)
+                                        : InnerEntryBytes(dim));
+}
+
+// The page checksum: header bytes 0-3 (tag, reserved, n), then the body.
+uint32_t PageCrc(const uint8_t* page, size_t body_bytes) {
+  return Crc32c(page + kHeaderBytes, body_bytes, Crc32c(page, 4));
 }
 
 template <typename T>
@@ -42,6 +50,64 @@ T Take(const uint8_t** p) {
   std::memcpy(&value, *p, sizeof(T));
   *p += sizeof(T);
   return value;
+}
+
+template <typename T>
+T Peek(const uint8_t* p) {
+  T value;
+  std::memcpy(&value, p, sizeof(T));
+  return value;
+}
+
+// Writes the v3 body of `node` (ids or child/count columns, then planes).
+void WriteBody(const GtNode& node, size_t dim, uint8_t* body) {
+  uint8_t* p = body;
+  if (node.leaf()) {
+    for (const Pfv& pfv : node.pfvs) Put<uint64_t>(&p, pfv.id);
+    for (size_t i = 0; i < dim; ++i) {
+      for (const Pfv& pfv : node.pfvs) Put<double>(&p, pfv.mu[i]);
+    }
+    for (size_t i = 0; i < dim; ++i) {
+      for (const Pfv& pfv : node.pfvs) Put<double>(&p, pfv.sigma[i]);
+    }
+    return;
+  }
+  for (const GtChildEntry& e : node.children) Put<uint32_t>(&p, e.child);
+  for (const GtChildEntry& e : node.children) Put<uint32_t>(&p, e.count);
+  for (double DimBounds::*field : {&DimBounds::mu_lo, &DimBounds::mu_hi,
+                                   &DimBounds::sigma_lo, &DimBounds::sigma_hi}) {
+    for (size_t i = 0; i < dim; ++i) {
+      for (const GtChildEntry& e : node.children) {
+        Put<double>(&p, e.bounds[i].*field);
+      }
+    }
+  }
+}
+
+// Points `out` at a v3 body of n entries.
+void Bind(const uint8_t* body, GtNodeKind kind, PageId id, size_t n,
+          size_t dim, GtNodeSoa* out) {
+  out->id = id;
+  out->kind = kind;
+  out->n = n;
+  out->dim = dim;
+  out->stride = n;
+  if (kind == GtNodeKind::kLeaf) {
+    out->ids = reinterpret_cast<const uint64_t*>(body);
+    out->children = nullptr;
+    out->counts = nullptr;
+  } else {
+    out->ids = nullptr;
+    out->children = reinterpret_cast<const PageId*>(body);
+    out->counts = reinterpret_cast<const uint32_t*>(body) + n;
+  }
+  out->planes = reinterpret_cast<const double*>(body + n * sizeof(uint64_t));
+}
+
+// Sizes out->owned for a body of n entries and returns it as bytes.
+uint8_t* OwnedBody(GtNodeSoa* out, GtNodeKind kind, size_t n, size_t dim) {
+  out->owned.resize(BodyBytes(kind, n, dim) / sizeof(uint64_t));
+  return reinterpret_cast<uint8_t*>(out->owned.data());
 }
 
 }  // namespace
@@ -115,184 +181,155 @@ std::vector<DimBounds> GtNode::ComputeBounds(size_t dim) const {
 }
 
 size_t GtNode::SerializedSize(size_t dim) const {
-  if (leaf()) return kHeaderBytes + pfvs.size() * LeafRecordBytes(dim);
-  return kHeaderBytes + children.size() * InnerEntryBytes(dim);
+  return kHeaderBytes + BodyBytes(kind, EntryCount(), dim);
 }
 
 void GtNode::Serialize(uint8_t* page, size_t dim) const {
+  const size_t n = EntryCount();
+  GAUSS_CHECK_MSG(n <= kMaxEntries, "node exceeds the page format's n");
   uint8_t* p = page;
-  Put<uint8_t>(&p, static_cast<uint8_t>(kind));
-  Put<uint32_t>(&p, static_cast<uint32_t>(EntryCount()));
-  if (leaf()) {
-    for (const Pfv& pfv : pfvs) {
-      GAUSS_DCHECK(pfv.dim() == dim);
-      Put<uint64_t>(&p, pfv.id);
-      std::memcpy(p, pfv.mu.data(), dim * sizeof(double));
-      p += dim * sizeof(double);
-      std::memcpy(p, pfv.sigma.data(), dim * sizeof(double));
-      p += dim * sizeof(double);
-    }
-  } else {
-    for (const GtChildEntry& e : children) {
-      GAUSS_DCHECK(e.bounds.size() == dim);
-      Put<uint32_t>(&p, e.child);
-      Put<uint32_t>(&p, e.count);
-      for (size_t i = 0; i < dim; ++i) {
-        Put<double>(&p, e.bounds[i].mu_lo);
-        Put<double>(&p, e.bounds[i].mu_hi);
-        Put<double>(&p, e.bounds[i].sigma_lo);
-        Put<double>(&p, e.bounds[i].sigma_hi);
-      }
-    }
-  }
+  Put<uint8_t>(&p, leaf() ? kLeafTag : kInnerTag);
+  Put<uint8_t>(&p, 0);
+  Put<uint16_t>(&p, static_cast<uint16_t>(n));
+  WriteBody(*this, dim, page + kHeaderBytes);
+  const uint32_t crc = PageCrc(page, BodyBytes(kind, n, dim));
+  std::memcpy(page + 4, &crc, sizeof(crc));
 }
 
 GtNode GtNode::Deserialize(const uint8_t* page, size_t dim, PageId id) {
+  GtNodeSoa view;
+  GtNodeSoa::Decode(page, dim, id, &view);
+  return view.ToNode();
+}
+
+const char* GtNodeSoa::Validate(const uint8_t* page, uint32_t page_size,
+                                size_t dim, bool accept_legacy,
+                                bool check_crc) {
+  if (page_size < kHeaderBytes) return "page smaller than a node header";
+  const uint8_t tag = page[0];
+  if (tag == kLeafTag || tag == kInnerTag) {
+    if (page[1] != 0) return "nonzero reserved header byte";
+    const auto kind = tag == kLeafTag ? GtNodeKind::kLeaf : GtNodeKind::kInner;
+    const size_t body = BodyBytes(kind, Peek<uint16_t>(page + 2), dim);
+    if (body > page_size - kHeaderBytes) return "entry count exceeds the page";
+    if (check_crc && PageCrc(page, body) != Peek<uint32_t>(page + 4)) {
+      return "checksum mismatch";
+    }
+    return nullptr;
+  }
+  if (!accept_legacy || tag > 1) return "unknown node tag";
+  const size_t record = tag == 0 ? LeafRecordBytes(dim) : InnerEntryBytes(dim);
+  if (Peek<uint32_t>(page + 1) > (page_size - kLegacyHeaderBytes) / record) {
+    return "entry count exceeds the page";
+  }
+  return nullptr;
+}
+
+void GtNodeSoa::Decode(const uint8_t* page, size_t dim, PageId id,
+                       GtNodeSoa* out) {
+  out->page.Release();
+  const uint8_t tag = page[0];
+  if (tag == kLeafTag || tag == kInnerTag) {
+    Bind(page + kHeaderBytes,
+         tag == kLeafTag ? GtNodeKind::kLeaf : GtNodeKind::kInner, id,
+         Peek<uint16_t>(page + 2), dim, out);
+    return;
+  }
+  // Legacy row records: transpose into the v3 body layout. Stores go
+  // through memcpy, like every other write of page bytes.
   const uint8_t* p = page;
+  const auto kind = static_cast<GtNodeKind>(Take<uint8_t>(&p));
+  const size_t n = Take<uint32_t>(&p);
+  uint8_t* body = OwnedBody(out, kind, n, dim);
+  uint8_t* planes = body + n * sizeof(uint64_t);
+  const auto copy = [&p](uint8_t* to, size_t bytes) {
+    std::memcpy(to, p, bytes);
+    p += bytes;
+  };
+  const auto plane_at = [&](size_t plane, size_t r) {
+    return planes + (plane * n + r) * sizeof(double);
+  };
+  // Row order: leaf [id][mu x dim][sigma x dim]; inner [child][count]
+  // [(mu_lo, mu_hi, sigma_lo, sigma_hi) x dim].
+  for (size_t r = 0; r < n; ++r) {
+    if (kind == GtNodeKind::kLeaf) {
+      copy(body + r * sizeof(uint64_t), sizeof(uint64_t));
+      for (size_t i = 0; i < 2 * dim; ++i) copy(plane_at(i, r), sizeof(double));
+      continue;
+    }
+    copy(body + r * sizeof(uint32_t), sizeof(uint32_t));
+    copy(body + (n + r) * sizeof(uint32_t), sizeof(uint32_t));
+    for (size_t i = 0; i < dim; ++i) {
+      for (size_t group = 0; group < 4; ++group) {
+        copy(plane_at(group * dim + i, r), sizeof(double));
+      }
+    }
+  }
+  Bind(body, kind, id, n, dim, out);
+}
+
+void GtNodeSoa::FromNode(const GtNode& node, size_t dim, GtNodeSoa* out) {
+  out->page.Release();
+  const size_t n = node.EntryCount();
+  uint8_t* body = OwnedBody(out, node.kind, n, dim);
+  WriteBody(node, dim, body);
+  Bind(body, node.kind, node.id, n, dim, out);
+}
+
+void GtNodeSoa::Alias(const GtNodeSoa& other) {
+  page.Release();
+  id = other.id;
+  kind = other.kind;
+  n = other.n;
+  dim = other.dim;
+  stride = other.stride;
+  ids = other.ids;
+  children = other.children;
+  counts = other.counts;
+  planes = other.planes;
+}
+
+GtNode GtNodeSoa::ToNode() const {
   GtNode node;
   node.id = id;
-  node.kind = static_cast<GtNodeKind>(Take<uint8_t>(&p));
-  const uint32_t count = Take<uint32_t>(&p);
-  if (node.leaf()) {
-    node.pfvs.reserve(count);
-    for (uint32_t r = 0; r < count; ++r) {
-      Pfv pfv;
-      pfv.id = Take<uint64_t>(&p);
+  node.kind = kind;
+  if (leaf()) {
+    node.pfvs.resize(n);
+    for (size_t r = 0; r < n; ++r) {
+      Pfv& pfv = node.pfvs[r];
+      pfv.id = ids[r];
       pfv.mu.resize(dim);
-      std::memcpy(pfv.mu.data(), p, dim * sizeof(double));
-      p += dim * sizeof(double);
       pfv.sigma.resize(dim);
-      std::memcpy(pfv.sigma.data(), p, dim * sizeof(double));
-      p += dim * sizeof(double);
-      node.pfvs.push_back(std::move(pfv));
-    }
-  } else {
-    node.children.reserve(count);
-    for (uint32_t r = 0; r < count; ++r) {
-      GtChildEntry e;
-      e.child = Take<uint32_t>(&p);
-      e.count = Take<uint32_t>(&p);
-      e.bounds.resize(dim);
       for (size_t i = 0; i < dim; ++i) {
-        e.bounds[i].mu_lo = Take<double>(&p);
-        e.bounds[i].mu_hi = Take<double>(&p);
-        e.bounds[i].sigma_lo = Take<double>(&p);
-        e.bounds[i].sigma_hi = Take<double>(&p);
+        pfv.mu[i] = mu()[i * stride + r];
+        pfv.sigma[i] = sigma()[i * stride + r];
       }
-      node.children.push_back(std::move(e));
+    }
+    return node;
+  }
+  node.children.resize(n);
+  for (size_t r = 0; r < n; ++r) {
+    GtChildEntry& e = node.children[r];
+    e.child = children[r];
+    e.count = counts[r];
+    e.bounds.resize(dim);
+    for (size_t i = 0; i < dim; ++i) {
+      e.bounds[i].mu_lo = mu_lo()[i * stride + r];
+      e.bounds[i].mu_hi = mu_hi()[i * stride + r];
+      e.bounds[i].sigma_lo = sigma_lo()[i * stride + r];
+      e.bounds[i].sigma_hi = sigma_hi()[i * stride + r];
     }
   }
   return node;
 }
 
-namespace {
-
-// Sizes the SoA buffers for n entries and zeroes the padding lanes. Reuses
-// the vectors' capacity: assign() only reallocates when a larger node than
-// any seen before arrives.
-void ShapeSoa(GtNodeSoa* out, GtNodeKind kind, PageId id, size_t dim,
-              size_t n) {
-  out->id = id;
-  out->kind = kind;
-  out->n = n;
-  out->dim = dim;
-  out->stride = kernels::PadEntries(n);
-  const size_t groups = kind == GtNodeKind::kLeaf ? 2 : 4;
-  out->planes.assign(groups * dim * out->stride, 0.0);
-  if (kind == GtNodeKind::kLeaf) {
-    out->ids.assign(n, 0);
-    out->children.clear();
-    out->counts.clear();
-  } else {
-    out->ids.clear();
-    out->children.assign(n, kInvalidPageId);
-    out->counts.assign(n, 0);
-  }
-}
-
-}  // namespace
-
-void GtNodeSoa::Decode(const uint8_t* page, size_t dim, PageId id,
-                       GtNodeSoa* out) {
-  const uint8_t* p = page;
-  const auto kind = static_cast<GtNodeKind>(Take<uint8_t>(&p));
-  const uint32_t count = Take<uint32_t>(&p);
-  ShapeSoa(out, kind, id, dim, count);
-  const size_t stride = out->stride;
-  double* planes = out->planes.data();
-  if (kind == GtNodeKind::kLeaf) {
-    // Leaf record: [u64 id][d x mu][d x sigma] -> transpose into planes.
-    double* mu_planes = planes;
-    double* sigma_planes = planes + dim * stride;
-    for (uint32_t r = 0; r < count; ++r) {
-      out->ids[r] = Take<uint64_t>(&p);
-      for (size_t i = 0; i < dim; ++i) {
-        mu_planes[i * stride + r] = Take<double>(&p);
-      }
-      for (size_t i = 0; i < dim; ++i) {
-        sigma_planes[i * stride + r] = Take<double>(&p);
-      }
-    }
-  } else {
-    // Inner entry: [u32 child][u32 count][d x (mu_lo, mu_hi, sg_lo, sg_hi)].
-    double* mu_lo_planes = planes;
-    double* mu_hi_planes = planes + dim * stride;
-    double* sg_lo_planes = planes + 2 * dim * stride;
-    double* sg_hi_planes = planes + 3 * dim * stride;
-    for (uint32_t r = 0; r < count; ++r) {
-      out->children[r] = Take<uint32_t>(&p);
-      out->counts[r] = Take<uint32_t>(&p);
-      for (size_t i = 0; i < dim; ++i) {
-        mu_lo_planes[i * stride + r] = Take<double>(&p);
-        mu_hi_planes[i * stride + r] = Take<double>(&p);
-        sg_lo_planes[i * stride + r] = Take<double>(&p);
-        sg_hi_planes[i * stride + r] = Take<double>(&p);
-      }
-    }
-  }
-}
-
-void GtNodeSoa::FromNode(const GtNode& node, size_t dim, GtNodeSoa* out) {
-  ShapeSoa(out, node.kind, node.id, dim, node.EntryCount());
-  const size_t stride = out->stride;
-  double* planes = out->planes.data();
-  if (node.leaf()) {
-    double* mu_planes = planes;
-    double* sigma_planes = planes + dim * stride;
-    for (size_t r = 0; r < node.pfvs.size(); ++r) {
-      const Pfv& pfv = node.pfvs[r];
-      GAUSS_DCHECK(pfv.dim() == dim);
-      out->ids[r] = pfv.id;
-      for (size_t i = 0; i < dim; ++i) {
-        mu_planes[i * stride + r] = pfv.mu[i];
-        sigma_planes[i * stride + r] = pfv.sigma[i];
-      }
-    }
-  } else {
-    double* mu_lo_planes = planes;
-    double* mu_hi_planes = planes + dim * stride;
-    double* sg_lo_planes = planes + 2 * dim * stride;
-    double* sg_hi_planes = planes + 3 * dim * stride;
-    for (size_t r = 0; r < node.children.size(); ++r) {
-      const GtChildEntry& e = node.children[r];
-      GAUSS_DCHECK(e.bounds.size() == dim);
-      out->children[r] = e.child;
-      out->counts[r] = e.count;
-      for (size_t i = 0; i < dim; ++i) {
-        mu_lo_planes[i * stride + r] = e.bounds[i].mu_lo;
-        mu_hi_planes[i * stride + r] = e.bounds[i].mu_hi;
-        sg_lo_planes[i * stride + r] = e.bounds[i].sigma_lo;
-        sg_hi_planes[i * stride + r] = e.bounds[i].sigma_hi;
-      }
-    }
-  }
-}
-
 GtCapacities GtCapacities::ForPageSize(uint32_t page_size, size_t dim) {
   GtCapacities caps;
-  const size_t payload = page_size - kHeaderBytes;
-  caps.leaf = payload / LeafRecordBytes(dim);
-  caps.inner = payload / InnerEntryBytes(dim);
+  // Records and page sizes are multiples of 8 bytes, so the 8-byte header
+  // holds exactly as many entries as the legacy 5-byte one did.
+  const size_t payload = page_size > kHeaderBytes ? page_size - kHeaderBytes : 0;
+  caps.leaf = std::min(kMaxEntries, payload / LeafRecordBytes(dim));
+  caps.inner = std::min(kMaxEntries, payload / InnerEntryBytes(dim));
   GAUSS_CHECK_MSG(caps.leaf >= 2 && caps.inner >= 2,
                   "page too small for this dimensionality");
   caps.leaf_min = std::max<size_t>(1, caps.leaf / 2);

@@ -7,6 +7,7 @@
 #include "math/hull.h"
 #include "pfv/pfv.h"
 #include "storage/page.h"
+#include "storage/page_cache.h"
 
 namespace gauss {
 
@@ -28,8 +29,10 @@ struct GtChildEntry {
 
 enum class GtNodeKind : uint8_t { kLeaf = 0, kInner = 1 };
 
-// A Gauss-tree node. Leaves hold pfv records; inner nodes hold child MBR
-// entries. Nodes serialize to fixed-size pages (see node.cc for the layout).
+// A Gauss-tree node as the build phase edits it. Leaves hold pfv records;
+// inner nodes hold child MBR entries. Nodes serialize to fixed-size pages
+// in the node page format (see GtNodeSoa and node.cc); queries read those
+// pages through GtNodeSoa views and never materialize a GtNode.
 struct GtNode {
   PageId id = kInvalidPageId;
   GtNodeKind kind = GtNodeKind::kLeaf;
@@ -48,55 +51,93 @@ struct GtNode {
   // Serialized size in bytes for the given dimensionality.
   size_t SerializedSize(size_t dim) const;
 
-  // Serializes into `page` (must hold at least SerializedSize bytes).
+  // Serializes into `page` in the current (v3) format, checksum included.
+  // `page` must hold at least SerializedSize bytes; bytes past them are
+  // left untouched.
   void Serialize(uint8_t* page, size_t dim) const;
 
-  // Deserializes a node from page bytes. `id` is not stored on the page and
-  // must be supplied by the caller.
+  // Deserializes a node from page bytes of either format (GtNodeSoa::
+  // Decode). `id` is not stored on the page and must be supplied by the
+  // caller. Trusts the bytes: GtNodeStore validates pages before decoding.
   static GtNode Deserialize(const uint8_t* page, size_t dim, PageId id);
 };
 
-// Decode-time structure-of-arrays view of one node's entries, shaped for the
-// batch kernels in math/kernels.h: per-dimension planes of `stride` doubles,
-// stride = kernels::PadEntries(n) so every plane is padded to the widest
-// vector width. The on-disk page layout is unchanged — this view is built by
-// Decode() straight from page bytes (or FromNode() from an in-memory node)
-// and never written back. Padding lanes are zeroed but the kernels never
-// read them (they only touch elements [0, n)).
+// Structure-of-arrays view of one node's entries, the layout the batch
+// kernels in math/kernels.h read: per-dimension planes of `stride` doubles,
+// entry j of dimension i at plane[i * stride + j], stride = n.
 //
-// Plane order (each plane is `stride` doubles, dimensions major):
-//   leaf:  [dim x mu][dim x sigma]
-//   inner: [dim x mu_lo][dim x mu_hi][dim x sigma_lo][dim x sigma_hi]
+// The view points at a v3 node page itself — the page *is* this layout
+// (PAX-style minipages, Ailamaki et al., VLDB 2001):
+//
+//   header  [u8 tag][u8 0][u16 n][u32 crc32c]     tag 2 = leaf, 3 = inner
+//   leaf    [n x u64 id][dim x mu plane][dim x sigma plane]
+//   inner   [n x u32 child][n x u32 count]
+//           [dim x mu_lo][dim x mu_hi][dim x sigma_lo][dim x sigma_hi]
+//
+// every plane n doubles. The CRC-32C (storage/crc32c.h) covers header bytes
+// 0-3 and the body above, not the page's unused tail. Stride n rather than
+// the capacity keeps every offset 8-aligned and the body self-describing.
+// Pages of tree header version 2 and older (the "legacy" format, tag byte
+// 0 or 1) store row records instead — [u8 kind][u32 n] then per entry
+// [u64 id][d x mu][d x sigma] or [u32 child][u32 count][d x (mu_lo, mu_hi,
+// sigma_lo, sigma_hi)] — and carry no checksum; Decode transposes them into
+// `owned`, as it does for in-memory build nodes (FromNode).
+//
+// So the pointers below lead into one of three places: a cache frame the
+// view pins through `page` (GtNodeStore::LoadSoa on a v3 page), the view's
+// own `owned` scratch (legacy pages, build nodes), or caller memory
+// (Decode on a page buffer the caller keeps alive).
 struct GtNodeSoa {
   PageId id = kInvalidPageId;
   GtNodeKind kind = GtNodeKind::kLeaf;
   size_t n = 0;       // entry count
   size_t dim = 0;
-  size_t stride = 0;  // kernels::PadEntries(n)
-  std::vector<uint64_t> ids;       // leaf: n pfv ids
-  std::vector<PageId> children;    // inner: n child page ids
-  std::vector<uint32_t> counts;    // inner: n subtree counts
-  std::vector<double> planes;      // leaf: 2*dim planes; inner: 4*dim planes
+  size_t stride = 0;  // doubles per plane (= n)
+  const uint64_t* ids = nullptr;     // leaf: n pfv ids
+  const PageId* children = nullptr;  // inner: n child page ids
+  const uint32_t* counts = nullptr;  // inner: n subtree counts
+  const double* planes = nullptr;    // leaf: 2*dim planes; inner: 4*dim
+
+  // Pin on the cache frame the pointers lead into; empty otherwise.
+  PageRef page;
+  // v3 body scratch for legacy pages and build nodes, reused across loads.
+  std::vector<uint64_t> owned;
 
   bool leaf() const { return kind == GtNodeKind::kLeaf; }
 
   // Leaf plane groups.
-  const double* mu() const { return planes.data(); }
-  const double* sigma() const { return planes.data() + dim * stride; }
+  const double* mu() const { return planes; }
+  const double* sigma() const { return planes + dim * stride; }
   // Inner plane groups.
-  const double* mu_lo() const { return planes.data(); }
-  const double* mu_hi() const { return planes.data() + dim * stride; }
-  const double* sigma_lo() const { return planes.data() + 2 * dim * stride; }
-  const double* sigma_hi() const { return planes.data() + 3 * dim * stride; }
+  const double* mu_lo() const { return planes; }
+  const double* mu_hi() const { return planes + dim * stride; }
+  const double* sigma_lo() const { return planes + 2 * dim * stride; }
+  const double* sigma_hi() const { return planes + 3 * dim * stride; }
 
-  // Decodes a serialized page into `out`, reusing its buffers (traversals
-  // keep one GtNodeSoa as scratch across Expand calls).
+  // Points `out` at a serialized page of either format. A v3 page is
+  // viewed in place — the caller keeps `page` alive while it reads `out`;
+  // a legacy page is transposed into out->owned. Trusts the bytes (see
+  // Validate). Drops any pin `out` held.
   static void Decode(const uint8_t* page, size_t dim, PageId id,
                      GtNodeSoa* out);
 
-  // Builds the view from an in-memory node (build-mode NodeStore and the
-  // pinned root, which skip serialization).
+  // Why the page_size bytes at `page` must not be decoded, or nullptr when
+  // they may: an unknown tag (legacy tags only when `accept_legacy`), a
+  // nonzero reserved byte, an entry count the page cannot hold, or — when
+  // `check_crc` — a v3 checksum mismatch. Child ids are the caller's to
+  // check: only the device knows how many pages exist.
+  static const char* Validate(const uint8_t* page, uint32_t page_size,
+                              size_t dim, bool accept_legacy, bool check_crc);
+
+  // Views an in-memory node (build-mode NodeStore), through out->owned.
   static void FromNode(const GtNode& node, size_t dim, GtNodeSoa* out);
+
+  // Borrows `other`'s pointers without copying planes or pinning: the view
+  // is valid while `other` is unchanged (the store's pinned root).
+  void Alias(const GtNodeSoa& other);
+
+  // The node the view describes.
+  GtNode ToNode() const;
 };
 
 // Per-node-type capacities derived from the page size.

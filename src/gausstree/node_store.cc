@@ -1,5 +1,7 @@
 #include "gausstree/node_store.h"
 
+#include <cstring>
+#include <deque>
 #include <vector>
 
 #include "common/macros.h"
@@ -42,56 +44,122 @@ void GtNodeStore::Load(PageId id, GtNode* scratch) const {
     *scratch = *pinned_;  // pinned root: no pool fetch
     return;
   }
-  const PageRef page = pool_->Fetch(id);
-  *scratch = GtNode::Deserialize(page.data(), dim_, id);
+  GtNodeSoa view;
+  const char* why = nullptr;
+  const bool loaded = LoadSoa(id, &view, &why);
+  GAUSS_CHECK_MSG(loaded, why);
+  *scratch = view.ToNode();
 }
 
-void GtNodeStore::LoadSoa(PageId id, GtNodeSoa* scratch) const {
+bool GtNodeStore::LoadSoa(PageId id, GtNodeSoa* view, const char** why) const {
   if (!finalized_) {
     auto it = nodes_.find(id);
     GAUSS_CHECK(it != nodes_.end());
-    GtNodeSoa::FromNode(*it->second, dim_, scratch);
-    return;
+    GtNodeSoa::FromNode(*it->second, dim_, view);
+    return true;
   }
   if (pinned_soa_ != nullptr && id == pinned_id_) {
-    *scratch = *pinned_soa_;  // pinned root: no pool fetch
-    return;
+    view->Alias(*pinned_soa_);  // pinned root: no pool fetch, no copy
+    return true;
   }
-  const PageRef page = pool_->Fetch(id);
-  GtNodeSoa::Decode(page.data(), dim_, id, scratch);
+  view->page.Release();
+  PageRef page = pool_->Fetch(id);
+  const bool verified = page.verified();
+  const char* reason =
+      GtNodeSoa::Validate(page.data(), pool_->page_size(), dim_,
+                          legacy_pages_, /*check_crc=*/!verified);
+  if (reason == nullptr) {
+    GtNodeSoa::Decode(page.data(), dim_, id, view);
+    const size_t page_count = pool_->device()->PageCount();
+    for (size_t j = 0; !view->leaf() && j < view->n; ++j) {
+      if (view->children[j] >= page_count) {
+        reason = "child page id beyond the device";
+        break;
+      }
+    }
+  }
+  if (reason != nullptr) {
+    view->n = 0;
+    if (why != nullptr) *why = reason;
+    return false;
+  }
+  if (!verified) page.MarkVerified();
+  view->page = std::move(page);
+  return true;
 }
 
 void GtNodeStore::Finalize() {
   if (finalized_) return;
-  std::vector<uint8_t> buffer(pool_->device()->page_size(), 0);
+  // Nodes go straight to the device: nothing in a build re-reads them, so
+  // the cache keeps no copy. Flush and drop what it holds first, so no
+  // frame of a node page outlives the write (Definalize read every page
+  // through the cache) and no dirty frame lands on top of one later.
+  pool_->Clear();
+  PageDevice* device = pool_->device();
+  std::vector<uint8_t> buffer(device->page_size(), 0);
   for (const auto& [id, node] : nodes_) {
     GAUSS_CHECK_MSG(node->SerializedSize(dim_) <= buffer.size(),
                     "node exceeds page capacity");
     std::fill(buffer.begin(), buffer.end(), 0);
     node->Serialize(buffer.data(), dim_);
-    pool_->WritePage(id, buffer.data());
+    device->Write(id, buffer.data());
   }
-  pool_->FlushAll();
   finalized_count_ = nodes_.size();
   nodes_.clear();
+  legacy_pages_ = false;
   finalized_ = true;
 }
 
-void GtNodeStore::OpenFinalized(std::vector<PageId> pages) {
+bool GtNodeStore::OpenFinalized(PageId root, bool legacy_pages,
+                                std::string* error) {
   GAUSS_CHECK_MSG(nodes_.empty() && all_pages_.empty(),
                   "OpenFinalized requires a fresh store");
-  all_pages_ = std::move(pages);
-  finalized_count_ = all_pages_.size();
   finalized_ = true;
+  legacy_pages_ = legacy_pages;
+  std::vector<bool> seen(pool_->device()->PageCount(), false);
+  std::deque<PageId> queue{root};
+  GtNodeSoa view;
+  while (!queue.empty()) {
+    const PageId id = queue.front();
+    queue.pop_front();
+    const std::string page = "node page " + std::to_string(id);
+    if (id >= seen.size()) {
+      *error = page + " is beyond the device";
+      return false;
+    }
+    if (seen[id]) {
+      *error = page + " is reached twice";
+      return false;
+    }
+    seen[id] = true;
+    const char* why = nullptr;
+    if (!LoadSoa(id, &view, &why)) {
+      *error = page + ": " + why;
+      return false;
+    }
+    all_pages_.push_back(id);
+    if (!view.leaf()) queue.insert(queue.end(), view.children,
+                                   view.children + view.n);
+  }
+  finalized_count_ = all_pages_.size();
+  return true;
 }
 
 void GtNodeStore::PinRoot(PageId id) {
   GAUSS_CHECK_MSG(finalized_, "PinRoot requires query mode");
-  const PageRef page = pool_->Fetch(id);
-  pinned_ =
-      std::make_unique<GtNode>(GtNode::Deserialize(page.data(), dim_, id));
+  pinned_.reset();
+  pinned_soa_.reset();
+  GtNodeSoa view;
+  const char* why = nullptr;
+  const bool loaded = LoadSoa(id, &view, &why);
+  GAUSS_CHECK_MSG(loaded, why);
+  const size_t bytes = pool_->page_size();
+  pinned_page_.assign((bytes + sizeof(uint64_t) - 1) / sizeof(uint64_t), 0);
+  std::memcpy(pinned_page_.data(), view.page.data(), bytes);
   pinned_soa_ = std::make_unique<GtNodeSoa>();
-  GtNodeSoa::Decode(page.data(), dim_, id, pinned_soa_.get());
+  GtNodeSoa::Decode(reinterpret_cast<const uint8_t*>(pinned_page_.data()),
+                    dim_, id, pinned_soa_.get());
+  pinned_ = std::make_unique<GtNode>(pinned_soa_->ToNode());
   pinned_bounds_.clear();
   if (pinned_->EntryCount() > 0) {
     pinned_bounds_ = pinned_->ComputeBounds(dim_);
@@ -103,12 +171,12 @@ void GtNodeStore::Definalize() {
   if (!finalized_) return;
   pinned_.reset();
   pinned_soa_.reset();
+  pinned_page_.clear();
   pinned_bounds_.clear();
   pinned_id_ = kInvalidPageId;
   for (PageId id : all_pages_) {
-    const PageRef page = pool_->Fetch(id);
-    auto node =
-        std::make_unique<GtNode>(GtNode::Deserialize(page.data(), dim_, id));
+    auto node = std::make_unique<GtNode>();
+    Load(id, node.get());
     nodes_.emplace(id, std::move(node));
   }
   finalized_ = false;

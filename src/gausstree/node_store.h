@@ -2,6 +2,7 @@
 #define GAUSS_GAUSSTREE_NODE_STORE_H_
 
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -17,10 +18,11 @@ namespace gauss {
 //    whole tree); page ids are pre-allocated on the device so the final
 //    layout is fixed. This keeps construction fast without distorting query
 //    measurements.
-//  * Query phase (after Finalize()): every access goes through the buffer
-//    pool — a fetch is a logical page access, a miss is a physical one — and
-//    the node is deserialized from page bytes, exactly what a disk-resident
-//    index pays.
+//  * Query phase (after Finalize()): every access goes through the page
+//    cache — a fetch is a logical page access, a miss is a physical one —
+//    and the kernels score the pinned frame in place: a node page is the
+//    structure-of-arrays layout they read (GtNodeSoa), so a visit costs a
+//    fetch and no copy, exactly what a disk-resident index pays.
 //
 // Definalize() reloads every node into memory to resume building (dynamic
 // insert after a finalized load).
@@ -37,30 +39,38 @@ class GtNodeStore {
   // Build-phase mutable access.
   GtNode* GetMutable(PageId id);
 
-  // Query access. In the build phase returns the in-memory object without
-  // touching the pool; after Finalize() fetches + deserializes.
-  // The returned value is a copy in the finalized case; `scratch` avoids
-  // reallocation across calls.
+  // Materialized node access for build-phase edits and whole-tree walks
+  // (statistics, validation, the merge's object collection). In the build
+  // phase copies the in-memory object; after Finalize() loads the page
+  // through LoadSoa and aborts if it is damaged.
   void Load(PageId id, GtNode* scratch) const;
 
-  // Query access shaped for the batch kernels: decodes the page straight
-  // into `scratch`'s SoA planes (math/kernels.h layout) without materializing
-  // a GtNode. Same page-accounting semantics as Load(); the pinned root is
-  // served from a pre-decoded SoA copy.
-  void LoadSoa(PageId id, GtNodeSoa* scratch) const;
+  // Query access: points `view` at node `id` — at the fetched cache frame
+  // of a v3 page, at the pinned root's planes, or at `view`'s own scratch
+  // for a legacy page or a build-phase node. A fetched frame stays pinned
+  // by view->page until the next load or its Release(). Same page
+  // accounting as a fetch; the pinned root costs none.
+  //
+  // The one place that trusts node bytes: a finalized page is checked
+  // before it is viewed — its tag and entry count (GtNodeSoa::Validate),
+  // its CRC-32C once per cache frame (PageRef::verified), and every child
+  // id against the device's page count. A damaged page returns false with
+  // the reason in `*why` (when non-null) and leaves `view` holding nothing.
+  bool LoadSoa(PageId id, GtNodeSoa* view, const char** why = nullptr) const;
 
-  // Serializes every node to its page and switches to query mode.
+  // Writes every node straight to its device page (the cache keeps no copy
+  // of them) and switches to query mode.
   void Finalize();
 
   // Loads every node back into memory and switches to build mode.
   void Definalize();
 
   // Pins one node — the root — in memory for the finalized lifetime:
-  // Load() serves it by copy without touching the pool. Every traversal
-  // starts at the root twice (the reference-scale computation, then the
-  // first expansion), so an unpinned root costs two logical reads per query
-  // per tree — the dominant fixed I/O tax of a sharded database, paid N
-  // times per query. One page of memory, one read at pin time.
+  // LoadSoa() and Load() serve it without touching the pool. Every
+  // traversal starts at the root twice (the reference-scale computation,
+  // then the first expansion), so an unpinned root costs two logical reads
+  // per query per tree — the dominant fixed I/O tax of a sharded database,
+  // paid N times per query. One page of memory, one read at pin time.
   // Definalize() drops the pin (build mode mutates nodes in place).
   void PinRoot(PageId id);
 
@@ -72,9 +82,13 @@ class GtNodeStore {
   }
 
   // Switches an empty store into query mode over an existing on-device tree
-  // whose node pages are `pages` (the root-reachable set). Used by
-  // GaussTree::Open.
-  void OpenFinalized(std::vector<PageId> pages);
+  // rooted at `root` (GaussTree::Open). Walks every root-reachable page
+  // through LoadSoa — so each page's checksum is verified — and remembers
+  // the set for Definalize(). `legacy_pages` admits the pre-v3 row format
+  // (trees whose header predates it); a v3 tree holds only v3 pages. Returns
+  // false, with the reason in `*error`, on a damaged page or a page reached
+  // twice; the store is then unusable.
+  bool OpenFinalized(PageId root, bool legacy_pages, std::string* error);
 
   bool finalized() const { return finalized_; }
   size_t node_count() const;
@@ -85,11 +99,16 @@ class GtNodeStore {
   PageCache* pool_;
   size_t dim_;
   bool finalized_ = false;
+  // Whether finalized pages may be in the legacy format (see OpenFinalized).
+  bool legacy_pages_ = false;
   std::unordered_map<PageId, std::unique_ptr<GtNode>> nodes_;
   size_t finalized_count_ = 0;
   std::vector<PageId> all_pages_;
   PageId pinned_id_ = kInvalidPageId;
   std::unique_ptr<GtNode> pinned_;
+  // The root page's bytes and a view over them (or over its own scratch,
+  // for a legacy root) that LoadSoa aliases.
+  std::vector<uint64_t> pinned_page_;
   std::unique_ptr<GtNodeSoa> pinned_soa_;
   std::vector<DimBounds> pinned_bounds_;
 };

@@ -130,8 +130,8 @@ inline double ComputeLogRef(const GaussTree& tree, const Pfv& q) {
                            tree.dim(), tree.options().sigma_policy);
 }
 
-// SoA node scratch plus the score buffers one batch expansion fills — each
-// traversal owns one so node decode and scoring never reallocate across
+// The node view plus the score buffers one batch expansion fills — each
+// traversal owns one so loading and scoring never reallocate across
 // expansions.
 struct BatchScratch {
   GtNodeSoa node;

@@ -41,8 +41,11 @@ double TiqTraversal::ProbLo(double scaled) const {
   return den > 0.0 ? scaled / den : 0.0;
 }
 
-void TiqTraversal::Expand(const ActiveNode& active) {
-  tree_.store().LoadSoa(active.page, &scratch_.node);
+bool TiqTraversal::Expand(const ActiveNode& active) {
+  if (!tree_.store().LoadSoa(active.page, &scratch_.node)) {
+    corrupt_ = true;
+    return false;
+  }
   ++counters_.nodes_visited;
   // One batch kernel call scores the whole node against the query (leaf:
   // Lemma 1 joint densities; inner: Lemma 2/3 hull bounds), then the scalar
@@ -63,7 +66,9 @@ void TiqTraversal::Expand(const ActiveNode& active) {
                                scratch_.scaled_upper[j],
                                scratch_.scaled_lower[j]});
     }
-  }
+  }  // Unpin the frame: a traversal parked between refine rounds holds none.
+  scratch_.node.page.Release();
+  return true;
 }
 
 void TiqTraversal::Sweep() {
@@ -98,7 +103,7 @@ void TiqTraversal::Run() {
       // decided (no interval straddles the threshold).
       if (!options_.exact_membership || AllDecided()) break;
     }
-    Expand(tracker_.Pop());
+    if (!Expand(tracker_.Pop())) return;
     Sweep();
   }
   Sweep();
@@ -111,7 +116,7 @@ void TiqTraversal::Run() {
       const double lo = tracker_.DenominatorLo();
       const double hi = tracker_.DenominatorHi();
       if (lo > 0.0 && (hi - lo) <= eps * lo) break;
-      Expand(tracker_.Pop());
+      if (!Expand(tracker_.Pop())) return;
       Sweep();
     }
   }
@@ -125,8 +130,8 @@ void TiqTraversal::Run() {
 
 void TiqTraversal::RefineDenominator(double max_gap) {
   GAUSS_CHECK_MSG(ran_, "RefineDenominator before Run");
-  while (!tracker_.Empty() && denominator_gap() > max_gap) {
-    Expand(tracker_.Pop());
+  while (!corrupt_ && !tracker_.Empty() && denominator_gap() > max_gap) {
+    if (!Expand(tracker_.Pop())) return;
     Sweep();
   }
 }
@@ -144,6 +149,7 @@ TraversalStats TiqTraversal::stats() const {
 TiqResult TiqTraversal::Result() const {
   TiqResult result;
   result.stats = stats();
+  result.corrupt = corrupt_;
   const double den_lo = result.stats.denominator_lo;
 
   // Degenerate case: every density underflowed to zero (the query is

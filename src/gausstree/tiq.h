@@ -50,6 +50,9 @@ using TiqStats = TraversalStats;
 struct TiqResult {
   std::vector<IdentificationResult> items;  // descending probability
   TiqStats stats;
+  // A node page failed validation (GtNodeStore::LoadSoa): the traversal
+  // stopped there, and items/stats are not an answer.
+  bool corrupt = false;
 };
 
 // Threshold identification query (paper Definition 2 + Section 5.2.3):
@@ -99,6 +102,11 @@ class TiqTraversal {
 
   bool exhausted() const { return tracker_.Empty(); }
 
+  // True once a node page failed validation: Run() and RefineDenominator()
+  // stopped at that page and do nothing further, and the traversal's items
+  // and bounds are not an answer.
+  bool corrupt() const { return corrupt_; }
+
   // Reference log scale; see MliqTraversal::log_ref().
   double log_ref() const { return log_ref_; }
 
@@ -121,7 +129,9 @@ class TiqTraversal {
   const GaussTree& tree() const { return tree_; }
 
  private:
-  void Expand(const internal::ActiveNode& active);
+  // Loads and scores one node; false (and corrupt_ set) when its page fails
+  // validation, which ends the traversal.
+  bool Expand(const internal::ActiveNode& active);
   // Discards candidates that can no longer qualify (paper Figure 5's "delete
   // unnecessary candidates"). Their densities stay in the exact sum.
   void Sweep();
@@ -141,9 +151,10 @@ class TiqTraversal {
   internal::DenominatorTracker tracker_;
   internal::QueryCounters counters_;
   std::vector<ScoredObject> candidates_;
-  // SoA decode + batch-score scratch, reused across Expand calls.
+  // Node view + batch-score scratch, reused across Expand calls.
   internal::BatchScratch scratch_;
   bool ran_ = false;
+  bool corrupt_ = false;
 };
 
 }  // namespace gauss

@@ -2,11 +2,11 @@
 
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string_view>
 
+#include "common/cpus.h"
 #include "math/kernels_simd.h"
 
 #if defined(__aarch64__)
@@ -349,11 +349,7 @@ bool Runnable(const KernelBackend& backend) {
 
 const KernelBackend& ActiveBackend() {
   static const KernelBackend* active = [] {
-    const char* force = std::getenv("GAUSS_FORCE_SCALAR");
-    if (force != nullptr && force[0] != '\0' &&
-        !(force[0] == '0' && force[1] == '\0')) {
-      return &kScalarBackend;
-    }
+    if (ScalarForced()) return &kScalarBackend;
     // Widest runnable backend wins; CompiledBackends() lists scalar first
     // and the SIMD backends in increasing width.
     const KernelBackend* best = &kScalarBackend;

@@ -31,10 +31,10 @@
 // may differ from libm by ~1-2 ulp; they do not differ between backends.
 namespace gauss::kernels {
 
-// Widest vector width (doubles) any backend uses; SoA plane strides are
-// padded to a multiple of this so every plane starts at the same offset
-// pattern regardless of entry count. Kernels never READ the padding (see
-// the concurrency note on JointBatchArgs), padding only rounds the layout.
+// Widest vector width (doubles) any backend uses. A plane stride may be
+// anything >= n: node pages use n itself, a DeltaTree its capacity, and the
+// kernel tests pad with PadEntries. Kernels never READ past n (see the
+// concurrency note on JointBatchArgs).
 inline constexpr size_t kMaxLanes = 8;
 
 inline constexpr size_t PadEntries(size_t n) {

@@ -32,6 +32,10 @@ enum class NetErrorCode : uint8_t {
   // The query's own deadline had already passed before the request could be
   // written — failed fast on the client, no frame ever hit the wire.
   kDeadlineExceeded = 7,
+  // The shard's traversal reached a node page that failed validation
+  // (GtNodeStore::LoadSoa): a damaged shard image, not a transport fault.
+  // Peers that predate this code decode it as a kProtocolError frame.
+  kCorrupt = 8,
 };
 
 inline const char* NetErrorCodeName(NetErrorCode code) {
@@ -52,6 +56,8 @@ inline const char* NetErrorCodeName(NetErrorCode code) {
       return "io error";
     case NetErrorCode::kDeadlineExceeded:
       return "deadline exceeded";
+    case NetErrorCode::kCorrupt:
+      return "corrupt page";
   }
   return "unknown";
 }

@@ -117,6 +117,11 @@ RefineUpdate UpdateFromTiq(const TiqTraversal& t) {
 
 }  // namespace
 
+NetError CorruptPageError() {
+  return {NetErrorCode::kCorrupt,
+          "the shard traversal reached a damaged node page"};
+}
+
 ShardSketch BuildShardSketch(const GaussTree& tree) {
   ShardSketch sketch;
   sketch.tree_size = tree.size();
@@ -201,6 +206,9 @@ std::future<ShardBackend::StartResult> InProcessBackend::Start(
       result.partial.items = t.tiq->candidates();
     }
     result.partial.tree_size = service_->tree().size();
+    if (t.mliq ? t.mliq->corrupt() : t.tiq->corrupt()) {
+      result.error = CorruptPageError();
+    }
     {
       std::lock_guard<std::mutex> lock(mu_);
       traversals_[traversal] = std::move(t);
@@ -243,10 +251,15 @@ ShardBackend::RefineResult InProcessBackend::Flush(
             t->tiq->RefineDenominator(spec.max_gap);
             result_ptr->updates.push_back(UpdateFromTiq(*t->tiq));
           }
+          if (t->mliq ? t->mliq->corrupt() : t->tiq->corrupt()) {
+            result_ptr->error = CorruptPageError();
+          }
         }
         return QueryResponse{};
       })
       .get();
+  // A damaged page fails the whole round, like a transport failure.
+  if (!result.error.ok()) result.updates.clear();
   return result;
 }
 

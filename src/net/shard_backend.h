@@ -53,7 +53,8 @@ namespace gauss {
 //
 // Failure model: Start/Refine complete with a typed NetError instead of
 // throwing or hanging; a coordinator maps any failure to a per-query
-// QueryResponse::Status::kShardError. InProcessBackend never fails.
+// QueryResponse::Status::kShardError. InProcessBackend fails only when its
+// traversal reaches a damaged node page (NetErrorCode::kCorrupt).
 //
 // Threading: all methods are thread-safe; futures become ready on backend
 // worker/reader threads. A Query passed to Start() must stay alive until
@@ -131,6 +132,10 @@ struct ShardSketch {
 // entry per pfv; an empty tree yields an empty sketch. Runs wherever the
 // caller wants the page I/O placed (backends use the shard's worker pool).
 ShardSketch BuildShardSketch(const GaussTree& tree);
+
+// The error a shard reports when its traversal reached a node page that
+// failed validation (MliqTraversal/TiqTraversal::corrupt()).
+NetError CorruptPageError();
 
 class ShardBackend {
  public:

@@ -317,12 +317,19 @@ void ShardServer::HandleStart(const std::shared_ptr<Connection>& conn,
     partial.items = t.tiq->candidates();
   }
   partial.tree_size = service_->tree().size();
+  const bool corrupt = t.mliq ? t.mliq->corrupt() : t.tiq->corrupt();
   {
     std::lock_guard<std::mutex> lock(conn->mu);
     if (conn->released.erase(start.traversal) == 0) {
       conn->traversals[start.traversal] = std::move(t);
     }
     // else: released while still starting — drop the traversal on the floor.
+  }
+  // A damaged page fails the query; the handle stays registered until the
+  // coordinator's Release, as after any failed Start.
+  if (corrupt) {
+    SendError(conn, request_id, CorruptPageError());
+    return;
   }
   std::vector<uint8_t> body;
   EncodeStartReply(partial, &body);
@@ -359,20 +366,27 @@ void ShardServer::HandleRefine(const std::shared_ptr<Connection>& conn,
   // half of "one frame per shard per round".
   std::vector<RefineUpdate> updates;
   updates.reserve(specs.size());
+  bool corrupt = false;
   service_
-      ->SubmitWork([&specs, &batch, &updates] {
+      ->SubmitWork([&specs, &batch, &updates, &corrupt] {
         for (size_t i = 0; i < specs.size(); ++i) {
           if (batch[i].mliq) {
             batch[i].mliq->RefineDenominator(specs[i].max_gap);
             updates.push_back(UpdateFromMliq(*batch[i].mliq));
+            corrupt = corrupt || batch[i].mliq->corrupt();
           } else {
             batch[i].tiq->RefineDenominator(specs[i].max_gap);
             updates.push_back(UpdateFromTiq(*batch[i].tiq));
+            corrupt = corrupt || batch[i].tiq->corrupt();
           }
         }
         return QueryResponse{};
       })
       .get();
+  if (corrupt) {
+    SendError(conn, request_id, CorruptPageError());
+    return;
+  }
 
   std::vector<uint8_t> body;
   EncodeRefineReply(updates, &body);

@@ -551,7 +551,7 @@ NetError DecodeError(const uint8_t* data, size_t size, NetError* out) {
   reader.U8(&code);
   reader.U32(&length);
   if (!reader.ok()) return ProtocolError("truncated error body");
-  if (code > static_cast<uint8_t>(NetErrorCode::kDeadlineExceeded)) {
+  if (code > static_cast<uint8_t>(NetErrorCode::kCorrupt)) {
     return ProtocolError("unknown error code");
   }
   if (length != reader.remaining()) {

@@ -19,16 +19,23 @@ QueryResponse ExecuteQuery(const GaussTree& tree, const Query& query) {
   QueryResponse resp;
   resp.kind = query.kind();
   const auto start = std::chrono::steady_clock::now();
+  bool corrupt = false;
   if (query.kind() == QueryKind::kMliq) {
     MliqResult r =
         QueryMliq(tree, query.pfv(), query.k(), query.mliq_options());
     resp.items = std::move(r.items);
     resp.stats = r.stats;
+    corrupt = r.corrupt;
   } else {
     TiqResult r =
         QueryTiq(tree, query.pfv(), query.threshold(), query.tiq_options());
     resp.items = std::move(r.items);
     resp.stats = r.stats;
+    corrupt = r.corrupt;
+  }
+  if (corrupt) {
+    resp.status = QueryResponse::Status::kCorrupt;
+    resp.items.clear();
   }
   resp.latency_ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -167,6 +174,10 @@ ServiceStats AggregateBatchStats(const std::vector<QueryResponse>& responses,
         continue;
       case QueryResponse::Status::kShardError:
         ++stats.shard_error_queries;
+        continue;
+      case QueryResponse::Status::kCorrupt:
+        // Counted in mliq/tiq_queries only: a counter of its own would
+        // change the stats wire body.
         continue;
       case QueryResponse::Status::kOk:
         break;

@@ -89,13 +89,19 @@ struct QueryResponse {
   // kDeadlineExceeded: the deadline passed before execution began.
   // kShardError: a sharded coordinator could not complete the query because
   //              a shard backend failed (connection lost, request timed out,
-  //              malformed reply); `error` carries the typed cause. Never
-  //              produced by an unsharded QueryService or in-process shards.
+  //              malformed reply, a damaged node page on the shard);
+  //              `error` carries the typed cause (NetErrorCode::kCorrupt for
+  //              a damaged page). Never produced by an unsharded
+  //              QueryService.
+  // kCorrupt: an unsharded QueryService's traversal reached a node page
+  //           that failed validation (GtNodeStore::LoadSoa — bad checksum,
+  //           malformed header, child id beyond the device); no answer.
   enum class Status : uint8_t {
     kOk = 0,
     kShed = 1,
     kDeadlineExceeded = 2,
     kShardError = 3,
+    kCorrupt = 4,
   };
 
   QueryKind kind = QueryKind::kMliq;

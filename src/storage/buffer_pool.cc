@@ -65,14 +65,15 @@ BufferPool::Frame& BufferPool::GetFrame(PageId id) {
 PageRef BufferPool::Fetch(PageId id) {
   Frame& frame = GetFrame(id);
   frame.pins.fetch_add(1, std::memory_order_relaxed);
-  return PageRef(frame.data.get(), &frame.pins);
+  return PageRef(frame.data.get(), &frame.pins, &frame.verified);
 }
 
 PageRef BufferPool::FetchMutable(PageId id) {
   Frame& frame = GetFrame(id);
   frame.dirty = true;
+  frame.verified.store(false, std::memory_order_relaxed);
   frame.pins.fetch_add(1, std::memory_order_relaxed);
-  return PageRef(frame.data.get(), &frame.pins);
+  return PageRef(frame.data.get(), &frame.pins, &frame.verified);
 }
 
 void BufferPool::WritePage(PageId id, const void* data) {
@@ -91,6 +92,7 @@ void BufferPool::WritePage(PageId id, const void* data) {
   }
   std::memcpy(it->second.data.get(), data, device_->page_size());
   it->second.dirty = true;
+  it->second.verified.store(false, std::memory_order_relaxed);
 }
 
 void BufferPool::FlushAll() {

@@ -64,6 +64,7 @@ class BufferPool : public PageCache {
     std::unique_ptr<uint8_t[]> data;
     bool dirty = false;
     std::atomic<uint32_t> pins{0};
+    std::atomic<bool> verified{false};  // see PageRef::verified()
     std::list<PageId>::iterator lru_pos;
   };
 

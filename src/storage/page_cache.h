@@ -24,21 +24,24 @@ namespace gauss {
 class PageRef {
  public:
   PageRef() = default;
-  PageRef(uint8_t* data, std::atomic<uint32_t>* pins)
-      : data_(data), pins_(pins) {}
+  PageRef(uint8_t* data, std::atomic<uint32_t>* pins,
+          std::atomic<bool>* verified)
+      : data_(data), pins_(pins), verified_(verified) {}
 
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
 
   PageRef(PageRef&& other) noexcept
       : data_(std::exchange(other.data_, nullptr)),
-        pins_(std::exchange(other.pins_, nullptr)) {}
+        pins_(std::exchange(other.pins_, nullptr)),
+        verified_(std::exchange(other.verified_, nullptr)) {}
 
   PageRef& operator=(PageRef&& other) noexcept {
     if (this != &other) {
       Release();
       data_ = std::exchange(other.data_, nullptr);
       pins_ = std::exchange(other.pins_, nullptr);
+      verified_ = std::exchange(other.verified_, nullptr);
     }
     return *this;
   }
@@ -55,17 +58,33 @@ class PageRef {
 
   explicit operator bool() const { return data_ != nullptr; }
 
+  // The frame's verified bit: set by a reader that has checked the frame's
+  // bytes (the Gauss-tree node view checks a page's CRC32C once per frame,
+  // gausstree/node_store.h), cleared whenever the frame's bytes change — a
+  // device read installing the frame, WritePage, FetchMutable. So a cache
+  // hit on a checked frame skips the check, and a frame that failed it is
+  // checked (and fails) again on every fetch. An empty ref reports false
+  // and ignores MarkVerified.
+  bool verified() const {
+    return verified_ != nullptr && verified_->load(std::memory_order_acquire);
+  }
+  void MarkVerified() const {
+    if (verified_ != nullptr) verified_->store(true, std::memory_order_release);
+  }
+
   void Release() {
     if (pins_ != nullptr) {
       pins_->fetch_sub(1, std::memory_order_release);
       pins_ = nullptr;
     }
     data_ = nullptr;
+    verified_ = nullptr;
   }
 
  private:
   uint8_t* data_ = nullptr;
   std::atomic<uint32_t>* pins_ = nullptr;
+  std::atomic<bool>* verified_ = nullptr;
 };
 
 // Abstract page cache in front of a PageDevice: the storage interface the

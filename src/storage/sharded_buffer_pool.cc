@@ -95,7 +95,7 @@ PageRef ShardedBufferPool::Fetch(PageId id) {
   std::lock_guard<std::mutex> lock(shard.latch);
   Frame& frame = GetFrameLocked(shard, id);
   frame.pins.fetch_add(1, std::memory_order_relaxed);
-  return PageRef(frame.data.get(), &frame.pins);
+  return PageRef(frame.data.get(), &frame.pins, &frame.verified);
 }
 
 PageRef ShardedBufferPool::FetchMutable(PageId id) {
@@ -103,8 +103,9 @@ PageRef ShardedBufferPool::FetchMutable(PageId id) {
   std::lock_guard<std::mutex> lock(shard.latch);
   Frame& frame = GetFrameLocked(shard, id);
   frame.dirty = true;
+  frame.verified.store(false, std::memory_order_relaxed);
   frame.pins.fetch_add(1, std::memory_order_relaxed);
-  return PageRef(frame.data.get(), &frame.pins);
+  return PageRef(frame.data.get(), &frame.pins, &frame.verified);
 }
 
 void ShardedBufferPool::WritePage(PageId id, const void* data) {
@@ -125,6 +126,7 @@ void ShardedBufferPool::WritePage(PageId id, const void* data) {
   }
   std::memcpy(it->second.data.get(), data, device_->page_size());
   it->second.dirty = true;
+  it->second.verified.store(false, std::memory_order_relaxed);
 }
 
 void ShardedBufferPool::FlushAll() {

@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -6,6 +8,7 @@
 #include "common/random.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/node.h"
+#include "legacy_image.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_device.h"
 
@@ -118,6 +121,158 @@ TEST(GtCapacitiesTest, MatchRecordSizes) {
   EXPECT_EQ(caps.inner, 24u);
   EXPECT_EQ(caps.leaf_min, 24u);
   EXPECT_EQ(caps.inner_min, 12u);
+}
+
+// The v3 header (8 bytes) costs no entry against the legacy one (5 bytes):
+// records and page sizes are multiples of 8, so no multiple of a record
+// size falls in the three bytes between them. So tree shapes, pages per
+// query and bytes per object are the same in both formats.
+TEST(GtCapacitiesTest, V3CapacityEqualsLegacyCapacityOnTheGrid) {
+  for (size_t dim = 1; dim <= 32; ++dim) {
+    for (uint32_t kib = 1; kib <= 64; ++kib) {
+      const uint32_t page_size = kib * 1024;
+      const size_t legacy_leaf = (page_size - 5) / (8 + 16 * dim);
+      const size_t legacy_inner = (page_size - 5) / (8 + 32 * dim);
+      if (legacy_leaf < 2 || legacy_inner < 2) continue;  // page too small
+      const GtCapacities caps = GtCapacities::ForPageSize(page_size, dim);
+      EXPECT_EQ(caps.leaf, legacy_leaf) << "dim " << dim << ", " << kib;
+      EXPECT_EQ(caps.inner, legacy_inner) << "dim " << dim << ", " << kib;
+    }
+  }
+}
+
+GtNode RandomLeaf(Rng& rng, size_t n, size_t dim) {
+  GtNode node;
+  node.kind = GtNodeKind::kLeaf;
+  for (uint64_t i = 0; i < n; ++i) node.pfvs.push_back(RandomPfv(rng, i, dim));
+  return node;
+}
+
+GtNode RandomInner(Rng& rng, size_t n, size_t dim) {
+  GtNode node;
+  node.kind = GtNodeKind::kInner;
+  for (uint32_t c = 0; c < n; ++c) {
+    GtChildEntry e;
+    e.child = 40 + c;
+    e.count = 7 * (c + 1);
+    for (size_t i = 0; i < dim; ++i) {
+      e.bounds.push_back({rng.Uniform(-1, 0), rng.Uniform(0, 1),
+                          rng.Uniform(0.01, 0.1), rng.Uniform(0.1, 0.5)});
+    }
+    node.children.push_back(std::move(e));
+  }
+  return node;
+}
+
+// A v3 page is the kernels' structure-of-arrays layout: Decode points the
+// view into the page itself, with no copy.
+TEST(GtNodeSoaTest, DecodeViewsV3PagesInPlace) {
+  Rng rng(54);
+  constexpr size_t kDim = 3;
+  const GtNode leaf = RandomLeaf(rng, 11, kDim);
+  std::vector<uint8_t> page(2048, 0);
+  leaf.Serialize(page.data(), kDim);
+  GtNodeSoa view;
+  GtNodeSoa::Decode(page.data(), kDim, 5, &view);
+  ASSERT_TRUE(view.leaf());
+  EXPECT_EQ(view.n, 11u);
+  EXPECT_EQ(view.stride, 11u);
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(view.ids), page.data() + 8);
+  EXPECT_EQ(reinterpret_cast<const uint8_t*>(view.mu()),
+            page.data() + 8 + 11 * 8);
+  for (size_t r = 0; r < 11; ++r) {
+    EXPECT_EQ(view.ids[r], leaf.pfvs[r].id);
+    for (size_t i = 0; i < kDim; ++i) {
+      EXPECT_EQ(view.mu()[i * view.stride + r], leaf.pfvs[r].mu[i]);
+      EXPECT_EQ(view.sigma()[i * view.stride + r], leaf.pfvs[r].sigma[i]);
+    }
+  }
+
+  const GtNode inner = RandomInner(rng, 6, kDim);
+  std::fill(page.begin(), page.end(), 0);
+  inner.Serialize(page.data(), kDim);
+  GtNodeSoa::Decode(page.data(), kDim, 6, &view);
+  ASSERT_FALSE(view.leaf());
+  for (size_t r = 0; r < 6; ++r) {
+    EXPECT_EQ(view.children[r], inner.children[r].child);
+    EXPECT_EQ(view.counts[r], inner.children[r].count);
+    for (size_t i = 0; i < kDim; ++i) {
+      const DimBounds& b = inner.children[r].bounds[i];
+      EXPECT_EQ(view.mu_lo()[i * view.stride + r], b.mu_lo);
+      EXPECT_EQ(view.mu_hi()[i * view.stride + r], b.mu_hi);
+      EXPECT_EQ(view.sigma_lo()[i * view.stride + r], b.sigma_lo);
+      EXPECT_EQ(view.sigma_hi()[i * view.stride + r], b.sigma_hi);
+    }
+  }
+}
+
+// Legacy row pages decode (through the view's own scratch) to the same
+// node as the v3 page of that node, and are valid only where admitted.
+TEST(GtNodeSoaTest, LegacyPagesDecodeToTheSameNode) {
+  Rng rng(55);
+  constexpr size_t kDim = 4;
+  for (const GtNode& node :
+       {RandomLeaf(rng, 9, kDim), RandomInner(rng, 5, kDim)}) {
+    std::vector<uint8_t> v3(2048, 0), legacy(2048, 0);
+    node.Serialize(v3.data(), kDim);
+    test::SerializeLegacy(node, kDim, legacy.data());
+    EXPECT_EQ(GtNodeSoa::Validate(legacy.data(), 2048, kDim, true, true),
+              nullptr);
+    EXPECT_STREQ(GtNodeSoa::Validate(legacy.data(), 2048, kDim, false, true),
+                 "unknown node tag");
+    GtNodeSoa view;
+    GtNodeSoa::Decode(legacy.data(), kDim, 8, &view);
+    EXPECT_FALSE(view.owned.empty());
+    const GtNode from_legacy = view.ToNode();
+    const GtNode from_v3 = GtNode::Deserialize(v3.data(), kDim, 8);
+    std::vector<uint8_t> a(2048, 0), b(2048, 0);
+    from_legacy.Serialize(a.data(), kDim);
+    from_v3.Serialize(b.data(), kDim);
+    EXPECT_EQ(a, v3);
+    EXPECT_EQ(b, v3);
+  }
+}
+
+// Every single-bit flip inside a v3 page's used bytes fails validation;
+// the unused tail is not covered. Malformed headers fail without a
+// checksum.
+TEST(GtNodeSoaTest, ValidateCatchesEveryBitFlipInTheUsedBytes) {
+  Rng rng(56);
+  constexpr size_t kDim = 2;
+  constexpr uint32_t kPage = 1024;
+  for (const GtNode& node :
+       {RandomLeaf(rng, 7, kDim), RandomInner(rng, 4, kDim)}) {
+    std::vector<uint8_t> page(kPage, 0);
+    node.Serialize(page.data(), kDim);
+    const size_t used = node.SerializedSize(kDim);
+    ASSERT_EQ(GtNodeSoa::Validate(page.data(), kPage, kDim, false, true),
+              nullptr);
+    for (size_t bit = 0; bit < 8 * kPage; ++bit) {
+      page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      const char* why =
+          GtNodeSoa::Validate(page.data(), kPage, kDim, false, true);
+      if (bit < 8 * used) {
+        EXPECT_NE(why, nullptr) << "bit " << bit;
+      } else {
+        EXPECT_EQ(why, nullptr) << "bit " << bit;
+      }
+      page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+    // Structural checks hold without the checksum.
+    std::vector<uint8_t> bad = page;
+    bad[0] = 9;
+    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, true, false),
+                 "unknown node tag");
+    bad = page;
+    bad[1] = 1;
+    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, true, false),
+                 "nonzero reserved header byte");
+    bad = page;
+    const uint16_t huge = 0xFFFF;
+    std::memcpy(bad.data() + 2, &huge, sizeof(huge));
+    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, true, false),
+                 "entry count exceeds the page");
+  }
 }
 
 class GaussTreeStructureTest : public ::testing::TestWithParam<size_t> {

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -8,6 +9,7 @@
 #include "gausstree/gauss_tree.h"
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
+#include "legacy_image.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
 #include "storage/buffer_pool.h"
@@ -149,6 +151,142 @@ TEST(GaussTreePersistenceTest, EmptyTreePersists) {
   EXPECT_EQ(reopened->size(), 0u);
   const Pfv q(1, {0.5, 0.5}, {0.1, 0.1});
   EXPECT_TRUE(QueryMliq(*reopened, q, 3).items.empty());
+}
+
+// Rewrites node `id` of a finalized tree on `device` with `edit` applied —
+// through the serializer, so the page stays checksum-valid and only the
+// store's structural checks can catch what the edit breaks.
+template <typename Edit>
+void RewriteNode(PageDevice* device, PageId id, size_t dim, Edit edit) {
+  std::vector<uint8_t> page(device->page_size());
+  device->Read(id, page.data());
+  GtNode node = GtNode::Deserialize(page.data(), dim, id);
+  edit(&node);
+  std::fill(page.begin(), page.end(), 0);
+  node.Serialize(page.data(), dim);
+  device->Write(id, page.data());
+}
+
+// Checksum-valid pages that still describe no tree are typed open errors:
+// a child id beyond the device, and a child pointing back at the root (the
+// walk would reach a page twice). A damaged page found after opening fails
+// the traversal that reaches it, never the process: QueryMliq/QueryTiq
+// report corrupt results, and the page fails again on every fetch.
+TEST(GaussTreePersistenceTest, DamagedNodePagesFailTyped) {
+  constexpr size_t kDim = 3;
+  Rng rng(205);
+  InMemoryPageDevice device(2048);
+  PageId meta = kInvalidPageId, root = kInvalidPageId;
+  {
+    BufferPool pool(&device, 64);
+    GaussTree tree(&pool, kDim);
+    PfvDataset dataset(kDim);
+    for (uint64_t i = 0; i < 1500; ++i) dataset.Add(RandomPfv(rng, i, kDim));
+    tree.BulkLoad(dataset);
+    tree.Finalize();
+    meta = tree.meta_page();
+    root = tree.root();
+  }
+  std::vector<uint8_t> pristine(device.page_size());
+  device.Read(root, pristine.data());
+  const auto try_open = [&](std::string* error) {
+    BufferPool pool(&device, 64);
+    return GaussTree::TryOpen(&pool, meta, error) != nullptr;
+  };
+
+  std::string error;
+  RewriteNode(&device, root, kDim,
+              [](GtNode* node) { node->children[0].child = 1u << 30; });
+  EXPECT_FALSE(try_open(&error));
+  EXPECT_NE(error.find("child page id beyond the device"), std::string::npos)
+      << error;
+
+  device.Write(root, pristine.data());
+  RewriteNode(&device, root, kDim,
+              [&](GtNode* node) { node->children[1].child = root; });
+  EXPECT_FALSE(try_open(&error));
+  EXPECT_NE(error.find("reached twice"), std::string::npos) << error;
+
+  // A v3 tree holds only v3 pages: a well-formed legacy page in it is as
+  // foreign as garbage (a flipped tag bit must not select the unchecked
+  // legacy reader).
+  device.Write(root, pristine.data());
+  {
+    const PageId id =
+        GtNode::Deserialize(pristine.data(), kDim, root).children[0].child;
+    std::vector<uint8_t> page(device.page_size());
+    device.Read(id, page.data());
+    const GtNode node = GtNode::Deserialize(page.data(), kDim, id);
+    std::vector<uint8_t> before = page;
+    std::fill(page.begin(), page.end(), 0);
+    test::SerializeLegacy(node, kDim, page.data());
+    device.Write(id, page.data());
+    EXPECT_FALSE(try_open(&error));
+    EXPECT_NE(error.find("unknown node tag"), std::string::npos) << error;
+    device.Write(id, before.data());
+  }
+
+  // Damage after opening: the pinned root is served from memory, so break a
+  // page below it.
+  device.Write(root, pristine.data());
+  BufferPool pool(&device, 64);
+  auto tree = GaussTree::Open(&pool, meta);
+  const PageId child = GtNode::Deserialize(pristine.data(), kDim, root)
+                           .children[0]
+                           .child;
+  std::vector<uint8_t> page(device.page_size());
+  device.Read(child, page.data());
+  page[12] ^= 0x01;  // inside the body: a checksum mismatch
+  device.Write(child, page.data());
+  pool.Clear();
+  const Pfv q = RandomPfv(rng, 99999, kDim);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    // A zero gap target refines until every page is expanded, the damaged
+    // one included.
+    const MliqResult mliq =
+        QueryMliq(*tree, q, 3, {.denominator_target_gap = 0.0});
+    EXPECT_TRUE(mliq.corrupt);
+    const TiqResult tiq =
+        QueryTiq(*tree, q, 0.5, {.denominator_target_gap = 0.0});
+    EXPECT_TRUE(tiq.corrupt);
+  }
+  GtNodeSoa view;
+  const char* why = nullptr;
+  EXPECT_FALSE(tree->store().LoadSoa(child, &view, &why));
+  EXPECT_STREQ(why, "checksum mismatch");
+  EXPECT_FALSE(view.page);
+  EXPECT_FALSE(pool.Fetch(child).verified());
+}
+
+// A traversal holds a page pin only while it scores that page: parked
+// between refine rounds it pins nothing, so a small cache can evict every
+// page it read. A checked frame carries the verified bit.
+TEST(GaussTreePersistenceTest, ParkedTraversalPinsNothing) {
+  constexpr size_t kDim = 3;
+  Rng rng(206);
+  InMemoryPageDevice device(2048);
+  BufferPool pool(&device, 16);
+  GaussTree tree(&pool, kDim);
+  PfvDataset dataset(kDim);
+  for (uint64_t i = 0; i < 1500; ++i) dataset.Add(RandomPfv(rng, i, kDim));
+  tree.BulkLoad(dataset);
+  tree.Finalize();
+
+  MliqTraversal traversal(tree, RandomPfv(rng, 99999, kDim), 3,
+                          {.refine_probabilities = false});
+  traversal.Run();
+  ASSERT_FALSE(traversal.exhausted());
+  ASSERT_GT(traversal.stats().nodes_visited, 1u);
+  GtNodeSoa view;
+  const PageId leaf = test::TreeNodePages(device, tree.meta_page()).back();
+  ASSERT_TRUE(tree.store().LoadSoa(leaf, &view));
+  EXPECT_TRUE(view.page.verified());
+  view.page.Release();
+  pool.Clear();
+  EXPECT_EQ(pool.resident_pages(), 0u);
+  traversal.RefineDenominator(0.0);  // resumes after the eviction
+  EXPECT_TRUE(traversal.exhausted());
+  EXPECT_FALSE(traversal.corrupt());
 }
 
 }  // namespace

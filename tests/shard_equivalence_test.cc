@@ -38,6 +38,7 @@
 #include "common/random.h"
 #include "data/generators.h"
 #include "data/workload.h"
+#include "legacy_image.h"
 #include "net/net_error.h"
 #include "net/shard_server.h"
 #include "pfv/pfv_file.h"
@@ -176,31 +177,37 @@ class Reference {
   BatchResult single_tree_;
 };
 
+// Checks `got`, the answer to ref.batch()[i], against the single-tree
+// reference and the seq-scan oracle.
+void ExpectResponseMatches(const QueryResponse& got, size_t i,
+                           const Reference& ref) {
+  SCOPED_TRACE("query " + std::to_string(i));
+  const Query& query = ref.batch()[i];
+  const QueryResponse& want = ref.single_tree().responses[i];
+  EXPECT_EQ(got.status, QueryResponse::Status::kOk);
+  EXPECT_EQ(got.kind, query.kind());
+  // Combined denominator interval must be well-formed.
+  EXPECT_LE(got.stats.denominator_lo, got.stats.denominator_hi);
+
+  if (IsLazyTiq(query)) {
+    ExpectLazyTiqContract(got.items, ref.ScanTiq(i));
+    return;
+  }
+  ExpectEquivalent(got.items, want.items, RefinesProbabilities(query));
+  // Independent oracle: the exhaustive scan.
+  if (query.kind() == QueryKind::kTiq) {
+    EXPECT_EQ(Ids(got.items), Ids(ref.ScanTiq(i)));
+  } else {
+    EXPECT_EQ(Ids(got.items), Ids(ref.ScanMliq(i, query.k())));
+  }
+}
+
 // Checks answers to ref.batch() against the single-tree reference and the
 // seq-scan oracle.
 void ExpectMatchesReference(const BatchResult& result, const Reference& ref) {
   ASSERT_EQ(result.responses.size(), ref.batch().size());
   for (size_t i = 0; i < result.responses.size(); ++i) {
-    SCOPED_TRACE("query " + std::to_string(i));
-    const Query& query = ref.batch()[i];
-    const QueryResponse& got = result.responses[i];
-    const QueryResponse& want = ref.single_tree().responses[i];
-    EXPECT_EQ(got.status, QueryResponse::Status::kOk);
-    EXPECT_EQ(got.kind, query.kind());
-    // Combined denominator interval must be well-formed.
-    EXPECT_LE(got.stats.denominator_lo, got.stats.denominator_hi);
-
-    if (IsLazyTiq(query)) {
-      ExpectLazyTiqContract(got.items, ref.ScanTiq(i));
-      continue;
-    }
-    ExpectEquivalent(got.items, want.items, RefinesProbabilities(query));
-    // Independent oracle: the exhaustive scan.
-    if (query.kind() == QueryKind::kTiq) {
-      EXPECT_EQ(Ids(got.items), Ids(ref.ScanTiq(i)));
-    } else {
-      EXPECT_EQ(Ids(got.items), Ids(ref.ScanMliq(i, query.k())));
-    }
+    ExpectResponseMatches(result.responses[i], i, ref);
   }
 }
 
@@ -1010,6 +1017,7 @@ class LoopbackStack {
   }
 
   bool ok() const { return remote_.has_value(); }
+  PageDevice& device() { return db_->device(); }
   Session& local() { return *local_; }
   Session& remote() { return *remote_; }
   void ShutdownServers() {
@@ -1395,6 +1403,214 @@ TEST(ShardEquivalenceTest, ZeroLowerBoundQueryTerminatesWithoutFullScan) {
   // ... and certification did NOT fall back to evaluating the whole gallery
   // in pursuit of a relative test that can never fire at lo == 0.
   EXPECT_LT(resp.stats.objects_evaluated, dataset.size());
+}
+
+// Objects like `dataset`'s but with ids from `first_id` on and jittered
+// means: later enrollments that collide with nothing already stored.
+PfvDataset Enrollments(const PfvDataset& dataset, size_t count,
+                       uint64_t first_id) {
+  PfvDataset extra(dataset.dim());
+  for (size_t i = 0; i < count; ++i) {
+    Pfv pfv = dataset.objects()[(i * 37) % dataset.size()];
+    pfv.id = first_id + i;
+    for (double& mu : pfv.mu) mu += 0.003 * static_cast<double>(1 + i % 7);
+    extra.Add(std::move(pfv));
+  }
+  return extra;
+}
+
+void ExpectTreeHeaderVersions(const PageDevice& device, uint32_t version) {
+  std::vector<uint8_t> page(device.page_size());
+  for (const PageId meta : test::TreeHeaderPages(device)) {
+    device.Read(meta, page.data());
+    EXPECT_EQ(GaussTree::InspectHeader(page.data(), page.size()).version,
+              version)
+        << "tree header page " << meta;
+  }
+}
+
+// A version-2 image — legacy row-format node pages without checksums,
+// forged from a fresh build by the test-local writer — opens and serves
+// oracle-identically in memory and on file, unsharded behind one shard and
+// over four. Inserting into the reopened file rewrites every node page in
+// the current format under a current header (the reopen after it would
+// reject any legacy page left behind), and the grown image answers for the
+// grown gallery.
+TEST(ShardEquivalenceTest, LegacyV2NodePagesServeAndRoundTripToV3) {
+  const PfvDataset dataset = MakeDataset(1200, 4, 8, /*seed=*/606);
+  const Reference ref(dataset, /*probes=*/6, /*seed=*/23);
+  const PfvDataset extra = Enrollments(dataset, 40, /*first_id=*/100000);
+  PfvDataset grown(dataset.dim());
+  for (const Pfv& pfv : dataset.objects()) grown.Add(pfv);
+  for (const Pfv& pfv : extra.objects()) grown.Add(pfv);
+  const Reference grown_ref(grown, /*probes=*/6, /*seed=*/23);
+
+  for (const size_t shards : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    GaussDbOptions options;
+    options.shards.num_shards = shards;
+    {
+      // In memory: forge the built image before Serve() reopens it.
+      GaussDb db = GaussDb::CreateInMemory(dataset.dim(), options);
+      db.Build(dataset);
+      test::ForgeLegacyImage(&db.device());
+      ExpectTreeHeaderVersions(db.device(), 2);
+      Session session = db.Serve({.num_workers = 2});
+      ExpectMatchesReference(session.ExecuteBatch(ref.batch()), ref);
+    }
+    const std::string path =
+        ::testing::TempDir() + "/gauss_db_legacy_v2.db";
+    {
+      GaussDb db = GaussDb::CreateOnFile(path, dataset.dim(), options);
+      db.Build(dataset);
+    }
+    {
+      FilePageDevice device(path, kDefaultPageSize, /*truncate=*/false);
+      test::ForgeLegacyImage(&device);
+    }
+    {
+      GaussDb db = GaussDb::OpenFile(path).value();
+      ExpectTreeHeaderVersions(db.device(), 2);
+      Session session = db.Serve({.num_workers = 2});
+      ExpectMatchesReference(session.ExecuteBatch(ref.batch()), ref);
+    }
+    {
+      GaussDb db = GaussDb::OpenFile(path).value();
+      for (const Pfv& pfv : extra.objects()) {
+        ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToBuild);
+      }
+      db.Finalize();
+      ExpectTreeHeaderVersions(db.device(), GaussTree::header_version());
+    }
+    {
+      OpenResult reopened = GaussDb::OpenFile(path);
+      ASSERT_TRUE(reopened.ok()) << reopened.error().message;
+      Session session = reopened->Serve({.num_workers = 2});
+      ExpectMatchesReference(session.ExecuteBatch(grown_ref.batch()),
+                             grown_ref);
+    }
+    std::remove(path.c_str());
+  }
+}
+
+// Flips 1-3 random bits inside the used bytes of four random node pages of
+// `disk`, runs ref.batch() through `session` with the caches dropped, and
+// repairs the pages; six rounds. Every response must be oracle-identical or
+// a typed corrupt error — kCorrupt from one tree, kShardError carrying
+// NetErrorCode::kCorrupt from a coordinator. Returns the corrupt count.
+size_t RunBitFlipRounds(PageDevice* disk, size_t dim, const Reference& ref,
+                        Session& session, const std::function<void()>& drop,
+                        uint64_t seed) {
+  std::vector<PageId> node_pages;
+  for (const PageId meta : test::TreeHeaderPages(*disk)) {
+    for (const PageId id : test::TreeNodePages(*disk, meta)) {
+      node_pages.push_back(id);
+    }
+  }
+  Rng rng(seed);
+  std::vector<uint8_t> page(disk->page_size());
+  size_t corrupt = 0;
+  for (int round = 0; round < 6; ++round) {
+    std::vector<std::pair<PageId, std::vector<uint8_t>>> originals;
+    for (int p = 0; p < 4; ++p) {
+      const PageId id = node_pages[rng.UniformInt(node_pages.size())];
+      disk->Read(id, page.data());
+      originals.emplace_back(id, page);
+      const size_t used =
+          GtNode::Deserialize(page.data(), dim, id).SerializedSize(dim);
+      for (uint64_t flips = 1 + rng.UniformInt(3); flips > 0; --flips) {
+        const uint64_t bit = rng.UniformInt(8 * used);
+        page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      }
+      disk->Write(id, page.data());
+    }
+    drop();
+    const BatchResult result = session.ExecuteBatch(ref.batch());
+    EXPECT_EQ(result.responses.size(), ref.batch().size());
+    for (size_t i = 0; i < result.responses.size(); ++i) {
+      const QueryResponse& got = result.responses[i];
+      if (got.status == QueryResponse::Status::kCorrupt) {
+        EXPECT_FALSE(session.sharded()) << "query " << i;
+        ++corrupt;
+      } else if (got.status == QueryResponse::Status::kShardError) {
+        EXPECT_TRUE(session.sharded()) << "query " << i;
+        EXPECT_EQ(got.error.code, NetErrorCode::kCorrupt)
+            << "query " << i << ": " << got.error.ToString();
+        ++corrupt;
+      } else {
+        ExpectResponseMatches(got, i, ref);
+      }
+    }
+    // Repair in reverse, so a page picked twice ends as it began.
+    for (auto it = originals.rbegin(); it != originals.rend(); ++it) {
+      disk->Write(it->first, it->second.data());
+    }
+  }
+  // Repaired pages are read afresh: the answers are whole again.
+  drop();
+  ExpectMatchesReference(session.ExecuteBatch(ref.batch()), ref);
+  return corrupt;
+}
+
+// Bit flips inside the used bytes of node pages on disk, behind a small
+// cache, never surface as a wrong answer or an abort: one tree, one shard
+// and four shards of a file, and four shards over RPC. Damage left on disk
+// makes OpenFile fail with kCorruptPage.
+TEST(ShardEquivalenceTest, FlippedNodePageBitsFailTypedNeverWrong) {
+  const PfvDataset dataset = MakeDataset(5000, 4, 12, /*seed=*/707);
+  const Reference ref(dataset, /*probes=*/8, /*seed=*/29);
+
+  for (const size_t shards : {size_t{0}, size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    const std::string path = ::testing::TempDir() + "/gauss_db_bitflip.db";
+    GaussDbOptions options;
+    options.shards.num_shards = shards;
+    {
+      GaussDb db = GaussDb::CreateOnFile(path, dataset.dim(), options);
+      db.Build(dataset);
+    }
+    // A second descriptor on the file stands in for the disk going bad
+    // under the serving process.
+    FilePageDevice disk(path, kDefaultPageSize, /*truncate=*/false);
+    GaussDb db = GaussDb::OpenFile(path).value();
+    Session session = db.Serve({.num_workers = 2, .cache_pages = 64});
+    const auto drop = [&] {
+      for (size_t s = 0; s < session.num_shards(); ++s) {
+        session.shard_tree(s).pool()->Clear();
+      }
+    };
+    EXPECT_GT(RunBitFlipRounds(&disk, dataset.dim(), ref, session, drop,
+                               /*seed=*/4242 + shards),
+              0u)
+        << "no flip reached a query";
+
+    // Damage one page for good: the node walk of OpenFile reports it typed.
+    const PageId victim =
+        test::TreeNodePages(disk, test::TreeHeaderPages(disk).back()).back();
+    std::vector<uint8_t> page(disk.page_size());
+    disk.Read(victim, page.data());
+    page[9] ^= 0x10;  // inside the first id or child entry
+    disk.Write(victim, page.data());
+    const OpenResult reopened = GaussDb::OpenFile(path);
+    ASSERT_FALSE(reopened.ok());
+    EXPECT_EQ(reopened.error().code, OpenErrorCode::kCorruptPage);
+    EXPECT_NE(reopened.error().message.find("checksum"), std::string::npos)
+        << reopened.error().message;
+    std::remove(path.c_str());
+  }
+
+  // Over the wire: each shard server's traversal fails Start or Refine with
+  // kCorrupt, and the front door passes the code on.
+  LoopbackStack stack(dataset, /*num_shards=*/4);
+  ASSERT_TRUE(stack.ok());
+  const auto drop = [&] {
+    for (size_t s = 0; s < stack.local().num_shards(); ++s) {
+      stack.local().shard_tree(s).pool()->Clear();
+    }
+  };
+  EXPECT_GT(RunBitFlipRounds(&stack.device(), dataset.dim(), ref,
+                             stack.remote(), drop, /*seed=*/4343),
+            0u);
 }
 
 }  // namespace

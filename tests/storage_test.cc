@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "storage/buffer_pool.h"
+#include "storage/crc32c.h"
 #include "storage/disk_model.h"
 #include "storage/sharded_buffer_pool.h"
 #include "storage/page_device.h"
@@ -376,6 +378,64 @@ TEST(DiskModelTest, ZeroPagesCostNothing) {
   DiskModel disk;
   EXPECT_EQ(disk.SequentialReadSeconds(0), 0.0);
   EXPECT_EQ(disk.RandomReadSeconds(0), 0.0);
+}
+
+TEST(Crc32cTest, KnownAnswerAndChaining) {
+  // Printed so CI can prove which implementation each lane exercised.
+  std::printf("crc32c: %s\n", Crc32cImplementation());
+  const char kCheck[] = "123456789";
+  EXPECT_EQ(Crc32c(kCheck, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable(kCheck, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(kCheck, 0), 0u);
+  EXPECT_EQ(Crc32c(kCheck + 4, 5, Crc32c(kCheck, 4)), 0xE3069283u);
+}
+
+TEST(Crc32cTest, DispatchedPathMatchesPortableOnRandomBuffers) {
+  Rng rng(2006);
+  std::vector<uint8_t> buffer(9000 + 8);
+  for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.UniformInt(256));
+  for (size_t n = 0; n <= 9000; ++n) {
+    const size_t offset = n % 8;  // unaligned starts too
+    const uint32_t seed = static_cast<uint32_t>(rng.UniformInt(1ull << 32));
+    ASSERT_EQ(Crc32c(buffer.data() + offset, n, seed),
+              Crc32cPortable(buffer.data() + offset, n, seed))
+        << "length " << n;
+  }
+}
+
+// The verified bit a page check sets survives cache hits and is cleared by
+// everything that can change the frame's bytes: a device read installing
+// the frame again, WritePage, FetchMutable.
+template <typename Pool>
+void ExpectVerifiedBitLifecycle(Pool* pool, PageDevice* device) {
+  const PageId id = 0;
+  EXPECT_FALSE(pool->Fetch(id).verified());
+  pool->Fetch(id).MarkVerified();
+  EXPECT_TRUE(pool->Fetch(id).verified());  // hit on a checked frame
+  const auto bytes = Pattern(device->page_size(), 3);
+  pool->WritePage(id, bytes.data());
+  EXPECT_FALSE(pool->Fetch(id).verified());
+  pool->Fetch(id).MarkVerified();
+  { const PageRef mutable_ref = pool->FetchMutable(id); }
+  EXPECT_FALSE(pool->Fetch(id).verified());
+  pool->Fetch(id).MarkVerified();
+  pool->Clear();  // the next fetch reads the device again
+  EXPECT_FALSE(pool->Fetch(id).verified());
+  EXPECT_FALSE(PageRef().verified());
+}
+
+TEST(BufferPoolTest, VerifiedBitLifecycle) {
+  InMemoryPageDevice device(1024);
+  device.Allocate();
+  BufferPool pool(&device, 4);
+  ExpectVerifiedBitLifecycle(&pool, &device);
+}
+
+TEST(ShardedBufferPoolTest, VerifiedBitLifecycle) {
+  InMemoryPageDevice device(1024);
+  device.Allocate();
+  ShardedBufferPool pool(&device, 4);
+  ExpectVerifiedBitLifecycle(&pool, &device);
 }
 
 }  // namespace

@@ -597,6 +597,15 @@ TEST(WireMessages, ErrorRoundTripsCodeAndMessage) {
     NetError out;
     return DecodeError(data, size, &out);
   });
+
+  // kCorrupt (a damaged shard page) is the newest code; one past it is not.
+  body.clear();
+  EncodeError({NetErrorCode::kCorrupt, "bad page"}, &body);
+  ASSERT_TRUE(DecodeError(body.data(), body.size(), &decoded).ok());
+  EXPECT_EQ(decoded.code, NetErrorCode::kCorrupt);
+  body[0] = static_cast<uint8_t>(NetErrorCode::kCorrupt) + 1;
+  EXPECT_EQ(DecodeError(body.data(), body.size(), &decoded).code,
+            NetErrorCode::kProtocolError);
 }
 
 }  // namespace
