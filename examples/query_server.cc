@@ -3,8 +3,8 @@
 // The offline path enrolls a synthetic gallery of persons into a GaussDb and
 // the online path serves a probe stream from a Session: several client
 // threads submit batches of MLIQ (who is this?) and TIQ (watchlist: anyone
-// above 20%?) queries that the session's worker pool executes concurrently
-// over a shared sharded page cache. A separate latency-sensitive client
+// above 20%?) queries that the session's threads execute concurrently over
+// a shared sharded page cache. A separate latency-sensitive client
 // streams single probes through Submit() with a per-query deadline — the
 // admission-control path: expired or shed probes come back immediately with
 // a non-kOk status instead of silently queueing forever.
@@ -232,16 +232,16 @@ int main(int argc, char** argv) {
 
     if (db->per_shard_devices()) {
       std::printf("GaussDb: %zu enrolled persons over %zu shard devices under "
-                  "%s, %zu workers behind a scatter-gather front door, %zu "
-                  "batch clients + 1 streaming client\n",
+                  "%s, %zu coordinator threads behind a scatter-gather front "
+                  "door, %zu batch clients + 1 streaming client\n",
                   db->size(), session->num_shards(), directory.c_str(),
-                  session->num_workers(), kClients);
+                  session->coordinator_threads(), kClients);
     } else if (db->sharded()) {
-      std::printf("GaussDb: %zu enrolled persons over %zu shards, %zu workers "
-                  "behind a scatter-gather front door, %zu batch clients + 1 "
-                  "streaming client\n",
-                  db->size(), session->num_shards(), session->num_workers(),
-                  kClients);
+      std::printf("GaussDb: %zu enrolled persons over %zu shards, %zu "
+                  "coordinator threads behind a scatter-gather front door, "
+                  "%zu batch clients + 1 streaming client\n",
+                  db->size(), session->num_shards(),
+                  session->coordinator_threads(), kClients);
     } else {
       std::printf("GaussDb: %zu enrolled persons, %zu workers, %zu batch "
                   "clients + 1 streaming client\n",

@@ -201,6 +201,10 @@ QueryService* Session::shard_service(size_t shard) {
 
 size_t Session::num_workers() const { return engine_->num_workers(); }
 
+size_t Session::coordinator_threads() const {
+  return engine_->coordinator_threads();
+}
+
 const char* InsertOutcomeName(InsertOutcome outcome) {
   switch (outcome) {
     case InsertOutcome::kRoutedToBuild: return "routed_to_build";

@@ -280,7 +280,8 @@ struct IngestStats {
 struct ServeOptions {
   // Worker threads; 0 = one per usable CPU (common/cpus.h). For a sharded
   // database this is the *total* budget, split evenly over the shards (at
-  // least one worker per shard).
+  // least one worker per shard). A sharded or live session executes its
+  // queries on min(budget, usable CPUs) coordinator threads.
   size_t num_workers = 0;
   // Cache budget of the serving pool(s), in pages. For a sharded database
   // the budget is split evenly over the per-shard pools.
@@ -403,9 +404,16 @@ class Session {
   // tests wrap in per-shard RPC servers.
   QueryService* shard_service(size_t shard);
 
-  // Total query-execution workers across all shards (coordinator threads
-  // not included; 0 for remote sessions).
+  // Total workers of the per-shard QueryService pools (0 for remote
+  // sessions). They execute an unsharded session's queries and serve a
+  // ShardServer over shard_service(); a sharded or live session's queries
+  // run on its coordinator threads instead (coordinator_threads()).
   size_t num_workers() const;
+
+  // Threads of the ShardCoordinator front door: min(ServeOptions budget,
+  // UsableCpus()) for a local session, 2 for a remote one, 0 when the
+  // front door is the one QueryService.
+  size_t coordinator_threads() const;
 
  private:
   friend class GaussDb;

@@ -13,22 +13,24 @@ namespace gauss {
 
 namespace {
 
+// A ServeOptions worker budget: num_workers, or UsableCpus() when 0.
+size_t ServeBudget(const ServeOptions& options) {
+  return options.num_workers != 0 ? options.num_workers : UsableCpus();
+}
+
 // Per-shard share of a ServeOptions budget: the worker pool split evenly
-// over the shards (at least one each; num_workers == 0 means UsableCpus()),
-// and the cache split the same way with a floor of 16 pages, enough for a
-// root-to-leaf path plus headers. Every epoch builds its stacks from this
-// one split, so enabling ingest changes *what* is served (base + delta),
-// never *how* the base is served.
+// over the shards (at least one each), and the cache split the same way
+// with a floor of 16 pages, enough for a root-to-leaf path plus headers.
+// Every epoch builds its stacks from this one split, so enabling ingest
+// changes *what* is served (base + delta), never *how* the base is served.
 struct ServeSplit {
   size_t workers_per_shard = 1;
   size_t pages_per_shard = 16;
 };
 
 ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
-  const size_t total_workers =
-      options.num_workers != 0 ? options.num_workers : UsableCpus();
   ServeSplit split;
-  split.workers_per_shard = std::max<size_t>(1, total_workers / shards);
+  split.workers_per_shard = std::max<size_t>(1, ServeBudget(options) / shards);
   split.pages_per_shard = std::max<size_t>(16, options.cache_pages / shards);
   return split;
 }
@@ -144,6 +146,12 @@ void ServingEngine::AttachCoordinator(Epoch* epoch) const {
   }
   ShardCoordinatorOptions coordinator_options;
   coordinator_options.queue_capacity = serve_.queue_capacity;
+  // Local threads run the traversals (see "Threads" in the class comment);
+  // more of them than CPUs only lengthens the tail.
+  if (!epoch->stacks.empty()) {
+    coordinator_options.num_threads =
+        std::min(ServeBudget(serve_), UsableCpus());
+  }
   epoch->coordinator = std::make_unique<ShardCoordinator>(
       std::move(backend_ptrs), coordinator_options);
 }
@@ -357,6 +365,11 @@ size_t ServingEngine::size() const {
   size_t total = epoch->base_objects;
   for (const auto& delta : epoch->deltas) total += delta->size();
   return total;
+}
+
+size_t ServingEngine::coordinator_threads() const {
+  std::shared_ptr<Epoch> epoch = Current();
+  return epoch->coordinator ? epoch->coordinator->num_threads() : 0;
 }
 
 size_t ServingEngine::num_workers() const {

@@ -52,6 +52,13 @@ struct ShardServingStack {
 // replaced; a remote engine's epoch has no local stacks, only the
 // RpcBackends and their coordinator.
 //
+// Threads. A local coordinator's threads run the shard traversals
+// themselves (InProcessBackend runs on the calling thread), so they are
+// sized like workers: min(serve budget, UsableCpus()). The per-shard
+// QueryService pools then serve only a ShardServer wrapped around
+// Session::shard_service(). A remote coordinator keeps 2 threads, which
+// block on the wire.
+//
 // Snapshot isolation without reader latching. The current epoch is published
 // as a shared_ptr; Submit()/ExecuteBatch() copy it at admission and route
 // through its front door. A query admitted at time t therefore sees exactly
@@ -140,8 +147,12 @@ class ServingEngine {
   bool sharded() const { return sharded_; }
   bool live() const { return ingest_.enabled; }
 
-  // Total query-execution workers of the current epoch (0 for remote).
+  // Total per-shard QueryService workers of the current epoch (0 for
+  // remote).
   size_t num_workers() const;
+  // Threads of the current epoch's ShardCoordinator (0 when the front door
+  // is the one QueryService).
+  size_t coordinator_threads() const;
 
   // The serving stack of `shard`: local engines without live ingest only
   // (a live epoch's stacks retire on merge; remote shards have none here).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/macros.h"
 #include "net/frame_io.h"
 
 namespace gauss {
@@ -13,6 +14,83 @@ constexpr std::chrono::milliseconds kDeadlineGrace{100};
 constexpr std::chrono::milliseconds kReaderTick{100};
 
 }  // namespace
+
+// ------------------------------ RefineChannel -------------------------------
+
+RefineChannel::RefineChannel(FlushFn flush) : flush_(std::move(flush)) {
+  flusher_ = std::thread([this] { Loop(); });
+}
+
+RefineChannel::~RefineChannel() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  cv_.notify_all();
+  flusher_.join();
+}
+
+std::future<ShardBackend::RefineResult> RefineChannel::Submit(
+    std::vector<RefineSpec> specs) {
+  Waiter waiter;
+  waiter.specs = std::move(specs);
+  std::future<ShardBackend::RefineResult> future =
+      waiter.promise.get_future();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    GAUSS_CHECK_MSG(!closed_, "Refine on a shut-down backend");
+    pending_.push_back(std::move(waiter));
+  }
+  cv_.notify_all();
+  return future;
+}
+
+BackendRefineCounters RefineChannel::counters() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return counters_;
+}
+
+void RefineChannel::Loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    cv_.wait(lock, [this] { return closed_ || !pending_.empty(); });
+    if (pending_.empty()) return;  // closed, fully drained
+    std::vector<Waiter> batch = std::move(pending_);
+    pending_.clear();
+
+    std::vector<RefineSpec> combined;
+    for (const Waiter& w : batch) {
+      combined.insert(combined.end(), w.specs.begin(), w.specs.end());
+    }
+    ++counters_.rounds;
+    counters_.requests += combined.size();
+    lock.unlock();
+
+    // One flush carries every spec pending at round start; submissions
+    // arriving during the flush ride the next round.
+    ShardBackend::RefineResult round = flush_(combined);
+    if (round.error.ok() && round.updates.size() != combined.size()) {
+      round.error = {NetErrorCode::kProtocolError,
+                     "refine round returned wrong update count"};
+      round.updates.clear();
+    }
+
+    size_t offset = 0;
+    for (Waiter& w : batch) {
+      ShardBackend::RefineResult part;
+      part.error = round.error;
+      if (round.error.ok()) {
+        part.updates.assign(round.updates.begin() + offset,
+                            round.updates.begin() + offset + w.specs.size());
+      }
+      offset += w.specs.size();
+      w.promise.set_value(std::move(part));
+    }
+    lock.lock();
+  }
+}
+
+// -------------------------------- RpcBackend --------------------------------
 
 std::unique_ptr<RpcBackend> RpcBackend::Connect(
     const std::string& host, uint16_t port, const RpcBackendOptions& options,

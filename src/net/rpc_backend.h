@@ -3,7 +3,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -16,6 +19,49 @@
 #include "net/wire.h"
 
 namespace gauss {
+
+// ============================== RefineChannel ===============================
+//
+// RpcBackend's refinement batcher: callers Submit() their specs and get a
+// future; a single flusher thread drains *everything* pending into one flush
+// callback (one kRefine frame) per round. Submissions arriving while a round
+// is in flight coalesce into the next round — so N concurrent unconverged
+// queries cost one round trip per shard per round, not N. Flush results are
+// split back positionally onto the waiters; a flush failure fails every
+// waiter of that round. The destructor drains pending submissions, then
+// joins.
+// ============================================================================
+class RefineChannel {
+ public:
+  using FlushFn = std::function<ShardBackend::RefineResult(
+      const std::vector<RefineSpec>&)>;
+
+  explicit RefineChannel(FlushFn flush);
+  ~RefineChannel();
+
+  RefineChannel(const RefineChannel&) = delete;
+  RefineChannel& operator=(const RefineChannel&) = delete;
+
+  std::future<ShardBackend::RefineResult> Submit(std::vector<RefineSpec> specs);
+
+  BackendRefineCounters counters() const;
+
+ private:
+  struct Waiter {
+    std::vector<RefineSpec> specs;
+    std::promise<ShardBackend::RefineResult> promise;
+  };
+
+  void Loop();
+
+  FlushFn flush_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  bool closed_ = false;                  // guarded by mu_
+  std::vector<Waiter> pending_;          // guarded by mu_
+  BackendRefineCounters counters_;       // guarded by mu_
+  std::thread flusher_;
+};
 
 struct RpcBackendOptions {
   std::chrono::milliseconds connect_timeout{5000};
@@ -33,9 +79,9 @@ struct RpcBackendOptions {
 //
 // One connection carries everything: requests are correlated by request_id,
 // a dedicated reader thread dispatches out-of-order replies to the pending
-// futures, and refinement rounds are batched through the shared
-// RefineChannel — one kRefine frame per round regardless of how many
-// concurrent queries are still unconverged.
+// futures, and refinement rounds are batched through a RefineChannel — one
+// kRefine frame per round regardless of how many concurrent queries are
+// still unconverged.
 //
 // Failure model: a request whose deadline passes fails with kTimeout (the
 // eventual late reply is discarded); when the connection drops, every

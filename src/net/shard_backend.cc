@@ -12,86 +12,13 @@
 
 namespace gauss {
 
-// ------------------------------ RefineChannel -------------------------------
-
-RefineChannel::RefineChannel(FlushFn flush) : flush_(std::move(flush)) {
-  flusher_ = std::thread([this] { Loop(); });
-}
-
-RefineChannel::~RefineChannel() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    closed_ = true;
-  }
-  cv_.notify_all();
-  flusher_.join();
-}
-
-std::future<ShardBackend::RefineResult> RefineChannel::Submit(
-    std::vector<RefineSpec> specs) {
-  Waiter waiter;
-  waiter.specs = std::move(specs);
-  std::future<ShardBackend::RefineResult> future =
-      waiter.promise.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    GAUSS_CHECK_MSG(!closed_, "Refine on a shut-down backend");
-    pending_.push_back(std::move(waiter));
-  }
-  cv_.notify_all();
-  return future;
-}
-
-BackendRefineCounters RefineChannel::counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return counters_;
-}
-
-void RefineChannel::Loop() {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (true) {
-    cv_.wait(lock, [this] { return closed_ || !pending_.empty(); });
-    if (pending_.empty()) return;  // closed, fully drained
-    std::vector<Waiter> batch = std::move(pending_);
-    pending_.clear();
-
-    std::vector<RefineSpec> combined;
-    for (const Waiter& w : batch) {
-      combined.insert(combined.end(), w.specs.begin(), w.specs.end());
-    }
-    ++counters_.rounds;
-    counters_.requests += combined.size();
-    lock.unlock();
-
-    // One flush carries every spec pending at round start; submissions
-    // arriving during the flush ride the next round.
-    ShardBackend::RefineResult round = flush_(combined);
-    if (round.error.ok() && round.updates.size() != combined.size()) {
-      round.error = {NetErrorCode::kProtocolError,
-                     "refine round returned wrong update count"};
-      round.updates.clear();
-    }
-
-    size_t offset = 0;
-    for (Waiter& w : batch) {
-      ShardBackend::RefineResult part;
-      part.error = round.error;
-      if (round.error.ok()) {
-        part.updates.assign(round.updates.begin() + offset,
-                            round.updates.begin() + offset + w.specs.size());
-      }
-      offset += w.specs.size();
-      w.promise.set_value(std::move(part));
-    }
-    lock.lock();
-  }
-}
-
 // ----------------------------- InProcessBackend -----------------------------
 
 namespace {
 
-RefineUpdate UpdateFromMliq(const MliqTraversal& t) {
+// The bounds and cumulative work counters of an MLIQ or TIQ traversal.
+template <typename Traversal>
+RefineUpdate UpdateFrom(const Traversal& t) {
   RefineUpdate u;
   const TraversalStats s = t.stats();
   u.denominator_lo = t.denominator_lo();
@@ -103,16 +30,23 @@ RefineUpdate UpdateFromMliq(const MliqTraversal& t) {
   return u;
 }
 
-RefineUpdate UpdateFromTiq(const TiqTraversal& t) {
-  RefineUpdate u;
-  const TraversalStats s = t.stats();
-  u.denominator_lo = t.denominator_lo();
-  u.denominator_hi = t.denominator_hi();
-  u.exhausted = t.exhausted();
-  u.nodes_visited = s.nodes_visited;
-  u.leaf_nodes_visited = s.leaf_nodes_visited;
-  u.objects_evaluated = s.objects_evaluated;
-  return u;
+template <typename Traversal>
+void FillPartial(const Traversal& t, ShardPartial* p) {
+  const RefineUpdate u = UpdateFrom(t);
+  p->log_ref = t.log_ref();
+  p->denominator_lo = u.denominator_lo;
+  p->denominator_hi = u.denominator_hi;
+  p->exhausted = u.exhausted;
+  p->nodes_visited = u.nodes_visited;
+  p->leaf_nodes_visited = u.leaf_nodes_visited;
+  p->objects_evaluated = u.objects_evaluated;
+}
+
+template <typename T>
+std::future<T> ReadyFuture(T value) {
+  std::promise<T> promise;
+  promise.set_value(std::move(value));
+  return promise.get_future();
 }
 
 }  // namespace
@@ -156,111 +90,75 @@ ShardSketch BuildShardSketch(const GaussTree& tree) {
 
 InProcessBackend::InProcessBackend(QueryService* service) : service_(service) {
   GAUSS_CHECK(service_ != nullptr);
-  channel_ = std::make_unique<RefineChannel>(
-      [this](const std::vector<RefineSpec>& specs) { return Flush(specs); });
-}
-
-InProcessBackend::~InProcessBackend() {
-  channel_.reset();  // drain pending refine rounds while service_ is live
+  GAUSS_CHECK_MSG(service_->tree().pool()->thread_safe(),
+                  "multi-worker serving needs a thread-safe PageCache "
+                  "(use ShardedBufferPool)");
 }
 
 size_t InProcessBackend::dim() const { return service_->tree().dim(); }
 
 std::future<ShardBackend::StartResult> InProcessBackend::Start(
     uint64_t traversal, const Query& query) {
-  auto promise = std::make_shared<std::promise<StartResult>>();
-  std::future<StartResult> future = promise->get_future();
-  // The traversal is constructed *and* run on the shard's worker pool, so
-  // page I/O stays with the shard that owns the pages (same placement as the
-  // pre-backend ShardCoordinator::ScatterRun). `query` stays valid until the
-  // future is ready (ShardBackend contract), so the pointer capture is safe.
-  const Query* q = &query;
-  service_->SubmitWork([this, traversal, q, promise] {
-    StartResult result;
-    Traversal t;
-    if (q->kind() == QueryKind::kMliq) {
-      t.mliq = std::make_unique<MliqTraversal>(service_->tree(), q->pfv(),
-                                               q->k(), q->mliq_options());
-      t.mliq->Run();
-      result.partial.log_ref = t.mliq->log_ref();
-      result.partial.denominator_lo = t.mliq->denominator_lo();
-      result.partial.denominator_hi = t.mliq->denominator_hi();
-      result.partial.exhausted = t.mliq->exhausted();
-      const TraversalStats s = t.mliq->stats();
-      result.partial.nodes_visited = s.nodes_visited;
-      result.partial.leaf_nodes_visited = s.leaf_nodes_visited;
-      result.partial.objects_evaluated = s.objects_evaluated;
-      result.partial.items = t.mliq->top_items();
-    } else {
-      t.tiq = std::make_unique<TiqTraversal>(service_->tree(), q->pfv(),
-                                             q->threshold(), q->tiq_options());
-      t.tiq->Run();
-      result.partial.log_ref = t.tiq->log_ref();
-      result.partial.denominator_lo = t.tiq->denominator_lo();
-      result.partial.denominator_hi = t.tiq->denominator_hi();
-      result.partial.exhausted = t.tiq->exhausted();
-      const TraversalStats s = t.tiq->stats();
-      result.partial.nodes_visited = s.nodes_visited;
-      result.partial.leaf_nodes_visited = s.leaf_nodes_visited;
-      result.partial.objects_evaluated = s.objects_evaluated;
-      result.partial.items = t.tiq->candidates();
-    }
-    result.partial.tree_size = service_->tree().size();
-    if (t.mliq ? t.mliq->corrupt() : t.tiq->corrupt()) {
-      result.error = CorruptPageError();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      traversals_[traversal] = std::move(t);
-    }
-    promise->set_value(std::move(result));
-    return QueryResponse{};
-  });
-  return future;
+  StartResult result;
+  Traversal t;
+  if (query.kind() == QueryKind::kMliq) {
+    t.mliq = std::make_unique<MliqTraversal>(service_->tree(), query.pfv(),
+                                             query.k(), query.mliq_options());
+    t.mliq->Run();
+    FillPartial(*t.mliq, &result.partial);
+    result.partial.items = t.mliq->top_items();
+  } else {
+    t.tiq = std::make_unique<TiqTraversal>(service_->tree(), query.pfv(),
+                                           query.threshold(),
+                                           query.tiq_options());
+    t.tiq->Run();
+    FillPartial(*t.tiq, &result.partial);
+    result.partial.items = t.tiq->candidates();
+  }
+  result.partial.tree_size = service_->tree().size();
+  if (t.mliq ? t.mliq->corrupt() : t.tiq->corrupt()) {
+    result.error = CorruptPageError();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    traversals_[traversal] = std::move(t);
+  }
+  return ReadyFuture(std::move(result));
 }
 
 std::future<ShardBackend::RefineResult> InProcessBackend::Refine(
     std::vector<RefineSpec> specs) {
-  return channel_->Submit(std::move(specs));
-}
-
-ShardBackend::RefineResult InProcessBackend::Flush(
-    const std::vector<RefineSpec>& specs) {
-  // The whole round is one closure on the shard's worker pool — the local
-  // analogue of "one frame per shard per round". Flush blocks until the
-  // closure finishes, so the captured reference stays valid.
   RefineResult result;
-  const std::vector<RefineSpec>* specs_ptr = &specs;
-  RefineResult* result_ptr = &result;
-  service_->SubmitWork([this, specs_ptr, result_ptr] {
-        for (const RefineSpec& spec : *specs_ptr) {
-          Traversal* t = nullptr;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            auto it = traversals_.find(spec.traversal);
-            GAUSS_CHECK_MSG(it != traversals_.end(),
-                            "Refine on an unknown traversal");
-            t = &it->second;
-          }
-          // Safe without the lock: the coordinator never releases a
-          // traversal with a refine round in flight.
-          if (t->mliq) {
-            t->mliq->RefineDenominator(spec.max_gap);
-            result_ptr->updates.push_back(UpdateFromMliq(*t->mliq));
-          } else {
-            t->tiq->RefineDenominator(spec.max_gap);
-            result_ptr->updates.push_back(UpdateFromTiq(*t->tiq));
-          }
-          if (t->mliq ? t->mliq->corrupt() : t->tiq->corrupt()) {
-            result_ptr->error = CorruptPageError();
-          }
-        }
-        return QueryResponse{};
-      })
-      .get();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++counters_.rounds;
+    counters_.requests += specs.size();
+  }
+  for (const RefineSpec& spec : specs) {
+    Traversal* t = nullptr;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = traversals_.find(spec.traversal);
+      GAUSS_CHECK_MSG(it != traversals_.end(),
+                      "Refine on an unknown traversal");
+      t = &it->second;
+    }
+    // Safe without the lock: the coordinator never releases a traversal
+    // with a refine round in flight, and a traversal belongs to one query.
+    if (t->mliq) {
+      t->mliq->RefineDenominator(spec.max_gap);
+      result.updates.push_back(UpdateFrom(*t->mliq));
+    } else {
+      t->tiq->RefineDenominator(spec.max_gap);
+      result.updates.push_back(UpdateFrom(*t->tiq));
+    }
+    if (t->mliq ? t->mliq->corrupt() : t->tiq->corrupt()) {
+      result.error = CorruptPageError();
+    }
+  }
   // A damaged page fails the whole round, like a transport failure.
   if (!result.error.ok()) result.updates.clear();
-  return result;
+  return ReadyFuture(std::move(result));
 }
 
 void InProcessBackend::Release(const std::vector<uint64_t>& traversals) {
@@ -275,21 +173,14 @@ ShardBackend::StatsResult InProcessBackend::FetchStats() {
 }
 
 ShardBackend::SketchResult InProcessBackend::FetchSketch() {
-  // The root page load runs on the shard's worker pool, same placement rule
-  // as Start/Refine.
   SketchResult result;
-  SketchResult* result_ptr = &result;
-  service_
-      ->SubmitWork([this, result_ptr] {
-        result_ptr->sketch = BuildShardSketch(service_->tree());
-        return QueryResponse{};
-      })
-      .get();
+  result.sketch = BuildShardSketch(service_->tree());
   return result;
 }
 
 BackendRefineCounters InProcessBackend::refine_counters() const {
-  return channel_->counters();
+  std::lock_guard<std::mutex> lock(mu_);
+  return counters_;
 }
 
 // ------------------------------- DeltaBackend -------------------------------
@@ -304,17 +195,11 @@ size_t DeltaBackend::dim() const { return delta_->dim(); }
 
 std::future<ShardBackend::StartResult> DeltaBackend::Start(
     uint64_t traversal, const Query& query) {
-  std::promise<StartResult> promise;
-  std::future<StartResult> future = promise.get_future();
-
   StartResult result;
   ShardPartial& partial = result.partial;
   const size_t n = delta_->size();  // snapshot: the query's delta prefix
   partial.tree_size = n;
-  if (n == 0) {
-    promise.set_value(std::move(result));
-    return future;
-  }
+  if (n == 0) return ReadyFuture(std::move(result));
 
   // Exact per-object joint log densities over the delta's SoA planes — one
   // batch kernel call for the whole prefix, same arithmetic the tree
@@ -379,8 +264,7 @@ std::future<ShardBackend::StartResult> DeltaBackend::Start(
     std::lock_guard<std::mutex> lock(mu_);
     traversals_[traversal] = State{denominator.Value(), n};
   }
-  promise.set_value(std::move(result));
-  return future;
+  return ReadyFuture(std::move(result));
 }
 
 std::future<ShardBackend::RefineResult> DeltaBackend::Refine(
@@ -388,7 +272,6 @@ std::future<ShardBackend::RefineResult> DeltaBackend::Refine(
   // Defensive: every refinement policy skips exhausted traversals, so this
   // path is never exercised by the coordinator — but answering with the
   // stored exact state keeps the backend honest if that ever changes.
-  std::promise<RefineResult> promise;
   RefineResult result;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -405,8 +288,7 @@ std::future<ShardBackend::RefineResult> DeltaBackend::Refine(
       result.updates.push_back(update);
     }
   }
-  promise.set_value(std::move(result));
-  return promise.get_future();
+  return ReadyFuture(std::move(result));
 }
 
 void DeltaBackend::Release(const std::vector<uint64_t>& traversals) {

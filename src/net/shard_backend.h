@@ -1,13 +1,10 @@
 #ifndef GAUSS_NET_SHARD_BACKEND_H_
 #define GAUSS_NET_SHARD_BACKEND_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -45,9 +42,9 @@ namespace gauss {
 //      traversal stays resumable behind the caller-chosen `traversal`
 //      handle.
 //   2. Refine({traversal, max_gap}...) resumes denominator refinement for a
-//      *batch* of traversals — one round trip per shard per refinement
-//      round, no matter how many unconverged queries ride in it (see
-//      RefineChannel below).
+//      *batch* of traversals. Over the wire, concurrent queries' batches
+//      coalesce into one frame per shard per refinement round
+//      (RefineChannel, net/rpc_backend.h).
 //   3. Release(traversals) frees the shard-side traversal state once the
 //      coordinator has certified (or abandoned) the query.
 //
@@ -56,10 +53,11 @@ namespace gauss {
 // QueryResponse::Status::kShardError. InProcessBackend fails only when its
 // traversal reaches a damaged node page (NetErrorCode::kCorrupt).
 //
-// Threading: all methods are thread-safe; futures become ready on backend
-// worker/reader threads. A Query passed to Start() must stay alive until
-// the returned future is ready (coordinator threads gather immediately, so
-// this holds by construction).
+// Threading: all methods are thread-safe. In-process backends run every
+// step on the calling thread and return ready futures; RpcBackend's become
+// ready on its reader thread. A Query passed to Start() must stay alive
+// until the returned future is ready (coordinator threads gather
+// immediately, so this holds by construction).
 // ============================================================================
 
 // One shard's partial answer after Start (all values in the shard traversal's
@@ -98,9 +96,10 @@ struct RefineUpdate {
   uint64_t objects_evaluated = 0;
 };
 
-// How many refinement rounds (batched flushes) a backend has sent, and how
-// many per-traversal refine requests those rounds carried — requests/rounds
-// is the batching win ServiceStats::refine_rounds reports.
+// How many refinement rounds a backend has run (one per Refine call in
+// process, one per batched flush over the wire), and how many per-traversal
+// refine requests those rounds carried — requests/rounds is the batching win
+// ServiceStats::refine_rounds reports.
 struct BackendRefineCounters {
   uint64_t rounds = 0;
   uint64_t requests = 0;
@@ -129,8 +128,8 @@ struct ShardSketch {
 
 // Builds the sketch from a tree's root node (one page load). An inner root
 // yields one entry per child subtree; a leaf root yields one degenerate
-// entry per pfv; an empty tree yields an empty sketch. Runs wherever the
-// caller wants the page I/O placed (backends use the shard's worker pool).
+// entry per pfv; an empty tree yields an empty sketch. Runs on the calling
+// thread.
 ShardSketch BuildShardSketch(const GaussTree& tree);
 
 // The error a shard reports when its traversal reached a node page that
@@ -172,9 +171,9 @@ class ShardBackend {
   virtual std::future<StartResult> Start(uint64_t traversal,
                                          const Query& query) = 0;
 
-  // Resumes denominator refinement for a batch of live traversals.
-  // Concurrent calls coalesce: all specs pending when a round begins travel
-  // in one flush (one frame / one shard-worker closure).
+  // Resumes denominator refinement for a batch of live traversals. Over the
+  // wire, concurrent calls coalesce: all specs pending when a round begins
+  // travel in one frame.
   virtual std::future<RefineResult> Refine(std::vector<RefineSpec> specs) = 0;
 
   // Frees shard-side traversal state. Fire-and-forget; releasing an unknown
@@ -193,61 +192,21 @@ class ShardBackend {
   virtual BackendRefineCounters refine_counters() const = 0;
 };
 
-// ============================== RefineChannel ===============================
-//
-// The refinement batcher both backends share: callers Submit() their specs
-// and get a future; a single flusher thread drains *everything* pending into
-// one flush callback per round. Submissions arriving while a round is in
-// flight coalesce into the next round — so N concurrent unconverged queries
-// cost one round trip per shard per round, not N. Flush results are split
-// back positionally onto the waiters; a flush failure fails every waiter of
-// that round. The destructor drains pending submissions, then joins.
-// ============================================================================
-class RefineChannel {
- public:
-  using FlushFn = std::function<ShardBackend::RefineResult(
-      const std::vector<RefineSpec>&)>;
-
-  explicit RefineChannel(FlushFn flush);
-  ~RefineChannel();
-
-  RefineChannel(const RefineChannel&) = delete;
-  RefineChannel& operator=(const RefineChannel&) = delete;
-
-  std::future<ShardBackend::RefineResult> Submit(std::vector<RefineSpec> specs);
-
-  BackendRefineCounters counters() const;
-
- private:
-  struct Waiter {
-    std::vector<RefineSpec> specs;
-    std::promise<ShardBackend::RefineResult> promise;
-  };
-
-  void Loop();
-
-  FlushFn flush_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool closed_ = false;                  // guarded by mu_
-  std::vector<Waiter> pending_;          // guarded by mu_
-  BackendRefineCounters counters_;       // guarded by mu_
-  std::thread flusher_;
-};
-
 // ============================= InProcessBackend =============================
 //
-// ShardBackend over a local QueryService: the zero-transport implementation
-// GaussDb::Serve() wires up. Every traversal step runs on the shard's own
-// worker pool via QueryService::SubmitWork — page I/O and density evaluation
-// stay with the shard that owns the data, exactly as the pre-backend
-// coordinator did — and answers are byte-identical to that code path.
-// The QueryService must outlive the backend.
+// ShardBackend over a local shard tree: the zero-transport implementation
+// GaussDb::Serve() wires up. Run to completion: Start, Refine and
+// FetchSketch run the traversal step on the calling coordinator thread and
+// return ready futures, so a query's shard work hands nothing to another
+// thread (morsel-driven scheduling: Leis et al., SIGMOD 2014). Each Refine
+// call is one round of specs.size() requests. Answers are byte-identical to
+// RpcBackend's over the same tree. Every coordinator thread traverses the
+// tree, so its PageCache must be thread-safe (checked at construction). The
+// QueryService (only its tree is used) must outlive the backend.
 // ============================================================================
 class InProcessBackend : public ShardBackend {
  public:
   explicit InProcessBackend(QueryService* service);
-  ~InProcessBackend() override;
 
   size_t dim() const override;
   std::future<StartResult> Start(uint64_t traversal,
@@ -258,8 +217,6 @@ class InProcessBackend : public ShardBackend {
   SketchResult FetchSketch() override;
   BackendRefineCounters refine_counters() const override;
 
-  QueryService* service() const { return service_; }
-
  private:
   // Exactly one of the two is set, matching the query kind.
   struct Traversal {
@@ -267,12 +224,10 @@ class InProcessBackend : public ShardBackend {
     std::unique_ptr<TiqTraversal> tiq;
   };
 
-  RefineResult Flush(const std::vector<RefineSpec>& specs);
-
   QueryService* const service_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::unordered_map<uint64_t, Traversal> traversals_;  // guarded by mu_
-  std::unique_ptr<RefineChannel> channel_;
+  BackendRefineCounters counters_;                      // guarded by mu_
 };
 
 // =============================== DeltaBackend ===============================

@@ -128,9 +128,9 @@ struct BatchResult {
 namespace internal {
 
 // One in-flight unit of work: either a Query descriptor (the normal serving
-// path) or an opaque closure (the scatter-gather hook a ShardCoordinator
-// uses to run shard-local traversal steps on the shard's workers), plus the
-// promise its future observes. Heap-allocated by Submit()/SubmitWork();
+// path) or an opaque closure (the hook a ShardServer uses to run
+// shard-local traversal steps on the shard's workers), plus the promise its
+// future observes. Heap-allocated by Submit()/SubmitWork();
 // ownership passes through the RequestQueue to the worker that pops it (or
 // stays with Submit on shed/expiry).
 struct QueryTask {
@@ -189,9 +189,9 @@ class QueryService {
 
   // Runs an arbitrary closure on a worker thread and returns the future of
   // its return value. Admission is the blocking-backpressure path (closures
-  // carry no deadline, so they are never shed) — this is how a
-  // ShardCoordinator executes per-shard traversal and refinement steps on
-  // the shard's own worker pool. Thread-safe.
+  // carry no deadline, so they are never shed) — this is how a ShardServer
+  // executes per-shard traversal and refinement steps on the shard's own
+  // worker pool. Thread-safe.
   std::future<QueryResponse> SubmitWork(std::function<QueryResponse()> work);
 
   const GaussTree& tree() const { return tree_; }

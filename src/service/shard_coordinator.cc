@@ -183,8 +183,7 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardBackend*> backends,
   }
   seed_counts_ =
       std::make_unique<std::atomic<uint64_t>[]>(backends_.size());
-  size_t threads = options.num_threads;
-  if (threads == 0) threads = 1;
+  const size_t threads = std::max<size_t>(1, options.num_threads);
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { CoordinatorLoop(); });
@@ -278,21 +277,16 @@ ShardCoordinator::StartOutcome ShardCoordinator::StartAll(const Query& query) {
   std::future<ShardBackend::RefineResult> seed_refine;
   if (per_shard && plan.seed != kNoSeed) {
     // Seeded Start: the seed first. Shards without a sketch (live deltas)
-    // have nothing to rank them by, and shards whose planned gap target
-    // lies below their coarse gap must expand their heavy subtrees for the
-    // denominator whatever the floor: both start alongside the seed. The
-    // seed only identifies: its refinement to its planned gap target runs
-    // as a Refine of the same traversal, overlapping the other shards'
-    // Starts instead of delaying them.
+    // have nothing to rank them by and start alongside it. The seed only
+    // identifies: its refinement to its planned gap target runs as a Refine
+    // of the same traversal, issued with the other shards' Starts.
     const size_t seed = plan.seed;
     const double seed_target =
         RefinesProbabilities(query) ? plan.targets[seed] : -1.0;
     if (seed_target >= 0.0) shard_queries[seed].DenominatorTargetGap(-1.0);
     start(seed);
     for (size_t s = 0; s < shards; ++s) {
-      if (s != seed && (sketches_[s].tree_size == 0 || plan.refines[s])) {
-        start(s);
-      }
+      if (s != seed && sketches_[s].tree_size == 0) start(s);
     }
     gather(seed);
     if (!out.error.ok()) {
@@ -406,7 +400,6 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
     const Query& query) const {
   SketchPlan plan;
   plan.targets.assign(backends_.size(), -1.0);
-  plan.refines.assign(backends_.size(), false);
   plan.den_floors.assign(backends_.size(), 0.0);
   plan.density_floor_log = kNegInf;
   const Pfv& q = query.pfv();
@@ -512,10 +505,7 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
   // Every non-empty shard gets its target — a shard whose coarse gap is
   // already below the level reaches it with zero extra work (its actual
   // round-1 gap is at most the coarse one).
-  for (const auto& [gap, s] : gaps) {
-    plan.targets[s] = level / factor[s];
-    plan.refines[s] = gap > level;
-  }
+  for (const auto& [gap, s] : gaps) plan.targets[s] = level / factor[s];
   return plan;
 }
 

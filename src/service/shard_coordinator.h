@@ -98,12 +98,11 @@ namespace gauss {
 // weak: a hull lower bound of a whole subtree is far below its best object.
 // So when at least two shards have a non-empty sketch, the shard owning the
 // sketch entry with the highest upper hull — the one most likely to hold
-// the answer — Starts first. Two kinds of shard start beside it: those
-// without a sketch (live deltas), which have nothing to rank them by, and,
-// for a refining query, those whose planned gap target lies below their
-// coarse gap — they must expand their heavy subtrees for the denominator
-// whatever the floor, so waiting would only add latency. The seed's real
-// answer then tightens every waiting shard's floor before its Start:
+// the answer — Starts first. Only shards without a sketch (live deltas),
+// which have nothing to rank them by, start beside it; every sketched shard
+// waits. The rule does not depend on the transport, so RPC and in-process
+// answers stay byte-equal. The seed's real answer then tightens every
+// waiting shard's floor before its Start:
 //   * MLIQ: once the seed returns >= k items, its k-th item and the k-1
 //     above it are k real objects at or above its log-density, so that
 //     density (or the sketch floor, if higher) is met by >= k objects
@@ -118,26 +117,28 @@ namespace gauss {
 //     scale exactly like the sketch floor, and the larger of the two ships.
 // The seed's Start only identifies; for a refining query its refinement to
 // the planned gap target is a Refine of the same traversal, issued together
-// with the other shards' Starts, so it overlaps them instead of delaying
-// them — the seed's traversal is its own round 1 and never runs twice. A
-// per-shard query is never modified once its Start is issued (the backend
-// holds a reference to it). A seed that fails releases every handle and
-// fails the query with its typed error; no other shard starts. On spatial
-// shards the seed usually holds the answer's neighborhood, and the other
-// shards stop near their roots: pages/query stays near one tree's and flat
-// in the shard count. The cost is one sequential hop per query — pure
-// latency on a gallery where the seed's answer prunes nothing.
+// with the other shards' Starts (over RPC it overlaps them) — the seed's
+// traversal is its own round 1 and never runs twice. A per-shard query is
+// never modified once its Start is issued (the backend holds a reference
+// to it). A seed that fails releases every handle and fails the query with
+// its typed error; no other shard starts. On spatial shards the seed
+// usually holds the answer's neighborhood, and the other shards stop near
+// their roots: pages/query stays near one tree's and flat in the shard
+// count. In process, Starts run one after another on the coordinator
+// thread anyway, so the seed's floor costs no latency; over RPC it costs
+// one sequential round trip per query.
 //
 // All targets are computed at the coordinator from *transported* doubles
 // (raw IEEE-754 over the wire), so RPC and in-process shards receive
 // bit-identical targets and produce byte-identical answers.
 //
 // Refinement batching: each refinement round submits one RefineSpec per
-// still-unconverged shard through ShardBackend::Refine. Concurrent queries'
-// rounds coalesce in the backend's RefineChannel, so a round costs one wire
-// frame (or one shard-worker closure) per shard no matter how many queries
-// ride in it. ExecuteBatch reports the win as ServiceStats::refine_rounds /
-// refine_batched_queries.
+// still-unconverged shard through ShardBackend::Refine. Over RPC, concurrent
+// queries' rounds coalesce in the backend's RefineChannel, so a round costs
+// one wire frame per shard no matter how many queries ride in it. In
+// process there is no frame to save: each Refine runs on the calling thread
+// and counts as one round. ExecuteBatch reports the rounds as
+// ServiceStats::refine_rounds / refine_batched_queries.
 //
 // Admission control happens only here, never at the shards: the coordinator
 // queue sheds deadline-carrying queries when full and expires queued ones
@@ -149,7 +150,8 @@ namespace gauss {
 // Failure model: a backend failure (connection lost, timeout, protocol
 // error) fails the *query* with QueryResponse::Status::kShardError and the
 // typed NetError — never a hang, never a crash — and the remaining shards'
-// traversal state is released. In-process backends cannot fail.
+// traversal state is released. In-process backends fail only on a damaged
+// node page (NetErrorCode::kCorrupt).
 //
 // Shutdown: the destructor closes the queue, drains every admitted query
 // (in-flight scatter-gathers complete, or fail typed if their shard died),
@@ -158,8 +160,10 @@ namespace gauss {
 // ============================================================================
 
 struct ShardCoordinatorOptions {
-  // Threads executing the per-query merge + refinement logic. Each blocks in
-  // gather while shard workers traverse, so a few go a long way.
+  // Threads executing queries: planning, merge and refinement, and — over
+  // in-process backends — every shard traversal, which runs on the calling
+  // thread. A local engine sizes them like workers (min(serve budget,
+  // UsableCpus())); over RPC each blocks on the wire, so a few go a long way.
   size_t num_threads = 2;
   // Bound of the front-door admission queue.
   size_t queue_capacity = 1024;
@@ -201,6 +205,9 @@ class ShardCoordinator {
 
   size_t num_shards() const { return backends_.size(); }
   size_t dim() const { return dim_; }
+  // Coordinator threads executing queries (ShardCoordinatorOptions::
+  // num_threads, at least 1).
+  size_t num_threads() const { return workers_.size(); }
 
  private:
   // One shard's live traversal during a query: its backend-side handle and
@@ -250,9 +257,6 @@ class ShardCoordinator {
     std::vector<double> coarse_lo;
     // Per-shard local-scale absolute gap targets; -1 = none.
     std::vector<double> targets;
-    // Per shard: the target lies below the shard's coarse gap, so its
-    // Start must refine (refining queries only).
-    std::vector<bool> refines;
     // Per-shard local-scale lower bounds on the *combined* denominator
     // (TiqOptions::denominator_floor); 0 = none.
     std::vector<double> den_floors;

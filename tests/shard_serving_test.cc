@@ -14,6 +14,7 @@
 #include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,8 +22,10 @@
 
 #include "api/gauss_db.h"
 #include "api/partitioner.h"
+#include "common/cpus.h"
 #include "common/log_sum_exp.h"
 #include "data/generators.h"
+#include "data/paper_datasets.h"
 #include "data/workload.h"
 #include "gausstree/gauss_tree.h"
 #include "service/query.h"
@@ -80,8 +83,8 @@ class ShardServingTest : public ::testing::Test {
 };
 
 // Admission control lives at the coordinator, not at the shards: with the
-// single coordinator thread pinned inside an in-flight scatter (shard 0's
-// worker gated) and the front-door queue full, a deadline query is shed; a
+// single coordinator thread pinned inside an in-flight scatter (its shard 0
+// traversal gated) and the front-door queue full, a deadline query is shed; a
 // queued deadline query whose budget lapses expires without traversal; and
 // neither disturbs the queries that execute.
 TEST_F(ShardServingTest, FrontDoorShedsAndExpiresDeterministically) {
@@ -99,9 +102,9 @@ TEST_F(ShardServingTest, FrontDoorShedsAndExpiresDeterministically) {
       {.num_threads = 1, .queue_capacity = 2});
 
   gated.CloseGate();
-  // f0 is popped by the coordinator thread, which scatters to both shards;
-  // shard 1 answers, shard 0's worker blocks at the gate — so the
-  // coordinator thread is pinned in gather.
+  // f0 is popped by the coordinator thread, which runs both shards'
+  // traversals itself; shard 0's blocks at the gate — so the coordinator
+  // thread is pinned mid-scatter.
   auto f0 = coordinator.Submit(Query::Mliq(workload_[0].query, 3));
   SpinUntil([&] { return gated.waiting() == 1; });
 
@@ -130,7 +133,7 @@ TEST_F(ShardServingTest, FrontDoorShedsAndExpiresDeterministically) {
   EXPECT_NE(f0.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   EXPECT_NE(f1.wait_for(std::chrono::seconds(0)), std::future_status::ready);
 
-  // Let f2's budget lapse, then release the gated shard worker.
+  // Let f2's budget lapse, then release the gated shard traversal.
   std::this_thread::sleep_until(f2_deadline + std::chrono::milliseconds(10));
   gated.OpenGate();
 
@@ -284,8 +287,8 @@ TEST(ShardStatsTest, AggregateBatchStatsPinsTotals) {
 
 // Concurrent submitters through the GaussDb façade: many threads streaming
 // queries into one sharded Session get byte-identical answers to a quiet
-// batch run of the same queries — scatter-gather interleaving across
-// coordinator threads and shard workers leaves no trace in the results.
+// batch run of the same queries — interleaving shard traversals across
+// coordinator threads leaves no trace in the results.
 // (This is the test TSan watches the coordinator under.)
 TEST_F(ShardServingTest, ConcurrentSubmittersSeeConsistentAnswers) {
   GaussDbOptions options;
@@ -321,6 +324,174 @@ TEST_F(ShardServingTest, ConcurrentSubmittersSeeConsistentAnswers) {
       ExpectItemsBytesEqual(resp.items, reference.responses[i].items);
     }
   }
+}
+
+// In-process backends run to completion on the calling thread: with the
+// shard's only worker held busy, Start, Refine and FetchSketch still
+// complete, and their futures are ready when the call returns. Each Refine
+// call counts as one round of its specs.
+TEST_F(ShardServingTest, InProcessBackendRunsOnTheCallingThread) {
+  ShardedBufferPool pool(&devices_[0], 1 << 12);
+  auto tree = GaussTree::Open(&pool, metas_[0]);
+  QueryService service(*tree, {.num_workers = 1});
+  InProcessBackend backend(&service);
+
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::future<QueryResponse> busy = service.SubmitWork([released] {
+    released.wait();
+    return QueryResponse{};
+  });
+
+  const Query mliq = Query::Mliq(workload_[0].query, 3).Accuracy(0.5);
+  const Query tiq = Query::Tiq(workload_[1].query, 0.2).Accuracy(0.5);
+  std::future<ShardBackend::StartResult> started_mliq = backend.Start(1, mliq);
+  std::future<ShardBackend::StartResult> started_tiq = backend.Start(2, tiq);
+  ASSERT_EQ(started_mliq.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  ASSERT_EQ(started_tiq.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const ShardBackend::StartResult start_mliq = started_mliq.get();
+  const ShardBackend::StartResult start_tiq = started_tiq.get();
+  ASSERT_TRUE(start_mliq.error.ok());
+  ASSERT_TRUE(start_tiq.error.ok());
+  EXPECT_FALSE(start_mliq.partial.items.empty());
+
+  std::future<ShardBackend::RefineResult> refined =
+      backend.Refine({{1, 0.0}, {2, 0.0}});
+  ASSERT_EQ(refined.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  const ShardBackend::RefineResult refine = refined.get();
+  ASSERT_TRUE(refine.error.ok());
+  ASSERT_EQ(refine.updates.size(), 2u);
+  EXPECT_EQ(refine.updates[0].denominator_lo, refine.updates[0].denominator_hi);
+  EXPECT_TRUE(refine.updates[0].exhausted);
+  EXPECT_EQ(backend.refine_counters().rounds, 1u);
+  EXPECT_EQ(backend.refine_counters().requests, 2u);
+
+  const ShardBackend::SketchResult sketch = backend.FetchSketch();
+  ASSERT_TRUE(sketch.error.ok());
+  EXPECT_EQ(sketch.sketch.tree_size, tree->size());
+
+  // Nothing above went through the held worker.
+  EXPECT_NE(busy.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  release.set_value();
+  busy.get();
+  backend.Release({1, 2});
+}
+
+// Every coordinator thread traverses an in-process shard's tree, so a
+// backend over a cache that is not thread-safe is refused at construction,
+// even when the shard's own service runs one worker.
+TEST_F(ShardServingTest, InProcessBackendRefusesAnUnsafeCache) {
+  // Re-executed, not forked: the child starts the service's worker thread.
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        BufferPool pool(&devices_[0], 1 << 12);
+        auto tree = GaussTree::Open(&pool, metas_[0]);
+        QueryService service(*tree, {.num_workers = 1});
+        InProcessBackend backend(&service);
+      },
+      "thread-safe PageCache");
+}
+
+// Eight concurrent clients over a four-shard spatial session, on the
+// end-to-end benchmark's Figure 7 mix (half MLIQ k = 1 at accuracy 1e-2, a
+// quarter each of lazy TIQ at 0.8 and 0.2): every answer is byte-identical
+// to a sequential pass, though the coordinator threads now run every
+// shard traversal themselves.
+TEST(ShardServingConcurrencyTest,
+     SpatialShardsUnderConcurrentClientsMatchSequential) {
+  const PaperDataset data = GeneratePaperDataset2(4000);
+  const std::vector<IdentificationQuery> workload =
+      GeneratePaperWorkload(data, 64);
+  std::vector<Query> queries;
+  for (size_t i = 0; i < workload.size(); ++i) {
+    const Pfv& probe = workload[i].query;
+    switch (i % 4) {
+      case 0:
+      case 1:
+        queries.push_back(Query::Mliq(probe, 1).Accuracy(1e-2));
+        break;
+      case 2:
+        queries.push_back(Query::Tiq(probe, 0.8).ExactMembership(false));
+        break;
+      default:
+        queries.push_back(Query::Tiq(probe, 0.2).ExactMembership(false));
+    }
+  }
+
+  GaussDbOptions options;
+  options.shards.num_shards = 4;
+  GaussDb db = GaussDb::CreateInMemory(data.dataset.dim(), options);
+  db.Build(data.dataset);
+  Session session = db.Serve({.num_workers = 4, .queue_capacity = 1024});
+
+  std::vector<QueryResponse> sequential;
+  for (const Query& query : queries) {
+    sequential.push_back(session.Submit(query).get());
+    ASSERT_EQ(sequential.back().status, QueryResponse::Status::kOk);
+  }
+
+  constexpr size_t kClients = 8;
+  std::vector<std::vector<QueryResponse>> answers(kClients);
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      // Each client walks the queries from its own offset, so different
+      // queries overlap on the coordinator threads.
+      std::vector<std::future<QueryResponse>> futures(queries.size());
+      for (size_t n = 0; n < queries.size(); ++n) {
+        const size_t i = (n + c * 8) % queries.size();
+        futures[i] = session.Submit(queries[i]);
+      }
+      for (std::future<QueryResponse>& f : futures) {
+        answers[c].push_back(f.get());
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      SCOPED_TRACE("client " + std::to_string(c) + " query " +
+                   std::to_string(i));
+      ASSERT_EQ(answers[c][i].status, QueryResponse::Status::kOk);
+      ExpectItemsBytesEqual(answers[c][i].items, sequential[i].items);
+    }
+  }
+}
+
+// A local sharded session runs min(num_workers, usable CPUs) coordinator
+// threads (num_workers = 0 reads as usable CPUs), while num_workers() still
+// reports the per-shard pools; an unsharded session has no coordinator.
+TEST_F(ShardServingTest, CoordinatorThreadsFollowTheServeBudget) {
+  const size_t cpus = UsableCpus();
+  GaussDbOptions options;
+  options.shards.num_shards = 2;
+  GaussDb db = GaussDb::CreateInMemory(kDim, options);
+  db.Build(dataset_);
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{2}, cpus + 2}) {
+    SCOPED_TRACE("num_workers " + std::to_string(k));
+    Session session = db.Serve({.num_workers = k});
+    const size_t budget = k == 0 ? cpus : k;
+    EXPECT_EQ(session.coordinator_threads(), std::min(budget, cpus));
+    EXPECT_EQ(session.num_workers(), 2 * std::max<size_t>(1, budget / 2));
+  }
+
+  GaussDb single = GaussDb::CreateInMemory(kDim);
+  single.Build(dataset_);
+  EXPECT_EQ(single.Serve({.num_workers = 2}).coordinator_threads(), 0u);
+
+  ShardedBufferPool pool(&devices_[0], 1 << 12);
+  auto tree = GaussTree::Open(&pool, metas_[0]);
+  QueryService service(*tree, {.num_workers = 1});
+  InProcessBackend backend(&service);
+  EXPECT_EQ(ShardCoordinator({&backend}, {.num_threads = 3}).num_threads(),
+            3u);
+  EXPECT_EQ(ShardCoordinator({&backend}, {.num_threads = 0}).num_threads(),
+            1u);
 }
 
 // A backend that forwards to an in-process shard but can fail its Starts
@@ -379,8 +550,6 @@ TEST_F(ShardServingTest, SeedStartFailureFailsTypedAndReleasesEveryHandle) {
 
   for (const bool mliq : {true, false}) {
     SCOPED_TRACE(mliq ? "mliq" : "tiq");
-    // Non-refining, so no shard has a gap target that would start it
-    // beside the seed.
     const Query query =
         mliq ? Query::Mliq(workload_[0].query, 3).RefineProbabilities(false)
              : Query::Tiq(workload_[0].query, 0.2);
