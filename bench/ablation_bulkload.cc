@@ -16,8 +16,8 @@
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
 #include "gausstree/tree_stats.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss::bench {
 namespace {
@@ -46,7 +46,7 @@ int Run() {
                "MLIQ pages", "TIQ(0.2) pages"});
   for (bool bulk : {false, true}) {
     InMemoryPageDevice device(kDefaultPageSize);
-    BufferPool pool(&device, 1 << 16);
+    ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
     GaussTree tree(&pool, data.dataset.dim());
     Stopwatch build;
     if (bulk) {
@@ -95,7 +95,7 @@ int Run() {
   std::vector<std::vector<uint8_t>> images;
   for (size_t threads : {size_t{1}, cpus}) {
     InMemoryPageDevice device(kDefaultPageSize);
-    BufferPool pool(&device, 1 << 16);
+    ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
     GaussTree tree(&pool, data.dataset.dim());
     Stopwatch build;
     tree.BulkLoad(data.dataset, threads);

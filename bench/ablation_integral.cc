@@ -14,8 +14,8 @@
 #include "gausstree/mliq.h"
 #include "gausstree/tree_stats.h"
 #include "math/hull_integral.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss::bench {
 namespace {
@@ -80,7 +80,7 @@ void DownstreamTable() {
   for (IntegralMethod method :
        {IntegralMethod::kErf, IntegralMethod::kSigmoidPoly5}) {
     InMemoryPageDevice device(kDefaultPageSize);
-    BufferPool pool(&device, 1 << 16);
+    ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
     GaussTreeOptions options;
     options.integral_method = method;
     GaussTree tree(&pool, data.dataset.dim(), options);

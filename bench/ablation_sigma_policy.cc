@@ -12,8 +12,8 @@
 #include "gausstree/gauss_tree.h"
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss::bench {
 namespace {
@@ -37,7 +37,7 @@ void Run(int which, size_t objects, size_t queries) {
   for (SigmaPolicy policy :
        {SigmaPolicy::kConvolution, SigmaPolicy::kAdditive}) {
     InMemoryPageDevice device(kDefaultPageSize);
-    BufferPool pool(&device, 1 << 16);
+    ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
     GaussTreeOptions options;
     options.sigma_policy = policy;
     GaussTree tree(&pool, data.dataset.dim(), options);

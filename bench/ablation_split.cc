@@ -12,8 +12,8 @@
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
 #include "gausstree/tree_stats.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss::bench {
 namespace {
@@ -47,7 +47,7 @@ void Run() {
        {SplitStrategy::kHullIntegral, SplitStrategy::kVolume,
         SplitStrategy::kMuOnly}) {
     InMemoryPageDevice device(kDefaultPageSize);
-    BufferPool pool(&device, 1 << 16);
+    ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
     GaussTreeOptions options;
     options.split_strategy = strategy;
     GaussTree tree(&pool, data.dataset.dim(), options);

@@ -21,8 +21,8 @@
 #include "gausstree/tiq.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 #include "xtree/xtree.h"
 #include "xtree/xtree_queries.h"
 
@@ -31,7 +31,7 @@ namespace gauss::bench {
 // A fully materialized evaluation environment for one dataset.
 struct Environment {
   std::unique_ptr<InMemoryPageDevice> device;
-  std::unique_ptr<BufferPool> pool;
+  std::unique_ptr<ShardedBufferPool> pool;
   std::unique_ptr<GaussTree> tree;
   std::unique_ptr<PfvFile> file;
   std::unique_ptr<XTree> xtree;
@@ -62,10 +62,11 @@ inline std::unique_ptr<Environment> BuildEnvironment(int which,
   }
   const size_t dim = env->data.dataset.dim();
   env->device = std::make_unique<InMemoryPageDevice>(kDefaultPageSize);
-  // 50 MB of cache, matching the paper's configuration; it is cold-started
-  // by the experiment runner.
-  env->pool = std::make_unique<BufferPool>(
-      env->device.get(), 50 * 1024 * 1024 / kDefaultPageSize);
+  // 50 MB of cache in one LRU stripe, matching the paper's configuration;
+  // it is cold-started by the experiment runner.
+  env->pool = std::make_unique<ShardedBufferPool>(
+      env->device.get(), 50 * 1024 * 1024 / kDefaultPageSize,
+      /*num_shards=*/1);
   env->tree = std::make_unique<GaussTree>(env->pool.get(), dim);
   env->file = std::make_unique<PfvFile>(env->pool.get(), dim);
   env->tree->BulkInsert(env->data.dataset);

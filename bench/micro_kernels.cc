@@ -38,7 +38,6 @@
 #include "math/hull.h"
 #include "math/hull_integral.h"
 #include "math/kernels.h"
-#include "storage/buffer_pool.h"
 #include "storage/sharded_buffer_pool.h"
 #include "tests/legacy_image.h"
 
@@ -173,7 +172,7 @@ LoadFixture& GalleryTree(bool legacy) {
   if (f.tree != nullptr) return f;
   PageId meta = kInvalidPageId;
   {
-    BufferPool build(&f.device, 64);
+    ShardedBufferPool build(&f.device, 64, /*num_shards=*/1);
     GaussTree tree(&build, 10);
     tree.BulkLoad(GeneratePaperDataset2(100000).dataset);
     tree.Finalize();

@@ -10,8 +10,8 @@
 #include "gausstree/gauss_tree.h"
 #include "gausstree/mliq.h"
 #include "pfv/pfv_file.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss::bench {
 namespace {
@@ -35,7 +35,7 @@ void Run() {
                "logical pages/query"});
   for (size_t pool_pages : {64, 256, 1024, 6400}) {
     for (bool cold_per_query : {true, false}) {
-      BufferPool pool(&device, pool_pages);
+      ShardedBufferPool pool(&device, pool_pages, /*num_shards=*/1);
       GaussTree tree(&pool, data.dataset.dim());
       tree.BulkInsert(data.dataset);
       tree.Finalize();

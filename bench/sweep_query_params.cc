@@ -12,15 +12,15 @@
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
 #include "pfv/pfv_file.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss::bench {
 namespace {
 
 struct Env {
   InMemoryPageDevice device{kDefaultPageSize};
-  BufferPool pool{&device, 1 << 16};
+  ShardedBufferPool pool{&device, 1 << 16, /*num_shards=*/1};
   std::unique_ptr<GaussTree> tree;
   std::unique_ptr<PfvFile> file;
   PaperDataset data;

@@ -11,8 +11,8 @@
 #include "gausstree/gauss_tree.h"
 #include "gausstree/mliq.h"
 #include "pfv/pfv_file.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss::bench {
 namespace {
@@ -27,7 +27,7 @@ struct Result {
 Result Measure(const PfvDataset& dataset, const SigmaModel& sigma_model,
                size_t query_count) {
   InMemoryPageDevice device(kDefaultPageSize);
-  BufferPool pool(&device, 1 << 16);
+  ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
   GaussTree tree(&pool, dataset.dim());
   PfvFile file(&pool, dataset.dim());
   tree.BulkInsert(dataset);

@@ -18,8 +18,8 @@
 #include "common/random.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace {
 
@@ -66,7 +66,7 @@ int main() {
   db_options.ingest.enabled = true;
   GaussDb db = GaussDb::CreateInMemory(kFeatures, db_options);
   InMemoryPageDevice scan_device(kDefaultPageSize);
-  BufferPool scan_pool(&scan_device, 1 << 14);
+  ShardedBufferPool scan_pool(&scan_device, 1 << 14, /*num_shards=*/1);
   PfvFile file(&scan_pool, kFeatures);
 
   // Enrollment: one observation per person under random conditions.

@@ -10,8 +10,8 @@
 #include "gausstree/tree_stats.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 #include "xtree/xtree.h"
 #include "xtree/xtree_queries.h"
 
@@ -35,7 +35,7 @@ int main() {
   // The competing access methods (X-tree on rectangular approximations,
   // sequential scan) on their own storage stack.
   InMemoryPageDevice device(kDefaultPageSize);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   PfvFile file(&pool, dim);
   XTree xtree(&pool, dim);
   file.AppendAll(data.dataset);

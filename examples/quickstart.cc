@@ -11,8 +11,8 @@
 #include "api/gauss_db.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 int main() {
   using namespace gauss;
@@ -41,7 +41,7 @@ int main() {
 
   // A flat pfv file for the conventional sequential-scan baseline.
   InMemoryPageDevice scan_device(kDefaultPageSize);
-  BufferPool scan_pool(&scan_device, 64);
+  ShardedBufferPool scan_pool(&scan_device, 64, /*num_shards=*/1);
   PfvFile file(&scan_pool, 2);
   for (const Pfv& v : {o1, o2, o3}) file.Append(v);
 

@@ -345,8 +345,8 @@ GaussDb GaussDb::CreateInMemory(size_t dim, GaussDbOptions options) {
   db.dim_ = dim;
   db.InitShardRouting(options);
   db.devices_.push_back(std::make_unique<InMemoryPageDevice>(options.page_size));
-  db.build_pools_.push_back(std::make_unique<BufferPool>(
-      db.devices_[0].get(), kBuildPoolPages));
+  db.build_pools_.push_back(std::make_unique<ShardedBufferPool>(
+      db.devices_[0].get(), kBuildPoolPages, /*num_shards=*/1));
   db.InitFreshTrees();
   return db;
 }
@@ -361,8 +361,8 @@ GaussDb GaussDb::CreateOnFile(const std::string& path, size_t dim,
                                                  /*truncate=*/true);
   db.file_devices_.push_back(device.get());
   db.devices_.push_back(std::move(device));
-  db.build_pools_.push_back(std::make_unique<BufferPool>(
-      db.devices_[0].get(), kBuildPoolPages));
+  db.build_pools_.push_back(std::make_unique<ShardedBufferPool>(
+      db.devices_[0].get(), kBuildPoolPages, /*num_shards=*/1));
   db.InitFreshTrees();
   return db;
 }
@@ -389,8 +389,8 @@ GaussDb GaussDb::CreateOnDirectory(const std::string& path, size_t dim,
         path + "/" + ShardFileName(s), options.page_size, /*truncate=*/true);
     db.file_devices_.push_back(device.get());
     db.devices_.push_back(std::move(device));
-    db.build_pools_.push_back(std::make_unique<BufferPool>(
-        db.devices_[s].get(), kBuildPoolPages));
+    db.build_pools_.push_back(std::make_unique<ShardedBufferPool>(
+        db.devices_[s].get(), kBuildPoolPages, /*num_shards=*/1));
   }
   db.InitFreshTrees();
   return db;
@@ -507,8 +507,8 @@ OpenResult GaussDb::OpenFile(const std::string& path, GaussDbOptions options) {
 
   db.file_devices_.push_back(device.get());
   db.devices_.push_back(std::move(device));
-  db.build_pools_.push_back(std::make_unique<BufferPool>(
-      db.devices_[0].get(), kBuildPoolPages));
+  db.build_pools_.push_back(std::make_unique<ShardedBufferPool>(
+      db.devices_[0].get(), kBuildPoolPages, /*num_shards=*/1));
   for (const PageId meta : db.shard_metas_) {
     std::string error;
     auto tree = GaussTree::TryOpen(db.build_pools_[0].get(), meta, &error);
@@ -674,8 +674,8 @@ OpenResult GaussDb::OpenDirectory(const std::string& path,
     }
     db.file_devices_.push_back(device.get());
     db.devices_.push_back(std::move(device));
-    db.build_pools_.push_back(std::make_unique<BufferPool>(
-        db.devices_[s].get(), kBuildPoolPages));
+    db.build_pools_.push_back(std::make_unique<ShardedBufferPool>(
+        db.devices_[s].get(), kBuildPoolPages, /*num_shards=*/1));
     db.shard_metas_.push_back(kMetaPage);
     std::string tree_error;
     auto tree = GaussTree::TryOpen(db.build_pools_[s].get(), kMetaPage,

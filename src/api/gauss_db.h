@@ -16,7 +16,6 @@
 #include "service/query.h"
 #include "service/query_service.h"
 #include "service/shard_coordinator.h"
-#include "storage/buffer_pool.h"
 #include "storage/page.h"
 #include "storage/page_device.h"
 #include "storage/sharded_buffer_pool.h"
@@ -54,10 +53,10 @@ namespace gauss {
 // a live one keeps publishing new epochs as enrollments merge.
 //
 //   * Building — CreateInMemory()/CreateOnFile()/CreateOnDirectory() pick
-//     the page device(s) and attach single-threaded BufferPool(s) plus empty
-//     GaussTree(s). Build() bulk-loads; Insert() adds one object and returns
-//     InsertResult{kRoutedToBuild}. Finalize() serializes the nodes to pages
-//     — explicit, or implied by Serve().
+//     the page device(s) and attach one-stripe ShardedBufferPool(s) plus
+//     empty GaussTree(s). Build() bulk-loads; Insert() adds one object and
+//     returns InsertResult{kRoutedToBuild}. Finalize() serializes the nodes
+//     to pages — explicit, or implied by Serve().
 //   * Serving (static) — Serve() switches the stack: it flushes and tears
 //     down the build pool(s), then builds a new engine whose one epoch
 //     reattaches the finalized tree(s) via GaussTree::Open() over
@@ -154,9 +153,9 @@ namespace gauss {
 //     single-tree FilePageDevice image (GaussTree header at page 0) — so any
 //     shard file is independently openable with OpenFile() for
 //     inspection or repair, and per-shard files can live on different
-//     mounts via symlinks. Each shard gets its own BufferPool during build
-//     and its own ShardedBufferPool during serving, so reads proceed across
-//     all N files truly in parallel. Session::io_stats() still merges the
+//     mounts via symlinks. Each shard gets its own one-stripe build pool
+//     and its own striped serving pool, so reads proceed across all N
+//     files truly in parallel. Session::io_stats() still merges the
 //     per-shard counters into one per-session view. OpenDirectory()
 //     reattaches; the manifest's facts override the caller's ShardOptions.
 //
@@ -286,8 +285,6 @@ struct ServeOptions {
   // Cache budget of the serving pool(s), in pages. For a sharded database
   // the budget is split evenly over the per-shard pools.
   size_t cache_pages = 1 << 12;
-  // Latch shards of the serving pool (power of two); 0 = default.
-  size_t num_shards = 0;
   // Bound of the admission queue (backpressure/shedding threshold). Behind
   // a ShardCoordinator (sharded or live-ingest sessions) this bounds the
   // coordinator's front-door queue and each per-shard queue.
@@ -614,10 +611,10 @@ class GaussDb {
   // directory layout (DeviceOf maps shard -> device index).
   std::vector<std::unique_ptr<PageDevice>> devices_;
   std::vector<FilePageDevice*> file_devices_;  // the file-backed subset
-  // Build pools, parallel to devices_ (the build path stays
-  // single-threaded; per-shard pools exist so each shard's pages stay on
+  // Build pools, parallel to devices_: one LRU stripe each (the build path
+  // is single-threaded; per-shard pools exist so each shard's pages stay on
   // its own device).
-  std::vector<std::unique_ptr<BufferPool>> build_pools_;
+  std::vector<std::unique_ptr<ShardedBufferPool>> build_pools_;
   // Build-phase trees, one per shard; empty while serving.
   std::vector<std::unique_ptr<GaussTree>> trees_;
 

@@ -102,8 +102,8 @@ std::shared_ptr<ServingEngine::Epoch> ServingEngine::BuildLocalEpoch(
     ShardServingStack stack;
     // Directory layout: each shard's serving cache sits on the shard's own
     // device, so its misses never queue behind another shard's reads.
-    stack.pool = std::make_unique<ShardedBufferPool>(
-        sources_[s].device, split.pages_per_shard, serve_.num_shards);
+    stack.pool = std::make_unique<ShardedBufferPool>(sources_[s].device,
+                                                     split.pages_per_shard);
     stack.tree = GaussTree::Open(stack.pool.get(), sources_[s].meta_page);
     epoch->base_objects += stack.tree->size();
     QueryServiceOptions service_options;
@@ -248,7 +248,8 @@ bool ServingEngine::MergeNow() {
       // Rebuild on fresh pages of the same device (appends only — the old
       // image's pages are never touched, so the old epoch's pinned root
       // stays valid). Superseded pages are not reclaimed.
-      BufferPool pool(sources_[s].device, kBuildPoolPages);
+      ShardedBufferPool pool(sources_[s].device, kBuildPoolPages,
+                             /*num_shards=*/1);
       GaussTree tree(&pool, dim_, tree_options_);
       tree.BulkLoad(combined, /*threads=*/1);
       tree.Finalize();

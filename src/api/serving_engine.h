@@ -14,7 +14,7 @@
 
 namespace gauss {
 
-// Frames of each single-threaded build pool: GaussDb's and every merge's.
+// Frames of each one-stripe build pool: GaussDb's and every merge's.
 // A build writes its node pages straight to the device and re-reads none of
 // them (GtNodeStore::Finalize), so the pool only carries header and manifest
 // pages and the one-pass page walks of Open and Definalize.

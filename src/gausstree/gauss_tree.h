@@ -77,7 +77,7 @@ struct GaussTreeStats {
 //
 // This class remains the documented low-level API for callers managing their
 // own storage stack (experiments, ablations, custom caches):
-//   BufferPool pool(&device, capacity);
+//   ShardedBufferPool pool(&device, capacity, /*num_shards=*/1);
 //   GaussTree tree(&pool, dim);
 //   for (...) tree.Insert(pfv);
 //   tree.Finalize();                       // serialize to pages

@@ -34,12 +34,13 @@ namespace gauss {
 //     build-offline / serve-online shape). Build and Finalize() the tree
 //     single-threaded as usual, then either hand that tree to the service or
 //     — the intended production setup, and what GaussDb::Serve() does —
-//     reattach with GaussTree::Open() over a ShardedBufferPool on the same
-//     device, so concurrent workers share a latch-striped page cache instead
-//     of racing on the single-threaded BufferPool.
+//     reattach with GaussTree::Open() over a default-striped
+//     ShardedBufferPool on the same device, sized for serving, so concurrent
+//     workers rarely collide on a stripe latch (a build pool has one).
 //   * With more than one worker the tree's PageCache must advertise
-//     thread_safe(); the constructor enforces this, so a racy configuration
-//     fails loudly at startup instead of corrupting the cache under load.
+//     thread_safe() (every ShardedBufferPool does; a decorating cache may
+//     not); the constructor enforces this, so a racy configuration fails
+//     loudly at startup instead of corrupting the cache under load.
 //
 // Execution paths — one pipeline, two calling conventions
 //   * Submit() is the streaming path: it admits one query through the

@@ -90,14 +90,15 @@ class PageRef {
 // Abstract page cache in front of a PageDevice: the storage interface the
 // Gauss-tree, pfv file, and X-tree layers are written against.
 //
-// Two implementations exist:
-//  * BufferPool            — single-threaded LRU pool; the default for
-//                            builds, experiments, and anything sequential.
-//  * ShardedBufferPool     — latch-striped LRU shards for concurrent
-//                            read-mostly serving (see sharded_buffer_pool.h).
+// ShardedBufferPool (sharded_buffer_pool.h) is the one pool: builds, merges
+// and experiments run it with a single LRU stripe, serving with the default
+// striping. The interface stays abstract for decorators, such as the tracing
+// cache of bench/e2e, which wraps the pool and overrides `thread_safe()` and
+// `Prefetch()`.
 //
 // `thread_safe()` advertises whether Fetch may be called concurrently from
-// multiple threads; the serving layer checks it before fanning out.
+// multiple threads. The pool always may; a decorator may not, so the serving
+// layer (QueryService, InProcessBackend) checks it before fanning out.
 class PageCache {
  public:
   virtual ~PageCache() = default;
@@ -125,8 +126,8 @@ class PageCache {
   // Drops every unpinned frame (flushing dirty ones first): a cold start.
   virtual void Clear() = 0;
 
-  // Snapshot of the I/O counters (consistent only when quiescent for the
-  // sharded implementation; each counter is individually exact).
+  // Snapshot of the I/O counters (consistent only when quiescent; each
+  // counter is individually exact).
   virtual IoStats stats() const = 0;
   virtual void ResetStats() = 0;
 

@@ -40,7 +40,6 @@ ShardedBufferPool::ShardedBufferPool(PageDevice* device, size_t capacity_pages,
   const size_t extra = capacity_ % shards_.size();
   for (size_t i = 0; i < shards_.size(); ++i) {
     shards_[i].capacity = base + (i < extra ? 1 : 0);
-    if (shards_[i].capacity == 0) shards_[i].capacity = 1;
   }
 }
 

@@ -17,20 +17,22 @@
 namespace gauss {
 
 // Thread-safe page cache: N latch-striped LRU shards in front of one shared
-// PageDevice.
+// PageDevice. The one buffer pool; other PageCache classes only decorate it.
 //
-// Design choice (vs. per-worker private pools): GaussServe workers share one
-// sharded pool rather than each owning a private BufferPool. A shared pool
-// means a page faulted in by one worker is a hit for every other worker —
-// exactly the behaviour of a database buffer cache under concurrent reads —
-// and the total memory budget is a single `capacity_pages` knob instead of
-// (workers x capacity). The cost is a shard latch on every fetch; with the
-// shard count a power of two well above the worker count, the probability of
-// two workers colliding on a latch at the same instant is low, and the
-// critical section is a hash probe plus an LRU splice (a device read on a
-// miss). Per-worker pools would avoid the latch but multiply cold misses and
-// memory by the worker count, which is the wrong trade for a read-mostly
-// serving tree.
+// Two shapes, one code path:
+//  * One stripe (`num_shards` = 1) is a single global LRU. Builds, merges,
+//    benches that report physical reads and tests that pin eviction order
+//    use it, so every IoStats count follows the paper's cold-started LRU
+//    database cache exactly. Its latch is uncontended.
+//  * The default striping serves concurrent readers. All GaussServe workers
+//    share one pool: a page faulted in by one worker is a hit for every
+//    other worker, as in a database buffer cache under concurrent reads,
+//    and the memory budget is one `capacity_pages` knob. Each fetch takes
+//    one stripe latch; with the stripe count a power of two well above the
+//    worker count, two workers rarely collide on a latch, and the critical
+//    section is a hash probe plus an LRU splice (a device read on a miss).
+//    Eviction order then depends on how page ids hash to stripes, so only
+//    logical reads are comparable with a one-stripe pool.
 //
 // Concurrency protocol:
 //  * Each page id maps to exactly one shard (multiplicative hash). All frame
@@ -50,17 +52,22 @@ namespace gauss {
 //    total, but a snapshot taken mid-traffic may be torn across counters.
 class ShardedBufferPool : public PageCache {
  public:
-  // `capacity_pages` > 0 is the *total* budget, split evenly across shards.
-  // `num_shards` must be a power of two; 0 picks a default (64, or fewer for
-  // tiny capacities so every shard can hold at least 2 pages).
+  // `capacity_pages` > 0 is the *total* budget, split evenly across shards
+  // (remainder pages go to the first shards). `num_shards` must be a power
+  // of two no larger than `capacity_pages`; 0 picks a default (64, or fewer
+  // for small capacities so every shard can hold at least 2 pages).
   ShardedBufferPool(PageDevice* device, size_t capacity_pages,
                     size_t num_shards = 0);
 
+  // Pinned ref to the page, read from the device on a miss. If every frame
+  // of the page's shard is pinned, the shard grows past its budget rather
+  // than failing (the pins are few: a root-to-leaf path at most).
   PageRef Fetch(PageId id) override;
   PageRef FetchMutable(PageId id) override;
 
   void WritePage(PageId id, const void* data) override;
   void FlushAll() override;
+  // The cold start the paper's experiments begin from; pinned frames stay.
   void Clear() override;
 
   IoStats stats() const override;

@@ -12,8 +12,8 @@
 #include "gausstree/tiq.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -107,7 +107,7 @@ void ExpectPinnedImage(const PfvDataset& dataset, uint32_t page_size,
                        uint64_t expected_image, uint64_t expected_logical) {
   for (size_t threads : {1, 2, 4}) {
     InMemoryPageDevice device(page_size);
-    BufferPool pool(&device, 1 << 14);
+    ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
     GaussTree tree(&pool, dataset.dim());
     tree.BulkLoad(dataset, threads);
     tree.Finalize();
@@ -146,7 +146,7 @@ TEST(BulkLoadTest, Dim1ImageIsPinnedAtEveryThreadCount) {
 
 TEST(BulkLoadTest, StructureInvariantsHold) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   GaussTree tree(&pool, 3);
   tree.BulkLoad(RandomDataset(301, 3000, 3));
   tree.Validate();
@@ -155,7 +155,7 @@ TEST(BulkLoadTest, StructureInvariantsHold) {
 
 TEST(BulkLoadTest, QueriesMatchSequentialScan) {
   InMemoryPageDevice device(4096);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   GaussTree tree(&pool, 4);
   PfvFile file(&pool, 4);
   const PfvDataset dataset = RandomDataset(302, 2500, 4);
@@ -188,13 +188,13 @@ TEST(BulkLoadTest, SameAnswersAsIncrementalBuild) {
   const Pfv q = RandomPfv(rng, 77777, 3);
 
   InMemoryPageDevice device_a(2048);
-  BufferPool pool_a(&device_a, 1 << 14);
+  ShardedBufferPool pool_a(&device_a, 1 << 14, /*num_shards=*/1);
   GaussTree bulk(&pool_a, 3);
   bulk.BulkLoad(dataset);
   bulk.Finalize();
 
   InMemoryPageDevice device_b(2048);
-  BufferPool pool_b(&device_b, 1 << 14);
+  ShardedBufferPool pool_b(&device_b, 1 << 14, /*num_shards=*/1);
   GaussTree incremental(&pool_b, 3);
   incremental.BulkInsert(dataset);
   incremental.Finalize();
@@ -211,12 +211,12 @@ TEST(BulkLoadTest, FullerLeavesThanIncrementalBuild) {
   const PfvDataset dataset = RandomDataset(306, 4000, 3);
 
   InMemoryPageDevice device_a(2048);
-  BufferPool pool_a(&device_a, 1 << 14);
+  ShardedBufferPool pool_a(&device_a, 1 << 14, /*num_shards=*/1);
   GaussTree bulk(&pool_a, 3);
   bulk.BulkLoad(dataset);
 
   InMemoryPageDevice device_b(2048);
-  BufferPool pool_b(&device_b, 1 << 14);
+  ShardedBufferPool pool_b(&device_b, 1 << 14, /*num_shards=*/1);
   GaussTree incremental(&pool_b, 3);
   incremental.BulkInsert(dataset);
 
@@ -230,7 +230,7 @@ TEST(BulkLoadTest, SmallInputsAndEdgeCases) {
   // Empty dataset: no-op.
   {
     InMemoryPageDevice device(2048);
-    BufferPool pool(&device, 64);
+    ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
     GaussTree tree(&pool, 2);
     tree.BulkLoad(PfvDataset(2));
     tree.Validate();
@@ -239,7 +239,7 @@ TEST(BulkLoadTest, SmallInputsAndEdgeCases) {
   // Single object.
   {
     InMemoryPageDevice device(2048);
-    BufferPool pool(&device, 64);
+    ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
     GaussTree tree(&pool, 2);
     PfvDataset one(2);
     one.Add(Pfv(1, {0.5, 0.5}, {0.1, 0.1}));
@@ -252,7 +252,7 @@ TEST(BulkLoadTest, SmallInputsAndEdgeCases) {
   // Exactly one full leaf.
   {
     InMemoryPageDevice device(2048);
-    BufferPool pool(&device, 64);
+    ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
     GaussTree tree(&pool, 2);
     const size_t cap = tree.capacities().leaf;
     tree.BulkLoad(RandomDataset(307, cap, 2));
@@ -262,7 +262,7 @@ TEST(BulkLoadTest, SmallInputsAndEdgeCases) {
   // One more than a leaf: must split into a 2-level tree.
   {
     InMemoryPageDevice device(2048);
-    BufferPool pool(&device, 64);
+    ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
     GaussTree tree(&pool, 2);
     const size_t cap = tree.capacities().leaf;
     tree.BulkLoad(RandomDataset(308, cap + 1, 2));
@@ -273,7 +273,7 @@ TEST(BulkLoadTest, SmallInputsAndEdgeCases) {
 
 TEST(BulkLoadTest, PersistsAndReopens) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   GaussTree tree(&pool, 3);
   tree.BulkLoad(RandomDataset(309, 2000, 3));
   tree.Finalize();
@@ -289,7 +289,7 @@ TEST(BulkLoadTest, WorksWithClusteredData) {
   config.cluster_count = 15;
   const PfvDataset dataset = GenerateClusteredDataset(config);
   InMemoryPageDevice device(kDefaultPageSize);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   GaussTree tree(&pool, 6);
   tree.BulkLoad(dataset);
   tree.Validate();

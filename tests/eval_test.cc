@@ -6,8 +6,8 @@
 #include "eval/metrics.h"
 #include "eval/report.h"
 #include "pfv/pfv_file.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -59,7 +59,7 @@ TEST(MetricsTest, MeanReciprocalRank) {
 
 TEST(ExperimentTest, RunMethodAggregatesCosts) {
   InMemoryPageDevice device(1024);
-  BufferPool pool(&device, 8);
+  ShardedBufferPool pool(&device, 8, /*num_shards=*/1);
   PfvFile file(&pool, 2);
   for (uint64_t i = 0; i < 100; ++i) {
     file.Append(Pfv(i, {0.1, 0.2}, {0.05, 0.05}));
@@ -85,7 +85,7 @@ TEST(ExperimentTest, RunMethodAggregatesCosts) {
 
 TEST(ExperimentTest, WarmCacheReducesPhysicalReads) {
   InMemoryPageDevice device(1024);
-  BufferPool pool(&device, 64);
+  ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   PfvFile file(&pool, 2);
   for (uint64_t i = 0; i < 200; ++i) {
     file.Append(Pfv(i, {0.1, 0.2}, {0.05, 0.05}));

@@ -11,8 +11,8 @@
 #include "gausstree/tiq.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -35,7 +35,7 @@ class EquivalenceSweep : public ::testing::TestWithParam<Config> {};
 TEST_P(EquivalenceSweep, TreeEqualsScan) {
   const auto [dim, objects, page_size, policy, strategy] = GetParam();
   InMemoryPageDevice device(page_size);
-  BufferPool pool(&device, 1 << 16);
+  ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
   GaussTreeOptions options;
   options.sigma_policy = policy;
   options.split_strategy = strategy;
@@ -112,7 +112,7 @@ INSTANTIATE_TEST_SUITE_P(
 // the regime where the Gauss-tree's sigma-aware structure matters most.
 TEST(GaussTreePropertyTest, MixedCertaintyEquivalence) {
   InMemoryPageDevice device(4096);
-  BufferPool pool(&device, 1 << 16);
+  ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
   GaussTree tree(&pool, 3);
   PfvFile file(&pool, 3);
   Rng rng(71);
@@ -141,7 +141,7 @@ TEST(GaussTreePropertyTest, MixedCertaintyEquivalence) {
 // Clustered data (many near-duplicates) still must be exact.
 TEST(GaussTreePropertyTest, ClusteredDataEquivalence) {
   InMemoryPageDevice device(4096);
-  BufferPool pool(&device, 1 << 16);
+  ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   PfvFile file(&pool, 2);
   Rng rng(72);
@@ -186,7 +186,7 @@ TEST(GaussTreePropertyTest, InsertionOrderDoesNotAffectAnswers) {
 
   auto run = [&](bool reversed) {
     InMemoryPageDevice device(2048);
-    BufferPool pool(&device, 1 << 14);
+    ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
     GaussTree tree(&pool, 2);
     if (reversed) {
       for (size_t i = dataset.size(); i-- > 0;) tree.Insert(dataset[i]);
@@ -211,7 +211,7 @@ TEST(GaussTreePropertyTest, InsertionOrderDoesNotAffectAnswers) {
 // scan denominator-derived probability.
 TEST(GaussTreePropertyTest, ProbabilityIntervalsBracketTruth) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   PfvFile file(&pool, 2);
   Rng rng(74);

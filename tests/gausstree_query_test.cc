@@ -10,8 +10,8 @@
 #include "gausstree/tiq.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -33,7 +33,7 @@ class GaussTreeQueryTest : public ::testing::Test {
 
   GaussTreeQueryTest()
       : device_(4096),
-        pool_(&device_, 4096),
+        pool_(&device_, 4096, /*num_shards=*/1),
         tree_(&pool_, kDim),
         file_(&pool_, kDim),
         scan_(&file_) {
@@ -64,7 +64,7 @@ class GaussTreeQueryTest : public ::testing::Test {
   }
 
   InMemoryPageDevice device_;
-  BufferPool pool_;
+  ShardedBufferPool pool_;
   GaussTree tree_;
   PfvFile file_;
   SeqScan scan_;
@@ -266,7 +266,7 @@ TEST_F(GaussTreeQueryTest, TiqThresholdMonotonicity) {
 
 TEST(GaussTreeQueryEdgeTest, EmptyTreeReturnsNothing) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 64);
+  ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   const Pfv q(1, {0.5, 0.5}, {0.1, 0.1});
   EXPECT_TRUE(QueryMliq(tree, q, 3).items.empty());
@@ -275,7 +275,7 @@ TEST(GaussTreeQueryEdgeTest, EmptyTreeReturnsNothing) {
 
 TEST(GaussTreeQueryEdgeTest, SingleObjectHasProbabilityOne) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 64);
+  ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   tree.Insert(Pfv(9, {0.5, 0.5}, {0.1, 0.1}));
   tree.Finalize();
@@ -290,7 +290,7 @@ TEST(GaussTreeQueryEdgeTest, FarQueryDegeneratesGracefully) {
   // A query so far away that every density underflows: MLIQ must still
   // return k objects without crashing; TIQ returns nothing.
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 256);
+  ShardedBufferPool pool(&device, 256, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   Rng rng(63);
   for (uint64_t i = 0; i < 200; ++i) tree.Insert(RandomPfv(rng, i, 2));
@@ -306,7 +306,7 @@ TEST(GaussTreeQueryEdgeTest, VeryUncertainQueryIsIndifferent) {
   // Paper property 3: sigma -> infinity makes the model maximally
   // indifferent, P(v|q) ~ 1/n for every object.
   InMemoryPageDevice device(4096);
-  BufferPool pool(&device, 1024);
+  ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   Rng rng(64);
   const size_t n = 500;
@@ -324,7 +324,7 @@ TEST(GaussTreeQueryEdgeTest, AdditivePolicyConsistentWithItsOwnScan) {
   // The whole pipeline must agree with the oracle under the paper-literal
   // additive sigma policy too.
   InMemoryPageDevice device(4096);
-  BufferPool pool(&device, 2048);
+  ShardedBufferPool pool(&device, 2048, /*num_shards=*/1);
   GaussTreeOptions options;
   options.sigma_policy = SigmaPolicy::kAdditive;
   GaussTree tree(&pool, 3, options);

@@ -9,8 +9,8 @@
 #include "gausstree/gauss_tree.h"
 #include "gausstree/node.h"
 #include "legacy_image.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -277,10 +277,11 @@ TEST(GtNodeSoaTest, ValidateCatchesEveryBitFlipInTheUsedBytes) {
 
 class GaussTreeStructureTest : public ::testing::TestWithParam<size_t> {
  protected:
-  GaussTreeStructureTest() : device_(2048), pool_(&device_, 1024) {}
+  GaussTreeStructureTest()
+      : device_(2048), pool_(&device_, 1024, /*num_shards=*/1) {}
 
   InMemoryPageDevice device_;
-  BufferPool pool_;
+  ShardedBufferPool pool_;
 };
 
 TEST_P(GaussTreeStructureTest, InvariantsHoldAfterRandomInserts) {
@@ -305,7 +306,7 @@ INSTANTIATE_TEST_SUITE_P(Dims, GaussTreeStructureTest,
 
 TEST(GaussTreeTest, EmptyTreeIsValid) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 64);
+  ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   GaussTree tree(&pool, 4);
   tree.Validate();
   EXPECT_EQ(tree.size(), 0u);
@@ -316,7 +317,7 @@ TEST(GaussTreeTest, EmptyTreeIsValid) {
 
 TEST(GaussTreeTest, SingleObject) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 64);
+  ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   tree.Insert(Pfv(42, {0.5, 0.5}, {0.1, 0.1}));
   tree.Validate();
@@ -325,7 +326,7 @@ TEST(GaussTreeTest, SingleObject) {
 
 TEST(GaussTreeTest, DuplicatePfvsAreAllStored) {
   InMemoryPageDevice device(1024);
-  BufferPool pool(&device, 256);
+  ShardedBufferPool pool(&device, 256, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   const Pfv pfv(7, {0.5, 0.5}, {0.1, 0.1});
   for (int i = 0; i < 300; ++i) tree.Insert(pfv);
@@ -335,7 +336,7 @@ TEST(GaussTreeTest, DuplicatePfvsAreAllStored) {
 
 TEST(GaussTreeTest, FinalizeThenLoadPreservesStructure) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1024);
+  ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
   GaussTree tree(&pool, 3);
   Rng rng(55);
   for (uint64_t i = 0; i < 1000; ++i) tree.Insert(RandomPfv(rng, i, 3));
@@ -350,7 +351,7 @@ TEST(GaussTreeTest, FinalizeThenLoadPreservesStructure) {
 
 TEST(GaussTreeTest, DefinalizeAllowsFurtherInserts) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1024);
+  ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
   GaussTree tree(&pool, 3);
   Rng rng(56);
   for (uint64_t i = 0; i < 500; ++i) tree.Insert(RandomPfv(rng, i, 3));
@@ -363,7 +364,7 @@ TEST(GaussTreeTest, DefinalizeAllowsFurtherInserts) {
 
 TEST(GaussTreeTest, AllIdsRetrievableAfterBuild) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1024);
+  ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   Rng rng(57);
   std::set<uint64_t> inserted;
@@ -393,7 +394,7 @@ TEST(GaussTreeSplitStrategyTest, AllStrategiesProduceValidTrees) {
                                  SplitStrategy::kVolume,
                                  SplitStrategy::kMuOnly}) {
     InMemoryPageDevice device(2048);
-    BufferPool pool(&device, 1024);
+    ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
     GaussTreeOptions options;
     options.split_strategy = strategy;
     GaussTree tree(&pool, 3, options);
@@ -410,7 +411,7 @@ TEST(GaussTreeTest, PaperDegreeConstraintsViaCapacities) {
   // inserts no leaf exceeds capacity and non-root nodes hold >= min fill
   // (Validate enforces this; this test just documents the relationship).
   InMemoryPageDevice device(4096);
-  BufferPool pool(&device, 1024);
+  ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
   GaussTree tree(&pool, 4);
   EXPECT_EQ(tree.capacities().leaf_min * 2, tree.capacities().leaf);
   Rng rng(59);

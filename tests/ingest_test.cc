@@ -30,8 +30,8 @@
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
 #include "service_test_util.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -164,7 +164,7 @@ void ExpectMatchesRebuiltOracle(Session& live, const std::vector<Pfv>& objects,
 
   // Exhaustive-scan oracle over the same object set.
   InMemoryPageDevice scan_device;
-  BufferPool scan_pool(&scan_device, 1 << 12);
+  ShardedBufferPool scan_pool(&scan_device, 1 << 12, /*num_shards=*/1);
   PfvFile scan_file(&scan_pool, dim);
   scan_file.AppendAll(current);
 

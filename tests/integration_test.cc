@@ -12,8 +12,8 @@
 #include "gausstree/tiq.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 #include "xtree/xtree.h"
 #include "xtree/xtree_queries.h"
 
@@ -31,7 +31,7 @@ class IntegrationTest : public ::testing::Test {
 
   IntegrationTest()
       : device_(kDefaultPageSize),
-        pool_(&device_, 1 << 16),
+        pool_(&device_, 1 << 16, /*num_shards=*/1),
         tree_(&pool_, 10),
         file_(&pool_, 10),
         xtree_(&pool_, 10) {
@@ -63,7 +63,7 @@ class IntegrationTest : public ::testing::Test {
   SigmaModel sigma_model_;
 
   InMemoryPageDevice device_;
-  BufferPool pool_;
+  ShardedBufferPool pool_;
   GaussTree tree_;
   PfvFile file_;
   XTree xtree_;
@@ -165,7 +165,7 @@ TEST_F(IntegrationTest, FilePersistenceRoundTrip) {
   const std::string path = ::testing::TempDir() + "/gauss_integration.db";
   {
     FilePageDevice file_device(path, kDefaultPageSize, /*truncate=*/true);
-    BufferPool file_pool(&file_device, 1 << 14);
+    ShardedBufferPool file_pool(&file_device, 1 << 14, /*num_shards=*/1);
     GaussTree disk_tree(&file_pool, 10);
     disk_tree.BulkInsert(dataset_);
     disk_tree.Finalize();
@@ -187,7 +187,7 @@ TEST_F(IntegrationTest, HistogramDatasetEndToEnd) {
   const PfvDataset histo = GenerateHistogramDataset(config);
 
   InMemoryPageDevice device(kDefaultPageSize);
-  BufferPool pool(&device, 1 << 16);
+  ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
   GaussTree tree(&pool, 27);
   PfvFile file(&pool, 27);
   tree.BulkInsert(histo);

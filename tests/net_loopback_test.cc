@@ -36,8 +36,8 @@
 #include "service/query.h"
 #include "service/shard_coordinator.h"
 #include "service_test_util.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -536,7 +536,7 @@ TEST_P(MalformedStartTest, FailsTypedAndServerKeepsAnswering) {
   const BatchResult want = in_process.ExecuteBatch(batch);
 
   InMemoryPageDevice scan_device;
-  BufferPool scan_pool(&scan_device, 1 << 12);
+  ShardedBufferPool scan_pool(&scan_device, 1 << 12, /*num_shards=*/1);
   PfvFile scan_file(&scan_pool, shard.dim());
   scan_file.AppendAll(shard.dataset());
   const SeqScan scan(&scan_file);

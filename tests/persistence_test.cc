@@ -12,8 +12,8 @@
 #include "legacy_image.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -27,7 +27,7 @@ Pfv RandomPfv(Rng& rng, uint64_t id, size_t dim) {
 
 TEST(GaussTreePersistenceTest, OpenReturnsIdenticalAnswers) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   Rng rng(201);
 
   GaussTree original(&pool, 3);
@@ -42,7 +42,7 @@ TEST(GaussTreePersistenceTest, OpenReturnsIdenticalAnswers) {
 
   // Reattach through a *fresh* buffer pool over the same device — nothing
   // may survive except the pages themselves.
-  BufferPool pool2(&device, 1 << 14);
+  ShardedBufferPool pool2(&device, 1 << 14, /*num_shards=*/1);
   auto reopened = GaussTree::Open(&pool2, meta);
   EXPECT_EQ(reopened->size(), original.size());
   EXPECT_EQ(reopened->dim(), original.dim());
@@ -63,7 +63,7 @@ TEST(GaussTreePersistenceTest, OpenReturnsIdenticalAnswers) {
 
 TEST(GaussTreePersistenceTest, OpenPreservesOptions) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1 << 12);
+  ShardedBufferPool pool(&device, 1 << 12, /*num_shards=*/1);
   GaussTreeOptions options;
   options.sigma_policy = SigmaPolicy::kAdditive;
   options.split_strategy = SplitStrategy::kVolume;
@@ -82,7 +82,7 @@ TEST(GaussTreePersistenceTest, OpenPreservesOptions) {
 
 TEST(GaussTreePersistenceTest, ReopenedTreeAcceptsInserts) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   Rng rng(203);
   GaussTree tree(&pool, 2);
   for (uint64_t i = 0; i < 500; ++i) tree.Insert(RandomPfv(rng, i, 2));
@@ -115,7 +115,7 @@ TEST(GaussTreePersistenceTest, SurvivesProcessStyleReopenOnDisk) {
 
   {
     FilePageDevice device(path, 2048, /*truncate=*/true);
-    BufferPool pool(&device, 1 << 12);
+    ShardedBufferPool pool(&device, 1 << 12, /*num_shards=*/1);
     GaussTree tree(&pool, 4);
     tree.BulkInsert(dataset);
     tree.Finalize();
@@ -129,7 +129,7 @@ TEST(GaussTreePersistenceTest, SurvivesProcessStyleReopenOnDisk) {
   {
     // Simulated process restart: new device handle, new pool.
     FilePageDevice device(path, 2048, /*truncate=*/false);
-    BufferPool pool(&device, 1 << 12);
+    ShardedBufferPool pool(&device, 1 << 12, /*num_shards=*/1);
     auto tree = GaussTree::Open(&pool, meta);
     tree->Validate();
     EXPECT_EQ(tree->size(), 800u);
@@ -144,7 +144,7 @@ TEST(GaussTreePersistenceTest, SurvivesProcessStyleReopenOnDisk) {
 
 TEST(GaussTreePersistenceTest, EmptyTreePersists) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 64);
+  ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   tree.Finalize();
   auto reopened = GaussTree::Open(&pool, tree.meta_page());
@@ -178,7 +178,7 @@ TEST(GaussTreePersistenceTest, DamagedNodePagesFailTyped) {
   InMemoryPageDevice device(2048);
   PageId meta = kInvalidPageId, root = kInvalidPageId;
   {
-    BufferPool pool(&device, 64);
+    ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
     GaussTree tree(&pool, kDim);
     PfvDataset dataset(kDim);
     for (uint64_t i = 0; i < 1500; ++i) dataset.Add(RandomPfv(rng, i, kDim));
@@ -190,7 +190,7 @@ TEST(GaussTreePersistenceTest, DamagedNodePagesFailTyped) {
   std::vector<uint8_t> pristine(device.page_size());
   device.Read(root, pristine.data());
   const auto try_open = [&](std::string* error) {
-    BufferPool pool(&device, 64);
+    ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
     return GaussTree::TryOpen(&pool, meta, error) != nullptr;
   };
 
@@ -229,7 +229,7 @@ TEST(GaussTreePersistenceTest, DamagedNodePagesFailTyped) {
   // Damage after opening: the pinned root is served from memory, so break a
   // page below it.
   device.Write(root, pristine.data());
-  BufferPool pool(&device, 64);
+  ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   auto tree = GaussTree::Open(&pool, meta);
   const PageId child = GtNode::Deserialize(pristine.data(), kDim, root)
                            .children[0]
@@ -265,7 +265,7 @@ TEST(GaussTreePersistenceTest, ParkedTraversalPinsNothing) {
   constexpr size_t kDim = 3;
   Rng rng(206);
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 16);
+  ShardedBufferPool pool(&device, 16, /*num_shards=*/1);
   GaussTree tree(&pool, kDim);
   PfvDataset dataset(kDim);
   for (uint64_t i = 0; i < 1500; ++i) dataset.Add(RandomPfv(rng, i, kDim));

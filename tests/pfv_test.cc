@@ -5,8 +5,8 @@
 #include "common/random.h"
 #include "pfv/pfv.h"
 #include "pfv/pfv_file.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -58,10 +58,10 @@ TEST(PfvDatasetTest, AddAndAccess) {
 
 class PfvFileTest : public ::testing::Test {
  protected:
-  PfvFileTest() : device_(1024), pool_(&device_, 64) {}
+  PfvFileTest() : device_(1024), pool_(&device_, 64, /*num_shards=*/1) {}
 
   InMemoryPageDevice device_;
-  BufferPool pool_;
+  ShardedBufferPool pool_;
 };
 
 TEST_F(PfvFileTest, AppendReadRoundTrip) {
@@ -135,7 +135,7 @@ TEST_F(PfvFileTest, AppendAllMatchesDataset) {
 TEST(PfvFileHighDimTest, WorksAtPaperDimensionality) {
   // 27-d records (440 bytes) on 8 KiB pages: 18 records per page.
   InMemoryPageDevice device(kDefaultPageSize);
-  BufferPool pool(&device, 16);
+  ShardedBufferPool pool(&device, 16, /*num_shards=*/1);
   PfvFile file(&pool, 27);
   EXPECT_EQ(file.records_per_page(), 18u);
   std::vector<double> mu(27, 0.5), sigma(27, 0.05);

@@ -6,8 +6,8 @@
 #include "math/gaussian.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -15,7 +15,8 @@ namespace {
 // A tiny hand-checkable database in 1-d.
 class SeqScanHandTest : public ::testing::Test {
  protected:
-  SeqScanHandTest() : device_(1024), pool_(&device_, 64), file_(&pool_, 1) {
+  SeqScanHandTest()
+      : device_(1024), pool_(&device_, 64, /*num_shards=*/1), file_(&pool_, 1) {
     // Three objects around the query at 0: an aligned certain one, an
     // aligned uncertain one, and a distant one.
     file_.Append(Pfv(1, {0.0}, {0.1}));   // strong match
@@ -24,7 +25,7 @@ class SeqScanHandTest : public ::testing::Test {
   }
 
   InMemoryPageDevice device_;
-  BufferPool pool_;
+  ShardedBufferPool pool_;
   PfvFile file_;
 };
 
@@ -93,7 +94,7 @@ TEST_F(SeqScanHandTest, KnnIgnoresUncertainty) {
 
 TEST(SeqScanTest, TwoPassesChargeScanPagesTwice) {
   InMemoryPageDevice device(1024);
-  BufferPool pool(&device, 4096);
+  ShardedBufferPool pool(&device, 4096, /*num_shards=*/1);
   PfvFile file(&pool, 2);
   Rng rng(91);
   for (uint64_t i = 0; i < 500; ++i) {
@@ -117,7 +118,7 @@ TEST(SeqScanTest, TwoPassesChargeScanPagesTwice) {
 
 TEST(SeqScanTest, EmptyFileReturnsNothing) {
   InMemoryPageDevice device(1024);
-  BufferPool pool(&device, 16);
+  ShardedBufferPool pool(&device, 16, /*num_shards=*/1);
   PfvFile file(&pool, 2);
   SeqScan scan(&file);
   const Pfv q(0, {0.5, 0.5}, {0.05, 0.05});
@@ -128,7 +129,7 @@ TEST(SeqScanTest, EmptyFileReturnsNothing) {
 
 TEST(SeqScanTest, MliqKLargerThanDatabase) {
   InMemoryPageDevice device(1024);
-  BufferPool pool(&device, 16);
+  ShardedBufferPool pool(&device, 16, /*num_shards=*/1);
   PfvFile file(&pool, 1);
   file.Append(Pfv(1, {0.0}, {0.1}));
   file.Append(Pfv(2, {1.0}, {0.1}));
@@ -145,7 +146,7 @@ TEST(SeqScanTest, FigureOneScenario) {
   // gap while the query's F2 uncertainty absorbs O3's F2 gap — even though
   // O1 is the Euclidean nearest neighbour.
   InMemoryPageDevice device(1024);
-  BufferPool pool(&device, 16);
+  ShardedBufferPool pool(&device, 16, /*num_shards=*/1);
   PfvFile file(&pool, 2);
   // (F1, F2) with per-feature sigmas. O1 is the Euclidean-nearest mean but
   // its small sigmas cannot absorb the F1 gap against the F1-exact query;

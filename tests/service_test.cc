@@ -21,14 +21,14 @@
 #include "service/request_queue.h"
 #include "service_test_util.h"
 #include "storage/page_device.h"
-#include "storage/buffer_pool.h"
 #include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
 
 // One finalized tree on a shared device: built single-threaded through a
-// BufferPool, then reattached through a ShardedBufferPool for serving.
+// one-stripe pool, then reattached through a default-striped pool for
+// serving.
 class ServiceTest : public ::testing::Test {
  protected:
   static constexpr size_t kDim = 6;
@@ -42,7 +42,7 @@ class ServiceTest : public ::testing::Test {
     config.seed = 11;
     dataset_ = GenerateClusteredDataset(config);
 
-    BufferPool build_pool(&device_, 1 << 14);
+    ShardedBufferPool build_pool(&device_, 1 << 14, /*num_shards=*/1);
     GaussTree build_tree(&build_pool, kDim);
     build_tree.BulkLoad(dataset_);
     build_tree.Finalize();
@@ -64,6 +64,7 @@ class ServiceTest : public ::testing::Test {
 
 using test::DirectAnswers;
 using test::ExpectItemsBytesEqual;
+using test::UnsafePageCache;
 
 TEST_F(ServiceTest, ConcurrentBatchMatchesSequentialQueries) {
   ShardedBufferPool pool(&device_, 1 << 12);
@@ -185,9 +186,10 @@ TEST_F(ServiceTest, StatsTotalsAddUp) {
 }
 
 TEST_F(ServiceTest, SingleWorkerRunsOverPlainBufferPool) {
-  // One worker needs no thread-safe cache; the plain pool must work.
-  BufferPool pool(&device_, 1 << 12);
-  auto tree = GaussTree::Open(&pool, meta_page_);
+  // One worker needs no thread-safe cache; a cache that is not must work.
+  ShardedBufferPool pool(&device_, 1 << 12);
+  UnsafePageCache cache(&pool);
+  auto tree = GaussTree::Open(&cache, meta_page_);
   QueryServiceOptions options;
   options.num_workers = 1;
   QueryService service(*tree, options);
@@ -195,6 +197,20 @@ TEST_F(ServiceTest, SingleWorkerRunsOverPlainBufferPool) {
   const BatchResult result = service.ExecuteBatch(batch);
   EXPECT_EQ(result.responses.size(), batch.size());
   EXPECT_EQ(result.stats.total_queries(), batch.size());
+}
+
+// Two workers would fetch concurrently, so a cache that is not thread-safe
+// is refused at construction.
+TEST_F(ServiceTest, MultiWorkerServiceRefusesAnUnsafeCache) {
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+  EXPECT_DEATH(
+      {
+        ShardedBufferPool pool(&device_, 1 << 12);
+        UnsafePageCache cache(&pool);
+        auto tree = GaussTree::Open(&cache, meta_page_);
+        QueryService service(*tree, {.num_workers = 2});
+      },
+      "thread-safe PageCache");
 }
 
 TEST_F(ServiceTest, EmptyBatchReturnsEmptyResult) {

@@ -4,9 +4,9 @@
 // Helpers shared by the serving-layer tests (service_test, streaming_test,
 // api_test, shard_serving_test): mixed MLIQ/TIQ batch construction, ground
 // truth through the documented low-level API, the byte-identical result
-// comparison the acceptance criteria are phrased in, and the gated
-// PageCache that pins services in a known state for deterministic
-// admission-control tests.
+// comparison the acceptance criteria are phrased in, the gated PageCache
+// that pins services in a known state for deterministic admission-control
+// tests, and a PageCache that is not thread-safe.
 
 #include <chrono>
 #include <condition_variable>
@@ -27,20 +27,14 @@
 
 namespace gauss::test {
 
-// PageCache decorator whose reads can be gated shut: a worker executing a
-// query blocks inside Fetch() until the test opens the gate. This pins the
-// service in a known state (worker busy, queue holding exactly the tasks the
-// test placed) so admission-control behavior can be asserted without races.
-class GatedPageCache : public PageCache {
+// PageCache decorator that forwards every call to an inner cache; the
+// decorators below override what they change.
+class ForwardingPageCache : public PageCache {
  public:
-  explicit GatedPageCache(PageCache* inner) : inner_(inner) {}
+  explicit ForwardingPageCache(PageCache* inner) : inner_(inner) {}
 
-  PageRef Fetch(PageId id) override {
-    WaitWhileGated();
-    return inner_->Fetch(id);
-  }
+  PageRef Fetch(PageId id) override { return inner_->Fetch(id); }
   PageRef FetchMutable(PageId id) override {
-    WaitWhileGated();
     return inner_->FetchMutable(id);
   }
   void WritePage(PageId id, const void* data) override {
@@ -52,6 +46,36 @@ class GatedPageCache : public PageCache {
   void ResetStats() override { inner_->ResetStats(); }
   PageDevice* device() const override { return inner_->device(); }
   bool thread_safe() const override { return inner_->thread_safe(); }
+
+ private:
+  PageCache* inner_;
+};
+
+// A cache that reports it may not be fetched from concurrently. Every
+// ShardedBufferPool may, so this stands in for such a cache when testing
+// that the serving layer refuses to fan out over one.
+class UnsafePageCache : public ForwardingPageCache {
+ public:
+  using ForwardingPageCache::ForwardingPageCache;
+  bool thread_safe() const override { return false; }
+};
+
+// PageCache decorator whose reads can be gated shut: a worker executing a
+// query blocks inside Fetch() until the test opens the gate. This pins the
+// service in a known state (worker busy, queue holding exactly the tasks the
+// test placed) so admission-control behavior can be asserted without races.
+class GatedPageCache : public ForwardingPageCache {
+ public:
+  using ForwardingPageCache::ForwardingPageCache;
+
+  PageRef Fetch(PageId id) override {
+    WaitWhileGated();
+    return ForwardingPageCache::Fetch(id);
+  }
+  PageRef FetchMutable(PageId id) override {
+    WaitWhileGated();
+    return ForwardingPageCache::FetchMutable(id);
+  }
 
   void CloseGate() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -78,7 +102,6 @@ class GatedPageCache : public PageCache {
     --waiting_;
   }
 
-  PageCache* inner_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
   bool gated_ = false;

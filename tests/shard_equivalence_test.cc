@@ -44,8 +44,8 @@
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
 #include "service_test_util.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 
 namespace gauss {
 namespace {
@@ -126,7 +126,7 @@ void ExpectLazyTiqContract(const std::vector<IdentificationResult>& got,
 class Reference {
  public:
   explicit Reference(const PfvDataset& dataset, size_t probes, uint64_t seed)
-      : scan_pool_(&scan_device_, 1 << 12),
+      : scan_pool_(&scan_device_, 1 << 12, /*num_shards=*/1),
         scan_file_(&scan_pool_, dataset.dim()) {
     scan_file_.AppendAll(dataset);
 
@@ -170,7 +170,7 @@ class Reference {
 
  private:
   InMemoryPageDevice scan_device_;
-  BufferPool scan_pool_;
+  ShardedBufferPool scan_pool_;
   PfvFile scan_file_;
   std::vector<Pfv> probes_;
   std::vector<Query> batch_;
@@ -1268,7 +1268,7 @@ class WiredShard {
   WiredShard(const PfvDataset& part, size_t workers) {
     PageId meta = kInvalidPageId;
     {
-      BufferPool build(&device_, 1 << 14);
+      ShardedBufferPool build(&device_, 1 << 14, /*num_shards=*/1);
       GaussTree tree(&build, part.dim());
       tree.BulkLoad(part);
       tree.Finalize();

@@ -32,7 +32,6 @@
 #include "service/query_service.h"
 #include "service/shard_coordinator.h"
 #include "service_test_util.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
 #include "storage/sharded_buffer_pool.h"
 
@@ -42,6 +41,7 @@ namespace {
 using test::ExpectItemsBytesEqual;
 using test::GatedPageCache;
 using test::SpinUntil;
+using test::UnsafePageCache;
 
 // Hand-wired two-shard stack: the gallery cut spatially over two trees on
 // two devices, exactly what GaussDb does internally — but with the page
@@ -63,7 +63,7 @@ class ShardServingTest : public ::testing::Test {
     const std::vector<PfvDataset> parts = Partitioner::Spatial(2).SplitSpatial(
         dataset_, GtCapacities::ForPageSize(kDefaultPageSize, kDim).leaf);
     for (size_t s = 0; s < 2; ++s) {
-      BufferPool build_pool(&devices_[s], 1 << 14);
+      ShardedBufferPool build_pool(&devices_[s], 1 << 14, /*num_shards=*/1);
       GaussTree tree(&build_pool, kDim);
       tree.BulkLoad(parts[s]);
       tree.Finalize();
@@ -388,8 +388,9 @@ TEST_F(ShardServingTest, InProcessBackendRefusesAnUnsafeCache) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
-        BufferPool pool(&devices_[0], 1 << 12);
-        auto tree = GaussTree::Open(&pool, metas_[0]);
+        ShardedBufferPool pool(&devices_[0], 1 << 12);
+        UnsafePageCache cache(&pool);
+        auto tree = GaussTree::Open(&cache, metas_[0]);
         QueryService service(*tree, {.num_workers = 1});
         InProcessBackend backend(&service);
       },

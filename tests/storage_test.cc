@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "storage/buffer_pool.h"
 #include "storage/crc32c.h"
 #include "storage/disk_model.h"
 #include "storage/sharded_buffer_pool.h"
@@ -67,10 +66,13 @@ TEST(FilePageDeviceTest, PersistsAcrossReopen) {
   std::remove(path.c_str());
 }
 
+// BufferPoolTest pins the LRU cache semantics every IoStats count rests on:
+// exact eviction order, write-back, cold starts and pins. A one-stripe
+// ShardedBufferPool is one global LRU, so these run on it.
 TEST(BufferPoolTest, SecondFetchIsLogicalOnly) {
   InMemoryPageDevice device(256);
   const PageId id = device.Allocate();
-  BufferPool pool(&device, 4);
+  ShardedBufferPool pool(&device, 4, /*num_shards=*/1);
   pool.Fetch(id);
   pool.Fetch(id);
   EXPECT_EQ(pool.stats().logical_reads, 2u);
@@ -81,7 +83,7 @@ TEST(BufferPoolTest, EvictsLeastRecentlyUsed) {
   InMemoryPageDevice device(256);
   std::vector<PageId> ids;
   for (int i = 0; i < 3; ++i) ids.push_back(device.Allocate());
-  BufferPool pool(&device, 2);
+  ShardedBufferPool pool(&device, 2, /*num_shards=*/1);
   pool.Fetch(ids[0]);
   pool.Fetch(ids[1]);
   pool.Fetch(ids[0]);       // ids[1] becomes LRU
@@ -98,7 +100,7 @@ TEST(BufferPoolTest, DirtyPagesFlushOnEviction) {
   InMemoryPageDevice device(256);
   const PageId a = device.Allocate();
   const PageId b = device.Allocate();
-  BufferPool pool(&device, 1);
+  ShardedBufferPool pool(&device, 1, /*num_shards=*/1);
   {
     PageRef frame = pool.FetchMutable(a);
     frame.mutable_data()[0] = 0xAB;
@@ -113,7 +115,7 @@ TEST(BufferPoolTest, DirtyPagesFlushOnEviction) {
 TEST(BufferPoolTest, WritePageDoesNotReadDevice) {
   InMemoryPageDevice device(256);
   const PageId id = device.Allocate();
-  BufferPool pool(&device, 2);
+  ShardedBufferPool pool(&device, 2, /*num_shards=*/1);
   const auto data = Pattern(256, 9);
   pool.WritePage(id, data.data());
   EXPECT_EQ(pool.stats().physical_reads, 0u);
@@ -125,7 +127,7 @@ TEST(BufferPoolTest, WritePageDoesNotReadDevice) {
 TEST(BufferPoolTest, ClearForcesColdStart) {
   InMemoryPageDevice device(256);
   const PageId id = device.Allocate();
-  BufferPool pool(&device, 4);
+  ShardedBufferPool pool(&device, 4, /*num_shards=*/1);
   pool.Fetch(id);
   pool.Clear();
   pool.Fetch(id);
@@ -135,7 +137,7 @@ TEST(BufferPoolTest, ClearForcesColdStart) {
 TEST(BufferPoolTest, FlushAllPersistsDirtyFrames) {
   InMemoryPageDevice device(128);
   const PageId id = device.Allocate();
-  BufferPool pool(&device, 2);
+  ShardedBufferPool pool(&device, 2, /*num_shards=*/1);
   pool.FetchMutable(id).mutable_data()[5] = 0x5C;
   pool.FlushAll();
   std::vector<uint8_t> read(128);
@@ -147,7 +149,7 @@ TEST(BufferPoolTest, StatsDeltaArithmetic) {
   InMemoryPageDevice device(128);
   const PageId a = device.Allocate();
   const PageId b = device.Allocate();
-  BufferPool pool(&device, 4);
+  ShardedBufferPool pool(&device, 4, /*num_shards=*/1);
   pool.Fetch(a);
   const IoStats before = pool.stats();
   pool.Fetch(b);
@@ -158,9 +160,8 @@ TEST(BufferPoolTest, StatsDeltaArithmetic) {
 }
 
 // Merging per-shard counters (+=) and taking deltas (-) are field-wise
-// inverses over every IoStats counter (the prefetch counters this once
-// covered no longer exist).
-TEST(IoStatsTest, PrefetchCountersMergeAndSubtract) {
+// inverses over every IoStats counter.
+TEST(IoStatsTest, CountersMergeAndSubtract) {
   IoStats part;
   part.logical_reads = 9;
   part.physical_reads = 5;
@@ -186,7 +187,7 @@ TEST(BufferPoolTest, CapacityRespected) {
   InMemoryPageDevice device(128);
   std::vector<PageId> ids;
   for (int i = 0; i < 20; ++i) ids.push_back(device.Allocate());
-  BufferPool pool(&device, 5);
+  ShardedBufferPool pool(&device, 5, /*num_shards=*/1);
   for (PageId id : ids) pool.Fetch(id);
   EXPECT_LE(pool.resident_pages(), 5u);
 }
@@ -196,7 +197,7 @@ TEST(BufferPoolTest, PinnedFrameSurvivesEvictionPressure) {
   const PageId pinned = device.Allocate();
   std::vector<PageId> rest;
   for (int i = 0; i < 10; ++i) rest.push_back(device.Allocate());
-  BufferPool pool(&device, 2);
+  ShardedBufferPool pool(&device, 2, /*num_shards=*/1);
   const auto data = Pattern(128, 11);
   device.Write(pinned, data.data());
 
@@ -212,7 +213,7 @@ TEST(BufferPoolTest, PinnedFrameSurvivesEvictionPressure) {
 TEST(BufferPoolTest, PinnedFrameSurvivesClear) {
   InMemoryPageDevice device(128);
   const PageId id = device.Allocate();
-  BufferPool pool(&device, 4);
+  ShardedBufferPool pool(&device, 4, /*num_shards=*/1);
   const PageRef ref = pool.Fetch(id);
   pool.Clear();
   EXPECT_EQ(pool.resident_pages(), 1u);  // the pinned frame stayed
@@ -276,6 +277,38 @@ TEST(ShardedBufferPoolTest, ConcurrentFetchesAreConsistent) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(pool.stats().logical_reads, 8u * 400u);
+}
+
+// The default stripe count halves from 64 until every stripe holds at least
+// 2 pages (one stripe below 4 pages).
+TEST(ShardedBufferPoolTest, DefaultStripeCountKeepsTwoPagesPerStripe) {
+  InMemoryPageDevice device(128);
+  EXPECT_EQ(ShardedBufferPool(&device, 1).num_shards(), 1u);
+  EXPECT_EQ(ShardedBufferPool(&device, 4).num_shards(), 2u);
+  EXPECT_EQ(ShardedBufferPool(&device, 64).num_shards(), 32u);
+  EXPECT_EQ(ShardedBufferPool(&device, 4096).num_shards(), 64u);
+}
+
+// Remainder pages go to the first stripes, so once every stripe is full
+// the pool holds exactly `capacity_pages` frames (10 = 3 + 3 + 2 + 2).
+TEST(ShardedBufferPoolTest, RemainderPagesKeepCapacityExact) {
+  InMemoryPageDevice device(128);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 256; ++i) ids.push_back(device.Allocate());
+  ShardedBufferPool pool(&device, 10, /*num_shards=*/4);
+  EXPECT_EQ(pool.num_shards(), 4u);
+  EXPECT_EQ(pool.capacity_pages(), 10u);
+  for (PageId id : ids) pool.Fetch(id);
+  EXPECT_EQ(pool.resident_pages(), 10u);
+  EXPECT_EQ(pool.stats().evictions, ids.size() - 10);
+}
+
+TEST(ShardedBufferPoolDeathTest, RejectsInvalidStripeCounts) {
+  InMemoryPageDevice device(128);
+  EXPECT_DEATH(ShardedBufferPool(&device, 16, 3),
+               "num_shards must be a power of two");
+  EXPECT_DEATH(ShardedBufferPool(&device, 4, 8),
+               "num_shards exceeds capacity_pages");
 }
 
 TEST(FilePageDeviceTest, TryOpenReportsFailuresInsteadOfAborting) {
@@ -406,36 +439,31 @@ TEST(Crc32cTest, DispatchedPathMatchesPortableOnRandomBuffers) {
 // The verified bit a page check sets survives cache hits and is cleared by
 // everything that can change the frame's bytes: a device read installing
 // the frame again, WritePage, FetchMutable.
-template <typename Pool>
-void ExpectVerifiedBitLifecycle(Pool* pool, PageDevice* device) {
-  const PageId id = 0;
-  EXPECT_FALSE(pool->Fetch(id).verified());
-  pool->Fetch(id).MarkVerified();
-  EXPECT_TRUE(pool->Fetch(id).verified());  // hit on a checked frame
-  const auto bytes = Pattern(device->page_size(), 3);
-  pool->WritePage(id, bytes.data());
-  EXPECT_FALSE(pool->Fetch(id).verified());
-  pool->Fetch(id).MarkVerified();
-  { const PageRef mutable_ref = pool->FetchMutable(id); }
-  EXPECT_FALSE(pool->Fetch(id).verified());
-  pool->Fetch(id).MarkVerified();
-  pool->Clear();  // the next fetch reads the device again
-  EXPECT_FALSE(pool->Fetch(id).verified());
+void ExpectVerifiedBitLifecycle(size_t num_shards) {
+  InMemoryPageDevice device(1024);
+  const PageId id = device.Allocate();
+  ShardedBufferPool pool(&device, 4, num_shards);
+  EXPECT_FALSE(pool.Fetch(id).verified());
+  pool.Fetch(id).MarkVerified();
+  EXPECT_TRUE(pool.Fetch(id).verified());  // hit on a checked frame
+  const auto bytes = Pattern(device.page_size(), 3);
+  pool.WritePage(id, bytes.data());
+  EXPECT_FALSE(pool.Fetch(id).verified());
+  pool.Fetch(id).MarkVerified();
+  { const PageRef mutable_ref = pool.FetchMutable(id); }
+  EXPECT_FALSE(pool.Fetch(id).verified());
+  pool.Fetch(id).MarkVerified();
+  pool.Clear();  // the next fetch reads the device again
+  EXPECT_FALSE(pool.Fetch(id).verified());
   EXPECT_FALSE(PageRef().verified());
 }
 
 TEST(BufferPoolTest, VerifiedBitLifecycle) {
-  InMemoryPageDevice device(1024);
-  device.Allocate();
-  BufferPool pool(&device, 4);
-  ExpectVerifiedBitLifecycle(&pool, &device);
+  ExpectVerifiedBitLifecycle(/*num_shards=*/1);
 }
 
 TEST(ShardedBufferPoolTest, VerifiedBitLifecycle) {
-  InMemoryPageDevice device(1024);
-  device.Allocate();
-  ShardedBufferPool pool(&device, 4);
-  ExpectVerifiedBitLifecycle(&pool, &device);
+  ExpectVerifiedBitLifecycle(/*num_shards=*/0);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@
 #include "service/query.h"
 #include "service/query_service.h"
 #include "service_test_util.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
 #include "storage/sharded_buffer_pool.h"
 
@@ -49,7 +48,7 @@ class StreamingTest : public ::testing::Test {
     config.seed = 23;
     dataset_ = GenerateClusteredDataset(config);
 
-    BufferPool build_pool(&device_, 1 << 14);
+    ShardedBufferPool build_pool(&device_, 1 << 14, /*num_shards=*/1);
     GaussTree build_tree(&build_pool, kDim);
     build_tree.BulkLoad(dataset_);
     build_tree.Finalize();

@@ -7,8 +7,8 @@
 #include "common/random.h"
 #include "pfv/pfv_file.h"
 #include "scan/seq_scan.h"
-#include "storage/buffer_pool.h"
 #include "storage/page_device.h"
+#include "storage/sharded_buffer_pool.h"
 #include "xtree/rect.h"
 #include "xtree/xtree.h"
 #include "xtree/xtree_queries.h"
@@ -75,10 +75,10 @@ TEST(RectTest, IncludeGrowsToCover) {
 
 class XTreeTest : public ::testing::Test {
  protected:
-  XTreeTest() : device_(2048), pool_(&device_, 1 << 14) {}
+  XTreeTest() : device_(2048), pool_(&device_, 1 << 14, /*num_shards=*/1) {}
 
   InMemoryPageDevice device_;
-  BufferPool pool_;
+  ShardedBufferPool pool_;
 };
 
 TEST_F(XTreeTest, StructureValidAfterRandomInserts) {
@@ -216,7 +216,7 @@ TEST(XTreeSupernodeTest, HighDimClusteredDataCreatesSupernodes) {
   // High-dimensional overlapping rectangles make overlap-free directory
   // splits impossible — the X-tree must fall back to supernodes.
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 1 << 14);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   XTree tree(&pool, 12);
   Rng rng(87);
   for (uint64_t i = 0; i < 3000; ++i) {
@@ -234,7 +234,7 @@ TEST(XTreeSupernodeTest, HighDimClusteredDataCreatesSupernodes) {
 
 TEST(XTreeEdgeTest, EmptyTreeQueries) {
   InMemoryPageDevice device(2048);
-  BufferPool pool(&device, 64);
+  ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   XTree tree(&pool, 2);
   PfvFile file(&pool, 2);
   tree.Finalize();
