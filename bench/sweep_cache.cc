@@ -27,7 +27,6 @@ void Run() {
       GeneratePaperDataset2(static_cast<size_t>(100000 * scale));
   const auto workload = GeneratePaperWorkload(data, 50);
 
-  InMemoryPageDevice device(kDefaultPageSize);
   MliqOptions options;
   options.probability_accuracy = 1e-2;
 
@@ -35,6 +34,9 @@ void Run() {
                "logical pages/query"});
   for (size_t pool_pages : {64, 256, 1024, 6400}) {
     for (bool cold_per_query : {true, false}) {
+      // Every cell builds its own tree, so every cell gets its own device:
+      // a shared one would end up holding all eight images.
+      InMemoryPageDevice device(kDefaultPageSize);
       ShardedBufferPool pool(&device, pool_pages, /*num_shards=*/1);
       GaussTree tree(&pool, data.dataset.dim());
       tree.BulkInsert(data.dataset);

@@ -31,7 +31,10 @@
 //  2. Materialize. The calling thread walks the same ranges in the order a
 //     sequential right-half-first depth-first loader would visit them and
 //     creates one node per final range. Page ids are therefore allocated in
-//     that fixed order, whatever the thread count.
+//     that fixed order, whatever the thread count. A node is complete once
+//     created, so it goes straight to its device page (GtNodeStore::
+//     Persist); only its parent entry — child id, count, MBR — stays in
+//     memory, as an item of the next level up.
 // std::nth_element is deterministic for a given input sequence, and each
 // range's input depends only on what happened to that range before, so the
 // permutation — and with it the whole device image — does not depend on
@@ -306,6 +309,10 @@ void GaussTree::BulkLoad(const PfvDataset& dataset, size_t threads) {
     return order;
   };
 
+  // Nodes are written to the device below, past the pool: drop any frame a
+  // Definalize() left of the root page, so no cached copy outlives it.
+  pool_->Clear();
+
   // Leaf level. The key matrix is freed before the leaves are created.
   const std::vector<Pfv>& items = dataset.objects();
   const size_t n = items.size();
@@ -325,6 +332,7 @@ void GaussTree::BulkLoad(const PfvDataset& dataset, size_t threads) {
     entry.count = static_cast<uint32_t>(leaf->pfvs.size());
     entry.bounds = leaf->ComputeBounds(dim_);
     level.push_back(std::move(entry));
+    store_.Persist(leaf->id);
   });
   size_ = n;
 
@@ -344,6 +352,7 @@ void GaussTree::BulkLoad(const PfvDataset& dataset, size_t threads) {
       entry.count = inner->SubtreeCount();
       entry.bounds = inner->ComputeBounds(dim_);
       next.push_back(std::move(entry));
+      store_.Persist(inner->id);
     });
     level = std::move(next);
   }

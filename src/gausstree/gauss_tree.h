@@ -143,10 +143,15 @@ class GaussTree {
   // contents and the device image are byte-identical for every thread
   // count. The live-ingest merge passes 1: a background rebuild never takes
   // CPUs from the serving workers.
+  //
+  // Memory: each node is written to its device page as soon as it is
+  // created, so no node is held in memory afterwards; the tree stays in
+  // build mode, and reads, Validate() and queries go to the pages.
   void BulkLoad(const PfvDataset& dataset, size_t threads = UsableCpus());
 
-  // Serializes all nodes to pages and persists the header so the tree can be
-  // reattached with Open(); queries then pay honest page I/O.
+  // Serializes the nodes still in memory to their pages and persists the
+  // header so the tree can be reattached with Open(); queries then pay
+  // honest page I/O.
   void Finalize();
   // Reloads nodes into memory to allow further Insert calls.
   void Definalize() { store_.Definalize(); }

@@ -1,5 +1,6 @@
 #include "gausstree/node_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <vector>
@@ -29,18 +30,40 @@ GtNode* GtNodeStore::Create(GtNodeKind kind) {
 GtNode* GtNodeStore::GetMutable(PageId id) {
   GAUSS_CHECK_MSG(!finalized_, "mutation requires build mode");
   auto it = nodes_.find(id);
-  GAUSS_CHECK(it != nodes_.end());
+  if (it == nodes_.end()) {
+    auto node = std::make_unique<GtNode>();
+    Load(id, node.get());
+    it = nodes_.emplace(id, std::move(node)).first;
+  }
   return it->second.get();
+}
+
+void GtNodeStore::Persist(PageId id) {
+  GAUSS_CHECK_MSG(!finalized_, "Persist requires build mode");
+  auto it = nodes_.find(id);
+  GAUSS_CHECK(it != nodes_.end());
+  std::vector<uint8_t> buffer(pool_->page_size());
+  WriteNode(*it->second, &buffer);
+  nodes_.erase(it);
+}
+
+void GtNodeStore::WriteNode(const GtNode& node,
+                            std::vector<uint8_t>* buffer) const {
+  GAUSS_CHECK_MSG(node.SerializedSize(dim_) <= buffer->size(),
+                  "node exceeds page capacity");
+  std::fill(buffer->begin(), buffer->end(), 0);
+  node.Serialize(buffer->data(), dim_);
+  pool_->device()->Write(node.id, buffer->data());
 }
 
 void GtNodeStore::Load(PageId id, GtNode* scratch) const {
   if (!finalized_) {
     auto it = nodes_.find(id);
-    GAUSS_CHECK(it != nodes_.end());
-    *scratch = *it->second;  // copy: callers own their view
-    return;
-  }
-  if (pinned_ != nullptr && id == pinned_id_) {
+    if (it != nodes_.end()) {
+      *scratch = *it->second;  // copy: callers own their view
+      return;
+    }
+  } else if (pinned_ != nullptr && id == pinned_id_) {
     *scratch = *pinned_;  // pinned root: no pool fetch
     return;
   }
@@ -54,11 +77,11 @@ void GtNodeStore::Load(PageId id, GtNode* scratch) const {
 bool GtNodeStore::LoadSoa(PageId id, GtNodeSoa* view, const char** why) const {
   if (!finalized_) {
     auto it = nodes_.find(id);
-    GAUSS_CHECK(it != nodes_.end());
-    GtNodeSoa::FromNode(*it->second, dim_, view);
-    return true;
-  }
-  if (pinned_soa_ != nullptr && id == pinned_id_) {
+    if (it != nodes_.end()) {
+      GtNodeSoa::FromNode(*it->second, dim_, view);
+      return true;
+    }
+  } else if (pinned_soa_ != nullptr && id == pinned_id_) {
     view->Alias(*pinned_soa_);  // pinned root: no pool fetch, no copy
     return true;
   }
@@ -95,16 +118,8 @@ void GtNodeStore::Finalize() {
   // frame of a node page outlives the write (Definalize read every page
   // through the cache) and no dirty frame lands on top of one later.
   pool_->Clear();
-  PageDevice* device = pool_->device();
-  std::vector<uint8_t> buffer(device->page_size(), 0);
-  for (const auto& [id, node] : nodes_) {
-    GAUSS_CHECK_MSG(node->SerializedSize(dim_) <= buffer.size(),
-                    "node exceeds page capacity");
-    std::fill(buffer.begin(), buffer.end(), 0);
-    node->Serialize(buffer.data(), dim_);
-    device->Write(id, buffer.data());
-  }
-  finalized_count_ = nodes_.size();
+  std::vector<uint8_t> buffer(pool_->page_size());
+  for (const auto& [id, node] : nodes_) WriteNode(*node, &buffer);
   nodes_.clear();
   legacy_pages_ = false;
   finalized_ = true;
@@ -141,7 +156,6 @@ bool GtNodeStore::OpenFinalized(PageId root, bool legacy_pages,
     if (!view.leaf()) queue.insert(queue.end(), view.children,
                                    view.children + view.n);
   }
-  finalized_count_ = all_pages_.size();
   return true;
 }
 
@@ -180,11 +194,6 @@ void GtNodeStore::Definalize() {
     nodes_.emplace(id, std::move(node));
   }
   finalized_ = false;
-  finalized_count_ = 0;
-}
-
-size_t GtNodeStore::node_count() const {
-  return finalized_ ? finalized_count_ : nodes_.size();
 }
 
 }  // namespace gauss

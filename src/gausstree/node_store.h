@@ -15,9 +15,11 @@ namespace gauss {
 //
 // Two phases:
 //  * Build phase: nodes live as in-memory objects (a write-back cache of the
-//    whole tree); page ids are pre-allocated on the device so the final
-//    layout is fixed. This keeps construction fast without distorting query
-//    measurements.
+//    tree); page ids are pre-allocated on the device so the final layout is
+//    fixed. This keeps construction fast without distorting query
+//    measurements. A node that is complete may instead be written out at
+//    once (Persist — the bulk load does so with every node): it is then read
+//    from its page like a finalized one, and GetMutable() brings it back.
 //  * Query phase (after Finalize()): every access goes through the page
 //    cache — a fetch is a logical page access, a miss is a physical one —
 //    and the kernels score the pinned frame in place: a node page is the
@@ -36,30 +38,35 @@ class GtNodeStore {
   // Creates a fresh node of the given kind with a newly allocated page.
   GtNode* Create(GtNodeKind kind);
 
-  // Build-phase mutable access.
+  // Build-phase mutable access. A persisted node is loaded back first.
   GtNode* GetMutable(PageId id);
 
+  // Build phase: writes node `id` straight to its device page and drops the
+  // in-memory object. The pool must hold no frame of the page (the page is
+  // fresh, or the pool was cleared), since the write bypasses it.
+  void Persist(PageId id);
+
   // Materialized node access for build-phase edits and whole-tree walks
-  // (statistics, validation, the merge's object collection). In the build
-  // phase copies the in-memory object; after Finalize() loads the page
-  // through LoadSoa and aborts if it is damaged.
+  // (statistics, validation, the merge's object collection). Copies an
+  // in-memory build node; otherwise loads the page through LoadSoa and
+  // aborts if it is damaged.
   void Load(PageId id, GtNode* scratch) const;
 
   // Query access: points `view` at node `id` — at the fetched cache frame
   // of a v3 page, at the pinned root's planes, or at `view`'s own scratch
-  // for a legacy page or a build-phase node. A fetched frame stays pinned
-  // by view->page until the next load or its Release(). Same page
+  // for a legacy page or an in-memory build node. A fetched frame stays
+  // pinned by view->page until the next load or its Release(). Same page
   // accounting as a fetch; the pinned root costs none.
   //
-  // The one place that trusts node bytes: a finalized page is checked
-  // before it is viewed — its tag and entry count (GtNodeSoa::Validate),
+  // The one place that trusts node bytes: a page (finalized or persisted)
+  // is checked before it is viewed — its tag and entry count (GtNodeSoa::Validate),
   // its CRC-32C once per cache frame (PageRef::verified), and every child
   // id against the device's page count. A damaged page returns false with
   // the reason in `*why` (when non-null) and leaves `view` holding nothing.
   bool LoadSoa(PageId id, GtNodeSoa* view, const char** why = nullptr) const;
 
-  // Writes every node straight to its device page (the cache keeps no copy
-  // of them) and switches to query mode.
+  // Writes every in-memory node straight to its device page (the cache
+  // keeps no copy of them) and switches to query mode.
   void Finalize();
 
   // Loads every node back into memory and switches to build mode.
@@ -91,18 +98,23 @@ class GtNodeStore {
   bool OpenFinalized(PageId root, bool legacy_pages, std::string* error);
 
   bool finalized() const { return finalized_; }
-  size_t node_count() const;
+  // Build nodes held as objects: none after a bulk load or in query mode.
+  size_t nodes_in_memory() const { return nodes_.size(); }
   size_t dim() const { return dim_; }
   PageCache* pool() const { return pool_; }
 
  private:
+  // Serializes `node` into `buffer` (one page, zero tail) and writes it to
+  // the node's device page.
+  void WriteNode(const GtNode& node, std::vector<uint8_t>* buffer) const;
+
   PageCache* pool_;
   size_t dim_;
   bool finalized_ = false;
   // Whether finalized pages may be in the legacy format (see OpenFinalized).
   bool legacy_pages_ = false;
+  // In-memory build nodes; the rest of all_pages_ is on the device.
   std::unordered_map<PageId, std::unique_ptr<GtNode>> nodes_;
-  size_t finalized_count_ = 0;
   std::vector<PageId> all_pages_;
   PageId pinned_id_ = kInvalidPageId;
   std::unique_ptr<GtNode> pinned_;

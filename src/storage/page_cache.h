@@ -52,8 +52,9 @@ class PageRef {
   const uint8_t* data() const { return data_; }
 
   // Writable view. Only meaningful for refs obtained via FetchMutable (the
-  // frame is marked dirty there); writing through a read ref corrupts the
-  // cache's dirty tracking.
+  // frame is marked dirty there, and has a buffer of its own); writing
+  // through a read ref corrupts the cache's dirty tracking, or the device
+  // itself when the frame borrows a device's page.
   uint8_t* mutable_data() const { return data_; }
 
   explicit operator bool() const { return data_ != nullptr; }

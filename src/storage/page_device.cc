@@ -66,6 +66,12 @@ void InMemoryPageDevice::Write(PageId id, const void* data) {
   std::memcpy(PageAddress(id), data, page_size());
 }
 
+const uint8_t* InMemoryPageDevice::StablePage(PageId id) const {
+  GAUSS_CHECK(id < page_count_.load(std::memory_order_acquire));
+  if (page_size() % sizeof(uint64_t) != 0) return nullptr;
+  return PageAddress(id);
+}
+
 size_t InMemoryPageDevice::PageCount() const {
   return page_count_.load(std::memory_order_acquire);
 }

@@ -30,6 +30,13 @@ namespace gauss {
 // descriptor plus an acquire/release page count; InMemoryPageDevice with a
 // fixed directory of geometrically-growing segments, so a published page's
 // address never moves while an append installs new segments.
+//
+// Stable pages: a device that keeps every page at one address for its whole
+// lifetime may lend that memory through StablePage(), and the buffer pool
+// then points a clean frame at it instead of copying the page
+// (sharded_buffer_pool.h). Whoever holds such a pointer sees every later
+// Write of the page, so the rule above covers it: a page is not written
+// while anyone reads it.
 class PageDevice {
  public:
   explicit PageDevice(uint32_t page_size) : page_size_(page_size) {}
@@ -50,6 +57,14 @@ class PageDevice {
   // Number of allocated pages.
   virtual size_t PageCount() const = 0;
 
+  // The page's own bytes (page_size() of them), valid and at the same
+  // address until the device is destroyed; nullptr when the device keeps no
+  // such memory (a file) and the page must be Read into a buffer.
+  virtual const uint8_t* StablePage(PageId id) const {
+    (void)id;
+    return nullptr;
+  }
+
   uint32_t page_size() const { return page_size_; }
 
  private:
@@ -68,6 +83,9 @@ class InMemoryPageDevice : public PageDevice {
   void Read(PageId id, void* out) const override;
   void Write(PageId id, const void* data) override;
   size_t PageCount() const override;
+  // The page's address in its segment, when the page size is a multiple of
+  // 8 (every lent page is then as aligned as the doubles on it).
+  const uint8_t* StablePage(PageId id) const override;
 
  private:
   // Pages live in segments of geometrically growing size (segment s holds

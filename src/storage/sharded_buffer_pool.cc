@@ -56,7 +56,7 @@ void ShardedBufferPool::EvictIfFullLocked(Shard& shard) {
       continue;
     }
     if (frame.dirty) {
-      device_->Write(frame_it->first, frame.data.get());
+      device_->Write(frame_it->first, frame.data);
       physical_writes_.fetch_add(1, std::memory_order_relaxed);
     }
     it = std::make_reverse_iterator(shard.lru.erase(frame.lru_pos));
@@ -72,39 +72,54 @@ ShardedBufferPool::Frame& ShardedBufferPool::GetFrameLocked(Shard& shard,
   logical_reads_.fetch_add(1, std::memory_order_relaxed);
   auto it = shard.frames.find(id);
   if (it != shard.frames.end()) {
-    shard.lru.erase(it->second.lru_pos);
-    shard.lru.push_front(id);
-    it->second.lru_pos = shard.lru.begin();
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
     return it->second;
   }
   EvictIfFullLocked(shard);
   auto [pos, inserted] = shard.frames.try_emplace(id);
   GAUSS_CHECK(inserted);
   Frame& frame = pos->second;
-  frame.data = std::make_unique<uint8_t[]>(device_->page_size());
-  device_->Read(id, frame.data.get());
+  frame.data = device_->StablePage(id);
+  if (frame.data == nullptr) {
+    OwnLocked(frame, /*copy=*/false);
+    device_->Read(id, frame.owned.get());
+  }
   physical_reads_.fetch_add(1, std::memory_order_relaxed);
   shard.lru.push_front(id);
   frame.lru_pos = shard.lru.begin();
   return frame;
 }
 
+void ShardedBufferPool::OwnLocked(Frame& frame, bool copy) const {
+  if (frame.owned != nullptr) return;
+  // The buffer is overwritten at once, so it is not zero-filled first.
+  frame.owned = std::make_unique_for_overwrite<uint8_t[]>(device_->page_size());
+  if (copy) std::memcpy(frame.owned.get(), frame.data, device_->page_size());
+  frame.data = frame.owned.get();
+}
+
+PageRef ShardedBufferPool::Pin(Frame& frame) {
+  frame.pins.fetch_add(1, std::memory_order_relaxed);
+  // A read ref to a borrowed frame points into the device: PageRef's
+  // mutable_data() is for FetchMutable refs only, which always own.
+  return PageRef(const_cast<uint8_t*>(frame.data), &frame.pins,
+                 &frame.verified);
+}
+
 PageRef ShardedBufferPool::Fetch(PageId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.latch);
-  Frame& frame = GetFrameLocked(shard, id);
-  frame.pins.fetch_add(1, std::memory_order_relaxed);
-  return PageRef(frame.data.get(), &frame.pins, &frame.verified);
+  return Pin(GetFrameLocked(shard, id));
 }
 
 PageRef ShardedBufferPool::FetchMutable(PageId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.latch);
   Frame& frame = GetFrameLocked(shard, id);
+  OwnLocked(frame, /*copy=*/true);
   frame.dirty = true;
   frame.verified.store(false, std::memory_order_relaxed);
-  frame.pins.fetch_add(1, std::memory_order_relaxed);
-  return PageRef(frame.data.get(), &frame.pins, &frame.verified);
+  return Pin(frame);
 }
 
 void ShardedBufferPool::WritePage(PageId id, const void* data) {
@@ -114,18 +129,16 @@ void ShardedBufferPool::WritePage(PageId id, const void* data) {
   if (it == shard.frames.end()) {
     EvictIfFullLocked(shard);
     it = shard.frames.try_emplace(id).first;
-    Frame& frame = it->second;
-    frame.data = std::make_unique<uint8_t[]>(device_->page_size());
-    shard.lru.push_front(id);
-    frame.lru_pos = shard.lru.begin();
-  } else {
-    shard.lru.erase(it->second.lru_pos);
     shard.lru.push_front(id);
     it->second.lru_pos = shard.lru.begin();
+  } else {
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
   }
-  std::memcpy(it->second.data.get(), data, device_->page_size());
-  it->second.dirty = true;
-  it->second.verified.store(false, std::memory_order_relaxed);
+  Frame& frame = it->second;
+  OwnLocked(frame, /*copy=*/false);
+  std::memcpy(frame.owned.get(), data, device_->page_size());
+  frame.dirty = true;
+  frame.verified.store(false, std::memory_order_relaxed);
 }
 
 void ShardedBufferPool::FlushAll() {
@@ -133,7 +146,7 @@ void ShardedBufferPool::FlushAll() {
     std::lock_guard<std::mutex> lock(shard.latch);
     for (auto& [id, frame] : shard.frames) {
       if (frame.dirty) {
-        device_->Write(id, frame.data.get());
+        device_->Write(id, frame.data);
         frame.dirty = false;
         physical_writes_.fetch_add(1, std::memory_order_relaxed);
       }

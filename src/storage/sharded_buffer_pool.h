@@ -50,6 +50,17 @@ namespace gauss {
 //    reads with no shared seek state).
 //  * IoStats are aggregated with relaxed atomics: counters are exact in
 //    total, but a snapshot taken mid-traffic may be torn across counters.
+//
+// Copy-on-write frames: a page exists once in memory. On a miss over a
+// device that lends its pages (PageDevice::StablePage — the in-memory
+// device), the frame points at the device's own bytes; no buffer is
+// allocated and nothing is copied. A frame gets a buffer of its own only
+// when it is written — FetchMutable copies the page into it, WritePage
+// fills it — and every frame over a file device reads into one. Whether a
+// frame borrows or owns changes no count: a miss is one physical read
+// either way, a dirty frame (always an owned one) is written back on
+// eviction or FlushAll, and eviction order and the verified bit follow the
+// same rules.
 class ShardedBufferPool : public PageCache {
  public:
   // `capacity_pages` > 0 is the *total* budget, split evenly across shards
@@ -82,7 +93,10 @@ class ShardedBufferPool : public PageCache {
 
  private:
   struct Frame {
-    std::unique_ptr<uint8_t[]> data;
+    // The page bytes: the device's own page while the frame borrows it,
+    // else `owned`. Only an owned frame is ever written or dirty.
+    const uint8_t* data = nullptr;
+    std::unique_ptr<uint8_t[]> owned;
     bool dirty = false;
     std::atomic<uint32_t> pins{0};
     std::atomic<bool> verified{false};  // see PageRef::verified()
@@ -108,6 +122,11 @@ class ShardedBufferPool : public PageCache {
   // Caller holds `shard.latch`.
   Frame& GetFrameLocked(Shard& shard, PageId id);
   void EvictIfFullLocked(Shard& shard);
+  // Gives a borrowing frame its own buffer, a copy of the page when
+  // `copy`; the caller is about to write it.
+  void OwnLocked(Frame& frame, bool copy) const;
+  // The frame as a ref, pinned. Caller holds the frame's shard latch.
+  static PageRef Pin(Frame& frame);
 
   PageDevice* device_;
   size_t capacity_;

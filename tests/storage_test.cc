@@ -466,5 +466,141 @@ TEST(ShardedBufferPoolTest, VerifiedBitLifecycle) {
   ExpectVerifiedBitLifecycle(/*num_shards=*/0);
 }
 
+// A clean frame over an in-memory device is the device's own page: Fetch
+// hands out the device's address, copies nothing and allocates nothing,
+// and still counts a miss as one physical read.
+void ExpectCleanFetchBorrowsDevicePage(size_t num_shards) {
+  InMemoryPageDevice device(256);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 32; ++i) {
+    ids.push_back(device.Allocate());
+    device.Write(ids.back(), Pattern(256, static_cast<uint8_t>(i)).data());
+  }
+  ShardedBufferPool pool(&device, 8, num_shards);
+  for (int round = 0; round < 2; ++round) {
+    for (PageId id : ids) {
+      const PageRef ref = pool.Fetch(id);
+      EXPECT_EQ(ref.data(), device.StablePage(id));
+    }
+  }
+  EXPECT_EQ(pool.stats().logical_reads, 64u);
+  EXPECT_GE(pool.stats().physical_reads, 32u);
+}
+
+TEST(BufferPoolTest, CleanFetchBorrowsDevicePage) {
+  ExpectCleanFetchBorrowsDevicePage(/*num_shards=*/1);
+}
+
+TEST(ShardedBufferPoolTest, CleanFetchBorrowsDevicePage) {
+  ExpectCleanFetchBorrowsDevicePage(/*num_shards=*/0);
+}
+
+// Writing a borrowed frame gives it a buffer of its own: the device page
+// keeps its bytes until the frame is written back — by FlushAll or on
+// eviction, one physical write each — and the frame's verified bit drops
+// with the copy.
+void ExpectWritesCopyOnWrite(size_t num_shards) {
+  InMemoryPageDevice device(256);
+  const auto original = Pattern(256, 1);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 64; ++i) {
+    ids.push_back(device.Allocate());
+    device.Write(ids.back(), original.data());
+  }
+  const PageId a = ids[0], b = ids[1];
+  const auto device_bytes = [&](PageId id) {
+    return std::vector<uint8_t>(device.StablePage(id),
+                                device.StablePage(id) + 256);
+  };
+  ShardedBufferPool pool(&device, 8, num_shards);
+
+  // FetchMutable copies the page before the caller writes it.
+  pool.Fetch(a).MarkVerified();
+  {
+    const PageRef ref = pool.FetchMutable(a);
+    EXPECT_NE(ref.data(), device.StablePage(a));
+    EXPECT_EQ(std::memcmp(ref.data(), original.data(), 256), 0);
+    EXPECT_FALSE(ref.verified());
+    ref.mutable_data()[0] = 0xAB;
+  }
+  EXPECT_EQ(device_bytes(a), original);
+  EXPECT_EQ(pool.Fetch(a).data()[0], 0xAB);
+
+  // WritePage over a borrowed frame, too.
+  pool.Fetch(b).MarkVerified();
+  const auto written = Pattern(256, 7);
+  pool.WritePage(b, written.data());
+  EXPECT_EQ(device_bytes(b), original);
+  {
+    const PageRef ref = pool.Fetch(b);
+    EXPECT_NE(ref.data(), device.StablePage(b));
+    EXPECT_EQ(std::memcmp(ref.data(), written.data(), 256), 0);
+    EXPECT_FALSE(ref.verified());
+  }
+  EXPECT_EQ(pool.stats().physical_writes, 0u);
+
+  pool.FlushAll();
+  EXPECT_EQ(pool.stats().physical_writes, 2u);
+  EXPECT_EQ(device_bytes(a)[0], 0xAB);
+  EXPECT_EQ(device_bytes(b), written);
+
+  // Eviction writes a dirty frame back exactly once; the page's next frame
+  // borrows the device page again.
+  pool.WritePage(a, original.data());
+  EXPECT_EQ(device_bytes(a)[0], 0xAB);
+  for (PageId id : ids) {
+    if (id != a) pool.Fetch(id);
+  }
+  EXPECT_EQ(pool.stats().physical_writes, 3u);
+  EXPECT_EQ(device_bytes(a), original);
+  EXPECT_EQ(pool.Fetch(a).data(), device.StablePage(a));
+}
+
+TEST(BufferPoolTest, WritesCopyOnWrite) {
+  ExpectWritesCopyOnWrite(/*num_shards=*/1);
+}
+
+TEST(ShardedBufferPoolTest, WritesCopyOnWrite) {
+  ExpectWritesCopyOnWrite(/*num_shards=*/0);
+}
+
+// A file device lends no memory: every frame reads the page into a buffer
+// of its own, and a write reaches the file only on write-back.
+void ExpectFileFramesCopy(size_t num_shards) {
+  const std::string path = ::testing::TempDir() + "/gauss_file_frames_" +
+                           std::to_string(num_shards) + ".db";
+  {
+    FilePageDevice device(path, 256, /*truncate=*/true);
+    const PageId id = device.Allocate();
+    const auto original = Pattern(256, 4);
+    device.Write(id, original.data());
+    EXPECT_EQ(device.StablePage(id), nullptr);
+    ShardedBufferPool pool(&device, 2, num_shards);
+    {
+      const PageRef ref = pool.Fetch(id);
+      ASSERT_TRUE(ref);
+      EXPECT_EQ(std::memcmp(ref.data(), original.data(), 256), 0);
+    }
+    pool.FetchMutable(id).mutable_data()[0] = 0x5C;
+    std::vector<uint8_t> read(256);
+    device.Read(id, read.data());
+    EXPECT_EQ(read, original);
+    pool.FlushAll();
+    device.Read(id, read.data());
+    EXPECT_EQ(read[0], 0x5C);
+    EXPECT_EQ(pool.stats().physical_reads, 1u);
+    EXPECT_EQ(pool.stats().physical_writes, 1u);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(BufferPoolTest, FileFramesCopy) {
+  ExpectFileFramesCopy(/*num_shards=*/1);
+}
+
+TEST(ShardedBufferPoolTest, FileFramesCopy) {
+  ExpectFileFramesCopy(/*num_shards=*/0);
+}
+
 }  // namespace
 }  // namespace gauss
