@@ -155,10 +155,9 @@ BENCHMARK(BM_LeafSerialize)->Arg(10)->Arg(27);
 
 // Random node loads through GtNodeStore::LoadSoa on the e2e `tree` gallery
 // (paper data set 2 surrogate: 100k objects, dim 10, 8 KiB pages) behind a
-// cache holding the whole tree, once per page format. Every load is a warm,
-// already-verified hit, so the cells isolate what a visit costs beyond the
-// fetch: a transpose into scratch planes for a legacy page (arg 1), a
-// pointer view into the pinned frame for a v3 one (arg 0).
+// cache holding the whole tree. Every load is a warm, already-verified hit,
+// so the cell isolates what a visit costs beyond the fetch: a pointer view
+// into the pinned frame.
 struct LoadFixture {
   InMemoryPageDevice device{kDefaultPageSize};
   std::unique_ptr<ShardedBufferPool> pool;
@@ -166,9 +165,8 @@ struct LoadFixture {
   std::vector<PageId> nodes;  // every node but the pinned root
 };
 
-LoadFixture& GalleryTree(bool legacy) {
-  static LoadFixture fixtures[2];
-  LoadFixture& f = fixtures[legacy ? 1 : 0];
+LoadFixture& GalleryTree() {
+  static LoadFixture f;
   if (f.tree != nullptr) return f;
   PageId meta = kInvalidPageId;
   {
@@ -178,7 +176,6 @@ LoadFixture& GalleryTree(bool legacy) {
     tree.Finalize();
     meta = tree.meta_page();
   }
-  if (legacy) test::ForgeLegacyTree(&f.device, meta);
   f.nodes = test::TreeNodePages(f.device, meta);
   f.nodes.erase(f.nodes.begin());
   f.pool = std::make_unique<ShardedBufferPool>(&f.device,
@@ -188,7 +185,7 @@ LoadFixture& GalleryTree(bool legacy) {
 }
 
 void BM_LoadSoaHit(benchmark::State& state) {
-  const LoadFixture& f = GalleryTree(state.range(0) != 0);
+  const LoadFixture& f = GalleryTree();
   const GtNodeStore& store = f.tree->store();
   Rng rng(8);
   std::vector<PageId> order(1 << 16);
@@ -202,7 +199,7 @@ void BM_LoadSoaHit(benchmark::State& state) {
     view.page.Release();  // as a traversal's Expand does
   }
 }
-BENCHMARK(BM_LoadSoaHit)->ArgName("legacy")->Arg(0)->Arg(1);
+BENCHMARK(BM_LoadSoaHit);
 
 // ------------------------------ batch kernels -------------------------------
 

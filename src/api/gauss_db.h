@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "api/partitioner.h"
 #include "gausstree/gauss_tree.h"
 #include "net/net_error.h"
 #include "net/shard_backend.h"
@@ -77,6 +76,8 @@ namespace gauss {
 //     unrecognizable or truncated manifest/header, or a version/page-size/
 //     shard-layout mismatch is reported as a typed OpenError for the caller
 //     to handle (a serving fleet must degrade a bad replica, not abort).
+//     An image in an older format is refused with kNeedsUpgrade;
+//     GaussDb::Upgrade() rewrites it once, offline.
 //     Opening also walks and checksums every node page (kCorruptPage).
 //     A node page damaged after that fails only the queries that reach
 //     it, typed (QueryResponse::Status::kCorrupt, or kShardError carrying
@@ -114,9 +115,7 @@ namespace gauss {
 // answers equal the single-tree algorithm's (see service/shard_coordinator.h
 // for the algorithm and its correctness argument, including the seeded Start
 // that lets spatial shards prune each other, and
-// tests/shard_equivalence_test.cc for the differential proof). Databases
-// written before spatial partitioning were cut by an id hash; they reopen,
-// serve and keep routing by their persisted hash seed.
+// tests/shard_equivalence_test.cc for the differential proof).
 // The coordinator protocol never sees where a shard's pages live, which is
 // why the same Session serves both storage layouts below unchanged.
 //
@@ -137,25 +136,24 @@ namespace gauss {
 //
 //   * Single-file (CreateOnFile): every shard tree lives as a page region of
 //     the one device. Page 0 holds a GaussDb shard manifest (own magic;
-//     format version, num_shards, partition kind, hash seed of a hash image,
-//     dimensionality, page size, per-shard header page ids) written by
-//     Finalize(); each shard tree keeps its ordinary GaussTree header on its
-//     own page. An unsharded database keeps the legacy layout (tree header
-//     directly at page 0), and OpenFile() distinguishes the two by the
-//     page-0 magic — both layouts reopen transparently, sharding options are
-//     restored from the manifest and the caller's ShardOptions are ignored.
+//     format version, num_shards, partition kind, dimensionality, page size,
+//     per-shard header page ids) written by Finalize(); each shard tree
+//     keeps its ordinary GaussTree header on its own page. An unsharded
+//     database has no manifest (its tree header sits directly at page 0),
+//     and OpenFile() distinguishes the two by the page-0 magic — both
+//     layouts reopen transparently, sharding options are restored from the
+//     manifest and the caller's ShardOptions are ignored.
 //
 //   * Directory (CreateOnDirectory): one *device per shard*, for galleries
 //     larger than one device. `<dir>/MANIFEST` is a small text file naming
-//     the format version, page size, dimensionality, partition kind (plus
-//     the hash seed of a hash image), shard count, and the per-shard
-//     relative paths; each `<dir>/shard-NNNN.gauss` is an ordinary
-//     single-tree FilePageDevice image (GaussTree header at page 0) — so any
-//     shard file is independently openable with OpenFile() for
-//     inspection or repair, and per-shard files can live on different
-//     mounts via symlinks. Each shard gets its own one-stripe build pool
-//     and its own striped serving pool, so reads proceed across all N
-//     files truly in parallel. Session::io_stats() still merges the
+//     the format version, page size, dimensionality, partition kind, shard
+//     count, and the per-shard relative paths; each `<dir>/shard-NNNN.gauss`
+//     is an ordinary single-tree FilePageDevice image (GaussTree header at
+//     page 0) — so any shard file is independently openable with
+//     OpenFile() for inspection or repair, and per-shard files can live on
+//     different mounts via symlinks. Each shard gets its own one-stripe
+//     build pool and its own striped serving pool, so reads proceed across
+//     all N files truly in parallel. Session::io_stats() still merges the
 //     per-shard counters into one per-session view. OpenDirectory()
 //     reattaches; the manifest's facts override the caller's ShardOptions.
 //
@@ -183,7 +181,7 @@ namespace gauss {
 // Sharding configuration (build-time: partitioning is part of the
 // database's persistent identity, not of one serving session).
 struct ShardOptions {
-  // 0 = unsharded single tree (the default; legacy file layout).
+  // 0 = unsharded single tree (the default; its header at page 0).
   // >= 1 partitions the gallery over this many Gauss-trees behind one
   // scatter-gather front door. 1 is a valid degenerate case (one shard
   // behind a coordinator) and useful for testing the combination logic.
@@ -308,8 +306,11 @@ enum class OpenErrorCode {
   kCorruptManifest,    // manifest present but truncated or inconsistent
   kMissingShardFile,   // directory manifest names a shard file that is absent
   kShardCountMismatch, // manifest shard count disagrees with its shard list
-  kCorruptPage,        // a node page fails its checksum or is malformed, or
-                       // the tree reaches a page twice
+  kCorruptPage,        // a node page fails its checksum or is malformed,
+                       // the tree reaches a page twice, or a tree header
+                       // is malformed or disagrees with its leaves
+  kNeedsUpgrade,       // an older format this build reads only through
+                       // GaussDb::Upgrade()
 };
 
 // Human-readable name of an OpenErrorCode ("page_size_mismatch", ...).
@@ -321,6 +322,7 @@ struct OpenError {
 };
 
 class OpenResult;
+struct StoredImage;  // api/upgrade.h
 
 // The serving engine (api/serving_engine.h): epochs of per-shard serving
 // stacks behind one front door, delta routing and the merge thread under
@@ -472,12 +474,13 @@ class GaussDb {
 
   // Reattaches to a database file written by CreateOnFile() + Finalize().
   // Tree options, dimensionality, and sharding are read back from the
-  // persistent headers (legacy tree header or shard manifest at page 0);
+  // persistent headers (tree header or shard manifest at page 0);
   // `options.tree`/`options.shards` are ignored. A missing file, a damaged
   // or foreign manifest/header, or `options.page_size` differing from the
   // page size the file was created with comes back as a typed OpenError
   // (see OpenResult), and so does a node page that fails its checksum or
-  // structural checks (kCorruptPage): opening walks every node page.
+  // structural checks (kCorruptPage): opening walks every node page. An
+  // image in an older format is kNeedsUpgrade (see Upgrade()).
   static OpenResult OpenFile(const std::string& path,
                              GaussDbOptions options = {});
 
@@ -492,6 +495,15 @@ class GaussDb {
   static OpenResult OpenDirectory(const std::string& path,
                                   GaussDbOptions options = {});
 
+  // Offline: rewrites the database file or directory at `from`, in any
+  // format a build has written (api/upgrade.h), as a new image at `to` in
+  // the current one: same layout family, page size, dim, shard count and
+  // tree options, objects bulk-loaded in id order and cut spatially. Fails
+  // with Open*()'s typed errors, or kIoError when `to` is `from`; of
+  // `options` only page_size and ingest apply.
+  static OpenResult Upgrade(const std::string& from, const std::string& to,
+                            GaussDbOptions options = {});
+
   GaussDb(GaussDb&&) = default;
   GaussDb& operator=(GaussDb&&) = default;
 
@@ -502,8 +514,7 @@ class GaussDb {
   void Build(const PfvDataset& dataset);
 
   // Inserts one object. Build phase: paper Section 5.3 insertion into its
-  // shard tree (routed by the shards' root MBRs, or by the id hash on an
-  // image written before spatial partitioning), reopening a finalized tree
+  // shard tree (routed by the shards' root MBRs), reopening a finalized tree
   // for writing if necessary (kRoutedToBuild). Serving with live ingest
   // enabled (GaussDbOptions::ingest): appends to the owning shard's delta
   // (kRoutedToDelta) — visible to every query admitted afterwards, with
@@ -562,7 +573,7 @@ class GaussDb {
   bool finalized() const;
 
   // Number of shard trees (1 for an unsharded database).
-  size_t num_shards() const { return sharded_ ? partitioner_.num_shards() : 1; }
+  size_t num_shards() const { return num_shards_; }
   bool sharded() const { return sharded_; }
 
   // True when each shard has its own device (directory layout).
@@ -582,8 +593,8 @@ class GaussDb {
   GaussDb() = default;
 
   // Page the first persistent header lives at. Single-device layouts:
-  // GaussDb always allocates it first on a fresh device — the legacy tree
-  // header (unsharded) or the shard manifest — which is what OpenFile()
+  // GaussDb always allocates it first on a fresh device — the tree header
+  // (unsharded) or the shard manifest — which is what OpenFile()
   // relies on. Directory layout: every shard file is a single-tree image,
   // so each shard's tree header lands here on its own device.
   static constexpr PageId kMetaPage = 0;
@@ -594,16 +605,23 @@ class GaussDb {
     return per_shard_devices_ ? shard : 0;
   }
 
-  void InitShardRouting(const GaussDbOptions& options);
+  // A database of `options` and `dim` without devices; AddDevice appends
+  // one with its one-stripe build pool.
+  static GaussDb Empty(const GaussDbOptions& options, size_t dim);
+  void AddDevice(std::unique_ptr<PageDevice> device);
+
+  // Open*()'s result once `image` at `path` has been read: kNeedsUpgrade,
+  // kCorruptPage when a tree fails GaussTree::TryOpen, or the database.
+  static OpenResult Attach(const std::string& path, StoredImage* image,
+                           GaussDbOptions options);
 
   // Creates the (empty) shard trees on the fresh device(s): single-device —
   // the manifest page first when sharded, then one tree per shard in shard
   // order; per-shard devices — one tree at page 0 of each device.
   void InitFreshTrees();
 
-  // Writes the shard manifest: page 0 (single-file sharded layout) or the
-  // MANIFEST text file (directory layout).
-  void WriteManifest();
+  // Writes the directory layout's MANIFEST text file (Finalize() writes
+  // the single-file layout's page-0 manifest itself).
   void WriteDirectoryManifest();
 
   GaussDbOptions options_;
@@ -621,7 +639,7 @@ class GaussDb {
   bool sharded_ = false;
   bool per_shard_devices_ = false;
   std::string directory_;  // CreateOnDirectory/OpenDirectory root
-  Partitioner partitioner_ = Partitioner::Spatial(1);
+  size_t num_shards_ = 1;
   std::vector<PageId> shard_metas_;  // per-shard header page ids
 
   size_t dim_ = 0;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "common/macros.h"
+
 namespace gauss {
 
 namespace {
@@ -77,17 +79,18 @@ void Cut(const PfvDataset& dataset, std::vector<uint32_t>::iterator begin,
 
 }  // namespace
 
-std::vector<PfvDataset> Partitioner::SplitSpatial(const PfvDataset& dataset,
-                                                  size_t leaf_capacity) const {
+std::vector<PfvDataset> SplitSpatial(const PfvDataset& dataset,
+                                     size_t num_shards, size_t leaf_capacity) {
+  GAUSS_CHECK_MSG(num_shards > 0, "SplitSpatial needs >= 1 shard");
   std::vector<uint32_t> order(dataset.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
   std::vector<std::vector<uint32_t>> positions;
-  positions.reserve(num_shards_);
-  Cut(dataset, order.begin(), order.end(), num_shards_, leaf_capacity,
+  positions.reserve(num_shards);
+  Cut(dataset, order.begin(), order.end(), num_shards, leaf_capacity,
       &positions);
 
   std::vector<PfvDataset> parts;
-  parts.reserve(num_shards_);
+  parts.reserve(num_shards);
   for (std::vector<uint32_t>& part : positions) {
     std::sort(part.begin(), part.end());  // dataset order within the shard
     PfvDataset shard(dataset.dim());

@@ -2,28 +2,13 @@
 #define GAUSS_API_PARTITIONER_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
-#include "common/macros.h"
-#include "gausstree/gauss_tree.h"
-#include "gausstree/node.h"
 #include "pfv/pfv.h"
 
 namespace gauss {
 
-// How a sharded GaussDb assigns objects to shards. Part of the database's
-// persistent identity: the page-0 manifest and the directory MANIFEST both
-// record it, so a reopened database keeps routing the way it was built.
-enum class PartitionKind : uint32_t {
-  // Images written before spatial partitioning: SplitMix64 of the id,
-  // optionally seeded. Read and routed, never written by a new Build().
-  kHash = 0,
-  // Every new Build(): shards are regions of the feature space.
-  kSpatial = 1,
-};
-
-// Shard router of a sharded GaussDb.
+// The shard cut of a sharded GaussDb.
 //
 // Why space, not hash. An identification query must consult every shard —
 // the Bayes denominator spans the whole gallery (service/shard_coordinator.h)
@@ -45,71 +30,14 @@ enum class PartitionKind : uint32_t {
 // one extra leaf per object above C*2^j — a 25,000-object shard takes 1005
 // nodes, a 24,576-object one 547. There is no snap when s < C (a part
 // smaller than one leaf has no band to avoid). Each part keeps dataset
-// order.
-//
-// Routing (Insert and live-ingest deltas). The paper's Section 5.3 insertion
-// rule applied above the shard trees, to their root entries (ChooseSubtree in
-// gausstree/gauss_tree.h): a containing root MBR with the smallest cost, else
-// the least cost growth, ties to the lowest shard index. Hash images keep
-// routing by the id hash with their persisted seed, exactly as when they were
-// built.
-class Partitioner {
- public:
-  // The router of every new build.
-  static Partitioner Spatial(size_t num_shards) {
-    return Partitioner(num_shards, PartitionKind::kSpatial, 0);
-  }
-  // The router of a hash image, with its persisted seed.
-  static Partitioner Hash(size_t num_shards, uint64_t seed) {
-    return Partitioner(num_shards, PartitionKind::kHash, seed);
-  }
+// order. Inserts and live-ingest deltas then go to the shard ChooseSubtree
+// (gausstree/gauss_tree.h) picks among the shards' root entries.
 
-  size_t num_shards() const { return num_shards_; }
-  PartitionKind kind() const { return kind_; }
-  uint64_t hash_seed() const { return seed_; }
-
-  // True when Route() reads the shards' root entries (a spatial database of
-  // more than one shard); callers may skip collecting them otherwise.
-  bool routes_by_bounds() const {
-    return kind_ == PartitionKind::kSpatial && num_shards_ > 1;
-  }
-
-  // Shard of `pfv`. `roots[s]` is shard s's root entry
-  // (GaussTree::RootEntry); it is read only when routes_by_bounds().
-  size_t Route(const Pfv& pfv, const std::vector<GtChildEntry>& roots,
-               const GaussTreeOptions& options) const {
-    if (num_shards_ == 1) return 0;
-    if (kind_ == PartitionKind::kHash) {
-      return static_cast<size_t>(Mix(pfv.id ^ seed_) % num_shards_);
-    }
-    GAUSS_CHECK(roots.size() == num_shards_);
-    return ChooseSubtree(roots, pfv, options);
-  }
-
-  // The spatial cut of `dataset` into num_shards() parts (see above), for
-  // trees of `leaf_capacity` objects per leaf. Deterministic: a pure
-  // function of the dataset and its arguments.
-  std::vector<PfvDataset> SplitSpatial(const PfvDataset& dataset,
-                                       size_t leaf_capacity) const;
-
- private:
-  Partitioner(size_t num_shards, PartitionKind kind, uint64_t seed)
-      : num_shards_(num_shards), kind_(kind), seed_(seed) {
-    GAUSS_CHECK_MSG(num_shards_ > 0, "Partitioner needs >= 1 shard");
-  }
-
-  // SplitMix64 finalizer (public-domain constants, Steele et al.).
-  static uint64_t Mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-  }
-
-  size_t num_shards_;
-  PartitionKind kind_;
-  uint64_t seed_;
-};
+// The spatial cut of `dataset` into `num_shards` >= 1 parts (see above), for
+// trees of `leaf_capacity` objects per leaf. Deterministic: a pure function
+// of the dataset and its arguments.
+std::vector<PfvDataset> SplitSpatial(const PfvDataset& dataset,
+                                     size_t num_shards, size_t leaf_capacity);
 
 }  // namespace gauss
 

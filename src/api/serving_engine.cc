@@ -38,14 +38,12 @@ ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
 }  // namespace
 
 ServingEngine::ServingEngine(std::vector<ShardSource> sources, bool sharded,
-                             Partitioner partitioner, size_t dim,
-                             GaussTreeOptions tree_options,
+                             size_t dim, GaussTreeOptions tree_options,
                              std::vector<FilePageDevice*> file_devices,
                              ServeOptions serve, IngestOptions ingest)
     : dim_(dim),
       num_base_(sources.size()),
       sharded_(sharded),
-      partitioner_(partitioner),
       tree_options_(tree_options),
       sources_(std::move(sources)),
       file_devices_(std::move(file_devices)),
@@ -65,7 +63,6 @@ ServingEngine::ServingEngine(
     : dim_(backends.empty() ? 0 : backends.front()->dim()),
       num_base_(backends.size()),
       sharded_(true),
-      partitioner_(Partitioner::Spatial(1)),
       serve_(serve) {
   auto epoch = std::make_shared<Epoch>();
   epoch->backends = std::move(backends);
@@ -111,7 +108,7 @@ std::shared_ptr<ServingEngine::Epoch> ServingEngine::BuildLocalEpoch(
     service_options.queue_capacity = serve_.queue_capacity;
     stack.service =
         std::make_unique<QueryService>(*stack.tree, service_options);
-    if (ingest_.enabled && partitioner_.routes_by_bounds()) {
+    if (ingest_.enabled && shards > 1) {
       epoch->routes.push_back(stack.tree->RootEntry());
     }
     epoch->stacks.push_back(std::move(stack));
@@ -199,7 +196,9 @@ InsertResult ServingEngine::Insert(const Pfv& pfv) {
 }
 
 bool ServingEngine::AppendToDelta(Epoch* epoch, const Pfv& pfv) const {
-  const size_t shard = partitioner_.Route(pfv, epoch->routes, tree_options_);
+  const size_t shard =
+      epoch->routes.empty() ? 0 : ChooseSubtree(epoch->routes, pfv,
+                                                tree_options_);
   if (!epoch->deltas[shard]->Append(pfv)) return false;
   epoch->GrowRoute(shard, pfv);
   return true;

@@ -65,9 +65,9 @@ struct ShardServingStack {
 // the base image and the delta prefix published before t (DeltaTree grows
 // append-only and its size is read once per traversal). Inserts go to the
 // *current* epoch's delta under insert_mu_ — queries never block inserts and
-// vice versa. A spatial database routes each insert by the paper's Section
-// 5.3 rule over the shards' root MBRs, each grown by its delta; a hash image
-// routes by the id hash (api/partitioner.h).
+// vice versa. A sharded database routes each insert by the paper's Section
+// 5.3 rule over the shards' root MBRs, each grown by its delta
+// (api/partitioner.h).
 //
 // Merge (live ingest only). Once the buffered delta passes
 // IngestOptions::merge_threshold, or a delta rejects an insert because it is
@@ -101,8 +101,7 @@ class ServingEngine {
   // front of them even without deltas. With `ingest.enabled` every epoch
   // carries one delta per shard, `file_devices` are synced after every
   // merge, and MergePolicy::kBackground starts the merge thread.
-  ServingEngine(std::vector<ShardSource> sources, bool sharded,
-                Partitioner partitioner, size_t dim,
+  ServingEngine(std::vector<ShardSource> sources, bool sharded, size_t dim,
                 GaussTreeOptions tree_options,
                 std::vector<FilePageDevice*> file_devices, ServeOptions serve,
                 IngestOptions ingest);
@@ -174,10 +173,10 @@ class ServingEngine {
     std::vector<std::shared_ptr<DeltaTree>> deltas;  // live ingest only
     std::vector<std::unique_ptr<ShardBackend>> backends;
     std::unique_ptr<ShardCoordinator> coordinator;  // null: direct front door
-    // Live ingest on a spatial database of > 1 shard: each shard's root
-    // entry grown by its delta, what deltas are routed against. Guarded by
-    // the engine's insert_mu_ (only inserts and the merge's re-publication
-    // read or grow it).
+    // Live ingest over > 1 shard: each shard's root entry grown by its
+    // delta, what deltas are routed against (empty: every object goes to
+    // shard 0). Guarded by the engine's insert_mu_ (only inserts and the
+    // merge's re-publication read or grow it).
     std::vector<GtChildEntry> routes;
 
     // Grows shard's route by an object appended to its delta: the shard now
@@ -211,7 +210,6 @@ class ServingEngine {
   const size_t dim_;
   const size_t num_base_;
   const bool sharded_;
-  const Partitioner partitioner_;
   const GaussTreeOptions tree_options_;
   const std::vector<ShardSource> sources_;          // local only
   const std::vector<FilePageDevice*> file_devices_; // local only

@@ -18,10 +18,9 @@ namespace {
 // Persistent header written to the meta page on Finalize().
 constexpr uint64_t kGaussTreeMagic = 0x47415553'54524545ull;  // "GAUSSTREE"
 // v2: added page_size. v3: node pages in the SoA format with a CRC-32C
-// (gausstree/node.h). Open() still reads v2 trees, whose pages keep the
-// legacy row format until the next Finalize() rewrites them.
+// (gausstree/node.h). Open() reads v3 only; GaussDb::Upgrade rewrites a v2
+// tree, whose header has this same layout.
 constexpr uint32_t kGaussTreeVersion = 3;
-constexpr uint32_t kOldestReadableVersion = 2;
 
 struct MetaPageLayout {
   uint64_t magic;
@@ -117,14 +116,27 @@ GaussTree::HeaderInfo GaussTree::InspectHeader(const void* page_bytes,
   info.page_size = meta.page_size;
   info.dim = meta.dim;
   info.size = meta.size;
+  info.root = meta.root;
+  if (!GtCapacities::Fits(meta.page_size, meta.dim)) {
+    info.malformed = "the page cannot hold two entries of the header's dim";
+  } else if (meta.sigma_policy >
+             static_cast<uint8_t>(SigmaPolicy::kAdditive)) {
+    info.malformed = "sigma_policy byte out of range";
+  } else if (meta.integral_method >
+             static_cast<uint8_t>(IntegralMethod::kSigmoidPoly5)) {
+    info.malformed = "integral_method byte out of range";
+  } else if (meta.split_strategy >
+             static_cast<uint8_t>(SplitStrategy::kMuOnly)) {
+    info.malformed = "split_strategy byte out of range";
+  }
+  info.options.sigma_policy = static_cast<SigmaPolicy>(meta.sigma_policy);
+  info.options.integral_method =
+      static_cast<IntegralMethod>(meta.integral_method);
+  info.options.split_strategy = static_cast<SplitStrategy>(meta.split_strategy);
   return info;
 }
 
 uint32_t GaussTree::header_version() { return kGaussTreeVersion; }
-
-bool GaussTree::ReadsHeaderVersion(uint32_t version) {
-  return version >= kOldestReadableVersion && version <= kGaussTreeVersion;
-}
 
 std::unique_ptr<GaussTree> GaussTree::Open(PageCache* pool,
                                            PageId meta_page) {
@@ -138,39 +150,30 @@ std::unique_ptr<GaussTree> GaussTree::TryOpen(PageCache* pool,
                                               PageId meta_page,
                                               std::string* error) {
   GAUSS_CHECK(pool != nullptr && error != nullptr);
-  MetaPageLayout meta;
-  {
-    const PageRef page = pool->Fetch(meta_page);
-    std::memcpy(&meta, page.data(), sizeof(meta));
-  }
-  if (meta.magic != kGaussTreeMagic) {
+  error->clear();
+  const HeaderInfo info =
+      InspectHeader(pool->Fetch(meta_page).data(), pool->page_size());
+  if (!info.valid_magic) {
     *error = "page does not hold a Gauss-tree header";
-    return nullptr;
-  }
-  if (!ReadsHeaderVersion(meta.version)) {
-    *error = "unsupported Gauss-tree version " + std::to_string(meta.version);
-    return nullptr;
-  }
-  if (meta.page_size != pool->device()->page_size()) {
+  } else if (info.version != kGaussTreeVersion) {
+    *error = "unsupported Gauss-tree version " + std::to_string(info.version);
+  } else if (info.page_size != pool->page_size()) {
     *error = "page size mismatch: the device is opened with a different "
              "page size than the tree was serialized with";
-    return nullptr;
+  } else if (info.malformed != nullptr) {
+    *error = std::string("malformed Gauss-tree header: ") + info.malformed;
   }
-  GaussTreeOptions options;
-  options.sigma_policy = static_cast<SigmaPolicy>(meta.sigma_policy);
-  options.integral_method = static_cast<IntegralMethod>(meta.integral_method);
-  options.split_strategy = static_cast<SplitStrategy>(meta.split_strategy);
+  if (!error->empty()) return nullptr;
 
   auto tree = std::unique_ptr<GaussTree>(
-      new GaussTree(pool, meta.dim, options, meta_page, meta.root,
-                    static_cast<size_t>(meta.size)));
+      new GaussTree(pool, info.dim, info.options, meta_page, info.root,
+                    static_cast<size_t>(info.size)));
   // Walks (and checksums) every root-reachable node page, remembering the
   // set so Definalize() can reload them.
-  if (!tree->store_.OpenFinalized(meta.root,
-                                  /*legacy_pages=*/meta.version < 3, error)) {
+  if (!tree->store_.OpenFinalized(info.root, tree->size_, error)) {
     return nullptr;
   }
-  tree->store_.PinRoot(meta.root);
+  tree->store_.PinRoot(info.root);
   return tree;
 }
 

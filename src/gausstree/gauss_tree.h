@@ -94,8 +94,9 @@ class GaussTree {
   // Finalize()). The tree opens in query mode; call Definalize() to insert
   // more objects. Opening walks every node page and verifies its checksum.
   // TryOpen returns nullptr with the reason in `*error` when `meta_page`
-  // holds no readable Gauss-tree header or a node page is damaged (bad
-  // checksum, malformed, or reached twice); Open aborts on those instead.
+  // holds no v3 header for this page size, a malformed one (HeaderInfo),
+  // a damaged node page (bad checksum, malformed, reached twice) or leaves
+  // disagreeing with the header's object count; Open aborts instead.
   static std::unique_ptr<GaussTree> Open(PageCache* pool, PageId meta_page);
   static std::unique_ptr<GaussTree> TryOpen(PageCache* pool, PageId meta_page,
                                             std::string* error);
@@ -111,14 +112,17 @@ class GaussTree {
     uint32_t page_size = 0;    // page size the tree was serialized with
     uint32_t dim = 0;
     uint64_t size = 0;         // object count
+    PageId root = kInvalidPageId;
+    GaussTreeOptions options;
+    // Why the fields describe no tree Finalize() could have written — a dim
+    // whose entries do not fit two to a page (dim 0 included), or an option
+    // byte out of range — or nullptr; `options` is meaningless unless null.
+    const char* malformed = nullptr;
   };
   static HeaderInfo InspectHeader(const void* page_bytes, size_t len);
 
-  // Header version Finalize() writes. Open() also reads the version before
-  // it (v2, legacy node pages); InspectHeader callers check
-  // ReadsHeaderVersion for a typed version-mismatch report.
+  // Header version Finalize() writes, and the only one Open() reads.
   static uint32_t header_version();
-  static bool ReadsHeaderVersion(uint32_t version);
 
   // Page holding the persistent header (root id, dimensionality, options);
   // pass it to Open() to reattach.

@@ -12,8 +12,7 @@ namespace gauss {
 // Page formats: see the GtNodeSoa comment in node.h.
 namespace {
 
-constexpr size_t kHeaderBytes = 8;        // [u8 tag][u8 0][u16 n][u32 crc]
-constexpr size_t kLegacyHeaderBytes = 5;  // [u8 kind][u32 n]
+constexpr size_t kHeaderBytes = 8;  // [u8 tag][u8 0][u16 n][u32 crc]
 constexpr uint8_t kLeafTag = 2;
 constexpr uint8_t kInnerTag = 3;
 // n is a u16; capacities are clamped so no node can overflow it.
@@ -42,14 +41,6 @@ template <typename T>
 void Put(uint8_t** p, const T& value) {
   std::memcpy(*p, &value, sizeof(T));
   *p += sizeof(T);
-}
-
-template <typename T>
-T Take(const uint8_t** p) {
-  T value;
-  std::memcpy(&value, *p, sizeof(T));
-  *p += sizeof(T);
-  return value;
 }
 
 template <typename T>
@@ -102,12 +93,6 @@ void Bind(const uint8_t* body, GtNodeKind kind, PageId id, size_t n,
     out->counts = reinterpret_cast<const uint32_t*>(body) + n;
   }
   out->planes = reinterpret_cast<const double*>(body + n * sizeof(uint64_t));
-}
-
-// Sizes out->owned for a body of n entries and returns it as bytes.
-uint8_t* OwnedBody(GtNodeSoa* out, GtNodeKind kind, size_t n, size_t dim) {
-  out->owned.resize(BodyBytes(kind, n, dim) / sizeof(uint64_t));
-  return reinterpret_cast<uint8_t*>(out->owned.data());
 }
 
 }  // namespace
@@ -203,24 +188,16 @@ GtNode GtNode::Deserialize(const uint8_t* page, size_t dim, PageId id) {
 }
 
 const char* GtNodeSoa::Validate(const uint8_t* page, uint32_t page_size,
-                                size_t dim, bool accept_legacy,
-                                bool check_crc) {
+                                size_t dim, bool check_crc) {
   if (page_size < kHeaderBytes) return "page smaller than a node header";
   const uint8_t tag = page[0];
-  if (tag == kLeafTag || tag == kInnerTag) {
-    if (page[1] != 0) return "nonzero reserved header byte";
-    const auto kind = tag == kLeafTag ? GtNodeKind::kLeaf : GtNodeKind::kInner;
-    const size_t body = BodyBytes(kind, Peek<uint16_t>(page + 2), dim);
-    if (body > page_size - kHeaderBytes) return "entry count exceeds the page";
-    if (check_crc && PageCrc(page, body) != Peek<uint32_t>(page + 4)) {
-      return "checksum mismatch";
-    }
-    return nullptr;
-  }
-  if (!accept_legacy || tag > 1) return "unknown node tag";
-  const size_t record = tag == 0 ? LeafRecordBytes(dim) : InnerEntryBytes(dim);
-  if (Peek<uint32_t>(page + 1) > (page_size - kLegacyHeaderBytes) / record) {
-    return "entry count exceeds the page";
+  if (tag != kLeafTag && tag != kInnerTag) return "unknown node tag";
+  if (page[1] != 0) return "nonzero reserved header byte";
+  const auto kind = tag == kLeafTag ? GtNodeKind::kLeaf : GtNodeKind::kInner;
+  const size_t body = BodyBytes(kind, Peek<uint16_t>(page + 2), dim);
+  if (body > page_size - kHeaderBytes) return "entry count exceeds the page";
+  if (check_crc && PageCrc(page, body) != Peek<uint32_t>(page + 4)) {
+    return "checksum mismatch";
   }
   return nullptr;
 }
@@ -228,50 +205,16 @@ const char* GtNodeSoa::Validate(const uint8_t* page, uint32_t page_size,
 void GtNodeSoa::Decode(const uint8_t* page, size_t dim, PageId id,
                        GtNodeSoa* out) {
   out->page.Release();
-  const uint8_t tag = page[0];
-  if (tag == kLeafTag || tag == kInnerTag) {
-    Bind(page + kHeaderBytes,
-         tag == kLeafTag ? GtNodeKind::kLeaf : GtNodeKind::kInner, id,
-         Peek<uint16_t>(page + 2), dim, out);
-    return;
-  }
-  // Legacy row records: transpose into the v3 body layout. Stores go
-  // through memcpy, like every other write of page bytes.
-  const uint8_t* p = page;
-  const auto kind = static_cast<GtNodeKind>(Take<uint8_t>(&p));
-  const size_t n = Take<uint32_t>(&p);
-  uint8_t* body = OwnedBody(out, kind, n, dim);
-  uint8_t* planes = body + n * sizeof(uint64_t);
-  const auto copy = [&p](uint8_t* to, size_t bytes) {
-    std::memcpy(to, p, bytes);
-    p += bytes;
-  };
-  const auto plane_at = [&](size_t plane, size_t r) {
-    return planes + (plane * n + r) * sizeof(double);
-  };
-  // Row order: leaf [id][mu x dim][sigma x dim]; inner [child][count]
-  // [(mu_lo, mu_hi, sigma_lo, sigma_hi) x dim].
-  for (size_t r = 0; r < n; ++r) {
-    if (kind == GtNodeKind::kLeaf) {
-      copy(body + r * sizeof(uint64_t), sizeof(uint64_t));
-      for (size_t i = 0; i < 2 * dim; ++i) copy(plane_at(i, r), sizeof(double));
-      continue;
-    }
-    copy(body + r * sizeof(uint32_t), sizeof(uint32_t));
-    copy(body + (n + r) * sizeof(uint32_t), sizeof(uint32_t));
-    for (size_t i = 0; i < dim; ++i) {
-      for (size_t group = 0; group < 4; ++group) {
-        copy(plane_at(group * dim + i, r), sizeof(double));
-      }
-    }
-  }
-  Bind(body, kind, id, n, dim, out);
+  Bind(page + kHeaderBytes,
+       page[0] == kLeafTag ? GtNodeKind::kLeaf : GtNodeKind::kInner, id,
+       Peek<uint16_t>(page + 2), dim, out);
 }
 
 void GtNodeSoa::FromNode(const GtNode& node, size_t dim, GtNodeSoa* out) {
   out->page.Release();
   const size_t n = node.EntryCount();
-  uint8_t* body = OwnedBody(out, node.kind, n, dim);
+  out->owned.resize(BodyBytes(node.kind, n, dim) / sizeof(uint64_t));
+  uint8_t* body = reinterpret_cast<uint8_t*>(out->owned.data());
   WriteBody(node, dim, body);
   Bind(body, node.kind, node.id, n, dim, out);
 }
@@ -323,15 +266,18 @@ GtNode GtNodeSoa::ToNode() const {
   return node;
 }
 
+bool GtCapacities::Fits(uint32_t page_size, size_t dim) {
+  // An inner entry is the larger record.
+  return dim > 0 && page_size >= kHeaderBytes + 2 * InnerEntryBytes(dim);
+}
+
 GtCapacities GtCapacities::ForPageSize(uint32_t page_size, size_t dim) {
+  GAUSS_CHECK_MSG(Fits(page_size, dim),
+                  "page too small for this dimensionality");
   GtCapacities caps;
-  // Records and page sizes are multiples of 8 bytes, so the 8-byte header
-  // holds exactly as many entries as the legacy 5-byte one did.
-  const size_t payload = page_size > kHeaderBytes ? page_size - kHeaderBytes : 0;
+  const size_t payload = page_size - kHeaderBytes;
   caps.leaf = std::min(kMaxEntries, payload / LeafRecordBytes(dim));
   caps.inner = std::min(kMaxEntries, payload / InnerEntryBytes(dim));
-  GAUSS_CHECK_MSG(caps.leaf >= 2 && caps.inner >= 2,
-                  "page too small for this dimensionality");
   caps.leaf_min = std::max<size_t>(1, caps.leaf / 2);
   caps.inner_min = std::max<size_t>(1, caps.inner / 2);
   return caps;

@@ -56,9 +56,9 @@ struct GtNode {
   // left untouched.
   void Serialize(uint8_t* page, size_t dim) const;
 
-  // Deserializes a node from page bytes of either format (GtNodeSoa::
-  // Decode). `id` is not stored on the page and must be supplied by the
-  // caller. Trusts the bytes: GtNodeStore validates pages before decoding.
+  // Deserializes a node from page bytes (GtNodeSoa::Decode). `id` is not
+  // stored on the page and must be supplied by the caller. Trusts the
+  // bytes: GtNodeStore validates pages before decoding.
   static GtNode Deserialize(const uint8_t* page, size_t dim, PageId id);
 };
 
@@ -77,16 +77,12 @@ struct GtNode {
 // every plane n doubles. The CRC-32C (storage/crc32c.h) covers header bytes
 // 0-3 and the body above, not the page's unused tail. Stride n rather than
 // the capacity keeps every offset 8-aligned and the body self-describing.
-// Pages of tree header version 2 and older (the "legacy" format, tag byte
-// 0 or 1) store row records instead — [u8 kind][u32 n] then per entry
-// [u64 id][d x mu][d x sigma] or [u32 child][u32 count][d x (mu_lo, mu_hi,
-// sigma_lo, sigma_hi)] — and carry no checksum; Decode transposes them into
-// `owned`, as it does for in-memory build nodes (FromNode).
+// (Tree header v2 wrote row-record pages; only GaussDb::Upgrade reads them.)
 //
 // So the pointers below lead into one of three places: a cache frame the
-// view pins through `page` (GtNodeStore::LoadSoa on a v3 page), the view's
-// own `owned` scratch (legacy pages, build nodes), or caller memory
-// (Decode on a page buffer the caller keeps alive).
+// view pins through `page` (GtNodeStore::LoadSoa), the view's own `owned`
+// scratch (in-memory build nodes, FromNode), or caller memory (Decode on a
+// page buffer the caller keeps alive).
 struct GtNodeSoa {
   PageId id = kInvalidPageId;
   GtNodeKind kind = GtNodeKind::kLeaf;
@@ -100,7 +96,7 @@ struct GtNodeSoa {
 
   // Pin on the cache frame the pointers lead into; empty otherwise.
   PageRef page;
-  // v3 body scratch for legacy pages and build nodes, reused across loads.
+  // Body scratch for build nodes, reused across loads.
   std::vector<uint64_t> owned;
 
   bool leaf() const { return kind == GtNodeKind::kLeaf; }
@@ -114,20 +110,19 @@ struct GtNodeSoa {
   const double* sigma_lo() const { return planes + 2 * dim * stride; }
   const double* sigma_hi() const { return planes + 3 * dim * stride; }
 
-  // Points `out` at a serialized page of either format. A v3 page is
-  // viewed in place — the caller keeps `page` alive while it reads `out`;
-  // a legacy page is transposed into out->owned. Trusts the bytes (see
-  // Validate). Drops any pin `out` held.
+  // Points `out` at a serialized page, viewed in place: the caller keeps
+  // `page` alive while it reads `out`. Trusts the bytes (see Validate).
+  // Drops any pin `out` held.
   static void Decode(const uint8_t* page, size_t dim, PageId id,
                      GtNodeSoa* out);
 
   // Why the page_size bytes at `page` must not be decoded, or nullptr when
-  // they may: an unknown tag (legacy tags only when `accept_legacy`), a
-  // nonzero reserved byte, an entry count the page cannot hold, or — when
-  // `check_crc` — a v3 checksum mismatch. Child ids are the caller's to
-  // check: only the device knows how many pages exist.
+  // they may: an unknown tag, a nonzero reserved byte, an entry count the
+  // page cannot hold, or — when `check_crc` — a checksum mismatch. Child
+  // ids are the caller's to check: only the device knows how many pages
+  // exist.
   static const char* Validate(const uint8_t* page, uint32_t page_size,
-                              size_t dim, bool accept_legacy, bool check_crc);
+                              size_t dim, bool check_crc);
 
   // Views an in-memory node (build-mode NodeStore), through out->owned.
   static void FromNode(const GtNode& node, size_t dim, GtNodeSoa* out);
@@ -147,7 +142,10 @@ struct GtCapacities {
   size_t leaf_min = 0;    // min fill (non-root)
   size_t inner_min = 0;
 
+  // Aborts unless Fits(page_size, dim).
   static GtCapacities ForPageSize(uint32_t page_size, size_t dim);
+  // Whether a page holds two entries of every node kind at `dim` > 0.
+  static bool Fits(uint32_t page_size, size_t dim);
 };
 
 }  // namespace gauss

@@ -63,11 +63,8 @@ void GtNodeStore::Load(PageId id, GtNode* scratch) const {
       *scratch = *it->second;  // copy: callers own their view
       return;
     }
-  } else if (pinned_ != nullptr && id == pinned_id_) {
-    *scratch = *pinned_;  // pinned root: no pool fetch
-    return;
   }
-  GtNodeSoa view;
+  GtNodeSoa view;  // a pinned root is aliased, not fetched
   const char* why = nullptr;
   const bool loaded = LoadSoa(id, &view, &why);
   GAUSS_CHECK_MSG(loaded, why);
@@ -90,7 +87,7 @@ bool GtNodeStore::LoadSoa(PageId id, GtNodeSoa* view, const char** why) const {
   const bool verified = page.verified();
   const char* reason =
       GtNodeSoa::Validate(page.data(), pool_->page_size(), dim_,
-                          legacy_pages_, /*check_crc=*/!verified);
+                          /*check_crc=*/!verified);
   if (reason == nullptr) {
     GtNodeSoa::Decode(page.data(), dim_, id, view);
     const size_t page_count = pool_->device()->PageCount();
@@ -121,16 +118,14 @@ void GtNodeStore::Finalize() {
   std::vector<uint8_t> buffer(pool_->page_size());
   for (const auto& [id, node] : nodes_) WriteNode(*node, &buffer);
   nodes_.clear();
-  legacy_pages_ = false;
   finalized_ = true;
 }
 
-bool GtNodeStore::OpenFinalized(PageId root, bool legacy_pages,
-                                std::string* error) {
+bool GtNodeStore::OpenFinalized(PageId root, size_t size, std::string* error) {
   GAUSS_CHECK_MSG(nodes_.empty() && all_pages_.empty(),
                   "OpenFinalized requires a fresh store");
   finalized_ = true;
-  legacy_pages_ = legacy_pages;
+  size_t objects = 0;
   std::vector<bool> seen(pool_->device()->PageCount(), false);
   std::deque<PageId> queue{root};
   GtNodeSoa view;
@@ -153,15 +148,21 @@ bool GtNodeStore::OpenFinalized(PageId root, bool legacy_pages,
       return false;
     }
     all_pages_.push_back(id);
-    if (!view.leaf()) queue.insert(queue.end(), view.children,
-                                   view.children + view.n);
+    if (view.leaf()) {
+      objects += view.n;
+    } else {
+      queue.insert(queue.end(), view.children, view.children + view.n);
+    }
   }
-  return true;
+  if (objects != size) {
+    *error = "the leaves hold " + std::to_string(objects) + " objects, the "
+             "header says " + std::to_string(size);
+  }
+  return objects == size;
 }
 
 void GtNodeStore::PinRoot(PageId id) {
   GAUSS_CHECK_MSG(finalized_, "PinRoot requires query mode");
-  pinned_.reset();
   pinned_soa_.reset();
   GtNodeSoa view;
   const char* why = nullptr;
@@ -173,17 +174,14 @@ void GtNodeStore::PinRoot(PageId id) {
   pinned_soa_ = std::make_unique<GtNodeSoa>();
   GtNodeSoa::Decode(reinterpret_cast<const uint8_t*>(pinned_page_.data()),
                     dim_, id, pinned_soa_.get());
-  pinned_ = std::make_unique<GtNode>(pinned_soa_->ToNode());
+  const GtNode root = pinned_soa_->ToNode();
   pinned_bounds_.clear();
-  if (pinned_->EntryCount() > 0) {
-    pinned_bounds_ = pinned_->ComputeBounds(dim_);
-  }
+  if (root.EntryCount() > 0) pinned_bounds_ = root.ComputeBounds(dim_);
   pinned_id_ = id;
 }
 
 void GtNodeStore::Definalize() {
   if (!finalized_) return;
-  pinned_.reset();
   pinned_soa_.reset();
   pinned_page_.clear();
   pinned_bounds_.clear();

@@ -52,9 +52,9 @@ class GtNodeStore {
   // aborts if it is damaged.
   void Load(PageId id, GtNode* scratch) const;
 
-  // Query access: points `view` at node `id` — at the fetched cache frame
-  // of a v3 page, at the pinned root's planes, or at `view`'s own scratch
-  // for a legacy page or an in-memory build node. A fetched frame stays
+  // Query access: points `view` at node `id` — at the fetched cache frame,
+  // at the pinned root's planes, or at `view`'s own scratch for an
+  // in-memory build node. A fetched frame stays
   // pinned by view->page until the next load or its Release(). Same page
   // accounting as a fetch; the pinned root costs none.
   //
@@ -85,17 +85,17 @@ class GtNodeStore {
   // PinRoot so a traversal's reference scale needs no per-query node copy.
   // nullptr unless `id` is the pinned root; empty for an empty root.
   const std::vector<DimBounds>* PinnedBounds(PageId id) const {
-    return pinned_ != nullptr && id == pinned_id_ ? &pinned_bounds_ : nullptr;
+    return pinned_soa_ != nullptr && id == pinned_id_ ? &pinned_bounds_
+                                                      : nullptr;
   }
 
   // Switches an empty store into query mode over an existing on-device tree
   // rooted at `root` (GaussTree::Open). Walks every root-reachable page
   // through LoadSoa — so each page's checksum is verified — and remembers
-  // the set for Definalize(). `legacy_pages` admits the pre-v3 row format
-  // (trees whose header predates it); a v3 tree holds only v3 pages. Returns
-  // false, with the reason in `*error`, on a damaged page or a page reached
-  // twice; the store is then unusable.
-  bool OpenFinalized(PageId root, bool legacy_pages, std::string* error);
+  // the set for Definalize(). Returns false, with the reason in `*error`, on
+  // a damaged page, a page reached twice, or leaves holding other than
+  // `size` objects (the header's count); the store is then unusable.
+  bool OpenFinalized(PageId root, size_t size, std::string* error);
 
   bool finalized() const { return finalized_; }
   // Build nodes held as objects: none after a bulk load or in query mode.
@@ -111,15 +111,11 @@ class GtNodeStore {
   PageCache* pool_;
   size_t dim_;
   bool finalized_ = false;
-  // Whether finalized pages may be in the legacy format (see OpenFinalized).
-  bool legacy_pages_ = false;
   // In-memory build nodes; the rest of all_pages_ is on the device.
   std::unordered_map<PageId, std::unique_ptr<GtNode>> nodes_;
   std::vector<PageId> all_pages_;
   PageId pinned_id_ = kInvalidPageId;
-  std::unique_ptr<GtNode> pinned_;
-  // The root page's bytes and a view over them (or over its own scratch,
-  // for a legacy root) that LoadSoa aliases.
+  // The root page's bytes and a view over them that LoadSoa aliases.
   std::vector<uint64_t> pinned_page_;
   std::unique_ptr<GtNodeSoa> pinned_soa_;
   std::vector<DimBounds> pinned_bounds_;

@@ -21,9 +21,8 @@ namespace gauss {
 //
 // The front door of a sharded GaussDb: one Submit()/ExecuteBatch() surface
 // over N shards, each serving one Gauss-tree holding one part of the
-// gallery — a region of the feature space for every new build, an id-hash
-// part for images written before spatial partitioning (api/partitioner.h).
-// Nothing below assumes either: the merge is exact over any partition.
+// gallery — a region of the feature space (api/partitioner.h). Nothing
+// below assumes it: the merge is exact over any partition.
 //
 // The coordinator talks to its shards exclusively through the ShardBackend
 // seam (net/shard_backend.h) — a shard may be an in-process

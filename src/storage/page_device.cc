@@ -1,6 +1,7 @@
 #include "storage/page_device.h"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <bit>
@@ -17,8 +18,10 @@ InMemoryPageDevice::InMemoryPageDevice(uint32_t page_size)
     : PageDevice(page_size) {}
 
 InMemoryPageDevice::~InMemoryPageDevice() {
-  for (std::atomic<uint8_t*>& segment : segments_) {
-    delete[] segment.load(std::memory_order_relaxed);
+  for (size_t s = 0; s < kMaxSegments; ++s) {
+    if (uint8_t* base = segments_[s].load(std::memory_order_relaxed)) {
+      ::munmap(base, (kFirstSegmentPages << s) * page_size());
+    }
   }
 }
 
@@ -48,9 +51,12 @@ PageId InMemoryPageDevice::Allocate() {
   Locate(static_cast<PageId>(id), &segment, &offset);
   GAUSS_CHECK(segment < kMaxSegments);
   if (segments_[segment].load(std::memory_order_relaxed) == nullptr) {
-    const size_t pages = kFirstSegmentPages << segment;
-    uint8_t* base = new uint8_t[pages * page_size()]();
-    segments_[segment].store(base, std::memory_order_release);
+    const size_t bytes = (kFirstSegmentPages << segment) * page_size();
+    void* base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    GAUSS_CHECK_MSG(base != MAP_FAILED, "InMemoryPageDevice: mmap failed");
+    segments_[segment].store(static_cast<uint8_t*>(base),
+                             std::memory_order_release);
   }
   page_count_.store(id + 1, std::memory_order_release);
   return static_cast<PageId>(id);

@@ -89,11 +89,12 @@ class InMemoryPageDevice : public PageDevice {
 
  private:
   // Pages live in segments of geometrically growing size (segment s holds
-  // kFirstSegmentPages << s pages), addressed through a fixed-capacity
-  // directory of atomic pointers. Appending installs a new segment with a
-  // release store; readers locate their page through an acquire load, so a
-  // page's address is stable from the moment its id is published — no
-  // vector regrowth ever races a concurrent Read.
+  // kFirstSegmentPages << s pages), each one anonymous mapping — so a page
+  // is resident once written, not once its segment exists — addressed
+  // through a fixed-capacity directory of atomic pointers. Appending
+  // installs a new segment with a release store; readers locate their page
+  // through an acquire load, so a page's address is stable from the moment
+  // its id is published — no vector regrowth ever races a concurrent Read.
   static constexpr size_t kFirstSegmentPages = 64;
   static constexpr size_t kMaxSegments = 48;
 

@@ -240,44 +240,6 @@ TEST(GaussDbTest, OpenFileOnCorruptShardManifestReturnsTypedError) {
   std::remove(path.c_str());
 }
 
-TEST(GaussDbTest, OpenFileReadsLegacyV1ShardManifest) {
-  // The earliest sharded databases persisted manifest v1: no hash_seed
-  // field, shard header page ids at byte 24 instead of 40. They used
-  // unseeded hash routing (= seed 0), so they must keep opening. Forge one
-  // by rewriting a fresh v3 manifest page into the v1 shape.
-  const std::string path = ::testing::TempDir() + "/gauss_db_v1manifest.db";
-  const PfvDataset dataset = MakeDataset(300);
-  {
-    GaussDbOptions options;
-    options.shards.num_shards = 3;
-    GaussDb db = GaussDb::CreateOnFile(path, kDim, options);
-    db.Build(dataset);
-  }
-  {
-    std::FILE* f = std::fopen(path.c_str(), "rb+");
-    ASSERT_NE(f, nullptr);
-    std::vector<uint8_t> page(kDefaultPageSize);
-    ASSERT_EQ(std::fread(page.data(), 1, page.size(), f), page.size());
-    const uint32_t v1 = 1;
-    std::memcpy(page.data() + 8, &v1, sizeof(v1));       // version field
-    std::memmove(page.data() + 24, page.data() + 40,     // shard metas:
-                 3 * sizeof(PageId));                    // v3 -> v1 offset
-    std::fseek(f, 0, SEEK_SET);
-    ASSERT_EQ(std::fwrite(page.data(), 1, page.size(), f), page.size());
-    std::fclose(f);
-  }
-  GaussDb reopened = GaussDb::OpenFile(path).value();
-  EXPECT_TRUE(reopened.sharded());
-  EXPECT_EQ(reopened.num_shards(), 3u);
-  EXPECT_EQ(reopened.dim(), kDim);
-  EXPECT_EQ(reopened.size(), dataset.size());
-  Session session = reopened.Serve({.num_workers = 2});
-  for (size_t s = 0; s < session.num_shards(); ++s) {
-    session.shard_tree(s).Validate();
-  }
-  std::remove(path.c_str());
-}
-
 TEST(GaussDbDeathTest, OpenResultValueOnErrorAbortsWithTheMessage) {
   const std::string missing = ::testing::TempDir() + "/gauss_db_value_abort.db";
   std::remove(missing.c_str());

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/upgrade.h"
 #include "common/random.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/node.h"
@@ -206,8 +207,10 @@ TEST(GtNodeSoaTest, DecodeViewsV3PagesInPlace) {
   }
 }
 
-// Legacy row pages decode (through the view's own scratch) to the same
-// node as the v3 page of that node, and are valid only where admitted.
+// A row page of a v2 tree (written by the test-local forger) decodes, in
+// the upgrader, to the same node as the v3 page of that node; the serving
+// path's Validate refuses it as an unknown tag, and a damaged one fails
+// typed.
 TEST(GtNodeSoaTest, LegacyPagesDecodeToTheSameNode) {
   Rng rng(55);
   constexpr size_t kDim = 4;
@@ -216,20 +219,25 @@ TEST(GtNodeSoaTest, LegacyPagesDecodeToTheSameNode) {
     std::vector<uint8_t> v3(2048, 0), legacy(2048, 0);
     node.Serialize(v3.data(), kDim);
     test::SerializeLegacy(node, kDim, legacy.data());
-    EXPECT_EQ(GtNodeSoa::Validate(legacy.data(), 2048, kDim, true, true),
-              nullptr);
-    EXPECT_STREQ(GtNodeSoa::Validate(legacy.data(), 2048, kDim, false, true),
+    EXPECT_STREQ(GtNodeSoa::Validate(legacy.data(), 2048, kDim, true),
                  "unknown node tag");
-    GtNodeSoa view;
-    GtNodeSoa::Decode(legacy.data(), kDim, 8, &view);
-    EXPECT_FALSE(view.owned.empty());
-    const GtNode from_legacy = view.ToNode();
-    const GtNode from_v3 = GtNode::Deserialize(v3.data(), kDim, 8);
-    std::vector<uint8_t> a(2048, 0), b(2048, 0);
+    GtNode from_legacy;
+    ASSERT_EQ(DecodeRowPage(legacy.data(), 2048, kDim, 8, &from_legacy),
+              nullptr);
+    EXPECT_EQ(from_legacy.id, 8u);
+    std::vector<uint8_t> a(2048, 0);
     from_legacy.Serialize(a.data(), kDim);
-    from_v3.Serialize(b.data(), kDim);
     EXPECT_EQ(a, v3);
-    EXPECT_EQ(b, v3);
+
+    std::vector<uint8_t> bad = legacy;
+    bad[0] = 2;
+    EXPECT_STREQ(DecodeRowPage(bad.data(), 2048, kDim, 8, &from_legacy),
+                 "unknown node tag");
+    bad = legacy;
+    const uint32_t huge = 1000;
+    std::memcpy(bad.data() + 1, &huge, sizeof(huge));
+    EXPECT_STREQ(DecodeRowPage(bad.data(), 2048, kDim, 8, &from_legacy),
+                 "entry count exceeds the page");
   }
 }
 
@@ -245,12 +253,12 @@ TEST(GtNodeSoaTest, ValidateCatchesEveryBitFlipInTheUsedBytes) {
     std::vector<uint8_t> page(kPage, 0);
     node.Serialize(page.data(), kDim);
     const size_t used = node.SerializedSize(kDim);
-    ASSERT_EQ(GtNodeSoa::Validate(page.data(), kPage, kDim, false, true),
+    ASSERT_EQ(GtNodeSoa::Validate(page.data(), kPage, kDim, true),
               nullptr);
     for (size_t bit = 0; bit < 8 * kPage; ++bit) {
       page[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
       const char* why =
-          GtNodeSoa::Validate(page.data(), kPage, kDim, false, true);
+          GtNodeSoa::Validate(page.data(), kPage, kDim, true);
       if (bit < 8 * used) {
         EXPECT_NE(why, nullptr) << "bit " << bit;
       } else {
@@ -261,16 +269,16 @@ TEST(GtNodeSoaTest, ValidateCatchesEveryBitFlipInTheUsedBytes) {
     // Structural checks hold without the checksum.
     std::vector<uint8_t> bad = page;
     bad[0] = 9;
-    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, true, false),
+    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, false),
                  "unknown node tag");
     bad = page;
     bad[1] = 1;
-    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, true, false),
+    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, false),
                  "nonzero reserved header byte");
     bad = page;
     const uint16_t huge = 0xFFFF;
     std::memcpy(bad.data() + 2, &huge, sizeof(huge));
-    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, true, false),
+    EXPECT_STREQ(GtNodeSoa::Validate(bad.data(), kPage, kDim, false),
                  "entry count exceeds the page");
   }
 }

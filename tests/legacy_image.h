@@ -1,16 +1,20 @@
 #ifndef GAUSS_TESTS_LEGACY_IMAGE_H_
 #define GAUSS_TESTS_LEGACY_IMAGE_H_
 
-// Forges images in the node page format that predates the structure-of-
-// arrays pages: tree header version 2, node pages as row records behind a
-// 5-byte [u8 kind][u32 n] header, no checksum (gausstree/node.h describes
-// both formats). The library reads this format but never writes it, so the
-// writer lives here, beside the tests and benches that need old images.
+// Forges images in the formats earlier builds wrote, from images the
+// current build wrote: node pages of tree header version 2 (row records
+// behind a 5-byte [u8 kind][u32 n] header, no checksum), page-0 shard
+// manifests v1-v3 of id-hash images, and a directory MANIFEST without the
+// `partition` key (api/upgrade.h describes all of them). The library only
+// reads these formats, in GaussDb::Upgrade, so the writers live here,
+// beside the tests and benches that need old images.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,6 +30,7 @@ inline constexpr size_t kTreeVersionOffset = 8;
 inline constexpr size_t kTreeDimOffset = 12;
 inline constexpr size_t kTreeRootOffset = 24;
 inline constexpr uint64_t kManifestMagic = 0x47415553'53444231ull;
+inline constexpr size_t kManifestVersionOffset = 8;
 inline constexpr size_t kManifestShardsOffset = 20;
 inline constexpr size_t kManifestMetasOffset = 40;
 
@@ -119,6 +124,44 @@ inline void ForgeLegacyImage(PageDevice* device) {
   for (const PageId meta : TreeHeaderPages(*device)) {
     ForgeLegacyTree(device, meta);
   }
+}
+
+// Rewrites the page-0 manifest of a sharded single-device image as the
+// manifest `version` (1-3) of an id-hash image routed with `seed`: v1 ends
+// at num_shards (shard list at byte 24), v2 adds the u64 seed (list at 32),
+// v3 adds partition kind 0 = hash and a reserved u32 (list at 40). The
+// page is zero after the list, as every writer left it.
+inline void ForgeHashManifest(PageDevice* device, uint32_t version,
+                              uint64_t seed) {
+  const std::vector<PageId> metas = TreeHeaderPages(*device);
+  std::vector<uint8_t> page(device->page_size());
+  device->Read(0, page.data());
+  std::fill(page.begin() + 24, page.end(), 0);
+  std::memcpy(page.data() + kManifestVersionOffset, &version,
+              sizeof(version));
+  size_t list = 24;
+  if (version >= 2) {
+    std::memcpy(page.data() + 24, &seed, sizeof(seed));
+    list = version == 2 ? 32 : kManifestMetasOffset;
+  }
+  std::memcpy(page.data() + list, metas.data(), metas.size() * sizeof(PageId));
+  device->Write(0, page.data());
+}
+
+// Rewrites `<dir>/MANIFEST` the way it was written before the `partition`
+// key existed: no `partition` line, a `hash_seed` line after `dim`.
+inline void ForgeHashDirectoryManifest(const std::string& dir, uint64_t seed) {
+  const std::string path = dir + "/MANIFEST";
+  std::ifstream in(path);
+  std::ostringstream out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("partition ", 0) == 0) continue;
+    out << line << '\n';
+    if (line.rfind("dim ", 0) == 0) out << "hash_seed " << seed << '\n';
+  }
+  in.close();
+  std::ofstream(path, std::ios::trunc) << out.str();
 }
 
 }  // namespace gauss::test

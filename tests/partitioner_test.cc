@@ -68,11 +68,10 @@ TEST(PartitionerTest, PartSizesAvoidFillBandsAndSplitIsDeterministic) {
     for (const size_t shards : {1, 2, 3, 4, 5, 8}) {
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " shards=" + std::to_string(shards));
-      const Partitioner partitioner = Partitioner::Spatial(shards);
       const std::vector<PfvDataset> parts =
-          partitioner.SplitSpatial(dataset, capacity);
+          SplitSpatial(dataset, shards, capacity);
       const std::vector<PfvDataset> again =
-          partitioner.SplitSpatial(dataset, capacity);
+          SplitSpatial(dataset, shards, capacity);
       ASSERT_EQ(parts.size(), shards);
       std::vector<size_t> sizes;
       std::multiset<uint64_t> seen;
@@ -101,7 +100,7 @@ TEST(PartitionerTest, PartSizesAvoidFillBandsAndSplitIsDeterministic) {
 TEST(PartitionerTest, TwoWayCutSeparatesSpace) {
   const PfvDataset dataset = MakeDataset(1000, /*seed=*/3);
   const std::vector<PfvDataset> parts =
-      Partitioner::Spatial(2).SplitSpatial(dataset, BenchLeafCapacity());
+      SplitSpatial(dataset, 2, BenchLeafCapacity());
   ASSERT_EQ(parts.size(), 2u);
   bool separated_on_some_axis = false;
   for (size_t d = 0; d < dataset.dim(); ++d) {
@@ -131,26 +130,24 @@ Pfv Point(uint64_t id, double mu, double sigma) {
 }
 
 TEST(PartitionerTest, RoutesToTheOneContainingRootMbr) {
-  const Partitioner partitioner = Partitioner::Spatial(3);
   const std::vector<GtChildEntry> roots = {Box(0.0, 0.2, 0.01, 0.05),
                                            Box(0.4, 0.6, 0.01, 0.05),
                                            Box(0.8, 1.0, 0.01, 0.05)};
   const GaussTreeOptions options;
-  EXPECT_EQ(partitioner.Route(Point(1, 0.1, 0.02), roots, options), 0u);
-  EXPECT_EQ(partitioner.Route(Point(2, 0.5, 0.02), roots, options), 1u);
-  EXPECT_EQ(partitioner.Route(Point(3, 0.9, 0.02), roots, options), 2u);
+  EXPECT_EQ(ChooseSubtree(roots, Point(1, 0.1, 0.02), options), 0u);
+  EXPECT_EQ(ChooseSubtree(roots, Point(2, 0.5, 0.02), options), 1u);
+  EXPECT_EQ(ChooseSubtree(roots, Point(3, 0.9, 0.02), options), 2u);
   // Outside every root: the least cost growth, i.e. the nearest box here.
-  EXPECT_EQ(partitioner.Route(Point(4, 0.65, 0.02), roots, options), 1u);
+  EXPECT_EQ(ChooseSubtree(roots, Point(4, 0.65, 0.02), options), 1u);
 }
 
 TEST(PartitionerTest, RoutingTiesGoToTheLowestShard) {
-  const Partitioner partitioner = Partitioner::Spatial(4);
   const GaussTreeOptions options;
   // Two identical containing roots (shards 1 and 3): shard 1.
   const std::vector<GtChildEntry> roots = {
       Box(0.8, 1.0, 0.01, 0.05), Box(0.0, 0.5, 0.01, 0.05),
       Box(0.6, 0.7, 0.01, 0.05), Box(0.0, 0.5, 0.01, 0.05)};
-  EXPECT_EQ(partitioner.Route(Point(1, 0.25, 0.02), roots, options), 1u);
+  EXPECT_EQ(ChooseSubtree(roots, Point(1, 0.25, 0.02), options), 1u);
   // Nothing but empty shards: every growth ties, shard 0.
   std::vector<GtChildEntry> empty(4);
   for (GtChildEntry& entry : empty) {
@@ -159,33 +156,7 @@ TEST(PartitionerTest, RoutingTiesGoToTheLowestShard) {
                                      std::numeric_limits<double>::infinity(),
                                      -std::numeric_limits<double>::infinity()});
   }
-  EXPECT_EQ(partitioner.Route(Point(2, 0.25, 0.02), empty, options), 0u);
-}
-
-// The routing hash images were written with is a persistent contract:
-// SplitMix64 of (id ^ seed), modulo the shard count — restated here
-// independently of the partitioner.
-size_t SplitMix64Shard(uint64_t id, uint64_t seed, size_t shards) {
-  uint64_t x = (id ^ seed) + 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return static_cast<size_t>((x ^ (x >> 31)) % shards);
-}
-
-TEST(PartitionerTest, HashImagesRouteByIdAndSeed) {
-  const GaussTreeOptions options;
-  size_t differ = 0;
-  for (const uint64_t seed : {uint64_t{0}, uint64_t{0xfeedface}}) {
-    const Partitioner hash = Partitioner::Hash(4, seed);
-    for (uint64_t id = 0; id < 64; ++id) {
-      const size_t shard = hash.Route(Point(id, 0.5, 0.02), {}, options);
-      EXPECT_EQ(shard, SplitMix64Shard(id, seed, 4)) << "id " << id;
-      // The same id routes the same way whatever the object's features.
-      EXPECT_EQ(hash.Route(Point(id, 0.1, 0.03), {}, options), shard);
-      differ += shard != SplitMix64Shard(id, 0, 4);
-    }
-  }
-  EXPECT_GT(differ, 0u);  // the seed matters
+  EXPECT_EQ(ChooseSubtree(empty, Point(2, 0.25, 0.02), options), 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/gauss_db.h"
 #include "common/random.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/mliq.h"
@@ -256,6 +257,60 @@ TEST(GaussTreePersistenceTest, DamagedNodePagesFailTyped) {
   EXPECT_STREQ(why, "checksum mismatch");
   EXPECT_FALSE(view.page);
   EXPECT_FALSE(pool.Fetch(child).verified());
+}
+
+// Builds an unsharded database file, overwrites its tree header (page 0)
+// at `offset` with `value` — offsets of MetaPageLayout in gauss_tree.cc —
+// and expects OpenFile to refuse it as kCorruptPage naming `why`, where the
+// header's fields once went unchecked into the tree (an abort in
+// GtCapacities, or an option served as the default and written back).
+template <typename T>
+void ExpectHeaderFieldFailsTyped(size_t offset, T value,
+                                 const std::string& why) {
+  const std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".db";
+  Rng rng(207);
+  PfvDataset dataset(3);
+  for (uint64_t i = 0; i < 300; ++i) dataset.Add(RandomPfv(rng, i, 3));
+  GaussDb::CreateOnFile(path, 3).Build(dataset);
+  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  ASSERT_NE(f, nullptr);
+  std::fseek(f, static_cast<long>(offset), SEEK_SET);
+  std::fwrite(&value, sizeof(value), 1, f);
+  std::fclose(f);
+  const OpenResult result = GaussDb::OpenFile(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code, OpenErrorCode::kCorruptPage);
+  EXPECT_NE(result.error().message.find(why), std::string::npos)
+      << result.error().message;
+  std::remove(path.c_str());
+}
+
+TEST(GaussTreePersistenceTest, HeaderDimZeroFailsTyped) {
+  ExpectHeaderFieldFailsTyped<uint32_t>(12, 0, "two entries");
+}
+
+TEST(GaussTreePersistenceTest, HeaderDimBeyondThePageFailsTyped) {
+  ExpectHeaderFieldFailsTyped<uint32_t>(12, 1000, "two entries");
+}
+
+TEST(GaussTreePersistenceTest, HeaderSigmaPolicyOutOfRangeFailsTyped) {
+  ExpectHeaderFieldFailsTyped<uint8_t>(28, 7, "sigma_policy");
+}
+
+TEST(GaussTreePersistenceTest, HeaderIntegralMethodOutOfRangeFailsTyped) {
+  ExpectHeaderFieldFailsTyped<uint8_t>(29, 7, "integral_method");
+}
+
+TEST(GaussTreePersistenceTest, HeaderSplitStrategyOutOfRangeFailsTyped) {
+  ExpectHeaderFieldFailsTyped<uint8_t>(30, 3, "split_strategy");
+}
+
+// The object count seeds every traversal's denominator bound: a header
+// that disagrees with its leaves would answer wrongly, so it is refused.
+TEST(GaussTreePersistenceTest, HeaderObjectCountMustMatchTheLeaves) {
+  ExpectHeaderFieldFailsTyped<uint64_t>(16, 299, "the leaves hold 300");
 }
 
 // A traversal holds a page pin only while it scores that page: parked

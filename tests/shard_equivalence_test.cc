@@ -534,65 +534,17 @@ TEST(ShardEquivalenceTest, DirectoryRoundTripIsByteIdenticalAndGrowable) {
   RemoveDirectoryLayout(dir, kShards);
 }
 
-// =========================== legacy hash images =============================
-//
-// Databases written before spatial partitioning were cut by an id hash and
-// persisted a page-0 manifest v2 (or v1), or a directory MANIFEST without
-// the `partition` key. They must reopen, answer oracle-identically, and keep
-// routing build-phase Inserts and live-ingest delta appends by their
-// persisted hash seed. Each test forges a fresh image back into its legacy
-// shape; the forges are idempotent, because every Finalize() rewrites the
-// manifest in the current format (still a hash image, with the same seed).
+// ============================ spatial routing ===============================
 
-constexpr size_t kLegacyShards = 3;
-constexpr uint64_t kLegacySeed = 0xfeedface;
+constexpr size_t kRouteShards = 3;
 
-// Rewrites page 0 of a sharded single-file image as a v2 manifest carrying
-// kLegacySeed: the shard header page ids move from byte 40 back to 32.
-void ForgeV2Manifest(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  ASSERT_NE(f, nullptr);
-  std::vector<uint8_t> page(kDefaultPageSize);
-  ASSERT_EQ(std::fread(page.data(), 1, page.size(), f), page.size());
-  uint32_t version = 0;
-  std::memcpy(&version, page.data() + 8, sizeof(version));
-  ASSERT_EQ(version, 3u);
-  const uint32_t v2 = 2;
-  std::memcpy(page.data() + 8, &v2, sizeof(v2));
-  std::memcpy(page.data() + 24, &kLegacySeed, sizeof(kLegacySeed));
-  std::memmove(page.data() + 32, page.data() + 40,
-               kLegacyShards * sizeof(PageId));
-  std::fseek(f, 0, SEEK_SET);
-  ASSERT_EQ(std::fwrite(page.data(), 1, page.size(), f), page.size());
-  std::fclose(f);
-}
-
-// Rewrites `<dir>/MANIFEST` the way it was written before the partition
-// key existed: no `partition` line, a `hash_seed` line after `dim`.
-void ForgeHashDirectoryManifest(const std::string& dir) {
-  const std::string path = dir + "/MANIFEST";
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::ostringstream out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("partition ", 0) == 0 || line.rfind("hash_seed ", 0) == 0) {
-      continue;
-    }
-    out << line << '\n';
-    if (line.rfind("dim ", 0) == 0) out << "hash_seed " << kLegacySeed << '\n';
-  }
-  in.close();
-  std::ofstream(path, std::ios::trunc) << out.str();
-}
-
-// The routing hash images were written with, restated independently of
-// api/partitioner.h: SplitMix64 of (id ^ seed), modulo the shard count.
-size_t LegacyHashShard(uint64_t id, uint64_t seed = kLegacySeed) {
-  uint64_t x = (id ^ seed) + 0x9e3779b97f4a7c15ull;
+// Where an id-hash routing (SplitMix64 of the id, modulo the shard count)
+// would send `id`: a spatial router that matched it would prove nothing.
+size_t HashShard(uint64_t id) {
+  uint64_t x = id + 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return static_cast<size_t>((x ^ (x >> 31)) % kLegacyShards);
+  return static_cast<size_t>((x ^ (x >> 31)) % kRouteShards);
 }
 
 std::vector<size_t> BuildTreeSizes(const GaussDb& db) {
@@ -603,120 +555,6 @@ std::vector<size_t> BuildTreeSizes(const GaussDb& db) {
   return sizes;
 }
 
-// `pfv` under the first id from `first_id` whose hash shard differs from
-// the shard the spatial rule would pick over `db`'s roots — so an insert
-// that lands on its hash shard cannot have been routed spatially.
-Pfv WithOffSpatialId(const GaussDb& db, Pfv pfv, uint64_t first_id) {
-  std::vector<GtChildEntry> roots;
-  for (size_t s = 0; s < db.num_shards(); ++s) {
-    roots.push_back(db.build_tree(s)->RootEntry());
-  }
-  const size_t spatial = ChooseSubtree(roots, pfv, GaussTreeOptions{});
-  for (pfv.id = first_id; LegacyHashShard(pfv.id) == spatial; ++pfv.id) {
-  }
-  return pfv;
-}
-
-// The legacy-reader contract over one layout. `forge` puts the image into
-// its legacy shape; `open` reopens it; `before` is what the image answered
-// when it was built.
-void ExpectLegacyHashImage(
-    const std::function<void()>& forge,
-    const std::function<OpenResult(GaussDbOptions)>& open,
-    const PfvDataset& dataset, const Reference& ref,
-    const BatchResult& before) {
-  forge();
-  {
-    SCOPED_TRACE("reopen and serve");
-    GaussDb db = open({}).value();
-    EXPECT_TRUE(db.sharded());
-    EXPECT_EQ(db.num_shards(), kLegacyShards);
-    EXPECT_EQ(db.size(), dataset.size());
-    Session session = db.Serve({.num_workers = kLegacyShards});
-    const BatchResult after = session.ExecuteBatch(ref.batch());
-    ExpectBatchBytesEqual(after, before);
-    ExpectMatchesReference(after, ref);
-  }
-
-  forge();
-  {
-    SCOPED_TRACE("build-phase insert");
-    GaussDb db = open({}).value();
-    const Pfv enrolled = WithOffSpatialId(db, dataset[0], 9'000'000);
-    std::vector<size_t> want = BuildTreeSizes(db);
-    ++want[LegacyHashShard(enrolled.id)];
-    ASSERT_TRUE(db.Insert(enrolled).ok());
-    EXPECT_EQ(BuildTreeSizes(db), want);
-    db.Finalize();
-  }
-
-  forge();
-  {
-    SCOPED_TRACE("live delta append");
-    Pfv enrolled;
-    std::vector<size_t> want;
-    {
-      const GaussDb db = open({}).value();
-      enrolled = WithOffSpatialId(db, dataset[1], 9'100'000);
-      want = BuildTreeSizes(db);
-    }
-    ++want[LegacyHashShard(enrolled.id)];
-    {
-      GaussDbOptions options;
-      options.ingest.enabled = true;
-      options.ingest.merge_policy = MergePolicy::kManual;
-      GaussDb db = open(options).value();
-      Session live = db.Serve({.num_workers = kLegacyShards});
-      ASSERT_EQ(live.Insert(enrolled).outcome, InsertOutcome::kRoutedToDelta);
-      ASSERT_TRUE(db.MergeIngest());
-    }
-    // The merge rebuilt exactly the hash shard's image.
-    EXPECT_EQ(BuildTreeSizes(open({}).value()), want);
-  }
-}
-
-TEST(ShardEquivalenceTest, LegacyV2ManifestImageServesAndRoutesByHash) {
-  const std::string path = ::testing::TempDir() + "/gauss_db_legacy_v2.db";
-  const PfvDataset dataset = MakeDataset(600, 3, 8, /*seed=*/616);
-  const Reference ref(dataset, /*probes=*/4, /*seed=*/61);
-  BatchResult before;
-  {
-    GaussDbOptions options;
-    options.shards.num_shards = kLegacyShards;
-    GaussDb db = GaussDb::CreateOnFile(path, dataset.dim(), options);
-    db.Build(dataset);
-    Session session = db.Serve({.num_workers = kLegacyShards});
-    before = session.ExecuteBatch(ref.batch());
-  }
-  ExpectLegacyHashImage(
-      [&] { ForgeV2Manifest(path); },
-      [&](GaussDbOptions options) { return GaussDb::OpenFile(path, options); },
-      dataset, ref, before);
-  std::remove(path.c_str());
-}
-
-TEST(ShardEquivalenceTest, LegacyDirectoryManifestServesAndRoutesByHash) {
-  const std::string dir = ::testing::TempDir() + "/gauss_db_legacy_dir";
-  const PfvDataset dataset = MakeDataset(600, 3, 8, /*seed=*/626);
-  const Reference ref(dataset, /*probes=*/4, /*seed=*/62);
-  BatchResult before;
-  {
-    GaussDbOptions options;
-    options.shards.num_shards = kLegacyShards;
-    GaussDb db = GaussDb::CreateOnDirectory(dir, dataset.dim(), options);
-    db.Build(dataset);
-    Session session = db.Serve({.num_workers = kLegacyShards});
-    before = session.ExecuteBatch(ref.batch());
-  }
-  ExpectLegacyHashImage(
-      [&] { ForgeHashDirectoryManifest(dir); },
-      [&](GaussDbOptions options) {
-        return GaussDb::OpenDirectory(dir, options);
-      },
-      dataset, ref, before);
-  RemoveDirectoryLayout(dir, kLegacyShards);
-}
-
 // A spatial image routes a build-phase Insert and a live delta append to the
 // one shard whose root MBR contains the object — not where an id hash would
 // have sent it.
@@ -725,36 +563,36 @@ TEST(ShardEquivalenceTest, SpatialImageRoutesInsertsByRootMbr) {
   const PfvDataset dataset = MakeDataset(600, 3, 8, /*seed=*/636);
   {
     GaussDbOptions options;
-    options.shards.num_shards = kLegacyShards;
+    options.shards.num_shards = kRouteShards;
     GaussDb db = GaussDb::CreateOnFile(path, dataset.dim(), options);
     db.Build(dataset);
   }
   // An object inside exactly one shard's root MBR, and ids that no hash
   // routing (seed 0) would send there.
   Pfv probe;
-  size_t owner = kLegacyShards;
+  size_t owner = kRouteShards;
   {
     const GaussDb db = GaussDb::OpenFile(path).value();
     std::vector<GtChildEntry> roots;
-    for (size_t s = 0; s < kLegacyShards; ++s) {
+    for (size_t s = 0; s < kRouteShards; ++s) {
       roots.push_back(db.build_tree(s)->RootEntry());
     }
-    for (size_t i = 0; i < dataset.size() && owner == kLegacyShards; ++i) {
+    for (size_t i = 0; i < dataset.size() && owner == kRouteShards; ++i) {
       size_t containing = 0;
-      for (size_t s = 0; s < kLegacyShards; ++s) {
+      for (size_t s = 0; s < kRouteShards; ++s) {
         if (roots[s].Contains(dataset[i])) {
           ++containing;
           owner = s;
         }
       }
-      if (containing != 1) owner = kLegacyShards;
+      if (containing != 1) owner = kRouteShards;
       probe = dataset[i];
     }
   }
-  ASSERT_LT(owner, kLegacyShards);
+  ASSERT_LT(owner, kRouteShards);
   const auto off_hash_id = [&](uint64_t first_id) {
     uint64_t id = first_id;
-    while (LegacyHashShard(id, /*seed=*/0) == owner) ++id;
+    while (HashShard(id) == owner) ++id;
     return id;
   };
 
@@ -773,7 +611,7 @@ TEST(ShardEquivalenceTest, SpatialImageRoutesInsertsByRootMbr) {
     options.ingest.enabled = true;
     options.ingest.merge_policy = MergePolicy::kManual;
     GaussDb db = GaussDb::OpenFile(path, options).value();
-    Session live = db.Serve({.num_workers = kLegacyShards});
+    Session live = db.Serve({.num_workers = kRouteShards});
     probe.id = off_hash_id(9'300'000);
     ASSERT_EQ(live.Insert(probe).outcome, InsertOutcome::kRoutedToDelta);
     ASSERT_TRUE(db.MergeIngest());
@@ -1403,94 +1241,6 @@ TEST(ShardEquivalenceTest, ZeroLowerBoundQueryTerminatesWithoutFullScan) {
   // ... and certification did NOT fall back to evaluating the whole gallery
   // in pursuit of a relative test that can never fire at lo == 0.
   EXPECT_LT(resp.stats.objects_evaluated, dataset.size());
-}
-
-// Objects like `dataset`'s but with ids from `first_id` on and jittered
-// means: later enrollments that collide with nothing already stored.
-PfvDataset Enrollments(const PfvDataset& dataset, size_t count,
-                       uint64_t first_id) {
-  PfvDataset extra(dataset.dim());
-  for (size_t i = 0; i < count; ++i) {
-    Pfv pfv = dataset.objects()[(i * 37) % dataset.size()];
-    pfv.id = first_id + i;
-    for (double& mu : pfv.mu) mu += 0.003 * static_cast<double>(1 + i % 7);
-    extra.Add(std::move(pfv));
-  }
-  return extra;
-}
-
-void ExpectTreeHeaderVersions(const PageDevice& device, uint32_t version) {
-  std::vector<uint8_t> page(device.page_size());
-  for (const PageId meta : test::TreeHeaderPages(device)) {
-    device.Read(meta, page.data());
-    EXPECT_EQ(GaussTree::InspectHeader(page.data(), page.size()).version,
-              version)
-        << "tree header page " << meta;
-  }
-}
-
-// A version-2 image — legacy row-format node pages without checksums,
-// forged from a fresh build by the test-local writer — opens and serves
-// oracle-identically in memory and on file, unsharded behind one shard and
-// over four. Inserting into the reopened file rewrites every node page in
-// the current format under a current header (the reopen after it would
-// reject any legacy page left behind), and the grown image answers for the
-// grown gallery.
-TEST(ShardEquivalenceTest, LegacyV2NodePagesServeAndRoundTripToV3) {
-  const PfvDataset dataset = MakeDataset(1200, 4, 8, /*seed=*/606);
-  const Reference ref(dataset, /*probes=*/6, /*seed=*/23);
-  const PfvDataset extra = Enrollments(dataset, 40, /*first_id=*/100000);
-  PfvDataset grown(dataset.dim());
-  for (const Pfv& pfv : dataset.objects()) grown.Add(pfv);
-  for (const Pfv& pfv : extra.objects()) grown.Add(pfv);
-  const Reference grown_ref(grown, /*probes=*/6, /*seed=*/23);
-
-  for (const size_t shards : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    GaussDbOptions options;
-    options.shards.num_shards = shards;
-    {
-      // In memory: forge the built image before Serve() reopens it.
-      GaussDb db = GaussDb::CreateInMemory(dataset.dim(), options);
-      db.Build(dataset);
-      test::ForgeLegacyImage(&db.device());
-      ExpectTreeHeaderVersions(db.device(), 2);
-      Session session = db.Serve({.num_workers = 2});
-      ExpectMatchesReference(session.ExecuteBatch(ref.batch()), ref);
-    }
-    const std::string path =
-        ::testing::TempDir() + "/gauss_db_legacy_v2.db";
-    {
-      GaussDb db = GaussDb::CreateOnFile(path, dataset.dim(), options);
-      db.Build(dataset);
-    }
-    {
-      FilePageDevice device(path, kDefaultPageSize, /*truncate=*/false);
-      test::ForgeLegacyImage(&device);
-    }
-    {
-      GaussDb db = GaussDb::OpenFile(path).value();
-      ExpectTreeHeaderVersions(db.device(), 2);
-      Session session = db.Serve({.num_workers = 2});
-      ExpectMatchesReference(session.ExecuteBatch(ref.batch()), ref);
-    }
-    {
-      GaussDb db = GaussDb::OpenFile(path).value();
-      for (const Pfv& pfv : extra.objects()) {
-        ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToBuild);
-      }
-      db.Finalize();
-      ExpectTreeHeaderVersions(db.device(), GaussTree::header_version());
-    }
-    {
-      OpenResult reopened = GaussDb::OpenFile(path);
-      ASSERT_TRUE(reopened.ok()) << reopened.error().message;
-      Session session = reopened->Serve({.num_workers = 2});
-      ExpectMatchesReference(session.ExecuteBatch(grown_ref.batch()),
-                             grown_ref);
-    }
-    std::remove(path.c_str());
-  }
 }
 
 // Flips 1-3 random bits inside the used bytes of four random node pages of

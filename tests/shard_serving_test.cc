@@ -60,8 +60,8 @@ class ShardServingTest : public ::testing::Test {
     config.seed = 77;
     dataset_ = GenerateClusteredDataset(config);
 
-    const std::vector<PfvDataset> parts = Partitioner::Spatial(2).SplitSpatial(
-        dataset_, GtCapacities::ForPageSize(kDefaultPageSize, kDim).leaf);
+    const std::vector<PfvDataset> parts = SplitSpatial(
+        dataset_, 2, GtCapacities::ForPageSize(kDefaultPageSize, kDim).leaf);
     for (size_t s = 0; s < 2; ++s) {
       ShardedBufferPool build_pool(&devices_[s], 1 << 14, /*num_shards=*/1);
       GaussTree tree(&build_pool, kDim);

@@ -1,3 +1,7 @@
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstring>
@@ -45,6 +49,30 @@ TEST(InMemoryPageDeviceTest, FreshPagesAreZeroed) {
   std::vector<uint8_t> read(512, 0xFF);
   device.Read(id, read.data());
   for (uint8_t byte : read) EXPECT_EQ(byte, 0);
+}
+
+// Segments are anonymous mappings: a page of a fresh segment is resident
+// once written, not once allocated, and reads as zeros until then.
+TEST(InMemoryPageDeviceTest, PagesBecomeResidentWhenWritten) {
+  const size_t os_page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  const auto page_size =
+      static_cast<uint32_t>(std::max<size_t>(8192, os_page));
+  InMemoryPageDevice device(page_size);
+  const auto resident = [&](PageId id) {
+    std::vector<unsigned char> pages(page_size / os_page);
+    void* address = const_cast<uint8_t*>(device.StablePage(id));
+    EXPECT_EQ(::mincore(address, page_size, pages.data()), 0);
+    return std::all_of(pages.begin(), pages.end(),
+                       [](unsigned char p) { return (p & 1) != 0; });
+  };
+  PageId id = kInvalidPageId;
+  for (int i = 0; i <= 64; ++i) id = device.Allocate();  // opens segment 1
+  EXPECT_FALSE(resident(id));
+  std::vector<uint8_t> read(page_size, 0xFF);
+  device.Read(id, read.data());
+  EXPECT_EQ(read, std::vector<uint8_t>(page_size, 0));
+  device.Write(id, Pattern(page_size, 3).data());
+  EXPECT_TRUE(resident(id));
 }
 
 TEST(FilePageDeviceTest, PersistsAcrossReopen) {
