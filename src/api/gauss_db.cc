@@ -294,10 +294,11 @@ void GaussDb::Build(const PfvDataset& dataset) {
                   "Build requires an empty database (use Insert to grow one)");
   GAUSS_CHECK_MSG(dataset.dim() == dim_, "dataset dimensionality mismatch");
   if (sharded_) {
-    const std::vector<PfvDataset> parts = SplitSpatial(
+    // Every shard reads the caller's dataset through its part's positions.
+    std::vector<std::vector<uint32_t>> parts = SplitSpatial(
         dataset, trees_.size(), trees_[0]->capacities().leaf);
     for (size_t s = 0; s < trees_.size(); ++s) {
-      trees_[s]->BulkLoad(parts[s]);
+      trees_[s]->BulkLoad(dataset, std::move(parts[s]));
     }
   } else {
     trees_[0]->BulkLoad(dataset);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 
 #include "common/macros.h"
 
@@ -79,23 +81,19 @@ void Cut(const PfvDataset& dataset, std::vector<uint32_t>::iterator begin,
 
 }  // namespace
 
-std::vector<PfvDataset> SplitSpatial(const PfvDataset& dataset,
-                                     size_t num_shards, size_t leaf_capacity) {
+std::vector<std::vector<uint32_t>> SplitSpatial(const PfvDataset& dataset,
+                                                size_t num_shards,
+                                                size_t leaf_capacity) {
   GAUSS_CHECK_MSG(num_shards > 0, "SplitSpatial needs >= 1 shard");
+  GAUSS_CHECK_MSG(dataset.size() <= std::numeric_limits<uint32_t>::max(),
+                  "SplitSpatial cuts with 32-bit positions");
   std::vector<uint32_t> order(dataset.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
-  std::vector<std::vector<uint32_t>> positions;
-  positions.reserve(num_shards);
-  Cut(dataset, order.begin(), order.end(), num_shards, leaf_capacity,
-      &positions);
-
-  std::vector<PfvDataset> parts;
+  std::iota(order.begin(), order.end(), uint32_t{0});
+  std::vector<std::vector<uint32_t>> parts;
   parts.reserve(num_shards);
-  for (std::vector<uint32_t>& part : positions) {
-    std::sort(part.begin(), part.end());  // dataset order within the shard
-    PfvDataset shard(dataset.dim());
-    for (const uint32_t i : part) shard.Add(dataset[i]);
-    parts.push_back(std::move(shard));
+  Cut(dataset, order.begin(), order.end(), num_shards, leaf_capacity, &parts);
+  for (std::vector<uint32_t>& part : parts) {
+    std::sort(part.begin(), part.end());
   }
   return parts;
 }

@@ -2,6 +2,7 @@
 #define GAUSS_API_PARTITIONER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "pfv/pfv.h"
@@ -29,15 +30,21 @@ namespace gauss {
 // fits one leaf, so a subtree of between C*2^j and (C+1)*2^j objects pays
 // one extra leaf per object above C*2^j — a 25,000-object shard takes 1005
 // nodes, a 24,576-object one 547. There is no snap when s < C (a part
-// smaller than one leaf has no band to avoid). Each part keeps dataset
-// order. Inserts and live-ingest deltas then go to the shard ChooseSubtree
+// smaller than one leaf has no band to avoid).
+//
+// The cut is an index cut: a part is a list of dataset positions, and each
+// list is ascending. Build hands each shard tree the caller's dataset and
+// its part (GaussTree::BulkLoad over positions), so a sharded build copies
+// no pfv. Inserts and live-ingest deltas then go to the shard ChooseSubtree
 // (gausstree/gauss_tree.h) picks among the shards' root entries.
 
 // The spatial cut of `dataset` into `num_shards` >= 1 parts (see above), for
-// trees of `leaf_capacity` objects per leaf. Deterministic: a pure function
-// of the dataset and its arguments.
-std::vector<PfvDataset> SplitSpatial(const PfvDataset& dataset,
-                                     size_t num_shards, size_t leaf_capacity);
+// trees of `leaf_capacity` objects per leaf: part s lists the positions of
+// shard s's objects, ascending. The parts are disjoint and cover [0, n).
+// Deterministic: a pure function of the dataset and its arguments.
+std::vector<std::vector<uint32_t>> SplitSpatial(const PfvDataset& dataset,
+                                                size_t num_shards,
+                                                size_t leaf_capacity);
 
 }  // namespace gauss
 

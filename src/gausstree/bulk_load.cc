@@ -24,10 +24,12 @@
 // Each tree level is built in two passes:
 //  1. Partition. The level's items are gathered once into a flat row-major
 //     matrix of split keys and parameter-space extents, and a permutation
-//     `order` of their indices is split recursively. Every candidate axis
-//     reads keys and bounds straight from the matrix; no node or pfv is
-//     copied. The two halves of a split are disjoint ranges of `order`, so
-//     one half goes to a helper thread while threads remain.
+//     `order` of their indices is split recursively. The leaf level's items
+//     are the caller's pfvs at the given dataset positions, read in place.
+//     Every candidate axis reads keys and bounds straight from the matrix;
+//     no node or pfv is copied. The two halves of a split are disjoint
+//     ranges of `order`, so one half goes to a helper thread while threads
+//     remain.
 //  2. Materialize. The calling thread walks the same ranges in the order a
 //     sequential right-half-first depth-first loader would visit them and
 //     creates one node per final range. Page ids are therefore allocated in
@@ -98,10 +100,15 @@ struct LevelMatrix {
   }
 };
 
-LevelMatrix ObjectMatrix(const std::vector<Pfv>& items, size_t dim) {
-  LevelMatrix m(items.size(), 2 * dim, 0, 0);
+// Row i holds the pfv at items[positions[i]], gathered in place.
+LevelMatrix ObjectMatrix(const std::vector<Pfv>& items,
+                         const std::vector<uint32_t>& positions, size_t dim) {
+  LevelMatrix m(positions.size(), 2 * dim, 0, 0);
   double* out = m.values.data();
-  for (const Pfv& pfv : items) {
+  for (const uint32_t position : positions) {
+    GAUSS_CHECK_MSG(position < items.size(),
+                    "BulkLoad: position past the end of the dataset");
+    const Pfv& pfv = items[position];
     out = std::copy(pfv.mu.begin(), pfv.mu.end(), out);
     out = std::copy(pfv.sigma.begin(), pfv.sigma.end(), out);
   }
@@ -123,6 +130,15 @@ LevelMatrix EntryMatrix(const std::vector<GtChildEntry>& items, size_t dim) {
     }
   }
   return m;
+}
+
+// 0, 1, ..., n - 1.
+std::vector<uint32_t> AllPositions(size_t n) {
+  GAUSS_CHECK_MSG(n <= std::numeric_limits<uint32_t>::max(),
+                  "BulkLoad indexes objects with 32-bit positions");
+  std::vector<uint32_t> positions(n);
+  std::iota(positions.begin(), positions.end(), uint32_t{0});
+  return positions;
 }
 
 // Calls emit(from, to) for every final range of the recursive median split
@@ -290,12 +306,15 @@ class LevelPartitioner {
 }  // namespace
 
 void GaussTree::BulkLoad(const PfvDataset& dataset, size_t threads) {
+  BulkLoad(dataset, AllPositions(dataset.size()), threads);
+}
+
+void GaussTree::BulkLoad(const PfvDataset& dataset,
+                         std::vector<uint32_t> positions, size_t threads) {
   GAUSS_CHECK_MSG(size_ == 0, "BulkLoad requires an empty tree");
   GAUSS_CHECK_MSG(!store_.finalized(), "BulkLoad requires build mode");
   GAUSS_CHECK(dataset.dim() == dim_);
-  GAUSS_CHECK_MSG(dataset.size() <= std::numeric_limits<uint32_t>::max(),
-                  "BulkLoad indexes objects with 32-bit positions");
-  if (dataset.size() == 0) return;
+  if (positions.empty()) return;
 
   const auto cost = [this](const std::vector<DimBounds>& bounds) {
     return NodeCost(bounds);
@@ -303,8 +322,7 @@ void GaussTree::BulkLoad(const PfvDataset& dataset, size_t threads) {
   // Partitions the level's n items into groups of at most `capacity`;
   // returns the permutation that lists each group contiguously.
   auto partition = [&](const LevelMatrix& matrix, size_t n, size_t capacity) {
-    std::vector<uint32_t> order(n);
-    std::iota(order.begin(), order.end(), uint32_t{0});
+    std::vector<uint32_t> order = AllPositions(n);
     LevelPartitioner(matrix, order, dim_, capacity, cost).Run(n, threads);
     return order;
   };
@@ -313,11 +331,16 @@ void GaussTree::BulkLoad(const PfvDataset& dataset, size_t threads) {
   // Definalize() left of the root page, so no cached copy outlives it.
   pool_->Clear();
 
-  // Leaf level. The key matrix is freed before the leaves are created.
+  // Leaf level, read in place through `positions`. The partition permutes
+  // matrix rows, i.e. list indices; mapped through the list, leaf_order[i]
+  // is the dataset position of the i-th object placed. The key matrix and
+  // the list are freed before the leaves are created.
   const std::vector<Pfv>& items = dataset.objects();
-  const size_t n = items.size();
-  const std::vector<uint32_t> leaf_order =
-      partition(ObjectMatrix(items, dim_), n, caps_.leaf);
+  const size_t n = positions.size();
+  std::vector<uint32_t> leaf_order =
+      partition(ObjectMatrix(items, positions, dim_), n, caps_.leaf);
+  for (uint32_t& row : leaf_order) row = positions[row];
+  positions = std::vector<uint32_t>();
   std::vector<GtChildEntry> level;
   ForEachGroup(n, caps_.leaf, [&](size_t from, size_t to) {
     // The root-leaf created by the constructor is reused for the very first

@@ -134,10 +134,17 @@ class GaussTree {
   // Inserts every object of the dataset one by one.
   void BulkInsert(const PfvDataset& dataset);
 
-  // Bulk-loads an *empty* tree with a top-down recursive median partitioning
-  // in (mu, sigma) space, minimizing the paper's hull-integral objective at
-  // every cut. Much faster to build and more selective than repeated
-  // insertion (bench: ablation_bulkload).
+  // Bulk-loads an *empty* tree with the objects dataset[positions[i]], by a
+  // top-down recursive median partitioning in (mu, sigma) space, minimizing
+  // the paper's hull-integral objective at every cut. Much faster to build
+  // and more selective than repeated insertion (bench: ablation_bulkload).
+  //
+  // Subsets: the objects are read in place through `positions` (a sharded
+  // GaussDb::Build passes each shard's SplitSpatial part), so no pfv is
+  // copied before its leaf takes it. The tree equals one loaded from a
+  // dataset holding exactly those objects in list order: the same nodes,
+  // pages and image bytes. A position >= dataset.size() aborts. The list
+  // is taken by value and freed before the leaves are created.
   //
   // Threading: the partitioning hands one half of a split to a helper
   // thread while more than one of `threads` remains (0 counts as 1), so up
@@ -151,6 +158,9 @@ class GaussTree {
   // Memory: each node is written to its device page as soon as it is
   // created, so no node is held in memory afterwards; the tree stays in
   // build mode, and reads, Validate() and queries go to the pages.
+  void BulkLoad(const PfvDataset& dataset, std::vector<uint32_t> positions,
+                size_t threads = UsableCpus());
+  // The whole dataset: positions 0, 1, ..., dataset.size() - 1.
   void BulkLoad(const PfvDataset& dataset, size_t threads = UsableCpus());
 
   // Serializes the nodes still in memory to their pages and persists the

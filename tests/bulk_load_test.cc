@@ -1,11 +1,13 @@
 #include <cmath>
 #include <cstdio>
 #include <deque>
+#include <numeric>
 #include <set>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "api/partitioner.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "data/paper_datasets.h"
@@ -99,6 +101,26 @@ uint64_t LogicalHash(const GaussTree& tree) {
   return hash;
 }
 
+struct TreeHashes {
+  uint64_t image;
+  uint64_t logical;
+};
+
+// Runs `load` on a fresh tree of `dim` over a fresh device, finalizes and
+// validates it, and hashes its image and logical content.
+template <typename Load>
+TreeHashes LoadAndHash(uint32_t page_size, size_t dim, size_t expected_size,
+                       Load load) {
+  InMemoryPageDevice device(page_size);
+  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
+  GaussTree tree(&pool, dim);
+  load(tree);
+  tree.Finalize();
+  tree.Validate();
+  EXPECT_EQ(tree.size(), expected_size);
+  return {ImageHash(device), LogicalHash(tree)};
+}
+
 // Bulk-loads `dataset` with 1, 2 and 4 threads and checks that every image
 // hashes to `expected_image` and every tree to `expected_logical`. A change
 // to either is a change to every database built since, not a refactoring.
@@ -108,15 +130,32 @@ uint64_t LogicalHash(const GaussTree& tree) {
 void ExpectPinnedImage(const PfvDataset& dataset, uint32_t page_size,
                        uint64_t expected_image, uint64_t expected_logical) {
   for (size_t threads : {1, 2, 4}) {
-    InMemoryPageDevice device(page_size);
-    ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
-    GaussTree tree(&pool, dataset.dim());
-    tree.BulkLoad(dataset, threads);
-    tree.Finalize();
-    tree.Validate();
-    EXPECT_EQ(tree.size(), dataset.size());
-    EXPECT_EQ(ImageHash(device), expected_image) << "threads=" << threads;
-    EXPECT_EQ(LogicalHash(tree), expected_logical) << "threads=" << threads;
+    const TreeHashes got =
+        LoadAndHash(page_size, dataset.dim(), dataset.size(),
+                    [&](GaussTree& tree) { tree.BulkLoad(dataset, threads); });
+    EXPECT_EQ(got.image, expected_image) << "threads=" << threads;
+    EXPECT_EQ(got.logical, expected_logical) << "threads=" << threads;
+  }
+}
+
+// Loading dataset[positions] through the position list must build the very
+// tree a load of a copied dataset of those objects (in list order) builds:
+// equal image and logical hashes at 1, 2 and 4 threads.
+void ExpectSubsetLoadEqualsCopy(const PfvDataset& dataset,
+                                const std::vector<uint32_t>& positions,
+                                uint32_t page_size) {
+  PfvDataset copy(dataset.dim());
+  for (const uint32_t i : positions) copy.Add(dataset[i]);
+  for (size_t threads : {1, 2, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const TreeHashes subset = LoadAndHash(
+        page_size, dataset.dim(), positions.size(),
+        [&](GaussTree& tree) { tree.BulkLoad(dataset, positions, threads); });
+    const TreeHashes copied =
+        LoadAndHash(page_size, dataset.dim(), copy.size(),
+                    [&](GaussTree& tree) { tree.BulkLoad(copy, threads); });
+    EXPECT_EQ(subset.image, copied.image);
+    EXPECT_EQ(subset.logical, copied.logical);
   }
 }
 
@@ -144,6 +183,51 @@ TEST(BulkLoadTest, LeafCapacityPlusOneImageIsPinnedAtEveryThreadCount) {
 TEST(BulkLoadTest, Dim1ImageIsPinnedAtEveryThreadCount) {
   ExpectPinnedImage(RandomDataset(313, 4000, 1), 2048,
                     0x1a5f251cb52deb8full, 0x2ee2de38ef3006a3ull);
+}
+
+TEST(BulkLoadTest, SubsetLoadEqualsLoadOfCopiedSubset) {
+  const PfvDataset random = RandomDataset(314, 5000, 3);
+  {
+    SCOPED_TRACE("empty list");
+    ExpectSubsetLoadEqualsCopy(random, {}, 2048);
+  }
+  {
+    SCOPED_TRACE("one object");
+    ExpectSubsetLoadEqualsCopy(random, {4321}, 2048);
+  }
+  {
+    SCOPED_TRACE("leaf capacity + 1");
+    const size_t cap = GtCapacities::ForPageSize(2048, 3).leaf;
+    std::vector<uint32_t> positions(cap + 1);
+    std::iota(positions.begin(), positions.end(), uint32_t{100});
+    ExpectSubsetLoadEqualsCopy(random, positions, 2048);
+  }
+  {
+    SCOPED_TRACE("every other position");
+    std::vector<uint32_t> positions;
+    for (uint32_t i = 0; i < random.size(); i += 2) positions.push_back(i);
+    ExpectSubsetLoadEqualsCopy(random, positions, 2048);
+  }
+  const PfvDataset paper = GeneratePaperDataset2(20000).dataset;
+  const std::vector<std::vector<uint32_t>> parts = SplitSpatial(
+      paper, 4, GtCapacities::ForPageSize(kDefaultPageSize, paper.dim()).leaf);
+  for (size_t s = 0; s < parts.size(); ++s) {
+    SCOPED_TRACE("spatial part " + std::to_string(s));
+    ExpectSubsetLoadEqualsCopy(paper, parts[s], kDefaultPageSize);
+  }
+}
+
+// A position past the dataset is a checked abort, never a read beyond it.
+TEST(BulkLoadDeathTest, PositionPastTheDatasetAborts) {
+  const PfvDataset dataset = RandomDataset(315, 10, 2);
+  EXPECT_DEATH(
+      {
+        InMemoryPageDevice device(2048);
+        ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
+        GaussTree tree(&pool, 2);
+        tree.BulkLoad(dataset, {3, 10}, /*threads=*/1);
+      },
+      "position past the end of the dataset");
 }
 
 TEST(BulkLoadTest, StructureInvariantsHold) {

@@ -6,7 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <set>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -45,22 +45,15 @@ PfvDataset MakeDataset(size_t size, uint64_t seed) {
   return GenerateClusteredDataset(config);
 }
 
-std::vector<uint64_t> Ids(const PfvDataset& part) {
-  std::vector<uint64_t> ids;
-  ids.reserve(part.size());
-  for (const Pfv& pfv : part.objects()) ids.push_back(pfv.id);
-  return ids;
-}
-
 TEST(PartitionerTest, BenchmarkGeometryHasLeafCapacity48) {
   EXPECT_EQ(BenchLeafCapacity(), 48u);
 }
 
-// Part sizes sum to n, no cut leaves a part in a fill band, every object
-// lands in exactly one part, and a second run yields the same ids. The
-// benchmark's gallery over 4 shards pins the snapped sizes: plain
-// equal-count cuts would put all four parts at 25,000, inside the
-// (24576, 25088) band.
+// The parts are position lists: each ascending, pairwise disjoint, and
+// together covering [0, n). No part leaves a cut in a fill band, and a
+// second run yields the same lists. The benchmark's gallery over 4 shards
+// pins the snapped sizes: plain equal-count cuts would put all four parts
+// at 25,000, inside the (24576, 25088) band.
 TEST(PartitionerTest, PartSizesAvoidFillBandsAndSplitIsDeterministic) {
   const size_t capacity = BenchLeafCapacity();
   for (const size_t n : {0, 1, 5, 47, 48, 49, 1200, 100000}) {
@@ -68,26 +61,28 @@ TEST(PartitionerTest, PartSizesAvoidFillBandsAndSplitIsDeterministic) {
     for (const size_t shards : {1, 2, 3, 4, 5, 8}) {
       SCOPED_TRACE("n=" + std::to_string(n) +
                    " shards=" + std::to_string(shards));
-      const std::vector<PfvDataset> parts =
-          SplitSpatial(dataset, shards, capacity);
-      const std::vector<PfvDataset> again =
+      const std::vector<std::vector<uint32_t>> parts =
           SplitSpatial(dataset, shards, capacity);
       ASSERT_EQ(parts.size(), shards);
+      EXPECT_EQ(parts, SplitSpatial(dataset, shards, capacity));
       std::vector<size_t> sizes;
-      std::multiset<uint64_t> seen;
+      std::vector<uint32_t> all;
       for (size_t s = 0; s < shards; ++s) {
         sizes.push_back(parts[s].size());
+        EXPECT_TRUE(std::is_sorted(parts[s].begin(), parts[s].end()))
+            << "shard " << s;
         // A single shard is the whole gallery: there is no cut to snap.
         if (shards > 1) {
           EXPECT_FALSE(InFillBand(parts[s].size(), capacity))
               << "shard " << s << " holds " << parts[s].size();
         }
-        EXPECT_EQ(Ids(parts[s]), Ids(again[s])) << "shard " << s;
-        for (const Pfv& pfv : parts[s].objects()) seen.insert(pfv.id);
+        all.insert(all.end(), parts[s].begin(), parts[s].end());
       }
-      std::multiset<uint64_t> want;
-      for (const Pfv& pfv : dataset.objects()) want.insert(pfv.id);
-      EXPECT_EQ(seen, want);
+      // Disjoint and covering: the concatenation sorts to 0, 1, ..., n-1.
+      std::sort(all.begin(), all.end());
+      std::vector<uint32_t> want(n);
+      std::iota(want.begin(), want.end(), uint32_t{0});
+      EXPECT_EQ(all, want);
       if (n == 100000 && shards == 4) {
         EXPECT_EQ(sizes, (std::vector<size_t>{24576, 24576, 25424, 25424}));
       }
@@ -99,18 +94,18 @@ TEST(PartitionerTest, PartSizesAvoidFillBandsAndSplitIsDeterministic) {
 // lies beyond anything on the right.
 TEST(PartitionerTest, TwoWayCutSeparatesSpace) {
   const PfvDataset dataset = MakeDataset(1000, /*seed=*/3);
-  const std::vector<PfvDataset> parts =
+  const std::vector<std::vector<uint32_t>> parts =
       SplitSpatial(dataset, 2, BenchLeafCapacity());
   ASSERT_EQ(parts.size(), 2u);
   bool separated_on_some_axis = false;
   for (size_t d = 0; d < dataset.dim(); ++d) {
     double left_max = -std::numeric_limits<double>::infinity();
     double right_min = std::numeric_limits<double>::infinity();
-    for (const Pfv& pfv : parts[0].objects()) {
-      left_max = std::max(left_max, pfv.mu[d]);
+    for (const uint32_t i : parts[0]) {
+      left_max = std::max(left_max, dataset[i].mu[d]);
     }
-    for (const Pfv& pfv : parts[1].objects()) {
-      right_min = std::min(right_min, pfv.mu[d]);
+    for (const uint32_t i : parts[1]) {
+      right_min = std::min(right_min, dataset[i].mu[d]);
     }
     separated_on_some_axis |= left_max <= right_min;
   }

@@ -14,6 +14,7 @@
 // traversal orders) and against the exhaustive scan catches any mistake in
 // the combination math.
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -37,6 +39,7 @@
 #include "api/partitioner.h"
 #include "common/random.h"
 #include "data/generators.h"
+#include "data/paper_datasets.h"
 #include "data/workload.h"
 #include "legacy_image.h"
 #include "net/net_error.h"
@@ -387,6 +390,58 @@ TEST(ShardEquivalenceTest, TreeSmallerCacheIsByteIdenticalPerTopology) {
     ExpectMatchesReference(small, ref);
     EXPECT_GT(small_reads, 0u);
     EXPECT_EQ(small_reads, full_reads);
+  }
+}
+
+// FNV-1a over every page of the device: the whole persisted image.
+uint64_t ImageHash(const PageDevice& device) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  std::vector<uint8_t> page(device.page_size());
+  for (PageId id = 0; id < device.PageCount(); ++id) {
+    device.Read(id, page.data());
+    for (const uint8_t byte : page) {
+      hash ^= byte;
+      hash *= 0x100000001b3ull;
+    }
+  }
+  return hash;
+}
+
+// The device image of an in-memory sharded database, pinned: the spatial
+// cut, every shard's bulk load and the page-0 manifest. 3 shards is the
+// uneven cut. Each image is built once with the machine's CPUs and once on
+// a thread confined to one CPU (a one-thread bulk load); both must hash to
+// the constant. A change to a constant is a change to every sharded
+// database built since, not a refactoring (the unsharded counterparts are
+// the pins in bulk_load_test.cc).
+TEST(ShardEquivalenceTest, ShardedImageIsPinned) {
+  const PfvDataset dataset = GeneratePaperDataset2(20000).dataset;
+  const auto image = [&](size_t shards) {
+    GaussDbOptions options;
+    options.shards.num_shards = shards;
+    GaussDb db = GaussDb::CreateInMemory(dataset.dim(), options);
+    db.Build(dataset);
+    return ImageHash(db.device());
+  };
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &allowed)) ++first;
+  for (const auto& [shards, expected] :
+       {std::pair<size_t, uint64_t>{4, 0xd8301495f95a0838ull},
+        {3, 0xa7cb981b8d8b43d2ull}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    EXPECT_EQ(image(shards), expected);
+    uint64_t one_cpu = 0;
+    std::thread([&, shards = shards] {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(first, &one);
+      ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+      one_cpu = image(shards);
+    }).join();
+    EXPECT_EQ(one_cpu, expected) << "one CPU";
   }
 }
 

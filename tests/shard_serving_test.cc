@@ -60,12 +60,12 @@ class ShardServingTest : public ::testing::Test {
     config.seed = 77;
     dataset_ = GenerateClusteredDataset(config);
 
-    const std::vector<PfvDataset> parts = SplitSpatial(
+    const std::vector<std::vector<uint32_t>> parts = SplitSpatial(
         dataset_, 2, GtCapacities::ForPageSize(kDefaultPageSize, kDim).leaf);
     for (size_t s = 0; s < 2; ++s) {
       ShardedBufferPool build_pool(&devices_[s], 1 << 14, /*num_shards=*/1);
       GaussTree tree(&build_pool, kDim);
-      tree.BulkLoad(parts[s]);
+      tree.BulkLoad(dataset_, parts[s]);
       tree.Finalize();
       metas_[s] = tree.meta_page();
     }
