@@ -22,14 +22,20 @@
 // of the build time (bench: ablation_bulkload).
 //
 // Each tree level is built in two passes:
-//  1. Partition. The level's items are gathered once into a flat row-major
-//     matrix of split keys and parameter-space extents, and a permutation
-//     `order` of their indices is split recursively. The leaf level's items
-//     are the caller's pfvs at the given dataset positions, read in place.
-//     Every candidate axis reads keys and bounds straight from the matrix;
-//     no node or pfv is copied. The two halves of a split are disjoint
-//     ranges of `order`, so one half goes to a helper thread while threads
-//     remain.
+//  1. Partition. A permutation `order` of the level's items is split
+//     recursively. A split cuts its range at the median of every candidate
+//     axis in turn: a chain of 2d std::nth_element passes, each starting
+//     from the previous one's output, in which every item records the half
+//     it landed in. One more pass over the range then takes the MBRs of
+//     both halves of all 2d candidates at once, and the range is cut for
+//     good along the cheapest axis. The leaf level reads the caller's pfvs
+//     in place, through one (mu, sigma) pointer pair per object; once a
+//     range's rows fit GaussTree::kBulkLoadBlockBytes, they are gathered
+//     into the thread's block and the range is finished there, in cache.
+//     An upper level gathers its entries once into a flat matrix of MBR
+//     centers and edges. No node or pfv is copied. The two halves of a
+//     split are disjoint ranges of `order`, so one half goes to a helper
+//     thread while threads remain.
 //  2. Materialize. The calling thread walks the same ranges in the order a
 //     sequential right-half-first depth-first loader would visit them and
 //     creates one node per final range. Page ids are therefore allocated in
@@ -39,19 +45,26 @@
 //     memory, as an item of the next level up.
 // std::nth_element is deterministic for a given input sequence, and each
 // range's input depends only on what happened to that range before, so the
-// permutation — and with it the whole device image — does not depend on
-// the number of threads.
+// permutation — and with it the whole device image — depends neither on
+// the number of threads nor on whether a range is split in place or in a
+// block. A half's MBR is the min and max over the same set of items
+// whatever order they are visited in, with one exception: of -0.0 and
+// +0.0, std::min/std::max keep whichever comes first. The split cost reads
+// an extent only as hi - lo added to a positive term (GaussTree::NodeCost),
+// where the sign of a zero is lost, so every candidate costs what a pass
+// per candidate in node order would give, and the same axes win.
 
 namespace gauss {
 
 namespace {
 
 // A fixed-size array of trivial T mapped straight from the kernel and
-// unmapped on destruction. The level matrix is the largest buffer a build
-// allocates (16 MB at 100k objects). Taken from malloc, its free would
-// raise glibc's dynamic mmap threshold to its size, so later frees of up
-// to that size would stay resident: measured +2 MiB peak RSS on a 20k
-// gallery with live ingest.
+// unmapped on destruction. The bulk load's transient buffers — the leaf
+// row view (16 B per object), the split scratch (24 B per item of a
+// thread's first range), the upper levels' entry matrices — come from
+// here. Taken from malloc, a freed buffer would raise glibc's dynamic mmap
+// threshold to its size, so later frees of up to that size would stay
+// resident: measured +2 MiB peak RSS on a 20k gallery with live ingest.
 template <typename T>
 class MappedArray {
   static_assert(std::is_trivial_v<T>);
@@ -80,12 +93,25 @@ class MappedArray {
   size_t size_ = 0;
 };
 
-// The items of one level, as rows of `stride` doubles. Columns [0, 2d) are
-// the split keys of the 2d axes (mu axes first, then sigma axes). Columns
-// [lo, lo + 2d) and [hi, hi + 2d) are the item's extent along the same
-// axes. A leaf-level row is a point — (mu, sigma) — so its keys are its
-// extent and lo == hi == 0; an upper-level row holds an entry's MBR center
-// followed by its lower and upper MBR edges.
+// Touches every cache line of `bytes` bytes from p.
+void PrefetchBytes(const void* p, size_t bytes) {
+  const char* c = static_cast<const char*>(p);
+  for (size_t b = 0; b < bytes; b += 64) __builtin_prefetch(c + b);
+}
+
+// Rows of a level as LevelPartitioner reads them (LevelMatrix, PfvRows):
+// item i has a split key per axis — the 2d axes are the mu axes, then the
+// sigma axes — and an extent along the same axes. Rows are visited at
+// random, so the partitioner touches them ahead: PrefetchRow fetches a
+// row's handle, PrefetchKey and PrefetchExtent its values once the handle
+// is cached.
+//
+// The items of an upper level (or a gathered leaf block), as rows of
+// `stride` doubles. Columns [0, 2d) are the split keys. Columns [lo,
+// lo + 2d) and [hi, hi + 2d) are the item's extent along the same axes. A
+// leaf row is a point — (mu, sigma) — so its keys are its extent and
+// lo == hi == 0; an upper-level row holds an entry's MBR center followed by
+// its lower and upper MBR edges.
 struct LevelMatrix {
   LevelMatrix(size_t n, size_t stride, size_t lo, size_t hi)
       : values(n * stride), stride(stride), lo(lo), hi(hi) {}
@@ -95,30 +121,87 @@ struct LevelMatrix {
   size_t lo;
   size_t hi;
 
+  double* row(uint32_t item) { return values.data() + size_t{item} * stride; }
   const double* row(uint32_t item) const {
     return values.data() + size_t{item} * stride;
   }
+
+  double Key(uint32_t item, size_t axis) const { return row(item)[axis]; }
+  void PrefetchRow(uint32_t) const {}
+  void PrefetchKey(uint32_t item, size_t axis) const {
+    __builtin_prefetch(row(item) + axis);
+  }
+  void PrefetchExtent(uint32_t item) const {
+    PrefetchBytes(row(item), stride * sizeof(double));
+  }
+  // Points *lo_out and *hi_out at the item's 2d lower and upper extents.
+  void Extent(uint32_t item, double* /*buffer*/, const double** lo_out,
+              const double** hi_out) const {
+    *lo_out = row(item) + lo;
+    *hi_out = row(item) + hi;
+  }
 };
 
-// Row i holds the pfv at items[positions[i]], gathered in place.
-LevelMatrix ObjectMatrix(const std::vector<Pfv>& items,
-                         const std::vector<uint32_t>& positions, size_t dim) {
-  LevelMatrix m(positions.size(), 2 * dim, 0, 0);
-  double* out = m.values.data();
-  for (const uint32_t position : positions) {
-    GAUSS_CHECK_MSG(position < items.size(),
-                    "BulkLoad: position past the end of the dataset");
-    const Pfv& pfv = items[position];
-    out = std::copy(pfv.mu.begin(), pfv.mu.end(), out);
-    out = std::copy(pfv.sigma.begin(), pfv.sigma.end(), out);
+// The leaf level: row i is the pfv at items[positions[i]], read in place
+// through its mu and sigma pointers. A row is a point, so its extent is its
+// keys.
+class PfvRows {
+ public:
+  PfvRows(const std::vector<Pfv>& items,
+          const std::vector<uint32_t>& positions, size_t dim)
+      : rows_(positions.size()), dim_(dim) {
+    Row* row = rows_.data();
+    for (const uint32_t position : positions) {
+      GAUSS_CHECK_MSG(position < items.size(),
+                      "BulkLoad: position past the end of the dataset");
+      *row++ = {items[position].mu.data(), items[position].sigma.data()};
+    }
   }
-  return m;
-}
+
+  double Key(uint32_t item, size_t axis) const { return *KeyAt(item, axis); }
+  void PrefetchRow(uint32_t item) const {
+    __builtin_prefetch(rows_.data() + item);
+  }
+  void PrefetchKey(uint32_t item, size_t axis) const {
+    __builtin_prefetch(KeyAt(item, axis));
+  }
+  void PrefetchExtent(uint32_t item) const {
+    const Row& r = rows_.data()[item];
+    PrefetchBytes(r.mu, dim_ * sizeof(double));
+    PrefetchBytes(r.sigma, dim_ * sizeof(double));
+  }
+  // Writes the item's mu, then its sigma, to out[0, 2d): the layout of a
+  // leaf LevelMatrix row.
+  void Gather(uint32_t item, double* out) const {
+    const Row& r = rows_.data()[item];
+    std::copy(r.mu, r.mu + dim_, out);
+    std::copy(r.sigma, r.sigma + dim_, out + dim_);
+  }
+  void Extent(uint32_t item, double* buffer, const double** lo_out,
+              const double** hi_out) const {
+    Gather(item, buffer);
+    *lo_out = *hi_out = buffer;
+  }
+
+ private:
+  struct Row {
+    const double* mu;
+    const double* sigma;
+  };
+
+  const double* KeyAt(uint32_t item, size_t axis) const {
+    const Row& r = rows_.data()[item];
+    return axis < dim_ ? r.mu + axis : r.sigma + (axis - dim_);
+  }
+
+  MappedArray<Row> rows_;
+  size_t dim_;
+};
 
 LevelMatrix EntryMatrix(const std::vector<GtChildEntry>& items, size_t dim) {
   LevelMatrix m(items.size(), 6 * dim, 2 * dim, 4 * dim);
   for (size_t e = 0; e < items.size(); ++e) {
-    double* row = m.values.data() + e * m.stride;
+    double* row = m.row(static_cast<uint32_t>(e));
     for (size_t i = 0; i < dim; ++i) {
       const DimBounds& b = items[e].bounds[i];
       row[i] = 0.5 * (b.mu_lo + b.mu_hi);
@@ -165,49 +248,85 @@ void ForEachGroup(size_t n, size_t capacity, Emit emit) {
   }
 }
 
-// Pass 1 of one level: permutes `order` so that every range ForEachGroup
-// emits holds the items of one node. `cost` maps a node's bounds to the
-// split objective (GaussTree::NodeCost). Splitting order[from, to) reads
-// the matrix and writes only that range and its thread's scratch, so
-// disjoint ranges run concurrently.
-template <typename Cost>
+// A split key and the item it belongs to. `slot` is the item's place in its
+// range before the split, the index of its side mask.
+struct Keyed {
+  double key;
+  uint32_t item;
+  uint32_t slot;
+};
+
+// 64-bit words of one item's side mask: one bit per candidate axis.
+size_t SideWords(size_t dim) { return (2 * dim + 63) / 64; }
+
+// One thread's buffers, reused by every range it splits. `keyed` and
+// `sides` hold at least as many items as the thread's first range;
+// `extremes` holds the lower and upper extents of both halves of every
+// candidate axis. A thread that splits leaf rows in place also has a block
+// of `block_rows` gathered rows, their items and their local order.
+struct SplitScratch {
+  SplitScratch(size_t count, size_t dim, size_t block_rows)
+      : keyed(count),
+        sides(count * SideWords(dim)),
+        extremes(16 * dim * dim),
+        row(2 * dim),
+        left(dim),
+        right(dim),
+        block(block_rows, 2 * dim, 0, 0),
+        block_items(block_rows),
+        block_order(block_rows) {}
+  MappedArray<Keyed> keyed;
+  MappedArray<uint64_t> sides;
+  MappedArray<double> extremes;
+  std::vector<double> row;
+  std::vector<DimBounds> left, right;
+  LevelMatrix block;
+  std::vector<uint32_t> block_items, block_order;
+};
+
+// Pass 1 of one level: permutes order[0, n) so that every range
+// ForEachGroup emits holds the items of one node. `Rows` is PfvRows or
+// LevelMatrix; `cost` maps a node's bounds to the split objective
+// (GaussTree::NodeCost). Splitting order[from, to) reads the rows and
+// writes only that range and its thread's scratch, so disjoint ranges run
+// concurrently.
+template <typename Rows, typename Cost>
 class LevelPartitioner {
+  // Leaf rows read in place are gathered into blocks once they fit one.
+  static constexpr bool kInPlace = std::is_same_v<Rows, PfvRows>;
+
  public:
-  LevelPartitioner(const LevelMatrix& matrix, std::vector<uint32_t>& order,
-                   size_t dim, size_t capacity, const Cost& cost)
-      : m_(matrix), order_(order), dim_(dim), capacity_(capacity),
+  LevelPartitioner(const Rows& rows, uint32_t* order, size_t dim,
+                   size_t capacity, const Cost& cost)
+      : rows_(rows), order_(order), dim_(dim), capacity_(capacity),
+        block_rows_(kInPlace ? GaussTree::kBulkLoadBlockBytes /
+                                   (2 * std::max<size_t>(dim, 1) *
+                                    sizeof(double))
+                             : 0),
         cost_(cost) {}
 
   // Partitions order[0, n) on up to `threads` threads.
   void Run(size_t n, size_t threads) const {
-    Scratch scratch(n, dim_);
+    SplitScratch scratch(n, dim_, std::min(n, block_rows_));
     Split(0, n, threads, &scratch);
   }
 
- private:
-  struct Keyed {
-    double key;
-    uint32_t item;
-  };
-
-  // One thread's buffers, reused by every range it splits. `keyed` holds at
-  // least as many entries as the thread's first range.
-  struct Scratch {
-    Scratch(size_t count, size_t dim)
-        : keyed(count), lo(2 * dim), hi(2 * dim), left(dim), right(dim) {}
-    MappedArray<Keyed> keyed;
-    std::vector<double> lo, hi;  // running extremes, one per axis
-    std::vector<DimBounds> left, right;
-  };
-
-  void Split(size_t from, size_t to, size_t threads, Scratch* scratch) const {
+  // Partitions order[from, to) on up to `threads` threads; the calling
+  // thread works in `scratch`.
+  void Split(size_t from, size_t to, size_t threads,
+             SplitScratch* scratch) const {
     if (to - from <= capacity_) return;
+    if (to - from <= block_rows_) {
+      FinishInBlock(from, to, threads, scratch);
+      return;
+    }
     const size_t median = from + (to - from) / 2;
     PartitionAtBestAxis(from, median, to, scratch);
     if (threads > 1 && to - median > capacity_) {
       const size_t helper_threads = threads / 2;
       std::jthread helper([this, median, to, helper_threads] {
-        Scratch own(to - median, dim_);
+        const size_t count = to - median;
+        SplitScratch own(count, dim_, std::min(count, block_rows_));
         Split(median, to, helper_threads, &own);
       });
       Split(from, median, threads - helper_threads, scratch);
@@ -217,89 +336,157 @@ class LevelPartitioner {
     }
   }
 
+ private:
+  // Rows are visited in `order`, i.e. at random; touching a row this many
+  // items ahead hides most cache misses on levels larger than the cache.
+  // A row read in place is two hops away, so its handle goes twice as far
+  // ahead.
+  static constexpr size_t kPrefetchDistance = 8;
+
+  // Gathers the rows of order[from, to) into the thread's block, in range
+  // order, and splits the range there: the same splits of the same keys,
+  // on compact rows instead of pointers into the gallery.
+  void FinishInBlock(size_t from, size_t to, size_t threads,
+                     SplitScratch* scratch) const {
+    if constexpr (kInPlace) {
+      const size_t count = to - from;
+      uint32_t* items = scratch->block_items.data();
+      uint32_t* local = scratch->block_order.data();
+      for (size_t j = 0; j < count; ++j) {
+        if (j + 2 * kPrefetchDistance < count) {
+          rows_.PrefetchRow(order_[from + j + 2 * kPrefetchDistance]);
+        }
+        if (j + kPrefetchDistance < count) {
+          rows_.PrefetchExtent(order_[from + j + kPrefetchDistance]);
+        }
+        items[j] = order_[from + j];
+        rows_.Gather(items[j], scratch->block.row(static_cast<uint32_t>(j)));
+        local[j] = static_cast<uint32_t>(j);
+      }
+      LevelPartitioner<LevelMatrix, Cost>(scratch->block, local, dim_,
+                                          capacity_, cost_)
+          .Split(0, count, threads, scratch);
+      for (size_t j = 0; j < count; ++j) order_[from + j] = items[local[j]];
+    }
+  }
+
   // Leaves order[from, to) split at `median` along the axis whose halves
   // have the smallest summed cost.
   void PartitionAtBestAxis(size_t from, size_t median, size_t to,
-                           Scratch* scratch) const {
-    double best_cost = std::numeric_limits<double>::infinity();
-    size_t best_axis = 0;
+                           SplitScratch* scratch) const {
+    const size_t count = to - from;
+    const size_t half = median - from;
+    const size_t words = SideWords(dim_);
+    Keyed* keyed = scratch->keyed.data();
+    uint64_t* sides = scratch->sides.data();
+    for (size_t i = 0; i < count; ++i) {
+      keyed[i] = {0.0, order_[from + i], static_cast<uint32_t>(i)};
+    }
+    std::fill(sides, sides + count * words, uint64_t{0});
     for (size_t axis = 0; axis < 2 * dim_; ++axis) {
-      Partition(from, median, to, axis, scratch);
-      Bounds(from, median, scratch, &scratch->left);
-      Bounds(median, to, scratch, &scratch->right);
-      const double cost = cost_(scratch->left) + cost_(scratch->right);
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_axis = axis;
-      }
+      SelectMedian(keyed, count, half, axis);
+      const uint64_t bit = uint64_t{1} << (axis % 64);
+      uint64_t* word = sides + axis / 64;
+      for (size_t i = half; i < count; ++i) word[keyed[i].slot * words] |= bit;
     }
     // The last pass was for the last axis, and nth_element over an already
     // partitioned range may still move items, so this pass runs even when
     // the last axis won.
-    Partition(from, median, to, best_axis, scratch);
+    SelectMedian(keyed, count, half, BestAxis(keyed, count, scratch));
+    for (size_t i = 0; i < count; ++i) order_[from + i] = keyed[i].item;
   }
 
-  // Rows are visited in `order`, i.e. at random; touching a row this many
-  // items ahead hides most cache misses on levels larger than the cache.
-  static constexpr size_t kPrefetchDistance = 8;
-
-  // std::nth_element of order[from, to) by the axis key. It runs on
-  // (key, item) pairs so that comparisons read contiguous memory; the
-  // algorithm moves elements only by comparison outcomes, so the items end
-  // up in exactly the order a comparator over `order` itself would leave.
-  void Partition(size_t from, size_t median, size_t to, size_t axis,
-                 Scratch* scratch) const {
-    const double* keys = m_.values.data() + axis;
-    Keyed* keyed = scratch->keyed.data();
-    for (size_t i = from; i < to; ++i) {
-      if (i + kPrefetchDistance < to) {
-        __builtin_prefetch(keys + m_.stride * order_[i + kPrefetchDistance]);
+  // std::nth_element of keyed[0, count) by the axis key. It runs on (key,
+  // item) pairs so that comparisons read contiguous memory; the algorithm
+  // moves elements only by comparison outcomes, so the items end up in
+  // exactly the order a comparator over the items themselves would leave.
+  void SelectMedian(Keyed* keyed, size_t count, size_t half,
+                    size_t axis) const {
+    for (size_t i = 0; i < count; ++i) {
+      if (i + 2 * kPrefetchDistance < count) {
+        rows_.PrefetchRow(keyed[i + 2 * kPrefetchDistance].item);
       }
-      keyed[i - from] = {keys[m_.stride * order_[i]], order_[i]};
+      if (i + kPrefetchDistance < count) {
+        rows_.PrefetchKey(keyed[i + kPrefetchDistance].item, axis);
+      }
+      keyed[i].key = rows_.Key(keyed[i].item, axis);
     }
-    std::nth_element(keyed, keyed + (median - from), keyed + (to - from),
+    std::nth_element(keyed, keyed + half, keyed + count,
                      [](const Keyed& a, const Keyed& b) {
                        return a.key < b.key;
                      });
-    for (size_t i = from; i < to; ++i) order_[i] = keyed[i - from].item;
   }
 
-  // Parameter-space MBR of the items order[from, to). The extremes are
-  // taken with the same std::min/std::max and in the same item order as
-  // GtNode::ComputeBounds, so the costs equal those of the materialized
-  // nodes bit for bit. Keeping the running extremes in flat lo/hi arrays,
-  // not in the DimBounds, lets the loop vectorize.
-  void Bounds(size_t from, size_t to, Scratch* scratch,
-              std::vector<DimBounds>* out) const {
+  // The candidate axis whose halves have the smallest summed cost (the
+  // lowest such axis on ties), from one pass over the range: bit `axis` of
+  // an item's side mask says which half that axis's pass left it in. The
+  // extremes are taken with the same std::min/std::max as
+  // GtNode::ComputeBounds. Keeping them in flat lo/hi arrays, not in
+  // DimBounds, lets the loop vectorize.
+  size_t BestAxis(const Keyed* keyed, size_t count,
+                  SplitScratch* scratch) const {
     const size_t axes = 2 * dim_;
-    double* __restrict lo = scratch->lo.data();
-    double* __restrict hi = scratch->hi.data();
-    std::fill(lo, lo + axes, std::numeric_limits<double>::infinity());
-    std::fill(hi, hi + axes, -std::numeric_limits<double>::infinity());
-    for (size_t i = from; i < to; ++i) {
-      if (i + kPrefetchDistance < to) {
-        const char* ahead = reinterpret_cast<const char*>(
-            m_.row(order_[i + kPrefetchDistance]));
-        for (size_t b = 0; b < m_.stride * sizeof(double); b += 64) {
-          __builtin_prefetch(ahead + b);
+    const size_t words = SideWords(dim_);
+    const uint64_t* sides = scratch->sides.data();
+    // Half h (0 left, 1 right) of candidate a keeps its lower extents at
+    // extremes[(2a + h) * 2 * axes, + axes) and its upper ones right after.
+    double* extremes = scratch->extremes.data();
+    for (size_t b = 0; b < 2 * axes; ++b) {
+      double* lo = extremes + b * 2 * axes;
+      std::fill(lo, lo + axes, std::numeric_limits<double>::infinity());
+      std::fill(lo + axes, lo + 2 * axes,
+                -std::numeric_limits<double>::infinity());
+    }
+    for (size_t i = 0; i < count; ++i) {
+      if (i + 2 * kPrefetchDistance < count) {
+        rows_.PrefetchRow(keyed[i + 2 * kPrefetchDistance].item);
+      }
+      if (i + kPrefetchDistance < count) {
+        rows_.PrefetchExtent(keyed[i + kPrefetchDistance].item);
+      }
+      const double* row_lo;
+      const double* row_hi;
+      rows_.Extent(keyed[i].item, scratch->row.data(), &row_lo, &row_hi);
+      const uint64_t* side = sides + keyed[i].slot * words;
+      for (size_t a = 0; a < axes; ++a) {
+        const size_t h = (side[a / 64] >> (a % 64)) & 1;
+        double* __restrict lo = extremes + (2 * a + h) * 2 * axes;
+        double* __restrict hi = lo + axes;
+        for (size_t x = 0; x < axes; ++x) {
+          lo[x] = std::min(lo[x], row_lo[x]);
+          hi[x] = std::max(hi[x], row_hi[x]);
         }
       }
-      const double* __restrict row_lo = m_.row(order_[i]) + m_.lo;
-      const double* __restrict row_hi = m_.row(order_[i]) + m_.hi;
-      for (size_t a = 0; a < axes; ++a) {
-        lo[a] = std::min(lo[a], row_lo[a]);
-        hi[a] = std::max(hi[a], row_hi[a]);
+    }
+    double best_cost = std::numeric_limits<double>::infinity();
+    size_t best_axis = 0;
+    for (size_t a = 0; a < axes; ++a) {
+      ToBounds(extremes + 2 * a * 2 * axes, &scratch->left);
+      ToBounds(extremes + (2 * a + 1) * 2 * axes, &scratch->right);
+      const double cost = cost_(scratch->left) + cost_(scratch->right);
+      if (cost < best_cost) {
+        best_cost = cost;
+        best_axis = a;
       }
     }
+    return best_axis;
+  }
+
+  // The DimBounds of one half's 2d lower extents followed by its 2d upper
+  // ones.
+  void ToBounds(const double* extents, std::vector<DimBounds>* out) const {
+    const double* lo = extents;
+    const double* hi = extents + 2 * dim_;
     for (size_t d = 0; d < dim_; ++d) {
       (*out)[d] = DimBounds{lo[d], hi[d], lo[dim_ + d], hi[dim_ + d]};
     }
   }
 
-  const LevelMatrix& m_;
-  std::vector<uint32_t>& order_;
+  const Rows& rows_;
+  uint32_t* order_;
   size_t dim_;
   size_t capacity_;
+  size_t block_rows_;
   const Cost& cost_;
 };
 
@@ -321,9 +508,10 @@ void GaussTree::BulkLoad(const PfvDataset& dataset,
   };
   // Partitions the level's n items into groups of at most `capacity`;
   // returns the permutation that lists each group contiguously.
-  auto partition = [&](const LevelMatrix& matrix, size_t n, size_t capacity) {
+  auto partition = [&](const auto& rows, size_t n, size_t capacity) {
     std::vector<uint32_t> order = AllPositions(n);
-    LevelPartitioner(matrix, order, dim_, capacity, cost).Run(n, threads);
+    LevelPartitioner(rows, order.data(), dim_, capacity, cost)
+        .Run(n, threads);
     return order;
   };
 
@@ -332,13 +520,13 @@ void GaussTree::BulkLoad(const PfvDataset& dataset,
   pool_->Clear();
 
   // Leaf level, read in place through `positions`. The partition permutes
-  // matrix rows, i.e. list indices; mapped through the list, leaf_order[i]
-  // is the dataset position of the i-th object placed. The key matrix and
-  // the list are freed before the leaves are created.
+  // rows, i.e. list indices; mapped through the list, leaf_order[i] is the
+  // dataset position of the i-th object placed. The row view and the list
+  // are freed before the leaves are created.
   const std::vector<Pfv>& items = dataset.objects();
   const size_t n = positions.size();
   std::vector<uint32_t> leaf_order =
-      partition(ObjectMatrix(items, positions, dim_), n, caps_.leaf);
+      partition(PfvRows(items, positions, dim_), n, caps_.leaf);
   for (uint32_t& row : leaf_order) row = positions[row];
   positions = std::vector<uint32_t>();
   std::vector<GtChildEntry> level;

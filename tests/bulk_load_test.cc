@@ -52,6 +52,25 @@ PfvDataset TiedDataset(uint64_t seed, size_t n, size_t dim) {
   return dataset;
 }
 
+// Keys drawn from {-0.5, -0.0, +0.0, 0.5} and two sigma values: exact ties
+// as in TiedDataset, and halves whose extreme is a zero of either sign.
+// std::min/std::max keep the first of two equal arguments, so over a mix
+// of -0.0 and +0.0 they are the one input whose result depends on the
+// order the items are visited in.
+PfvDataset SignedZeroDataset(uint64_t seed, size_t n, size_t dim) {
+  constexpr double kMus[] = {-0.5, -0.0, 0.0, 0.5};
+  constexpr double kSigmas[] = {0.05, 0.1};
+  Rng rng(seed);
+  PfvDataset dataset(dim);
+  for (uint64_t i = 0; i < n; ++i) {
+    std::vector<double> mu(dim), sigma(dim);
+    for (double& m : mu) m = kMus[rng.UniformInt(4)];
+    for (double& s : sigma) s = kSigmas[rng.UniformInt(2)];
+    dataset.Add(Pfv(i, std::move(mu), std::move(sigma)));
+  }
+  return dataset;
+}
+
 void Fnv1a(const void* data, size_t n, uint64_t* hash) {
   const auto* bytes = static_cast<const uint8_t*>(data);
   for (size_t i = 0; i < n; ++i) {
@@ -185,6 +204,17 @@ TEST(BulkLoadTest, Dim1ImageIsPinnedAtEveryThreadCount) {
                     0x1a5f251cb52deb8full, 0x2ee2de38ef3006a3ull);
 }
 
+TEST(BulkLoadTest, SignedZeroTiesImageIsPinnedAtEveryThreadCount) {
+  ExpectPinnedImage(SignedZeroDataset(316, 3000, 2), 2048,
+                    0x48aa5a2dc5b8c4ccull, 0x773be8d4d758338bull);
+}
+
+// 80 candidate axes per split: more than one 64-bit word of split sides.
+TEST(BulkLoadTest, Dim40ImageIsPinnedAtEveryThreadCount) {
+  ExpectPinnedImage(RandomDataset(317, 2000, 40), kDefaultPageSize,
+                    0xb0860745f1391885ull, 0x3ac8fa4d33884ffbull);
+}
+
 TEST(BulkLoadTest, SubsetLoadEqualsLoadOfCopiedSubset) {
   const PfvDataset random = RandomDataset(314, 5000, 3);
   {
@@ -207,6 +237,25 @@ TEST(BulkLoadTest, SubsetLoadEqualsLoadOfCopiedSubset) {
     std::vector<uint32_t> positions;
     for (uint32_t i = 0; i < random.size(); i += 2) positions.push_back(i);
     ExpectSubsetLoadEqualsCopy(random, positions, 2048);
+  }
+  {
+    // Ranges whose leaf rows fit one block are split in a gathered copy;
+    // larger ones through pointers into the dataset, until their halves
+    // fit. Lists just below, at and just above one block run both paths
+    // and the hand-off between them.
+    constexpr size_t kDim = 8;
+    const size_t block_rows =
+        GaussTree::kBulkLoadBlockBytes / (2 * kDim * sizeof(double));
+    const PfvDataset wide = RandomDataset(318, block_rows + 40, kDim);
+    for (const size_t size : {block_rows - 1, block_rows, block_rows + 1}) {
+      SCOPED_TRACE("block rows " + std::to_string(block_rows) + ", list of " +
+                   std::to_string(size));
+      std::vector<uint32_t> positions(size);
+      for (size_t i = 0; i < size; ++i) {
+        positions[i] = static_cast<uint32_t>(wide.size() - 1 - i);
+      }
+      ExpectSubsetLoadEqualsCopy(wide, positions, kDefaultPageSize);
+    }
   }
   const PfvDataset paper = GeneratePaperDataset2(20000).dataset;
   const std::vector<std::vector<uint32_t>> parts = SplitSpatial(
