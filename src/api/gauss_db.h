@@ -286,7 +286,8 @@ struct ServeOptions {
   size_t cache_pages = 1 << 12;
   // Bound of the admission queue (backpressure/shedding threshold). Behind
   // a ShardCoordinator (sharded or live-ingest sessions) this bounds the
-  // coordinator's front-door queue and each per-shard queue.
+  // coordinator's front-door queue, where every query is admitted, and
+  // each per-shard queue, which sees only ShardServer work, never a query.
   size_t queue_capacity = 1024;
   // ServeRemote() only: TCP connect + handshake patience per shard endpoint,
   // and the per-request ceiling (a query's own deadline tightens the latter;

@@ -29,11 +29,9 @@
 //     it landed in. One more pass over the range then takes the MBRs of
 //     both halves of all 2d candidates at once, and the range is cut for
 //     good along the cheapest axis. The leaf level reads the caller's pfvs
-//     in place, through one (mu, sigma) pointer pair per object; once a
-//     range's rows fit GaussTree::kBulkLoadBlockBytes, they are gathered
-//     into the thread's block and the range is finished there, in cache.
-//     An upper level gathers its entries once into a flat matrix of MBR
-//     centers and edges. No node or pfv is copied. The two halves of a
+//     in place at every split, through one (mu, sigma) pointer pair per
+//     object. An upper level gathers its entries once into a flat matrix of
+//     MBR centers and edges. No node or pfv is copied. The two halves of a
 //     split are disjoint ranges of `order`, so one half goes to a helper
 //     thread while threads remain.
 //  2. Materialize. The calling thread walks the same ranges in the order a
@@ -45,11 +43,10 @@
 //     memory, as an item of the next level up.
 // std::nth_element is deterministic for a given input sequence, and each
 // range's input depends only on what happened to that range before, so the
-// permutation — and with it the whole device image — depends neither on
-// the number of threads nor on whether a range is split in place or in a
-// block. A half's MBR is the min and max over the same set of items
-// whatever order they are visited in, with one exception: of -0.0 and
-// +0.0, std::min/std::max keep whichever comes first. The split cost reads
+// permutation — and with it the whole device image — does not depend on
+// the number of threads. A half's MBR is the min and max over the same set
+// of items whatever order they are visited in, with one exception: of -0.0
+// and +0.0, std::min/std::max keep whichever comes first. The split cost reads
 // an extent only as hi - lo added to a positive term (GaussTree::NodeCost),
 // where the sign of a zero is lost, so every candidate costs what a pass
 // per candidate in node order would give, and the same axes win.
@@ -106,12 +103,9 @@ void PrefetchBytes(const void* p, size_t bytes) {
 // row's handle, PrefetchKey and PrefetchExtent its values once the handle
 // is cached.
 //
-// The items of an upper level (or a gathered leaf block), as rows of
-// `stride` doubles. Columns [0, 2d) are the split keys. Columns [lo,
-// lo + 2d) and [hi, hi + 2d) are the item's extent along the same axes. A
-// leaf row is a point — (mu, sigma) — so its keys are its extent and
-// lo == hi == 0; an upper-level row holds an entry's MBR center followed by
-// its lower and upper MBR edges.
+// The items of an upper level, as rows of `stride` doubles. Columns [0, 2d)
+// are the split keys, an entry's MBR center. Columns [lo, lo + 2d) and
+// [hi, hi + 2d) are its lower and upper MBR edges along the same axes.
 struct LevelMatrix {
   LevelMatrix(size_t n, size_t stride, size_t lo, size_t hi)
       : values(n * stride), stride(stride), lo(lo), hi(hi) {}
@@ -170,16 +164,12 @@ class PfvRows {
     PrefetchBytes(r.mu, dim_ * sizeof(double));
     PrefetchBytes(r.sigma, dim_ * sizeof(double));
   }
-  // Writes the item's mu, then its sigma, to out[0, 2d): the layout of a
-  // leaf LevelMatrix row.
-  void Gather(uint32_t item, double* out) const {
-    const Row& r = rows_.data()[item];
-    std::copy(r.mu, r.mu + dim_, out);
-    std::copy(r.sigma, r.sigma + dim_, out + dim_);
-  }
+  // Copies the item's mu, then its sigma, to buffer[0, 2d).
   void Extent(uint32_t item, double* buffer, const double** lo_out,
               const double** hi_out) const {
-    Gather(item, buffer);
+    const Row& r = rows_.data()[item];
+    std::copy(r.mu, r.mu + dim_, buffer);
+    std::copy(r.sigma, r.sigma + dim_, buffer + dim_);
     *lo_out = *hi_out = buffer;
   }
 
@@ -262,26 +252,20 @@ size_t SideWords(size_t dim) { return (2 * dim + 63) / 64; }
 // One thread's buffers, reused by every range it splits. `keyed` and
 // `sides` hold at least as many items as the thread's first range;
 // `extremes` holds the lower and upper extents of both halves of every
-// candidate axis. A thread that splits leaf rows in place also has a block
-// of `block_rows` gathered rows, their items and their local order.
+// candidate axis.
 struct SplitScratch {
-  SplitScratch(size_t count, size_t dim, size_t block_rows)
+  SplitScratch(size_t count, size_t dim)
       : keyed(count),
         sides(count * SideWords(dim)),
         extremes(16 * dim * dim),
         row(2 * dim),
         left(dim),
-        right(dim),
-        block(block_rows, 2 * dim, 0, 0),
-        block_items(block_rows),
-        block_order(block_rows) {}
+        right(dim) {}
   MappedArray<Keyed> keyed;
   MappedArray<uint64_t> sides;
   MappedArray<double> extremes;
   std::vector<double> row;
   std::vector<DimBounds> left, right;
-  LevelMatrix block;
-  std::vector<uint32_t> block_items, block_order;
 };
 
 // Pass 1 of one level: permutes order[0, n) so that every range
@@ -292,48 +276,16 @@ struct SplitScratch {
 // concurrently.
 template <typename Rows, typename Cost>
 class LevelPartitioner {
-  // Leaf rows read in place are gathered into blocks once they fit one.
-  static constexpr bool kInPlace = std::is_same_v<Rows, PfvRows>;
-
  public:
   LevelPartitioner(const Rows& rows, uint32_t* order, size_t dim,
                    size_t capacity, const Cost& cost)
       : rows_(rows), order_(order), dim_(dim), capacity_(capacity),
-        block_rows_(kInPlace ? GaussTree::kBulkLoadBlockBytes /
-                                   (2 * std::max<size_t>(dim, 1) *
-                                    sizeof(double))
-                             : 0),
         cost_(cost) {}
 
   // Partitions order[0, n) on up to `threads` threads.
   void Run(size_t n, size_t threads) const {
-    SplitScratch scratch(n, dim_, std::min(n, block_rows_));
+    SplitScratch scratch(n, dim_);
     Split(0, n, threads, &scratch);
-  }
-
-  // Partitions order[from, to) on up to `threads` threads; the calling
-  // thread works in `scratch`.
-  void Split(size_t from, size_t to, size_t threads,
-             SplitScratch* scratch) const {
-    if (to - from <= capacity_) return;
-    if (to - from <= block_rows_) {
-      FinishInBlock(from, to, threads, scratch);
-      return;
-    }
-    const size_t median = from + (to - from) / 2;
-    PartitionAtBestAxis(from, median, to, scratch);
-    if (threads > 1 && to - median > capacity_) {
-      const size_t helper_threads = threads / 2;
-      std::jthread helper([this, median, to, helper_threads] {
-        const size_t count = to - median;
-        SplitScratch own(count, dim_, std::min(count, block_rows_));
-        Split(median, to, helper_threads, &own);
-      });
-      Split(from, median, threads - helper_threads, scratch);
-    } else {
-      Split(from, median, threads, scratch);
-      Split(median, to, threads, scratch);
-    }
   }
 
  private:
@@ -343,30 +295,24 @@ class LevelPartitioner {
   // ahead.
   static constexpr size_t kPrefetchDistance = 8;
 
-  // Gathers the rows of order[from, to) into the thread's block, in range
-  // order, and splits the range there: the same splits of the same keys,
-  // on compact rows instead of pointers into the gallery.
-  void FinishInBlock(size_t from, size_t to, size_t threads,
-                     SplitScratch* scratch) const {
-    if constexpr (kInPlace) {
-      const size_t count = to - from;
-      uint32_t* items = scratch->block_items.data();
-      uint32_t* local = scratch->block_order.data();
-      for (size_t j = 0; j < count; ++j) {
-        if (j + 2 * kPrefetchDistance < count) {
-          rows_.PrefetchRow(order_[from + j + 2 * kPrefetchDistance]);
-        }
-        if (j + kPrefetchDistance < count) {
-          rows_.PrefetchExtent(order_[from + j + kPrefetchDistance]);
-        }
-        items[j] = order_[from + j];
-        rows_.Gather(items[j], scratch->block.row(static_cast<uint32_t>(j)));
-        local[j] = static_cast<uint32_t>(j);
-      }
-      LevelPartitioner<LevelMatrix, Cost>(scratch->block, local, dim_,
-                                          capacity_, cost_)
-          .Split(0, count, threads, scratch);
-      for (size_t j = 0; j < count; ++j) order_[from + j] = items[local[j]];
+  // Partitions order[from, to) on up to `threads` threads; the calling
+  // thread works in `scratch`.
+  void Split(size_t from, size_t to, size_t threads,
+             SplitScratch* scratch) const {
+    if (to - from <= capacity_) return;
+    const size_t median = from + (to - from) / 2;
+    PartitionAtBestAxis(from, median, to, scratch);
+    if (threads > 1 && to - median > capacity_) {
+      const size_t helper_threads = threads / 2;
+      std::jthread helper([this, median, to, helper_threads] {
+        const size_t count = to - median;
+        SplitScratch own(count, dim_);
+        Split(median, to, helper_threads, &own);
+      });
+      Split(from, median, threads - helper_threads, scratch);
+    } else {
+      Split(from, median, threads, scratch);
+      Split(median, to, threads, scratch);
     }
   }
 
@@ -486,7 +432,6 @@ class LevelPartitioner {
   uint32_t* order_;
   size_t dim_;
   size_t capacity_;
-  size_t block_rows_;
   const Cost& cost_;
 };
 

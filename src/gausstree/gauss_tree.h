@@ -159,15 +159,11 @@ class GaussTree {
   // created, so no node is held in memory afterwards; the tree stays in
   // build mode, and reads, Validate() and queries go to the pages. The
   // leaf partition reads the pfvs through one (mu, sigma) pointer pair per
-  // object and copies no key; a range whose rows fit kBulkLoadBlockBytes
-  // is gathered into a per-thread block and finished there.
+  // object and copies no key.
   void BulkLoad(const PfvDataset& dataset, std::vector<uint32_t> positions,
                 size_t threads = UsableCpus());
   // The whole dataset: positions 0, 1, ..., dataset.size() - 1.
   void BulkLoad(const PfvDataset& dataset, size_t threads = UsableCpus());
-  // Bytes of leaf rows (2d doubles each) a bulk load gathers into one
-  // block, sized to stay in a core's L2 cache while the range is split.
-  static constexpr size_t kBulkLoadBlockBytes = size_t{1} << 20;
 
   // Serializes the nodes still in memory to their pages and persists the
   // header so the tree can be reattached with Open(); queries then pay

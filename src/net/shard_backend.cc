@@ -102,13 +102,13 @@ std::future<ShardBackend::StartResult> InProcessBackend::Start(
   StartResult result;
   Traversal t;
   if (query.kind() == QueryKind::kMliq) {
-    t.mliq = std::make_unique<MliqTraversal>(service_->tree(), query.pfv(),
+    t.mliq = std::make_shared<MliqTraversal>(service_->tree(), query.pfv(),
                                              query.k(), query.mliq_options());
     t.mliq->Run();
     FillPartial(*t.mliq, &result.partial);
     result.partial.items = t.mliq->top_items();
   } else {
-    t.tiq = std::make_unique<TiqTraversal>(service_->tree(), query.pfv(),
+    t.tiq = std::make_shared<TiqTraversal>(service_->tree(), query.pfv(),
                                            query.threshold(),
                                            query.tiq_options());
     t.tiq->Run();
@@ -129,30 +129,34 @@ std::future<ShardBackend::StartResult> InProcessBackend::Start(
 std::future<ShardBackend::RefineResult> InProcessBackend::Refine(
     std::vector<RefineSpec> specs) {
   RefineResult result;
+  // Every handle is looked up before any refinement runs, so an unknown one
+  // (never started, or already released) fails the round with no work done.
+  std::vector<Traversal> batch;
+  batch.reserve(specs.size());
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.rounds;
     counters_.requests += specs.size();
-  }
-  for (const RefineSpec& spec : specs) {
-    Traversal* t = nullptr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
+    for (const RefineSpec& spec : specs) {
       auto it = traversals_.find(spec.traversal);
-      GAUSS_CHECK_MSG(it != traversals_.end(),
-                      "Refine on an unknown traversal");
-      t = &it->second;
+      if (it == traversals_.end()) {
+        result.error = {NetErrorCode::kProtocolError, "unknown traversal"};
+        return ReadyFuture(std::move(result));
+      }
+      batch.push_back(it->second);
     }
-    // Safe without the lock: the coordinator never releases a traversal
-    // with a refine round in flight, and a traversal belongs to one query.
-    if (t->mliq) {
-      t->mliq->RefineDenominator(spec.max_gap);
-      result.updates.push_back(UpdateFrom(*t->mliq));
+  }
+  // Refined without the lock: the batch holds its own references.
+  for (size_t i = 0; i < specs.size(); ++i) {
+    const Traversal& t = batch[i];
+    if (t.mliq) {
+      t.mliq->RefineDenominator(specs[i].max_gap);
+      result.updates.push_back(UpdateFrom(*t.mliq));
     } else {
-      t->tiq->RefineDenominator(spec.max_gap);
-      result.updates.push_back(UpdateFrom(*t->tiq));
+      t.tiq->RefineDenominator(specs[i].max_gap);
+      result.updates.push_back(UpdateFrom(*t.tiq));
     }
-    if (t->mliq ? t->mliq->corrupt() : t->tiq->corrupt()) {
+    if (t.mliq ? t.mliq->corrupt() : t.tiq->corrupt()) {
       result.error = CorruptPageError();
     }
   }

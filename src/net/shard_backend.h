@@ -194,15 +194,24 @@ class ShardBackend {
 
 // ============================= InProcessBackend =============================
 //
-// ShardBackend over a local shard tree: the zero-transport implementation
-// GaussDb::Serve() wires up. Run to completion: Start, Refine and
-// FetchSketch run the traversal step on the calling coordinator thread and
-// return ready futures, so a query's shard work hands nothing to another
-// thread (morsel-driven scheduling: Leis et al., SIGMOD 2014). Each Refine
-// call is one round of specs.size() requests. Answers are byte-identical to
-// RpcBackend's over the same tree. Every coordinator thread traverses the
-// tree, so its PageCache must be thread-safe (checked at construction). The
-// QueryService (only its tree is used) must outlive the backend.
+// ShardBackend over a local shard tree, and the one shard-side traversal
+// table: GaussDb::Serve() wires one per shard under the coordinator, and a
+// ShardServer (net/shard_server.h) holds one per connection and answers
+// kStart, kRefine, kRelease, kFetchSketch and kStats through it. Run to
+// completion: Start, Refine and FetchSketch run the traversal step on the
+// calling thread and return ready futures, so a query's shard work hands
+// nothing to another thread (morsel-driven scheduling: Leis et al., SIGMOD
+// 2014). Each Refine call is one round of specs.size() requests.
+//
+// Handles: Start registers its traversal under the caller's handle (also
+// when the traversal hit a damaged page), Release frees it, and a Refine
+// naming a handle that is not registered — never started, or released —
+// completes with a typed kProtocolError and no updates, before any
+// refinement runs. A Release racing a Refine frees the traversal once the
+// round is done; one traversal is refined by one Refine at a time. Every
+// thread traverses the tree, so its PageCache must be
+// thread-safe (checked at construction). The QueryService (only its tree is
+// used) must outlive the backend.
 // ============================================================================
 class InProcessBackend : public ShardBackend {
  public:
@@ -218,10 +227,11 @@ class InProcessBackend : public ShardBackend {
   BackendRefineCounters refine_counters() const override;
 
  private:
-  // Exactly one of the two is set, matching the query kind.
+  // Exactly one of the two is set, matching the query kind. Shared, so a
+  // refine round keeps its traversals alive against a racing Release.
   struct Traversal {
-    std::unique_ptr<MliqTraversal> mliq;
-    std::unique_ptr<TiqTraversal> tiq;
+    std::shared_ptr<MliqTraversal> mliq;
+    std::shared_ptr<TiqTraversal> tiq;
   };
 
   QueryService* const service_;

@@ -12,30 +12,6 @@ namespace gauss {
 
 namespace {
 
-RefineUpdate UpdateFromMliq(const MliqTraversal& t) {
-  RefineUpdate u;
-  const TraversalStats s = t.stats();
-  u.denominator_lo = t.denominator_lo();
-  u.denominator_hi = t.denominator_hi();
-  u.exhausted = t.exhausted();
-  u.nodes_visited = s.nodes_visited;
-  u.leaf_nodes_visited = s.leaf_nodes_visited;
-  u.objects_evaluated = s.objects_evaluated;
-  return u;
-}
-
-RefineUpdate UpdateFromTiq(const TiqTraversal& t) {
-  RefineUpdate u;
-  const TraversalStats s = t.stats();
-  u.denominator_lo = t.denominator_lo();
-  u.denominator_hi = t.denominator_hi();
-  u.exhausted = t.exhausted();
-  u.nodes_visited = s.nodes_visited;
-  u.leaf_nodes_visited = s.leaf_nodes_visited;
-  u.objects_evaluated = s.objects_evaluated;
-  return u;
-}
-
 // Rejects a decoded query that the traversal constructors would abort on.
 // Their preconditions are GAUSS_CHECKs, and a kStart body is untrusted bytes
 // that DecodeQuery only checks for shape, not meaning.
@@ -57,11 +33,26 @@ NetError ValidateQuery(const Query& query, size_t dim) {
   return {};
 }
 
+// Runs `step` on one of the shard's workers and returns its result.
+template <typename Step>
+auto OnWorker(QueryService* service, Step step) {
+  decltype(step()) out;
+  service->SubmitWork([&] {
+    out = step();
+    return QueryResponse{};
+  }).get();
+  return out;
+}
+
 }  // namespace
 
 std::unique_ptr<ShardServer> ShardServer::Listen(
     QueryService* service, const ShardServerOptions& options, NetError* error) {
   GAUSS_CHECK(service != nullptr);
+  // Every connection's InProcessBackend would refuse it anyway; refuse it
+  // here, before a client connects.
+  GAUSS_CHECK_MSG(service->tree().pool()->thread_safe(),
+                  "a ShardServer needs a thread-safe PageCache");
   TcpListener listener = TcpListener::Listen(options.host, options.port, error);
   if (!listener.valid()) return nullptr;
   return std::unique_ptr<ShardServer>(
@@ -117,7 +108,7 @@ void ShardServer::AcceptLoop() {
     NetError error;
     TcpSocket sock = listener_.Accept(&error);
     if (!sock.valid()) return;  // Shutdown() or a fatal listener error
-    auto conn = std::make_shared<Connection>();
+    auto conn = std::make_shared<Connection>(service_);
     conn->sock = std::move(sock);
     std::lock_guard<std::mutex> lock(conns_mu_);
     if (stopping_.load()) {
@@ -201,6 +192,10 @@ void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
         } else {
           tiq_starts_.fetch_add(1);
         }
+        {
+          std::lock_guard<std::mutex> lock(conn->mu);
+          conn->starting.emplace(start->traversal, false);
+        }
         const uint64_t request_id = frame.request_id;
         inflight.push_back(service_->SubmitWork([this, conn, request_id,
                                                  start] {
@@ -231,7 +226,7 @@ void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
         }
         refine_rounds_.fetch_add(1);
         refine_requests_.fetch_add(specs.size());
-        HandleRefine(conn, frame.request_id, specs);
+        HandleRefine(conn, frame.request_id, std::move(specs));
         break;
       }
       case MsgType::kRelease: {
@@ -243,10 +238,14 @@ void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
           open = false;
           break;
         }
-        std::lock_guard<std::mutex> lock(conn->mu);
-        for (const uint64_t id : handles) {
-          if (conn->traversals.erase(id) == 0) conn->released.insert(id);
+        {
+          std::lock_guard<std::mutex> lock(conn->mu);
+          for (const uint64_t id : handles) {
+            auto it = conn->starting.find(id);
+            if (it != conn->starting.end()) it->second = true;
+          }
         }
+        conn->backend.Release(handles);
         break;
       }
       case MsgType::kStats: {
@@ -285,119 +284,50 @@ void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
 
 void ShardServer::HandleStart(const std::shared_ptr<Connection>& conn,
                               uint64_t request_id, const WireStart& start) {
-  const Query& query = *start.query;
-  ShardPartial partial;
-  Traversal t;
-  if (query.kind() == QueryKind::kMliq) {
-    t.mliq = std::make_shared<MliqTraversal>(service_->tree(), query.pfv(),
-                                             query.k(), query.mliq_options());
-    t.mliq->Run();
-    partial.log_ref = t.mliq->log_ref();
-    partial.denominator_lo = t.mliq->denominator_lo();
-    partial.denominator_hi = t.mliq->denominator_hi();
-    partial.exhausted = t.mliq->exhausted();
-    const TraversalStats s = t.mliq->stats();
-    partial.nodes_visited = s.nodes_visited;
-    partial.leaf_nodes_visited = s.leaf_nodes_visited;
-    partial.objects_evaluated = s.objects_evaluated;
-    partial.items = t.mliq->top_items();
-  } else {
-    t.tiq = std::make_shared<TiqTraversal>(service_->tree(), query.pfv(),
-                                           query.threshold(),
-                                           query.tiq_options());
-    t.tiq->Run();
-    partial.log_ref = t.tiq->log_ref();
-    partial.denominator_lo = t.tiq->denominator_lo();
-    partial.denominator_hi = t.tiq->denominator_hi();
-    partial.exhausted = t.tiq->exhausted();
-    const TraversalStats s = t.tiq->stats();
-    partial.nodes_visited = s.nodes_visited;
-    partial.leaf_nodes_visited = s.leaf_nodes_visited;
-    partial.objects_evaluated = s.objects_evaluated;
-    partial.items = t.tiq->candidates();
-  }
-  partial.tree_size = service_->tree().size();
-  const bool corrupt = t.mliq ? t.mliq->corrupt() : t.tiq->corrupt();
+  ShardBackend::StartResult result =
+      conn->backend.Start(start.traversal, *start.query).get();
+  bool released = false;
   {
     std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->released.erase(start.traversal) == 0) {
-      conn->traversals[start.traversal] = std::move(t);
+    auto it = conn->starting.find(start.traversal);
+    if (it != conn->starting.end()) {
+      released = it->second;
+      conn->starting.erase(it);
     }
-    // else: released while still starting — drop the traversal on the floor.
   }
-  // A damaged page fails the query; the handle stays registered until the
+  // Released while still starting: the traversal is not kept. A damaged
+  // page fails the query; otherwise the handle stays registered until the
   // coordinator's Release, as after any failed Start.
-  if (corrupt) {
-    SendError(conn, request_id, CorruptPageError());
+  if (released) conn->backend.Release({start.traversal});
+  if (!result.error.ok()) {
+    SendError(conn, request_id, result.error);
     return;
   }
   std::vector<uint8_t> body;
-  EncodeStartReply(partial, &body);
+  EncodeStartReply(result.partial, &body);
   SendReply(conn, MsgType::kStartReply, request_id, body);
 }
 
 void ShardServer::HandleRefine(const std::shared_ptr<Connection>& conn,
                                uint64_t request_id,
-                               const std::vector<RefineSpec>& specs) {
-  // Look the traversals up front (shared_ptr copies keep them alive even
-  // against a racing kRelease), so an unknown handle is a typed error before
-  // any refinement work happens.
-  std::vector<Traversal> batch;
-  batch.reserve(specs.size());
-  bool unknown = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    for (const RefineSpec& spec : specs) {
-      auto it = conn->traversals.find(spec.traversal);
-      if (it == conn->traversals.end()) {
-        unknown = true;
-        break;
-      }
-      batch.push_back(it->second);
-    }
-  }
-  if (unknown) {
-    SendError(conn, request_id,
-              {NetErrorCode::kProtocolError, "unknown traversal"});
-    return;
-  }
-
+                               std::vector<RefineSpec> specs) {
   // The whole round is one closure on the shard's worker pool — the remote
   // half of "one frame per shard per round".
-  std::vector<RefineUpdate> updates;
-  updates.reserve(specs.size());
-  bool corrupt = false;
-  service_
-      ->SubmitWork([&specs, &batch, &updates, &corrupt] {
-        for (size_t i = 0; i < specs.size(); ++i) {
-          if (batch[i].mliq) {
-            batch[i].mliq->RefineDenominator(specs[i].max_gap);
-            updates.push_back(UpdateFromMliq(*batch[i].mliq));
-            corrupt = corrupt || batch[i].mliq->corrupt();
-          } else {
-            batch[i].tiq->RefineDenominator(specs[i].max_gap);
-            updates.push_back(UpdateFromTiq(*batch[i].tiq));
-            corrupt = corrupt || batch[i].tiq->corrupt();
-          }
-        }
-        return QueryResponse{};
-      })
-      .get();
-  if (corrupt) {
-    SendError(conn, request_id, CorruptPageError());
+  const ShardBackend::RefineResult result = OnWorker(
+      service_, [&] { return conn->backend.Refine(std::move(specs)).get(); });
+  if (!result.error.ok()) {
+    SendError(conn, request_id, result.error);
     return;
   }
-
   std::vector<uint8_t> body;
-  EncodeRefineReply(updates, &body);
+  EncodeRefineReply(result.updates, &body);
   SendReply(conn, MsgType::kRefineReply, request_id, body);
 }
 
 void ShardServer::HandleStats(const std::shared_ptr<Connection>& conn,
                               uint64_t request_id) {
-  const IoStats io = service_->tree().pool()->stats();
   std::vector<uint8_t> body;
-  EncodeStatsReply(io, stats(), &body);
+  EncodeStatsReply(conn->backend.FetchStats().io, stats(), &body);
   SendReply(conn, MsgType::kStatsReply, request_id, body);
 }
 
@@ -405,16 +335,10 @@ void ShardServer::HandleFetchSketch(const std::shared_ptr<Connection>& conn,
                                     uint64_t request_id) {
   // The root page load runs on the shard's worker pool, same I/O placement
   // rule as kStart/kRefine.
-  ShardSketch sketch;
-  ShardSketch* sketch_ptr = &sketch;
-  service_
-      ->SubmitWork([this, sketch_ptr] {
-        *sketch_ptr = BuildShardSketch(service_->tree());
-        return QueryResponse{};
-      })
-      .get();
+  const ShardBackend::SketchResult result =
+      OnWorker(service_, [&] { return conn->backend.FetchSketch(); });
   std::vector<uint8_t> body;
-  EncodeSketchReply(sketch, service_->tree().dim(), &body);
+  EncodeSketchReply(result.sketch, service_->tree().dim(), &body);
   SendReply(conn, MsgType::kSketchReply, request_id, body);
 }
 

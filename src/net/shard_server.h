@@ -9,7 +9,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "net/shard_backend.h"
@@ -32,14 +31,25 @@ struct ShardServerOptions {
 // Serves one shard's QueryService over the wire protocol — the library core
 // of examples/gauss_shardd, and what the loopback tests spin up in-process.
 //
+// Execution: every connection owns one InProcessBackend (net/shard_backend.h),
+// the same traversal table the in-process coordinator path uses, and
+// answers kStart, kRefine, kRelease, kFetchSketch and kStats through it, so
+// a remote shard's partials and updates are the in-process ones by
+// construction. The traversal steps run on the shard's own worker pool
+// (QueryService::SubmitWork).
+//
 // Concurrency model: an acceptor thread plus one handler thread per
 // connection. The handler reads frames sequentially but executes kStart
-// requests asynchronously on the shard's own worker pool
-// (QueryService::SubmitWork), so concurrent queries from one coordinator
-// pipeline instead of serializing. A kRefine batch runs as ONE worker
-// closure — the server-side half of "one frame per shard per round".
-// Traversal state lives per-connection behind the client's handles and is
-// freed by kRelease, on connection teardown, or at Shutdown().
+// requests asynchronously on the workers, so concurrent queries from one
+// coordinator pipeline instead of serializing. A kRefine batch runs as ONE
+// worker closure — the server-side half of "one frame per shard per round"
+// — and the handler reads the next frame only once it is answered.
+//
+// Handles belong to their connection. A kRefine naming a handle that is not
+// registered (never started, still starting, or released) gets a typed
+// kError (kProtocolError). A kRelease that overtakes its kStart (a client
+// timeout race) still frees the traversal once the Start finishes. The
+// connection's traversals are freed with it, on teardown or at Shutdown().
 //
 // Shutdown() (idempotent, also run by the destructor) closes the listener
 // and every live connection, then joins all threads; in-flight traversals
@@ -50,7 +60,7 @@ struct ShardServerOptions {
 class ShardServer {
  public:
   // Binds and starts serving; nullptr + *error on failure. `service` must
-  // outlive the server.
+  // outlive the server, and its tree's PageCache must be thread-safe.
   static std::unique_ptr<ShardServer> Listen(QueryService* service,
                                              const ShardServerOptions& options,
                                              NetError* error);
@@ -69,21 +79,15 @@ class ShardServer {
   ServiceStats stats() const;
 
  private:
-  // Exactly one of the two is set. shared_ptr, because a released traversal
-  // may still be executing inside an already-queued refine closure.
-  struct Traversal {
-    std::shared_ptr<MliqTraversal> mliq;
-    std::shared_ptr<TiqTraversal> tiq;
-  };
-
   struct Connection {
+    explicit Connection(QueryService* service) : backend(service) {}
     TcpSocket sock;
-    std::mutex write_mu;  // one reply frame at a time
-    std::mutex mu;        // traversals + released
-    std::unordered_map<uint64_t, Traversal> traversals;
-    // Handles released before their Start closure finished (a client
-    // timeout race): the closure drops the traversal instead of storing it.
-    std::unordered_set<uint64_t> released;
+    InProcessBackend backend;  // this connection's traversals
+    std::mutex write_mu;       // one reply frame at a time
+    std::mutex mu;             // starting
+    // Handles whose kStart is queued or running, and whether a kRelease
+    // overtook it (then the finished Start releases its traversal).
+    std::unordered_map<uint64_t, bool> starting;
   };
 
   ShardServer(QueryService* service, const ShardServerOptions& options,
@@ -94,7 +98,7 @@ class ShardServer {
   void HandleStart(const std::shared_ptr<Connection>& conn,
                    uint64_t request_id, const WireStart& start);
   void HandleRefine(const std::shared_ptr<Connection>& conn,
-                    uint64_t request_id, const std::vector<RefineSpec>& specs);
+                    uint64_t request_id, std::vector<RefineSpec> specs);
   void HandleStats(const std::shared_ptr<Connection>& conn,
                    uint64_t request_id);
   void HandleFetchSketch(const std::shared_ptr<Connection>& conn,

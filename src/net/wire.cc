@@ -186,7 +186,19 @@ NetError DecodeQuery(WireReader& reader, std::optional<Query>* out) {
   for (double& v : pfv.mu) reader.F64(&v);
   for (double& v : pfv.sigma) reader.F64(&v);
 
-  std::optional<Query> query;
+  // Every query body ends with its deadline budget. The Query is built in
+  // its kind's branch and handed over whole.
+  const auto finish = [&reader, out](Query query) -> NetError {
+    int64_t budget_ns = -1;
+    if (!reader.I64(&budget_ns)) {
+      return ProtocolError("truncated query deadline");
+    }
+    if (budget_ns >= 0) {
+      query.DeadlineAfter(std::chrono::nanoseconds(budget_ns));
+    }
+    *out = std::move(query);
+    return {};
+  };
   if (static_cast<QueryKind>(kind) == QueryKind::kMliq) {
     uint64_t k = 0;
     uint8_t refine = 0;
@@ -198,7 +210,8 @@ NetError DecodeQuery(WireReader& reader, std::optional<Query>* out) {
     reader.F64(&options.density_floor_log);
     if (!reader.ok()) return ProtocolError("truncated mliq parameters");
     options.refine_probabilities = refine != 0;
-    query = Query::Mliq(std::move(pfv), static_cast<size_t>(k), options);
+    return finish(
+        Query::Mliq(std::move(pfv), static_cast<size_t>(k), options));
   } else {
     double threshold = 0.0;
     uint8_t exact = 0, refine = 0;
@@ -212,16 +225,8 @@ NetError DecodeQuery(WireReader& reader, std::optional<Query>* out) {
     if (!reader.ok()) return ProtocolError("truncated tiq parameters");
     options.exact_membership = exact != 0;
     options.refine_probabilities = refine != 0;
-    query = Query::Tiq(std::move(pfv), threshold, options);
+    return finish(Query::Tiq(std::move(pfv), threshold, options));
   }
-
-  int64_t budget_ns = -1;
-  if (!reader.I64(&budget_ns)) return ProtocolError("truncated query deadline");
-  if (budget_ns >= 0) {
-    query->DeadlineAfter(std::chrono::nanoseconds(budget_ns));
-  }
-  *out = std::move(query);
-  return {};
 }
 
 void EncodeStart(uint64_t traversal, const Query& query,

@@ -44,31 +44,39 @@ QueryResponse ExecuteQuery(const GaussTree& tree, const Query& query) {
   return resp;
 }
 
-}  // namespace
-
-QueryService::QueryService(const GaussTree& tree, QueryServiceOptions options)
-    : tree_(tree),
-      queue_(options.queue_capacity) {
+// Worker count of a QueryService over `tree`, checking the tree can be
+// served by that many.
+size_t CheckedWorkers(const GaussTree& tree, size_t num_workers) {
   GAUSS_CHECK_MSG(tree.store().finalized(),
                   "QueryService requires a finalized tree");
-  const size_t workers =
-      options.num_workers != 0 ? options.num_workers : UsableCpus();
+  const size_t workers = num_workers != 0 ? num_workers : UsableCpus();
   GAUSS_CHECK_MSG(workers == 1 || tree.pool()->thread_safe(),
                   "multi-worker serving needs a thread-safe PageCache "
                   "(use ShardedBufferPool)");
-  workers_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+  return workers;
+}
+
+}  // namespace
+
+namespace internal {
+
+AdmissionPool::AdmissionPool(size_t threads, size_t queue_capacity,
+                             Execute execute)
+    : execute_(std::move(execute)), queue_(queue_capacity) {
+  GAUSS_CHECK(threads > 0);
+  threads_.reserve(threads);
+  for (size_t i = 0; i < threads; ++i) {
+    threads_.emplace_back([this] { Loop(); });
   }
 }
 
-QueryService::~QueryService() {
+AdmissionPool::~AdmissionPool() {
   queue_.Close();
-  for (std::thread& worker : workers_) worker.join();
+  for (std::thread& thread : threads_) thread.join();
 }
 
-std::future<QueryResponse> QueryService::Submit(Query query) {
-  auto task = std::make_unique<internal::QueryTask>(std::move(query));
+std::future<QueryResponse> AdmissionPool::Submit(Query query) {
+  auto task = std::make_unique<QueryTask>(std::move(query));
   std::future<QueryResponse> future = task->promise.get_future();
 
   if (task->query()->has_deadline()) {
@@ -81,37 +89,35 @@ std::future<QueryResponse> QueryService::Submit(Query query) {
     // frees up its budget may be gone, and blocking the client would stall
     // its other submissions. Shed it instead: admission control.
     if (!queue_.TryPush(task.get())) {
-      GAUSS_CHECK_MSG(!queue_.closed(),
-                      "Submit on a shut-down QueryService");
+      GAUSS_CHECK_MSG(!queue_.closed(), "Submit on a shut-down service");
       task->CompleteUnexecuted(QueryResponse::Status::kShed);
       return future;
     }
   } else {
     // Push blocks while the queue is full — backpressure towards the
     // submitting client. The queue only rejects after Close(), i.e. during
-    // service shutdown; submitting then is a caller bug.
-    GAUSS_CHECK_MSG(queue_.Push(task.get()),
-                    "Submit on a shut-down QueryService");
+    // shutdown; submitting then is a caller bug.
+    GAUSS_CHECK_MSG(queue_.Push(task.get()), "Submit on a shut-down service");
   }
-  // The queue accepted the task: the popping worker owns and deletes it.
+  // The queue accepted the task: the popping thread owns and deletes it.
   task.release();
   return future;
 }
 
-std::future<QueryResponse> QueryService::SubmitWork(
+std::future<QueryResponse> AdmissionPool::SubmitWork(
     std::function<QueryResponse()> work) {
-  auto task = std::make_unique<internal::QueryTask>(std::move(work));
+  auto task = std::make_unique<QueryTask>(std::move(work));
   std::future<QueryResponse> future = task->promise.get_future();
   GAUSS_CHECK_MSG(queue_.Push(task.get()),
-                  "SubmitWork on a shut-down QueryService");
+                  "SubmitWork on a shut-down service");
   task.release();
   return future;
 }
 
-void QueryService::WorkerLoop() {
-  internal::QueryTask* raw = nullptr;
+void AdmissionPool::Loop() {
+  QueryTask* raw = nullptr;
   while (queue_.Pop(&raw)) {
-    std::unique_ptr<internal::QueryTask> task(raw);
+    std::unique_ptr<QueryTask> task(raw);
     if (Query* query = task->query()) {
       if (query->has_deadline() &&
           query->deadline() <= std::chrono::steady_clock::now()) {
@@ -120,7 +126,7 @@ void QueryService::WorkerLoop() {
         task->CompleteUnexecuted(QueryResponse::Status::kDeadlineExceeded);
         continue;
       }
-      task->promise.set_value(ExecuteQuery(tree_, *query));
+      task->promise.set_value(execute_(*query));
     } else {
       auto& work = std::get<std::function<QueryResponse()>>(task->payload);
       task->promise.set_value(work());
@@ -128,11 +134,12 @@ void QueryService::WorkerLoop() {
   }
 }
 
-BatchResult QueryService::ExecuteBatch(const std::vector<Query>& batch) {
+BatchResult AdmissionPool::ExecuteBatch(const std::vector<Query>& batch,
+                                        const std::function<IoStats()>& io) {
   BatchResult result;
   if (batch.empty()) return result;
 
-  const IoStats io_before = tree_.pool()->stats();
+  const IoStats io_before = io();
   const auto start = std::chrono::steady_clock::now();
 
   std::vector<std::future<QueryResponse>> futures;
@@ -147,9 +154,21 @@ BatchResult QueryService::ExecuteBatch(const std::vector<Query>& batch) {
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  result.stats = AggregateBatchStats(result.responses, wall,
-                                     tree_.pool()->stats() - io_before);
+  result.stats = AggregateBatchStats(result.responses, wall, io() - io_before);
   return result;
+}
+
+}  // namespace internal
+
+QueryService::QueryService(const GaussTree& tree, QueryServiceOptions options)
+    : tree_(tree),
+      pool_(CheckedWorkers(tree, options.num_workers), options.queue_capacity,
+            [&tree](const Query& query) {
+              return ExecuteQuery(tree, query);
+            }) {}
+
+BatchResult QueryService::ExecuteBatch(const std::vector<Query>& batch) {
+  return pool_.ExecuteBatch(batch, [this] { return tree_.pool()->stats(); });
 }
 
 ServiceStats AggregateBatchStats(const std::vector<QueryResponse>& responses,

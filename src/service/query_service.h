@@ -5,6 +5,7 @@
 #include <functional>
 #include <future>
 #include <thread>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "service/query.h"
 #include "service/request_queue.h"
 #include "service/service_stats.h"
+#include "storage/io_stats.h"
 
 namespace gauss {
 
@@ -56,7 +58,8 @@ namespace gauss {
 //     identical to the low-level QueryMliq/QueryTiq entry points
 //     (streaming_test.cc asserts this).
 //
-// Admission control
+// Admission control and shutdown (internal::AdmissionPool, below — the
+// same pool a ShardCoordinator admits through)
 //   * Queries without a deadline block in Submit() while the queue is full —
 //     backpressure towards the submitting client.
 //   * Queries with a deadline (Query::Deadline/DeadlineAfter) never wait:
@@ -65,8 +68,6 @@ namespace gauss {
 //     expires while queued reports kDeadlineExceeded instead of executing.
 //     Either way the future completes with empty items and zero work — load
 //     is rejected, never silently dropped.
-//
-// Shutdown
 //   * The destructor closes the queue, drains every admitted query, and
 //     joins the workers: every future obtained from Submit() is ready once
 //     the destructor returns. Submitting to a destroyed/shutting-down
@@ -131,8 +132,8 @@ namespace internal {
 // One in-flight unit of work: either a Query descriptor (the normal serving
 // path) or an opaque closure (the hook a ShardServer uses to run
 // shard-local traversal steps on the shard's workers), plus the promise its
-// future observes. Heap-allocated by Submit()/SubmitWork();
-// ownership passes through the RequestQueue to the worker that pops it (or
+// future observes. Heap-allocated by AdmissionPool::Submit()/SubmitWork();
+// ownership passes through the RequestQueue to the thread that pops it (or
 // stays with Submit on shed/expiry).
 struct QueryTask {
   std::variant<Query, std::function<QueryResponse()>> payload;
@@ -155,6 +156,53 @@ struct QueryTask {
   }
 };
 
+// The admission machinery of every serving front door: a bounded
+// RequestQueue, the threads that pop it, and the deadline rules. A
+// QueryService and a ShardCoordinator each own one and differ only in the
+// `execute` function that answers one admitted query on a pool thread.
+//
+//   * Submit(): a query without a deadline blocks while the queue is full
+//     (backpressure). A deadline query never waits: dead on arrival it
+//     completes kDeadlineExceeded, at a full queue kShed, and if its
+//     deadline passes while queued, kDeadlineExceeded instead of executing.
+//   * SubmitWork(): a closure, admitted on the blocking path (no deadline,
+//     never shed).
+//   * The destructor closes the queue, drains every admitted task and joins
+//     the threads, so every future is ready once it returns. Submitting to
+//     a pool that is shutting down is a caller bug (GAUSS_CHECK).
+class AdmissionPool {
+ public:
+  using Execute = std::function<QueryResponse(const Query&)>;
+
+  // `threads` > 0, `queue_capacity` > 0. `execute` runs on the pool's
+  // threads; the threads start here, but pop nothing before the first
+  // Submit.
+  AdmissionPool(size_t threads, size_t queue_capacity, Execute execute);
+  ~AdmissionPool();
+
+  AdmissionPool(const AdmissionPool&) = delete;
+  AdmissionPool& operator=(const AdmissionPool&) = delete;
+
+  std::future<QueryResponse> Submit(Query query);
+  std::future<QueryResponse> SubmitWork(std::function<QueryResponse()> work);
+
+  // Submits every query and waits for all of them: responses in request
+  // order plus AggregateBatchStats over the batch's wall time, with the
+  // delta of `io` (read before the first Submit and after the last answer)
+  // as the batch's cache I/O.
+  BatchResult ExecuteBatch(const std::vector<Query>& batch,
+                           const std::function<IoStats()>& io);
+
+  size_t num_threads() const { return threads_.size(); }
+
+ private:
+  void Loop();
+
+  const Execute execute_;
+  RequestQueue queue_;
+  std::vector<std::thread> threads_;
+};
+
 }  // namespace internal
 
 struct QueryServiceOptions {
@@ -173,14 +221,17 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // Closes the queue, drains every admitted query, and joins the workers.
-  // Every future returned by Submit() is ready afterwards.
-  ~QueryService();
+  // Closes the queue, drains every admitted query, and joins the workers
+  // (internal::AdmissionPool). Every future returned by Submit() is ready
+  // afterwards.
+  ~QueryService() = default;
 
   // Streaming submission: admits the query and returns the future of its
   // response. Blocks only when the queue is full *and* the query carries no
   // deadline (deadline queries are shed instead). Thread-safe.
-  std::future<QueryResponse> Submit(Query query);
+  std::future<QueryResponse> Submit(Query query) {
+    return pool_.Submit(std::move(query));
+  }
 
   // Batch convenience over Submit(): executes every query and returns
   // responses in request order plus aggregate statistics. Blocks until the
@@ -193,17 +244,16 @@ class QueryService {
   // carry no deadline, so they are never shed) — this is how a ShardServer
   // executes per-shard traversal and refinement steps on the shard's own
   // worker pool. Thread-safe.
-  std::future<QueryResponse> SubmitWork(std::function<QueryResponse()> work);
+  std::future<QueryResponse> SubmitWork(std::function<QueryResponse()> work) {
+    return pool_.SubmitWork(std::move(work));
+  }
 
   const GaussTree& tree() const { return tree_; }
-  size_t num_workers() const { return workers_.size(); }
+  size_t num_workers() const { return pool_.num_threads(); }
 
  private:
-  void WorkerLoop();
-
   const GaussTree& tree_;
-  RequestQueue queue_;
-  std::vector<std::thread> workers_;
+  internal::AdmissionPool pool_;
 };
 
 // Aggregates per-response outcomes into ServiceStats: query-kind and

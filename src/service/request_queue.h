@@ -22,8 +22,8 @@ struct QueryTask;  // one in-flight query: descriptor + promise (query_service.h
 // the queue is empty.
 //
 // The queue stores raw QueryTask pointers and never touches them; ownership
-// conventions are the caller's (QueryService hands ownership from Submit to
-// the popping worker).
+// conventions are the caller's (internal::AdmissionPool, the one owner of a
+// RequestQueue, hands ownership from Submit to the popping thread).
 //
 // Design choice: a mutex + two condition variables rather than a lock-free
 // ring. A pop is followed by an MLIQ/TIQ traversal costing tens of

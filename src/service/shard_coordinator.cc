@@ -154,7 +154,9 @@ void ApplyRefineUpdate(const RefineUpdate& u, ShardPartial* p) {
 
 ShardCoordinator::ShardCoordinator(std::vector<ShardBackend*> backends,
                                    ShardCoordinatorOptions options)
-    : backends_(std::move(backends)), queue_(options.queue_capacity) {
+    : backends_(std::move(backends)),
+      pool_(std::max<size_t>(1, options.num_threads), options.queue_capacity,
+            [this](const Query& query) { return ExecuteSharded(query); }) {
   GAUSS_CHECK_MSG(!backends_.empty(), "ShardCoordinator needs >= 1 shard");
   for (const ShardBackend* backend : backends_) GAUSS_CHECK(backend != nullptr);
   dim_ = backends_.front()->dim();
@@ -183,55 +185,6 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardBackend*> backends,
   }
   seed_counts_ =
       std::make_unique<std::atomic<uint64_t>[]>(backends_.size());
-  const size_t threads = std::max<size_t>(1, options.num_threads);
-  workers_.reserve(threads);
-  for (size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { CoordinatorLoop(); });
-  }
-}
-
-ShardCoordinator::~ShardCoordinator() {
-  queue_.Close();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-std::future<QueryResponse> ShardCoordinator::Submit(Query query) {
-  auto task = std::make_unique<internal::QueryTask>(std::move(query));
-  std::future<QueryResponse> future = task->promise.get_future();
-
-  // Admission semantics identical to QueryService::Submit — the front door
-  // is the only admission point of a sharded database.
-  if (task->query()->has_deadline()) {
-    if (task->query()->deadline() <= std::chrono::steady_clock::now()) {
-      task->CompleteUnexecuted(QueryResponse::Status::kDeadlineExceeded);
-      return future;
-    }
-    if (!queue_.TryPush(task.get())) {
-      GAUSS_CHECK_MSG(!queue_.closed(),
-                      "Submit on a shut-down ShardCoordinator");
-      task->CompleteUnexecuted(QueryResponse::Status::kShed);
-      return future;
-    }
-  } else {
-    GAUSS_CHECK_MSG(queue_.Push(task.get()),
-                    "Submit on a shut-down ShardCoordinator");
-  }
-  task.release();
-  return future;
-}
-
-void ShardCoordinator::CoordinatorLoop() {
-  internal::QueryTask* raw = nullptr;
-  while (queue_.Pop(&raw)) {
-    std::unique_ptr<internal::QueryTask> task(raw);
-    Query* query = task->query();  // the coordinator only enqueues queries
-    if (query->has_deadline() &&
-        query->deadline() <= std::chrono::steady_clock::now()) {
-      task->CompleteUnexecuted(QueryResponse::Status::kDeadlineExceeded);
-      continue;
-    }
-    task->promise.set_value(ExecuteSharded(*query));
-  }
 }
 
 QueryResponse ShardCoordinator::ExecuteSharded(const Query& query) {
@@ -741,27 +694,8 @@ QueryResponse ShardCoordinator::ExecuteTiq(const Query& query) {
 }
 
 BatchResult ShardCoordinator::ExecuteBatch(const std::vector<Query>& batch) {
-  BatchResult result;
-  if (batch.empty()) return result;
-
-  const IoStats io_before = io_stats();
   const BackendRefineCounters refine_before = refine_counters();
-  const auto start = std::chrono::steady_clock::now();
-
-  std::vector<std::future<QueryResponse>> futures;
-  futures.reserve(batch.size());
-  for (const Query& query : batch) futures.push_back(Submit(query));
-
-  result.responses.reserve(batch.size());
-  for (std::future<QueryResponse>& future : futures) {
-    result.responses.push_back(future.get());
-  }
-
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  result.stats =
-      AggregateBatchStats(result.responses, wall, io_stats() - io_before);
+  BatchResult result = pool_.ExecuteBatch(batch, [this] { return io_stats(); });
   const BackendRefineCounters refine_after = refine_counters();
   result.stats.refine_rounds = refine_after.rounds - refine_before.rounds;
   result.stats.refine_batched_queries =

@@ -5,13 +5,12 @@
 #include <cstddef>
 #include <future>
 #include <memory>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/shard_backend.h"
 #include "service/query.h"
 #include "service/query_service.h"
-#include "service/request_queue.h"
 #include "service/service_stats.h"
 #include "storage/io_stats.h"
 
@@ -140,11 +139,13 @@ namespace gauss {
 // ServiceStats::refine_rounds / refine_batched_queries.
 //
 // Admission control happens only here, never at the shards: the coordinator
-// queue sheds deadline-carrying queries when full and expires queued ones
-// exactly like QueryService — so a shed or expired query is counted once in
-// the merged ServiceStats, not once per shard. Over RPC, a query's remaining
-// deadline budget also travels with it and bounds the socket wait, so a
-// too-slow shard yields a typed timeout, not a stall.
+// admits through the same internal::AdmissionPool as QueryService, supplying
+// only ExecuteSharded as the function that answers one query, so it sheds
+// and expires deadline-carrying queries exactly like QueryService — and a
+// shed or expired query is counted once in the merged ServiceStats, not
+// once per shard. Over RPC, a query's remaining deadline budget also travels
+// with it and bounds the socket wait, so a too-slow shard yields a typed
+// timeout, not a stall.
 //
 // Failure model: a backend failure (connection lost, timeout, protocol
 // error) fails the *query* with QueryResponse::Status::kShardError and the
@@ -179,12 +180,15 @@ class ShardCoordinator {
   ShardCoordinator& operator=(const ShardCoordinator&) = delete;
 
   // Closes the queue, drains every admitted query, joins the threads.
-  ~ShardCoordinator();
+  ~ShardCoordinator() = default;
 
-  // Streaming submission with QueryService-identical admission semantics:
-  // deadline queries are shed at a full queue / expired before execution;
-  // deadline-less queries block (backpressure). Thread-safe.
-  std::future<QueryResponse> Submit(Query query);
+  // Streaming submission through the same internal::AdmissionPool as
+  // QueryService::Submit: deadline queries are shed at a full queue /
+  // expired before execution; deadline-less queries block (backpressure).
+  // Thread-safe.
+  std::future<QueryResponse> Submit(Query query) {
+    return pool_.Submit(std::move(query));
+  }
 
   // Batch submission: submit-and-gather over Submit() with merged
   // ServiceStats (latency percentiles over executed queries; shed, expired
@@ -206,7 +210,7 @@ class ShardCoordinator {
   size_t dim() const { return dim_; }
   // Coordinator threads executing queries (ShardCoordinatorOptions::
   // num_threads, at least 1).
-  size_t num_threads() const { return workers_.size(); }
+  size_t num_threads() const { return pool_.num_threads(); }
 
  private:
   // One shard's live traversal during a query: its backend-side handle and
@@ -227,7 +231,6 @@ class ShardCoordinator {
     NetError error;
   };
 
-  void CoordinatorLoop();
   QueryResponse ExecuteSharded(const Query& query);
   QueryResponse ExecuteMliq(const Query& query);
   QueryResponse ExecuteTiq(const Query& query);
@@ -298,8 +301,9 @@ class ShardCoordinator {
   std::unique_ptr<std::atomic<uint64_t>[]> seed_counts_;  // per shard
   size_t dim_ = 0;
   std::atomic<uint64_t> next_traversal_id_{1};
-  RequestQueue queue_;
-  std::vector<std::thread> workers_;
+  // Last member: its threads run ExecuteSharded, so it is destroyed (drained
+  // and joined) before anything that function reads.
+  internal::AdmissionPool pool_;
 };
 
 }  // namespace gauss

@@ -239,17 +239,12 @@ TEST(BulkLoadTest, SubsetLoadEqualsLoadOfCopiedSubset) {
     ExpectSubsetLoadEqualsCopy(random, positions, 2048);
   }
   {
-    // Ranges whose leaf rows fit one block are split in a gathered copy;
-    // larger ones through pointers into the dataset, until their halves
-    // fit. Lists just below, at and just above one block run both paths
-    // and the hand-off between them.
-    constexpr size_t kDim = 8;
-    const size_t block_rows =
-        GaussTree::kBulkLoadBlockBytes / (2 * kDim * sizeof(double));
-    const PfvDataset wide = RandomDataset(318, block_rows + 40, kDim);
-    for (const size_t size : {block_rows - 1, block_rows, block_rows + 1}) {
-      SCOPED_TRACE("block rows " + std::to_string(block_rows) + ", list of " +
-                   std::to_string(size));
+    // Lists of an 8-d gallery around 2^13 objects (1 MiB of leaf rows),
+    // whose splits read the pfvs in place from the first one down to full
+    // leaves.
+    const PfvDataset wide = RandomDataset(318, 8232, 8);
+    for (const size_t size : {size_t{8191}, size_t{8192}, size_t{8193}}) {
+      SCOPED_TRACE("list of " + std::to_string(size));
       std::vector<uint32_t> positions(size);
       for (size_t i = 0; i < size; ++i) {
         positions[i] = static_cast<uint32_t>(wide.size() - 1 - i);

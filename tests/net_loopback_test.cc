@@ -585,5 +585,108 @@ TEST(NetLoopbackTest, Version2HelloIsRefusedTyped) {
   EXPECT_EQ(remote.code, NetErrorCode::kProtocolMismatch);
 }
 
+// Opens a raw connection to `port` and completes the handshake.
+TcpSocket RawConnect(uint16_t port, SocketDeadline deadline) {
+  NetError error;
+  TcpSocket sock = TcpSocket::Connect("127.0.0.1", port,
+                                      std::chrono::seconds(5), &error);
+  EXPECT_TRUE(sock.valid()) << error.ToString();
+  std::vector<uint8_t> body;
+  EncodeHello(WireHello{}, &body);
+  EXPECT_TRUE(WriteFrame(sock, MsgType::kHello, 0, body, deadline).ok());
+  Frame ack;
+  EXPECT_TRUE(ReadFrame(sock, &ack, deadline).ok());
+  EXPECT_EQ(ack.type, MsgType::kHelloAck);
+  return sock;
+}
+
+// Sends a kRefine of `traversal` and expects a typed kError naming an
+// unknown traversal in reply.
+void ExpectRefineRefusedTyped(TcpSocket& sock, uint64_t traversal,
+                              uint64_t request_id, SocketDeadline deadline) {
+  std::vector<uint8_t> body;
+  EncodeRefine({{traversal, 0.0}}, &body);
+  ASSERT_TRUE(
+      WriteFrame(sock, MsgType::kRefine, request_id, body, deadline).ok());
+  Frame reply;
+  ASSERT_TRUE(ReadFrame(sock, &reply, deadline).ok());
+  ASSERT_EQ(reply.type, MsgType::kError);
+  EXPECT_EQ(reply.request_id, request_id);
+  NetError remote;
+  ASSERT_TRUE(DecodeError(reply.body.data(), reply.body.size(), &remote).ok());
+  EXPECT_EQ(remote.code, NetErrorCode::kProtocolError);
+}
+
+// A raw kRefine naming a handle the connection never started is answered
+// with a typed kError, not an abort; the server keeps serving, and a fresh
+// connection still answers bit-identically to the in-process backend.
+TEST(NetLoopbackTest, RefineOfUnknownHandleFailsTypedAndServerKeepsAnswering) {
+  ServedShard shard;
+  {
+    const SocketDeadline deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    TcpSocket sock = RawConnect(shard.port(), deadline);
+    ASSERT_TRUE(sock.valid());
+    ExpectRefineRefusedTyped(sock, 42, 1, deadline);
+  }
+
+  auto rpc = MustConnect(shard.port());
+  ASSERT_TRUE(rpc != nullptr);
+  InProcessBackend local(shard.service());
+  const Query query = Query::Mliq(shard.Probe(), /*k=*/3).Accuracy(0.5);
+  const ShardBackend::StartResult over_rpc = rpc->Start(1, query).get();
+  const ShardBackend::StartResult in_process = local.Start(1, query).get();
+  ASSERT_TRUE(over_rpc.error.ok()) << over_rpc.error.ToString();
+  ASSERT_TRUE(in_process.error.ok());
+  ExpectPartialsBitIdentical(over_rpc.partial, in_process.partial);
+  rpc->Release({1});
+  local.Release({1});
+}
+
+// A kRelease that overtakes its kStart — the Start still queued behind busy
+// workers — frees the traversal once the Start finishes: the Start is still
+// answered, and a later kRefine of its handle names an unknown traversal.
+TEST(NetLoopbackTest, ReleaseOvertakingItsStartFreesTheTraversal) {
+  ServedShard shard;
+  const SocketDeadline deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  TcpSocket sock = RawConnect(shard.port(), deadline);
+  ASSERT_TRUE(sock.valid());
+
+  // Hold every worker of the shard, so the Start waits in the queue.
+  std::promise<void> open_gate;
+  std::shared_future<void> gate = open_gate.get_future().share();
+  std::vector<std::future<QueryResponse>> held;
+  for (size_t i = 0; i < shard.service()->num_workers(); ++i) {
+    held.push_back(shard.service()->SubmitWork([gate] {
+      gate.wait();
+      return QueryResponse{};
+    }));
+  }
+
+  // No ASSERT until the gate opens: an early return would leave the workers
+  // held and the teardown waiting on them.
+  std::vector<uint8_t> body;
+  EncodeStart(5, Query::Mliq(shard.Probe(), 3).Accuracy(0.5), &body);
+  EXPECT_TRUE(WriteFrame(sock, MsgType::kStart, 1, body, deadline).ok());
+  body.clear();
+  EncodeRelease({5}, &body);
+  EXPECT_TRUE(WriteFrame(sock, MsgType::kRelease, 2, body, deadline).ok());
+  // The server handles a connection's frames in order and answers kStats
+  // inline, so once its reply is here the kRelease has been handled while
+  // the Start still waits.
+  EXPECT_TRUE(WriteFrame(sock, MsgType::kStats, 3, {}, deadline).ok());
+  Frame reply;
+  EXPECT_TRUE(ReadFrame(sock, &reply, deadline).ok());
+  EXPECT_EQ(reply.type, MsgType::kStatsReply);
+
+  open_gate.set_value();
+  for (std::future<QueryResponse>& f : held) f.get();
+  ASSERT_TRUE(ReadFrame(sock, &reply, deadline).ok());
+  EXPECT_EQ(reply.type, MsgType::kStartReply);
+  EXPECT_EQ(reply.request_id, 1u);
+  ExpectRefineRefusedTyped(sock, 5, 4, deadline);
+}
+
 }  // namespace
 }  // namespace gauss

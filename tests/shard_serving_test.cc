@@ -397,6 +397,40 @@ TEST_F(ShardServingTest, InProcessBackendRefusesAnUnsafeCache) {
       "thread-safe PageCache");
 }
 
+// A Refine naming a handle the backend does not hold — one it never
+// started, or one already released — fails the round typed, with no
+// updates, instead of aborting; the other handles of the batch are not
+// refined either.
+TEST_F(ShardServingTest, InProcessBackendRefusesUnknownHandlesTyped) {
+  ShardedBufferPool pool(&devices_[0], 1 << 12);
+  auto tree = GaussTree::Open(&pool, metas_[0]);
+  QueryService service(*tree, {.num_workers = 1});
+  InProcessBackend backend(&service);
+
+  const ShardBackend::RefineResult never_started =
+      backend.Refine({{7, 0.0}}).get();
+  EXPECT_EQ(never_started.error.code, NetErrorCode::kProtocolError);
+  EXPECT_TRUE(never_started.updates.empty());
+
+  const Query mliq = Query::Mliq(workload_[0].query, 3).Accuracy(0.5);
+  const ShardBackend::StartResult started = backend.Start(1, mliq).get();
+  ASSERT_TRUE(started.error.ok());
+  const uint64_t reads = tree->pool()->stats().logical_reads;
+  const ShardBackend::RefineResult mixed =
+      backend.Refine({{1, 0.0}, {7, 0.0}}).get();
+  EXPECT_EQ(mixed.error.code, NetErrorCode::kProtocolError);
+  EXPECT_TRUE(mixed.updates.empty());
+  EXPECT_EQ(tree->pool()->stats().logical_reads, reads);
+
+  backend.Release({1});
+  const ShardBackend::RefineResult released =
+      backend.Refine({{1, 0.0}}).get();
+  EXPECT_EQ(released.error.code, NetErrorCode::kProtocolError);
+  EXPECT_TRUE(released.updates.empty());
+  // Releasing it again is a no-op.
+  backend.Release({1});
+}
+
 // Eight concurrent clients over a four-shard spatial session, on the
 // end-to-end benchmark's Figure 7 mix (half MLIQ k = 1 at accuracy 1e-2, a
 // quarter each of lazy TIQ at 0.8 and 0.2): every answer is byte-identical
