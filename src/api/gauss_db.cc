@@ -103,9 +103,6 @@ GaussDb GaussDb::Empty(const GaussDbOptions& options, size_t dim) {
 }
 
 void GaussDb::AddDevice(std::unique_ptr<PageDevice> device) {
-  if (auto* file = dynamic_cast<FilePageDevice*>(device.get())) {
-    file_devices_.push_back(file);
-  }
   build_pools_.push_back(std::make_unique<ShardedBufferPool>(
       device.get(), kBuildPoolPages, /*num_shards=*/1));
   devices_.push_back(std::move(device));
@@ -357,7 +354,7 @@ void GaussDb::Finalize() {
     build_pools_[0]->WritePage(kMetaPage, page.data());
     build_pools_[0]->FlushAll();
   }
-  for (FilePageDevice* device : file_devices_) device->Sync();
+  for (const auto& device : devices_) device->Sync();
 }
 
 Session GaussDb::Serve(ServeOptions options) {
@@ -381,8 +378,8 @@ Session GaussDb::Serve(ServeOptions options) {
     sources.push_back({devices_[DeviceOf(s)].get(), shard_metas_[s]});
   }
   auto engine = std::make_shared<ServingEngine>(
-      std::move(sources), sharded_, dim_, options_.tree,
-      file_devices_, options, options_.ingest);
+      std::move(sources), sharded_, dim_, options_.tree, options,
+      options_.ingest);
   if (options_.ingest.enabled) {
     live_ = engine;
   } else {

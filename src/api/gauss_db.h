@@ -95,13 +95,16 @@ namespace gauss {
 // (a shared_ptr copy — no stop-the-world, no reader latching); once the
 // buffered delta passes IngestOptions::merge_threshold, a background merge
 // thread (MergePolicy::kBackground; or MergeIngest() under kManual) rebuilds
-// the base through the existing bulk loader on fresh pages of the same
-// device(s), publishes a fresh epoch atomically, and retires the old one
-// after its last in-flight query drains. Session::ingest_stats() reports
-// delta size, epoch, merges completed, and merge backlog alongside
-// io_stats(). Superseded base pages are not reclaimed (the device grows by
-// one tree image per merge — an LSM-style space amplification; compaction
-// GC is future work).
+// the base through the existing bulk loader on pages of the same device(s)
+// that the serving image does not use, publishes a fresh epoch atomically,
+// and retires the old one after its last in-flight query drains. The
+// retired image's pages are then recycled, and the next merge writes there:
+// a device holds at most two images per shard, the serving one and the one
+// being merged. The free pages are derived, not stored — a live Serve()
+// after a reopen recycles every page no shard header reaches.
+// Session::ingest_stats() reports delta size, epoch, merges completed,
+// merge backlog and the devices' total and free pages alongside
+// io_stats().
 //
 // Sharding (GaussDbOptions::shards, ShardOptions::num_shards >= 1): the
 // gallery is cut into N regions of the feature space (api/partitioner.h), one
@@ -165,10 +168,13 @@ namespace gauss {
 // how several differently-sized frontends can share one database. With
 // ingest enabled there is one engine per database (inserts must have a
 // single routing authority); the first Serve() call's options build it and
-// later calls return additional Sessions sharing it. Replacing or destroying
-// a Session releases its share; the last share tears the engine down in
-// dependency order: the coordinator drains the queries still in flight,
-// the backends close, then each shard's service, tree and cache go.
+// later calls return additional Sessions sharing it. One process owns a
+// live database's devices: its merges overwrite the pages of retired
+// images, so a second process serving the same file could read a page
+// while it is rewritten. Replacing or destroying a Session releases its
+// share; the last share tears the engine down in dependency order: the
+// coordinator drains the queries still in flight, the backends close,
+// then each shard's service, tree and cache go.
 //
 // The low-level layers stay public and documented for callers that need
 // them: QueryMliq()/QueryTiq() over a GaussTree are the re-entrant query
@@ -272,6 +278,11 @@ struct IngestStats {
   // delta size once it passed merge_threshold (0 below it); under kManual
   // every buffered object counts.
   size_t merge_backlog = 0;
+  // Pages of the database's devices (each counted once), and how many of
+  // them are free: recycled from retired images, not yet reused. Their
+  // difference is what the serving image occupies.
+  size_t device_pages = 0;
+  size_t free_pages = 0;
 };
 
 // Serving-stack configuration for one GaussDb::Serve() call.
@@ -630,7 +641,6 @@ class GaussDb {
   // One device for the in-memory/single-file layouts; one per shard for the
   // directory layout (DeviceOf maps shard -> device index).
   std::vector<std::unique_ptr<PageDevice>> devices_;
-  std::vector<FilePageDevice*> file_devices_;  // the file-backed subset
   // Build pools, parallel to devices_: one LRU stripe each (the build path
   // is single-threaded; per-shard pools exist so each shard's pages stay on
   // its own device).

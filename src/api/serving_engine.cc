@@ -39,21 +39,28 @@ ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
 
 ServingEngine::ServingEngine(std::vector<ShardSource> sources, bool sharded,
                              size_t dim, GaussTreeOptions tree_options,
-                             std::vector<FilePageDevice*> file_devices,
                              ServeOptions serve, IngestOptions ingest)
     : dim_(dim),
       num_base_(sources.size()),
       sharded_(sharded),
       tree_options_(tree_options),
       sources_(std::move(sources)),
-      file_devices_(std::move(file_devices)),
       serve_(serve),
       ingest_(ingest) {
   GAUSS_CHECK_MSG(!sources_.empty(), "serving needs >= 1 shard source");
   GAUSS_CHECK_MSG(!ingest_.enabled || ingest_.delta_capacity > 0,
                   "IngestOptions::delta_capacity must be >= 1");
+  for (const ShardSource& source : sources_) {
+    if (std::find(devices_.begin(), devices_.end(), source.device) ==
+        devices_.end()) {
+      devices_.push_back(source.device);
+    }
+  }
   epoch_ = BuildLocalEpoch(1);
-  if (ingest_.enabled && ingest_.merge_policy == MergePolicy::kBackground) {
+  if (!ingest_.enabled) return;
+  // Opening the epoch walked every page a header reaches; the rest is dead.
+  RecycleUnreachable(*epoch_);
+  if (ingest_.merge_policy == MergePolicy::kBackground) {
     merge_thread_ = std::thread([this] { MergeLoop(); });
   }
 }
@@ -234,6 +241,10 @@ bool ServingEngine::MergeNow() {
   }
   if (total == 0) return false;
 
+  // Per shard: the merged image's header page (kInvalidPageId: not
+  // rebuilt), then the pages that no header reaches once the merge commits.
+  std::vector<PageId> merged_meta(sources_.size(), kInvalidPageId);
+  std::vector<std::vector<PageId>> retired(sources_.size());
   for (size_t s = 0; s < sources_.size(); ++s) {
     if (cuts[s] == 0) continue;
     // Collect the shard's base image through the *old* epoch's cache — it
@@ -243,25 +254,36 @@ bool ServingEngine::MergeNow() {
     for (size_t i = 0; i < cuts[s]; ++i) {
       combined.Add(old->deltas[s]->at(i));
     }
-    {
-      // Rebuild on fresh pages of the same device (appends only — the old
-      // image's pages are never touched, so the old epoch's pinned root
-      // stays valid). Superseded pages are not reclaimed.
-      ShardedBufferPool pool(sources_[s].device, kBuildPoolPages,
-                             /*num_shards=*/1);
-      GaussTree tree(&pool, dim_, tree_options_);
-      tree.BulkLoad(combined, /*threads=*/1);
-      tree.Finalize();
-      // Redirect the shard's persistent header to the merged image: copy
-      // the freshly written header onto the original header page, so both
-      // the next epoch and a reopen-after-restart attach to the new base.
-      // The old epoch read that page once at Open() and never again.
-      std::vector<uint8_t> page(sources_[s].device->page_size());
-      sources_[s].device->Read(tree.meta_page(), page.data());
-      sources_[s].device->Write(sources_[s].meta_page, page.data());
-    }
+    // Rebuild on pages the old epoch never reads: the device's recycled
+    // pages, then appended ones. The old image stays intact, so the old
+    // epoch's pinned root and cached frames stay valid.
+    ShardedBufferPool pool(sources_[s].device, kBuildPoolPages,
+                           /*num_shards=*/1);
+    GaussTree tree(&pool, dim_, tree_options_);
+    tree.BulkLoad(combined, /*threads=*/1);
+    tree.Finalize();
+    merged_meta[s] = tree.meta_page();
+    retired[s] = old->stacks[s].tree->store().pages();
+    retired[s].push_back(tree.meta_page());  // copied below, then dead
   }
-  for (FilePageDevice* device : file_devices_) device->Sync();
+
+  // Commit, as a write-ahead order: the merged nodes are durable before any
+  // header points at them, or a crash could leave a header naming pages
+  // that still hold a retired image's (checksummed) nodes.
+  SyncDevices();
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    if (merged_meta[s] == kInvalidPageId) continue;
+    // Redirect the shard's persistent header to the merged image: copy the
+    // freshly written header onto the original header page, so both the
+    // next epoch and a reopen-after-restart attach to the new base. The old
+    // epoch read that page once at Open() and never again.
+    std::vector<uint8_t> page(sources_[s].device->page_size());
+    sources_[s].device->Read(merged_meta[s], page.data());
+    sources_[s].device->Write(sources_[s].meta_page, page.data());
+  }
+  // The redirect is durable before the next merge overwrites the pages the
+  // old header named.
+  SyncDevices();
 
   std::shared_ptr<Epoch> fresh = BuildLocalEpoch(old->id + 1);
   {
@@ -279,8 +301,36 @@ bool ServingEngine::MergeNow() {
     epoch_ = fresh;
   }
   RetireEpoch(std::move(old));
+  // The old epoch and every cache over its pages are gone: nothing reads
+  // the retired pages any more.
+  for (size_t s = 0; s < sources_.size(); ++s) {
+    sources_[s].device->Recycle(retired[s]);
+  }
   merges_completed_.fetch_add(1, std::memory_order_relaxed);
   return true;
+}
+
+void ServingEngine::RecycleUnreachable(const Epoch& epoch) {
+  for (PageDevice* device : devices_) {
+    std::vector<bool> reached(device->PageCount(), false);
+    reached[0] = true;  // a tree header or the shard manifest
+    for (size_t s = 0; s < sources_.size(); ++s) {
+      if (sources_[s].device != device) continue;
+      reached[sources_[s].meta_page] = true;
+      for (PageId id : epoch.stacks[s].tree->store().pages()) {
+        reached[id] = true;
+      }
+    }
+    std::vector<PageId> dead;
+    for (PageId id = 0; id < reached.size(); ++id) {
+      if (!reached[id]) dead.push_back(id);
+    }
+    device->Recycle(dead);
+  }
+}
+
+void ServingEngine::SyncDevices() const {
+  for (PageDevice* device : devices_) device->Sync();
 }
 
 void ServingEngine::RetireEpoch(std::shared_ptr<Epoch> old) {
@@ -333,6 +383,10 @@ IngestStats ServingEngine::stats() const {
   std::shared_ptr<Epoch> epoch = Current();
   IngestStats out;
   for (const auto& delta : epoch->deltas) out.delta_size += delta->size();
+  for (const PageDevice* device : devices_) {
+    out.device_pages += device->PageCount();
+    out.free_pages += device->FreePageCount();
+  }
   out.epoch = epoch->id;
   out.inserts_accepted = inserts_accepted_.load(std::memory_order_relaxed);
   out.merges_completed = merges_completed_.load(std::memory_order_relaxed);

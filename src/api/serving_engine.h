@@ -73,15 +73,26 @@ struct ShardServingStack {
 // IngestOptions::merge_threshold, or a delta rejects an insert because it is
 // full (or on MergeNow()), the merge thread: (1) cuts each delta at its
 // current size, (2) rebuilds each dirty shard's base through
-// GaussTree::BulkLoad on fresh pages of the same device — base image + delta
-// prefix, collected while the old epoch keeps serving, (3) redirects the
-// shard's persistent header page to the new image (so reopen-after-restart
-// sees the merged base), (4) opens a fresh epoch over the merged bases,
-// re-publishing any delta tail inserted during the rebuild, and (5) retires
-// the old epoch: waits until no admission still holds it, then destroys its
-// coordinator (which drains in-flight queries) and folds its cache counters
-// into retired_io_. Superseded base pages are not reclaimed — LSM-style
-// space amplification, one image per merge.
+// GaussTree::BulkLoad on pages of the same device that the old epoch does
+// not read — recycled ones first, then appended ones — from base image +
+// delta prefix, collected while the old epoch keeps serving, (3) commits:
+// syncs the devices, redirects each rebuilt shard's persistent header page
+// to its new image (so reopen-after-restart sees the merged base), and
+// syncs again — a header never reaches the disk before the nodes it points
+// at, (4) opens a fresh epoch over the merged bases, re-publishing any delta
+// tail inserted during the rebuild, (5) retires the old epoch: waits until
+// no admission still holds it, then destroys it — its coordinator drains
+// in-flight queries, its caches go — and folds its cache counters into
+// retired_io_, and (6) recycles the retired images' node pages and the
+// merge trees' own header pages (PageDevice::Recycle). Nothing can read
+// those pages any more, so the next merge writes its image there: a device
+// holds at most two images of each shard, the serving one and the one a
+// merge is writing.
+//
+// Free pages are not persisted. A live engine derives them when it starts:
+// every page of a device that no shard header reaches (dead images left
+// before a restart, a half-written image of a merge a crash cut short) is
+// recycled, page 0 and the header pages excepted.
 //
 // Threading: Insert/Submit/ExecuteBatch/MergeNow/stats are all thread-safe.
 // Lock order: merge_mu_ -> insert_mu_ -> epoch_mu_.
@@ -99,11 +110,10 @@ class ServingEngine {
   // Local engine over the finalized shard images of a GaussDb. `serve`
   // shapes each epoch's serving stacks; `sharded` puts a coordinator in
   // front of them even without deltas. With `ingest.enabled` every epoch
-  // carries one delta per shard, `file_devices` are synced after every
-  // merge, and MergePolicy::kBackground starts the merge thread.
+  // carries one delta per shard, the pages no shard header reaches are
+  // recycled, and MergePolicy::kBackground starts the merge thread.
   ServingEngine(std::vector<ShardSource> sources, bool sharded, size_t dim,
-                GaussTreeOptions tree_options,
-                std::vector<FilePageDevice*> file_devices, ServeOptions serve,
+                GaussTreeOptions tree_options, ServeOptions serve,
                 IngestOptions ingest);
 
   // Remote engine over connected shard backends (ServeRemote): one epoch,
@@ -203,6 +213,11 @@ class ServingEngine {
   // shard's stack, checked to be a static local one.
   const ShardServingStack& StaticStack(size_t shard) const;
 
+  // Recycles every page of devices_ that no tree of `epoch` reaches, page 0
+  // and the shard header pages excepted.
+  void RecycleUnreachable(const Epoch& epoch);
+  void SyncDevices() const;
+
   void RetireEpoch(std::shared_ptr<Epoch> old);
   void RequestMerge();
   void MergeLoop();
@@ -211,8 +226,8 @@ class ServingEngine {
   const size_t num_base_;
   const bool sharded_;
   const GaussTreeOptions tree_options_;
-  const std::vector<ShardSource> sources_;          // local only
-  const std::vector<FilePageDevice*> file_devices_; // local only
+  const std::vector<ShardSource> sources_;  // local only
+  std::vector<PageDevice*> devices_;         // sources_'s distinct devices
   const ServeOptions serve_;
   const IngestOptions ingest_;
 

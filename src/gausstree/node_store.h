@@ -97,6 +97,10 @@ class GtNodeStore {
   // `size` objects (the header's count); the store is then unusable.
   bool OpenFinalized(PageId root, size_t size, std::string* error);
 
+  // Every page of the tree's nodes: those a bulk load or insert allocated,
+  // or, after OpenFinalized, those the walk reached.
+  const std::vector<PageId>& pages() const { return all_pages_; }
+
   bool finalized() const { return finalized_; }
   // Build nodes held as objects: none after a bulk load or in query mode.
   size_t nodes_in_memory() const { return nodes_.size(); }

@@ -12,6 +12,30 @@
 
 namespace gauss {
 
+// -------------------------------------------------------------- free set --
+
+void PageDevice::Recycle(const std::vector<PageId>& ids) {
+  const size_t count = PageCount();
+  std::lock_guard<std::mutex> lock(free_mu_);
+  for (PageId id : ids) {
+    GAUSS_CHECK(id < count);
+    GAUSS_CHECK_MSG(free_.insert(id).second, "page recycled twice");
+  }
+}
+
+size_t PageDevice::FreePageCount() const {
+  std::lock_guard<std::mutex> lock(free_mu_);
+  return free_.size();
+}
+
+bool PageDevice::TakeRecycled(PageId* id) {
+  std::lock_guard<std::mutex> lock(free_mu_);
+  if (free_.empty()) return false;
+  *id = *free_.begin();
+  free_.erase(free_.begin());
+  return true;
+}
+
 // ----------------------------------------------------------- in-memory -----
 
 InMemoryPageDevice::InMemoryPageDevice(uint32_t page_size)
@@ -45,6 +69,11 @@ uint8_t* InMemoryPageDevice::PageAddress(PageId id) const {
 }
 
 PageId InMemoryPageDevice::Allocate() {
+  PageId recycled = 0;
+  if (TakeRecycled(&recycled)) {
+    std::memset(PageAddress(recycled), 0, page_size());
+    return recycled;
+  }
   std::lock_guard<std::mutex> lock(alloc_mu_);
   const size_t id = page_count_.load(std::memory_order_relaxed);
   size_t segment = 0, offset = 0;
@@ -171,8 +200,14 @@ FilePageDevice::~FilePageDevice() {
 }
 
 PageId FilePageDevice::Allocate() {
-  std::lock_guard<std::mutex> lock(alloc_mu_);
   std::vector<uint8_t> zeros(page_size(), 0);
+  PageId recycled = 0;
+  if (TakeRecycled(&recycled)) {
+    PwriteFully(fd_, zeros.data(), page_size(),
+                static_cast<off_t>(recycled) * page_size());
+    return recycled;
+  }
+  std::lock_guard<std::mutex> lock(alloc_mu_);
   const size_t id = page_count_.load(std::memory_order_relaxed);
   PwriteFully(fd_, zeros.data(), page_size(),
               static_cast<off_t>(id) * page_size());

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,11 +22,11 @@ namespace gauss {
 // Thread-safety contract: `Read` must be safe to call concurrently with
 // other reads — the ShardedBufferPool issues parallel reads from different
 // shards. `Allocate` and `Write` may run concurrently with reads of
-// *already-allocated* pages: the live-ingest merge thread appends a fresh
-// tree image onto a device that the previous epoch is still serving reads
-// from. Writers themselves need external serialization against each other,
-// and a given page's bytes may not be written and read concurrently (the
-// merge commits a page only before any reader can learn its id).
+// *other* pages: the live-ingest merge thread writes a fresh tree image
+// onto a device whose other pages the previous epoch is still serving
+// reads from. Writers themselves need external serialization against each
+// other, and a given page's bytes may not be written and read concurrently
+// (the merge commits a page only before any reader can learn its id).
 // FilePageDevice meets the contract with positioned pread/pwrite over a raw
 // descriptor plus an acquire/release page count; InMemoryPageDevice with a
 // fixed directory of geometrically-growing segments, so a published page's
@@ -37,6 +38,14 @@ namespace gauss {
 // (sharded_buffer_pool.h). Whoever holds such a pointer sees every later
 // Write of the page, so the rule above covers it: a page is not written
 // while anyone reads it.
+//
+// Recycling: Recycle() hands pages back for Allocate() to reuse. Only the
+// device's one writer may recycle, and only pages nothing can read any
+// more: no tree reaches them and no cache holds a frame of them (a lent
+// StablePage included). The live-ingest merge recycles a retired image
+// once its epoch — the last reader of those pages, with every cache over
+// them — is destroyed (api/serving_engine.h). The free set lives in memory
+// only; a live engine derives it again from what the headers reach.
 class PageDevice {
  public:
   explicit PageDevice(uint32_t page_size) : page_size_(page_size) {}
@@ -45,7 +54,8 @@ class PageDevice {
   PageDevice(const PageDevice&) = delete;
   PageDevice& operator=(const PageDevice&) = delete;
 
-  // Appends a zero-filled page and returns its id.
+  // Returns a zero-filled page: the lowest recycled id, else a new page
+  // appended at the end.
   virtual PageId Allocate() = 0;
 
   // Copies the page contents into `out` (page_size() bytes).
@@ -54,8 +64,19 @@ class PageDevice {
   // Overwrites the page with `data` (page_size() bytes).
   virtual void Write(PageId id, const void* data) = 0;
 
-  // Number of allocated pages.
+  // Number of allocated pages (recycled ones included).
   virtual size_t PageCount() const = 0;
+
+  // Makes durable every page written so far. A no-op unless the device
+  // outlives the process.
+  virtual void Sync() {}
+
+  // Adds `ids` (allocated pages nothing reads any more; see the class
+  // comment) to the free set.
+  void Recycle(const std::vector<PageId>& ids);
+
+  // Recycled pages not yet reused.
+  size_t FreePageCount() const;
 
   // The page's own bytes (page_size() of them), valid and at the same
   // address until the device is destroyed; nullptr when the device keeps no
@@ -67,8 +88,15 @@ class PageDevice {
 
   uint32_t page_size() const { return page_size_; }
 
+ protected:
+  // Removes the lowest recycled id from the free set into `*id`; false
+  // when the set is empty. Allocate() calls it first.
+  bool TakeRecycled(PageId* id);
+
  private:
   uint32_t page_size_;
+  mutable std::mutex free_mu_;
+  std::set<PageId> free_;  // guarded by free_mu_
 };
 
 // Heap-backed device; the default for experiments (the disk model converts
@@ -133,9 +161,8 @@ class FilePageDevice : public PageDevice {
   void Read(PageId id, void* out) const override;
   void Write(PageId id, const void* data) override;
   size_t PageCount() const override;
-
-  // Flushes written pages to durable storage.
-  void Sync();
+  // fdatasync.
+  void Sync() override;
 
  private:
   // Adopts an already-opened descriptor (TryOpen's success path).

@@ -1,5 +1,6 @@
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <deque>
 #include <numeric>
 #include <set>
@@ -125,19 +126,26 @@ struct TreeHashes {
   uint64_t logical;
 };
 
-// Runs `load` on a fresh tree of `dim` over a fresh device, finalizes and
+// Runs `load` on a fresh tree of `dim` over `device`, finalizes and
 // validates it, and hashes its image and logical content.
 template <typename Load>
-TreeHashes LoadAndHash(uint32_t page_size, size_t dim, size_t expected_size,
-                       Load load) {
-  InMemoryPageDevice device(page_size);
-  ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
+TreeHashes LoadAndHashOn(PageDevice* device, size_t dim, size_t expected_size,
+                         Load load) {
+  ShardedBufferPool pool(device, 1 << 14, /*num_shards=*/1);
   GaussTree tree(&pool, dim);
   load(tree);
   tree.Finalize();
   tree.Validate();
   EXPECT_EQ(tree.size(), expected_size);
-  return {ImageHash(device), LogicalHash(tree)};
+  return {ImageHash(*device), LogicalHash(tree)};
+}
+
+// LoadAndHashOn over a fresh device.
+template <typename Load>
+TreeHashes LoadAndHash(uint32_t page_size, size_t dim, size_t expected_size,
+                       Load load) {
+  InMemoryPageDevice device(page_size);
+  return LoadAndHashOn(&device, dim, expected_size, load);
 }
 
 // Bulk-loads `dataset` with 1, 2 and 4 threads and checks that every image
@@ -259,6 +267,107 @@ TEST(BulkLoadTest, SubsetLoadEqualsLoadOfCopiedSubset) {
     SCOPED_TRACE("spatial part " + std::to_string(s));
     ExpectSubsetLoadEqualsCopy(paper, parts[s], kDefaultPageSize);
   }
+}
+
+// Appends `pages` pages of random bytes to `device`: what a dead image looks
+// like to the allocator.
+void FillWithGarbage(PageDevice* device, size_t pages) {
+  Rng rng(320);
+  std::vector<uint8_t> garbage(device->page_size());
+  for (size_t i = 0; i < pages; ++i) {
+    for (uint8_t& byte : garbage) byte = static_cast<uint8_t>(rng.NextU64());
+    device->Write(device->Allocate(), garbage.data());
+  }
+}
+
+bool SameAnswer(const std::vector<IdentificationResult>& a,
+                const std::vector<IdentificationResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].id != b[i].id ||
+        std::memcmp(&a[i].log_density, &b[i].log_density, sizeof(double)) ||
+        std::memcmp(&a[i].probability, &b[i].probability, sizeof(double)) ||
+        std::memcmp(&a[i].probability_error, &b[i].probability_error,
+                    sizeof(double))) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A tree bulk-loaded on recycled pages answers an MLIQ/TIQ batch byte for
+// byte like the same load on a fresh device.
+void ExpectSameAnswers(const GaussTree& got, const GaussTree& want,
+                       size_t dim) {
+  Rng rng(321);
+  for (int trial = 0; trial < 8; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const Pfv q = RandomPfv(rng, 70000 + trial, dim);
+    const MliqResult a = QueryMliq(got, q, 5);
+    const MliqResult b = QueryMliq(want, q, 5);
+    EXPECT_FALSE(a.corrupt);
+    EXPECT_TRUE(SameAnswer(a.items, b.items));
+    const TiqResult ta = QueryTiq(got, q, 0.1);
+    const TiqResult tb = QueryTiq(want, q, 0.1);
+    EXPECT_FALSE(ta.corrupt);
+    EXPECT_TRUE(SameAnswer(ta.items, tb.items));
+  }
+}
+
+// Allocate() zero-fills a recycled page and hands the lowest id out first,
+// so a load onto a device whose first pages held garbage and were recycled
+// lays out the very tree a fresh device gets: same logical content, same
+// image (the load uses more pages than were recycled), same answers.
+TEST(BulkLoadTest, LoadOnRecycledPagesEqualsLoadOnFreshDevice) {
+  constexpr uint32_t kPageSize = 2048;
+  constexpr size_t kRecycled = 300;
+  const PfvDataset dataset = RandomDataset(319, 10000, 3);
+  const auto load = [&](GaussTree& tree) { tree.BulkLoad(dataset, 2); };
+
+  InMemoryPageDevice fresh(kPageSize);
+  InMemoryPageDevice reused(kPageSize);
+  FillWithGarbage(&reused, kRecycled);
+  std::vector<PageId> ids(kRecycled);
+  std::iota(ids.begin(), ids.end(), PageId{0});
+  reused.Recycle(ids);
+  const TreeHashes want = LoadAndHashOn(&fresh, 3, dataset.size(), load);
+  const TreeHashes got = LoadAndHashOn(&reused, 3, dataset.size(), load);
+  EXPECT_GT(reused.PageCount(), kRecycled);
+  EXPECT_EQ(reused.FreePageCount(), 0u);
+  EXPECT_EQ(got.logical, want.logical);
+  EXPECT_EQ(got.image, want.image);
+
+  ShardedBufferPool fresh_pool(&fresh, 1 << 14);
+  ShardedBufferPool reused_pool(&reused, 1 << 14);
+  ExpectSameAnswers(*GaussTree::Open(&reused_pool, 0),
+                    *GaussTree::Open(&fresh_pool, 0), 3);
+}
+
+// Scattered recycled pages give the tree other page ids than a fresh
+// device would. The traversals order nodes by their bounds alone, so the
+// answers are still the same bytes.
+TEST(BulkLoadTest, ScatteredRecycledPagesDoNotChangeAnswers) {
+  constexpr uint32_t kPageSize = 2048;
+  const PfvDataset dataset = RandomDataset(322, 10000, 3);
+  InMemoryPageDevice fresh(kPageSize);
+  InMemoryPageDevice reused(kPageSize);
+  FillWithGarbage(&reused, 600);
+  std::vector<PageId> odd;
+  for (PageId id = 1; id < 600; id += 2) odd.push_back(id);
+  reused.Recycle(odd);
+
+  ShardedBufferPool fresh_pool(&fresh, 1 << 14, /*num_shards=*/1);
+  ShardedBufferPool reused_pool(&reused, 1 << 14, /*num_shards=*/1);
+  GaussTree want(&fresh_pool, 3);
+  GaussTree got(&reused_pool, 3);
+  want.BulkLoad(dataset, 2);
+  got.BulkLoad(dataset, 2);
+  want.Finalize();
+  got.Finalize();
+  got.Validate();
+  EXPECT_EQ(got.meta_page(), 1u);
+  EXPECT_EQ(reused.FreePageCount(), 0u);
+  ExpectSameAnswers(got, want, 3);
 }
 
 // A position past the dataset is a checked abort, never a read beyond it.

@@ -146,8 +146,13 @@ TEST(IngestConcurrencyTest, EpochReclamationDrainsInFlightQueries) {
 // The acceptance stress: inserters, query threads, and the background merge
 // thread all running against one engine. Everything must stay typed and
 // race-free (tsan/asan inherit this test), every accepted insert must be in
-// the database at the end, and at least one background merge must complete
-// while traffic runs.
+// the database at the end, and at least three merges must complete while
+// queries run. Each delta holds 64 objects, so two shards' deltas drain at
+// most 128 of the 300 inserts per merge. From the second merge on, a merge
+// writes into pages an earlier epoch served from — over an in-memory
+// device, pages lent to that epoch's caches as frames — so a merge that
+// wrote into a page an epoch still reads would show up here as a race or
+// a failed query.
 TEST(IngestConcurrencyTest, ConcurrentInsertQueryMergeStress) {
   constexpr size_t kInserters = 2;
   constexpr size_t kPerInserter = 150;
@@ -156,7 +161,7 @@ TEST(IngestConcurrencyTest, ConcurrentInsertQueryMergeStress) {
   GaussDbOptions options;
   options.shards.num_shards = 2;
   options.ingest.enabled = true;
-  options.ingest.delta_capacity = 128;
+  options.ingest.delta_capacity = 64;
   options.ingest.merge_threshold = 48;
   options.ingest.merge_policy = MergePolicy::kBackground;
   GaussDb db = GaussDb::CreateInMemory(3, options);
@@ -205,18 +210,17 @@ TEST(IngestConcurrencyTest, ConcurrentInsertQueryMergeStress) {
   }
 
   for (std::thread& thread : inserters) thread.join();
+  // Drain whatever the background thread has not merged yet, queries still
+  // running, then verify nothing was lost across all the epoch swaps.
+  db.MergeIngest();
+  test::SpinUntil([&db] { return db.ingest_stats().delta_size == 0; });
   done.store(true, std::memory_order_relaxed);
   for (std::thread& thread : queriers) thread.join();
 
   EXPECT_EQ(accepted.load(), kInserters * kPerInserter);
   EXPECT_GT(queried.load(), 0u);
-
-  // Drain whatever the background thread has not merged yet, then verify
-  // nothing was lost across all the epoch swaps.
-  db.MergeIngest();
-  test::SpinUntil([&db] { return db.ingest_stats().delta_size == 0; });
   EXPECT_EQ(db.size(), base.size() + kInserters * kPerInserter);
-  EXPECT_GE(db.ingest_stats().merges_completed, 1u);
+  EXPECT_GE(db.ingest_stats().merges_completed, 3u);
   EXPECT_EQ(db.ingest_stats().inserts_accepted,
             kInserters * kPerInserter);
 }

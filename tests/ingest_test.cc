@@ -15,8 +15,11 @@
 // independently built tree at every interleaving point can see a mistake
 // in either.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -25,6 +28,8 @@
 #include <gtest/gtest.h>
 
 #include "api/gauss_db.h"
+#include "api/partitioner.h"
+#include "api/serving_engine.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "pfv/pfv_file.h"
@@ -347,6 +352,261 @@ TEST(IngestDifferentialTest, MergedEnrollmentsSurviveReopen) {
     ASSERT_EQ(response.items.size(), 1u);
     EXPECT_EQ(response.items[0].id, extras[i].id);
   }
+  std::remove(path.c_str());
+}
+
+// ------------------------------------------------------ page reclamation --
+
+// Near-copies of base objects (mu nudged by 1e-4, no exact density ties
+// with the original), `per_part` from each of the `parts` spatial parts of
+// `base`, so every shard of a database built over `base` gets enrollments.
+std::vector<Pfv> NearCopies(const PfvDataset& base, size_t parts,
+                            size_t per_part, uint64_t first_id, Rng& rng) {
+  const size_t leaf =
+      GtCapacities::ForPageSize(kDefaultPageSize, base.dim()).leaf;
+  std::vector<Pfv> copies;
+  for (const std::vector<uint32_t>& part : SplitSpatial(base, parts, leaf)) {
+    for (size_t i = 0; i < per_part; ++i) {
+      Pfv pfv = base[part[rng.NextU64() % part.size()]];
+      pfv.id = first_id + copies.size();
+      for (double& mu : pfv.mu) mu += 1e-4;
+      copies.push_back(std::move(pfv));
+    }
+  }
+  return copies;
+}
+
+// Appends `pages` pages of random bytes to `device`.
+void AppendGarbage(PageDevice* device, size_t pages, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> garbage(device->page_size());
+  for (size_t i = 0; i < pages; ++i) {
+    for (uint8_t& byte : garbage) byte = static_cast<uint8_t>(rng.NextU64());
+    device->Write(device->Allocate(), garbage.data());
+  }
+}
+
+enum class Layout { kInMemory, kFile, kShardedFile };
+
+// Eight manual merge rounds of a few enrollments each. A merge writes its
+// image on the pages the merge before it retired, so the device holds at
+// most two images (plus the merge trees' header pages), and once the
+// second merge has appended the second image it stops growing while the
+// image does not.
+void ExpectSpaceBoundedOverMerges(Layout layout, uint64_t seed) {
+  constexpr size_t kDim = 3;
+  constexpr size_t kRounds = 8;
+  const size_t trees = layout == Layout::kShardedFile ? 2 : 1;
+  const std::string path = ::testing::TempDir() + "/gauss_ingest_bounded_" +
+                           std::to_string(seed) + ".gauss";
+  Rng rng(seed);
+  const PfvDataset base = MakeDataset(1500, kDim, 6, seed);
+
+  GaussDbOptions options;
+  options.shards.num_shards = trees > 1 ? trees : 0;
+  options.ingest.enabled = true;
+  options.ingest.merge_policy = MergePolicy::kManual;
+  GaussDb db = layout == Layout::kInMemory
+                   ? GaussDb::CreateInMemory(kDim, options)
+                   : GaussDb::CreateOnFile(path, kDim, options);
+  db.Build(base);
+  Session live = db.Serve({.num_workers = 2});
+
+  IngestStats stats = db.ingest_stats();
+  EXPECT_EQ(stats.device_pages, db.device(0).PageCount());
+  EXPECT_EQ(stats.free_pages, 0u);  // a fresh build leaves no dead page
+  // Index k: after merge k (0: as served).
+  std::vector<size_t> pages{stats.device_pages};
+  std::vector<size_t> image{stats.device_pages};
+  size_t largest_image = image[0];
+  size_t steady = 0;
+  std::vector<Pfv> enrolled(base.objects());
+  for (size_t k = 1; k <= kRounds; ++k) {
+    SCOPED_TRACE("merge " + std::to_string(k));
+    for (Pfv& pfv : NearCopies(base, trees, 3, 9000000 + 100 * k, rng)) {
+      ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToDelta);
+      enrolled.push_back(std::move(pfv));
+    }
+    ASSERT_TRUE(db.MergeIngest());
+    stats = db.ingest_stats();
+    EXPECT_EQ(stats.device_pages, db.device(0).PageCount());
+    EXPECT_LT(stats.free_pages, stats.device_pages);
+    pages.push_back(stats.device_pages);
+    image.push_back(stats.device_pages - stats.free_pages);
+    largest_image = std::max(largest_image, image[k]);
+    EXPECT_LE(pages[k], 2 * largest_image + trees);
+    // Merge k writes into what merge k - 1 freed: image k - 2 and the
+    // header page of merge k - 1's trees.
+    if (k >= 2 && image[k] <= image[k - 2]) {
+      EXPECT_EQ(pages[k], pages[k - 1]);
+      ++steady;
+    }
+    ExpectMatchesRebuiltOracle(live, enrolled, kDim, rng);
+  }
+  EXPECT_GT(pages[1], pages[0]);  // the first merge has nothing to reuse
+  EXPECT_EQ(steady, kRounds - 1);
+  if (layout != Layout::kInMemory) std::remove(path.c_str());
+}
+
+TEST(IngestReclaimTest, InMemorySpaceStaysBoundedOverMerges) {
+  ExpectSpaceBoundedOverMerges(Layout::kInMemory, /*seed=*/6161);
+}
+
+TEST(IngestReclaimTest, FileSpaceStaysBoundedOverMerges) {
+  ExpectSpaceBoundedOverMerges(Layout::kFile, /*seed=*/6262);
+}
+
+TEST(IngestReclaimTest, ShardedFileSpaceStaysBoundedOverMerges) {
+  ExpectSpaceBoundedOverMerges(Layout::kShardedFile, /*seed=*/6363);
+}
+
+// An in-memory device that logs every page write and every sync.
+class RecordingDevice : public InMemoryPageDevice {
+ public:
+  // kSync, or the id of a written page.
+  static constexpr PageId kSync = kInvalidPageId;
+
+  using InMemoryPageDevice::InMemoryPageDevice;
+
+  void Write(PageId id, const void* data) override {
+    Log(id);
+    InMemoryPageDevice::Write(id, data);
+  }
+  void Sync() override { Log(kSync); }
+
+  std::vector<PageId> TakeLog() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(log_, {});
+  }
+
+ private:
+  void Log(PageId event) {
+    std::lock_guard<std::mutex> lock(mu_);
+    log_.push_back(event);
+  }
+
+  std::mutex mu_;
+  std::vector<PageId> log_;
+};
+
+// A merge commits in write-ahead order: every page of the merged image is
+// written, then synced, before the shard's header page is redirected to
+// it, and the redirect is synced too. Checked over two merges, the second
+// of which writes into the pages the first one recycled.
+TEST(IngestReclaimTest, MergeSyncsNodesBeforeRedirectingTheHeader) {
+  constexpr size_t kDim = 3;
+  const PfvDataset base = MakeDataset(800, kDim, 6, /*seed=*/6464);
+  RecordingDevice device;
+  PageId meta = kInvalidPageId;
+  {
+    ShardedBufferPool pool(&device, kBuildPoolPages, /*num_shards=*/1);
+    GaussTree tree(&pool, kDim);
+    tree.BulkLoad(base);
+    tree.Finalize();
+    meta = tree.meta_page();
+  }
+  IngestOptions ingest;
+  ingest.enabled = true;
+  ingest.merge_policy = MergePolicy::kManual;
+  ServingEngine engine({{&device, meta}}, /*sharded=*/false, kDim,
+                       GaussTreeOptions{}, ServeOptions{.num_workers = 2},
+                       ingest);
+  const std::vector<Pfv> extras =
+      MakeExtras(40, kDim, /*first_id=*/8000000, /*seed=*/6465);
+  const size_t first_image = device.PageCount();
+  for (size_t merge = 0; merge < 2; ++merge) {
+    SCOPED_TRACE("merge " + std::to_string(merge + 1));
+    for (size_t i = 0; i < 20; ++i) {
+      ASSERT_EQ(engine.Insert(extras[20 * merge + i]).outcome,
+                InsertOutcome::kRoutedToDelta);
+    }
+    device.TakeLog();
+    ASSERT_TRUE(engine.MergeNow());
+    const std::vector<PageId> log = device.TakeLog();
+    const auto redirect = std::find(log.begin(), log.end(), meta);
+    ASSERT_NE(redirect, log.end()) << "the header page was not redirected";
+    EXPECT_EQ(std::count(log.begin(), log.end(), meta), 1);
+    // Node writes, a sync, the redirect, a sync.
+    ASSERT_GE(redirect - log.begin(), 2);
+    EXPECT_EQ(*(redirect - 1), RecordingDevice::kSync);
+    EXPECT_GT(std::count_if(log.begin(), redirect - 1,
+                            [](PageId e) {
+                              return e != RecordingDevice::kSync;
+                            }),
+              1);
+    EXPECT_EQ(std::vector<PageId>(redirect + 1, log.end()),
+              std::vector<PageId>{RecordingDevice::kSync});
+  }
+  // The second merge took the first image's pages: the device holds two
+  // images, not three.
+  EXPECT_LT(device.PageCount(), 2 * first_image + 2);
+  EXPECT_EQ(engine.size(), base.size() + extras.size());
+}
+
+// The free set is not persisted; a live engine derives it. A 2-shard file
+// is merged, closed with a dead image in it, and then grows by orphan
+// pages — what a merge cut short by a crash leaves behind. Reopened with
+// ingest, it recycles both, answers like the oracle, and its next merge
+// reuses them without growing the file. The page-0 manifest survives all
+// of it.
+TEST(IngestReclaimTest, ReopenRecyclesDeadImagesAndOrphanPages) {
+  constexpr size_t kDim = 3;
+  constexpr size_t kOrphans = 5;
+  const std::string path = ::testing::TempDir() + "/gauss_ingest_orphans.gauss";
+  Rng rng(6565);
+  const PfvDataset base = MakeDataset(1500, kDim, 6, /*seed=*/6565);
+  GaussDbOptions options;
+  options.shards.num_shards = 2;
+  options.ingest.enabled = true;
+  options.ingest.merge_policy = MergePolicy::kManual;
+  std::vector<Pfv> enrolled(base.objects());
+  size_t image = 0;
+  size_t pages = 0;
+  {
+    GaussDb db = GaussDb::CreateOnFile(path, kDim, options);
+    db.Build(base);
+    Session live = db.Serve({.num_workers = 2});
+    for (Pfv& pfv : NearCopies(base, 2, 3, 9100000, rng)) {
+      ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToDelta);
+      enrolled.push_back(std::move(pfv));
+    }
+    ASSERT_TRUE(db.MergeIngest());
+    const IngestStats stats = db.ingest_stats();
+    pages = stats.device_pages;
+    image = stats.device_pages - stats.free_pages;
+    EXPECT_GT(stats.free_pages, 0u);
+  }
+  {
+    FilePageDevice device(path, kDefaultPageSize, /*truncate=*/false);
+    ASSERT_EQ(device.PageCount(), pages);
+    AppendGarbage(&device, kOrphans, /*seed=*/6566);
+    device.Sync();
+  }
+  {
+    OpenResult reopened = GaussDb::OpenFile(path, options);
+    ASSERT_TRUE(reopened.ok()) << reopened.error().message;
+    GaussDb db = std::move(reopened).value();
+    Session live = db.Serve({.num_workers = 2});
+    IngestStats stats = db.ingest_stats();
+    EXPECT_EQ(stats.device_pages, pages + kOrphans);
+    EXPECT_EQ(stats.device_pages - stats.free_pages, image);
+    ExpectMatchesRebuiltOracle(live, enrolled, kDim, rng);
+
+    for (Pfv& pfv : NearCopies(base, 2, 3, 9200000, rng)) {
+      ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToDelta);
+      enrolled.push_back(std::move(pfv));
+    }
+    ASSERT_TRUE(db.MergeIngest());
+    stats = db.ingest_stats();
+    EXPECT_EQ(stats.device_pages, pages + kOrphans);
+    EXPECT_EQ(db.device(0).PageCount(), pages + kOrphans);
+    ExpectMatchesRebuiltOracle(live, enrolled, kDim, rng);
+  }
+  OpenResult reopened = GaussDb::OpenFile(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.error().message;
+  EXPECT_TRUE(reopened->sharded());
+  EXPECT_EQ(reopened->num_shards(), 2u);
+  EXPECT_EQ(reopened->size(), enrolled.size());
   std::remove(path.c_str());
 }
 

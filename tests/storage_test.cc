@@ -94,6 +94,73 @@ TEST(FilePageDeviceTest, PersistsAcrossReopen) {
   std::remove(path.c_str());
 }
 
+// Recycle() on either device: Allocate() hands the recycled ids back lowest
+// first, each zero-filled, before it appends again; the page count never
+// moves.
+void ExpectRecycleLowestFirstZeroFilled(PageDevice* device) {
+  const uint32_t page_size = device->page_size();
+  for (uint8_t i = 0; i < 6; ++i) {
+    device->Write(device->Allocate(), Pattern(page_size, i).data());
+  }
+  EXPECT_EQ(device->FreePageCount(), 0u);
+  device->Recycle({4, 1, 3});
+  EXPECT_EQ(device->FreePageCount(), 3u);
+  EXPECT_EQ(device->PageCount(), 6u);
+  const std::vector<uint8_t> zeros(page_size, 0);
+  std::vector<uint8_t> read(page_size);
+  for (PageId want : {1u, 3u, 4u}) {
+    EXPECT_EQ(device->Allocate(), want);
+    device->Read(want, read.data());
+    EXPECT_EQ(read, zeros) << "page " << want;
+  }
+  EXPECT_EQ(device->FreePageCount(), 0u);
+  EXPECT_EQ(device->PageCount(), 6u);
+  EXPECT_EQ(device->Allocate(), 6u);  // the free set is empty: append
+  // Pages never recycled keep their bytes.
+  device->Read(2, read.data());
+  EXPECT_EQ(read, Pattern(page_size, 2));
+}
+
+TEST(InMemoryPageDeviceTest, RecycledPagesAreReusedLowestFirstZeroFilled) {
+  InMemoryPageDevice device(512);
+  ExpectRecycleLowestFirstZeroFilled(&device);
+}
+
+TEST(FilePageDeviceTest, RecycledPagesAreReusedLowestFirstZeroFilled) {
+  const std::string path = ::testing::TempDir() + "/gauss_file_recycle.db";
+  {
+    FilePageDevice device(path, 512, /*truncate=*/true);
+    ExpectRecycleLowestFirstZeroFilled(&device);
+  }
+  std::remove(path.c_str());
+}
+
+// A recycled page keeps its address: a pool that lends it (StablePage)
+// after the reuse sees the new bytes, at the same memory.
+TEST(InMemoryPageDeviceTest, RecycledPageKeepsItsStableAddress) {
+  InMemoryPageDevice device(512);
+  for (int i = 0; i < 200; ++i) device.Allocate();  // spans 2 segments
+  const uint8_t* low = device.StablePage(5);
+  const uint8_t* high = device.StablePage(150);
+  device.Write(150, Pattern(512, 9).data());
+  device.Recycle({150, 5});
+  EXPECT_EQ(device.Allocate(), 5u);
+  EXPECT_EQ(device.Allocate(), 150u);
+  EXPECT_EQ(device.StablePage(5), low);
+  EXPECT_EQ(device.StablePage(150), high);
+  EXPECT_EQ(std::vector<uint8_t>(high, high + 512),
+            std::vector<uint8_t>(512, 0));
+}
+
+TEST(PageDeviceDeathTest, RecycleRejectsUnallocatedAndDuplicatePages) {
+  InMemoryPageDevice device(512);
+  device.Allocate();
+  device.Allocate();
+  EXPECT_DEATH(device.Recycle({2}), "");
+  device.Recycle({1});
+  EXPECT_DEATH(device.Recycle({1}), "recycled twice");
+}
+
 // BufferPoolTest pins the LRU cache semantics every IoStats count rests on:
 // exact eviction order, write-back, cold starts and pins. A one-stripe
 // ShardedBufferPool is one global LRU, so these run on it.
