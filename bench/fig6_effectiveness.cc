@@ -55,7 +55,7 @@ void RunDataset(int which, size_t query_count) {
   std::printf(
       "summary: MLIQ@x1 %.0f%% vs NN@x1 %.0f%% (paper: %s)\n",
       100 * m1.recall, 100 * nn1.recall,
-      which == 1 ? "98%% vs 42%%" : "99%% vs 61%%");
+      which == 1 ? "98% vs 42%" : "99% vs 61%");
 }
 
 }  // namespace

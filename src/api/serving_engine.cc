@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <utility>
 
@@ -33,6 +34,28 @@ ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
   split.workers_per_shard = std::max<size_t>(1, ServeBudget(options) / shards);
   split.pages_per_shard = std::max<size_t>(16, options.cache_pages / shards);
   return split;
+}
+
+// The leaves of a finalized tree, breadth first, each viewed in place and
+// pinned in the tree's cache until the view is dropped. An inner node's pin
+// is dropped once its children are queued. Aborts on a damaged page.
+std::vector<GtNodeSoa> PinLeaves(const GaussTree& tree) {
+  std::vector<GtNodeSoa> leaves;
+  std::deque<PageId> queue{tree.root()};
+  while (!queue.empty()) {
+    const PageId id = queue.front();
+    queue.pop_front();
+    GtNodeSoa view;
+    const char* why = nullptr;
+    const bool loaded = tree.store().LoadSoa(id, &view, &why);
+    GAUSS_CHECK_MSG(loaded, why);
+    if (view.leaf()) {
+      leaves.push_back(std::move(view));
+    } else {
+      queue.insert(queue.end(), view.children, view.children + view.n);
+    }
+  }
+  return leaves;
 }
 
 }  // namespace
@@ -247,20 +270,28 @@ bool ServingEngine::MergeNow() {
   std::vector<std::vector<PageId>> retired(sources_.size());
   for (size_t s = 0; s < sources_.size(); ++s) {
     if (cuts[s] == 0) continue;
-    // Collect the shard's base image through the *old* epoch's cache — it
-    // keeps serving queries throughout the rebuild.
-    PfvDataset combined(dim_);
-    old->stacks[s].tree->CollectObjects(&combined);
-    for (size_t i = 0; i < cuts[s]; ++i) {
-      combined.Add(old->deltas[s]->at(i));
+    // Read the shard's base image in place through the *old* epoch's cache
+    // — it keeps serving queries throughout the rebuild — then the delta
+    // prefix: one run per leaf page, pinned until the load ends, and one
+    // for the delta's planes.
+    const std::vector<GtNodeSoa> leaves = PinLeaves(*old->stacks[s].tree);
+    const DeltaTree& delta = *old->deltas[s];
+    std::vector<uint64_t> delta_ids(cuts[s]);
+    for (size_t i = 0; i < cuts[s]; ++i) delta_ids[i] = delta.at(i).id;
+    std::vector<GaussTree::SoaRun> runs;
+    runs.reserve(leaves.size() + 1);
+    for (const GtNodeSoa& leaf : leaves) {
+      runs.push_back({leaf.ids, leaf.planes, leaf.stride, leaf.n});
     }
+    runs.push_back(
+        {delta_ids.data(), delta.mu_planes(), delta.plane_stride(), cuts[s]});
     // Rebuild on pages the old epoch never reads: the device's recycled
     // pages, then appended ones. The old image stays intact, so the old
     // epoch's pinned root and cached frames stay valid.
     ShardedBufferPool pool(sources_[s].device, kBuildPoolPages,
                            /*num_shards=*/1);
     GaussTree tree(&pool, dim_, tree_options_);
-    tree.BulkLoad(combined, /*threads=*/1);
+    tree.BulkLoad(runs, /*threads=*/1);
     tree.Finalize();
     merged_meta[s] = tree.meta_page();
     retired[s] = old->stacks[s].tree->store().pages();

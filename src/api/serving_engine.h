@@ -17,7 +17,8 @@ namespace gauss {
 // Frames of each one-stripe build pool: GaussDb's and every merge's.
 // A build writes its node pages straight to the device and re-reads none of
 // them (GtNodeStore::Finalize), so the pool only carries header and manifest
-// pages and the one-pass page walks of Open and Definalize.
+// pages and the one-pass page walk of Definalize (Open's walk reads the
+// device itself).
 inline constexpr size_t kBuildPoolPages = 64;
 
 // One per-shard serving stack: sharded page cache + reopened tree + worker
@@ -75,19 +76,21 @@ struct ShardServingStack {
 // current size, (2) rebuilds each dirty shard's base through
 // GaussTree::BulkLoad on pages of the same device that the old epoch does
 // not read — recycled ones first, then appended ones — from base image +
-// delta prefix, collected while the old epoch keeps serving, (3) commits:
+// delta prefix, both read in place (the old image's leaf pages pinned in
+// the old epoch's cache, which keeps serving), (3) commits:
 // syncs the devices, redirects each rebuilt shard's persistent header page
 // to its new image (so reopen-after-restart sees the merged base), and
 // syncs again — a header never reaches the disk before the nodes it points
 // at, (4) opens a fresh epoch over the merged bases, re-publishing any delta
-// tail inserted during the rebuild, (5) retires the old epoch: waits until
-// no admission still holds it, then destroys it — its coordinator drains
-// in-flight queries, its caches go — and folds its cache counters into
-// retired_io_, and (6) recycles the retired images' node pages and the
-// merge trees' own header pages (PageDevice::Recycle). Nothing can read
-// those pages any more, so the next merge writes its image there: a device
-// holds at most two images of each shard, the serving one and the one a
-// merge is writing.
+// tail inserted during the rebuild (GaussTree::Open checks the new image
+// on the device, so the fresh caches start empty), (5) retires the old
+// epoch: waits until no admission still holds it, then destroys it — its
+// coordinator drains in-flight queries, its caches go, their memory with
+// them — and folds its cache counters into retired_io_, and (6) recycles
+// the retired images' node pages and the merge trees' own header pages
+// (PageDevice::Recycle). Nothing can read those pages any more, so the next
+// merge writes its image there: a device holds at most two images of each
+// shard, the serving one and the one a merge is writing.
 //
 // Free pages are not persisted. A live engine derives them when it starts:
 // every page of a device that no shard header reaches (dead images left

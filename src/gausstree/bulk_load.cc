@@ -28,12 +28,13 @@
 //     from the previous one's output, in which every item records the half
 //     it landed in. One more pass over the range then takes the MBRs of
 //     both halves of all 2d candidates at once, and the range is cut for
-//     good along the cheapest axis. The leaf level reads the caller's pfvs
-//     in place at every split, through one (mu, sigma) pointer pair per
-//     object. An upper level gathers its entries once into a flat matrix of
-//     MBR centers and edges. No node or pfv is copied. The two halves of a
-//     split are disjoint ranges of `order`, so one half goes to a helper
-//     thread while threads remain.
+//     good along the cheapest axis. The leaf level reads its objects in
+//     place at every split: a dataset's pfvs through one (mu, sigma)
+//     pointer pair per object, SoA runs (leaf pages, a delta) through one
+//     (axis-0 address, stride) pair. An upper level gathers its entries
+//     once into a flat matrix of MBR centers and edges. No node or pfv is
+//     copied. The two halves of a split are disjoint ranges of `order`, so
+//     one half goes to a helper thread while threads remain.
 //  2. Materialize. The calling thread walks the same ranges in the order a
 //     sequential right-half-first depth-first loader would visit them and
 //     creates one node per final range. Page ids are therefore allocated in
@@ -78,8 +79,13 @@ class MappedArray {
       : data_(std::exchange(other.data_, nullptr)),
         size_(std::exchange(other.size_, 0)) {}
   MappedArray& operator=(MappedArray&&) = delete;
-  ~MappedArray() {
+  ~MappedArray() { Free(); }
+
+  // Unmaps the array now; it holds nothing afterwards.
+  void Free() {
     if (data_ != nullptr) ::munmap(data_, size_ * sizeof(T));
+    data_ = nullptr;
+    size_ = 0;
   }
 
   T* data() { return data_; }
@@ -96,12 +102,15 @@ void PrefetchBytes(const void* p, size_t bytes) {
   for (size_t b = 0; b < bytes; b += 64) __builtin_prefetch(c + b);
 }
 
-// Rows of a level as LevelPartitioner reads them (LevelMatrix, PfvRows):
-// item i has a split key per axis — the 2d axes are the mu axes, then the
-// sigma axes — and an extent along the same axes. Rows are visited at
-// random, so the partitioner touches them ahead: PrefetchRow fetches a
+// Rows of a level as LevelPartitioner reads them (LevelMatrix, PfvRows,
+// SoaRows): item i has a split key per axis — the 2d axes are the mu axes,
+// then the sigma axes — and an extent along the same axes. Rows are visited
+// at random, so the partitioner touches them ahead: PrefetchRow fetches a
 // row's handle, PrefetchKey and PrefetchExtent its values once the handle
-// is cached.
+// is cached. The leaf rows (PfvRows, SoaRows) also hand their objects to
+// the leaves: once the partition is done, Release(&order) maps the order
+// from rows to object handles and frees the row view, and Object(handle)
+// is the object, read where it lies.
 //
 // The items of an upper level, as rows of `stride` doubles. Columns [0, 2d)
 // are the split keys, an entry's MBR center. Columns [lo, lo + 2d) and
@@ -141,17 +150,22 @@ struct LevelMatrix {
 // keys.
 class PfvRows {
  public:
-  PfvRows(const std::vector<Pfv>& items,
-          const std::vector<uint32_t>& positions, size_t dim)
-      : rows_(positions.size()), dim_(dim) {
+  PfvRows(const std::vector<Pfv>& items, std::vector<uint32_t> positions,
+          size_t dim)
+      : items_(items),
+        positions_(std::move(positions)),
+        rows_(positions_.size()),
+        dim_(dim) {
     Row* row = rows_.data();
-    for (const uint32_t position : positions) {
+    for (const uint32_t position : positions_) {
       GAUSS_CHECK_MSG(position < items.size(),
                       "BulkLoad: position past the end of the dataset");
       *row++ = {items[position].mu.data(), items[position].sigma.data()};
     }
   }
 
+  // Until Release().
+  size_t size() const { return positions_.size(); }
   double Key(uint32_t item, size_t axis) const { return *KeyAt(item, axis); }
   void PrefetchRow(uint32_t item) const {
     __builtin_prefetch(rows_.data() + item);
@@ -172,6 +186,15 @@ class PfvRows {
     std::copy(r.sigma, r.sigma + dim_, buffer + dim_);
     *lo_out = *hi_out = buffer;
   }
+  // The handle of an object is its dataset position. The position list goes
+  // with the rows: memory freed to malloc mid-build stays resident, and a
+  // whole-gallery list held to the end raised `tree`'s peak by 0.3 MiB.
+  void Release(std::vector<uint32_t>* order) {
+    for (uint32_t& row : *order) row = positions_[row];
+    positions_ = std::vector<uint32_t>();
+    rows_.Free();
+  }
+  const Pfv& Object(uint32_t position) const { return items_[position]; }
 
  private:
   struct Row {
@@ -184,6 +207,80 @@ class PfvRows {
     return axis < dim_ ? r.mu + axis : r.sigma + (axis - dim_);
   }
 
+  const std::vector<Pfv>& items_;
+  std::vector<uint32_t> positions_;
+  MappedArray<Row> rows_;
+  size_t dim_;
+};
+
+// The leaf level over SoA runs (GaussTree::SoaRun): the runs' objects in
+// order, each read in place, axis a of a run's object j at
+// planes[a * stride + j]. A row keeps its object's axis-0 address and its
+// run's stride, 16 B, like a PfvRows row.
+class SoaRows {
+ public:
+  SoaRows(const std::vector<GaussTree::SoaRun>& runs, size_t n, size_t dim)
+      : runs_(runs), starts_(runs.size() + 1, 0), rows_(n), dim_(dim) {
+    Row* row = rows_.data();
+    for (size_t r = 0; r < runs.size(); ++r) {
+      starts_[r + 1] = starts_[r] + runs[r].n;
+      for (size_t j = 0; j < runs[r].n; ++j) {
+        *row++ = {runs[r].planes + j, runs[r].stride};
+      }
+    }
+  }
+
+  size_t size() const { return starts_.back(); }
+  double Key(uint32_t item, size_t axis) const { return *KeyAt(item, axis); }
+  void PrefetchRow(uint32_t item) const {
+    __builtin_prefetch(rows_.data() + item);
+  }
+  void PrefetchKey(uint32_t item, size_t axis) const {
+    __builtin_prefetch(KeyAt(item, axis));
+  }
+  void PrefetchExtent(uint32_t item) const {
+    for (size_t a = 0; a < 2 * dim_; ++a) __builtin_prefetch(KeyAt(item, a));
+  }
+  // Copies the item's mu, then its sigma, to buffer[0, 2d).
+  void Extent(uint32_t item, double* buffer, const double** lo_out,
+              const double** hi_out) const {
+    for (size_t a = 0; a < 2 * dim_; ++a) buffer[a] = Key(item, a);
+    *lo_out = *hi_out = buffer;
+  }
+
+  // The handle of an object is its row: the run that holds it is found
+  // from the runs' first rows.
+  void Release(std::vector<uint32_t>*) { rows_.Free(); }
+  Pfv Object(uint32_t item) const {
+    const size_t r = static_cast<size_t>(
+        std::upper_bound(starts_.begin(), starts_.end(), item) -
+        starts_.begin() - 1);
+    const GaussTree::SoaRun& run = runs_[r];
+    const size_t j = item - starts_[r];
+    Pfv pfv;
+    pfv.id = run.ids[j];
+    pfv.mu.resize(dim_);
+    pfv.sigma.resize(dim_);
+    for (size_t d = 0; d < dim_; ++d) {
+      pfv.mu[d] = run.planes[d * run.stride + j];
+      pfv.sigma[d] = run.planes[(dim_ + d) * run.stride + j];
+    }
+    return pfv;
+  }
+
+ private:
+  struct Row {
+    const double* first;  // axis 0
+    size_t stride;
+  };
+
+  const double* KeyAt(uint32_t item, size_t axis) const {
+    const Row& r = rows_.data()[item];
+    return r.first + axis * r.stride;
+  }
+
+  const std::vector<GaussTree::SoaRun>& runs_;
+  std::vector<size_t> starts_;  // run r's first row; then the row count
   MappedArray<Row> rows_;
   size_t dim_;
 };
@@ -443,20 +540,39 @@ void GaussTree::BulkLoad(const PfvDataset& dataset, size_t threads) {
 
 void GaussTree::BulkLoad(const PfvDataset& dataset,
                          std::vector<uint32_t> positions, size_t threads) {
+  GAUSS_CHECK(dataset.dim() == dim_);
+  LoadRows(PfvRows(dataset.objects(), std::move(positions), dim_), threads);
+}
+
+void GaussTree::BulkLoad(const std::vector<SoaRun>& runs, size_t threads) {
+  size_t n = 0;
+  for (const SoaRun& run : runs) {
+    GAUSS_CHECK_MSG(run.stride >= run.n,
+                    "BulkLoad: a run's stride must hold its objects");
+    n += run.n;
+  }
+  GAUSS_CHECK_MSG(n <= std::numeric_limits<uint32_t>::max(),
+                  "BulkLoad indexes objects with 32-bit positions");
+  LoadRows(SoaRows(runs, n, dim_), threads);
+}
+
+template <typename Rows>
+void GaussTree::LoadRows(Rows rows, size_t threads) {
   GAUSS_CHECK_MSG(size_ == 0, "BulkLoad requires an empty tree");
   GAUSS_CHECK_MSG(!store_.finalized(), "BulkLoad requires build mode");
-  GAUSS_CHECK(dataset.dim() == dim_);
-  if (positions.empty()) return;
+  const size_t n = rows.size();
+  if (n == 0) return;
 
   const auto cost = [this](const std::vector<DimBounds>& bounds) {
     return NodeCost(bounds);
   };
   // Partitions the level's n items into groups of at most `capacity`;
   // returns the permutation that lists each group contiguously.
-  auto partition = [&](const auto& rows, size_t n, size_t capacity) {
-    std::vector<uint32_t> order = AllPositions(n);
-    LevelPartitioner(rows, order.data(), dim_, capacity, cost)
-        .Run(n, threads);
+  auto partition = [&](const auto& level_rows, size_t count,
+                       size_t capacity) {
+    std::vector<uint32_t> order = AllPositions(count);
+    LevelPartitioner(level_rows, order.data(), dim_, capacity, cost)
+        .Run(count, threads);
     return order;
   };
 
@@ -464,16 +580,11 @@ void GaussTree::BulkLoad(const PfvDataset& dataset,
   // Definalize() left of the root page, so no cached copy outlives it.
   pool_->Clear();
 
-  // Leaf level, read in place through `positions`. The partition permutes
-  // rows, i.e. list indices; mapped through the list, leaf_order[i] is the
-  // dataset position of the i-th object placed. The row view and the list
-  // are freed before the leaves are created.
-  const std::vector<Pfv>& items = dataset.objects();
-  const size_t n = positions.size();
-  std::vector<uint32_t> leaf_order =
-      partition(PfvRows(items, positions, dim_), n, caps_.leaf);
-  for (uint32_t& row : leaf_order) row = positions[row];
-  positions = std::vector<uint32_t>();
+  // Leaf level, read in place. After the partition, leaf_order[i] is the
+  // handle of the i-th object placed, and the row view is freed before any
+  // leaf is created; each leaf copies its objects from where they lie.
+  std::vector<uint32_t> leaf_order = partition(rows, n, caps_.leaf);
+  rows.Release(&leaf_order);
   std::vector<GtChildEntry> level;
   ForEachGroup(n, caps_.leaf, [&](size_t from, size_t to) {
     // The root-leaf created by the constructor is reused for the very first
@@ -481,7 +592,7 @@ void GaussTree::BulkLoad(const PfvDataset& dataset,
     GtNode* leaf = level.empty() ? store_.GetMutable(root_)
                                  : store_.Create(GtNodeKind::kLeaf);
     for (size_t i = from; i < to; ++i) {
-      leaf->pfvs.push_back(items[leaf_order[i]]);
+      leaf->pfvs.push_back(rows.Object(leaf_order[i]));
     }
     GtChildEntry entry;
     entry.child = leaf->id;

@@ -28,10 +28,4 @@ bool DeltaTree::Append(const Pfv& pfv) {
   return true;
 }
 
-std::vector<Pfv> DeltaTree::Snapshot(size_t from, size_t to) const {
-  GAUSS_CHECK(from <= to && to <= size());
-  return std::vector<Pfv>(slots_.begin() + static_cast<ptrdiff_t>(from),
-                          slots_.begin() + static_cast<ptrdiff_t>(to));
-}
-
 }  // namespace gauss

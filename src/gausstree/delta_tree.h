@@ -47,10 +47,6 @@ class DeltaTree {
   // Slot access; `i` must be below a size() observed by this thread.
   const Pfv& at(size_t i) const { return slots_[i]; }
 
-  // Copies slots [from, to) — the merge thread's tail handoff. `to` must be
-  // below or at an observed size().
-  std::vector<Pfv> Snapshot(size_t from, size_t to) const;
-
   // SoA mirror of the slots for the batch kernels (math/kernels.h): dim()
   // mu planes then dim() sigma planes, each plane_stride() doubles, with
   // object i's dimension d at planes[d * plane_stride() + i]. Append fills

@@ -151,8 +151,11 @@ std::unique_ptr<GaussTree> GaussTree::TryOpen(PageCache* pool,
                                               std::string* error) {
   GAUSS_CHECK(pool != nullptr && error != nullptr);
   error->clear();
-  const HeaderInfo info =
-      InspectHeader(pool->Fetch(meta_page).data(), pool->page_size());
+  // The header, like the node pages below, is read on the device, so
+  // opening leaves no frame in the pool.
+  std::vector<uint8_t> header(pool->page_size());
+  pool->device()->Read(meta_page, header.data());
+  const HeaderInfo info = InspectHeader(header.data(), header.size());
   if (!info.valid_magic) {
     *error = "page does not hold a Gauss-tree header";
   } else if (info.version != kGaussTreeVersion) {
@@ -168,8 +171,8 @@ std::unique_ptr<GaussTree> GaussTree::TryOpen(PageCache* pool,
   auto tree = std::unique_ptr<GaussTree>(
       new GaussTree(pool, info.dim, info.options, meta_page, info.root,
                     static_cast<size_t>(info.size)));
-  // Walks (and checksums) every root-reachable node page, remembering the
-  // set so Definalize() can reload them.
+  // Walks (and checksums) every root-reachable node page on the device,
+  // remembering the set so Definalize() can reload them.
   if (!tree->store_.OpenFinalized(info.root, tree->size_, error)) {
     return nullptr;
   }
@@ -387,22 +390,6 @@ void GaussTree::Insert(const Pfv& pfv) {
 void GaussTree::BulkInsert(const PfvDataset& dataset) {
   GAUSS_CHECK(dataset.dim() == dim_);
   for (const Pfv& pfv : dataset.objects()) Insert(pfv);
-}
-
-void GaussTree::CollectObjects(PfvDataset* out) const {
-  GAUSS_CHECK(out != nullptr && out->dim() == dim_);
-  std::deque<PageId> queue{root_};
-  GtNode node;
-  while (!queue.empty()) {
-    const PageId id = queue.front();
-    queue.pop_front();
-    store_.Load(id, &node);
-    if (node.leaf()) {
-      for (const Pfv& pfv : node.pfvs) out->Add(pfv);
-    } else {
-      for (const GtChildEntry& e : node.children) queue.push_back(e.child);
-    }
-  }
 }
 
 GaussTreeStats GaussTree::ComputeStats() const {

@@ -92,7 +92,9 @@ class GaussTree {
 
   // Reopens a previously finalized tree from its meta page (persisted by
   // Finalize()). The tree opens in query mode; call Definalize() to insert
-  // more objects. Opening walks every node page and verifies its checksum.
+  // more objects. Opening reads the header and walks every node page on the
+  // device, past the pool, verifying each checksum: the pool is left as it
+  // was, cold when fresh (GtNodeStore::OpenFinalized).
   // TryOpen returns nullptr with the reason in `*error` when `meta_page`
   // holds no v3 header for this page size, a malformed one (HeaderInfo),
   // a damaged node page (bad checksum, malformed, reached twice) or leaves
@@ -158,12 +160,37 @@ class GaussTree {
   // Memory: each node is written to its device page as soon as it is
   // created, so no node is held in memory afterwards; the tree stays in
   // build mode, and reads, Validate() and queries go to the pages. The
-  // leaf partition reads the pfvs through one (mu, sigma) pointer pair per
-  // object and copies no key.
+  // leaf partition reads the objects in place through one 16 B row per
+  // object (here a (mu, sigma) pointer pair) and copies no key. Besides
+  // the rows, it holds the permutation (4 B per object) and the split
+  // scratch (24 B per item of each thread's first range). The rows and the
+  // position list are freed once the leaf order is known; each leaf then
+  // copies its objects from where they lie.
   void BulkLoad(const PfvDataset& dataset, std::vector<uint32_t> positions,
                 size_t threads = UsableCpus());
   // The whole dataset: positions 0, 1, ..., dataset.size() - 1.
   void BulkLoad(const PfvDataset& dataset, size_t threads = UsableCpus());
+
+  // A run of objects stored as structure-of-arrays planes: object j < n has
+  // id ids[j], and its axis a — the dim() mu axes, then the dim() sigma
+  // axes — at planes[a * stride + j]. A leaf page (GtNodeSoa: stride n) and
+  // a DeltaTree prefix (stride capacity) are such runs.
+  struct SoaRun {
+    const uint64_t* ids = nullptr;
+    const double* planes = nullptr;
+    size_t stride = 0;
+    size_t n = 0;
+  };
+  // Bulk-loads an empty tree with the objects of `runs`, in run order, read
+  // in place: the same tree, pages and image bytes as a load of a dataset
+  // holding those objects in that order. The runs' memory must stay valid
+  // and unchanged until the load returns. The live-ingest merge passes the
+  // old image's leaf pages, pinned in the old epoch's cache, then the delta
+  // prefix (api/serving_engine.h), so it holds one copy of the base: the
+  // pages themselves. The serving cache then holds every leaf of the old
+  // image at once; when it is smaller than that, it grows past its budget
+  // until the load ends, by at most the image's leaf pages.
+  void BulkLoad(const std::vector<SoaRun>& runs, size_t threads = UsableCpus());
 
   // Serializes the nodes still in memory to their pages and persists the
   // header so the tree can be reattached with Open(); queries then pay
@@ -184,13 +211,6 @@ class GaussTree {
   const GtNodeStore& store() const { return store_; }
   PageCache* pool() const { return pool_; }
 
-  // Appends every stored object to `out` (leaf BFS order, deterministic).
-  // `out` must share the tree's dimensionality. Works in build or query
-  // mode; in query mode it reads through the pool, so it is safe to run
-  // concurrently with traversals — the live-ingest merge collects the old
-  // base image this way while the epoch is still serving.
-  void CollectObjects(PfvDataset* out) const;
-
   // Structural statistics (walks the whole tree; build or query mode).
   GaussTreeStats ComputeStats() const;
 
@@ -207,6 +227,11 @@ class GaussTree {
 
   // Writes the persistent header to the meta page.
   void WriteMetaPage();
+
+  // The one bulk-load body, over the leaf rows of bulk_load.cc (PfvRows,
+  // SoaRows).
+  template <typename Rows>
+  void LoadRows(Rows rows, size_t threads);
 
   // Descends to the leaf the pfv should go to; fills `path` with the page
   // ids from root to leaf and `slots` with child indices taken at each inner

@@ -85,19 +85,7 @@ bool GtNodeStore::LoadSoa(PageId id, GtNodeSoa* view, const char** why) const {
   view->page.Release();
   PageRef page = pool_->Fetch(id);
   const bool verified = page.verified();
-  const char* reason =
-      GtNodeSoa::Validate(page.data(), pool_->page_size(), dim_,
-                          /*check_crc=*/!verified);
-  if (reason == nullptr) {
-    GtNodeSoa::Decode(page.data(), dim_, id, view);
-    const size_t page_count = pool_->device()->PageCount();
-    for (size_t j = 0; !view->leaf() && j < view->n; ++j) {
-      if (view->children[j] >= page_count) {
-        reason = "child page id beyond the device";
-        break;
-      }
-    }
-  }
+  const char* reason = ViewPage(page.data(), id, /*check_crc=*/!verified, view);
   if (reason != nullptr) {
     view->n = 0;
     if (why != nullptr) *why = reason;
@@ -106,6 +94,29 @@ bool GtNodeStore::LoadSoa(PageId id, GtNodeSoa* view, const char** why) const {
   if (!verified) page.MarkVerified();
   view->page = std::move(page);
   return true;
+}
+
+const char* GtNodeStore::ViewPage(const uint8_t* bytes, PageId id,
+                                  bool check_crc, GtNodeSoa* view) const {
+  const char* reason =
+      GtNodeSoa::Validate(bytes, pool_->page_size(), dim_, check_crc);
+  if (reason != nullptr) return reason;
+  GtNodeSoa::Decode(bytes, dim_, id, view);
+  const size_t page_count = pool_->device()->PageCount();
+  for (size_t j = 0; !view->leaf() && j < view->n; ++j) {
+    if (view->children[j] >= page_count) {
+      return "child page id beyond the device";
+    }
+  }
+  return nullptr;
+}
+
+const uint8_t* GtNodeStore::DevicePage(PageId id,
+                                       std::vector<uint64_t>* scratch) const {
+  PageDevice* device = pool_->device();
+  if (const uint8_t* lent = device->StablePage(id)) return lent;
+  device->Read(id, scratch->data());
+  return reinterpret_cast<const uint8_t*>(scratch->data());
 }
 
 void GtNodeStore::Finalize() {
@@ -127,6 +138,7 @@ bool GtNodeStore::OpenFinalized(PageId root, size_t size, std::string* error) {
   finalized_ = true;
   size_t objects = 0;
   std::vector<bool> seen(pool_->device()->PageCount(), false);
+  std::vector<uint64_t> scratch(PageWords());
   std::deque<PageId> queue{root};
   GtNodeSoa view;
   while (!queue.empty()) {
@@ -142,8 +154,9 @@ bool GtNodeStore::OpenFinalized(PageId root, size_t size, std::string* error) {
       return false;
     }
     seen[id] = true;
-    const char* why = nullptr;
-    if (!LoadSoa(id, &view, &why)) {
+    const char* why =
+        ViewPage(DevicePage(id, &scratch), id, /*check_crc=*/true, &view);
+    if (why != nullptr) {
       *error = page + ": " + why;
       return false;
     }
@@ -164,16 +177,14 @@ bool GtNodeStore::OpenFinalized(PageId root, size_t size, std::string* error) {
 void GtNodeStore::PinRoot(PageId id) {
   GAUSS_CHECK_MSG(finalized_, "PinRoot requires query mode");
   pinned_soa_.reset();
-  GtNodeSoa view;
-  const char* why = nullptr;
-  const bool loaded = LoadSoa(id, &view, &why);
-  GAUSS_CHECK_MSG(loaded, why);
-  const size_t bytes = pool_->page_size();
-  pinned_page_.assign((bytes + sizeof(uint64_t) - 1) / sizeof(uint64_t), 0);
-  std::memcpy(pinned_page_.data(), view.page.data(), bytes);
+  // Read from the device, past the pool: pinning leaves no frame behind.
+  pinned_page_.assign(PageWords(), 0);
+  pool_->device()->Read(id, pinned_page_.data());
   pinned_soa_ = std::make_unique<GtNodeSoa>();
-  GtNodeSoa::Decode(reinterpret_cast<const uint8_t*>(pinned_page_.data()),
-                    dim_, id, pinned_soa_.get());
+  const char* why =
+      ViewPage(reinterpret_cast<const uint8_t*>(pinned_page_.data()), id,
+               /*check_crc=*/true, pinned_soa_.get());
+  GAUSS_CHECK_MSG(why == nullptr, why);
   const GtNode root = pinned_soa_->ToNode();
   pinned_bounds_.clear();
   if (root.EntryCount() > 0) pinned_bounds_ = root.ComputeBounds(dim_);

@@ -73,7 +73,9 @@ class GtNodeStore {
   void Definalize();
 
   // Pins one node — the root — in memory for the finalized lifetime:
-  // LoadSoa() and Load() serve it without touching the pool. Every
+  // LoadSoa() and Load() serve it without touching the pool. The page is
+  // read from the device and checked like any other, and aborts if damaged;
+  // no frame of it stays in the pool. Every
   // traversal starts at the root twice (the reference-scale computation,
   // then the first expansion), so an unpinned root costs two logical reads
   // per query per tree — the dominant fixed I/O tax of a sharded database,
@@ -90,10 +92,15 @@ class GtNodeStore {
   }
 
   // Switches an empty store into query mode over an existing on-device tree
-  // rooted at `root` (GaussTree::Open). Walks every root-reachable page
-  // through LoadSoa — so each page's checksum is verified — and remembers
-  // the set for Definalize(). Returns false, with the reason in `*error`, on
-  // a damaged page, a page reached twice, or leaves holding other than
+  // rooted at `root` (GaussTree::Open). Walks every root-reachable page on
+  // the device itself, past the pool — its own memory where the device
+  // lends it (PageDevice::StablePage), else read into one page of scratch —
+  // checks each as LoadSoa would, checksum included, and remembers the set
+  // for Definalize(). So the walk leaves the pool as it found it, cold when
+  // fresh; a query then faults each page in and checks its checksum once,
+  // as any miss does. The pages must therefore be on the device (a tree's
+  // Finalize puts them there). Returns false, with the reason in `*error`,
+  // on a damaged page, a page reached twice, or leaves holding other than
   // `size` objects (the header's count); the store is then unusable.
   bool OpenFinalized(PageId root, size_t size, std::string* error);
 
@@ -111,6 +118,22 @@ class GtNodeStore {
   // Serializes `node` into `buffer` (one page, zero tail) and writes it to
   // the node's device page.
   void WriteNode(const GtNode& node, std::vector<uint8_t>* buffer) const;
+
+  // Points `view` at node `id`'s page bytes (page_size of them) and returns
+  // nullptr, or returns why they must not be viewed: a bad tag or entry
+  // count (GtNodeSoa::Validate), a checksum mismatch when `check_crc`, or a
+  // child id beyond the device.
+  const char* ViewPage(const uint8_t* bytes, PageId id, bool check_crc,
+                       GtNodeSoa* view) const;
+
+  // Page `id` as the device holds it: the device's own memory where it
+  // lends it, else read into `scratch` (PageWords() words).
+  const uint8_t* DevicePage(PageId id, std::vector<uint64_t>* scratch) const;
+
+  // 64-bit words of one page.
+  size_t PageWords() const {
+    return (pool_->page_size() + sizeof(uint64_t) - 1) / sizeof(uint64_t);
+  }
 
   PageCache* pool_;
   size_t dim_;

@@ -200,17 +200,23 @@ FilePageDevice::~FilePageDevice() {
 }
 
 PageId FilePageDevice::Allocate() {
-  std::vector<uint8_t> zeros(page_size(), 0);
   PageId recycled = 0;
   if (TakeRecycled(&recycled)) {
+    const std::vector<uint8_t> zeros(page_size(), 0);
     PwriteFully(fd_, zeros.data(), page_size(),
                 static_cast<off_t>(recycled) * page_size());
     return recycled;
   }
+  // An appended page is a hole of the extended file: it reads back as
+  // zeros, and the caller's own write of it is the only one.
   std::lock_guard<std::mutex> lock(alloc_mu_);
   const size_t id = page_count_.load(std::memory_order_relaxed);
-  PwriteFully(fd_, zeros.data(), page_size(),
-              static_cast<off_t>(id) * page_size());
+  const off_t end = static_cast<off_t>(id + 1) * page_size();
+  int rc = 0;
+  do {
+    rc = ::ftruncate(fd_, end);
+  } while (rc != 0 && errno == EINTR);
+  GAUSS_CHECK_MSG(rc == 0, "FilePageDevice: cannot extend the file");
   page_count_.store(id + 1, std::memory_order_release);
   return static_cast<PageId>(id);
 }

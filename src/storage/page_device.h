@@ -157,6 +157,9 @@ class FilePageDevice : public PageDevice {
       const std::string& path, uint32_t page_size = kDefaultPageSize,
       std::string* error = nullptr);
 
+  // A recycled page is zeroed with one write; an appended one costs no
+  // write at all: the file is extended (ftruncate) and the new page reads
+  // back as zeros until the caller writes it.
   PageId Allocate() override;
   void Read(PageId id, void* out) const override;
   void Write(PageId id, const void* data) override;

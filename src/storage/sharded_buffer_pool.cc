@@ -1,5 +1,8 @@
 #include "storage/sharded_buffer_pool.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cstring>
 
 #include "common/macros.h"
@@ -23,16 +26,22 @@ size_t PickShardCount(size_t capacity_pages, size_t requested) {
   return shards;
 }
 
+// Most slots one chunk maps: a stripe with a larger budget maps it in
+// several chunks, as its frames need them.
+constexpr size_t kMaxChunkSlots = 256;
+
 }  // namespace
 
 ShardedBufferPool::ShardedBufferPool(PageDevice* device, size_t capacity_pages,
                                      size_t num_shards)
     : device_(device),
+      slot_bytes_(0),
       capacity_(capacity_pages),
       shard_mask_(0),
       shards_(PickShardCount(capacity_pages, num_shards)) {
   GAUSS_CHECK(device != nullptr);
   GAUSS_CHECK(capacity_pages > 0);
+  slot_bytes_ = (size_t{device->page_size()} + 63) / 64 * 64;
   shard_mask_ = shards_.size() - 1;
   // Split the budget evenly; remainder pages go to the first shards so the
   // total capacity is exact.
@@ -41,6 +50,18 @@ ShardedBufferPool::ShardedBufferPool(PageDevice* device, size_t capacity_pages,
   for (size_t i = 0; i < shards_.size(); ++i) {
     shards_[i].capacity = base + (i < extra ? 1 : 0);
   }
+}
+
+ShardedBufferPool::~ShardedBufferPool() {
+  for (Shard& shard : shards_) {
+    for (const Chunk& chunk : shard.chunks) {
+      ::munmap(chunk.base, chunk.slots * slot_bytes_);
+    }
+  }
+}
+
+void ShardedBufferPool::ReleaseSlotLocked(Shard& shard, Frame& frame) {
+  if (frame.owned != nullptr) shard.free_slots.push_back(frame.owned);
 }
 
 void ShardedBufferPool::EvictIfFullLocked(Shard& shard) {
@@ -59,6 +80,7 @@ void ShardedBufferPool::EvictIfFullLocked(Shard& shard) {
       device_->Write(frame_it->first, frame.data);
       physical_writes_.fetch_add(1, std::memory_order_relaxed);
     }
+    ReleaseSlotLocked(shard, frame);
     it = std::make_reverse_iterator(shard.lru.erase(frame.lru_pos));
     shard.frames.erase(frame_it);
     evictions_.fetch_add(1, std::memory_order_relaxed);
@@ -81,8 +103,8 @@ ShardedBufferPool::Frame& ShardedBufferPool::GetFrameLocked(Shard& shard,
   Frame& frame = pos->second;
   frame.data = device_->StablePage(id);
   if (frame.data == nullptr) {
-    OwnLocked(frame, /*copy=*/false);
-    device_->Read(id, frame.owned.get());
+    OwnLocked(shard, frame, /*copy=*/false);
+    device_->Read(id, frame.owned);
   }
   physical_reads_.fetch_add(1, std::memory_order_relaxed);
   shard.lru.push_front(id);
@@ -90,12 +112,30 @@ ShardedBufferPool::Frame& ShardedBufferPool::GetFrameLocked(Shard& shard,
   return frame;
 }
 
-void ShardedBufferPool::OwnLocked(Frame& frame, bool copy) const {
+void ShardedBufferPool::OwnLocked(Shard& shard, Frame& frame,
+                                  bool copy) const {
   if (frame.owned != nullptr) return;
-  // The buffer is overwritten at once, so it is not zero-filled first.
-  frame.owned = std::make_unique_for_overwrite<uint8_t[]>(device_->page_size());
-  if (copy) std::memcpy(frame.owned.get(), frame.data, device_->page_size());
-  frame.data = frame.owned.get();
+  if (shard.free_slots.empty()) {
+    // Every slot is taken: the first chunk, or pins hold the stripe past its
+    // budget. Untouched slots of a chunk cost no memory.
+    const size_t slots = std::min(std::max<size_t>(shard.capacity, 1),
+                                  kMaxChunkSlots);
+    void* base = ::mmap(nullptr, slots * slot_bytes_, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    GAUSS_CHECK_MSG(base != MAP_FAILED,
+                    "ShardedBufferPool: cannot map frame slots");
+    shard.chunks.push_back({static_cast<uint8_t*>(base), slots});
+    // Reversed, so slots are taken in address order.
+    for (size_t i = slots; i-- > 0;) {
+      shard.free_slots.push_back(static_cast<uint8_t*>(base) +
+                                 i * slot_bytes_);
+    }
+  }
+  // The slot is overwritten at once, so it is not zero-filled first.
+  frame.owned = shard.free_slots.back();
+  shard.free_slots.pop_back();
+  if (copy) std::memcpy(frame.owned, frame.data, device_->page_size());
+  frame.data = frame.owned;
 }
 
 PageRef ShardedBufferPool::Pin(Frame& frame) {
@@ -116,7 +156,7 @@ PageRef ShardedBufferPool::FetchMutable(PageId id) {
   Shard& shard = ShardFor(id);
   std::lock_guard<std::mutex> lock(shard.latch);
   Frame& frame = GetFrameLocked(shard, id);
-  OwnLocked(frame, /*copy=*/true);
+  OwnLocked(shard, frame, /*copy=*/true);
   frame.dirty = true;
   frame.verified.store(false, std::memory_order_relaxed);
   return Pin(frame);
@@ -135,8 +175,8 @@ void ShardedBufferPool::WritePage(PageId id, const void* data) {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
   }
   Frame& frame = it->second;
-  OwnLocked(frame, /*copy=*/false);
-  std::memcpy(frame.owned.get(), data, device_->page_size());
+  OwnLocked(shard, frame, /*copy=*/false);
+  std::memcpy(frame.owned, data, device_->page_size());
   frame.dirty = true;
   frame.verified.store(false, std::memory_order_relaxed);
 }
@@ -155,12 +195,20 @@ void ShardedBufferPool::FlushAll() {
 }
 
 void ShardedBufferPool::Clear() {
-  FlushAll();
+  // One pass per stripe under its latch, so a frame written between a
+  // flush and the drop cannot be dropped dirty.
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.latch);
     for (auto it = shard.frames.begin(); it != shard.frames.end();) {
-      if (it->second.pins.load(std::memory_order_acquire) == 0) {
-        shard.lru.erase(it->second.lru_pos);
+      Frame& frame = it->second;
+      if (frame.dirty) {
+        device_->Write(it->first, frame.data);
+        frame.dirty = false;
+        physical_writes_.fetch_add(1, std::memory_order_relaxed);
+      }
+      if (frame.pins.load(std::memory_order_acquire) == 0) {
+        ReleaseSlotLocked(shard, frame);
+        shard.lru.erase(frame.lru_pos);
         it = shard.frames.erase(it);
       } else {
         ++it;
@@ -190,6 +238,15 @@ size_t ShardedBufferPool::resident_pages() const {
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.latch);
     total += shard.frames.size();
+  }
+  return total;
+}
+
+size_t ShardedBufferPool::mapped_slots() const {
+  size_t total = 0;
+  for (const Shard& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard.latch);
+    for (const Chunk& chunk : shard.chunks) total += chunk.slots;
   }
   return total;
 }

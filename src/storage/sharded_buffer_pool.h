@@ -61,6 +61,16 @@ namespace gauss {
 // either way, a dirty frame (always an owned one) is written back on
 // eviction or FlushAll, and eviction order and the verified bit follow the
 // same rules.
+//
+// Frame memory: an owned frame's buffer is a page-size slot of an
+// anonymous mapping that the pool owns, not a heap block. Each stripe maps
+// its slots in chunks of up to its budget and keeps the free ones on a
+// list under its latch: an evicted or cleared frame's slot goes back on the
+// list and the next frame to own one takes it, so a miss allocates nothing.
+// A stripe maps another chunk only when every slot it has is taken, which
+// happens only while pins force it past its budget. Slots are returned to
+// the operating system when the pool is destroyed: a retired epoch's cache
+// leaves the process with it, instead of staying behind in the allocator.
 class ShardedBufferPool : public PageCache {
  public:
   // `capacity_pages` > 0 is the *total* budget, split evenly across shards
@@ -69,6 +79,8 @@ class ShardedBufferPool : public PageCache {
   // for small capacities so every shard can hold at least 2 pages).
   ShardedBufferPool(PageDevice* device, size_t capacity_pages,
                     size_t num_shards = 0);
+  // Unmaps every slot; the frames go unflushed.
+  ~ShardedBufferPool() override;
 
   // Pinned ref to the page, read from the device on a miss. If every frame
   // of the page's shard is pinned, the shard grows past its budget rather
@@ -90,17 +102,26 @@ class ShardedBufferPool : public PageCache {
   size_t num_shards() const { return shards_.size(); }
   size_t capacity_pages() const { return capacity_; }
   size_t resident_pages() const;  // takes every shard latch
+  // Frame slots mapped, taken or free (see "Frame memory" above); takes
+  // every shard latch.
+  size_t mapped_slots() const;
 
  private:
   struct Frame {
     // The page bytes: the device's own page while the frame borrows it,
     // else `owned`. Only an owned frame is ever written or dirty.
     const uint8_t* data = nullptr;
-    std::unique_ptr<uint8_t[]> owned;
+    uint8_t* owned = nullptr;  // a slot of the frame's shard, or nullptr
     bool dirty = false;
     std::atomic<uint32_t> pins{0};
     std::atomic<bool> verified{false};  // see PageRef::verified()
     std::list<PageId>::iterator lru_pos;
+  };
+
+  // One anonymous mapping of `slots` frame slots.
+  struct Chunk {
+    uint8_t* base = nullptr;
+    size_t slots = 0;
   };
 
   struct Shard {
@@ -108,6 +129,8 @@ class ShardedBufferPool : public PageCache {
     std::unordered_map<PageId, Frame> frames;
     std::list<PageId> lru;  // front = most recently used
     size_t capacity = 0;
+    std::vector<Chunk> chunks;
+    std::vector<uint8_t*> free_slots;
   };
 
   Shard& ShardFor(PageId id) {
@@ -122,13 +145,18 @@ class ShardedBufferPool : public PageCache {
   // Caller holds `shard.latch`.
   Frame& GetFrameLocked(Shard& shard, PageId id);
   void EvictIfFullLocked(Shard& shard);
-  // Gives a borrowing frame its own buffer, a copy of the page when
+  // Gives a borrowing frame a slot of its own, a copy of the page when
   // `copy`; the caller is about to write it.
-  void OwnLocked(Frame& frame, bool copy) const;
+  void OwnLocked(Shard& shard, Frame& frame, bool copy) const;
+  // Returns an owned frame's slot to its shard's free list.
+  static void ReleaseSlotLocked(Shard& shard, Frame& frame);
   // The frame as a ref, pinned. Caller holds the frame's shard latch.
   static PageRef Pin(Frame& frame);
 
   PageDevice* device_;
+  // Bytes from one slot to the next: the page size rounded up to a cache
+  // line, so every slot is as aligned as the doubles on a node page.
+  size_t slot_bytes_;
   size_t capacity_;
   size_t shard_mask_;
   std::vector<Shard> shards_;

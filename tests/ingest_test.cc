@@ -610,5 +610,78 @@ TEST(IngestReclaimTest, ReopenRecyclesDeadImagesAndOrphanPages) {
   std::remove(path.c_str());
 }
 
+// FNV-1a 64 over every byte of the file at `path`.
+uint64_t FileHash(const std::string& path, size_t* bytes) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(file, nullptr) << path;
+  if (file == nullptr) return 0;
+  uint64_t hash = 0xcbf29ce484222325ull;
+  *bytes = 0;
+  for (int c = std::fgetc(file); c != EOF; c = std::fgetc(file)) {
+    hash = (hash ^ static_cast<uint8_t>(c)) * 0x100000001b3ull;
+    ++*bytes;
+  }
+  std::fclose(file);
+  return hash;
+}
+
+// Two manual merges of a file-backed base, served behind `cache_pages`
+// pages, each checked against the oracle; returns the file's hash (and its
+// size in `*bytes`). The merged image depends only on the objects, so
+// every cache size gives the same file.
+uint64_t MergeTwiceOnFile(size_t num_shards, size_t cache_pages,
+                          size_t* bytes) {
+  constexpr size_t kDim = 4;
+  const std::string path = ::testing::TempDir() + "/gauss_ingest_pinned_" +
+                           std::to_string(num_shards) + "_" +
+                           std::to_string(cache_pages) + ".gauss";
+  Rng rng(7171);
+  const PfvDataset base = MakeDataset(3000, kDim, 6, /*seed=*/7171);
+  const std::vector<Pfv> extras =
+      MakeExtras(80, kDim, /*first_id=*/7000000, /*seed=*/7172);
+  GaussDbOptions options;
+  options.shards.num_shards = num_shards;
+  options.ingest.enabled = true;
+  options.ingest.merge_policy = MergePolicy::kManual;
+  {
+    GaussDb db = GaussDb::CreateOnFile(path, kDim, options);
+    db.Build(base);
+    Session live = db.Serve({.num_workers = 2, .cache_pages = cache_pages});
+    std::vector<Pfv> enrolled(base.objects());
+    for (size_t merge = 0; merge < 2; ++merge) {
+      SCOPED_TRACE("merge " + std::to_string(merge + 1));
+      for (size_t i = 40 * merge; i < 40 * (merge + 1); ++i) {
+        EXPECT_EQ(db.Insert(extras[i]).outcome, InsertOutcome::kRoutedToDelta);
+        enrolled.push_back(extras[i]);
+      }
+      EXPECT_TRUE(db.MergeIngest());
+      ExpectMatchesRebuiltOracle(live, enrolled, kDim, rng);
+    }
+  }
+  const uint64_t hash = FileHash(path, bytes);
+  std::remove(path.c_str());
+  return hash;
+}
+
+// A merge rebuilds from the old image's leaf pages read in place, then the
+// delta, in that order; the merged file is pinned by hash, so any change to
+// what a merge writes shows here. The small caches hold fewer pages than
+// the old image's leaves, all of which the merge pins at once: the serving
+// pool grows past its budget for the merge and the image stays the same.
+TEST(IngestReclaimTest, MergedImageIsPinned) {
+  // Recorded before merges read the old image in place (they copied it
+  // out first).
+  constexpr uint64_t kOneTree = 0x6b207bf9cc809da7ull;
+  constexpr uint64_t kTwoShards = 0x34ec7fd215111526ull;
+  for (const size_t cache_pages : {size_t{1} << 12, size_t{16}}) {
+    SCOPED_TRACE("cache_pages " + std::to_string(cache_pages));
+    size_t bytes = 0;
+    EXPECT_EQ(MergeTwiceOnFile(0, cache_pages, &bytes), kOneTree);
+    EXPECT_EQ(bytes, 557056u);
+    EXPECT_EQ(MergeTwiceOnFile(2, cache_pages, &bytes), kTwoShards);
+    EXPECT_EQ(bytes, 450560u);
+  }
+}
+
 }  // namespace
 }  // namespace gauss

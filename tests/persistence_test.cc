@@ -143,6 +143,70 @@ TEST(GaussTreePersistenceTest, SurvivesProcessStyleReopenOnDisk) {
   std::remove(path.c_str());
 }
 
+// Opening walks and checks every page on the device, past the pool: a
+// fresh pool is still empty afterwards, on a device that lends its pages
+// and on a file. Queries fault the pages in, check each once, and answer
+// like the tree that was built; a corrupted page is still caught at open.
+TEST(GaussTreePersistenceTest, OpenLeavesThePoolCold) {
+  constexpr size_t kDim = 3;
+  const std::string path = ::testing::TempDir() + "/gauss_open_cold.db";
+  Rng rng(207);
+  PfvDataset dataset(kDim);
+  for (uint64_t i = 0; i < 1500; ++i) dataset.Add(RandomPfv(rng, i, kDim));
+  InMemoryPageDevice memory(2048);
+  FilePageDevice file(path, 2048, /*truncate=*/true);
+  for (PageDevice* device : {static_cast<PageDevice*>(&memory),
+                             static_cast<PageDevice*>(&file)}) {
+    PageId meta = kInvalidPageId;
+    std::vector<std::vector<uint64_t>> want;
+    {
+      ShardedBufferPool pool(device, 64, /*num_shards=*/1);
+      GaussTree tree(&pool, kDim);
+      tree.BulkLoad(dataset);
+      tree.Finalize();
+      meta = tree.meta_page();
+      Rng probes(208);
+      for (int trial = 0; trial < 5; ++trial) {
+        std::vector<uint64_t> ids;
+        const Pfv q = RandomPfv(probes, 90000 + trial, kDim);
+        for (const auto& item : QueryMliq(tree, q, 5).items) {
+          ids.push_back(item.id);
+        }
+        want.push_back(ids);
+      }
+    }
+    ShardedBufferPool pool(device, 1 << 10);
+    auto tree = GaussTree::Open(&pool, meta);
+    EXPECT_EQ(pool.resident_pages(), 0u);
+    EXPECT_EQ(pool.mapped_slots(), 0u);
+    EXPECT_EQ(pool.stats().logical_reads, 0u);
+    Rng probes(208);
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<uint64_t> ids;
+      const Pfv q = RandomPfv(probes, 90000 + trial, kDim);
+      for (const auto& item : QueryMliq(*tree, q, 5).items) {
+        ids.push_back(item.id);
+      }
+      EXPECT_EQ(ids, want[trial]);
+    }
+    EXPECT_GT(pool.resident_pages(), 0u);
+    EXPECT_EQ(pool.stats().physical_reads, pool.resident_pages());
+
+    // A leaf's bit flip fails the open, cold pool or not.
+    const PageId leaf = tree->store().pages().back();
+    std::vector<uint8_t> page(device->page_size());
+    device->Read(leaf, page.data());
+    page[20] ^= 0x01;
+    device->Write(leaf, page.data());
+    ShardedBufferPool again(device, 1 << 10);
+    std::string error;
+    EXPECT_EQ(GaussTree::TryOpen(&again, meta, &error), nullptr);
+    EXPECT_NE(error.find("checksum mismatch"), std::string::npos) << error;
+    EXPECT_EQ(again.resident_pages(), 0u);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(GaussTreePersistenceTest, EmptyTreePersists) {
   InMemoryPageDevice device(2048);
   ShardedBufferPool pool(&device, 64, /*num_shards=*/1);

@@ -94,6 +94,38 @@ TEST(FilePageDeviceTest, PersistsAcrossReopen) {
   std::remove(path.c_str());
 }
 
+// An appended page extends the file without a write of its own: it reads
+// as zeros before and after a reopen, and a neighbour's write leaves it so.
+TEST(FilePageDeviceTest, AppendedPagesReadZeros) {
+  const std::string path = ::testing::TempDir() + "/gauss_file_append_test.db";
+  const std::vector<uint8_t> zeros(1024, 0);
+  const auto wrote = Pattern(1024, 5);
+  {
+    FilePageDevice device(path, 1024, /*truncate=*/true);
+    EXPECT_EQ(device.Allocate(), 0u);
+    EXPECT_EQ(device.Allocate(), 1u);
+    device.Write(1, wrote.data());
+    EXPECT_EQ(device.Allocate(), 2u);
+    EXPECT_EQ(device.PageCount(), 3u);
+    std::vector<uint8_t> read(1024, 0xFF);
+    for (const PageId id : {PageId{0}, PageId{2}}) {
+      device.Read(id, read.data());
+      EXPECT_EQ(read, zeros) << "page " << id;
+    }
+    device.Sync();
+  }
+  FilePageDevice device(path, 1024, /*truncate=*/false);
+  EXPECT_EQ(device.PageCount(), 3u);
+  std::vector<uint8_t> read(1024, 0xFF);
+  device.Read(0, read.data());
+  EXPECT_EQ(read, zeros);
+  device.Read(1, read.data());
+  EXPECT_EQ(read, wrote);
+  device.Read(2, read.data());
+  EXPECT_EQ(read, zeros);
+  std::remove(path.c_str());
+}
+
 // Recycle() on either device: Allocate() hands the recycled ids back lowest
 // first, each zero-filled, before it appends again; the page count never
 // moves.
@@ -372,6 +404,129 @@ TEST(ShardedBufferPoolTest, ConcurrentFetchesAreConsistent) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_EQ(pool.stats().logical_reads, 8u * 400u);
+}
+
+// An in-memory device that lends no page, so every frame over it owns a
+// slot, as over a file.
+class UnlentDevice : public InMemoryPageDevice {
+ public:
+  using InMemoryPageDevice::InMemoryPageDevice;
+  const uint8_t* StablePage(PageId) const override { return nullptr; }
+};
+
+// `count` pages of `device`, page i filled with Pattern(i).
+std::vector<PageId> PatternedPages(PageDevice* device, int count) {
+  std::vector<PageId> ids;
+  for (int i = 0; i < count; ++i) {
+    ids.push_back(device->Allocate());
+    device->Write(ids.back(),
+                  Pattern(device->page_size(), static_cast<uint8_t>(i)).data());
+  }
+  return ids;
+}
+
+// Frames take their buffers from slots the pool maps: eviction churn over
+// a device that lends nothing reuses the slots it has, so a one-stripe pool
+// maps its budget once; a frame over a lending device takes no slot until
+// it is written.
+TEST(ShardedBufferPoolTest, EvictionChurnReusesSlots) {
+  UnlentDevice device(256);
+  const std::vector<PageId> ids = PatternedPages(&device, 40);
+  ShardedBufferPool pool(&device, 8, /*num_shards=*/1);
+  EXPECT_EQ(pool.mapped_slots(), 0u);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 40; ++i) {
+      const PageRef ref = pool.Fetch(ids[i]);
+      const auto want = Pattern(256, static_cast<uint8_t>(i));
+      EXPECT_EQ(std::memcmp(ref.data(), want.data(), 256), 0) << "page " << i;
+    }
+  }
+  EXPECT_EQ(pool.stats().evictions, 3u * 40u - 8u);
+  EXPECT_EQ(pool.resident_pages(), 8u);
+  EXPECT_EQ(pool.mapped_slots(), 8u);
+  pool.Clear();  // every slot back on the free list
+  for (int i = 0; i < 8; ++i) pool.Fetch(ids[i]);
+  EXPECT_EQ(pool.mapped_slots(), 8u);
+
+  InMemoryPageDevice lending(256);
+  const std::vector<PageId> lent = PatternedPages(&lending, 4);
+  ShardedBufferPool borrowing(&lending, 4, /*num_shards=*/1);
+  for (PageId id : lent) borrowing.Fetch(id);
+  EXPECT_EQ(borrowing.mapped_slots(), 0u);
+  borrowing.FetchMutable(lent[0]).mutable_data()[0] = 1;
+  EXPECT_EQ(borrowing.mapped_slots(), 4u);
+}
+
+// Pins that hold every frame force the stripe past its budget: it maps
+// another chunk. Once the pins go, eviction brings the frames back to the
+// budget, and the slots are reused without a third chunk.
+TEST(ShardedBufferPoolTest, PinnedOvershootMapsAnotherChunk) {
+  UnlentDevice device(256);
+  const std::vector<PageId> ids = PatternedPages(&device, 30);
+  ShardedBufferPool pool(&device, 4, /*num_shards=*/1);
+  {
+    std::vector<PageRef> pins;
+    for (int i = 0; i < 6; ++i) pins.push_back(pool.Fetch(ids[i]));
+    EXPECT_EQ(pool.resident_pages(), 6u);
+    EXPECT_EQ(pool.mapped_slots(), 8u);
+    for (int i = 0; i < 6; ++i) {
+      const auto want = Pattern(256, static_cast<uint8_t>(i));
+      EXPECT_EQ(std::memcmp(pins[i].data(), want.data(), 256), 0);
+    }
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 6; i < 30; ++i) {
+      const PageRef ref = pool.Fetch(ids[i]);
+      const auto want = Pattern(256, static_cast<uint8_t>(i));
+      EXPECT_EQ(std::memcmp(ref.data(), want.data(), 256), 0) << "page " << i;
+      EXPECT_LE(pool.resident_pages(), 4u);
+    }
+  }
+  EXPECT_EQ(pool.mapped_slots(), 8u);
+}
+
+// Fetches, evictions, pins held across other fetches, writes of pages no
+// other thread reads, and Clear, all at once on a small striped pool whose
+// frames own slots: every read sees its page's bytes.
+TEST(ShardedBufferPoolTest, ConcurrentFetchEvictPinReusesSlotsCleanly) {
+  constexpr int kShared = 48;
+  constexpr int kThreads = 4;
+  UnlentDevice device(256);
+  const std::vector<PageId> ids = PatternedPages(&device, kShared + kThreads);
+  ShardedBufferPool pool(&device, 8, /*num_shards=*/4);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(900 + t);
+      const PageId own = ids[kShared + t];  // written by this thread only
+      for (int iter = 0; iter < 500; ++iter) {
+        const int a = static_cast<int>(rng.NextU64() % kShared);
+        const int b = static_cast<int>(rng.NextU64() % kShared);
+        const PageRef held = pool.Fetch(ids[a]);
+        {
+          const PageRef other = pool.Fetch(ids[b]);
+          const auto want = Pattern(256, static_cast<uint8_t>(b));
+          if (std::memcmp(other.data(), want.data(), 256) != 0) ++mismatches;
+        }
+        if (iter % 50 == 0) pool.Clear();
+        if (iter % 7 == 0) {
+          const auto mine = Pattern(256, static_cast<uint8_t>(iter));
+          pool.WritePage(own, mine.data());
+          const PageRef back = pool.Fetch(own);
+          if (std::memcmp(back.data(), mine.data(), 256) != 0) {
+            ++mismatches;
+          }
+        }
+        const auto want = Pattern(256, static_cast<uint8_t>(a));
+        if (std::memcmp(held.data(), want.data(), 256) != 0) ++mismatches;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  // Each thread pins at most three frames at a time.
+  EXPECT_LE(pool.mapped_slots(), 8u + 4u * (3u * kThreads));
 }
 
 // The default stripe count halves from 64 until every stripe holds at least
