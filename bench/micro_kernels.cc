@@ -14,7 +14,10 @@
 //                          mismatch exits non-zero, which is what makes the
 //                          smoke a correctness gate, not just a timer — and
 //                          (2) append a {bench, cell, ns_per_entry} JSON
-//                          line for bench/check_regression.py.
+//                          line for bench/check_regression.py. The
+//                          delta_scan cell does the same for the live
+//                          delta's bound-pruned scan (ScanDelta) against
+//                          the scan that scores every object.
 
 #include <algorithm>
 #include <chrono>
@@ -29,16 +32,22 @@
 
 #include <benchmark/benchmark.h>
 
+#include "api/gauss_db.h"
 #include "common/random.h"
 #include "eval/report.h"
 #include "data/paper_datasets.h"
+#include "data/workload.h"
+#include "gausstree/delta_tree.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/node.h"
 #include "math/gaussian.h"
 #include "math/hull.h"
 #include "math/hull_integral.h"
 #include "math/kernels.h"
+#include "net/shard_backend.h"
+#include "service/query.h"
 #include "storage/sharded_buffer_pool.h"
+#include "tests/delta_scan_reference.h"
 #include "tests/legacy_image.h"
 
 namespace gauss {
@@ -434,6 +443,87 @@ void EmitKernelCell(const std::string& cell, double ns_per_entry) {
   AppendBenchJson(metrics);
 }
 
+// The live delta scan at the `ingest` workload's shape: the 536 data set 2
+// objects enrolled after a 20k base (ids 20000-20535) in a delta of the
+// default capacity, probed by the end-to-end benchmark's 2048-probe pool
+// (Figure 7 mix over the base: half 1-MLIQ, a quarter each TIQ 0.8 and
+// 0.2). Cross-checks ScanDelta against the full scan bit for bit on every
+// probe under both sigma policies and emits the pruned scan's ns per delta
+// object (active backend). Returns the number of mismatching probes.
+int RunDeltaScanCell() {
+  constexpr size_t kBase = 20000;
+  constexpr size_t kEnrolled = 536;
+  const PaperDataset extended = GeneratePaperDataset2(kBase + kEnrolled);
+  const size_t dim = extended.dataset.dim();
+  DeltaTree delta(dim, IngestOptions{}.delta_capacity);
+  for (size_t i = kBase; i < kBase + kEnrolled; ++i) {
+    delta.Append(extended.dataset.objects()[i]);
+  }
+  std::vector<Query> probes;
+  for (const IdentificationQuery& q :
+       GeneratePaperWorkload(GeneratePaperDataset2(kBase), 2048)) {
+    switch (probes.size() % 4) {
+      case 0:
+      case 1:
+        probes.push_back(Query::Mliq(q.query, 1).Accuracy(1e-2));
+        break;
+      case 2:
+        probes.push_back(Query::Tiq(q.query, 0.8).ExactMembership(false));
+        break;
+      default:
+        probes.push_back(Query::Tiq(q.query, 0.2).ExactMembership(false));
+    }
+  }
+
+  int failures = 0;
+  size_t scored = 0;
+  size_t full = 0;
+  for (const SigmaPolicy policy :
+       {SigmaPolicy::kConvolution, SigmaPolicy::kAdditive}) {
+    for (size_t p = 0; p < probes.size(); ++p) {
+      ShardPartial got;
+      const DeltaScanStats stats =
+          ScanDelta(delta, kEnrolled, probes[p], policy, &got);
+      if (policy == SigmaPolicy::kConvolution) {
+        scored += stats.scored;
+        full += stats.full;
+      }
+      if (!test::SamePartial(got, test::FullDeltaScan(delta, kEnrolled,
+                                                      probes[p], policy))) {
+        std::fprintf(stderr,
+                     "FAIL delta_scan probe=%zu policy=%d: bits differ from "
+                     "the full scan\n",
+                     p, static_cast<int>(policy));
+        ++failures;
+      }
+    }
+  }
+
+  size_t next = 0;
+  const double pruned_ns = TimeNsPerEntry(kEnrolled, [&] {
+    ShardPartial partial;
+    ScanDelta(delta, kEnrolled, probes[next++ % probes.size()],
+              SigmaPolicy::kConvolution, &partial);
+    benchmark::DoNotOptimize(partial.denominator_lo);
+  });
+  const double full_ns = TimeNsPerEntry(kEnrolled, [&] {
+    const ShardPartial partial =
+        test::FullDeltaScan(delta, kEnrolled, probes[next++ % probes.size()],
+                            SigmaPolicy::kConvolution);
+    benchmark::DoNotOptimize(partial.denominator_lo);
+  });
+  std::printf(
+      "  delta_scan n=%zu: %.2f ns/object (%.2f us/scan; scored %.1f of %zu "
+      "per probe, %zu full scans); scoring every object: %.2f ns/object\n",
+      kEnrolled, pruned_ns, pruned_ns * kEnrolled * 1e-3,
+      double(scored) / double(probes.size()), kEnrolled, full, full_ns);
+  EmitKernelCell(std::string("kernel=delta_scan,backend=") +
+                     kernels::ActiveBackend().name +
+                     ",n=" + std::to_string(kEnrolled),
+                 pruned_ns);
+  return failures;
+}
+
 // Smoke mode: cross-check every runnable backend bit-for-bit against the
 // scalar reference (random + edge fixtures at every partial-block length
 // 1..2*kMaxLanes+1 and at node scale), and emit one ns/entry cell per
@@ -527,6 +617,7 @@ int RunKernelCells() {
     }
   }
 
+  failures += RunDeltaScanCell();
   if (failures > 0) {
     std::fprintf(stderr, "%d kernel cross-check failure(s)\n", failures);
     return 1;

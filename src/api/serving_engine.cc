@@ -273,18 +273,16 @@ bool ServingEngine::MergeNow() {
     // Read the shard's base image in place through the *old* epoch's cache
     // — it keeps serving queries throughout the rebuild — then the delta
     // prefix: one run per leaf page, pinned until the load ends, and one
-    // for the delta's planes.
+    // for the delta's ids and planes.
     const std::vector<GtNodeSoa> leaves = PinLeaves(*old->stacks[s].tree);
     const DeltaTree& delta = *old->deltas[s];
-    std::vector<uint64_t> delta_ids(cuts[s]);
-    for (size_t i = 0; i < cuts[s]; ++i) delta_ids[i] = delta.at(i).id;
     std::vector<GaussTree::SoaRun> runs;
     runs.reserve(leaves.size() + 1);
     for (const GtNodeSoa& leaf : leaves) {
       runs.push_back({leaf.ids, leaf.planes, leaf.stride, leaf.n});
     }
     runs.push_back(
-        {delta_ids.data(), delta.mu_planes(), delta.plane_stride(), cuts[s]});
+        {delta.ids(), delta.mu_planes(), delta.plane_stride(), cuts[s]});
     // Rebuild on pages the old epoch never reads: the device's recycled
     // pages, then appended ones. The old image stays intact, so the old
     // epoch's pinned root and cached frames stay valid.
@@ -324,8 +322,9 @@ bool ServingEngine::MergeNow() {
     for (size_t s = 0; s < old->deltas.size(); ++s) {
       const size_t now = old->deltas[s]->size();
       for (size_t i = cuts[s]; i < now; ++i) {
-        GAUSS_CHECK(fresh->deltas[s]->Append(old->deltas[s]->at(i)));
-        fresh->GrowRoute(s, old->deltas[s]->at(i));
+        const Pfv pfv = old->deltas[s]->Object(i);
+        GAUSS_CHECK(fresh->deltas[s]->Append(pfv));
+        fresh->GrowRoute(s, pfv);
       }
     }
     std::lock_guard<std::mutex> epoch_lock(epoch_mu_);

@@ -2,6 +2,8 @@
 #define GAUSS_COMMON_LOG_SUM_EXP_H_
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <limits>
 
 namespace gauss {
@@ -57,6 +59,22 @@ class KahanSum {
   }
 
   void Subtract(double v) { Add(-v); }
+
+  // The same as `count` calls of Add(0.0). Once one Add(0.0) leaves the sum
+  // and the compensation bit for bit unchanged, that state is a fixed point
+  // and the rest are skipped; a zero added under a nonzero compensation
+  // may still move the sum, so the loop runs until then.
+  void AddZeros(size_t count) {
+    for (size_t i = 0; i < count; ++i) {
+      const double sum = sum_;
+      const double compensation = compensation_;
+      Add(0.0);
+      if (std::memcmp(&sum, &sum_, sizeof(double)) == 0 &&
+          std::memcmp(&compensation, &compensation_, sizeof(double)) == 0) {
+        return;
+      }
+    }
+  }
 
   double Value() const { return sum_; }
 

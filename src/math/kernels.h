@@ -32,8 +32,9 @@
 namespace gauss::kernels {
 
 // Widest vector width (doubles) any backend uses. A plane stride may be
-// anything >= n: node pages use n itself, a DeltaTree its capacity, and the
-// kernel tests pad with PadEntries. Kernels never READ past n (see the
+// anything >= n: node pages use n itself, a DeltaTree its capacity, the
+// delta scan's gathered survivors their count (net/shard_backend.cc), and
+// the kernel tests pad with PadEntries. Kernels never READ past n (see the
 // concurrency note on JointBatchArgs).
 inline constexpr size_t kMaxLanes = 8;
 

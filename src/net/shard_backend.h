@@ -245,9 +245,7 @@ class InProcessBackend : public ShardBackend {
 // ShardBackend over a live-ingest DeltaTree (gausstree/delta_tree.h): the
 // seam that makes the mutable delta "one more shard" to the coordinator,
 // which keeps combined MLIQ/TIQ answers provably exact without teaching the
-// merge math anything new. Because the delta is a small in-memory buffer,
-// Start() evaluates every object's *exact* joint log density (the same
-// PfvJointLogDensity call the tree traversals bottom out in) on the calling
+// merge math anything new. Start() runs ScanDelta on the calling
 // coordinator thread — no pages, no workers — and reports a degenerate
 // denominator interval (lo == hi, exhausted) in its own reference scale, so
 // refinement rounds always skip it. Item filtering honors the same pruning
@@ -260,9 +258,36 @@ class InProcessBackend : public ShardBackend {
 //
 // The backend snapshots the delta's size at Start, so a query admitted at
 // epoch time t sees exactly the enrollments published before t — concurrent
-// Appends land in later snapshots, never mid-query.
+// Appends land in later snapshots, never mid-query. A Refine naming a
+// handle it does not hold completes with a typed kProtocolError and no
+// updates, as InProcessBackend's does.
 // ============================================================================
 class DeltaTree;
+
+// What one ScanDelta did: how many objects it scored exactly, and whether
+// that was every object (a delta too small to bound, or a query the bound
+// could not decide).
+struct DeltaScanStats {
+  size_t scored = 0;
+  bool full = false;
+};
+
+// The delta scan of DeltaBackend::Start over the delta's first n objects (n
+// at most a size() the caller observed): fills `partial` (reference scale,
+// exact denominator, items, counters) bit for bit as scoring every object
+// with the exact joint log density — the same batch kernel the tree
+// traversals bottom out in — would. It bounds each object's joint log
+// density from the delta's per-dimension sigma range in one cheap pass,
+// scores exactly only the objects whose bound comes within a margin of the
+// best object's density (every other one provably scales to +0 in the
+// reference scale; the argument is in shard_backend.cc), and falls back to
+// scoring every object when an unscored one could still reach the items:
+// an MLIQ with fewer than k scored objects of positive mass at or above the
+// floor, or a TIQ threshold or denominator floor that keeps zero-mass
+// candidates. Allocates nothing but the item list once its per-thread
+// scratch has grown to the delta's size.
+DeltaScanStats ScanDelta(const DeltaTree& delta, size_t n, const Query& query,
+                         SigmaPolicy policy, ShardPartial* partial);
 
 class DeltaBackend : public ShardBackend {
  public:

@@ -19,6 +19,9 @@
 
 #include "api/gauss_db.h"
 #include "data/generators.h"
+#include "delta_scan_reference.h"
+#include "gausstree/delta_tree.h"
+#include "net/shard_backend.h"
 #include "service_test_util.h"
 
 namespace gauss {
@@ -314,6 +317,58 @@ TEST(IngestConcurrencyTest, RepeatedServeSharesOneEngine) {
     ASSERT_EQ(response.items.size(), 1u);
     EXPECT_EQ(response.items[0].id, extras[3].id);
   }
+}
+
+// DeltaBackend::Start while a writer appends: each Start answers bit for
+// bit like the full scan of the prefix it snapshotted. The writer keeps
+// widening the sigma range (alternate objects' sigmas grow and shrink with
+// their index), so a scan that read a range older than its prefix could
+// bound the newest objects wrongly. Under tsan via the `concurrency` label.
+TEST(IngestConcurrencyTest, DeltaStartDuringAppendsMatchesFullScan) {
+  constexpr size_t kDim = 6;
+  constexpr size_t kObjects = 768;
+  std::vector<Pfv> objects = MakeExtras(kObjects, kDim, 5000, 91);
+  for (size_t i = 0; i < kObjects; ++i) {
+    const double widen = i % 2 == 0 ? 1.0 + 0.01 * double(i)
+                                    : 1.0 / (1.0 + 0.01 * double(i));
+    for (double& sigma : objects[i].sigma) sigma *= widen;
+  }
+  const std::vector<Pfv> probes = MakeExtras(8, kDim, 0, 92);
+  auto delta = std::make_shared<DeltaTree>(kDim, kObjects);
+  DeltaBackend backend(delta, SigmaPolicy::kConvolution);
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (const Pfv& pfv : objects) {
+      ASSERT_TRUE(delta->Append(pfv));
+      if (pfv.id % 64 == 0) std::this_thread::yield();
+    }
+    done.store(true);
+  });
+  std::vector<std::thread> readers;
+  std::atomic<size_t> mismatches{0};
+  std::atomic<size_t> scans{0};
+  for (uint64_t r = 0; r < 2; ++r) {
+    readers.emplace_back([&, r] {
+      uint64_t handle = r << 32;
+      size_t i = 0;
+      while (!done.load() || i < 64) {
+        const Pfv& probe = probes[i++ % probes.size()];
+        const Query query = i % 2 == 0 ? Query::Mliq(probe, 3)
+                                       : Query::Tiq(probe, 0.2);
+        const ShardPartial got = backend.Start(++handle, query).get().partial;
+        const ShardPartial want = test::FullDeltaScan(
+            *delta, got.tree_size, query, SigmaPolicy::kConvolution);
+        if (!test::SamePartial(got, want)) mismatches.fetch_add(1);
+        scans.fetch_add(1);
+        backend.Release({handle});
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(scans.load(), 0u);
 }
 
 }  // namespace

@@ -694,15 +694,18 @@ TEST(DeltaTreePlanesTest, ConcurrentAppendAndBatchScan) {
   constexpr size_t kDim = 4;
   constexpr size_t kCapacity = 512;
   DeltaTree delta(kDim, kCapacity);
+  // The AoS oracle: the delta keeps only ids and planes.
+  std::vector<Pfv> objects;
+  Rng object_rng(55);
+  for (size_t i = 0; i < kCapacity; ++i) {
+    std::vector<double> mu(kDim), sigma(kDim);
+    for (double& m : mu) m = object_rng.Uniform(0, 1);
+    for (double& s : sigma) s = object_rng.Uniform(0.01, 0.1);
+    objects.emplace_back(i, std::move(mu), std::move(sigma));
+  }
 
-  std::thread writer([&delta] {
-    Rng rng(55);
-    for (size_t i = 0; i < kCapacity; ++i) {
-      std::vector<double> mu(kDim), sigma(kDim);
-      for (double& m : mu) m = rng.Uniform(0, 1);
-      for (double& s : sigma) s = rng.Uniform(0.01, 0.1);
-      ASSERT_TRUE(delta.Append(Pfv(i, std::move(mu), std::move(sigma))));
-    }
+  std::thread writer([&delta, &objects] {
+    for (const Pfv& pfv : objects) ASSERT_TRUE(delta.Append(pfv));
   });
 
   Rng rng(56);
@@ -722,7 +725,8 @@ TEST(DeltaTreePlanesTest, ConcurrentAppendAndBatchScan) {
     kernels::JointLogDensityBatch(args, out.data());
     // Cross-check the published prefix against the AoS oracle.
     for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(out[i], PfvJointLogDensity(delta.at(i), q)) << "slot " << i;
+      EXPECT_EQ(delta.ids()[i], objects[i].id) << "slot " << i;
+      EXPECT_EQ(out[i], PfvJointLogDensity(objects[i], q)) << "slot " << i;
     }
   }
   writer.join();
@@ -740,7 +744,7 @@ TEST(DeltaTreePlanesTest, ConcurrentAppendAndBatchScan) {
   args.sigma_q = q.sigma.data();
   kernels::JointLogDensityBatch(args, out.data());
   for (size_t i = 0; i < kCapacity; ++i) {
-    EXPECT_EQ(out[i], PfvJointLogDensity(delta.at(i), q)) << "slot " << i;
+    EXPECT_EQ(out[i], PfvJointLogDensity(objects[i], q)) << "slot " << i;
   }
 }
 

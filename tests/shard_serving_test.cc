@@ -27,7 +27,9 @@
 #include "data/generators.h"
 #include "data/paper_datasets.h"
 #include "data/workload.h"
+#include "gausstree/delta_tree.h"
 #include "gausstree/gauss_tree.h"
+#include "net/shard_backend.h"
 #include "service/query.h"
 #include "service/query_service.h"
 #include "service/shard_coordinator.h"
@@ -421,6 +423,42 @@ TEST_F(ShardServingTest, InProcessBackendRefusesUnknownHandlesTyped) {
   EXPECT_EQ(mixed.error.code, NetErrorCode::kProtocolError);
   EXPECT_TRUE(mixed.updates.empty());
   EXPECT_EQ(tree->pool()->stats().logical_reads, reads);
+
+  backend.Release({1});
+  const ShardBackend::RefineResult released =
+      backend.Refine({{1, 0.0}}).get();
+  EXPECT_EQ(released.error.code, NetErrorCode::kProtocolError);
+  EXPECT_TRUE(released.updates.empty());
+  // Releasing it again is a no-op.
+  backend.Release({1});
+}
+
+// DeltaBackend answers a Refine naming a handle it does not hold the same
+// way: a typed kProtocolError with no updates, instead of an abort.
+TEST(DeltaBackendTest, RefusesUnknownHandlesTyped) {
+  const PaperDataset data = GeneratePaperDataset2(64);
+  auto delta = std::make_shared<DeltaTree>(data.dataset.dim(), 64);
+  for (const Pfv& pfv : data.dataset.objects()) ASSERT_TRUE(delta->Append(pfv));
+  DeltaBackend backend(delta, SigmaPolicy::kConvolution);
+
+  const ShardBackend::RefineResult never_started =
+      backend.Refine({{7, 0.0}}).get();
+  EXPECT_EQ(never_started.error.code, NetErrorCode::kProtocolError);
+  EXPECT_TRUE(never_started.updates.empty());
+
+  const Query mliq = Query::Mliq(data.dataset.objects()[5], 3);
+  const ShardBackend::StartResult started = backend.Start(1, mliq).get();
+  ASSERT_TRUE(started.error.ok());
+  const ShardBackend::RefineResult mixed =
+      backend.Refine({{1, 0.0}, {7, 0.0}}).get();
+  EXPECT_EQ(mixed.error.code, NetErrorCode::kProtocolError);
+  EXPECT_TRUE(mixed.updates.empty());
+
+  const ShardBackend::RefineResult known = backend.Refine({{1, 0.0}}).get();
+  ASSERT_TRUE(known.error.ok());
+  ASSERT_EQ(known.updates.size(), 1u);
+  EXPECT_EQ(known.updates[0].denominator_lo, started.partial.denominator_lo);
+  EXPECT_TRUE(known.updates[0].exhausted);
 
   backend.Release({1});
   const ShardBackend::RefineResult released =
