@@ -90,9 +90,10 @@ inline std::unique_ptr<Environment> BuildEnvironment(int which,
 // (~8 ms) applies to worst-case seeks; index pages are allocated in creation
 // order and a best-first traversal revisits neighbouring subtrees, so the
 // *effective* positioning cost per random index page (short seeks + OS
-// readahead + controller caching) is far smaller. 0.1 ms reproduces the
-// paper's reported relation between the page-access chart and the
-// overall-time chart on both datasets (see EXPERIMENTS.md, E4/E5).
+// readahead + controller caching) is far smaller. 0.1 ms is meant to give
+// the paper's relation between the page-access chart and the overall-time
+// chart on both datasets; no recorded run checks that (bench/README.md,
+// "Disk model").
 inline DiskModel BenchDiskModel() {
   DiskModel disk;
   disk.positioning_seconds = 0.0001;

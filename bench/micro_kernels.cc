@@ -1,4 +1,4 @@
-// Ablation A7 (DESIGN.md): micro-kernels of the hot query path, measured
+// Ablation A7 (README.md): micro-kernels of the hot query path, measured
 // with google-benchmark — Gaussian density evaluation, the Lemma 2/3 hull
 // bounds, the hull integral, node serialization and page loads, and the
 // batch scoring kernels (math/kernels.h) across every SIMD backend this CPU
@@ -17,7 +17,9 @@
 //                          line for bench/check_regression.py. The
 //                          delta_scan cell does the same for the live
 //                          delta's bound-pruned scan (ScanDelta) against
-//                          the scan that scores every object.
+//                          the scan that scores every object, and the
+//                          exp_shift_far cell for exp_shift over that
+//                          scan's rebasing inputs against PortableExp.
 
 #include <algorithm>
 #include <chrono>
@@ -443,6 +445,80 @@ void EmitKernelCell(const std::string& cell, double ns_per_entry) {
   AppendBenchJson(metrics);
 }
 
+// exp_shift over the rebasing inputs of the delta scan below: for each
+// probe, the joint log densities of the delta objects within 768 of the
+// best one (the band the bound-pruned scan scores), rebased on the best.
+// About a tenth of them lie below -700, where a block used to fall back to
+// the scalar reference. Cross-checks every output against PortableExp bit
+// for bit and emits ns per element (active backend). Returns the number of
+// mismatching elements.
+int RunExpShiftFarCell(const DeltaTree& delta, size_t n,
+                       const std::vector<Query>& probes) {
+  struct Rebase {
+    std::vector<double> log_in;
+    double log_ref;
+  };
+  std::vector<Rebase> rebases;
+  size_t elements = 0;
+  size_t far = 0;
+  std::vector<double> log_density(n);
+  for (const Query& probe : probes) {
+    kernels::JointBatchArgs args;
+    args.mu = delta.mu_planes();
+    args.sigma = delta.sigma_planes();
+    args.stride = delta.plane_stride();
+    args.n = n;
+    args.dim = delta.dim();
+    args.mu_q = probe.pfv().mu.data();
+    args.sigma_q = probe.pfv().sigma.data();
+    args.policy = SigmaPolicy::kConvolution;
+    kernels::JointLogDensityBatch(args, log_density.data());
+    Rebase rebase;
+    rebase.log_ref = *std::max_element(log_density.begin(), log_density.end());
+    for (const double ld : log_density) {
+      if (!(ld >= rebase.log_ref - 768.0)) continue;
+      rebase.log_in.push_back(ld);
+      far += ld - rebase.log_ref < -700.0;
+    }
+    elements += rebase.log_in.size();
+    rebases.push_back(std::move(rebase));
+  }
+
+  int failures = 0;
+  std::vector<double> out(n);
+  for (const Rebase& r : rebases) {
+    kernels::ExpShiftBatch(r.log_in.data(), r.log_ref, r.log_in.size(),
+                           out.data());
+    for (size_t i = 0; i < r.log_in.size(); ++i) {
+      const double want = kernels::PortableExp(r.log_in[i] - r.log_ref);
+      if (std::memcmp(&want, &out[i], sizeof(double)) != 0) ++failures;
+    }
+  }
+  if (failures > 0) {
+    std::fprintf(stderr,
+                 "FAIL exp_shift_far: %d of %zu elements differ from "
+                 "PortableExp\n",
+                 failures, elements);
+  }
+
+  const double ns = TimeNsPerEntry(elements, [&] {
+    for (const Rebase& r : rebases) {
+      kernels::ExpShiftBatch(r.log_in.data(), r.log_ref, r.log_in.size(),
+                             out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+  });
+  std::printf(
+      "  exp_shift_far: %.2f ns/element (%.1f elements per probe, %.1f%% "
+      "below -700)\n",
+      ns, double(elements) / double(rebases.size()),
+      100.0 * double(far) / double(elements));
+  EmitKernelCell(std::string("kernel=exp_shift_far,backend=") +
+                     kernels::ActiveBackend().name,
+                 ns);
+  return failures;
+}
+
 // The live delta scan at the `ingest` workload's shape: the 536 data set 2
 // objects enrolled after a 20k base (ids 20000-20535) in a delta of the
 // default capacity, probed by the end-to-end benchmark's 2048-probe pool
@@ -498,6 +574,8 @@ int RunDeltaScanCell() {
       }
     }
   }
+
+  failures += RunExpShiftFarCell(delta, kEnrolled, probes);
 
   size_t next = 0;
   const double pruned_ns = TimeNsPerEntry(kEnrolled, [&] {

@@ -1,4 +1,4 @@
-// Ablation A3 (DESIGN.md): database-size and dimensionality scaling of the
+// Ablation A3 (README.md): database-size and dimensionality scaling of the
 // Gauss-tree versus the sequential scan, plus the uniform-data worst case
 // that shows where hull pruning breaks down (curse of dimensionality).
 

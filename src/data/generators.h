@@ -24,8 +24,9 @@ struct SigmaModel {
 };
 
 // Data set 1 surrogate: clustered, L1-normalized, non-negative 27-d vectors
-// resembling color histograms of an image collection (see DESIGN.md §2 for
-// the substitution rationale). `cluster_count` mixture components with
+// resembling color histograms of an image collection (the paper's image
+// data is not public; bench/README.md, "Data sets", gives the rationale).
+// `cluster_count` mixture components with
 // Dirichlet-like centers; points scatter around their center and are
 // re-normalized onto the simplex.
 struct HistogramDatasetConfig {
@@ -55,10 +56,10 @@ PfvDataset GenerateUniformDataset(const UniformDatasetConfig& config);
 // Data set 2 surrogate: 100,000 randomly generated pfv in a 10-dimensional
 // feature space (paper Section 6). Means are drawn from a Gaussian mixture
 // ("randomly generated" feature vectors of real systems are correlated; an
-// index can only beat a scan when the data carries structure — see DESIGN.md
-// §2). Defaults are calibrated so that the paper's two headline results hold
-// simultaneously: near-perfect MLIQ identification *and* substantial index
-// pruning.
+// index can only beat a scan when the data carries structure; ablation A3
+// shows the uniform case). Defaults are set so that the paper's two
+// headline results hold simultaneously: near-perfect MLIQ identification
+// *and* substantial index pruning.
 struct ClusteredDatasetConfig {
   size_t size = 100000;
   size_t dim = 10;

@@ -112,9 +112,9 @@ PaperDataset GeneratePaperDataset2(size_t size, uint64_t seed) {
   // Per-dimension base uncertainty in absolute units of the [0, 1] domain;
   // like data set 1, uncertainty varies strongly per dimension (some
   // features nearly exact, some nearly useless) with a per-object jitter.
-  // Calibrated so the paper's Figure 6(b)/7(right) shape holds: MLIQ
-  // near-perfect, NN around 60%, strong index pruning (see DESIGN.md §2 and
-  // EXPERIMENTS.md E3/E5).
+  // Set by hand for the paper's Figure 6(b)/7(right) shape: MLIQ
+  // near-perfect, NN around 60%, strong index pruning (measured figures in
+  // bench/README.md, "Data sets").
   constexpr double kBaseLo = 0.004;
   constexpr double kBaseHi = 0.07;
   constexpr double kJitter = 0.25;

@@ -11,7 +11,8 @@
 namespace gauss {
 
 // The two evaluation datasets of the paper (Section 6), as calibrated
-// surrogates (full rationale in DESIGN.md §2):
+// surrogates (rationale and measured figures in bench/README.md, "Data
+// sets"):
 //
 //  * Data set 1 — 10,987 27-dimensional color histograms of an image
 //    database. Surrogate: clustered simplex-valued histogram means; each

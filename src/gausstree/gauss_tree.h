@@ -16,7 +16,8 @@
 
 namespace gauss {
 
-// Split-axis selection strategy (paper Section 5.3 + ablations, DESIGN.md A1).
+// Split-axis selection strategy (paper Section 5.3; ablation A1,
+// bench/ablation_split.cc, compares them).
 enum class SplitStrategy {
   // The paper's strategy: tentative median split along every mu- and every
   // sigma-dimension; keep the split minimizing the summed hull integrals

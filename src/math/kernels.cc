@@ -100,8 +100,8 @@ using simd::kExpP4;
 using simd::kExpP5;
 using simd::kInvLn2;
 
-constexpr double kExpOverflow = 709.782712893383973096;   // > this: +inf
-constexpr double kExpUnderflow = -745.133219101941108420;  // < this: +0
+using simd::kExpUnderflow;  // < this: +0
+constexpr double kExpOverflow = 709.782712893383973096;  // > this: +inf
 
 struct ExpReduced {
   double y;   // exp(r), r = x - n*ln2
@@ -276,6 +276,8 @@ struct NeonOps {
   static V MinStd(V a, V b) { return vbslq_f64(vcltq_f64(b, a), b, a); }
   static V MaxStd(V a, V b) { return vbslq_f64(vcltq_f64(a, b), b, a); }
   static M Eq(V a, V b) { return vceqq_f64(a, b); }
+  static M Le(V a, V b) { return vcleq_f64(a, b); }
+  static M Lt(V a, V b) { return vcltq_f64(a, b); }
   static M Or(M a, M b) { return vorrq_u64(a, b); }
   static bool All(M m) {
     return (vgetq_lane_u64(m, 0) & vgetq_lane_u64(m, 1)) ==
@@ -289,6 +291,9 @@ struct NeonOps {
   static VI And64(VI a, VI b) { return vandq_s64(a, b); }
   static VI Sra52(VI a) { return vshrq_n_s64(a, 52); }
   static VI Shl52(VI a) { return vshlq_n_s64(a, 52); }
+  static VI Shr1(VI a) {
+    return vreinterpretq_s64_u64(vshrq_n_u64(vreinterpretq_u64_s64(a), 1));
+  }
   static V I64ToF64(VI a) { return vcvtq_f64_s64(a); }
   static bool AllInRange(V s) {
     return All(vandq_u64(vcgeq_f64(s, Set1(simd::kMinNormal)),

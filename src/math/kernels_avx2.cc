@@ -58,6 +58,8 @@ struct Avx2Ops {
   static V MinStd(V a, V b) { return _mm256_min_pd(b, a); }
   static V MaxStd(V a, V b) { return _mm256_max_pd(b, a); }
   static M Eq(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_EQ_OQ); }
+  static M Le(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
+  static M Lt(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
   static M Or(M a, M b) { return _mm256_or_pd(a, b); }
   static bool All(M m) { return _mm256_movemask_pd(m) == 0xf; }
   static V Select(M m, V t, V f) { return _mm256_blendv_pd(f, t, m); }
@@ -67,6 +69,7 @@ struct Avx2Ops {
   static VI Sub64(VI a, VI b) { return _mm256_sub_epi64(a, b); }
   static VI And64(VI a, VI b) { return _mm256_and_si256(a, b); }
   static VI Shl52(VI a) { return _mm256_slli_epi64(a, 52); }
+  static VI Shr1(VI a) { return _mm256_srli_epi64(a, 1); }
   static VI Sra52(VI a) {
     // AVX2 has no 64-bit arithmetic right shift: logical-shift the top 12
     // bits down, then sign-extend the 12-bit value with (x ^ 0x800) - 0x800.

@@ -55,6 +55,8 @@ struct Avx512Ops {
   static V MinStd(V a, V b) { return _mm512_min_pd(b, a); }
   static V MaxStd(V a, V b) { return _mm512_max_pd(b, a); }
   static M Eq(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_EQ_OQ); }
+  static M Le(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LE_OQ); }
+  static M Lt(V a, V b) { return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ); }
   static M Or(M a, M b) { return static_cast<M>(a | b); }
   static bool All(M m) { return m == 0xff; }
   static V Select(M m, V t, V f) { return _mm512_mask_blend_pd(m, f, t); }
@@ -64,6 +66,7 @@ struct Avx512Ops {
   static VI Sub64(VI a, VI b) { return _mm512_sub_epi64(a, b); }
   static VI And64(VI a, VI b) { return _mm512_and_si512(a, b); }
   static VI Shl52(VI a) { return _mm512_slli_epi64(a, 52); }
+  static VI Shr1(VI a) { return _mm512_srli_epi64(a, 1); }
   static VI Sra52(VI a) { return _mm512_srai_epi64(a, 52); }
   static V I64ToF64(VI a) { return _mm512_cvtepi64_pd(a); }
   static bool AllInRange(V s) {

@@ -31,11 +31,13 @@
 //     // comes through (on x86 that is the same instruction with the operand
 //     // order swapped; NEON needs compare+select):
 //     MinStd, MaxStd
-//     // lane predicates: Eq(a,b) is a == b (false on NaN), Or, All, and
-//     // Select(m, t, f) == m ? t : f per lane:
-//     Eq, Or, All, Select
-//     // integer lane ops for exponent surgery:
-//     Set1I, CastI, CastD, Add64, Sub64, And64, Sra52, Shl52, I64ToF64
+//     // lane predicates: Eq(a,b) is a == b, Le(a,b) a <= b, Lt(a,b) a < b
+//     // (all false on NaN), Or, All, and Select(m, t, f) == m ? t : f per
+//     // lane:
+//     Eq, Le, Lt, Or, All, Select
+//     // integer lane ops for exponent surgery (Shr1 is a logical shift
+//     // right by one bit):
+//     Set1I, CastI, CastD, Add64, Sub64, And64, Sra52, Shl52, Shr1, I64ToF64
 //     // whole-vector predicates (scalar bool, so every fallback decision is
 //     // made per block, never per lane):
 //     AllInRange   — every lane in [kMinNormal, kMaxFinite] (false on NaN)
@@ -43,13 +45,14 @@
 //     AllNotNan    — no lane is NaN
 //   };
 //
-// Bit-identity strategy: the vector code only ever executes the scalar MAIN
-// paths (LogMain/ExpMain in kernels.cc), mirrored operation for operation.
-// Before using a block's result it proves the main path was valid for every
-// lane (AllInRange on each log input, AllAbsLe700 on each exp input, final
+// Bit-identity strategy: the vector code executes the scalar MAIN paths
+// (LogMain/ExpMain in kernels.cc), mirrored operation for operation, plus
+// one special path, ExpSpecial's underflow band (below). Before using a
+// block's result it proves a mirrored path was valid for every lane
+// (AllInRange on each log input, every exp input <= 700 and not NaN, final
 // AllNotNan on the accumulators); any failure reruns the whole block through
-// detail::*Range — the scalar reference itself — so special values get the
-// scalar answers by construction, not by re-implementation.
+// detail::*Range — the scalar reference itself — so the other special
+// values get the scalar answers by construction, not by re-implementation.
 //
 // Partial blocks: the last n % kWidth entries run the same vector body as
 // one more block, loading only lanes [j, n). The lanes past n hold a benign
@@ -84,6 +87,7 @@ inline constexpr double kExpP3 = 6.61375632143793436117e-05;
 inline constexpr double kExpP4 = -1.65339022054652515390e-06;
 inline constexpr double kExpP5 = 4.13813679705723846039e-08;
 inline constexpr double kExpMainCut = 700.0;
+inline constexpr double kExpUnderflow = -745.133219101941108420;  // < : +0
 
 // --- main-path domain of the portable log ---
 inline constexpr double kMinNormal = 2.2250738585072014e-308;  // 0x1p-1022
@@ -122,15 +126,14 @@ inline typename O::V VLogMain(typename O::V x) {
   return O::Sub(O::Mul(dk, O::Set1(kLn2Hi)), O::Sub(O::Sub(hfsq, inner), f));
 }
 
-// exp(x), every lane assumed |x| <= 700 (caller checked AllAbsLe700).
-// Mirrors ExpMain in kernels.cc. The 2^n scale is built by the magic-number
-// trick: bit_cast(nd + 0x1.8p52) carries n in its low bits (two's
-// complement), and ((bits + 1023) << 52) equals ((n + 1023) << 52) because
-// the magic constant's low 12 bits are zero — the rest shifts out mod 2^64.
+// ExpCore in kernels.cc per lane: returns y = exp(r), r = x - n*ln2, and
+// sets *u to bit_cast(nd + 0x1.8p52), which carries n in its low bits (two's
+// complement). 2^n is then Pow2Bits(u): ((u + 1023) << 52) equals
+// ((n + 1023) << 52) because the magic constant's low 12 bits are zero —
+// the rest shifts out mod 2^64.
 template <typename O>
-inline typename O::V VExpMain(typename O::V x) {
+inline typename O::V VExpCore(typename O::V x, typename O::VI* u) {
   using V = typename O::V;
-  using VI = typename O::VI;
   const V nd = O::RoundNearest(O::Mul(x, O::Set1(kInvLn2)));
   const V hi = O::Sub(x, O::Mul(nd, O::Set1(kLn2Hi)));
   const V lo = O::Mul(nd, O::Set1(kLn2Lo));
@@ -144,12 +147,48 @@ inline typename O::V VExpMain(typename O::V x) {
                                                          O::Mul(t, O::Set1(
                                                                        kExpP5)))))))));
   const V c = O::Sub(r, O::Mul(t, p));
-  const V y = O::Sub(
+  *u = O::CastI(O::Add(nd, O::Set1(0x1.8p52)));
+  return O::Sub(
       O::Set1(1.0),
       O::Sub(O::Sub(lo, O::Div(O::Mul(r, c), O::Sub(O::Set1(2.0), c))), hi));
-  const VI u = O::CastI(O::Add(nd, O::Set1(0x1.8p52)));
-  const VI scale_bits = O::Shl52(O::Add64(u, O::Set1I(1023)));
-  return O::Mul(y, O::CastD(scale_bits));
+}
+
+// 2^n from bits whose low 12 bits are n's (see VExpCore).
+template <typename O>
+inline typename O::V Pow2Bits(typename O::VI bits) {
+  return O::CastD(O::Shl52(O::Add64(bits, O::Set1I(1023))));
+}
+
+// exp(x), every lane assumed |x| <= 700 (caller checked AllAbsLe700).
+// Mirrors ExpMain in kernels.cc.
+template <typename O>
+inline typename O::V VExpMain(typename O::V x) {
+  typename O::VI u;
+  const typename O::V y = VExpCore<O>(x, &u);
+  return O::Mul(y, Pow2Bits<O>(u));
+}
+
+// exp(x), every lane assumed <= 700 and not NaN: PortableExp per lane.
+// Lanes in [-700, 700] take ExpMain; lanes below kExpUnderflow give +0;
+// lanes in [kExpUnderflow, -700) take ExpSpecial's two-step scale
+// (y * 2^n1) * 2^n2 with n1 = n >> 1 and n2 = n - n1. Since the magic
+// constant is even, u >> 1 (logical) carries n1 in its low 12 bits and
+// u - (u >> 1) carries n2, both under a multiple of 2^12 that Pow2Bits
+// shifts out. The other lanes' garbage in the two-step result, and the
+// band lanes' in the main one, are selected away.
+template <typename O>
+inline typename O::V VExpBelow700(typename O::V x) {
+  using V = typename O::V;
+  using VI = typename O::VI;
+  VI u;
+  const V y = VExpCore<O>(x, &u);
+  const V main = O::Mul(y, Pow2Bits<O>(u));
+  const VI u1 = O::Shr1(u);
+  const V band =
+      O::Mul(O::Mul(y, Pow2Bits<O>(u1)), Pow2Bits<O>(O::Sub64(u, u1)));
+  return O::Select(O::Le(O::Set1(-kExpMainCut), x), main,
+                   O::Select(O::Lt(x, O::Set1(kExpUnderflow)),
+                             O::Set1(0.0), band));
 }
 
 // log N(x; mu, sigma) given log_sigma == VLogMain(sigma) and
@@ -339,11 +378,14 @@ void ExpShiftBlock(const double* log_in, double log_shift, size_t j,
   using V = typename O::V;
   const V v = O::Sub(LoadLanes<O, kPartial>(log_in + j, count, log_shift),
                      O::Set1(log_shift));
-  // |v| <= 700 is ExpMain's domain (result and scale stay normal);
-  // anything else — including NaN — takes the scalar reference's special
-  // handling.
+  // |v| <= 700 is ExpMain's domain (result and scale stay normal). Lanes
+  // below -700 — far objects rebased against the best one — stay on the
+  // vector path too; a NaN or a lane above 700 takes the scalar
+  // reference's special handling.
   if (O::AllAbsLe700(v)) {
     StoreLanes<O, kPartial>(out + j, count, VExpMain<O>(v));
+  } else if (O::All(O::Le(v, O::Set1(kExpMainCut)))) {
+    StoreLanes<O, kPartial>(out + j, count, VExpBelow700<O>(v));
   } else {
     detail::ExpShiftRange(log_in, log_shift, j, j + count, out);
   }

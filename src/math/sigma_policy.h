@@ -17,7 +17,7 @@ namespace gauss {
 //     parameter. The additive form is a conservative over-estimate of the
 //     combined spread (sqrt(a^2+b^2) <= a+b), so it never sharpens a bound;
 //     we expose it to reproduce the paper literally and to quantify the
-//     difference (ablation A4 in DESIGN.md).
+//     difference (ablation A4, bench/ablation_sigma_policy.cc).
 //
 // Both policies are monotonically increasing in each argument, which is what
 // the hull-bound query machinery relies on when shifting the sigma interval

@@ -9,7 +9,9 @@ namespace gauss {
 // CRC-32C (Castagnoli, reflected polynomial 0x82F63B78): the page checksum
 // of the Gauss-tree node format (gausstree/node.cc). Chosen over CRC-32 for
 // its hardware support — SSE4.2 `crc32` on x86-64, the ARMv8 CRC extension
-// on aarch64 — which checksums an 8 KiB page in well under a microsecond.
+// on aarch64. The single-stream SSE4.2 loop below (one `crc32q` per 8 bytes,
+// each waiting on the last) checksums an 8 KiB page in 1.1–1.2 us on a
+// 2.1 GHz Xeon VM, against several microseconds for the table.
 // Where neither exists, or when GAUSS_FORCE_SCALAR pins the portable paths
 // (common/cpus.h), a slicing-by-8 table computes the same values.
 //

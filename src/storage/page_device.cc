@@ -4,6 +4,7 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -12,15 +13,47 @@
 
 namespace gauss {
 
+namespace {
+
+size_t OsPageSize() {
+  static const size_t size = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+  return size;
+}
+
+bool AllZero(const uint8_t* p, size_t n) {
+  return p[0] == 0 && std::memcmp(p, p + 1, n - 1) == 0;
+}
+
+// Makes whole OS pages of an anonymous mapping read zero and hold no
+// memory: madvise(MADV_DONTNEED), or a zero fill where the kernel refuses.
+void ReleaseOsPages(uint8_t* p, size_t bytes) {
+  if (::madvise(p, bytes, MADV_DONTNEED) != 0) std::memset(p, 0, bytes);
+}
+
+}  // namespace
+
 // -------------------------------------------------------------- free set --
 
 void PageDevice::Recycle(const std::vector<PageId>& ids) {
+  std::vector<PageId> sorted = ids;
+  std::sort(sorted.begin(), sorted.end());
   const size_t count = PageCount();
   std::lock_guard<std::mutex> lock(free_mu_);
-  for (PageId id : ids) {
-    GAUSS_CHECK(id < count);
-    GAUSS_CHECK_MSG(free_.insert(id).second, "page recycled twice");
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    GAUSS_CHECK(sorted[i] < count);
+    GAUSS_CHECK_MSG((i == 0 || sorted[i] != sorted[i - 1]) &&
+                        !free_.contains(sorted[i]),
+                    "page recycled twice");
   }
+  for (size_t i = 0; i < sorted.size();) {
+    size_t run = 1;
+    while (i + run < sorted.size() && sorted[i + run] == sorted[i] + run) {
+      ++run;
+    }
+    Discard(sorted[i], run);
+    i += run;
+  }
+  free_.insert(sorted.begin(), sorted.end());
 }
 
 size_t PageDevice::FreePageCount() const {
@@ -70,10 +103,7 @@ uint8_t* InMemoryPageDevice::PageAddress(PageId id) const {
 
 PageId InMemoryPageDevice::Allocate() {
   PageId recycled = 0;
-  if (TakeRecycled(&recycled)) {
-    std::memset(PageAddress(recycled), 0, page_size());
-    return recycled;
-  }
+  if (TakeRecycled(&recycled)) return recycled;
   std::lock_guard<std::mutex> lock(alloc_mu_);
   const size_t id = page_count_.load(std::memory_order_relaxed);
   size_t segment = 0, offset = 0;
@@ -98,7 +128,44 @@ void InMemoryPageDevice::Read(PageId id, void* out) const {
 
 void InMemoryPageDevice::Write(PageId id, const void* data) {
   GAUSS_CHECK(id < page_count_.load(std::memory_order_acquire));
-  std::memcpy(PageAddress(id), data, page_size());
+  uint8_t* dst = PageAddress(id);
+  const auto* src = static_cast<const uint8_t*>(data);
+  const size_t os_page = OsPageSize();
+  if (page_size() % os_page != 0) {
+    std::memcpy(dst, src, page_size());
+    return;
+  }
+  // The destination is not read: a read of an unbacked OS page would map
+  // the kernel's zero page into it. An unbacked one stays untouched by the
+  // madvise.
+  for (size_t at = 0; at < page_size(); at += os_page) {
+    if (AllZero(src + at, os_page)) {
+      ReleaseOsPages(dst + at, os_page);
+    } else {
+      std::memcpy(dst + at, src + at, os_page);
+    }
+  }
+}
+
+void InMemoryPageDevice::Discard(PageId first, size_t count) {
+  const bool whole_os_pages = page_size() % OsPageSize() == 0;
+  size_t done = 0;
+  while (done < count) {
+    const PageId id = static_cast<PageId>(first + done);
+    size_t segment = 0, offset = 0;
+    Locate(id, &segment, &offset);
+    // The run's pages in this segment lie at consecutive addresses.
+    const size_t pages =
+        std::min(count - done, (kFirstSegmentPages << segment) - offset);
+    uint8_t* at = PageAddress(id);
+    const size_t bytes = pages * page_size();
+    if (whole_os_pages) {
+      ReleaseOsPages(at, bytes);
+    } else {
+      std::memset(at, 0, bytes);
+    }
+    done += pages;
+  }
 }
 
 const uint8_t* InMemoryPageDevice::StablePage(PageId id) const {
@@ -202,9 +269,18 @@ FilePageDevice::~FilePageDevice() {
 PageId FilePageDevice::Allocate() {
   PageId recycled = 0;
   if (TakeRecycled(&recycled)) {
-    const std::vector<uint8_t> zeros(page_size(), 0);
-    PwriteFully(fd_, zeros.data(), page_size(),
-                static_cast<off_t>(recycled) * page_size());
+    const off_t offset = static_cast<off_t>(recycled) * page_size();
+    int rc = -1;
+#ifdef FALLOC_FL_PUNCH_HOLE
+    do {
+      rc = ::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
+                       offset, page_size());
+    } while (rc != 0 && errno == EINTR);
+#endif
+    if (rc != 0) {
+      const std::vector<uint8_t> zeros(page_size(), 0);
+      PwriteFully(fd_, zeros.data(), page_size(), offset);
+    }
     return recycled;
   }
   // An appended page is a hole of the extended file: it reads back as

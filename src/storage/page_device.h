@@ -46,6 +46,16 @@ namespace gauss {
 // once its epoch — the last reader of those pages, with every cache over
 // them — is destroyed (api/serving_engine.h). The free set lives in memory
 // only; a live engine derives it again from what the headers reach.
+//
+// Residency: an in-memory page takes memory only where it holds bytes. The
+// device keeps a page in OS pages (sysconf(_SC_PAGESIZE)): Write leaves an
+// OS page that would hold only zeros unbacked, and Recycle gives a page's
+// memory back at once. A node page is filled from the front, so a
+// half-full 8 KiB leaf takes one 4 KiB OS page, not two. With transparent
+// huge pages in `always` mode the kernel may back a segment with 2 MiB
+// pages, which an unwritten 4 KiB tail does not split, so the saving can
+// shrink; the device asks for no huge pages itself. On either device,
+// Allocate writes no data: a node page's only write is the node's own.
 class PageDevice {
  public:
   explicit PageDevice(uint32_t page_size) : page_size_(page_size) {}
@@ -72,7 +82,7 @@ class PageDevice {
   virtual void Sync() {}
 
   // Adds `ids` (allocated pages nothing reads any more; see the class
-  // comment) to the free set.
+  // comment) to the free set, after Discard() has had them.
   void Recycle(const std::vector<PageId>& ids);
 
   // Recycled pages not yet reused.
@@ -93,6 +103,15 @@ class PageDevice {
   // when the set is empty. Allocate() calls it first.
   bool TakeRecycled(PageId* id);
 
+  // Recycle() calls it for every run [first, first + count) of consecutive
+  // recycled ids, before they enter the free set: a device that can give
+  // the pages' storage back at once does so here. The default keeps them as
+  // they are; Allocate() hands out a recycled page zeroed either way.
+  virtual void Discard(PageId first, size_t count) {
+    (void)first;
+    (void)count;
+  }
+
  private:
   uint32_t page_size_;
   mutable std::mutex free_mu_;
@@ -107,22 +126,36 @@ class InMemoryPageDevice : public PageDevice {
   explicit InMemoryPageDevice(uint32_t page_size = kDefaultPageSize);
   ~InMemoryPageDevice() override;
 
+  // A recycled page was zeroed by Discard, and an appended one reads zeros
+  // unbacked: neither is written.
   PageId Allocate() override;
   void Read(PageId id, void* out) const override;
+  // Copies one OS page at a time. An OS page whose new bytes are all zero
+  // is not copied but handed to madvise(MADV_DONTNEED): it reads zeros and
+  // holds no memory, whatever it held before; one never written stays
+  // untouched. A page size that is not a multiple of the OS page is copied
+  // whole.
   void Write(PageId id, const void* data) override;
   size_t PageCount() const override;
   // The page's address in its segment, when the page size is a multiple of
   // 8 (every lent page is then as aligned as the doubles on it).
   const uint8_t* StablePage(PageId id) const override;
 
+ protected:
+  // madvise(MADV_DONTNEED): the pages' OS pages leave the process and read
+  // zeros at the same addresses. A page size that is not a multiple of the
+  // OS page, or a refused madvise, zeroes them in place instead.
+  void Discard(PageId first, size_t count) override;
+
  private:
   // Pages live in segments of geometrically growing size (segment s holds
-  // kFirstSegmentPages << s pages), each one anonymous mapping — so a page
-  // is resident once written, not once its segment exists — addressed
-  // through a fixed-capacity directory of atomic pointers. Appending
-  // installs a new segment with a release store; readers locate their page
-  // through an acquire load, so a page's address is stable from the moment
-  // its id is published — no vector regrowth ever races a concurrent Read.
+  // kFirstSegmentPages << s pages), each one anonymous mapping — so an OS
+  // page is resident once written with bytes that are not all zero, not
+  // once its segment exists — addressed through a fixed-capacity directory
+  // of atomic pointers. Appending installs a new segment with a release
+  // store; readers locate their page through an acquire load, so a page's
+  // address is stable from the moment its id is published — no vector
+  // regrowth ever races a concurrent Read.
   static constexpr size_t kFirstSegmentPages = 64;
   static constexpr size_t kMaxSegments = 48;
 
@@ -157,9 +190,12 @@ class FilePageDevice : public PageDevice {
       const std::string& path, uint32_t page_size = kDefaultPageSize,
       std::string* error = nullptr);
 
-  // A recycled page is zeroed with one write; an appended one costs no
-  // write at all: the file is extended (ftruncate) and the new page reads
-  // back as zeros until the caller writes it.
+  // Writes no data. A recycled page is punched out of the file
+  // (fallocate(FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE)), or zeroed with
+  // one write where the file system refuses; an appended one extends the
+  // file (ftruncate). Either reads back as zeros until the caller writes
+  // it. A free page keeps its old bytes until then, so a file changes only
+  // where a new image is written.
   PageId Allocate() override;
   void Read(PageId id, void* out) const override;
   void Write(PageId id, const void* data) override;

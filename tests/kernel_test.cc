@@ -477,6 +477,45 @@ TEST(KernelDifferentialTest, ExpShiftSweep) {
   }
 }
 
+// The underflow band: blocks with lanes below -700 stay on the vector path
+// (+0 below the underflow cut, a two-step scale into the denormals above
+// it), so every lane there must still match the scalar reference. A dense
+// sweep of [-760, -690] with the band's edges planted, then random mixes
+// in which NaN and +705 lanes send some blocks to the scalar fallback.
+TEST(KernelDifferentialTest, ExpShiftUnderflowBandSweep) {
+  constexpr size_t kSweep = 1 << 18;
+  std::vector<double> log_in;
+  for (size_t i = 0; i <= kSweep; ++i) {
+    log_in.push_back(-760.0 + 70.0 * static_cast<double>(i) / kSweep);
+  }
+  for (const double edge : {-700.0, -745.133219101941108420, -745.13,
+                            -745.14, -708.3964185322641, -744.44007192138122,
+                            -kInf, -1e300, -0.0}) {
+    log_in.push_back(edge);
+    log_in.push_back(std::nextafter(edge, -kInf));
+    log_in.push_back(std::nextafter(edge, kInf));
+  }
+  Rng rng(47);
+  for (size_t i = 0; i < 4096; ++i) {
+    const double pick = rng.Uniform(0, 1);
+    log_in.push_back(pick < 0.02   ? kNan
+                     : pick < 0.04 ? 705.0
+                     : pick < 0.3  ? rng.Uniform(-20, 0)
+                                   : rng.Uniform(-800, -690));
+  }
+  const size_t n = log_in.size();
+  for (const double shift : {0.0, -3.5, 100.0}) {
+    std::vector<double> ref(n, -1.0);
+    kernels::ScalarBackend().exp_shift(log_in.data(), shift, n, ref.data());
+    for (const kernels::KernelBackend* backend : RunnableBackends()) {
+      std::vector<double> got(n, -2.0);
+      backend->exp_shift(log_in.data(), shift, n, got.data());
+      EXPECT_TRUE(SameBits(ref, got))
+          << "exp_shift backend " << backend->name << " shift=" << shift;
+    }
+  }
+}
+
 TEST(KernelDifferentialTest, AdditiveSigmaPolicy) {
   JointFixture f = MakeJointFixture(23, 5, 40);
   {

@@ -1,3 +1,4 @@
+#include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -51,28 +52,101 @@ TEST(InMemoryPageDeviceTest, FreshPagesAreZeroed) {
   for (uint8_t byte : read) EXPECT_EQ(byte, 0);
 }
 
+size_t OsPage() { return static_cast<size_t>(::sysconf(_SC_PAGESIZE)); }
+
+// A device page of two OS pages.
+uint32_t TwoOsPages() {
+  return static_cast<uint32_t>(2 * std::max<size_t>(4096, OsPage()));
+}
+
+// Whether each OS page of the device's page `id` is resident, read with
+// mincore(2) on the device's own mapping.
+std::vector<bool> ResidentOsPages(const InMemoryPageDevice& device,
+                                  PageId id) {
+  std::vector<unsigned char> pages(device.page_size() / OsPage());
+  void* address = const_cast<uint8_t*>(device.StablePage(id));
+  EXPECT_EQ(::mincore(address, device.page_size(), pages.data()), 0);
+  std::vector<bool> resident;
+  for (const unsigned char p : pages) resident.push_back((p & 1) != 0);
+  return resident;
+}
+
 // Segments are anonymous mappings: a page of a fresh segment is resident
 // once written, not once allocated, and reads as zeros until then.
 TEST(InMemoryPageDeviceTest, PagesBecomeResidentWhenWritten) {
-  const size_t os_page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
   const auto page_size =
-      static_cast<uint32_t>(std::max<size_t>(8192, os_page));
+      static_cast<uint32_t>(std::max<size_t>(8192, OsPage()));
   InMemoryPageDevice device(page_size);
-  const auto resident = [&](PageId id) {
-    std::vector<unsigned char> pages(page_size / os_page);
-    void* address = const_cast<uint8_t*>(device.StablePage(id));
-    EXPECT_EQ(::mincore(address, page_size, pages.data()), 0);
-    return std::all_of(pages.begin(), pages.end(),
-                       [](unsigned char p) { return (p & 1) != 0; });
-  };
   PageId id = kInvalidPageId;
   for (int i = 0; i <= 64; ++i) id = device.Allocate();  // opens segment 1
-  EXPECT_FALSE(resident(id));
+  const std::vector<bool> none(page_size / OsPage(), false);
+  EXPECT_EQ(ResidentOsPages(device, id), none);
   std::vector<uint8_t> read(page_size, 0xFF);
   device.Read(id, read.data());
   EXPECT_EQ(read, std::vector<uint8_t>(page_size, 0));
   device.Write(id, Pattern(page_size, 3).data());
-  EXPECT_TRUE(resident(id));
+  EXPECT_EQ(ResidentOsPages(device, id),
+            std::vector<bool>(page_size / OsPage(), true));
+}
+
+// A half-full page takes one OS page: the all-zero second half is not
+// copied, stays unbacked, and still reads back as written.
+TEST(InMemoryPageDeviceTest, ZeroTailStaysNonResident) {
+  const uint32_t page_size = TwoOsPages();
+  InMemoryPageDevice device(page_size);
+  const PageId id = device.Allocate();
+  std::vector<uint8_t> wrote = Pattern(page_size, 4);
+  std::fill(wrote.begin() + page_size / 2, wrote.end(), 0);
+  device.Write(id, wrote.data());
+  EXPECT_EQ(ResidentOsPages(device, id), (std::vector<bool>{true, false}));
+  std::vector<uint8_t> read(page_size, 0xFF);
+  device.Read(id, read.data());
+  EXPECT_EQ(read, wrote);
+}
+
+// Rewriting a page whose old tail held bytes with an all-zero tail zeroes
+// the old tail: a skipped copy never leaves stale bytes behind.
+TEST(InMemoryPageDeviceTest, ZeroTailOverwritesOldBytes) {
+  const uint32_t page_size = TwoOsPages();
+  InMemoryPageDevice device(page_size);
+  const PageId id = device.Allocate();
+  device.Write(id, Pattern(page_size, 5).data());
+  std::vector<uint8_t> wrote = Pattern(page_size, 6);
+  std::fill(wrote.begin() + page_size / 2, wrote.end(), 0);
+  device.Write(id, wrote.data());
+  std::vector<uint8_t> read(page_size, 0xFF);
+  device.Read(id, read.data());
+  EXPECT_EQ(read, wrote);
+  const uint8_t* lent = device.StablePage(id);
+  EXPECT_EQ(std::vector<uint8_t>(lent, lent + page_size), wrote);
+}
+
+// Recycled pages give their memory back at once, in runs that cross a
+// segment boundary too, and Allocate() hands them out again without
+// touching them: they read zeros and stay unbacked until written.
+TEST(InMemoryPageDeviceTest, RecycledPagesGiveTheirMemoryBack) {
+  const uint32_t page_size = TwoOsPages();
+  InMemoryPageDevice device(page_size);
+  for (uint8_t i = 0; i < 70; ++i) {  // segment 0 holds pages 0-63
+    device.Write(device.Allocate(), Pattern(page_size, i).data());
+  }
+  const std::vector<PageId> recycled = {2, 62, 63, 64, 65};
+  device.Recycle(recycled);
+  const std::vector<bool> none(2, false);
+  for (const PageId id : recycled) {
+    EXPECT_EQ(ResidentOsPages(device, id), none) << "page " << id;
+  }
+  EXPECT_EQ(ResidentOsPages(device, 61), (std::vector<bool>{true, true}));
+  const std::vector<uint8_t> zeros(page_size, 0);
+  std::vector<uint8_t> read(page_size);
+  for (const PageId id : recycled) {
+    EXPECT_EQ(device.Allocate(), id);
+    EXPECT_EQ(ResidentOsPages(device, id), none) << "page " << id;
+    device.Read(id, read.data());
+    EXPECT_EQ(read, zeros) << "page " << id;
+  }
+  device.Read(61, read.data());
+  EXPECT_EQ(read, Pattern(page_size, 61));
 }
 
 TEST(FilePageDeviceTest, PersistsAcrossReopen) {
@@ -163,6 +237,70 @@ TEST(FilePageDeviceTest, RecycledPagesAreReusedLowestFirstZeroFilled) {
   {
     FilePageDevice device(path, 512, /*truncate=*/true);
     ExpectRecycleLowestFirstZeroFilled(&device);
+  }
+  std::remove(path.c_str());
+}
+
+// Whether the file system under `dir` punches holes that SEEK_HOLE
+// reports, probed on a scratch file with pages of `page_size` bytes.
+bool PunchesHoles(const std::string& dir, uint32_t page_size) {
+  const std::string path = dir + "/gauss_punch_probe.db";
+  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  const std::vector<uint8_t> data = Pattern(page_size, 1);
+  bool punched =
+      ::pwrite(fd, data.data(), page_size, 0) == ssize_t{page_size} &&
+      ::pwrite(fd, data.data(), page_size, page_size) == ssize_t{page_size};
+#ifdef FALLOC_FL_PUNCH_HOLE
+  punched = punched &&
+            ::fallocate(fd, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE, 0,
+                        page_size) == 0 &&
+            ::lseek(fd, 0, SEEK_HOLE) == 0;
+#else
+  punched = false;
+#endif
+  ::close(fd);
+  std::remove(path.c_str());
+  return punched;
+}
+
+// A recycled file page keeps its bytes while it is free, and Allocate()
+// hands it out again as a hole, not as written zeros: it reads zeros and
+// its blocks went back to the file system.
+TEST(FilePageDeviceTest, RecycledPagesAreReusedAsHoles) {
+  // A page as large as any file system block, so a punched page is a
+  // whole hole and not just zeroed bytes inside a block.
+  constexpr uint32_t kPageSize = 64 << 10;
+  if (!PunchesHoles(::testing::TempDir(), kPageSize)) {
+    GTEST_SKIP() << "the file system under " << ::testing::TempDir()
+                 << " does not punch holes";
+  }
+  const std::string path = ::testing::TempDir() + "/gauss_file_punch.db";
+  const off_t page = kPageSize;
+  {
+    FilePageDevice device(path, kPageSize, /*truncate=*/true);
+    for (uint8_t i = 0; i < 4; ++i) {
+      device.Write(device.Allocate(), Pattern(kPageSize, i).data());
+    }
+    const int fd = ::open(path.c_str(), O_RDONLY);
+    ASSERT_GE(fd, 0);
+    device.Recycle({1, 2});
+    EXPECT_EQ(::lseek(fd, 0, SEEK_HOLE), 4 * page);  // no hole before EOF
+    std::vector<uint8_t> read(kPageSize);
+    device.Read(2, read.data());
+    EXPECT_EQ(read, Pattern(kPageSize, 2));
+    EXPECT_EQ(device.PageCount(), 4u);
+    const std::vector<uint8_t> zeros(kPageSize, 0);
+    for (const PageId id : {PageId{1}, PageId{2}}) {
+      EXPECT_EQ(device.Allocate(), id);
+      device.Read(id, read.data());
+      EXPECT_EQ(read, zeros) << "page " << id;
+    }
+    EXPECT_EQ(::lseek(fd, 0, SEEK_HOLE), page);
+    EXPECT_EQ(::lseek(fd, page, SEEK_DATA), 3 * page);
+    device.Read(3, read.data());
+    EXPECT_EQ(read, Pattern(kPageSize, 3));
+    ::close(fd);
   }
   std::remove(path.c_str());
 }
