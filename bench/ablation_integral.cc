@@ -1,4 +1,4 @@
-// Ablation A2 (README.md): erf-based versus degree-5 sigmoid-polynomial
+// Ablation A2 (bench/README.md): erf-based versus degree-5 sigmoid-polynomial
 // evaluation of the hull integral — the paper used the polynomial; this
 // bench quantifies accuracy and the (lack of) downstream effect on the tree.
 

@@ -1,8 +1,8 @@
-// Ablation A4 (README.md): the paper's Lemma 1 is written with a plain "+"
-// on the deviation parameter (sigma_v + sigma_q); the statistically exact
-// convolution of two Gaussians combines deviations as sqrt(sv^2 + sq^2).
-// This bench quantifies how much the choice changes (a) identification
-// accuracy and (b) query cost.
+// Ablation A4 (bench/README.md): the paper's Lemma 1 is written with a
+// plain "+" on the deviation parameter (sigma_v + sigma_q); the
+// statistically exact convolution of two Gaussians combines deviations as
+// sqrt(sv^2 + sq^2). This bench quantifies how much the choice changes
+// (a) identification accuracy and (b) query cost.
 
 #include <cstdio>
 #include <iostream>

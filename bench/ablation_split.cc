@@ -1,4 +1,4 @@
-// Ablation A1 (README.md): does the paper's hull-integral split criterion
+// Ablation A1 (bench/README.md): does the paper's hull-integral split criterion
 // actually beat simpler alternatives? Builds the same dataset under the
 // three split strategies and compares structure quality and query cost.
 

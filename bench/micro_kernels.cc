@@ -1,4 +1,4 @@
-// Ablation A7 (README.md): micro-kernels of the hot query path, measured
+// Ablation A7 (bench/README.md): micro-kernels of the hot query path, measured
 // with google-benchmark — Gaussian density evaluation, the Lemma 2/3 hull
 // bounds, the hull integral, node serialization and page loads, and the
 // batch scoring kernels (math/kernels.h) across every SIMD backend this CPU

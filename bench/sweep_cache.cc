@@ -1,4 +1,4 @@
-// Ablation A6 (README.md): buffer-pool behaviour — cold-per-query (the
+// Ablation A6 (bench/README.md): buffer-pool behaviour — cold-per-query (the
 // paper's configuration) versus warm cache across a query batch, and the
 // effect of shrinking the pool below the working set.
 

@@ -1,4 +1,4 @@
-// Ablation A5 (README.md): query-parameter sweeps — k for k-MLIQ, the
+// Ablation A5 (bench/README.md): query-parameter sweeps — k for k-MLIQ, the
 // threshold for TIQ, and the probability-accuracy knob that trades
 // certification tightness for page accesses (the paper's "according to
 // user's specification of exactness").

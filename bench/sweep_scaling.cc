@@ -1,6 +1,6 @@
-// Ablation A3 (README.md): database-size and dimensionality scaling of the
-// Gauss-tree versus the sequential scan, plus the uniform-data worst case
-// that shows where hull pruning breaks down (curse of dimensionality).
+// Ablation A3 (bench/README.md): database-size and dimensionality scaling
+// of the Gauss-tree versus the sequential scan, plus the uniform-data worst
+// case that shows where hull pruning breaks down (curse of dimensionality).
 
 #include <cstdio>
 #include <iostream>

@@ -4,7 +4,6 @@
 #include <sys/mman.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -35,25 +34,13 @@ void ReleaseOsPages(uint8_t* p, size_t bytes) {
 // -------------------------------------------------------------- free set --
 
 void PageDevice::Recycle(const std::vector<PageId>& ids) {
-  std::vector<PageId> sorted = ids;
-  std::sort(sorted.begin(), sorted.end());
   const size_t count = PageCount();
   std::lock_guard<std::mutex> lock(free_mu_);
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    GAUSS_CHECK(sorted[i] < count);
-    GAUSS_CHECK_MSG((i == 0 || sorted[i] != sorted[i - 1]) &&
-                        !free_.contains(sorted[i]),
-                    "page recycled twice");
+  for (PageId id : ids) {
+    GAUSS_CHECK(id < count);
+    GAUSS_CHECK_MSG(free_.insert(id).second, "page recycled twice");
+    Discard(id);
   }
-  for (size_t i = 0; i < sorted.size();) {
-    size_t run = 1;
-    while (i + run < sorted.size() && sorted[i + run] == sorted[i] + run) {
-      ++run;
-    }
-    Discard(sorted[i], run);
-    i += run;
-  }
-  free_.insert(sorted.begin(), sorted.end());
 }
 
 size_t PageDevice::FreePageCount() const {
@@ -147,24 +134,11 @@ void InMemoryPageDevice::Write(PageId id, const void* data) {
   }
 }
 
-void InMemoryPageDevice::Discard(PageId first, size_t count) {
-  const bool whole_os_pages = page_size() % OsPageSize() == 0;
-  size_t done = 0;
-  while (done < count) {
-    const PageId id = static_cast<PageId>(first + done);
-    size_t segment = 0, offset = 0;
-    Locate(id, &segment, &offset);
-    // The run's pages in this segment lie at consecutive addresses.
-    const size_t pages =
-        std::min(count - done, (kFirstSegmentPages << segment) - offset);
-    uint8_t* at = PageAddress(id);
-    const size_t bytes = pages * page_size();
-    if (whole_os_pages) {
-      ReleaseOsPages(at, bytes);
-    } else {
-      std::memset(at, 0, bytes);
-    }
-    done += pages;
+void InMemoryPageDevice::Discard(PageId id) {
+  if (page_size() % OsPageSize() == 0) {
+    ReleaseOsPages(PageAddress(id), page_size());
+  } else {
+    std::memset(PageAddress(id), 0, page_size());
   }
 }
 
@@ -269,18 +243,9 @@ FilePageDevice::~FilePageDevice() {
 PageId FilePageDevice::Allocate() {
   PageId recycled = 0;
   if (TakeRecycled(&recycled)) {
-    const off_t offset = static_cast<off_t>(recycled) * page_size();
-    int rc = -1;
-#ifdef FALLOC_FL_PUNCH_HOLE
-    do {
-      rc = ::fallocate(fd_, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE,
-                       offset, page_size());
-    } while (rc != 0 && errno == EINTR);
-#endif
-    if (rc != 0) {
-      const std::vector<uint8_t> zeros(page_size(), 0);
-      PwriteFully(fd_, zeros.data(), page_size(), offset);
-    }
+    const std::vector<uint8_t> zeros(page_size(), 0);
+    PwriteFully(fd_, zeros.data(), page_size(),
+                static_cast<off_t>(recycled) * page_size());
     return recycled;
   }
   // An appended page is a hole of the extended file: it reads back as

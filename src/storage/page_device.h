@@ -48,14 +48,14 @@ namespace gauss {
 // only; a live engine derives it again from what the headers reach.
 //
 // Residency: an in-memory page takes memory only where it holds bytes. The
-// device keeps a page in OS pages (sysconf(_SC_PAGESIZE)): Write leaves an
-// OS page that would hold only zeros unbacked, and Recycle gives a page's
-// memory back at once. A node page is filled from the front, so a
-// half-full 8 KiB leaf takes one 4 KiB OS page, not two. With transparent
-// huge pages in `always` mode the kernel may back a segment with 2 MiB
-// pages, which an unwritten 4 KiB tail does not split, so the saving can
-// shrink; the device asks for no huge pages itself. On either device,
-// Allocate writes no data: a node page's only write is the node's own.
+// device keeps a page in OS pages (sysconf(_SC_PAGESIZE)), and Write leaves
+// an OS page that would hold only zeros unbacked. A node page is filled
+// from the front, so a half-full 8 KiB leaf takes one 4 KiB OS page, not
+// two. With transparent huge pages in `always` mode the kernel may back a
+// segment with 2 MiB pages, which an unwritten 4 KiB tail does not split,
+// so the saving can shrink; the device asks for no huge pages itself.
+// Recycle gives a free in-memory page's memory back at once, so a live
+// device's retired image leaves the process with its epoch.
 class PageDevice {
  public:
   explicit PageDevice(uint32_t page_size) : page_size_(page_size) {}
@@ -82,7 +82,7 @@ class PageDevice {
   virtual void Sync() {}
 
   // Adds `ids` (allocated pages nothing reads any more; see the class
-  // comment) to the free set, after Discard() has had them.
+  // comment) to the free set, after Discard() has had each.
   void Recycle(const std::vector<PageId>& ids);
 
   // Recycled pages not yet reused.
@@ -103,14 +103,10 @@ class PageDevice {
   // when the set is empty. Allocate() calls it first.
   bool TakeRecycled(PageId* id);
 
-  // Recycle() calls it for every run [first, first + count) of consecutive
-  // recycled ids, before they enter the free set: a device that can give
-  // the pages' storage back at once does so here. The default keeps them as
-  // they are; Allocate() hands out a recycled page zeroed either way.
-  virtual void Discard(PageId first, size_t count) {
-    (void)first;
-    (void)count;
-  }
+  // Recycle() calls it for each recycled page before the page enters the
+  // free set. The default keeps the page as it is; Allocate() zeroes it
+  // when it hands it out again.
+  virtual void Discard(PageId id) { (void)id; }
 
  private:
   uint32_t page_size_;
@@ -142,10 +138,10 @@ class InMemoryPageDevice : public PageDevice {
   const uint8_t* StablePage(PageId id) const override;
 
  protected:
-  // madvise(MADV_DONTNEED): the pages' OS pages leave the process and read
-  // zeros at the same addresses. A page size that is not a multiple of the
-  // OS page, or a refused madvise, zeroes them in place instead.
-  void Discard(PageId first, size_t count) override;
+  // madvise(MADV_DONTNEED): the page's OS pages leave the process and read
+  // zeros at the same address. A page size that is not a multiple of the
+  // OS page, or a refused madvise, zeroes the page in place instead.
+  void Discard(PageId id) override;
 
  private:
   // Pages live in segments of geometrically growing size (segment s holds
@@ -190,12 +186,9 @@ class FilePageDevice : public PageDevice {
       const std::string& path, uint32_t page_size = kDefaultPageSize,
       std::string* error = nullptr);
 
-  // Writes no data. A recycled page is punched out of the file
-  // (fallocate(FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE)), or zeroed with
-  // one write where the file system refuses; an appended one extends the
-  // file (ftruncate). Either reads back as zeros until the caller writes
-  // it. A free page keeps its old bytes until then, so a file changes only
-  // where a new image is written.
+  // A recycled page is zeroed with one write; an appended one costs no
+  // write at all: the file is extended (ftruncate) and the new page reads
+  // back as zeros until the caller writes it.
   PageId Allocate() override;
   void Read(PageId id, void* out) const override;
   void Write(PageId id, const void* data) override;

@@ -1,4 +1,3 @@
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <unistd.h>
 
@@ -121,9 +120,9 @@ TEST(InMemoryPageDeviceTest, ZeroTailOverwritesOldBytes) {
   EXPECT_EQ(std::vector<uint8_t>(lent, lent + page_size), wrote);
 }
 
-// Recycled pages give their memory back at once, in runs that cross a
-// segment boundary too, and Allocate() hands them out again without
-// touching them: they read zeros and stay unbacked until written.
+// Recycled pages give their memory back at once, on both sides of a
+// segment boundary, and Allocate() hands them out again without touching
+// them: they read zeros and stay unbacked until written.
 TEST(InMemoryPageDeviceTest, RecycledPagesGiveTheirMemoryBack) {
   const uint32_t page_size = TwoOsPages();
   InMemoryPageDevice device(page_size);
@@ -237,70 +236,6 @@ TEST(FilePageDeviceTest, RecycledPagesAreReusedLowestFirstZeroFilled) {
   {
     FilePageDevice device(path, 512, /*truncate=*/true);
     ExpectRecycleLowestFirstZeroFilled(&device);
-  }
-  std::remove(path.c_str());
-}
-
-// Whether the file system under `dir` punches holes that SEEK_HOLE
-// reports, probed on a scratch file with pages of `page_size` bytes.
-bool PunchesHoles(const std::string& dir, uint32_t page_size) {
-  const std::string path = dir + "/gauss_punch_probe.db";
-  const int fd = ::open(path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  const std::vector<uint8_t> data = Pattern(page_size, 1);
-  bool punched =
-      ::pwrite(fd, data.data(), page_size, 0) == ssize_t{page_size} &&
-      ::pwrite(fd, data.data(), page_size, page_size) == ssize_t{page_size};
-#ifdef FALLOC_FL_PUNCH_HOLE
-  punched = punched &&
-            ::fallocate(fd, FALLOC_FL_PUNCH_HOLE | FALLOC_FL_KEEP_SIZE, 0,
-                        page_size) == 0 &&
-            ::lseek(fd, 0, SEEK_HOLE) == 0;
-#else
-  punched = false;
-#endif
-  ::close(fd);
-  std::remove(path.c_str());
-  return punched;
-}
-
-// A recycled file page keeps its bytes while it is free, and Allocate()
-// hands it out again as a hole, not as written zeros: it reads zeros and
-// its blocks went back to the file system.
-TEST(FilePageDeviceTest, RecycledPagesAreReusedAsHoles) {
-  // A page as large as any file system block, so a punched page is a
-  // whole hole and not just zeroed bytes inside a block.
-  constexpr uint32_t kPageSize = 64 << 10;
-  if (!PunchesHoles(::testing::TempDir(), kPageSize)) {
-    GTEST_SKIP() << "the file system under " << ::testing::TempDir()
-                 << " does not punch holes";
-  }
-  const std::string path = ::testing::TempDir() + "/gauss_file_punch.db";
-  const off_t page = kPageSize;
-  {
-    FilePageDevice device(path, kPageSize, /*truncate=*/true);
-    for (uint8_t i = 0; i < 4; ++i) {
-      device.Write(device.Allocate(), Pattern(kPageSize, i).data());
-    }
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    ASSERT_GE(fd, 0);
-    device.Recycle({1, 2});
-    EXPECT_EQ(::lseek(fd, 0, SEEK_HOLE), 4 * page);  // no hole before EOF
-    std::vector<uint8_t> read(kPageSize);
-    device.Read(2, read.data());
-    EXPECT_EQ(read, Pattern(kPageSize, 2));
-    EXPECT_EQ(device.PageCount(), 4u);
-    const std::vector<uint8_t> zeros(kPageSize, 0);
-    for (const PageId id : {PageId{1}, PageId{2}}) {
-      EXPECT_EQ(device.Allocate(), id);
-      device.Read(id, read.data());
-      EXPECT_EQ(read, zeros) << "page " << id;
-    }
-    EXPECT_EQ(::lseek(fd, 0, SEEK_HOLE), page);
-    EXPECT_EQ(::lseek(fd, page, SEEK_DATA), 3 * page);
-    device.Read(3, read.data());
-    EXPECT_EQ(read, Pattern(kPageSize, 3));
-    ::close(fd);
   }
   std::remove(path.c_str());
 }
