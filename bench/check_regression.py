@@ -3,14 +3,20 @@
 
 The serving benches (sweep_concurrency, sweep_shards) append one JSON line
 per measurement cell to $GAUSS_BENCH_JSON — QPS, p99 latency and logical
-pages/query (micro_kernels adds per-entry kernel cost); sweep_concurrency's
-file-backed cell is named `file`. This script compares such a file against
+pages/query (micro_kernels adds per-entry kernel cost, sweep_cache physical
+pages/query); sweep_concurrency's file-backed cell is named `file`. This script compares such a file against
 the committed baseline (bench/BENCH_serving.baseline.json) and fails (exit 1)
 when any cell regresses:
 
   * pages_per_query  — lower is better; deterministic (logical page accesses
                        of fixed traversals over a fixed seeded dataset), so
                        any growth is a real algorithmic regression.
+  * physical_pages_per_query
+                     — lower is better; device reads per query of
+                       sweep_cache's one-thread cells, which repeat exactly
+                       (fixed probe order, seeded data), so they pin the
+                       buffer pool's eviction policy. Gated like
+                       pages_per_query: same tolerance, same --skip-pages.
   * p99_us           — lower is better; timing, so noise handling matters:
                        repeated runs append to the same file and the MINIMUM
                        p99 per cell is compared (the best observation is the
@@ -42,6 +48,10 @@ import argparse
 import json
 import sys
 
+
+# Deterministic page counts: the last line per cell wins, gated together
+# under --skip-pages / --tolerance-pages.
+PAGE_METRICS = ("pages_per_query", "physical_pages_per_query")
 
 # Metrics that measure wall time: min-collapsed across appended runs (the
 # best observation is the least scheduler-polluted one) and gated together
@@ -88,11 +98,12 @@ def main(argv=None):
     parser.add_argument("--baseline", required=True,
                         help="committed baseline (bench/BENCH_serving.baseline.json)")
     parser.add_argument("--tolerance-pages", type=float, default=0.15,
-                        help="allowed relative pages_per_query growth (default 0.15)")
+                        help="allowed relative growth of pages_per_query "
+                             "and physical_pages_per_query (default 0.15)")
     parser.add_argument("--tolerance-p99", type=float, default=0.15,
                         help="allowed relative p99 growth (default 0.15)")
     parser.add_argument("--skip-p99", action="store_true",
-                        help="gate only pages_per_query (machine-invariant); "
+                        help="gate only the page counts (machine-invariant); "
                              "skips every timing metric (p99_us, "
                              "ns_per_entry) — use when the baseline was "
                              "recorded on different hardware, where absolute "
@@ -109,7 +120,8 @@ def main(argv=None):
 
     checks = []
     if not args.skip_pages:
-        checks.append(("pages_per_query", args.tolerance_pages))
+        for metric in PAGE_METRICS:
+            checks.append((metric, args.tolerance_pages))
     if not args.skip_p99:
         for metric in TIMING_METRICS:
             checks.append((metric, args.tolerance_p99))

@@ -17,9 +17,11 @@
 //                          line for bench/check_regression.py. The
 //                          delta_scan cell does the same for the live
 //                          delta's bound-pruned scan (ScanDelta) against
-//                          the scan that scores every object, and the
+//                          the scan that scores every object, the
 //                          exp_shift_far cell for exp_shift over that
-//                          scan's rebasing inputs against PortableExp.
+//                          scan's rebasing inputs against PortableExp, and
+//                          the crc32c cell for one node body's page check
+//                          against the portable table.
 
 #include <algorithm>
 #include <chrono>
@@ -48,6 +50,7 @@
 #include "math/kernels.h"
 #include "net/shard_backend.h"
 #include "service/query.h"
+#include "storage/crc32c.h"
 #include "storage/sharded_buffer_pool.h"
 #include "tests/delta_scan_reference.h"
 #include "tests/legacy_image.h"
@@ -163,6 +166,29 @@ void BM_LeafSerialize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LeafSerialize)->Arg(10)->Arg(27);
+
+// The page check of a node miss: a dim-10 leaf body of 27 pfvs (168 B
+// each), the mean leaf fill of the e2e gallery.
+constexpr size_t kCrcBodyBytes = 27 * 168;
+
+std::vector<uint8_t> CrcBody() {
+  Rng rng(5);
+  std::vector<uint8_t> body(kCrcBodyBytes);
+  for (uint8_t& byte : body) byte = static_cast<uint8_t>(rng.UniformInt(256));
+  return body;
+}
+
+void BM_Crc32cNodeBody(benchmark::State& state) {
+  const std::vector<uint8_t> body = CrcBody();
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = Crc32c(body.data(), body.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(body.size()));
+}
+BENCHMARK(BM_Crc32cNodeBody);
 
 // Random node loads through GtNodeStore::LoadSoa on the e2e `tree` gallery
 // (paper data set 2 surrogate: 100k objects, dim 10, 8 KiB pages) behind a
@@ -602,6 +628,30 @@ int RunDeltaScanCell() {
   return failures;
 }
 
+// CRC-32C of one node body through the dispatched implementation, checked
+// against the portable table and timed per body (the cell's "entry").
+// Returns 1 on a mismatch.
+int RunCrc32cCell() {
+  const std::vector<uint8_t> body = CrcBody();
+  if (Crc32c(body.data(), body.size()) !=
+      Crc32cPortable(body.data(), body.size())) {
+    std::fprintf(stderr, "FAIL crc32c %s: differs from portable\n",
+                 Crc32cImplementation());
+    return 1;
+  }
+  uint32_t crc = 0;
+  const double ns = TimeNsPerEntry(1, [&] {
+    crc = Crc32c(body.data(), body.size(), crc);
+    benchmark::DoNotOptimize(crc);
+  });
+  const std::string cell = std::string("kernel=crc32c,impl=") +
+                           Crc32cImplementation() +
+                           ",bytes=" + std::to_string(body.size());
+  std::printf("  %-40s %8.1f ns/body\n", cell.c_str(), ns);
+  EmitKernelCell(cell, ns);
+  return 0;
+}
+
 // Smoke mode: cross-check every runnable backend bit-for-bit against the
 // scalar reference (random + edge fixtures at every partial-block length
 // 1..2*kMaxLanes+1 and at node scale), and emit one ns/entry cell per
@@ -696,6 +746,7 @@ int RunKernelCells() {
   }
 
   failures += RunDeltaScanCell();
+  failures += RunCrc32cCell();
   if (failures > 0) {
     std::fprintf(stderr, "%d kernel cross-check failure(s)\n", failures);
     return 1;

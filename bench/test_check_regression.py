@@ -157,6 +157,45 @@ class NsPerEntryTest(GuardTestCase):
         self.assertEqual(self.run_guard(current, base), 0)
 
 
+class PhysicalPagesTest(GuardTestCase):
+    """physical_pages_per_query (sweep_cache cells) is deterministic like
+    pages_per_query: last line wins, gated under --tolerance-pages and
+    skipped with --skip-pages."""
+
+    def test_physical_read_regression_fails(self):
+        base = [cell("served", physical_pages_per_query=5.7)]
+        current = [cell("served", physical_pages_per_query=6.0)]  # +5.3%
+        self.assertEqual(
+            self.run_guard(current, base, "--skip-p99",
+                           "--tolerance-pages", "0"), 1)
+
+    def test_physical_reads_within_tolerance_pass(self):
+        base = [cell("served", physical_pages_per_query=10.0)]
+        current = [cell("served", physical_pages_per_query=11.0)]  # +10%
+        self.assertEqual(self.run_guard(current, base, "--skip-p99"), 0)
+
+    def test_physical_reads_beyond_tolerance_fail(self):
+        base = [cell("served", physical_pages_per_query=10.0)]
+        current = [cell("served", physical_pages_per_query=12.0)]  # +20%
+        self.assertEqual(self.run_guard(current, base, "--skip-p99"), 1)
+
+    def test_last_occurrence_wins(self):
+        base = [cell("served", physical_pages_per_query=10.0)]
+        current = [cell("served", physical_pages_per_query=50.0),
+                   cell("served", physical_pages_per_query=10.0)]
+        self.assertEqual(self.run_guard(current, base, "--skip-p99"), 0)
+
+    def test_skip_pages_skips_physical_reads_too(self):
+        base = [cell("served", physical_pages_per_query=10.0)]
+        current = [cell("served", physical_pages_per_query=100.0)]
+        self.assertEqual(self.run_guard(current, base, "--skip-pages"), 0)
+
+    def test_cells_without_physical_metric_unaffected(self):
+        base = [cell("a"), cell("b", physical_pages_per_query=0.0)]
+        current = [cell("a", physical_pages_per_query=3.0), cell("b")]
+        self.assertEqual(self.run_guard(current, base), 0)
+
+
 class CoverageTest(GuardTestCase):
     def test_baseline_cell_missing_from_current_fails(self):
         # Silently losing bench coverage is itself a regression.

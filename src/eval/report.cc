@@ -73,9 +73,10 @@ void AppendBenchJson(const BenchCellMetrics& m) {
   std::snprintf(line, sizeof(line),
                 "{\"bench\":\"%s\",\"scale\":%.6g,\"cell\":\"%s\","
                 "\"qps\":%.6g,\"p99_us\":%.6g,\"pages_per_query\":%.6g,"
-                "\"ns_per_entry\":%.6g}\n",
+                "\"physical_pages_per_query\":%.6g,\"ns_per_entry\":%.6g}\n",
                 m.bench.c_str(), m.scale, m.cell.c_str(), m.qps, m.p99_us,
-                m.pages_per_query, m.ns_per_entry);
+                m.pages_per_query, m.physical_pages_per_query,
+                m.ns_per_entry);
   std::fputs(line, file);
   std::fclose(file);
 }

@@ -42,6 +42,9 @@ struct BenchCellMetrics {
   double qps = 0.0;
   double p99_us = 0.0;
   double pages_per_query = 0.0;      // logical reads / query: deterministic
+  double physical_pages_per_query = 0.0;  // sweep_cache: device reads /
+                                          // query, deterministic in its
+                                          // one-thread cells (0 elsewhere)
   double ns_per_entry = 0.0;         // micro_kernels: per-entry kernel cost
                                      // (timing metric, min-collapsed like
                                      // p99_us; 0 = not a kernel cell)

@@ -91,7 +91,9 @@ bool GtNodeStore::LoadSoa(PageId id, GtNodeSoa* view, const char** why) const {
     if (why != nullptr) *why = reason;
     return false;
   }
-  if (!verified) page.MarkVerified();
+  // An inner node is kept over leaves: every query walks the upper levels,
+  // while a leaf is shared by few queries.
+  if (!verified) page.MarkVerified(/*keep=*/!view->leaf());
   view->page = std::move(page);
   return true;
 }

@@ -63,6 +63,8 @@ class GtNodeStore {
   // its CRC-32C once per cache frame (PageRef::verified), and every child
   // id against the device's page count. A damaged page returns false with
   // the reason in `*why` (when non-null) and leaves `view` holding nothing.
+  // An inner node's frame is marked kept when it is verified, so the pool
+  // evicts leaves before it (PageRef::kept).
   bool LoadSoa(PageId id, GtNodeSoa* view, const char** why = nullptr) const;
 
   // Writes every in-memory node straight to its device page (the cache

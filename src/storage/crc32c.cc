@@ -47,26 +47,101 @@ uint64_t Load64(const uint8_t* p) {
 }
 
 #if defined(__x86_64__)
+#define GAUSS_CRC32C_TARGET __attribute__((target("sse4.2")))
 
-__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
-                                                        size_t n,
-                                                        uint32_t crc) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t c = ~crc;
-  for (; n >= 8; n -= 8, p += 8) c = _mm_crc32_u64(c, Load64(p));
-  auto c32 = static_cast<uint32_t>(c);
-  for (; n > 0; --n) c32 = _mm_crc32_u8(c32, *p++);
-  return ~c32;
+GAUSS_CRC32C_TARGET inline uint32_t CrcWord(uint32_t c, uint64_t word) {
+  return static_cast<uint32_t>(_mm_crc32_u64(c, word));
+}
+GAUSS_CRC32C_TARGET inline uint32_t CrcByte(uint32_t c, uint8_t byte) {
+  return _mm_crc32_u8(c, byte);
 }
 
 #elif defined(__aarch64__)
+#define GAUSS_CRC32C_TARGET __attribute__((target("+crc")))
 
-__attribute__((target("+crc"))) uint32_t Crc32cArmv8(const void* data,
-                                                      size_t n, uint32_t crc) {
+GAUSS_CRC32C_TARGET inline uint32_t CrcWord(uint32_t c, uint64_t word) {
+  return __crc32cd(c, word);
+}
+GAUSS_CRC32C_TARGET inline uint32_t CrcByte(uint32_t c, uint8_t byte) {
+  return __crc32cb(c, byte);
+}
+
+#endif
+
+#if defined(GAUSS_CRC32C_TARGET)
+
+// Zero-shift tables: shift[k][b] is the CRC register that b << 8k becomes
+// after a fixed number of zero bytes. The register is linear in its start
+// over zero input, so four lookups advance any register past them. This is
+// what lets independent streams be combined: the register after A ++ B is
+// the register after A, advanced past |B| zeros, xor the register of B
+// from zero (Adler's crc32c.c; no carry-less multiply needed).
+using ShiftTable = std::array<std::array<uint32_t, 256>, 4>;
+
+constexpr ShiftTable MakeShiftTable(size_t bytes) {
+  // The 32 one-bit registers first, each advanced a word at a time.
+  std::array<uint32_t, 32> bit{};
+  for (int i = 0; i < 32; ++i) {
+    uint32_t c = uint32_t{1} << i;
+    for (size_t left = bytes; left > 0; left -= 8) {
+      c = kTables[7][c & 0xFF] ^ kTables[6][(c >> 8) & 0xFF] ^
+          kTables[5][(c >> 16) & 0xFF] ^ kTables[4][c >> 24];
+    }
+    bit[i] = c;
+  }
+  ShiftTable t{};
+  for (int k = 0; k < 4; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      for (int i = 0; i < 8; ++i) {
+        if ((b >> i) & 1u) t[k][b] ^= bit[8 * k + i];
+      }
+    }
+  }
+  return t;
+}
+
+uint32_t Shift(const ShiftTable& t, uint32_t c) {
+  return t[0][c & 0xFF] ^ t[1][(c >> 8) & 0xFF] ^ t[2][(c >> 16) & 0xFF] ^
+         t[3][c >> 24];
+}
+
+// Stream lengths of the interleaved hardware loop: a body is cut into
+// groups of three equal blocks, long ones first, then short ones, and the
+// rest runs as one stream. Each block length needs its own shift table.
+constexpr size_t kLongBlock = 1024;
+constexpr size_t kShortBlock = 256;
+constexpr ShiftTable kShiftLong = MakeShiftTable(kLongBlock);
+constexpr ShiftTable kShiftShort = MakeShiftTable(kShortBlock);
+
+// Consumes whole groups of three kBlock-byte blocks from `*p`. The crc
+// instruction takes three cycles and issues every cycle, so one dependent
+// chain uses a third of it; three chains, one per block, run side by side
+// and are joined with two shifts per group.
+template <size_t kBlock>
+GAUSS_CRC32C_TARGET inline uint32_t ThreeStreams(const uint8_t** p, size_t* n,
+                                                 uint32_t c,
+                                                 const ShiftTable& shift) {
+  for (; *n >= 3 * kBlock; *n -= 3 * kBlock, *p += 3 * kBlock) {
+    const uint8_t* a = *p;
+    uint32_t c1 = 0, c2 = 0;
+    for (size_t i = 0; i < kBlock; i += 8) {
+      c = CrcWord(c, Load64(a + i));
+      c1 = CrcWord(c1, Load64(a + kBlock + i));
+      c2 = CrcWord(c2, Load64(a + 2 * kBlock + i));
+    }
+    c = Shift(shift, Shift(shift, c) ^ c1) ^ c2;
+  }
+  return c;
+}
+
+GAUSS_CRC32C_TARGET uint32_t Crc32cHardware(const void* data, size_t n,
+                                            uint32_t crc) {
   const auto* p = static_cast<const uint8_t*>(data);
   uint32_t c = ~crc;
-  for (; n >= 8; n -= 8, p += 8) c = __crc32cd(c, Load64(p));
-  for (; n > 0; --n) c = __crc32cb(c, *p++);
+  c = ThreeStreams<kLongBlock>(&p, &n, c, kShiftLong);
+  c = ThreeStreams<kShortBlock>(&p, &n, c, kShiftShort);
+  for (; n >= 8; n -= 8, p += 8) c = CrcWord(c, Load64(p));
+  for (; n > 0; --n) c = CrcByte(c, *p++);
   return ~c;
 }
 
@@ -83,9 +158,11 @@ const Dispatch& Active() {
   static const Dispatch active = []() -> Dispatch {
     if (!ScalarForced()) {
 #if defined(__x86_64__)
-      if (__builtin_cpu_supports("sse4.2")) return {&Crc32cSse42, "sse4.2"};
+      if (__builtin_cpu_supports("sse4.2")) return {&Crc32cHardware, "sse4.2"};
 #elif defined(__aarch64__)
-      if (::getauxval(AT_HWCAP) & HWCAP_CRC32) return {&Crc32cArmv8, "armv8"};
+      if (::getauxval(AT_HWCAP) & HWCAP_CRC32) {
+        return {&Crc32cHardware, "armv8"};
+      }
 #endif
     }
     return {&Crc32cPortable, "portable"};

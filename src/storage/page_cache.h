@@ -23,10 +23,14 @@ namespace gauss {
 // matching release.
 class PageRef {
  public:
+  // Bits of a frame's marks (see verified() and kept()).
+  static constexpr uint8_t kVerified = 1;
+  static constexpr uint8_t kKept = 2;
+
   PageRef() = default;
   PageRef(uint8_t* data, std::atomic<uint32_t>* pins,
-          std::atomic<bool>* verified)
-      : data_(data), pins_(pins), verified_(verified) {}
+          std::atomic<uint8_t>* marks)
+      : data_(data), pins_(pins), marks_(marks) {}
 
   PageRef(const PageRef&) = delete;
   PageRef& operator=(const PageRef&) = delete;
@@ -34,14 +38,14 @@ class PageRef {
   PageRef(PageRef&& other) noexcept
       : data_(std::exchange(other.data_, nullptr)),
         pins_(std::exchange(other.pins_, nullptr)),
-        verified_(std::exchange(other.verified_, nullptr)) {}
+        marks_(std::exchange(other.marks_, nullptr)) {}
 
   PageRef& operator=(PageRef&& other) noexcept {
     if (this != &other) {
       Release();
       data_ = std::exchange(other.data_, nullptr);
       pins_ = std::exchange(other.pins_, nullptr);
-      verified_ = std::exchange(other.verified_, nullptr);
+      marks_ = std::exchange(other.marks_, nullptr);
     }
     return *this;
   }
@@ -66,11 +70,22 @@ class PageRef {
   // hit on a checked frame skips the check, and a frame that failed it is
   // checked (and fails) again on every fetch. An empty ref reports false
   // and ignores MarkVerified.
-  bool verified() const {
-    return verified_ != nullptr && verified_->load(std::memory_order_acquire);
-  }
-  void MarkVerified() const {
-    if (verified_ != nullptr) verified_->store(true, std::memory_order_release);
+  bool verified() const { return (marks() & kVerified) != 0; }
+
+  // The frame's kept mark: set with the verified bit by a reader that wants
+  // the page to outlive the pages it has not marked (the Gauss-tree marks
+  // its inner nodes), and cleared with it. A pool evicts kept frames only
+  // when no unkept frame can go (sharded_buffer_pool.h, "Leaf-first
+  // eviction"); it changes which frames stay resident, never what a fetch
+  // returns.
+  bool kept() const { return (marks() & kKept) != 0; }
+
+  // Sets the verified bit, and the kept mark when `keep`.
+  void MarkVerified(bool keep = false) const {
+    if (marks_ != nullptr) {
+      marks_->fetch_or(keep ? kVerified | kKept : kVerified,
+                       std::memory_order_release);
+    }
   }
 
   void Release() {
@@ -79,13 +94,17 @@ class PageRef {
       pins_ = nullptr;
     }
     data_ = nullptr;
-    verified_ = nullptr;
+    marks_ = nullptr;
   }
 
  private:
+  uint8_t marks() const {
+    return marks_ != nullptr ? marks_->load(std::memory_order_acquire) : 0;
+  }
+
   uint8_t* data_ = nullptr;
   std::atomic<uint32_t>* pins_ = nullptr;
-  std::atomic<bool>* verified_ = nullptr;
+  std::atomic<uint8_t>* marks_ = nullptr;
 };
 
 // Abstract page cache in front of a PageDevice: the storage interface the

@@ -11,6 +11,10 @@ namespace gauss {
 
 namespace {
 
+// Fewest pages a default stripe holds: with fewer, a stripe's two LRU lists
+// are too short to keep a hot frame over a burst of cold ones.
+constexpr size_t kMinDefaultShardPages = 16;
+
 size_t PickShardCount(size_t capacity_pages, size_t requested) {
   if (requested != 0) {
     GAUSS_CHECK_MSG((requested & (requested - 1)) == 0,
@@ -20,9 +24,11 @@ size_t PickShardCount(size_t capacity_pages, size_t requested) {
                     "at least one page of budget");
     return requested;
   }
-  // Default: 64 shards, shrunk so every shard can cache at least 2 pages.
+  // Default: 64 shards, shrunk so every shard can cache at least 16 pages.
   size_t shards = 64;
-  while (shards > 1 && capacity_pages / shards < 2) shards /= 2;
+  while (shards > 1 && capacity_pages / shards < kMinDefaultShardPages) {
+    shards /= 2;
+  }
   return shards;
 }
 
@@ -31,6 +37,42 @@ size_t PickShardCount(size_t capacity_pages, size_t requested) {
 constexpr size_t kMaxChunkSlots = 256;
 
 }  // namespace
+
+ShardedBufferPool::Latch::Latch() {
+  pthread_mutexattr_t attr;
+  pthread_mutexattr_init(&attr);
+#if defined(__GLIBC__)
+  pthread_mutexattr_settype(&attr, PTHREAD_MUTEX_ADAPTIVE_NP);
+#endif
+  pthread_mutex_init(&mutex_, &attr);
+  pthread_mutexattr_destroy(&attr);
+}
+
+ShardedBufferPool::Latch::~Latch() { pthread_mutex_destroy(&mutex_); }
+
+void ShardedBufferPool::Latch::lock() {
+  const int rc = pthread_mutex_lock(&mutex_);
+  GAUSS_CHECK_MSG(rc == 0, "ShardedBufferPool: cannot take a stripe latch");
+}
+
+void ShardedBufferPool::Latch::unlock() { pthread_mutex_unlock(&mutex_); }
+
+void ShardedBufferPool::LruList::PushFront(Frame* frame) {
+  frame->prev = nullptr;
+  frame->next = head;
+  if (head != nullptr) {
+    head->prev = frame;
+  } else {
+    tail = frame;
+  }
+  head = frame;
+}
+
+void ShardedBufferPool::LruList::Unlink(Frame* frame) {
+  (frame->prev != nullptr ? frame->prev->next : head) = frame->next;
+  (frame->next != nullptr ? frame->next->prev : tail) = frame->prev;
+  frame->prev = frame->next = nullptr;
+}
 
 ShardedBufferPool::ShardedBufferPool(PageDevice* device, size_t capacity_pages,
                                      size_t num_shards)
@@ -64,52 +106,110 @@ void ShardedBufferPool::ReleaseSlotLocked(Shard& shard, Frame& frame) {
   if (frame.owned != nullptr) shard.free_slots.push_back(frame.owned);
 }
 
-void ShardedBufferPool::EvictIfFullLocked(Shard& shard) {
-  // Evict until strictly below capacity so earlier pin-forced overshoot is
-  // reclaimed once the pins are gone, not carried forever.
-  auto it = shard.lru.rbegin();
-  while (shard.frames.size() >= shard.capacity && it != shard.lru.rend()) {
-    auto frame_it = shard.frames.find(*it);
-    GAUSS_CHECK(frame_it != shard.frames.end());
-    Frame& frame = frame_it->second;
-    if (frame.pins.load(std::memory_order_acquire) != 0) {
-      ++it;  // pinned frames must stay resident
-      continue;
-    }
-    if (frame.dirty) {
-      device_->Write(frame_it->first, frame.data);
-      physical_writes_.fetch_add(1, std::memory_order_relaxed);
-    }
-    ReleaseSlotLocked(shard, frame);
-    it = std::make_reverse_iterator(shard.lru.erase(frame.lru_pos));
-    shard.frames.erase(frame_it);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+void ShardedBufferPool::EvictLocked(Shard& shard, Frame& frame) {
+  if (frame.dirty) {
+    device_->Write(frame.id, frame.data);
+    physical_writes_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Exhausted the LRU with every frame pinned: grow past the shard budget
-  // instead of failing.
+  ReleaseSlotLocked(shard, frame);
+  (frame.on_kept_list ? shard.kept : shard.unkept).Unlink(&frame);
+  shard.frames.erase(frame.id);
 }
 
-ShardedBufferPool::Frame& ShardedBufferPool::GetFrameLocked(Shard& shard,
-                                                            PageId id) {
-  logical_reads_.fetch_add(1, std::memory_order_relaxed);
-  auto it = shard.frames.find(id);
-  if (it != shard.frames.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    return it->second;
+void ShardedBufferPool::EvictIfFullLocked(Shard& shard) {
+  // Evict until strictly below capacity so earlier pin-forced overshoot is
+  // reclaimed once the pins are gone, not carried forever. Unkept frames go
+  // first; a kept frame met on their list moves to the kept list instead.
+  for (Frame* frame = shard.unkept.tail;
+       frame != nullptr && shard.frames.size() >= shard.capacity;) {
+    Frame* const older = frame->prev;
+    if (frame->pins.load(std::memory_order_acquire) != 0) {
+      // Pinned frames must stay resident.
+    } else if ((frame->marks.load(std::memory_order_relaxed) &
+                PageRef::kKept) != 0) {
+      shard.unkept.Unlink(frame);
+      shard.kept.PushFront(frame);
+      frame->on_kept_list = true;
+    } else {
+      EvictLocked(shard, *frame);
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+    }
+    frame = older;
   }
+  for (Frame* frame = shard.kept.tail;
+       frame != nullptr && shard.frames.size() >= shard.capacity;) {
+    Frame* const older = frame->prev;
+    if (frame->pins.load(std::memory_order_acquire) == 0) {
+      EvictLocked(shard, *frame);
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+    }
+    frame = older;
+  }
+  // Exhausted both lists with every frame pinned: grow past the shard
+  // budget instead of failing.
+}
+
+void ShardedBufferPool::TouchLocked(Shard& shard, Frame& frame) {
+  LruList& list = frame.on_kept_list ? shard.kept : shard.unkept;
+  if (list.head == &frame) return;
+  list.Unlink(&frame);
+  list.PushFront(&frame);
+}
+
+void ShardedBufferPool::ClearMarksLocked(Shard& shard, Frame& frame) {
+  frame.marks.store(0, std::memory_order_relaxed);
+  if (!frame.on_kept_list) return;
+  shard.kept.Unlink(&frame);
+  shard.unkept.PushFront(&frame);
+  frame.on_kept_list = false;
+}
+
+ShardedBufferPool::Frame& ShardedBufferPool::InstallLocked(Shard& shard,
+                                                           PageId id) {
   EvictIfFullLocked(shard);
   auto [pos, inserted] = shard.frames.try_emplace(id);
   GAUSS_CHECK(inserted);
   Frame& frame = pos->second;
-  frame.data = device_->StablePage(id);
-  if (frame.data == nullptr) {
-    OwnLocked(shard, frame, /*copy=*/false);
-    device_->Read(id, frame.owned);
-  }
-  physical_reads_.fetch_add(1, std::memory_order_relaxed);
-  shard.lru.push_front(id);
-  frame.lru_pos = shard.lru.begin();
+  frame.id = id;
+  shard.unkept.PushFront(&frame);
   return frame;
+}
+
+void ShardedBufferPool::WaitLoaded(const Frame& frame) {
+  while (frame.loading.load(std::memory_order_acquire) != 0) {
+    frame.loading.wait(1, std::memory_order_acquire);
+  }
+}
+
+PageRef ShardedBufferPool::PinLoaded(Shard& shard, PageId id) {
+  std::unique_lock<Latch> lock(shard.latch);
+  logical_reads_.fetch_add(1, std::memory_order_relaxed);
+  auto it = shard.frames.find(id);
+  if (it != shard.frames.end()) {
+    Frame& frame = it->second;
+    TouchLocked(shard, frame);
+    PageRef ref = Pin(frame);
+    if (frame.loading.load(std::memory_order_acquire) != 0) {
+      // Another thread's read fills the frame: wait for it, latch released.
+      lock.unlock();
+      WaitLoaded(frame);
+    }
+    return ref;
+  }
+  Frame& frame = InstallLocked(shard, id);
+  physical_reads_.fetch_add(1, std::memory_order_relaxed);
+  frame.data = device_->StablePage(id);
+  if (frame.data != nullptr) return Pin(frame);  // lent: nothing to read
+  OwnLocked(shard, frame, /*copy=*/false);
+  frame.loading.store(1, std::memory_order_relaxed);
+  PageRef ref = Pin(frame);
+  lock.unlock();
+  // The pin keeps the frame and its slot; `loading` keeps other threads
+  // off its bytes until the read is published.
+  device_->Read(id, frame.owned);
+  frame.loading.store(0, std::memory_order_release);
+  frame.loading.notify_all();
+  return ref;
 }
 
 void ShardedBufferPool::OwnLocked(Shard& shard, Frame& frame,
@@ -142,48 +242,53 @@ PageRef ShardedBufferPool::Pin(Frame& frame) {
   frame.pins.fetch_add(1, std::memory_order_relaxed);
   // A read ref to a borrowed frame points into the device: PageRef's
   // mutable_data() is for FetchMutable refs only, which always own.
-  return PageRef(const_cast<uint8_t*>(frame.data), &frame.pins,
-                 &frame.verified);
+  return PageRef(const_cast<uint8_t*>(frame.data), &frame.pins, &frame.marks);
 }
 
 PageRef ShardedBufferPool::Fetch(PageId id) {
-  Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.latch);
-  return Pin(GetFrameLocked(shard, id));
+  return PinLoaded(ShardFor(id), id);
 }
 
 PageRef ShardedBufferPool::FetchMutable(PageId id) {
   Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.latch);
-  Frame& frame = GetFrameLocked(shard, id);
+  // The loaded ref keeps the frame resident until the writable one is made.
+  const PageRef loaded = PinLoaded(shard, id);
+  std::lock_guard<Latch> lock(shard.latch);
+  Frame& frame = shard.frames.find(id)->second;
   OwnLocked(shard, frame, /*copy=*/true);
   frame.dirty = true;
-  frame.verified.store(false, std::memory_order_relaxed);
+  ClearMarksLocked(shard, frame);
   return Pin(frame);
 }
 
 void ShardedBufferPool::WritePage(PageId id, const void* data) {
   Shard& shard = ShardFor(id);
-  std::lock_guard<std::mutex> lock(shard.latch);
+  std::unique_lock<Latch> lock(shard.latch);
   auto it = shard.frames.find(id);
+  Frame* frame;
   if (it == shard.frames.end()) {
-    EvictIfFullLocked(shard);
-    it = shard.frames.try_emplace(id).first;
-    shard.lru.push_front(id);
-    it->second.lru_pos = shard.lru.begin();
+    frame = &InstallLocked(shard, id);
   } else {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+    frame = &it->second;
+    if (frame->loading.load(std::memory_order_acquire) != 0) {
+      // The read in flight must not land on this write: wait for it.
+      frame->pins.fetch_add(1, std::memory_order_relaxed);
+      lock.unlock();
+      WaitLoaded(*frame);
+      lock.lock();
+      frame->pins.fetch_sub(1, std::memory_order_release);
+    }
+    TouchLocked(shard, *frame);
   }
-  Frame& frame = it->second;
-  OwnLocked(shard, frame, /*copy=*/false);
-  std::memcpy(frame.owned, data, device_->page_size());
-  frame.dirty = true;
-  frame.verified.store(false, std::memory_order_relaxed);
+  OwnLocked(shard, *frame, /*copy=*/false);
+  std::memcpy(frame->owned, data, device_->page_size());
+  frame->dirty = true;
+  ClearMarksLocked(shard, *frame);
 }
 
 void ShardedBufferPool::FlushAll() {
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.latch);
+    std::lock_guard<Latch> lock(shard.latch);
     for (auto& [id, frame] : shard.frames) {
       if (frame.dirty) {
         device_->Write(id, frame.data);
@@ -198,7 +303,7 @@ void ShardedBufferPool::Clear() {
   // One pass per stripe under its latch, so a frame written between a
   // flush and the drop cannot be dropped dirty.
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.latch);
+    std::lock_guard<Latch> lock(shard.latch);
     for (auto it = shard.frames.begin(); it != shard.frames.end();) {
       Frame& frame = it->second;
       if (frame.dirty) {
@@ -208,7 +313,7 @@ void ShardedBufferPool::Clear() {
       }
       if (frame.pins.load(std::memory_order_acquire) == 0) {
         ReleaseSlotLocked(shard, frame);
-        shard.lru.erase(frame.lru_pos);
+        (frame.on_kept_list ? shard.kept : shard.unkept).Unlink(&frame);
         it = shard.frames.erase(it);
       } else {
         ++it;
@@ -236,7 +341,7 @@ void ShardedBufferPool::ResetStats() {
 size_t ShardedBufferPool::resident_pages() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.latch);
+    std::lock_guard<Latch> lock(shard.latch);
     total += shard.frames.size();
   }
   return total;
@@ -245,7 +350,7 @@ size_t ShardedBufferPool::resident_pages() const {
 size_t ShardedBufferPool::mapped_slots() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.latch);
+    std::lock_guard<Latch> lock(shard.latch);
     for (const Chunk& chunk : shard.chunks) total += chunk.slots;
   }
   return total;

@@ -3,8 +3,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -268,7 +270,8 @@ TEST(PageDeviceDeathTest, RecycleRejectsUnallocatedAndDuplicatePages) {
 
 // BufferPoolTest pins the LRU cache semantics every IoStats count rests on:
 // exact eviction order, write-back, cold starts and pins. A one-stripe
-// ShardedBufferPool is one global LRU, so these run on it.
+// ShardedBufferPool where no frame is marked kept is one global LRU, so
+// these run on it.
 TEST(BufferPoolTest, SecondFetchIsLogicalOnly) {
   InMemoryPageDevice device(256);
   const PageId id = device.Allocate();
@@ -530,6 +533,190 @@ TEST(ShardedBufferPoolTest, EvictionChurnReusesSlots) {
   EXPECT_EQ(borrowing.mapped_slots(), 4u);
 }
 
+// A device whose reads of one page block until the test opens the gate, so
+// a test can hold a pool's device read in flight. Counts every read.
+class GatedDevice : public UnlentDevice {
+ public:
+  using UnlentDevice::UnlentDevice;
+
+  void Gate(PageId id) { gated_ = id; }
+
+  void Read(PageId id, void* out) const override {
+    reads_.fetch_add(1);
+    if (id == gated_) {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++blocked_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+    }
+    UnlentDevice::Read(id, out);
+  }
+
+  // Waits until a read of the gated page has started.
+  void AwaitBlockedRead() const {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return blocked_ > 0; });
+  }
+
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+
+  int reads() const { return reads_.load(); }
+  int blocked_reads() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return blocked_;
+  }
+
+ private:
+  PageId gated_ = kInvalidPageId;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int blocked_ = 0;
+  bool open_ = false;
+  mutable std::atomic<int> reads_{0};
+};
+
+// Spins until the pool has counted `n` logical reads: a fetch counts its
+// logical read under the latch, before it waits for a read in flight.
+void AwaitLogicalReads(const ShardedBufferPool& pool, uint64_t n) {
+  while (pool.stats().logical_reads < n) std::this_thread::yield();
+}
+
+// A miss reads the device outside its stripe's latch: while page A's read
+// is held, a fetch of page B of the same (only) stripe completes. Later
+// fetchers of A — a Fetch and a FetchMutable — wait for that one read, so
+// the pool reads A once and every ref sees A's bytes.
+TEST(ShardedBufferPoolTest, MissReadsOutsideTheLatchAndSharesTheRead) {
+  GatedDevice device(256);
+  const std::vector<PageId> ids = PatternedPages(&device, 2);
+  const PageId a = ids[0];
+  const PageId b = ids[1];
+  device.Gate(a);
+  ShardedBufferPool pool(&device, 8, /*num_shards=*/1);
+  const auto want_a = Pattern(256, 0);
+
+  std::atomic<int> mismatches{0};
+  std::thread loader([&] {
+    const PageRef ref = pool.Fetch(a);
+    if (std::memcmp(ref.data(), want_a.data(), 256) != 0) ++mismatches;
+  });
+  device.AwaitBlockedRead();
+  {
+    const PageRef ref_b = pool.Fetch(b);  // same stripe, A still loading
+    const auto want_b = Pattern(256, 1);
+    EXPECT_EQ(std::memcmp(ref_b.data(), want_b.data(), 256), 0);
+  }
+  std::thread reader([&] {
+    const PageRef ref = pool.Fetch(a);
+    if (std::memcmp(ref.data(), want_a.data(), 256) != 0) ++mismatches;
+  });
+  AwaitLogicalReads(pool, 3);
+  std::thread writer([&] {
+    const PageRef ref = pool.FetchMutable(a);
+    if (std::memcmp(ref.data(), want_a.data(), 256) != 0) ++mismatches;
+  });
+  AwaitLogicalReads(pool, 4);
+  EXPECT_EQ(device.blocked_reads(), 1);  // the waiters issued no read
+  device.Open();
+  loader.join();
+  reader.join();
+  writer.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(device.reads(), 2);  // A once, B once
+  EXPECT_EQ(pool.stats().physical_reads, 2u);
+  EXPECT_EQ(pool.stats().logical_reads, 4u);
+}
+
+// A WritePage that finds the page's read in flight waits for it, so the
+// read cannot land over the written bytes.
+TEST(ShardedBufferPoolTest, WritePageWaitsForTheReadInFlight) {
+  GatedDevice device(256);
+  const std::vector<PageId> ids = PatternedPages(&device, 1);
+  device.Gate(ids[0]);
+  ShardedBufferPool pool(&device, 4, /*num_shards=*/1);
+  std::thread loader([&] { pool.Fetch(ids[0]); });
+  device.AwaitBlockedRead();
+  const auto written = Pattern(256, 77);
+  std::thread writer([&] { pool.WritePage(ids[0], written.data()); });
+  device.Open();
+  loader.join();
+  writer.join();
+  const PageRef ref = pool.Fetch(ids[0]);
+  EXPECT_EQ(std::memcmp(ref.data(), written.data(), 256), 0);
+  EXPECT_EQ(device.reads(), 1);
+}
+
+// Leaf-first eviction on one stripe: frames marked kept outlive any churn
+// of unkept frames, which keep exact LRU order among themselves.
+TEST(ShardedBufferPoolTest, KeptFramesOutliveUnkeptChurn) {
+  InMemoryPageDevice device(256);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 24; ++i) ids.push_back(device.Allocate());
+  ShardedBufferPool pool(&device, 4, /*num_shards=*/1);
+  pool.Fetch(ids[0]).MarkVerified(/*keep=*/true);
+  pool.Fetch(ids[1]).MarkVerified(/*keep=*/true);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 2; i < 24; ++i) pool.Fetch(ids[i]).MarkVerified();
+  }
+  const uint64_t physical = pool.stats().physical_reads;
+  // The kept pair and the two most recent unkept pages are resident.
+  for (int i : {0, 1, 22, 23}) pool.Fetch(ids[i]);
+  EXPECT_EQ(pool.stats().physical_reads, physical);
+  pool.Fetch(ids[21]);  // older unkept pages were evicted in LRU order
+  EXPECT_EQ(pool.stats().physical_reads, physical + 1);
+  EXPECT_EQ(pool.resident_pages(), 4u);
+}
+
+// Once only kept frames can go, they leave least recently used first. Four
+// kept frames fill a one-stripe pool (page 0 touched last); each of `m`
+// further misses, marked kept at once as a tree marks an inner node, then
+// evicts one: pages 1, 2, 3, 0 in that order.
+TEST(ShardedBufferPoolTest, KeptFramesLeaveInLruOrder) {
+  const int evicted_order[] = {1, 2, 3, 0};
+  for (int m = 1; m <= 4; ++m) {
+    InMemoryPageDevice device(256);
+    std::vector<PageId> ids;
+    for (int i = 0; i < 8; ++i) ids.push_back(device.Allocate());
+    ShardedBufferPool pool(&device, 4, /*num_shards=*/1);
+    for (int i = 0; i < 4; ++i) pool.Fetch(ids[i]).MarkVerified(/*keep=*/true);
+    pool.Fetch(ids[0]);
+    for (int j = 0; j < m; ++j) {
+      pool.Fetch(ids[4 + j]).MarkVerified(/*keep=*/true);
+    }
+    EXPECT_EQ(pool.stats().evictions, static_cast<uint64_t>(m));
+    // Hits first, so probing evicts nothing the later probes look for.
+    const uint64_t physical = pool.stats().physical_reads;
+    for (int k = m; k < 4; ++k) pool.Fetch(ids[evicted_order[k]]);
+    EXPECT_EQ(pool.stats().physical_reads, physical) << "after " << m;
+    for (int k = 0; k < m; ++k) pool.Fetch(ids[evicted_order[k]]);
+    EXPECT_EQ(pool.stats().physical_reads, physical + m) << "after " << m;
+  }
+}
+
+// A rewritten frame loses its kept mark and competes as unkept again: the
+// next miss evicts it (writing it back) ahead of an older unkept frame.
+TEST(ShardedBufferPoolTest, RewrittenKeptFrameCompetesAsUnkept) {
+  InMemoryPageDevice device(256);
+  std::vector<PageId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(device.Allocate());
+  ShardedBufferPool pool(&device, 2, /*num_shards=*/1);
+  pool.Fetch(ids[0]).MarkVerified(/*keep=*/true);
+  pool.Fetch(ids[1]);
+  pool.Fetch(ids[2]);  // evicts page 1; page 0 moves to the kept list
+  const auto bytes = Pattern(256, 9);
+  pool.WritePage(ids[0], bytes.data());  // unkept again, most recent
+  pool.Fetch(ids[2]);                    // page 0 is now the LRU frame
+  pool.Fetch(ids[3]);
+  EXPECT_EQ(pool.stats().physical_writes, 1u);
+  std::vector<uint8_t> back(256);
+  device.Read(ids[0], back.data());
+  EXPECT_EQ(back, bytes);
+}
+
 // Pins that hold every frame force the stripe past its budget: it maps
 // another chunk. Once the pins go, eviction brings the frames back to the
 // budget, and the slots are reused without a third chunk.
@@ -603,13 +790,17 @@ TEST(ShardedBufferPoolTest, ConcurrentFetchEvictPinReusesSlotsCleanly) {
 }
 
 // The default stripe count halves from 64 until every stripe holds at least
-// 2 pages (one stripe below 4 pages).
-TEST(ShardedBufferPoolTest, DefaultStripeCountKeepsTwoPagesPerStripe) {
+// 16 pages (one stripe below 32 pages).
+TEST(ShardedBufferPoolTest, DefaultStripeCountKeepsSixteenPagesPerStripe) {
   InMemoryPageDevice device(128);
   EXPECT_EQ(ShardedBufferPool(&device, 1).num_shards(), 1u);
-  EXPECT_EQ(ShardedBufferPool(&device, 4).num_shards(), 2u);
-  EXPECT_EQ(ShardedBufferPool(&device, 64).num_shards(), 32u);
+  EXPECT_EQ(ShardedBufferPool(&device, 4).num_shards(), 1u);
+  EXPECT_EQ(ShardedBufferPool(&device, 31).num_shards(), 1u);
+  EXPECT_EQ(ShardedBufferPool(&device, 32).num_shards(), 2u);
+  EXPECT_EQ(ShardedBufferPool(&device, 64).num_shards(), 4u);
+  EXPECT_EQ(ShardedBufferPool(&device, 256).num_shards(), 16u);
   EXPECT_EQ(ShardedBufferPool(&device, 4096).num_shards(), 64u);
+  EXPECT_EQ(ShardedBufferPool(&device, 8192).num_shards(), 64u);
 }
 
 // Remainder pages go to the first stripes, so once every stripe is full
@@ -746,11 +937,15 @@ TEST(Crc32cTest, KnownAnswerAndChaining) {
   EXPECT_EQ(Crc32c(kCheck + 4, 5, Crc32c(kCheck, 4)), 0xE3069283u);
 }
 
+// Every length up to past three 3 KiB groups, a 768 B group and a tail of
+// the interleaved hardware loop (crc32c.cc), so each block boundary and
+// each way of cutting a body is checked.
 TEST(Crc32cTest, DispatchedPathMatchesPortableOnRandomBuffers) {
+  constexpr size_t kMaxLength = 3 * 3072 + 768 + 64;
   Rng rng(2006);
-  std::vector<uint8_t> buffer(9000 + 8);
+  std::vector<uint8_t> buffer(kMaxLength + 8);
   for (uint8_t& byte : buffer) byte = static_cast<uint8_t>(rng.UniformInt(256));
-  for (size_t n = 0; n <= 9000; ++n) {
+  for (size_t n = 0; n <= kMaxLength; ++n) {
     const size_t offset = n % 8;  // unaligned starts too
     const uint32_t seed = static_cast<uint32_t>(rng.UniformInt(1ull << 32));
     ASSERT_EQ(Crc32c(buffer.data() + offset, n, seed),
@@ -761,24 +956,33 @@ TEST(Crc32cTest, DispatchedPathMatchesPortableOnRandomBuffers) {
 
 // The verified bit a page check sets survives cache hits and is cleared by
 // everything that can change the frame's bytes: a device read installing
-// the frame again, WritePage, FetchMutable.
+// the frame again, WritePage, FetchMutable. The kept mark set with it is
+// cleared with it.
 void ExpectVerifiedBitLifecycle(size_t num_shards) {
   InMemoryPageDevice device(1024);
   const PageId id = device.Allocate();
   ShardedBufferPool pool(&device, 4, num_shards);
   EXPECT_FALSE(pool.Fetch(id).verified());
+  EXPECT_FALSE(pool.Fetch(id).kept());
   pool.Fetch(id).MarkVerified();
   EXPECT_TRUE(pool.Fetch(id).verified());  // hit on a checked frame
+  EXPECT_FALSE(pool.Fetch(id).kept());     // kept only when asked
+  pool.Fetch(id).MarkVerified(/*keep=*/true);
+  EXPECT_TRUE(pool.Fetch(id).kept());
   const auto bytes = Pattern(device.page_size(), 3);
   pool.WritePage(id, bytes.data());
   EXPECT_FALSE(pool.Fetch(id).verified());
-  pool.Fetch(id).MarkVerified();
+  EXPECT_FALSE(pool.Fetch(id).kept());
+  pool.Fetch(id).MarkVerified(/*keep=*/true);
   { const PageRef mutable_ref = pool.FetchMutable(id); }
   EXPECT_FALSE(pool.Fetch(id).verified());
-  pool.Fetch(id).MarkVerified();
+  EXPECT_FALSE(pool.Fetch(id).kept());
+  pool.Fetch(id).MarkVerified(/*keep=*/true);
   pool.Clear();  // the next fetch reads the device again
   EXPECT_FALSE(pool.Fetch(id).verified());
+  EXPECT_FALSE(pool.Fetch(id).kept());
   EXPECT_FALSE(PageRef().verified());
+  EXPECT_FALSE(PageRef().kept());
 }
 
 TEST(BufferPoolTest, VerifiedBitLifecycle) {
