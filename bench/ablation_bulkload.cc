@@ -1,13 +1,21 @@
 // Ablation: bulk loading versus repeated insertion — build time, structure
 // quality, and query cost on the paper's data set 2. A second table times
-// the bulk load at one thread and at every usable CPU; the bench exits
-// non-zero unless both write the same device image.
+// the bulk load at one thread and at every usable CPU, and a 4-shard
+// GaussDb::Build, whose shards load side by side, on every usable CPU and
+// on one; each row splits its loads into their phases (leaf partition,
+// leaf pages, upper levels). The bench exits non-zero unless each pair
+// writes the same device image.
+
+#include <sched.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "api/gauss_db.h"
 #include "common/cpus.h"
 #include "common/stopwatch.h"
 #include "data/paper_datasets.h"
@@ -88,10 +96,20 @@ int Run() {
                "query pages several-fold; the figure benches still build by "
                "insertion for fidelity to the paper's Section 5.3\n";
 
-  // BulkLoad's threads only split the partitioning work: the image must not
-  // depend on how many there are.
+  // Neither BulkLoad's threads nor a sharded Build's side-by-side loads may
+  // change the image.
   const size_t cpus = UsableCpus();
-  Table threads_table({"BulkLoad threads", "build s", "pages"});
+  Table threads_table({"build", "CPUs", "build s", "partition s", "leaves s",
+                       "upper s", "pages"});
+  const auto phase_row = [&](const std::string& name, size_t used,
+                             const std::string& seconds,
+                             const GaussTree::BulkLoadTimes& times,
+                             size_t pages) {
+    threads_table.AddRow({name, Table::Int(used), seconds,
+                          Table::Num(times.partition_s, 3),
+                          Table::Num(times.leaves_s, 3),
+                          Table::Num(times.upper_s, 3), Table::Int(pages)});
+  };
   std::vector<std::vector<uint8_t>> images;
   for (size_t threads : {size_t{1}, cpus}) {
     InMemoryPageDevice device(kDefaultPageSize);
@@ -102,17 +120,59 @@ int Run() {
     const double build_seconds = build.ElapsedSeconds();
     tree.Finalize();
     images.push_back(DeviceImage(device));
-    threads_table.AddRow({Table::Int(threads), Table::Num(build_seconds, 3),
-                          Table::Int(device.PageCount())});
+    phase_row("BulkLoad", threads, Table::Num(build_seconds, 3),
+              tree.bulk_load_times(), device.PageCount());
   }
+
+  // A 4-shard Build on every usable CPU, then confined to one; one row per
+  // shard load, after the Build's own row.
+  constexpr size_t kShards = 4;
+  const auto sharded = [&](size_t used) {
+    GaussDbOptions options;
+    options.shards.num_shards = kShards;
+    GaussDb db = GaussDb::CreateInMemory(data.dataset.dim(), options);
+    Stopwatch build;
+    db.Build(data.dataset);
+    const double build_seconds = build.ElapsedSeconds();
+    threads_table.AddRow({"4-shard Build", Table::Int(used),
+                          Table::Num(build_seconds, 3), "", "", "",
+                          Table::Int(db.device().PageCount())});
+    for (size_t s = 0; s < kShards; ++s) {
+      const GaussTree& tree = *db.build_tree(s);
+      phase_row("  shard " + std::to_string(s), used, "",
+                tree.bulk_load_times(), tree.store().pages().size());
+    }
+    return DeviceImage(db.device());
+  };
+  const std::vector<uint8_t> all_cpus = sharded(cpus);
+  std::vector<uint8_t> one_cpu;
+  std::thread([&] {
+    cpu_set_t allowed;
+    CPU_ZERO(&allowed);
+    sched_getaffinity(0, sizeof(allowed), &allowed);
+    int first = 0;
+    while (!CPU_ISSET(first, &allowed)) ++first;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(first, &one);
+    sched_setaffinity(0, sizeof(one), &one);
+    one_cpu = sharded(UsableCpus());
+  }).join();
   threads_table.Print(std::cout);
   if (images[0] != images[1]) {
     std::cout << "FAIL: the image built with " << cpus
               << " threads differs from the one-thread image\n";
     return 1;
   }
+  if (all_cpus != one_cpu) {
+    std::cout << "FAIL: the 4-shard image built on " << cpus
+              << " CPUs differs from the one built on one CPU\n";
+    return 1;
+  }
   std::cout << "images identical at 1 and " << cpus << " threads ("
-            << images[0].size() << " bytes)\n";
+            << images[0].size() << " bytes), and 4-shard images identical "
+            << "on " << cpus << " CPUs and on one (" << all_cpus.size()
+            << " bytes)\n";
   return 0;
 }
 

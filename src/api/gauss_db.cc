@@ -6,16 +6,20 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include "api/partitioner.h"
 #include "api/serving_engine.h"
 #include "api/upgrade.h"
+#include "common/cpus.h"
 #include "common/macros.h"
 #include "net/rpc_backend.h"
 
@@ -294,9 +298,27 @@ void GaussDb::Build(const PfvDataset& dataset) {
     // Every shard reads the caller's dataset through its part's positions.
     std::vector<std::vector<uint32_t>> parts = SplitSpatial(
         dataset, trees_.size(), trees_[0]->capacities().leaf);
+    // Each tree takes its pages now, in shard order, so the loads below may
+    // run side by side and still write the image of loads run one after
+    // another.
     for (size_t s = 0; s < trees_.size(); ++s) {
-      trees_[s]->BulkLoad(dataset, std::move(parts[s]));
+      trees_[s]->ReserveBulkLoad(parts[s].size());
     }
+    // Up to one loader per CPU takes the next shard until none is left; the
+    // CPUs are shared out among the loaders as bulk-load threads.
+    const size_t cpus = UsableCpus();
+    const size_t loaders = std::min(cpus, trees_.size());
+    std::atomic<size_t> next{0};
+    const auto load = [&](size_t threads) {
+      for (size_t s = next++; s < trees_.size(); s = next++) {
+        trees_[s]->BulkLoad(dataset, std::move(parts[s]), threads);
+      }
+    };
+    std::vector<std::jthread> helpers;
+    for (size_t i = 1; i < loaders; ++i) {
+      helpers.emplace_back(load, cpus / loaders + (i < cpus % loaders));
+    }
+    load(cpus / loaders + (cpus % loaders > 0));
   } else {
     trees_[0]->BulkLoad(dataset);
   }

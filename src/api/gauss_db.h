@@ -109,8 +109,8 @@ namespace gauss {
 // Sharding (GaussDbOptions::shards, ShardOptions::num_shards >= 1): the
 // gallery is cut into N regions of the feature space (api/partitioner.h), one
 // Gauss-tree each. Build() cuts at the median of the widest mu axis,
-// recursively, snapping each cut to a full leaf block, and each shard tree
-// bulk-loads its part of the gallery in place (no copy); Insert() routes an
+// recursively, snapping each cut to a full leaf block, and the shard trees
+// bulk-load their parts of the gallery in place (no copy), side by side; Insert() routes an
 // object to a shard by the paper's Section 5.3 insertion rule applied to the
 // shards' root MBRs. Serve() returns a Session whose front door is a
 // ShardCoordinator scatter-gathering every query across per-shard
@@ -523,7 +523,12 @@ class GaussDb {
   // Bulk-loads an empty database (top-down hull-integral partitioning — the
   // fast, more selective build) and finalizes it. Sharded databases cut the
   // dataset spatially first (api/partitioner.h) and bulk-load every shard
-  // tree straight from `dataset`, through its part's positions.
+  // tree straight from `dataset`, through its part's positions. The shard
+  // loads run side by side: each tree first reserves its pages in shard
+  // order (GaussTree::ReserveBulkLoad), then up to UsableCpus() loaders
+  // each take the next shard, the CPUs shared out among them as bulk-load
+  // threads. So the image is byte-identical to loads run one after another,
+  // on any number of CPUs.
   void Build(const PfvDataset& dataset);
 
   // Inserts one object. Build phase: paper Section 5.3 insertion into its

@@ -1,18 +1,18 @@
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
+#include "common/mapped_array.h"
+#include "common/stopwatch.h"
 #include "gausstree/gauss_tree.h"
 #include "math/hull_integral.h"
+#include "math/kernels.h"
 
 // Bulk loading (GaussTree::BulkLoad): a top-down recursive median
 // partitioning in the 2d-dimensional (mu, sigma) parameter space, choosing
@@ -32,17 +32,28 @@
 //     good along the cheapest axis. The leaf level reads its objects in
 //     place at every split: a dataset's pfvs through one (mu, sigma)
 //     pointer pair per object, SoA runs (leaf pages, a delta) through one
-//     (axis-0 address, stride) pair. An upper level gathers its entries
-//     once into a flat matrix of MBR centers and edges. No node or pfv is
-//     copied. The two halves of a split are disjoint ranges of `order`, so
-//     one half goes to a helper thread while threads remain.
-//  2. Materialize. The calling thread walks the same ranges in the order a
-//     sequential right-half-first depth-first loader would visit them and
-//     creates one node per final range. Page ids are therefore allocated in
-//     that fixed order, whatever the thread count. A node is complete once
-//     created, so it goes straight to its device page (GtNodeStore::
-//     Persist); only its parent entry — child id, count, MBR — stays in
-//     memory, as an item of the next level up.
+//     (axis-0 address, stride) pair. An upper level reads the flat rows
+//     of MBR edges its entries were written to (LevelEntries); an entry's
+//     key is its MBR center. No node or pfv is copied. The two halves of a
+//     split are disjoint ranges of `order`, so one half goes to a helper
+//     thread while threads remain.
+//  2. Materialize. The final ranges are numbered in the order a
+//     sequential right-half-first depth-first loader would visit them, and
+//     node k of the load, counted over the levels in that order (leaves
+//     first), takes the k-th page the load allocated, so page ids are fixed
+//     whatever the thread count. The leaves are written straight from the
+//     rows into a page buffer (WriteLeafPage): ids, planes, checksum and
+//     MBR, with no GtNode and no pfv copied; once the partition has freed
+//     its scratch, they are written on all of the load's threads, each
+//     writing a contiguous run of leaves to its own pages. An inner node is
+//     written the same way from its children's entries (WriteInnerPage), on
+//     the calling thread. Only a node's parent entry — page id, count, MBR
+//     — stays in memory, as a row of the next level up.
+// The pages a load takes can be reserved before it starts
+// (GaussTree::ReserveBulkLoad): their number is a pure function of the
+// object count and the node capacities, so trees sharing a device load side
+// by side and still get the pages of loads run one after another.
+//
 // std::nth_element is deterministic for a given input sequence, and each
 // range's input depends only on what happened to that range before, so the
 // permutation — and with it the whole device image — does not depend on
@@ -57,64 +68,13 @@ namespace gauss {
 
 namespace {
 
-// A fixed-size array of trivial T mapped straight from the kernel and
-// unmapped on destruction. The bulk load's transient buffers — the leaf
-// row view (16 B per object), the split scratch (24 B per item of a
-// thread's first range), the upper levels' entry matrices — come from
-// here. Taken from malloc, a freed buffer would raise glibc's dynamic mmap
-// threshold to its size, so later frees of up to that size would stay
-// resident: measured +2 MiB peak RSS on a 20k gallery with live ingest.
-template <typename T>
-class MappedArray {
-  static_assert(std::is_trivial_v<T>);
-
- public:
-  explicit MappedArray(size_t n) : size_(n) {
-    if (n == 0) return;
-    void* p = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    GAUSS_CHECK_MSG(p != MAP_FAILED, "BulkLoad: cannot map scratch memory");
-    data_ = static_cast<T*>(p);
-  }
-  MappedArray(MappedArray&& other) noexcept
-      : data_(std::exchange(other.data_, nullptr)),
-        size_(std::exchange(other.size_, 0)) {}
-  MappedArray& operator=(MappedArray&&) = delete;
-  ~MappedArray() { Free(); }
-
-  // Hands the OS pages wholly past the first `keep` elements back to the
-  // kernel: they take no memory until touched again, and then read zeros.
-  void ReleaseTail(size_t keep) {
-    const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-    const size_t from = (keep * sizeof(T) + page - 1) / page * page;
-    const size_t bytes = size_ * sizeof(T);
-    if (data_ == nullptr || from >= bytes) return;
-    ::madvise(reinterpret_cast<char*>(data_) + from, bytes - from,
-              MADV_DONTNEED);
-  }
-
-  // Unmaps the array now; it holds nothing afterwards.
-  void Free() {
-    if (data_ != nullptr) ::munmap(data_, size_ * sizeof(T));
-    data_ = nullptr;
-    size_ = 0;
-  }
-
-  T* data() { return data_; }
-  const T* data() const { return data_; }
-
- private:
-  T* data_ = nullptr;
-  size_t size_ = 0;
-};
-
 // Touches every cache line of `bytes` bytes from p.
 void PrefetchBytes(const void* p, size_t bytes) {
   const char* c = static_cast<const char*>(p);
   for (size_t b = 0; b < bytes; b += 64) __builtin_prefetch(c + b);
 }
 
-// Rows of a level as LevelPartitioner reads them (LevelMatrix, PfvRows,
+// Rows of a level as LevelPartitioner reads them (LevelEntries, PfvRows,
 // SoaRows): item i has a split key per axis — the 2d axes are the mu axes,
 // then the sigma axes — and an extent along the same axes. Rows are visited
 // at random, so the partitioner touches them ahead: PrefetchRow fetches a
@@ -123,39 +83,6 @@ void PrefetchBytes(const void* p, size_t bytes) {
 // the leaves: once the partition is done, Release(&order) maps the order
 // from rows to object handles and frees the row view, and Object(handle)
 // is the object, read where it lies.
-//
-// The items of an upper level, as rows of `stride` doubles. Columns [0, 2d)
-// are the split keys, an entry's MBR center. Columns [lo, lo + 2d) and
-// [hi, hi + 2d) are its lower and upper MBR edges along the same axes.
-struct LevelMatrix {
-  LevelMatrix(size_t n, size_t stride, size_t lo, size_t hi)
-      : values(n * stride), stride(stride), lo(lo), hi(hi) {}
-
-  MappedArray<double> values;
-  size_t stride;
-  size_t lo;
-  size_t hi;
-
-  double* row(uint32_t item) { return values.data() + size_t{item} * stride; }
-  const double* row(uint32_t item) const {
-    return values.data() + size_t{item} * stride;
-  }
-
-  double Key(uint32_t item, size_t axis) const { return row(item)[axis]; }
-  void PrefetchRow(uint32_t) const {}
-  void PrefetchKey(uint32_t item, size_t axis) const {
-    __builtin_prefetch(row(item) + axis);
-  }
-  void PrefetchExtent(uint32_t item) const {
-    PrefetchBytes(row(item), stride * sizeof(double));
-  }
-  // Points *lo_out and *hi_out at the item's 2d lower and upper extents.
-  void Extent(uint32_t item, double* /*buffer*/, const double** lo_out,
-              const double** hi_out) const {
-    *lo_out = row(item) + lo;
-    *hi_out = row(item) + hi;
-  }
-};
 
 // The leaf level: row i is the pfv at items[positions[i]], read in place
 // through its mu and sigma pointers. A row is a point, so its extent is its
@@ -186,14 +113,14 @@ class PfvRows {
     __builtin_prefetch(KeyAt(item, axis));
   }
   void PrefetchExtent(uint32_t item) const {
-    const Row& r = rows_.data()[item];
+    const Row& r = rows_[item];
     PrefetchBytes(r.mu, dim_ * sizeof(double));
     PrefetchBytes(r.sigma, dim_ * sizeof(double));
   }
   // Copies the item's mu, then its sigma, to buffer[0, 2d).
   void Extent(uint32_t item, double* buffer, const double** lo_out,
               const double** hi_out) const {
-    const Row& r = rows_.data()[item];
+    const Row& r = rows_[item];
     std::copy(r.mu, r.mu + dim_, buffer);
     std::copy(r.sigma, r.sigma + dim_, buffer + dim_);
     *lo_out = *hi_out = buffer;
@@ -201,12 +128,17 @@ class PfvRows {
   // The handle of an object is its dataset position. The position list goes
   // with the rows: memory freed to malloc mid-build stays resident, and a
   // whole-gallery list held to the end raised `tree`'s peak by 0.3 MiB.
-  void Release(std::vector<uint32_t>* order) {
-    for (uint32_t& row : *order) row = positions_[row];
+  void Release(MappedArray<uint32_t>* order) {
+    for (size_t i = 0; i < order->size(); ++i) {
+      (*order)[i] = positions_[(*order)[i]];
+    }
     positions_ = std::vector<uint32_t>();
     rows_.Free();
   }
-  const Pfv& Object(uint32_t position) const { return items_[position]; }
+  GtLeafObject Object(uint32_t position) const {
+    const Pfv& pfv = items_[position];
+    return {pfv.id, pfv.mu.data(), pfv.sigma.data(), 1};
+  }
 
  private:
   struct Row {
@@ -215,7 +147,7 @@ class PfvRows {
   };
 
   const double* KeyAt(uint32_t item, size_t axis) const {
-    const Row& r = rows_.data()[item];
+    const Row& r = rows_[item];
     return axis < dim_ ? r.mu + axis : r.sigma + (axis - dim_);
   }
 
@@ -262,22 +194,15 @@ class SoaRows {
 
   // The handle of an object is its row: the run that holds it is found
   // from the runs' first rows.
-  void Release(std::vector<uint32_t>*) { rows_.Free(); }
-  Pfv Object(uint32_t item) const {
+  void Release(MappedArray<uint32_t>*) { rows_.Free(); }
+  GtLeafObject Object(uint32_t item) const {
     const size_t r = static_cast<size_t>(
         std::upper_bound(starts_.begin(), starts_.end(), item) -
         starts_.begin() - 1);
     const GaussTree::SoaRun& run = runs_[r];
     const size_t j = item - starts_[r];
-    Pfv pfv;
-    pfv.id = run.ids[j];
-    pfv.mu.resize(dim_);
-    pfv.sigma.resize(dim_);
-    for (size_t d = 0; d < dim_; ++d) {
-      pfv.mu[d] = run.planes[d * run.stride + j];
-      pfv.sigma[d] = run.planes[(dim_ + d) * run.stride + j];
-    }
-    return pfv;
+    return {run.ids[j], run.planes + j, run.planes + dim_ * run.stride + j,
+            run.stride};
   }
 
  private:
@@ -287,7 +212,7 @@ class SoaRows {
   };
 
   const double* KeyAt(uint32_t item, size_t axis) const {
-    const Row& r = rows_.data()[item];
+    const Row& r = rows_[item];
     return r.first + axis * r.stride;
   }
 
@@ -297,54 +222,100 @@ class SoaRows {
   size_t dim_;
 };
 
-LevelMatrix EntryMatrix(const std::vector<GtChildEntry>& items, size_t dim) {
-  LevelMatrix m(items.size(), 6 * dim, 2 * dim, 4 * dim);
-  for (size_t e = 0; e < items.size(); ++e) {
-    double* row = m.row(static_cast<uint32_t>(e));
-    for (size_t i = 0; i < dim; ++i) {
-      const DimBounds& b = items[e].bounds[i];
-      row[i] = 0.5 * (b.mu_lo + b.mu_hi);
-      row[dim + i] = 0.5 * (b.sigma_lo + b.sigma_hi);
-      row[m.lo + i] = b.mu_lo;
-      row[m.lo + dim + i] = b.sigma_lo;
-      row[m.hi + i] = b.mu_hi;
-      row[m.hi + dim + i] = b.sigma_hi;
-    }
+// The nodes of one level as entries of the level above: entry e is a
+// node's page, its object count and its MBR, a row of 2d lower edges (the
+// mu axes, then the sigma axes) followed by the 2d upper edges, as
+// WriteLeafPage and WriteInnerPage leave them. As rows of the next level's
+// partition, an entry's key along an axis is its MBR center there,
+// 0.5 * (lo + hi), and its extent its edges.
+class LevelEntries {
+ public:
+  LevelEntries(size_t n, size_t dim)
+      : edges_(n * 4 * dim), children_(n), counts_(n), axes_(2 * dim) {}
+
+  size_t size() const { return children_.size(); }
+  double* lo(size_t e) { return edges_.data() + e * 2 * axes_; }
+  double* hi(size_t e) { return lo(e) + axes_; }
+  const double* lo(size_t e) const { return edges_.data() + e * 2 * axes_; }
+  const double* hi(size_t e) const { return lo(e) + axes_; }
+  void Set(size_t e, PageId child, uint32_t count) {
+    children_[e] = child;
+    counts_[e] = count;
   }
-  return m;
-}
+  GtChildRef Child(size_t e) const {
+    return {children_[e], counts_[e], lo(e), hi(e)};
+  }
+
+  double Key(uint32_t item, size_t axis) const {
+    return 0.5 * (lo(item)[axis] + hi(item)[axis]);
+  }
+  void PrefetchRow(uint32_t) const {}
+  void PrefetchKey(uint32_t item, size_t axis) const {
+    __builtin_prefetch(lo(item) + axis);
+    __builtin_prefetch(hi(item) + axis);
+  }
+  void PrefetchExtent(uint32_t item) const {
+    PrefetchBytes(lo(item), 2 * axes_ * sizeof(double));
+  }
+  void Extent(uint32_t item, double* /*buffer*/, const double** lo_out,
+              const double** hi_out) const {
+    *lo_out = lo(item);
+    *hi_out = hi(item);
+  }
+
+ private:
+  MappedArray<double> edges_;
+  MappedArray<PageId> children_;
+  MappedArray<uint32_t> counts_;
+  size_t axes_;
+};
 
 // 0, 1, ..., n - 1.
-std::vector<uint32_t> AllPositions(size_t n) {
+MappedArray<uint32_t> Identity(size_t n) {
   GAUSS_CHECK_MSG(n <= std::numeric_limits<uint32_t>::max(),
                   "BulkLoad indexes objects with 32-bit positions");
-  std::vector<uint32_t> positions(n);
-  std::iota(positions.begin(), positions.end(), uint32_t{0});
-  return positions;
+  MappedArray<uint32_t> order(n);
+  std::iota(order.data(), order.data() + n, uint32_t{0});
+  return order;
 }
 
-// Calls emit(from, to) for every final range of the recursive median split
-// of [0, n) into ranges of at most `capacity` items, in the order of a
-// depth-first walk that visits the right half first. The ranges depend only
-// on n and capacity, never on the data.
-template <typename Emit>
-void ForEachGroup(size_t n, size_t capacity, Emit emit) {
-  struct Range {
-    size_t from, to;
-  };
+struct Range {
+  size_t from, to;
+};
+
+// The final ranges of the recursive median split of [0, n) into ranges of
+// at most `capacity` items, in the order of a depth-first walk that visits
+// the right half first: the nodes of one level, in the order they take
+// their pages. The ranges depend only on n and capacity, never on the data.
+std::vector<Range> Groups(size_t n, size_t capacity) {
+  std::vector<Range> groups;
   std::vector<Range> stack{{0, n}};
   while (!stack.empty()) {
     const Range range = stack.back();
     stack.pop_back();
     const size_t count = range.to - range.from;
     if (count <= capacity) {
-      emit(range.from, range.to);
+      groups.push_back(range);
       continue;
     }
     const size_t median = range.from + count / 2;
     stack.push_back({range.from, median});
     stack.push_back({median, range.to});
   }
+  return groups;
+}
+
+// Pages a load of n objects allocates: one per node but the first leaf,
+// which takes the root page the tree's constructor allocated.
+size_t LoadPageCount(size_t n, const GtCapacities& caps) {
+  if (n == 0) return 0;
+  size_t level = Groups(n, caps.leaf).size();
+  size_t pages = level - 1;
+  while (level > 1) {
+    level = Groups(level, caps.inner).size();
+    pages += level;
+  }
+  return pages;
 }
 
 // A split key and the item it belongs to. `slot` is the item's place in its
@@ -405,9 +376,9 @@ struct SplitScratch {
   size_t touched = 0;  // items of keyed and sides that may be resident
 };
 
-// Pass 1 of one level: permutes order[0, n) so that every range
-// ForEachGroup emits holds the items of one node. `Rows` is PfvRows or
-// LevelMatrix; `cost` maps a node's bounds to the split objective
+// Pass 1 of one level: permutes order[0, n) so that every range of
+// Groups(n, capacity) holds the items of one node. `Rows` is PfvRows,
+// SoaRows or LevelEntries; `cost` maps a node's bounds to the split objective
 // (GaussTree::NodeCost). Splitting order[from, to) reads the rows and
 // writes only that range and its thread's scratch, so disjoint ranges run
 // concurrently.
@@ -506,9 +477,9 @@ class LevelPartitioner {
   // The candidate axis whose halves have the smallest summed cost (the
   // lowest such axis on ties), from one pass over the range: bit `axis` of
   // an item's side mask says which half that axis's pass left it in. The
-  // extremes are taken with the same std::min/std::max as
-  // GtNode::ComputeBounds. Keeping them in flat lo/hi arrays, not in
-  // DimBounds, lets the loop vectorize.
+  // extremes are folded by the dispatched kernel (kernels::ExtentFold),
+  // with the same std::min/std::max as GtNode::ComputeBounds on every
+  // backend.
   size_t BestAxis(const Keyed* keyed, size_t count,
                   SplitScratch* scratch) const {
     const size_t axes = 2 * dim_;
@@ -533,16 +504,8 @@ class LevelPartitioner {
       const double* row_lo;
       const double* row_hi;
       rows_.Extent(keyed[i].item, scratch->row.data(), &row_lo, &row_hi);
-      const uint64_t* side = sides + keyed[i].slot * words;
-      for (size_t a = 0; a < axes; ++a) {
-        const size_t h = (side[a / 64] >> (a % 64)) & 1;
-        double* __restrict lo = extremes + (2 * a + h) * 2 * axes;
-        double* __restrict hi = lo + axes;
-        for (size_t x = 0; x < axes; ++x) {
-          lo[x] = std::min(lo[x], row_lo[x]);
-          hi[x] = std::max(hi[x], row_hi[x]);
-        }
-      }
+      kernels::ExtentFold(row_lo, row_hi, axes, sides + keyed[i].slot * words,
+                          extremes);
     }
     double best_cost = std::numeric_limits<double>::infinity();
     size_t best_axis = 0;
@@ -575,10 +538,73 @@ class LevelPartitioner {
   const Cost& cost_;
 };
 
+// Writes the leaves of a partitioned leaf level: leaf k holds the objects
+// order[groups[k].from, groups[k].to) of `rows` and goes to page
+// page_of(k). Leaves are split into contiguous runs over up to `threads`
+// threads, each with its own page buffer; returns the leaves as entries of
+// the level above.
+template <typename Rows, typename PageOf>
+LevelEntries WriteLeaves(const Rows& rows, const uint32_t* order,
+                         const std::vector<Range>& groups, size_t capacity,
+                         size_t dim, const GtNodeStore& store,
+                         const PageOf& page_of, size_t threads) {
+  LevelEntries leaves(groups.size(), dim);
+  const size_t page_size = store.pool()->page_size();
+  const auto write = [&](size_t first, size_t last) {
+    MappedArray<uint64_t> buffer((page_size + 7) / 8);
+    MappedArray<GtLeafObject> objects(capacity);
+    uint8_t* page = reinterpret_cast<uint8_t*>(buffer.data());
+    for (size_t k = first; k < last; ++k) {
+      const size_t n = groups[k].to - groups[k].from;
+      for (size_t i = 0; i < n; ++i) {
+        objects[i] = rows.Object(order[groups[k].from + i]);
+      }
+      const size_t bytes =
+          WriteLeafPage(objects.data(), n, dim, page, leaves.lo(k),
+                        leaves.hi(k));
+      std::memset(page + bytes, 0, page_size - bytes);
+      leaves.Set(k, page_of(k), static_cast<uint32_t>(n));
+      store.WritePage(page_of(k), page);
+    }
+  };
+  const size_t writers =
+      std::max<size_t>(1, std::min(threads, groups.size()));
+  {
+    std::vector<std::jthread> helpers;
+    for (size_t w = 1; w < writers; ++w) {
+      helpers.emplace_back(write, groups.size() * w / writers,
+                           groups.size() * (w + 1) / writers);
+    }
+    write(0, groups.size() / writers);
+  }
+  return leaves;
+}
+
 }  // namespace
 
+void GaussTree::ReserveBulkLoad(size_t n) {
+  GAUSS_CHECK_MSG(size_ == 0, "BulkLoad requires an empty tree");
+  GAUSS_CHECK_MSG(!reservation_.has_value(), "BulkLoad already reserved");
+  reservation_ = Reservation{n, store_.AllocatePages(LoadPageCount(n, caps_))};
+}
+
+std::vector<PageId> GaussTree::TakeBulkLoadPages(size_t n) {
+  if (!reservation_.has_value()) {
+    return store_.AllocatePages(LoadPageCount(n, caps_));
+  }
+  GAUSS_CHECK_MSG(reservation_->objects == n,
+                  "BulkLoad of another object count than reserved");
+  std::vector<PageId> pages = std::move(reservation_->pages);
+  reservation_.reset();
+  return pages;
+}
+
 void GaussTree::BulkLoad(const PfvDataset& dataset, size_t threads) {
-  BulkLoad(dataset, AllPositions(dataset.size()), threads);
+  GAUSS_CHECK_MSG(dataset.size() <= std::numeric_limits<uint32_t>::max(),
+                  "BulkLoad indexes objects with 32-bit positions");
+  std::vector<uint32_t> positions(dataset.size());
+  std::iota(positions.begin(), positions.end(), uint32_t{0});
+  BulkLoad(dataset, std::move(positions), threads);
 }
 
 void GaussTree::BulkLoad(const PfvDataset& dataset,
@@ -604,7 +630,10 @@ void GaussTree::LoadRows(Rows rows, size_t threads) {
   GAUSS_CHECK_MSG(size_ == 0, "BulkLoad requires an empty tree");
   GAUSS_CHECK_MSG(!store_.finalized(), "BulkLoad requires build mode");
   const size_t n = rows.size();
+  const std::vector<PageId> pages = TakeBulkLoadPages(n);
   if (n == 0) return;
+  load_times_ = BulkLoadTimes();
+  Stopwatch phase;
 
   const auto cost = [this](const std::vector<DimBounds>& bounds) {
     return NodeCost(bounds);
@@ -613,60 +642,67 @@ void GaussTree::LoadRows(Rows rows, size_t threads) {
   // returns the permutation that lists each group contiguously.
   auto partition = [&](const auto& level_rows, size_t count,
                        size_t capacity) {
-    std::vector<uint32_t> order = AllPositions(count);
+    MappedArray<uint32_t> order = Identity(count);
     LevelPartitioner(level_rows, order.data(), dim_, capacity, cost)
         .Run(count, threads);
     return order;
   };
+  // Node k of the load, counted over the levels in the order they are
+  // written; the first leaf takes the root page the constructor allocated.
+  const auto page_of = [&](size_t node) {
+    return node == 0 ? root_ : pages[node - 1];
+  };
 
   // Nodes are written to the device below, past the pool: drop any frame a
-  // Definalize() left of the root page, so no cached copy outlives it.
+  // Definalize() left of the root page, and the empty in-memory root leaf,
+  // so no copy of the root page outlives the load.
   pool_->Clear();
+  store_.DropNode(root_);
 
   // Leaf level, read in place. After the partition, leaf_order[i] is the
   // handle of the i-th object placed, and the row view is freed before any
-  // leaf is created; each leaf copies its objects from where they lie.
-  std::vector<uint32_t> leaf_order = partition(rows, n, caps_.leaf);
+  // leaf is written; each leaf reads its objects from where they lie.
+  MappedArray<uint32_t> leaf_order = partition(rows, n, caps_.leaf);
   rows.Release(&leaf_order);
-  std::vector<GtChildEntry> level;
-  ForEachGroup(n, caps_.leaf, [&](size_t from, size_t to) {
-    // The root-leaf created by the constructor is reused for the very first
-    // materialized leaf.
-    GtNode* leaf = level.empty() ? store_.GetMutable(root_)
-                                 : store_.Create(GtNodeKind::kLeaf);
-    for (size_t i = from; i < to; ++i) {
-      leaf->pfvs.push_back(rows.Object(leaf_order[i]));
-    }
-    GtChildEntry entry;
-    entry.child = leaf->id;
-    entry.count = static_cast<uint32_t>(leaf->pfvs.size());
-    entry.bounds = leaf->ComputeBounds(dim_);
-    level.push_back(std::move(entry));
-    store_.Persist(leaf->id);
-  });
+  load_times_.partition_s = phase.ElapsedSeconds();
+  phase.Restart();
+  LevelEntries level =
+      WriteLeaves(rows, leaf_order.data(), Groups(n, caps_.leaf), caps_.leaf,
+                  dim_, store_, page_of, threads);
+  leaf_order.Free();
   size_ = n;
+  load_times_.leaves_s = phase.ElapsedSeconds();
+  phase.Restart();
 
   // Upper levels: group the previous level's entries with the same recursive
   // median partitioning on MBR centers until everything fits in one root.
+  size_t node = level.size();
+  std::vector<uint64_t> buffer((pool_->page_size() + 7) / 8);
+  uint8_t* page = reinterpret_cast<uint8_t*>(buffer.data());
+  std::vector<GtChildRef> children(caps_.inner);
   while (level.size() > 1) {
-    const std::vector<uint32_t> order =
-        partition(EntryMatrix(level, dim_), level.size(), caps_.inner);
-    std::vector<GtChildEntry> next;
-    ForEachGroup(level.size(), caps_.inner, [&](size_t from, size_t to) {
-      GtNode* inner = store_.Create(GtNodeKind::kInner);
-      for (size_t i = from; i < to; ++i) {
-        inner->children.push_back(level[order[i]]);
+    const MappedArray<uint32_t> order =
+        partition(level, level.size(), caps_.inner);
+    const std::vector<Range> groups = Groups(level.size(), caps_.inner);
+    LevelEntries next(groups.size(), dim_);
+    for (size_t k = 0; k < groups.size(); ++k, ++node) {
+      uint32_t count = 0;
+      const size_t m = groups[k].to - groups[k].from;
+      for (size_t i = 0; i < m; ++i) {
+        children[i] = level.Child(order[groups[k].from + i]);
+        count += children[i].count;
       }
-      GtChildEntry entry;
-      entry.child = inner->id;
-      entry.count = inner->SubtreeCount();
-      entry.bounds = inner->ComputeBounds(dim_);
-      next.push_back(std::move(entry));
-      store_.Persist(inner->id);
-    });
+      const size_t bytes = WriteInnerPage(children.data(), m, dim_, page,
+                                          next.lo(k), next.hi(k));
+      std::memset(page + bytes, 0, pool_->page_size() - bytes);
+      next.Set(k, page_of(node), count);
+      store_.WritePage(page_of(node), page);
+    }
     level = std::move(next);
   }
-  root_ = level.front().child;
+  GAUSS_CHECK(node == pages.size() + 1);
+  root_ = level.Child(0).child;
+  load_times_.upper_s = phase.ElapsedSeconds();
 }
 
 }  // namespace gauss

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -147,26 +148,32 @@ class GaussTree {
   // copied before its leaf takes it. The tree equals one loaded from a
   // dataset holding exactly those objects in list order: the same nodes,
   // pages and image bytes. A position >= dataset.size() aborts. The list
-  // is taken by value and freed before the leaves are created.
+  // is taken by value and freed before the leaves are written.
   //
   // Threading: the partitioning hands one half of a split to a helper
   // thread while more than one of `threads` remains (0 counts as 1), so up
-  // to `threads` CPUs work on disjoint subtrees. Nodes are then created on
-  // the calling thread, leaves first, in the order a sequential
-  // right-half-first depth-first loader visits them, so page ids, node
-  // contents and the device image are byte-identical for every thread
-  // count. The live-ingest merge passes 1: a background rebuild never takes
-  // CPUs from the serving workers.
+  // to `threads` CPUs work on disjoint subtrees. Then the leaves are written
+  // on up to `threads` threads, each a contiguous run of them, and the
+  // upper levels on the calling thread. Node k, counted leaves first in the
+  // order a sequential right-half-first depth-first loader visits them,
+  // takes the k-th page of the load, so page ids, node contents and the
+  // device image are byte-identical for every thread count. The live-ingest
+  // merge passes 1: a background rebuild never takes CPUs from the serving
+  // workers.
   //
   // Memory: each node is written to its device page as soon as it is
-  // created, so no node is held in memory afterwards; the tree stays in
-  // build mode, and reads, Validate() and queries go to the pages. The
-  // leaf partition reads the objects in place through one 16 B row per
-  // object (here a (mu, sigma) pointer pair) and copies no key. Besides
-  // the rows, it holds the permutation (4 B per object) and the split
-  // scratch (24 B per item of each thread's first range). The rows and the
-  // position list are freed once the leaf order is known; each leaf then
-  // copies its objects from where they lie.
+  // complete, straight from where its objects or children lie (no GtNode,
+  // no pfv copied), so the tree stays in build mode with no node in memory,
+  // and reads, Validate() and queries go to the pages. The leaf partition
+  // reads the objects in place through one 16 B row per object (here a
+  // (mu, sigma) pointer pair) and copies no key. Besides the rows, it holds
+  // the permutation (4 B per object) and the split scratch (24 B per item
+  // of each thread's first range). The rows and the position list are freed
+  // once the leaf order is known; what stays is a node's parent entry, 32d
+  // + 8 B per node of the level being built. The rows, permutations, split
+  // scratch, level entries and leaf page buffers are mapped from the kernel
+  // and unmapped when done (common/mapped_array.h), so a load on a helper
+  // thread leaves next to nothing in that thread's malloc arena.
   void BulkLoad(const PfvDataset& dataset, std::vector<uint32_t> positions,
                 size_t threads = UsableCpus());
   // The whole dataset: positions 0, 1, ..., dataset.size() - 1.
@@ -192,6 +199,25 @@ class GaussTree {
   // image at once; when it is smaller than that, it grows past its budget
   // until the load ends, by at most the image's leaf pages.
   void BulkLoad(const std::vector<SoaRun>& runs, size_t threads = UsableCpus());
+
+  // Allocates now the pages the next BulkLoad, which must load `n`
+  // objects, will write, besides the root page the constructor allocated.
+  // How many there are depends only on `n` and the node capacities. Trees
+  // sharing one device that reserve one after another then load side by
+  // side with the page ids, and so the image, of loads run one after
+  // another in reservation order (GaussDb::Build). Without a reservation
+  // the load allocates its pages when it starts.
+  void ReserveBulkLoad(size_t n);
+
+  // Wall time of the last bulk load's phases: the leaf partition, the
+  // leaves written, and the upper levels partitioned and written (bench:
+  // ablation_bulkload).
+  struct BulkLoadTimes {
+    double partition_s = 0.0;
+    double leaves_s = 0.0;
+    double upper_s = 0.0;
+  };
+  const BulkLoadTimes& bulk_load_times() const { return load_times_; }
 
   // Serializes the nodes still in memory to their pages and persists the
   // header so the tree can be reattached with Open(); queries then pay
@@ -234,6 +260,10 @@ class GaussTree {
   template <typename Rows>
   void LoadRows(Rows rows, size_t threads);
 
+  // The pages a load of `n` objects writes: the reserved ones, else newly
+  // allocated.
+  std::vector<PageId> TakeBulkLoadPages(size_t n);
+
   // Descends to the leaf the pfv should go to; fills `path` with the page
   // ids from root to leaf and `slots` with child indices taken at each inner
   // node (paper Section 5.3 insertion rules).
@@ -262,6 +292,12 @@ class GaussTree {
   PageId meta_page_ = kInvalidPageId;
   PageId root_;
   size_t size_ = 0;
+  struct Reservation {
+    size_t objects;
+    std::vector<PageId> pages;
+  };
+  std::optional<Reservation> reservation_;
+  BulkLoadTimes load_times_;
 };
 
 }  // namespace gauss

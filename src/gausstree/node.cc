@@ -50,29 +50,51 @@ T Peek(const uint8_t* p) {
   return value;
 }
 
-// Writes the v3 body of `node` (ids or child/count columns, then planes).
-void WriteBody(const GtNode& node, size_t dim, uint8_t* body) {
-  uint8_t* p = body;
-  if (node.leaf()) {
-    for (const Pfv& pfv : node.pfvs) Put<uint64_t>(&p, pfv.id);
-    for (size_t i = 0; i < dim; ++i) {
-      for (const Pfv& pfv : node.pfvs) Put<double>(&p, pfv.mu[i]);
-    }
-    for (size_t i = 0; i < dim; ++i) {
-      for (const Pfv& pfv : node.pfvs) Put<double>(&p, pfv.sigma[i]);
-    }
-    return;
+// The header of a node page of n entries, with its checksum over the body
+// already written behind it; returns the page's byte count.
+size_t FinishPage(uint8_t* page, uint8_t tag, GtNodeKind kind, size_t n,
+                  size_t dim) {
+  uint8_t* p = page;
+  Put<uint8_t>(&p, tag);
+  Put<uint8_t>(&p, 0);
+  Put<uint16_t>(&p, static_cast<uint16_t>(n));
+  const size_t body = BodyBytes(kind, n, dim);
+  const uint32_t crc = PageCrc(page, body);
+  std::memcpy(page + 4, &crc, sizeof(crc));
+  return kHeaderBytes + body;
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// The MBR fold: widens [*lo, *hi] along one axis to cover an entry's edges
+// [elo, ehi], the running edge as std::min/std::max's first operand (which
+// decides the survivor of a signed zero or a NaN). GtChildEntry's Merge
+// and Include, and with them GtNode::ComputeBounds, and the page writers
+// all fold through it.
+void Widen(double elo, double ehi, double* lo, double* hi) {
+  *lo = std::min(*lo, elo);
+  *hi = std::max(*hi, ehi);
+}
+
+// A pfv as a leaf object of the page writers.
+GtLeafObject ObjectOf(const Pfv& pfv, [[maybe_unused]] size_t dim) {
+  GAUSS_DCHECK(pfv.dim() == dim);
+  return {pfv.id, pfv.mu.data(), pfv.sigma.data(), 1};
+}
+
+// A child entry as a child of the page writers, its MBR copied to `row`:
+// 2d lower edges, then 2d upper edges.
+GtChildRef ChildOf(const GtChildEntry& e, size_t dim, double* row) {
+  GAUSS_DCHECK(e.bounds.size() == dim);
+  double* lo = row;
+  double* hi = row + 2 * dim;
+  for (size_t i = 0; i < dim; ++i) {
+    lo[i] = e.bounds[i].mu_lo;
+    lo[dim + i] = e.bounds[i].sigma_lo;
+    hi[i] = e.bounds[i].mu_hi;
+    hi[dim + i] = e.bounds[i].sigma_hi;
   }
-  for (const GtChildEntry& e : node.children) Put<uint32_t>(&p, e.child);
-  for (const GtChildEntry& e : node.children) Put<uint32_t>(&p, e.count);
-  for (double DimBounds::*field : {&DimBounds::mu_lo, &DimBounds::mu_hi,
-                                   &DimBounds::sigma_lo, &DimBounds::sigma_hi}) {
-    for (size_t i = 0; i < dim; ++i) {
-      for (const GtChildEntry& e : node.children) {
-        Put<double>(&p, e.bounds[i].*field);
-      }
-    }
-  }
+  return {e.child, e.count, lo, hi};
 }
 
 // Points `out` at a v3 body of n entries.
@@ -100,10 +122,9 @@ void Bind(const uint8_t* body, GtNodeKind kind, PageId id, size_t n,
 void GtChildEntry::Merge(const GtChildEntry& other) {
   GAUSS_DCHECK(bounds.size() == other.bounds.size());
   for (size_t i = 0; i < bounds.size(); ++i) {
-    bounds[i].mu_lo = std::min(bounds[i].mu_lo, other.bounds[i].mu_lo);
-    bounds[i].mu_hi = std::max(bounds[i].mu_hi, other.bounds[i].mu_hi);
-    bounds[i].sigma_lo = std::min(bounds[i].sigma_lo, other.bounds[i].sigma_lo);
-    bounds[i].sigma_hi = std::max(bounds[i].sigma_hi, other.bounds[i].sigma_hi);
+    const DimBounds& o = other.bounds[i];
+    Widen(o.mu_lo, o.mu_hi, &bounds[i].mu_lo, &bounds[i].mu_hi);
+    Widen(o.sigma_lo, o.sigma_hi, &bounds[i].sigma_lo, &bounds[i].sigma_hi);
   }
   count += other.count;
 }
@@ -111,10 +132,9 @@ void GtChildEntry::Merge(const GtChildEntry& other) {
 void GtChildEntry::Include(const Pfv& pfv) {
   GAUSS_DCHECK(bounds.size() == pfv.dim());
   for (size_t i = 0; i < bounds.size(); ++i) {
-    bounds[i].mu_lo = std::min(bounds[i].mu_lo, pfv.mu[i]);
-    bounds[i].mu_hi = std::max(bounds[i].mu_hi, pfv.mu[i]);
-    bounds[i].sigma_lo = std::min(bounds[i].sigma_lo, pfv.sigma[i]);
-    bounds[i].sigma_hi = std::max(bounds[i].sigma_hi, pfv.sigma[i]);
+    Widen(pfv.mu[i], pfv.mu[i], &bounds[i].mu_lo, &bounds[i].mu_hi);
+    Widen(pfv.sigma[i], pfv.sigma[i], &bounds[i].sigma_lo,
+          &bounds[i].sigma_hi);
   }
 }
 
@@ -134,35 +154,11 @@ uint32_t GtNode::SubtreeCount() const {
 }
 
 std::vector<DimBounds> GtNode::ComputeBounds(size_t dim) const {
-  std::vector<DimBounds> bounds(dim);
-  for (DimBounds& b : bounds) {
-    b.mu_lo = std::numeric_limits<double>::infinity();
-    b.mu_hi = -std::numeric_limits<double>::infinity();
-    b.sigma_lo = std::numeric_limits<double>::infinity();
-    b.sigma_hi = -std::numeric_limits<double>::infinity();
-  }
-  if (leaf()) {
-    for (const Pfv& pfv : pfvs) {
-      GAUSS_DCHECK(pfv.dim() == dim);
-      for (size_t i = 0; i < dim; ++i) {
-        bounds[i].mu_lo = std::min(bounds[i].mu_lo, pfv.mu[i]);
-        bounds[i].mu_hi = std::max(bounds[i].mu_hi, pfv.mu[i]);
-        bounds[i].sigma_lo = std::min(bounds[i].sigma_lo, pfv.sigma[i]);
-        bounds[i].sigma_hi = std::max(bounds[i].sigma_hi, pfv.sigma[i]);
-      }
-    }
-  } else {
-    for (const GtChildEntry& e : children) {
-      GAUSS_DCHECK(e.bounds.size() == dim);
-      for (size_t i = 0; i < dim; ++i) {
-        bounds[i].mu_lo = std::min(bounds[i].mu_lo, e.bounds[i].mu_lo);
-        bounds[i].mu_hi = std::max(bounds[i].mu_hi, e.bounds[i].mu_hi);
-        bounds[i].sigma_lo = std::min(bounds[i].sigma_lo, e.bounds[i].sigma_lo);
-        bounds[i].sigma_hi = std::max(bounds[i].sigma_hi, e.bounds[i].sigma_hi);
-      }
-    }
-  }
-  return bounds;
+  GtChildEntry mbr;
+  mbr.bounds.assign(dim, DimBounds{kInf, -kInf, kInf, -kInf});
+  for (const Pfv& pfv : pfvs) mbr.Include(pfv);
+  for (const GtChildEntry& e : children) mbr.Merge(e);
+  return std::move(mbr.bounds);
 }
 
 size_t GtNode::SerializedSize(size_t dim) const {
@@ -170,15 +166,71 @@ size_t GtNode::SerializedSize(size_t dim) const {
 }
 
 void GtNode::Serialize(uint8_t* page, size_t dim) const {
-  const size_t n = EntryCount();
+  std::vector<double> mbr(4 * dim);  // written by the writers, unused here
+  if (leaf()) {
+    std::vector<GtLeafObject> objects;
+    objects.reserve(pfvs.size());
+    for (const Pfv& pfv : pfvs) objects.push_back(ObjectOf(pfv, dim));
+    WriteLeafPage(objects.data(), objects.size(), dim, page, mbr.data(),
+                  mbr.data() + 2 * dim);
+    return;
+  }
+  std::vector<double> rows(children.size() * 4 * dim);
+  std::vector<GtChildRef> refs;
+  refs.reserve(children.size());
+  for (size_t r = 0; r < children.size(); ++r) {
+    refs.push_back(ChildOf(children[r], dim, rows.data() + r * 4 * dim));
+  }
+  WriteInnerPage(refs.data(), refs.size(), dim, page, mbr.data(),
+                 mbr.data() + 2 * dim);
+}
+
+size_t WriteLeafPage(const GtLeafObject* objects, size_t n, size_t dim,
+                     uint8_t* page, double* lo, double* hi) {
   GAUSS_CHECK_MSG(n <= kMaxEntries, "node exceeds the page format's n");
-  uint8_t* p = page;
-  Put<uint8_t>(&p, leaf() ? kLeafTag : kInnerTag);
-  Put<uint8_t>(&p, 0);
-  Put<uint16_t>(&p, static_cast<uint16_t>(n));
-  WriteBody(*this, dim, page + kHeaderBytes);
-  const uint32_t crc = PageCrc(page, BodyBytes(kind, n, dim));
-  std::memcpy(page + 4, &crc, sizeof(crc));
+  // Object by object: each object's values are read once, in place, and
+  // scattered into the planes of a page that sits in the L1 cache, while
+  // the 2d edges fold side by side.
+  uint8_t* body = page + kHeaderBytes;
+  double* planes = reinterpret_cast<double*>(body + n * sizeof(uint64_t));
+  std::fill(lo, lo + 2 * dim, kInf);
+  std::fill(hi, hi + 2 * dim, -kInf);
+  for (size_t r = 0; r < n; ++r) {
+    const GtLeafObject& o = objects[r];
+    std::memcpy(body + r * sizeof(uint64_t), &o.id, sizeof(uint64_t));
+    for (size_t a = 0; a < 2 * dim; ++a) {
+      const double v =
+          a < dim ? o.mu[a * o.stride] : o.sigma[(a - dim) * o.stride];
+      std::memcpy(planes + a * n + r, &v, sizeof(double));
+      Widen(v, v, lo + a, hi + a);
+    }
+  }
+  return FinishPage(page, kLeafTag, GtNodeKind::kLeaf, n, dim);
+}
+
+size_t WriteInnerPage(const GtChildRef* children, size_t n, size_t dim,
+                      uint8_t* page, double* lo, double* hi) {
+  GAUSS_CHECK_MSG(n <= kMaxEntries, "node exceeds the page format's n");
+  // The plane groups are mu_lo, mu_hi, sigma_lo, sigma_hi: axis a's lower
+  // edges go to plane a (a mu axis) or a + d (a sigma axis), its upper
+  // edges d planes further on.
+  uint8_t* body = page + kHeaderBytes;
+  double* planes = reinterpret_cast<double*>(body + n * sizeof(uint64_t));
+  std::fill(lo, lo + 2 * dim, kInf);
+  std::fill(hi, hi + 2 * dim, -kInf);
+  for (size_t r = 0; r < n; ++r) {
+    const GtChildRef& c = children[r];
+    std::memcpy(body + r * sizeof(uint32_t), &c.child, sizeof(uint32_t));
+    std::memcpy(body + (n + r) * sizeof(uint32_t), &c.count,
+                sizeof(uint32_t));
+    for (size_t a = 0; a < 2 * dim; ++a) {
+      double* plane_lo = planes + (a < dim ? a : a + dim) * n;
+      std::memcpy(plane_lo + r, c.lo + a, sizeof(double));
+      std::memcpy(plane_lo + dim * n + r, c.hi + a, sizeof(double));
+      Widen(c.lo[a], c.hi[a], lo + a, hi + a);
+    }
+  }
+  return FinishPage(page, kInnerTag, GtNodeKind::kInner, n, dim);
 }
 
 GtNode GtNode::Deserialize(const uint8_t* page, size_t dim, PageId id) {
@@ -213,10 +265,11 @@ void GtNodeSoa::Decode(const uint8_t* page, size_t dim, PageId id,
 void GtNodeSoa::FromNode(const GtNode& node, size_t dim, GtNodeSoa* out) {
   out->page.Release();
   const size_t n = node.EntryCount();
-  out->owned.resize(BodyBytes(node.kind, n, dim) / sizeof(uint64_t));
-  uint8_t* body = reinterpret_cast<uint8_t*>(out->owned.data());
-  WriteBody(node, dim, body);
-  Bind(body, node.kind, node.id, n, dim, out);
+  out->owned.resize(
+      (kHeaderBytes + BodyBytes(node.kind, n, dim)) / sizeof(uint64_t));
+  uint8_t* page = reinterpret_cast<uint8_t*>(out->owned.data());
+  node.Serialize(page, dim);
+  Bind(page + kHeaderBytes, node.kind, node.id, n, dim, out);
 }
 
 void GtNodeSoa::Alias(const GtNodeSoa& other) {

@@ -62,6 +62,39 @@ struct GtNode {
   static GtNode Deserialize(const uint8_t* page, size_t dim, PageId id);
 };
 
+// The node page writers: the only code that writes the page format.
+// GtNode::Serialize writes through them, and the bulk load
+// (gausstree/bulk_load.cc), which holds no GtNode, calls them directly.
+// Each writes to `page` the node of n entries, checksum included, leaves
+// bytes past them untouched, and returns how many it wrote. The node's MBR
+// goes to lo and hi, each 2d doubles (the mu axes, then the sigma axes),
+// by the same fold as GtNode::ComputeBounds, so even a signed zero or a
+// NaN comes out the same.
+//
+// One object of a leaf: its mu and sigma along dimension i are mu[i *
+// stride] and sigma[i * stride] — stride 1 for a Pfv, a run's stride for an
+// object of SoA planes.
+struct GtLeafObject {
+  uint64_t id;
+  const double* mu;
+  const double* sigma;
+  size_t stride;
+};
+size_t WriteLeafPage(const GtLeafObject* objects, size_t n, size_t dim,
+                     uint8_t* page, double* lo, double* hi);
+
+// One child of an inner node: its page, its subtree's object count and its
+// MBR as 2d lower edges `lo` and 2d upper edges `hi`, in the axis order
+// above.
+struct GtChildRef {
+  PageId child;
+  uint32_t count;
+  const double* lo;
+  const double* hi;
+};
+size_t WriteInnerPage(const GtChildRef* children, size_t n, size_t dim,
+                      uint8_t* page, double* lo, double* hi);
+
 // Structure-of-arrays view of one node's entries, the layout the batch
 // kernels in math/kernels.h read: per-dimension planes of `stride` doubles,
 // entry j of dimension i at plane[i * stride + j], stride = n.
@@ -96,7 +129,7 @@ struct GtNodeSoa {
 
   // Pin on the cache frame the pointers lead into; empty otherwise.
   PageRef page;
-  // Body scratch for build nodes, reused across loads.
+  // Page scratch for build nodes (FromNode), reused across loads.
   std::vector<uint64_t> owned;
 
   bool leaf() const { return kind == GtNodeKind::kLeaf; }

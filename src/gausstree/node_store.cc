@@ -38,13 +38,22 @@ GtNode* GtNodeStore::GetMutable(PageId id) {
   return it->second.get();
 }
 
-void GtNodeStore::Persist(PageId id) {
-  GAUSS_CHECK_MSG(!finalized_, "Persist requires build mode");
-  auto it = nodes_.find(id);
-  GAUSS_CHECK(it != nodes_.end());
-  std::vector<uint8_t> buffer(pool_->page_size());
-  WriteNode(*it->second, &buffer);
-  nodes_.erase(it);
+std::vector<PageId> GtNodeStore::AllocatePages(size_t count) {
+  GAUSS_CHECK_MSG(!finalized_, "AllocatePages requires build mode");
+  std::vector<PageId> ids(count);
+  for (PageId& id : ids) id = pool_->device()->Allocate();
+  all_pages_.insert(all_pages_.end(), ids.begin(), ids.end());
+  return ids;
+}
+
+void GtNodeStore::WritePage(PageId id, const uint8_t* bytes) const {
+  GAUSS_CHECK_MSG(!finalized_, "WritePage requires build mode");
+  pool_->device()->Write(id, bytes);
+}
+
+void GtNodeStore::DropNode(PageId id) {
+  GAUSS_CHECK_MSG(!finalized_, "DropNode requires build mode");
+  nodes_.erase(id);
 }
 
 void GtNodeStore::WriteNode(const GtNode& node,

@@ -17,9 +17,10 @@ namespace gauss {
 //  * Build phase: nodes live as in-memory objects (a write-back cache of the
 //    tree); page ids are pre-allocated on the device so the final layout is
 //    fixed. This keeps construction fast without distorting query
-//    measurements. A node that is complete may instead be written out at
-//    once (Persist — the bulk load does so with every node): it is then read
-//    from its page like a finalized one, and GetMutable() brings it back.
+//    measurements. A bulk load instead writes every node's page itself
+//    (AllocatePages, WritePage) and keeps no node object: such a node is
+//    read from its page like a finalized one, and GetMutable() brings it
+//    back.
 //  * Query phase (after Finalize()): every access goes through the page
 //    cache — a fetch is a logical page access, a miss is a physical one —
 //    and the kernels score the pinned frame in place: a node page is the
@@ -41,10 +42,18 @@ class GtNodeStore {
   // Build-phase mutable access. A persisted node is loaded back first.
   GtNode* GetMutable(PageId id);
 
-  // Build phase: writes node `id` straight to its device page and drops the
-  // in-memory object. The pool must hold no frame of the page (the page is
-  // fresh, or the pool was cleared), since the write bypasses it.
-  void Persist(PageId id);
+  // Build phase, for a caller that serializes nodes itself (the bulk load):
+  // AllocatePages appends `count` newly allocated pages to the tree's pages,
+  // in allocation order, and returns them; WritePage writes one page's
+  // bytes (page_size of them) straight to the device. The pool must hold no
+  // frame of the page (the page is fresh, or the pool was cleared), since
+  // the write bypasses it, and the store no in-memory node of it
+  // (DropNode). WritePage touches nothing of the store, so writes of
+  // different pages may run concurrently.
+  std::vector<PageId> AllocatePages(size_t count);
+  void WritePage(PageId id, const uint8_t* bytes) const;
+  // Build phase: forgets the in-memory node `id`, if any, unwritten.
+  void DropNode(PageId id);
 
   // Materialized node access for build-phase edits and whole-tree walks
   // (statistics, validation, the merge's object collection). Copies an

@@ -1,5 +1,6 @@
 #include "math/kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -165,7 +166,8 @@ void ScalarExpShift(const double* log_in, double log_shift, size_t n,
 }
 
 const KernelBackend kScalarBackend = {"scalar", ScalarJoint, ScalarHull,
-                                      ScalarExpShift};
+                                      ScalarExpShift,
+                                      detail::ExtentFoldScalar};
 
 }  // namespace
 
@@ -223,6 +225,19 @@ void ExpShiftRange(const double* log_in, double log_shift, size_t j0,
                    size_t j1, double* out) {
   for (size_t j = j0; j < j1; ++j) {
     out[j] = PortableExp(log_in[j] - log_shift);
+  }
+}
+
+void ExtentFoldScalar(const double* row_lo, const double* row_hi,
+                      size_t axes, const uint64_t* side, double* extremes) {
+  for (size_t a = 0; a < axes; ++a) {
+    const size_t h = (side[a / 64] >> (a % 64)) & 1;
+    double* lo = extremes + (2 * a + h) * 2 * axes;
+    double* hi = lo + axes;
+    for (size_t x = 0; x < axes; ++x) {
+      lo[x] = std::min(lo[x], row_lo[x]);
+      hi[x] = std::max(hi[x], row_hi[x]);
+    }
   }
 }
 
@@ -316,9 +331,13 @@ void NeonExpShift(const double* log_in, double log_shift, size_t n,
                   double* out) {
   simd::ExpShiftImpl<NeonOps>(log_in, log_shift, n, out);
 }
+void NeonExtentFold(const double* row_lo, const double* row_hi, size_t axes,
+                    const uint64_t* side, double* extremes) {
+  simd::ExtentFoldImpl<NeonOps>(row_lo, row_hi, axes, side, extremes);
+}
 
 const KernelBackend kNeonBackend = {"neon", NeonJoint, NeonHull,
-                                    NeonExpShift};
+                                    NeonExpShift, NeonExtentFold};
 
 }  // namespace
 

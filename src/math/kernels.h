@@ -106,6 +106,18 @@ struct KernelBackend {
   // traversal's reference scale (exp(log - log_ref) in [0, 1]).
   void (*exp_shift)(const double* log_in, double log_shift, size_t n,
                     double* out);
+
+  // The bulk load's split scan (gausstree/bulk_load.cc): folds one item's
+  // extents row_lo[0, axes) and row_hi[0, axes) into half h of every
+  // candidate axis a < axes, where h is bit a of the item's side mask
+  // (side[a / 64] >> (a % 64) & 1):
+  //   lo = extremes + (2a + h) * 2 * axes, hi = lo + axes,
+  //   lo[x] = std::min(lo[x], row_lo[x]), hi[x] = std::max(hi[x], row_hi[x]).
+  // Only min and max, with std::min/std::max's operand order, so every
+  // backend leaves the scalar loop's bits, even which of two signed zeros
+  // or NaNs survives.
+  void (*extent_fold)(const double* row_lo, const double* row_hi,
+                      size_t axes, const uint64_t* side, double* extremes);
 };
 
 // The always-compiled reference backend (plain scalar loops over the
@@ -136,6 +148,11 @@ inline void HullIntegralBoundsBatch(const HullBatchArgs& args,
 inline void ExpShiftBatch(const double* log_in, double log_shift, size_t n,
                           double* out) {
   ActiveBackend().exp_shift(log_in, log_shift, n, out);
+}
+
+inline void ExtentFold(const double* row_lo, const double* row_hi,
+                       size_t axes, const uint64_t* side, double* extremes) {
+  ActiveBackend().extent_fold(row_lo, row_hi, axes, side, extremes);
 }
 
 // Portable transcendentals (kernels.cc): branch-free-in-the-main-path
@@ -172,6 +189,9 @@ void HullBoundsRange(const HullBatchArgs& args, size_t j0, size_t j1,
                      double* out_log_upper, double* out_log_lower);
 void ExpShiftRange(const double* log_in, double log_shift, size_t j0,
                    size_t j1, double* out);
+// The whole scalar extent_fold: the loop of the contract above.
+void ExtentFoldScalar(const double* row_lo, const double* row_hi,
+                      size_t axes, const uint64_t* side, double* extremes);
 
 }  // namespace detail
 

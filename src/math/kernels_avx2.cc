@@ -110,8 +110,13 @@ void Avx2ExpShift(const double* log_in, double log_shift, size_t n,
   simd::ExpShiftImpl<Avx2Ops>(log_in, log_shift, n, out);
 }
 
+void Avx2ExtentFold(const double* row_lo, const double* row_hi,
+                    size_t axes, const uint64_t* side, double* extremes) {
+  simd::ExtentFoldImpl<Avx2Ops>(row_lo, row_hi, axes, side, extremes);
+}
+
 const KernelBackend kAvx2Backend = {"avx2", Avx2Joint, Avx2Hull,
-                                    Avx2ExpShift};
+                                    Avx2ExpShift, Avx2ExtentFold};
 
 }  // namespace
 

@@ -97,8 +97,13 @@ void Avx512ExpShift(const double* log_in, double log_shift, size_t n,
   simd::ExpShiftImpl<Avx512Ops>(log_in, log_shift, n, out);
 }
 
+void Avx512ExtentFold(const double* row_lo, const double* row_hi,
+                      size_t axes, const uint64_t* side, double* extremes) {
+  simd::ExtentFoldImpl<Avx512Ops>(row_lo, row_hi, axes, side, extremes);
+}
+
 const KernelBackend kAvx512Backend = {"avx512", Avx512Joint, Avx512Hull,
-                                      Avx512ExpShift};
+                                      Avx512ExpShift, Avx512ExtentFold};
 
 }  // namespace
 

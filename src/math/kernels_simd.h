@@ -402,6 +402,35 @@ void ExpShiftImpl(const double* log_in, double log_shift, size_t n,
   if (j < n) ExpShiftBlock<O, true>(log_in, log_shift, j, n - j, out);
 }
 
+// --- extent fold (KernelBackend::extent_fold) ---
+// Every candidate's lower and upper extremes take one MinStd/MaxStd per
+// lane, in std::min/std::max's operand order; a partial block's lanes past
+// `axes` are neither read nor written.
+template <typename O>
+void ExtentFoldImpl(const double* row_lo, const double* row_hi, size_t axes,
+                    const uint64_t* side, double* extremes) {
+  constexpr size_t W = O::kWidth;
+  for (size_t a = 0; a < axes; ++a) {
+    const size_t h = (side[a / 64] >> (a % 64)) & 1;
+    double* lo = extremes + (2 * a + h) * 2 * axes;
+    double* hi = lo + axes;
+    size_t x = 0;
+    for (; x + W <= axes; x += W) {
+      O::Store(lo + x, O::MinStd(O::Load(lo + x), O::Load(row_lo + x)));
+      O::Store(hi + x, O::MaxStd(O::Load(hi + x), O::Load(row_hi + x)));
+    }
+    if (x < axes) {
+      const size_t count = axes - x;
+      O::StorePartial(lo + x, count,
+                      O::MinStd(O::LoadPartial(lo + x, count, 0.0),
+                                O::LoadPartial(row_lo + x, count, 0.0)));
+      O::StorePartial(hi + x, count,
+                      O::MaxStd(O::LoadPartial(hi + x, count, 0.0),
+                                O::LoadPartial(row_hi + x, count, 0.0)));
+    }
+  }
+}
+
 }  // namespace gauss::kernels::simd
 
 #endif  // GAUSS_MATH_KERNELS_SIMD_H_

@@ -8,6 +8,7 @@
 
 #include "common/macros.h"
 #include "math/hull.h"
+#include "math/kernels.h"
 
 namespace gauss {
 
@@ -171,16 +172,32 @@ ShardCoordinator::ShardCoordinator(std::vector<ShardBackend*> backends,
   // and "didn't" would make the refinement path depend on transient I/O).
   sketches_.reserve(backends_.size());
   have_sketches_ = true;
+  // A sketch whose entries are not valid MBRs can come only from a damaged
+  // or hostile shard; it is refused like a failed fetch, so every plan
+  // stays inside the hull kernel's contract.
+  const auto valid = [](const std::vector<DimBounds>& bounds) {
+    return std::all_of(bounds.begin(), bounds.end(),
+                       [](const DimBounds& b) { return b.Valid(); });
+  };
   for (ShardBackend* backend : backends_) {
     ShardBackend::SketchResult result = backend->FetchSketch();
+    const ShardSketch& sketch = result.sketch;
     const bool usable =
-        result.error.ok() && (result.sketch.tree_size == 0 ||
-                              result.sketch.root_bounds.size() == dim_);
+        result.error.ok() &&
+        (sketch.tree_size == 0 ||
+         (sketch.root_bounds.size() == dim_ && valid(sketch.root_bounds) &&
+          std::all_of(sketch.entries.begin(), sketch.entries.end(),
+                      [&](const ShardSketchEntry& e) {
+                        return e.bounds.size() == dim_ && valid(e.bounds);
+                      })));
     if (!usable) {
       have_sketches_ = false;
       sketches_.clear();
+      sketch_hulls_.clear();
       break;
     }
+    sketch_hulls_.emplace_back(sketch, dim_);
+    result.sketch.entries = {};
     sketches_.push_back(std::move(result.sketch));
   }
   seed_counts_ =
@@ -349,6 +366,43 @@ bool ShardCoordinator::PlanShardQueries(const Query& query,
   return true;
 }
 
+SketchHulls::SketchHulls(const ShardSketch& sketch, size_t dim)
+    : n_(sketch.entries.size()),
+      dim_(dim),
+      policy_(sketch.sigma_policy),
+      counts_(n_),
+      planes_(4 * dim * n_) {
+  for (size_t j = 0; j < n_; ++j) {
+    counts_[j] = sketch.entries[j].count;
+    for (size_t i = 0; i < dim; ++i) {
+      const DimBounds& b = sketch.entries[j].bounds[i];
+      planes_[(0 * dim + i) * n_ + j] = b.mu_lo;
+      planes_[(1 * dim + i) * n_ + j] = b.mu_hi;
+      planes_[(2 * dim + i) * n_ + j] = b.sigma_lo;
+      planes_[(3 * dim + i) * n_ + j] = b.sigma_hi;
+    }
+  }
+}
+
+void SketchHulls::Evaluate(const double* mu_q, const double* sigma_q,
+                           std::vector<double>* upper,
+                           std::vector<double>* lower) const {
+  upper->resize(n_);
+  lower->resize(n_);
+  kernels::HullBatchArgs args;
+  args.mu_lo = planes_.data();
+  args.mu_hi = planes_.data() + dim_ * n_;
+  args.sigma_lo = planes_.data() + 2 * dim_ * n_;
+  args.sigma_hi = planes_.data() + 3 * dim_ * n_;
+  args.stride = n_;
+  args.n = n_;
+  args.dim = dim_;
+  args.mu_q = mu_q;
+  args.sigma_q = sigma_q;
+  args.policy = policy_;
+  kernels::HullIntegralBoundsBatch(args, upper->data(), lower->data());
+}
+
 ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
     const Query& query) const {
   SketchPlan plan;
@@ -374,6 +428,7 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
   double best_hi_log = kNegInf;
   size_t best_shard = kNoSeed;
   size_t sketched = 0;
+  std::vector<double> upper, lower;
   for (size_t s = 0; s < sketches_.size(); ++s) {
     const ShardSketch& sk = sketches_[s];
     if (sk.tree_size == 0) continue;
@@ -381,14 +436,15 @@ ShardCoordinator::SketchPlan ShardCoordinator::PlanFromSketches(
     Coarse& c = coarse[s];
     c.log_ref = JointLogUpperHull(sk.root_bounds.data(), q.mu.data(),
                                   q.sigma.data(), dim_, sk.sigma_policy);
-    for (const ShardSketchEntry& e : sk.entries) {
-      const double lo_log = JointLogLowerHull(
-          e.bounds.data(), q.mu.data(), q.sigma.data(), dim_, sk.sigma_policy);
-      const double hi_log = JointLogUpperHull(
-          e.bounds.data(), q.mu.data(), q.sigma.data(), dim_, sk.sigma_policy);
-      c.lo += e.count * std::exp(lo_log - c.log_ref);
-      c.hi += e.count * std::exp(hi_log - c.log_ref);
-      entry_floors.push_back({lo_log, e.count});
+    const SketchHulls& hulls = sketch_hulls_[s];
+    hulls.Evaluate(q.mu.data(), q.sigma.data(), &upper, &lower);
+    for (size_t j = 0; j < hulls.size(); ++j) {
+      const uint32_t count = hulls.count(j);
+      const double lo_log = lower[j];
+      const double hi_log = upper[j];
+      c.lo += count * std::exp(lo_log - c.log_ref);
+      c.hi += count * std::exp(hi_log - c.log_ref);
+      entry_floors.push_back({lo_log, count});
       if (best_shard == kNoSeed || hi_log > best_hi_log) {
         best_hi_log = hi_log;
         best_shard = s;

@@ -159,6 +159,33 @@ namespace gauss {
 // under them) must outlive the coordinator.
 // ============================================================================
 
+// One shard's sketch entries as the coordinator plans with them: their
+// counts, and their bounds as planes of the batch hull kernel
+// (math/kernels.h), laid out once when the sketch is cached. Evaluate()
+// scores every entry against a query in one kernels::HullIntegralBoundsBatch
+// call, which by the kernel contract returns the bits of JointLogUpperHull /
+// JointLogLowerHull per entry, on valid bounds (DimBounds::Valid) or NaN.
+class SketchHulls {
+ public:
+  SketchHulls(const ShardSketch& sketch, size_t dim);
+
+  size_t size() const { return counts_.size(); }
+  // Objects under entry j.
+  uint32_t count(size_t j) const { return counts_[j]; }
+
+  // upper[j] and lower[j] = the joint log upper and lower hull of entry j
+  // against (mu_q, sigma_q); both are resized to the entry count.
+  void Evaluate(const double* mu_q, const double* sigma_q,
+                std::vector<double>* upper, std::vector<double>* lower) const;
+
+ private:
+  size_t n_;
+  size_t dim_;
+  SigmaPolicy policy_;
+  std::vector<uint32_t> counts_;
+  std::vector<double> planes_;  // mu_lo, mu_hi, sigma_lo, sigma_hi groups
+};
+
 struct ShardCoordinatorOptions {
   // Threads executing queries: planning, merge and refinement, and — over
   // in-process backends — every shard traversal, which runs on the calling
@@ -295,8 +322,10 @@ class ShardCoordinator {
 
   std::vector<ShardBackend*> backends_;
   // Per-shard coarse denominator sketches, fetched once at construction.
-  // All-or-nothing (have_sketches_), so planning is deterministic.
+  // All-or-nothing (have_sketches_), so planning is deterministic. A cached
+  // sketch keeps no entries: they live on as its SketchHulls.
   std::vector<ShardSketch> sketches_;
+  std::vector<SketchHulls> sketch_hulls_;  // one per sketch
   bool have_sketches_ = false;
   std::unique_ptr<std::atomic<uint64_t>[]> seed_counts_;  // per shard
   size_t dim_ = 0;

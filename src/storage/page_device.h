@@ -24,8 +24,10 @@ namespace gauss {
 // shards. `Allocate` and `Write` may run concurrently with reads of
 // *other* pages: the live-ingest merge thread writes a fresh tree image
 // onto a device whose other pages the previous epoch is still serving
-// reads from. Writers themselves need external serialization against each
-// other, and a given page's bytes may not be written and read concurrently
+// reads from. Writes of different pages may run concurrently with each
+// other (a bulk load writes its leaves on several threads, and a sharded
+// build loads the shard trees of one device side by side), but a given
+// page's bytes may not be written and read, or written twice, concurrently
 // (the merge commits a page only before any reader can learn its id).
 // FilePageDevice meets the contract with positioned pread/pwrite over a raw
 // descriptor plus an acquire/release page count; InMemoryPageDevice with a

@@ -3,11 +3,15 @@
 // file round trip (CreateOnFile -> OpenFile), support several independent
 // serving sessions, and enforce its lifecycle rules.
 
+#include <sched.h>
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +19,7 @@
 #include "api/gauss_db.h"
 #include "common/random.h"
 #include "data/generators.h"
+#include "data/paper_datasets.h"
 #include "data/workload.h"
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
@@ -372,6 +377,87 @@ TEST(GaussDbTest, StreamingAndBatchSharePipelineThroughFacade) {
   for (size_t i = 0; i < batch.size(); ++i) {
     ExpectItemsBytesEqual(futures[i].get().items, batched.responses[i].items);
   }
+}
+
+// FNV-1a over every page of every device of `db`, in shard order.
+uint64_t DatabaseImageHash(GaussDb& db) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  const size_t devices = db.per_shard_devices() ? db.num_shards() : 1;
+  for (size_t s = 0; s < devices; ++s) {
+    const PageDevice& device = db.device(s);
+    std::vector<uint8_t> page(device.page_size());
+    for (PageId id = 0; id < device.PageCount(); ++id) {
+      device.Read(id, page.data());
+      for (const uint8_t byte : page) {
+        hash ^= byte;
+        hash *= 0x100000001b3ull;
+      }
+    }
+  }
+  return hash;
+}
+
+// A sharded Build loads its shards side by side, on pages each tree
+// reserved in shard order. Every layout must still hold the image of loads
+// run one after another, at every CPU budget: the constants were recorded
+// with sequential shard loads, and each image is built once with the
+// process's CPUs and once confined to one.
+TEST(ConcurrentBuildTest, ShardedImagesMatchSequentialLoads) {
+  const PfvDataset dataset = GeneratePaperDataset2(8000).dataset;
+  const std::string dir = ::testing::TempDir() + "/gauss_concurrent_build." +
+                          std::to_string(::getpid());
+  const auto image = [&](const std::string& layout, size_t shards) {
+    GaussDbOptions options;
+    options.shards.num_shards = shards;
+    GaussDb db = layout == "memory"
+                     ? GaussDb::CreateInMemory(dataset.dim(), options)
+                 : layout == "file"
+                     ? GaussDb::CreateOnFile(dir + ".db", dataset.dim(),
+                                             options)
+                     : GaussDb::CreateOnDirectory(dir, dataset.dim(),
+                                                  options);
+    db.Build(dataset);
+    return DatabaseImageHash(db);
+  };
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(allowed), &allowed), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &allowed)) ++first;
+
+  struct Case {
+    const char* layout;
+    size_t shards;
+    uint64_t expected;
+  };
+  // One file holds the same pages as memory; a directory splits them.
+  for (const Case& c : {Case{"memory", 2, 0x1f752bcfdb042928ull},
+                        Case{"memory", 4, 0x79c95cfe463a51f4ull},
+                        Case{"file", 2, 0x1f752bcfdb042928ull},
+                        Case{"file", 4, 0x79c95cfe463a51f4ull},
+                        Case{"directory", 2, 0x156ddcea9bc44d0full},
+                        Case{"directory", 4, 0x1441df9caab96c7cull}}) {
+    SCOPED_TRACE(std::string(c.layout) + " num_shards=" +
+                 std::to_string(c.shards));
+    EXPECT_EQ(image(c.layout, c.shards), c.expected) << "every CPU";
+    uint64_t one_cpu = 0;
+    std::thread([&] {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(first, &one);
+      ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+      one_cpu = image(c.layout, c.shards);
+    }).join();
+    EXPECT_EQ(one_cpu, c.expected) << "one CPU";
+  }
+  std::remove((dir + ".db").c_str());
+  for (size_t s = 0; s < 4; ++s) {
+    char name[40];
+    std::snprintf(name, sizeof(name), "/shard-%04zu.gauss", s);
+    std::remove((dir + name).c_str());
+  }
+  std::remove((dir + "/MANIFEST").c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

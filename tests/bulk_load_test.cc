@@ -269,6 +269,190 @@ TEST(BulkLoadTest, SubsetLoadEqualsLoadOfCopiedSubset) {
   }
 }
 
+// The leaf and inner page writers, reading values at stride 3 the way an
+// SoA run lends them, against GtNode::Serialize (stride-1 pfvs, AoS child
+// bounds) and ComputeBounds on one node: values with signed zeros and NaNs.
+TEST(BulkLoadTest, PageWritersMatchGtNodeSerialize) {
+  constexpr size_t kDim = 3;
+  constexpr size_t kStride = 3;
+  const double kValues[] = {-0.0, 0.0, 0.25, -1.5, std::nan(""), 2.0};
+  Rng rng(330);
+  const auto value = [&] { return kValues[rng.UniformInt(6)]; };
+  for (const size_t n : {size_t{1}, size_t{2}, size_t{7}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    GtNode leaf;
+    leaf.kind = GtNodeKind::kLeaf;
+    std::vector<double> planes(2 * kDim * n * kStride);
+    std::vector<GtLeafObject> objects;
+    for (size_t r = 0; r < n; ++r) {
+      Pfv pfv;  // not Pfv::Valid(): its sigmas may be zero or NaN
+      pfv.id = 1000 + r;
+      pfv.mu.resize(kDim);
+      pfv.sigma.resize(kDim);
+      for (size_t i = 0; i < kDim; ++i) {
+        pfv.mu[i] = planes[i * n * kStride + r] = value();
+        pfv.sigma[i] = planes[(kDim + i) * n * kStride + r] = value();
+      }
+      leaf.pfvs.push_back(std::move(pfv));
+      objects.push_back({1000 + r, planes.data() + r,
+                         planes.data() + kDim * n * kStride + r,
+                         n * kStride});
+    }
+    std::vector<uint8_t> want(2048, 0), got(2048, 0);
+    leaf.Serialize(want.data(), kDim);
+    std::vector<double> lo(2 * kDim), hi(2 * kDim);
+    EXPECT_EQ(WriteLeafPage(objects.data(), n, kDim, got.data(), lo.data(),
+                            hi.data()),
+              leaf.SerializedSize(kDim));
+    EXPECT_EQ(got, want);
+    const std::vector<DimBounds> bounds = leaf.ComputeBounds(kDim);
+    for (size_t i = 0; i < kDim; ++i) {
+      const DimBounds b{lo[i], hi[i], lo[kDim + i], hi[kDim + i]};
+      EXPECT_EQ(std::memcmp(&b, &bounds[i], sizeof(b)), 0) << "dim " << i;
+    }
+
+    GtNode inner;
+    inner.kind = GtNodeKind::kInner;
+    std::vector<std::vector<double>> edges;
+    std::vector<GtChildRef> children;
+    for (size_t r = 0; r < n; ++r) {
+      GtChildEntry entry;
+      entry.child = static_cast<PageId>(10 + r);
+      entry.count = static_cast<uint32_t>(5 + r);
+      entry.bounds.resize(kDim);
+      std::vector<double> e(4 * kDim);
+      for (size_t i = 0; i < kDim; ++i) {
+        entry.bounds[i] = {value(), value(), value(), value()};
+        e[i] = entry.bounds[i].mu_lo;
+        e[kDim + i] = entry.bounds[i].sigma_lo;
+        e[2 * kDim + i] = entry.bounds[i].mu_hi;
+        e[3 * kDim + i] = entry.bounds[i].sigma_hi;
+      }
+      inner.children.push_back(std::move(entry));
+      edges.push_back(std::move(e));
+    }
+    for (size_t r = 0; r < n; ++r) {
+      children.push_back({inner.children[r].child, inner.children[r].count,
+                          edges[r].data(), edges[r].data() + 2 * kDim});
+    }
+    std::fill(want.begin(), want.end(), 0);
+    std::fill(got.begin(), got.end(), 0);
+    inner.Serialize(want.data(), kDim);
+    EXPECT_EQ(WriteInnerPage(children.data(), n, kDim, got.data(), lo.data(),
+                             hi.data()),
+              inner.SerializedSize(kDim));
+    EXPECT_EQ(got, want);
+    const std::vector<DimBounds> inner_bounds = inner.ComputeBounds(kDim);
+    for (size_t i = 0; i < kDim; ++i) {
+      const DimBounds b{lo[i], hi[i], lo[kDim + i], hi[kDim + i]};
+      EXPECT_EQ(std::memcmp(&b, &inner_bounds[i], sizeof(b)), 0)
+          << "dim " << i;
+    }
+  }
+}
+
+// Walks the tree from its root: every node page must be what
+// GtNode::Serialize writes for the node decoded from it (header, checksum
+// and zero tail included), and every parent entry must hold its child's
+// SubtreeCount and ComputeBounds, bit for bit.
+void ExpectPagesMatchSerialize(const GaussTree& tree,
+                               const PageDevice& device) {
+  const size_t dim = tree.dim();
+  std::vector<uint8_t> page(device.page_size()), again(device.page_size());
+  const auto node_at = [&](PageId id) {
+    device.Read(id, page.data());
+    return GtNode::Deserialize(page.data(), dim, id);
+  };
+  std::deque<PageId> queue{tree.root()};
+  while (!queue.empty()) {
+    const PageId id = queue.front();
+    queue.pop_front();
+    const GtNode node = node_at(id);
+    std::fill(again.begin(), again.end(), 0);
+    node.Serialize(again.data(), dim);
+    EXPECT_EQ(page, again) << "page " << id;
+    for (const GtChildEntry& e : node.children) {
+      const GtNode child = node_at(e.child);
+      EXPECT_EQ(e.count, child.SubtreeCount()) << "page " << e.child;
+      const std::vector<DimBounds> bounds = child.ComputeBounds(dim);
+      EXPECT_EQ(std::memcmp(e.bounds.data(), bounds.data(),
+                            dim * sizeof(DimBounds)),
+                0)
+          << "page " << e.child;
+      queue.push_back(e.child);
+    }
+  }
+}
+
+// The leaves written straight from the rows, for both row kinds: pfvs read
+// through a position list, and SoA runs (the merge's input) with strides
+// past their object counts. Both must write the pages GtNode::Serialize
+// writes, and the same image.
+TEST(BulkLoadTest, LeavesWrittenFromRowsMatchGtNodeSerialize) {
+  constexpr uint32_t kPageSize = 2048;
+  constexpr size_t kDim = 3;
+  const size_t cap = GtCapacities::ForPageSize(kPageSize, kDim).leaf;
+  for (const size_t n : {size_t{1}, cap, cap + 1, 100 * cap}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const PfvDataset dataset = SignedZeroDataset(331, n, kDim);
+    // Two runs: the first half at stride n, the rest at stride n + 5.
+    const size_t first = n / 2;
+    std::vector<uint64_t> ids(n);
+    std::vector<double> planes_a(2 * kDim * n), planes_b(2 * kDim * (n + 5));
+    std::vector<GaussTree::SoaRun> runs(2);
+    runs[0] = {ids.data(), planes_a.data(), n, first};
+    runs[1] = {ids.data() + first, planes_b.data(), n + 5, n - first};
+    for (size_t r = 0; r < n; ++r) {
+      const Pfv& pfv = dataset[r];
+      ids[r] = pfv.id;
+      GaussTree::SoaRun& run = runs[r < first ? 0 : 1];
+      double* planes = const_cast<double*>(run.planes);
+      const size_t j = r < first ? r : r - first;
+      for (size_t i = 0; i < kDim; ++i) {
+        planes[i * run.stride + j] = pfv.mu[i];
+        planes[(kDim + i) * run.stride + j] = pfv.sigma[i];
+      }
+    }
+    const auto load_and_check = [&](const auto& load) {
+      InMemoryPageDevice device(kPageSize);
+      ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
+      GaussTree tree(&pool, kDim);
+      load(tree);
+      EXPECT_EQ(tree.size(), n);
+      ExpectPagesMatchSerialize(tree, device);
+      tree.Finalize();
+      return ImageHash(device);
+    };
+    for (size_t threads : {1, 4}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      const uint64_t from_pfvs = load_and_check(
+          [&](GaussTree& tree) { tree.BulkLoad(dataset, threads); });
+      const uint64_t from_runs = load_and_check(
+          [&](GaussTree& tree) { tree.BulkLoad(runs, threads); });
+      EXPECT_EQ(from_pfvs, from_runs);
+    }
+  }
+}
+
+// A load into pages reserved ahead (GaussTree::ReserveBulkLoad) writes the
+// image of a load that allocates its own, for trees of every height.
+TEST(BulkLoadTest, ReservedLoadEqualsUnreservedLoad) {
+  const PfvDataset dataset = RandomDataset(332, 6000, 3);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{700}, size_t{6000}}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    std::vector<uint32_t> positions(n);
+    std::iota(positions.begin(), positions.end(), uint32_t{0});
+    const TreeHashes want = LoadAndHash(
+        2048, 3, n, [&](GaussTree& tree) { tree.BulkLoad(dataset, positions); });
+    const TreeHashes got = LoadAndHash(2048, 3, n, [&](GaussTree& tree) {
+      tree.ReserveBulkLoad(n);
+      tree.BulkLoad(dataset, positions);
+    });
+    EXPECT_EQ(got.image, want.image);
+    EXPECT_EQ(got.logical, want.logical);
+  }
+}
+
 // Appends `pages` pages of random bytes to `device`: what a dead image looks
 // like to the allocator.
 void FillWithGarbage(PageDevice* device, size_t pages) {

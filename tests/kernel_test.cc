@@ -516,6 +516,49 @@ TEST(KernelDifferentialTest, ExpShiftUnderflowBandSweep) {
   }
 }
 
+// The bulk load's extent fold: min/max only, so every backend must leave
+// the scalar loop's bits, down to which of two zeros or two NaN payloads
+// survives. Axis counts straddle every vector width and one side word; a
+// guard past the extremes must stay untouched.
+TEST(KernelDifferentialTest, ExtentFoldMatchesScalar) {
+  double nan_a = kNan, nan_b = kNan;
+  uint64_t bits = 0;
+  std::memcpy(&bits, &nan_b, sizeof(bits));
+  bits ^= 1;  // another quiet NaN payload
+  std::memcpy(&nan_b, &bits, sizeof(bits));
+  const double kSpecials[] = {0.0, -0.0, nan_a, nan_b, kInf, -kInf, 1.0};
+  Rng rng(41);
+  const auto value = [&] {
+    return rng.UniformInt(3) == 0 ? kSpecials[rng.UniformInt(7)]
+                                  : rng.Uniform(-1, 1);
+  };
+  for (const size_t axes : {1u, 2u, 3u, 4u, 5u, 7u, 8u, 9u, 20u, 65u, 80u}) {
+    const size_t words = (axes + 63) / 64;
+    const size_t size = 4 * axes * axes;
+    std::vector<double> ref(size + 8);
+    for (double& x : ref) x = value();
+    std::vector<std::vector<double>> got(RunnableBackends().size(), ref);
+    for (int item = 0; item < 6; ++item) {
+      std::vector<double> row_lo(axes), row_hi(axes);
+      for (double& x : row_lo) x = value();
+      for (double& x : row_hi) x = value();
+      std::vector<uint64_t> side(words);
+      for (uint64_t& w : side) w = rng.NextU64();
+      kernels::ScalarBackend().extent_fold(row_lo.data(), row_hi.data(), axes,
+                                           side.data(), ref.data());
+      for (size_t b = 0; b < got.size(); ++b) {
+        RunnableBackends()[b]->extent_fold(row_lo.data(), row_hi.data(),
+                                           axes, side.data(), got[b].data());
+      }
+    }
+    for (size_t b = 0; b < got.size(); ++b) {
+      EXPECT_TRUE(SameBits(ref, got[b]))
+          << "extent_fold backend " << RunnableBackends()[b]->name
+          << " axes=" << axes;
+    }
+  }
+}
+
 TEST(KernelDifferentialTest, AdditiveSigmaPolicy) {
   JointFixture f = MakeJointFixture(23, 5, 40);
   {

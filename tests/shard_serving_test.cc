@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <future>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "data/workload.h"
 #include "gausstree/delta_tree.h"
 #include "gausstree/gauss_tree.h"
+#include "math/hull.h"
 #include "net/shard_backend.h"
 #include "service/query.h"
 #include "service/query_service.h"
@@ -574,6 +576,8 @@ class FailableBackend : public ShardBackend {
   explicit FailableBackend(QueryService* service) : inner_(service) {}
 
   void set_fail(bool fail) { fail_ = fail; }
+  // Inverts the mu bounds of the first sketch entry's first dimension.
+  void set_damage_sketch(bool damage) { damage_sketch_ = damage; }
   size_t starts() const { return starts_; }
   size_t releases() const { return releases_; }
 
@@ -595,7 +599,14 @@ class FailableBackend : public ShardBackend {
     inner_.Release(traversals);
   }
   StatsResult FetchStats() override { return inner_.FetchStats(); }
-  SketchResult FetchSketch() override { return inner_.FetchSketch(); }
+  SketchResult FetchSketch() override {
+    SketchResult result = inner_.FetchSketch();
+    if (damage_sketch_ && !result.sketch.entries.empty()) {
+      DimBounds& b = result.sketch.entries[0].bounds[0];
+      b.mu_lo = b.mu_hi + 1.0;
+    }
+    return result;
+  }
   BackendRefineCounters refine_counters() const override {
     return inner_.refine_counters();
   }
@@ -603,6 +614,7 @@ class FailableBackend : public ShardBackend {
  private:
   InProcessBackend inner_;
   std::atomic<bool> fail_{false};
+  std::atomic<bool> damage_sketch_{false};
   std::atomic<size_t> starts_{0};
   std::atomic<size_t> releases_{0};
 };
@@ -644,6 +656,45 @@ TEST_F(ShardServingTest, SeedStartFailureFailsTypedAndReleasesEveryHandle) {
     EXPECT_EQ(backend0.starts() + backend1.starts(), starts + 3);
   }
   EXPECT_EQ(coordinator.seed_counts()[0] + coordinator.seed_counts()[1], 2u);
+}
+
+// A sketch whose bounds are no MBR can only come from a damaged or hostile
+// shard. It is refused like a failed fetch: the coordinator plans without
+// sketches (so no seeded Start) and finds the objects, with the densities,
+// that one over honest shards finds. (The probabilities are certified
+// intervals whose exact values follow the refinement path.)
+TEST_F(ShardServingTest, InvalidSketchBoundsDisablePlanning) {
+  ShardedBufferPool pool0(&devices_[0], 1 << 12);
+  ShardedBufferPool pool1(&devices_[1], 1 << 12);
+  auto tree0 = GaussTree::Open(&pool0, metas_[0]);
+  auto tree1 = GaussTree::Open(&pool1, metas_[1]);
+  QueryService shard0(*tree0, {.num_workers = 1});
+  QueryService shard1(*tree1, {.num_workers = 1});
+  FailableBackend honest0(&shard0), honest1(&shard1);
+  FailableBackend damaged0(&shard0), damaged1(&shard1);
+  damaged1.set_damage_sketch(true);
+  ShardCoordinator honest(std::vector<ShardBackend*>{&honest0, &honest1},
+                          {.num_threads = 1});
+  ShardCoordinator refused(std::vector<ShardBackend*>{&damaged0, &damaged1},
+                           {.num_threads = 1});
+  for (const IdentificationQuery& iq : workload_) {
+    for (const Query& query :
+         {Query::Mliq(iq.query, 3), Query::Tiq(iq.query, 0.2)}) {
+      const QueryResponse want = honest.Submit(query).get();
+      const QueryResponse got = refused.Submit(query).get();
+      ASSERT_EQ(want.status, QueryResponse::Status::kOk);
+      ASSERT_EQ(got.status, QueryResponse::Status::kOk);
+      ASSERT_EQ(got.items.size(), want.items.size());
+      for (size_t i = 0; i < got.items.size(); ++i) {
+        EXPECT_EQ(got.items[i].id, want.items[i].id);
+        EXPECT_EQ(std::memcmp(&got.items[i].log_density,
+                              &want.items[i].log_density, sizeof(double)),
+                  0);
+      }
+    }
+  }
+  EXPECT_GT(honest.seed_counts()[0] + honest.seed_counts()[1], 0u);
+  EXPECT_EQ(refused.seed_counts()[0] + refused.seed_counts()[1], 0u);
 }
 
 // ------------------ seeded Start under concurrent enrollment ----------------
@@ -846,6 +897,64 @@ TEST(ShardServingConcurrencyTest, SeededStartUnderEnrollmentMatchesOracle) {
   }
   EXPECT_GT(checked, kClients);
   EXPECT_EQ(db.ingest_stats().inserts_accepted, kExtras);
+}
+
+// The coordinator plans with one batch hull call per sketch (SketchHulls).
+// Its values must be the scalar JointLog{Upper,Lower}Hull bits per entry on
+// the three kinds of sketch a shard sends: an inner root's child MBRs, a
+// leaf root's degenerate per-object entries, and a live delta's.
+TEST(SketchHullsTest, EqualsScalarHullsOnEverySketchKind) {
+  const PfvDataset dataset = GeneratePaperDataset2(3000).dataset;
+  const size_t dim = dataset.dim();
+  const auto tree_sketch = [&](size_t n) {
+    InMemoryPageDevice device;
+    ShardedBufferPool pool(&device, 1 << 12, /*num_shards=*/1);
+    GaussTree tree(&pool, dim);
+    PfvDataset part(dim);
+    for (size_t i = 0; i < n; ++i) part.Add(dataset[i]);
+    tree.BulkLoad(part);
+    tree.Finalize();
+    return BuildShardSketch(tree);
+  };
+  auto delta = std::make_shared<DeltaTree>(dim, 64);
+  for (size_t i = 0; i < 40; ++i) ASSERT_TRUE(delta->Append(dataset[i]));
+  DeltaBackend delta_backend(delta, SigmaPolicy::kConvolution);
+  const ShardBackend::SketchResult delta_sketch = delta_backend.FetchSketch();
+  ASSERT_TRUE(delta_sketch.error.ok());
+
+  struct Kind {
+    const char* name;
+    ShardSketch sketch;
+  };
+  const Kind kinds[] = {{"inner root", tree_sketch(dataset.size())},
+                        {"leaf root", tree_sketch(20)},
+                        {"delta", delta_sketch.sketch}};
+  WorkloadConfig wconfig;
+  wconfig.query_count = 8;
+  wconfig.seed = 23;
+  const auto queries = GenerateWorkload(dataset, wconfig);
+  for (const Kind& kind : kinds) {
+    SCOPED_TRACE(kind.name);
+    ASSERT_GT(kind.sketch.entries.size(), 1u);
+    const SketchHulls hulls(kind.sketch, dim);
+    std::vector<double> upper, lower;
+    for (const auto& iq : queries) {
+      const Pfv& q = iq.query;
+      hulls.Evaluate(q.mu.data(), q.sigma.data(), &upper, &lower);
+      ASSERT_EQ(upper.size(), kind.sketch.entries.size());
+      for (size_t j = 0; j < upper.size(); ++j) {
+        const DimBounds* b = kind.sketch.entries[j].bounds.data();
+        const double want_upper = JointLogUpperHull(
+            b, q.mu.data(), q.sigma.data(), dim, kind.sketch.sigma_policy);
+        const double want_lower = JointLogLowerHull(
+            b, q.mu.data(), q.sigma.data(), dim, kind.sketch.sigma_policy);
+        EXPECT_EQ(std::memcmp(&upper[j], &want_upper, sizeof(double)), 0)
+            << "entry " << j;
+        EXPECT_EQ(std::memcmp(&lower[j], &want_lower, sizeof(double)), 0)
+            << "entry " << j;
+      }
+    }
+  }
 }
 
 }  // namespace
