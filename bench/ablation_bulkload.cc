@@ -1,10 +1,13 @@
 // Ablation: bulk loading versus repeated insertion — build time, structure
-// quality, and query cost on the paper's data set 2. A second table times
-// the bulk load at one thread and at every usable CPU, and a 4-shard
-// GaussDb::Build, whose shards load side by side, on every usable CPU and
-// on one; each row splits its loads into their phases (leaf partition,
-// leaf pages, upper levels). The bench exits non-zero unless each pair
-// writes the same device image.
+// quality, and query cost on the paper's data set 2. Insertion runs as the
+// paper's Section 5.3 algorithm and as two variants that ask why it reads
+// several times the pages of the bulk load: a split at the best cut
+// position, and R*-style forced reinsertion (bench/insertion_builder.h).
+// A second table times the bulk load at one thread and at every usable CPU,
+// and a 4-shard GaussDb::Build, whose shards load side by side, on every
+// usable CPU and on one; each row splits its loads into their phases (leaf
+// partition, leaf pages, upper levels). The bench exits non-zero unless
+// each pair writes the same device image.
 
 #include <sched.h>
 
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "api/gauss_db.h"
+#include "bench/insertion_builder.h"
 #include "common/cpus.h"
 #include "common/stopwatch.h"
 #include "data/paper_datasets.h"
@@ -52,15 +56,26 @@ int Run() {
 
   Table table({"build", "build s", "nodes", "leaf fill", "leaf hull-int",
                "MLIQ pages", "TIQ(0.2) pages"});
-  for (bool bulk : {false, true}) {
+  struct Build {
+    const char* name;
+    bool bulk;
+    InsertionVariant variant;
+  };
+  const Build builds[] = {
+      {"repeated Insert", false, {}},
+      {"Insert, best-cut split", false, {InsertionSplit::kBestCut, false}},
+      {"Insert, forced reinsert", false, {InsertionSplit::kMedian, true}},
+      {"BulkLoad (top-down)", true, {}},
+  };
+  for (const Build& b : builds) {
     InMemoryPageDevice device(kDefaultPageSize);
     ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
     GaussTree tree(&pool, data.dataset.dim());
     Stopwatch build;
-    if (bulk) {
+    if (b.bulk) {
       tree.BulkLoad(data.dataset);
     } else {
-      tree.BulkInsert(data.dataset);
+      InsertionBuild(&tree, data.dataset, b.variant);
     }
     const double build_seconds = build.ElapsedSeconds();
     tree.Finalize();
@@ -84,7 +99,7 @@ int Run() {
       tiq_pages += pool.stats().physical_reads;
     }
     const double n = static_cast<double>(workload.size());
-    table.AddRow({bulk ? "BulkLoad (top-down)" : "repeated Insert",
+    table.AddRow({b.name,
                   Table::Num(build_seconds, 2), Table::Int(stats.node_count),
                   Table::Pct(100 * stats.avg_leaf_fill),
                   Table::Num(profile.back().avg_hull_integral, 3),

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/insertion_builder.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "data/paper_datasets.h"
@@ -84,8 +85,7 @@ void DownstreamTable() {
     GaussTreeOptions options;
     options.integral_method = method;
     GaussTree tree(&pool, data.dataset.dim(), options);
-    tree.BulkInsert(data.dataset);
-    tree.Finalize();
+    InsertionBuild(&tree, data.dataset);
     const auto profile = ProfileLevels(tree);
     MliqOptions mliq_options;
     mliq_options.probability_accuracy = 1e-2;

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/insertion_builder.h"
 #include "data/paper_datasets.h"
 #include "eval/report.h"
 #include "gausstree/gauss_tree.h"
@@ -41,8 +42,7 @@ void Run(int which, size_t objects, size_t queries) {
     GaussTreeOptions options;
     options.sigma_policy = policy;
     GaussTree tree(&pool, data.dataset.dim(), options);
-    tree.BulkInsert(data.dataset);
-    tree.Finalize();
+    InsertionBuild(&tree, data.dataset);
 
     MliqOptions mliq_options;
     mliq_options.probability_accuracy = 1e-2;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/insertion_builder.h"
 #include "data/paper_datasets.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
@@ -51,8 +52,7 @@ void Run() {
     GaussTreeOptions options;
     options.split_strategy = strategy;
     GaussTree tree(&pool, data.dataset.dim(), options);
-    tree.BulkInsert(data.dataset);
-    tree.Finalize();
+    InsertionBuild(&tree, data.dataset);
 
     const GaussTreeStats stats = tree.ComputeStats();
     const auto profile = ProfileLevels(tree);

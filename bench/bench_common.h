@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/insertion_builder.h"
 #include "data/paper_datasets.h"
 #include "eval/experiment.h"
 #include "eval/report.h"
@@ -69,8 +70,7 @@ inline std::unique_ptr<Environment> BuildEnvironment(int which,
       /*num_shards=*/1);
   env->tree = std::make_unique<GaussTree>(env->pool.get(), dim);
   env->file = std::make_unique<PfvFile>(env->pool.get(), dim);
-  env->tree->BulkInsert(env->data.dataset);
-  env->tree->Finalize();
+  InsertionBuild(env->tree.get(), env->data.dataset);
   env->file->AppendAll(env->data.dataset);
   env->scan = std::make_unique<SeqScan>(env->file.get());
   if (build_xtree) {

@@ -16,6 +16,7 @@
 #include <string>
 
 #include "api/gauss_db.h"
+#include "bench/insertion_builder.h"
 #include "data/paper_datasets.h"
 #include "eval/report.h"
 #include "gausstree/gauss_tree.h"
@@ -75,8 +76,7 @@ void Run() {
       InMemoryPageDevice device(kDefaultPageSize);
       ShardedBufferPool pool(&device, pool_pages, /*num_shards=*/1);
       GaussTree tree(&pool, data.dataset.dim());
-      tree.BulkInsert(data.dataset);
-      tree.Finalize();
+      InsertionBuild(&tree, data.dataset);
 
       pool.Clear();
       pool.ResetStats();

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/insertion_builder.h"
 #include "data/paper_datasets.h"
 #include "eval/report.h"
 #include "gausstree/gauss_tree.h"
@@ -37,8 +38,7 @@ std::unique_ptr<Env> Build() {
   env->data = GeneratePaperDataset2(static_cast<size_t>(100000 * scale));
   env->tree = std::make_unique<GaussTree>(&env->pool, env->data.dataset.dim());
   env->file = std::make_unique<PfvFile>(&env->pool, env->data.dataset.dim());
-  env->tree->BulkInsert(env->data.dataset);
-  env->tree->Finalize();
+  InsertionBuild(env->tree.get(), env->data.dataset);
   env->file->AppendAll(env->data.dataset);
   env->workload = GeneratePaperWorkload(env->data, 50);
   return env;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/insertion_builder.h"
 #include "data/generators.h"
 #include "data/workload.h"
 #include "eval/report.h"
@@ -30,8 +31,7 @@ Result Measure(const PfvDataset& dataset, const SigmaModel& sigma_model,
   ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
   GaussTree tree(&pool, dataset.dim());
   PfvFile file(&pool, dataset.dim());
-  tree.BulkInsert(dataset);
-  tree.Finalize();
+  InsertionBuild(&tree, dataset);
   file.AppendAll(dataset);
 
   WorkloadConfig wc;

@@ -69,7 +69,8 @@ int main() {
   ShardedBufferPool scan_pool(&scan_device, 1 << 14, /*num_shards=*/1);
   PfvFile file(&scan_pool, kFeatures);
 
-  // Enrollment: one observation per person under random conditions.
+  // Enrollment: one observation per person under random conditions, held
+  // until Serve() bulk-loads the gallery.
   for (size_t person = 0; person < kPersons; ++person) {
     const CaptureConditions cc{rng.Uniform(0, 8), rng.Uniform(0, 8)};
     const std::vector<double> sigma = FeatureSigmas(cc, rng);
@@ -78,7 +79,12 @@ int main() {
       observed[f] = rng.Gaussian(true_faces[person][f], sigma[f]);
     }
     const Pfv enrolled(person, observed, sigma);
-    db.Insert(enrolled);
+    const InsertResult added = db.Insert(enrolled);
+    if (!added.ok()) {
+      std::fprintf(stderr, "enrollment failed (%s): %s\n",
+                   InsertOutcomeName(added.outcome), added.message.c_str());
+      return 1;
+    }
     file.Append(enrolled);
   }
   Session gallery = db.Serve();

@@ -217,6 +217,8 @@ int main(int argc, char** argv) {
         }
       }
     } else {
+      // Held until Serve(), which bulk-loads the gallery (cut into the
+      // shards' regions first when sharded).
       for (size_t person = 0; person < kPersons; ++person) {
         const std::vector<double> sigma = FeatureSigmas(rng);
         std::vector<double> observed(kFeatures);

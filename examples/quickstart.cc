@@ -24,7 +24,7 @@ int main() {
 
   // The identification database: GaussDb owns the storage stack (device,
   // caches, Gauss-tree) behind three calls. Insert() reports a typed
-  // InsertResult — here each observation lands in the build tree.
+  // InsertResult — here each observation is held for the build.
   GaussDb db = GaussDb::CreateInMemory(/*dim=*/2);
   for (const Pfv& v : {o1, o2, o3}) {
     const InsertResult added = db.Insert(v);
@@ -34,8 +34,10 @@ int main() {
       return 1;
     }
   }
-  // Build -> serve. After this the pages are immutable: Insert() would come
-  // back as InsertOutcome::kFinalized. (To keep enrolling *while* serving,
+  // Build -> serve: Serve() bulk-loads the held observations into the
+  // Gauss-tree, the same tree Build() of them would write, and serves it.
+  // After this the pages are immutable: Insert() would come back as
+  // InsertOutcome::kFinalized. (To keep enrolling *while* serving,
   // set GaussDbOptions::ingest.enabled — examples/query_server.cc does.)
   Session session = db.Serve();
 

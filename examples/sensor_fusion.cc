@@ -57,8 +57,14 @@ int main() {
     return Pfv(id, std::move(mu), std::move(sigma));
   };
 
+  // Held until Serve(), which bulk-loads them into the track database.
   for (size_t e = 0; e < kEmitters; ++e) {
-    db.Insert(observe(signatures[e], e));
+    const InsertResult added = db.Insert(observe(signatures[e], e));
+    if (!added.ok()) {
+      std::fprintf(stderr, "enrollment failed (%s): %s\n",
+                   InsertOutcomeName(added.outcome), added.message.c_str());
+      return 1;
+    }
   }
   Session track_db = db.Serve();
 

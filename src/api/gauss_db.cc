@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -24,6 +25,59 @@
 #include "net/rpc_backend.h"
 
 namespace gauss {
+
+namespace {
+
+// Objects per chunk of a shard's build-phase inserts.
+constexpr size_t kPendingChunk = 1024;
+
+using PendingChunks = std::vector<std::unique_ptr<DeltaTree>>;
+
+size_t PendingCount(const PendingChunks& chunks) {
+  size_t n = 0;
+  for (const auto& chunk : chunks) n += chunk->size();
+  return n;
+}
+
+// The chunks as runs, in insertion order.
+std::vector<GaussTree::SoaRun> PendingRuns(const PendingChunks& chunks) {
+  std::vector<GaussTree::SoaRun> runs;
+  runs.reserve(chunks.size());
+  for (const auto& chunk : chunks) {
+    runs.push_back({chunk->ids(), chunk->mu_planes(), chunk->plane_stride(),
+                    chunk->size()});
+  }
+  return runs;
+}
+
+// Loads every tree's part side by side: each tree first reserves its pages
+// in shard order, then up to UsableCpus() loaders each take the next tree,
+// the CPUs shared out among them as bulk-load threads, and call
+// load(tree, part, threads). So the image is byte-identical to loads run one
+// after another, on any number of CPUs.
+template <typename Load>
+void LoadSideBySide(const std::vector<std::unique_ptr<GaussTree>>& trees,
+                    std::vector<std::vector<uint32_t>> parts,
+                    const Load& load) {
+  for (size_t s = 0; s < trees.size(); ++s) {
+    trees[s]->ReserveBulkLoad(parts[s].size());
+  }
+  const size_t cpus = UsableCpus();
+  const size_t loaders = std::min(cpus, trees.size());
+  std::atomic<size_t> next{0};
+  const auto run = [&](size_t threads) {
+    for (size_t s = next++; s < trees.size(); s = next++) {
+      load(trees[s].get(), std::move(parts[s]), threads);
+    }
+  };
+  std::vector<std::jthread> helpers;
+  for (size_t i = 1; i < loaders; ++i) {
+    helpers.emplace_back(run, cpus / loaders + (i < cpus % loaders));
+  }
+  run(cpus / loaders + (cpus % loaders > 0));
+}
+
+}  // namespace
 
 const char* OpenErrorCodeName(OpenErrorCode code) {
   switch (code) {
@@ -103,6 +157,7 @@ GaussDb GaussDb::Empty(const GaussDbOptions& options, size_t dim) {
                     "too many shards");
     db.num_shards_ = options.shards.num_shards;
   }
+  db.pending_.resize(db.num_shards_);
   return db;
 }
 
@@ -275,6 +330,7 @@ size_t GaussDb::size() const {
   if (!trees_.empty()) {
     size_t total = 0;
     for (const auto& tree : trees_) total += tree->size();
+    for (const PendingChunks& chunks : pending_) total += PendingCount(chunks);
     return total;
   }
   if (live_ != nullptr) return live_->size();
@@ -285,43 +341,31 @@ bool GaussDb::finalized() const {
   for (const auto& tree : trees_) {
     if (!tree->store().finalized()) return false;
   }
+  for (const PendingChunks& chunks : pending_) {
+    if (!chunks.empty()) return false;
+  }
   return true;
 }
 
 void GaussDb::Build(const PfvDataset& dataset) {
   GAUSS_CHECK_MSG(!trees_.empty(),
                   "Build after Serve(): build phase is over");
-  GAUSS_CHECK_MSG(size() == 0 && !finalized(),
+  GAUSS_CHECK_MSG(size() == 0 && !built(),
                   "Build requires an empty database (use Insert to grow one)");
   GAUSS_CHECK_MSG(dataset.dim() == dim_, "dataset dimensionality mismatch");
+  // Every shard reads the caller's dataset through its part's positions.
+  std::vector<std::vector<uint32_t>> parts;
   if (sharded_) {
-    // Every shard reads the caller's dataset through its part's positions.
-    std::vector<std::vector<uint32_t>> parts = SplitSpatial(
-        dataset, trees_.size(), trees_[0]->capacities().leaf);
-    // Each tree takes its pages now, in shard order, so the loads below may
-    // run side by side and still write the image of loads run one after
-    // another.
-    for (size_t s = 0; s < trees_.size(); ++s) {
-      trees_[s]->ReserveBulkLoad(parts[s].size());
-    }
-    // Up to one loader per CPU takes the next shard until none is left; the
-    // CPUs are shared out among the loaders as bulk-load threads.
-    const size_t cpus = UsableCpus();
-    const size_t loaders = std::min(cpus, trees_.size());
-    std::atomic<size_t> next{0};
-    const auto load = [&](size_t threads) {
-      for (size_t s = next++; s < trees_.size(); s = next++) {
-        trees_[s]->BulkLoad(dataset, std::move(parts[s]), threads);
-      }
-    };
-    std::vector<std::jthread> helpers;
-    for (size_t i = 1; i < loaders; ++i) {
-      helpers.emplace_back(load, cpus / loaders + (i < cpus % loaders));
-    }
-    load(cpus / loaders + (cpus % loaders > 0));
+    parts = SplitSpatial(dataset, trees_.size(), trees_[0]->capacities().leaf);
   } else {
-    trees_[0]->BulkLoad(dataset);
+    parts.resize(1, std::vector<uint32_t>(dataset.size()));
+    std::iota(parts[0].begin(), parts[0].end(), uint32_t{0});
   }
+  LoadSideBySide(trees_, std::move(parts),
+                 [&](GaussTree* tree, std::vector<uint32_t> part,
+                     size_t threads) {
+                   tree->BulkLoad(dataset, std::move(part), threads);
+                 });
   Finalize();
 }
 
@@ -336,16 +380,22 @@ InsertResult GaussDb::Insert(const Pfv& pfv) {
             "invalid pfv: mu/sigma lengths differ or sigma <= 0"};
   }
   if (!trees_.empty()) {
-    // Section 5.3 rule over the shards' root entries (api/partitioner.h).
-    std::vector<GtChildEntry> roots;
-    if (trees_.size() > 1) {
-      for (const auto& tree : trees_) roots.push_back(tree->RootEntry());
+    size_t shard = 0;
+    if (built() && trees_.size() > 1) {
+      // Section 5.3 rule over the shards' root entries (api/partitioner.h),
+      // each grown by the objects routed to it since the load.
+      if (routes_.empty()) {
+        for (const auto& tree : trees_) routes_.push_back(tree->RootEntry());
+      }
+      shard = ChooseSubtree(routes_, pfv, options_.tree);
+      routes_[shard].Include(pfv);
+      ++routes_[shard].count;
     }
-    GaussTree* tree =
-        trees_[roots.empty() ? 0 : ChooseSubtree(roots, pfv, options_.tree)]
-            .get();
-    if (tree->store().finalized()) tree->Definalize();
-    tree->Insert(pfv);
+    PendingChunks& chunks = pending_[shard];
+    if (chunks.empty() || !chunks.back()->Append(pfv)) {
+      chunks.push_back(std::make_unique<DeltaTree>(dim_, kPendingChunk));
+      GAUSS_CHECK(chunks.back()->Append(pfv));
+    }
     return {InsertOutcome::kRoutedToBuild, std::string()};
   }
   if (live_ != nullptr) return live_->Insert(pfv);
@@ -362,12 +412,73 @@ IngestStats GaussDb::ingest_stats() const {
   return live_ != nullptr ? live_->stats() : IngestStats{};
 }
 
+void GaussDb::LoadPending() {
+  if (pending_[0].empty()) return;
+  const std::vector<GaussTree::SoaRun> runs = PendingRuns(pending_[0]);
+  std::vector<std::vector<uint32_t>> parts;
+  if (sharded_) {
+    parts = SplitSpatial(runs, dim_, trees_.size(),
+                         trees_[0]->capacities().leaf);
+  } else {
+    parts.resize(1, std::vector<uint32_t>(PendingCount(pending_[0])));
+    std::iota(parts[0].begin(), parts[0].end(), uint32_t{0});
+  }
+  LoadSideBySide(trees_, std::move(parts),
+                 [&](GaussTree* tree, std::vector<uint32_t> part,
+                     size_t threads) {
+                   tree->BulkLoad(runs, std::move(part), threads);
+                 });
+  pending_[0].clear();
+}
+
+void GaussDb::RebuildPending() {
+  std::vector<ShardRebuild> rebuilds;
+  std::vector<size_t> shards;
+  for (size_t s = 0; s < trees_.size(); ++s) {
+    if (pending_[s].empty()) continue;
+    rebuilds.push_back({trees_[s].get(), devices_[DeviceOf(s)].get(),
+                        shard_metas_[s], PendingRuns(pending_[s])});
+    shards.push_back(s);
+  }
+  if (rebuilds.empty()) return;
+  // A device's free list dies with the process, so the pages of images that
+  // an earlier process retired are found again here and taken first.
+  for (size_t d = 0; d < devices_.size(); ++d) {
+    std::vector<PageId> reached;
+    for (size_t s = 0; s < trees_.size(); ++s) {
+      if (DeviceOf(s) != d) continue;
+      reached.push_back(shard_metas_[s]);
+      const std::vector<PageId>& pages = trees_[s]->store().pages();
+      reached.insert(reached.end(), pages.begin(), pages.end());
+    }
+    RecycleUnreachable(devices_[d].get(), reached);
+  }
+  const std::vector<std::vector<PageId>> retired =
+      RebuildShards(rebuilds, UsableCpus());
+  // Nothing reads the old images any more once their trees are gone and
+  // the pools over them hold no frame (a stale header frame included).
+  for (const size_t s : shards) trees_[s].reset();
+  for (const size_t s : shards) build_pools_[DeviceOf(s)]->Clear();
+  for (size_t r = 0; r < rebuilds.size(); ++r) {
+    rebuilds[r].device->Recycle(retired[r]);
+  }
+  for (const size_t s : shards) {
+    trees_[s] = GaussTree::Open(build_pools_[DeviceOf(s)].get(),
+                                shard_metas_[s]);
+    pending_[s].clear();
+  }
+  routes_.clear();
+}
+
 void GaussDb::Finalize() {
   GAUSS_CHECK_MSG(!trees_.empty(),
                   "Finalize after Serve(): build phase is over");
-  for (const auto& tree : trees_) {
-    if (!tree->store().finalized()) tree->Finalize();
+  if (built()) {
+    RebuildPending();
+  } else {
+    LoadPending();
   }
+  for (const auto& tree : trees_) tree->Finalize();
   if (sharded_ && per_shard_devices_) {
     WriteDirectoryManifest();
   } else if (sharded_) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "gausstree/delta_tree.h"
 #include "gausstree/gauss_tree.h"
 #include "net/net_error.h"
 #include "net/shard_backend.h"
@@ -53,9 +54,12 @@ namespace gauss {
 //
 //   * Building — CreateInMemory()/CreateOnFile()/CreateOnDirectory() pick
 //     the page device(s) and attach one-stripe ShardedBufferPool(s) plus
-//     empty GaussTree(s). Build() bulk-loads; Insert() adds one object and
-//     returns InsertResult{kRoutedToBuild}. Finalize() serializes the nodes
-//     to pages — explicit, or implied by Serve().
+//     empty GaussTree(s). Build() bulk-loads; Insert() holds one object for
+//     the next Finalize() and returns InsertResult{kRoutedToBuild}.
+//     Finalize() bulk-loads what Insert() holds — explicit, or implied by
+//     Serve() — so a database has one build path, the bulk load: Insert()s
+//     into an empty database write the image Build() of the same objects
+//     in the same order writes.
 //   * Serving (static) — Serve() switches the stack: it flushes and tears
 //     down the build pool(s), then builds a new engine whose one epoch
 //     reattaches the finalized tree(s) via GaussTree::Open() over
@@ -72,10 +76,12 @@ namespace gauss {
 //     the same entry point in this state.
 //   * Reopen — OpenFile()/OpenDirectory() attach to a database persisted by
 //     an earlier Create*() + Finalize() run (state: Building, so more
-//     Insert()s are fine). Both return an OpenResult: a missing file,
-//     unrecognizable or truncated manifest/header, or a version/page-size/
-//     shard-layout mismatch is reported as a typed OpenError for the caller
-//     to handle (a serving fleet must degrade a bad replica, not abort).
+//     Insert()s are fine; Finalize() rebuilds each shard they reach from
+//     its image plus its new objects, as a live-ingest merge does). Both
+//     return an OpenResult: a missing file, unrecognizable or truncated
+//     manifest/header, or a version/page-size/shard-layout mismatch is
+//     reported as a typed OpenError for the caller to handle (a serving
+//     fleet must degrade a bad replica, not abort).
 //     An image in an older format is refused with kNeedsUpgrade;
 //     GaussDb::Upgrade() rewrites it once, offline.
 //     Opening also walks and checksums every node page (kCorruptPage).
@@ -110,9 +116,11 @@ namespace gauss {
 // gallery is cut into N regions of the feature space (api/partitioner.h), one
 // Gauss-tree each. Build() cuts at the median of the widest mu axis,
 // recursively, snapping each cut to a full leaf block, and the shard trees
-// bulk-load their parts of the gallery in place (no copy), side by side; Insert() routes an
-// object to a shard by the paper's Section 5.3 insertion rule applied to the
-// shards' root MBRs. Serve() returns a Session whose front door is a
+// bulk-load their parts of the gallery in place (no copy), side by side. The
+// Insert()s of an empty database are cut the same way at Finalize(); once
+// the shards are built, Insert() routes an object to a shard by the paper's
+// Section 5.3 insertion rule applied to the shards' root MBRs. Serve()
+// returns a Session whose front door is a
 // ShardCoordinator scatter-gathering every query across per-shard
 // QueryServices and combining the per-shard Bayes-denominator bounds — with
 // refinement rounds when the combined interval is too loose — so MLIQ/TIQ
@@ -240,7 +248,7 @@ struct GaussDbOptions {
 // racing a serving cutover is an operational condition, not API misuse, so
 // it must never take the process down.
 enum class InsertOutcome {
-  kRoutedToBuild,      // build phase: inserted into the shard's tree
+  kRoutedToBuild,      // build phase: held for the next Finalize()'s load
   kRoutedToDelta,      // live ingest: absorbed by the epoch's delta
   kFinalized,          // serving without ingest: the pages are immutable
   kDeltaFull,          // live ingest backpressure: delta at capacity, retry
@@ -256,7 +264,7 @@ struct InsertResult {
   InsertOutcome outcome = InsertOutcome::kRoutedToBuild;
   std::string message;  // what was wrong; empty on success
 
-  // True when the object is in the database (build tree or delta).
+  // True when the object is in the database (build phase or delta).
   bool ok() const {
     return outcome == InsertOutcome::kRoutedToBuild ||
            outcome == InsertOutcome::kRoutedToDelta;
@@ -531,9 +539,14 @@ class GaussDb {
   // on any number of CPUs.
   void Build(const PfvDataset& dataset);
 
-  // Inserts one object. Build phase: paper Section 5.3 insertion into its
-  // shard tree (routed by the shards' root MBRs), reopening a finalized tree
-  // for writing if necessary (kRoutedToBuild). Serving with live ingest
+  // Inserts one object. Build phase (kRoutedToBuild): the object is held,
+  // ids plus SoA planes, until the next Finalize() bulk-loads it. Into an
+  // empty database it is held unrouted, and Finalize() cuts and loads the
+  // held objects exactly as Build() would a dataset of them in insertion
+  // order. Into a built or reopened one it is routed to a shard now, by the
+  // paper's Section 5.3 rule over the shards' root MBRs (each grown by the
+  // objects already routed to it), and Finalize() rebuilds that shard from
+  // its image plus its held objects. Serving with live ingest
   // enabled (GaussDbOptions::ingest): appends to the owning shard's delta
   // (kRoutedToDelta) — visible to every query admitted afterwards, with
   // kDeltaFull backpressure when the delta is at capacity and a merge has
@@ -542,10 +555,15 @@ class GaussDb {
   // kInvalidPfv.
   InsertResult Insert(const Pfv& pfv);
 
-  // Serializes the tree(s) to pages, writes the manifest when sharded (page
-  // 0 of the single file, or the MANIFEST text file of a directory), and
-  // syncs file-backed devices. Idempotent; Serve() calls it implicitly when
-  // needed.
+  // Loads the objects Insert() holds: an empty database's are cut and
+  // bulk-loaded like Build()'s; each shard of a built one that holds objects
+  // is rebuilt from its leaves, read in place, plus those objects, on pages
+  // its image does not use (first those no header reaches, such as an image
+  // an earlier process retired), its header redirected to the new image and
+  // the old image's pages recycled (RebuildShards, the step of a live-ingest
+  // merge). Then writes the tree headers, the manifest when sharded (page 0
+  // of the single file, or the MANIFEST text file of a directory), and syncs
+  // file-backed devices. Idempotent; Serve() calls it implicitly.
   void Finalize();
 
   // Switches to the serve phase: tears down the build pool(s) and returns a
@@ -588,6 +606,8 @@ class GaussDb {
 
   size_t size() const;
   size_t dim() const { return dim_; }
+  // True when every shard tree is finalized and no inserted object waits
+  // for a Finalize().
   bool finalized() const;
 
   // Number of shard trees (1 for an unsharded database).
@@ -602,7 +622,8 @@ class GaussDb {
   PageDevice& device(size_t shard = 0) { return *devices_[DeviceOf(shard)]; }
 
   // Build-phase tree access (nullptr once Serve() has switched phases).
-  // `shard` indexes the partition for sharded databases.
+  // `shard` indexes the partition for sharded databases. A tree holds the
+  // objects of the last load; those inserted since wait for Finalize().
   const GaussTree* build_tree(size_t shard = 0) const {
     return shard < trees_.size() ? trees_[shard].get() : nullptr;
   }
@@ -642,6 +663,14 @@ class GaussDb {
   // the single-file layout's page-0 manifest itself).
   void WriteDirectoryManifest();
 
+  // Whether the shard trees have been loaded (Build, Finalize, Open*):
+  // inserts are routed and rebuild their shards from then on.
+  bool built() const { return trees_.front()->store().finalized(); }
+  // Finalize()'s loads of the held objects: into the empty trees, cut as
+  // Build() cuts, or as rebuilds of the built shards that hold some.
+  void LoadPending();
+  void RebuildPending();
+
   GaussDbOptions options_;
   // One device for the in-memory/single-file layouts; one per shard for the
   // directory layout (DeviceOf maps shard -> device index).
@@ -652,6 +681,16 @@ class GaussDb {
   std::vector<std::unique_ptr<ShardedBufferPool>> build_pools_;
   // Build-phase trees, one per shard; empty while serving.
   std::vector<std::unique_ptr<GaussTree>> trees_;
+  // Build-phase inserts waiting for Finalize(), per shard, in insertion
+  // order; before the trees are built every insert waits in pending_[0],
+  // unrouted. Each shard's objects fill fixed-capacity DeltaTree chunks,
+  // so an append never moves an object and every chunk reads as one
+  // GaussTree::SoaRun.
+  std::vector<std::vector<std::unique_ptr<DeltaTree>>> pending_;
+  // Built sharded databases: each shard's root entry grown by its held
+  // objects, what inserts are routed against; empty until the first routed
+  // insert after a load.
+  std::vector<GtChildEntry> routes_;
 
   bool sharded_ = false;
   bool per_shard_devices_ = false;

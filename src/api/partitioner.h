@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "gausstree/gauss_tree.h"
 #include "pfv/pfv.h"
 
 namespace gauss {
@@ -45,6 +46,12 @@ namespace gauss {
 std::vector<std::vector<uint32_t>> SplitSpatial(const PfvDataset& dataset,
                                                 size_t num_shards,
                                                 size_t leaf_capacity);
+// The same cut of the objects of `runs` (GaussTree::SoaRun), counted over
+// the runs in order: the parts of a dataset holding those objects in that
+// order (GaussDb's Finalize() cuts the build-phase inserts with it).
+std::vector<std::vector<uint32_t>> SplitSpatial(
+    const std::vector<GaussTree::SoaRun>& runs, size_t dim, size_t num_shards,
+    size_t leaf_capacity);
 
 }  // namespace gauss
 

@@ -60,6 +60,65 @@ std::vector<GtNodeSoa> PinLeaves(const GaussTree& tree) {
 
 }  // namespace
 
+std::vector<std::vector<PageId>> RebuildShards(
+    const std::vector<ShardRebuild>& rebuilds, size_t threads) {
+  // Per rebuild: the new image's header page, then the pages that no header
+  // reaches once the commit is done.
+  std::vector<PageId> merged_meta(rebuilds.size(), kInvalidPageId);
+  std::vector<std::vector<PageId>> retired(rebuilds.size());
+  std::vector<PageDevice*> devices;
+  for (size_t r = 0; r < rebuilds.size(); ++r) {
+    const ShardRebuild& rebuild = rebuilds[r];
+    // One run per leaf page of the base, pinned until the load ends, then
+    // the added runs.
+    const std::vector<GtNodeSoa> leaves = PinLeaves(*rebuild.base);
+    std::vector<GaussTree::SoaRun> runs;
+    runs.reserve(leaves.size() + rebuild.added.size());
+    for (const GtNodeSoa& leaf : leaves) {
+      runs.push_back({leaf.ids, leaf.planes, leaf.stride, leaf.n});
+    }
+    runs.insert(runs.end(), rebuild.added.begin(), rebuild.added.end());
+    ShardedBufferPool pool(rebuild.device, kBuildPoolPages, /*num_shards=*/1);
+    GaussTree tree(&pool, rebuild.base->dim(), rebuild.base->options());
+    tree.BulkLoad(runs, threads);
+    tree.Finalize();
+    merged_meta[r] = tree.meta_page();
+    retired[r] = rebuild.base->store().pages();
+    retired[r].push_back(tree.meta_page());  // copied below, then dead
+    if (std::find(devices.begin(), devices.end(), rebuild.device) ==
+        devices.end()) {
+      devices.push_back(rebuild.device);
+    }
+  }
+  for (PageDevice* device : devices) device->Sync();
+  for (size_t r = 0; r < rebuilds.size(); ++r) {
+    // Copy the new header onto the shard's header page, so whatever opens
+    // that page next — a fresh epoch, a reopen after a restart — attaches
+    // to the new image. The base read that page once, at Open(), and never
+    // again.
+    PageDevice* device = rebuilds[r].device;
+    std::vector<uint8_t> page(device->page_size());
+    device->Read(merged_meta[r], page.data());
+    device->Write(rebuilds[r].meta_page, page.data());
+  }
+  // The redirect is durable before the caller recycles the pages the old
+  // header named.
+  for (PageDevice* device : devices) device->Sync();
+  return retired;
+}
+
+void RecycleUnreachable(PageDevice* device,
+                        const std::vector<PageId>& reached) {
+  std::vector<bool> keep(device->PageCount(), false);
+  keep[0] = true;  // a tree header or the shard manifest
+  for (PageId id : reached) keep[id] = true;
+  std::vector<PageId> dead;
+  for (PageId id = 0; id < keep.size(); ++id) {
+    if (!keep[id] && !device->IsFree(id)) dead.push_back(id);
+  }
+  device->Recycle(dead);
+}
+
 ServingEngine::ServingEngine(std::vector<ShardSource> sources, bool sharded,
                              size_t dim, GaussTreeOptions tree_options,
                              ServeOptions serve, IngestOptions ingest)
@@ -264,55 +323,20 @@ bool ServingEngine::MergeNow() {
   }
   if (total == 0) return false;
 
-  // Per shard: the merged image's header page (kInvalidPageId: not
-  // rebuilt), then the pages that no header reaches once the merge commits.
-  std::vector<PageId> merged_meta(sources_.size(), kInvalidPageId);
-  std::vector<std::vector<PageId>> retired(sources_.size());
+  // Rebuild each shard with a cut on pages the old epoch never reads, from
+  // its base image, read through the *old* epoch's cache — it keeps serving
+  // queries throughout — and the delta prefix. One thread: a background
+  // rebuild never takes CPUs from the serving workers.
+  std::vector<ShardRebuild> rebuilds;
   for (size_t s = 0; s < sources_.size(); ++s) {
     if (cuts[s] == 0) continue;
-    // Read the shard's base image in place through the *old* epoch's cache
-    // — it keeps serving queries throughout the rebuild — then the delta
-    // prefix: one run per leaf page, pinned until the load ends, and one
-    // for the delta's ids and planes.
-    const std::vector<GtNodeSoa> leaves = PinLeaves(*old->stacks[s].tree);
     const DeltaTree& delta = *old->deltas[s];
-    std::vector<GaussTree::SoaRun> runs;
-    runs.reserve(leaves.size() + 1);
-    for (const GtNodeSoa& leaf : leaves) {
-      runs.push_back({leaf.ids, leaf.planes, leaf.stride, leaf.n});
-    }
-    runs.push_back(
-        {delta.ids(), delta.mu_planes(), delta.plane_stride(), cuts[s]});
-    // Rebuild on pages the old epoch never reads: the device's recycled
-    // pages, then appended ones. The old image stays intact, so the old
-    // epoch's pinned root and cached frames stay valid.
-    ShardedBufferPool pool(sources_[s].device, kBuildPoolPages,
-                           /*num_shards=*/1);
-    GaussTree tree(&pool, dim_, tree_options_);
-    tree.BulkLoad(runs, /*threads=*/1);
-    tree.Finalize();
-    merged_meta[s] = tree.meta_page();
-    retired[s] = old->stacks[s].tree->store().pages();
-    retired[s].push_back(tree.meta_page());  // copied below, then dead
+    rebuilds.push_back(
+        {old->stacks[s].tree.get(), sources_[s].device, sources_[s].meta_page,
+         {{delta.ids(), delta.mu_planes(), delta.plane_stride(), cuts[s]}}});
   }
-
-  // Commit, as a write-ahead order: the merged nodes are durable before any
-  // header points at them, or a crash could leave a header naming pages
-  // that still hold a retired image's (checksummed) nodes.
-  SyncDevices();
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    if (merged_meta[s] == kInvalidPageId) continue;
-    // Redirect the shard's persistent header to the merged image: copy the
-    // freshly written header onto the original header page, so both the
-    // next epoch and a reopen-after-restart attach to the new base. The old
-    // epoch read that page once at Open() and never again.
-    std::vector<uint8_t> page(sources_[s].device->page_size());
-    sources_[s].device->Read(merged_meta[s], page.data());
-    sources_[s].device->Write(sources_[s].meta_page, page.data());
-  }
-  // The redirect is durable before the next merge overwrites the pages the
-  // old header named.
-  SyncDevices();
+  const std::vector<std::vector<PageId>> retired =
+      RebuildShards(rebuilds, /*threads=*/1);
 
   std::shared_ptr<Epoch> fresh = BuildLocalEpoch(old->id + 1);
   {
@@ -333,8 +357,8 @@ bool ServingEngine::MergeNow() {
   RetireEpoch(std::move(old));
   // The old epoch and every cache over its pages are gone: nothing reads
   // the retired pages any more.
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    sources_[s].device->Recycle(retired[s]);
+  for (size_t r = 0; r < rebuilds.size(); ++r) {
+    rebuilds[r].device->Recycle(retired[r]);
   }
   merges_completed_.fetch_add(1, std::memory_order_relaxed);
   return true;
@@ -342,25 +366,15 @@ bool ServingEngine::MergeNow() {
 
 void ServingEngine::RecycleUnreachable(const Epoch& epoch) {
   for (PageDevice* device : devices_) {
-    std::vector<bool> reached(device->PageCount(), false);
-    reached[0] = true;  // a tree header or the shard manifest
+    std::vector<PageId> reached;
     for (size_t s = 0; s < sources_.size(); ++s) {
       if (sources_[s].device != device) continue;
-      reached[sources_[s].meta_page] = true;
-      for (PageId id : epoch.stacks[s].tree->store().pages()) {
-        reached[id] = true;
-      }
+      reached.push_back(sources_[s].meta_page);
+      const std::vector<PageId>& pages = epoch.stacks[s].tree->store().pages();
+      reached.insert(reached.end(), pages.begin(), pages.end());
     }
-    std::vector<PageId> dead;
-    for (PageId id = 0; id < reached.size(); ++id) {
-      if (!reached[id]) dead.push_back(id);
-    }
-    device->Recycle(dead);
+    gauss::RecycleUnreachable(device, reached);
   }
-}
-
-void ServingEngine::SyncDevices() const {
-  for (PageDevice* device : devices_) device->Sync();
 }
 
 void ServingEngine::RetireEpoch(std::shared_ptr<Epoch> old) {

@@ -14,12 +14,46 @@
 
 namespace gauss {
 
-// Frames of each one-stripe build pool: GaussDb's and every merge's.
+// Frames of each one-stripe build pool: GaussDb's and every rebuild's.
 // A build writes its node pages straight to the device and re-reads none of
-// them (GtNodeStore::Finalize), so the pool only carries header and manifest
-// pages and the one-pass page walk of Definalize (Open's walk reads the
+// them, so the pool carries header and manifest pages and, over a GaussDb's
+// built trees, the leaves a rebuild reads in place (Open's walk reads the
 // device itself).
 inline constexpr size_t kBuildPoolPages = 64;
+
+// One shard to rebuild: its base tree, read in place through the base's own
+// cache, and the objects to add to it.
+struct ShardRebuild {
+  const GaussTree* base = nullptr;
+  PageDevice* device = nullptr;        // base's device; the new image's too
+  PageId meta_page = kInvalidPageId;   // the shard's header page
+  std::vector<GaussTree::SoaRun> added;
+};
+
+// The rebuild a live-ingest merge (ServingEngine::MergeNow) and a
+// build-phase Finalize() of a built database (GaussDb::Finalize) share.
+// Each shard's objects — its base's leaves, pinned in the base's cache until
+// its load ends, then `added` — are bulk-loaded on `threads` threads into a
+// new image on pages of the device that the base does not use: recycled
+// ones first, then appended ones. The base stays intact and readable
+// throughout. Then the commit, in write-ahead order: the devices are
+// synced, each shard's header page is overwritten with its new image's
+// header, and the devices are synced again, so a header never reaches the
+// disk before the nodes it points at. Returns, per rebuild, the pages no
+// header reaches any more: the base's nodes and the new image's own header
+// page. The caller recycles them (PageDevice::Recycle) once nothing reads
+// the base and no cache holds a frame of them.
+std::vector<std::vector<PageId>> RebuildShards(
+    const std::vector<ShardRebuild>& rebuilds, size_t threads);
+
+// Recycles every page of `device` that is not free already and that no
+// header reaches: all but page 0 (a tree header or the shard manifest) and
+// the pages in `reached` (shard header pages and the node pages their trees
+// reach). A live engine runs it over the image it opens; a build-phase
+// rebuild runs it before it writes, so the images an earlier process
+// retired are overwritten rather than appended to.
+void RecycleUnreachable(PageDevice* device,
+                        const std::vector<PageId>& reached);
 
 // One per-shard serving stack: sharded page cache + reopened tree + worker
 // pool. Destruction order (reverse of declaration): service joins its
@@ -81,7 +115,8 @@ struct ShardServingStack {
 // syncs the devices, redirects each rebuilt shard's persistent header page
 // to its new image (so reopen-after-restart sees the merged base), and
 // syncs again — a header never reaches the disk before the nodes it points
-// at, (4) opens a fresh epoch over the merged bases, re-publishing any delta
+// at (steps 2 and 3 are RebuildShards), (4) opens a fresh epoch over the
+// merged bases, re-publishing any delta
 // tail inserted during the rebuild (GaussTree::Open checks the new image
 // on the device, so the fresh caches start empty), (5) retires the old
 // epoch: waits until no admission still holds it, then destroys it — its
@@ -216,10 +251,9 @@ class ServingEngine {
   // shard's stack, checked to be a static local one.
   const ShardServingStack& StaticStack(size_t shard) const;
 
-  // Recycles every page of devices_ that no tree of `epoch` reaches, page 0
-  // and the shard header pages excepted.
+  // RecycleUnreachable over each of devices_, keeping the pages `epoch`'s
+  // shard headers and trees reach.
   void RecycleUnreachable(const Epoch& epoch);
-  void SyncDevices() const;
 
   void RetireEpoch(std::shared_ptr<Epoch> old);
   void RequestMerge();

@@ -157,24 +157,33 @@ class PfvRows {
   size_t dim_;
 };
 
-// The leaf level over SoA runs (GaussTree::SoaRun): the runs' objects in
-// order, each read in place, axis a of a run's object j at
-// planes[a * stride + j]. A row keeps its object's axis-0 address and its
-// run's stride, 16 B, like a PfvRows row.
+// The leaf level over SoA runs (GaussTree::SoaRun): row i is the object at
+// positions[i], counted over the runs in order, read in place, axis a of a
+// run's object j at planes[a * stride + j]. A row keeps its object's axis-0
+// address and its run's stride, 16 B, like a PfvRows row.
 class SoaRows {
  public:
-  SoaRows(const std::vector<GaussTree::SoaRun>& runs, size_t n, size_t dim)
-      : runs_(runs), starts_(runs.size() + 1, 0), rows_(n), dim_(dim) {
-    Row* row = rows_.data();
+  SoaRows(const std::vector<GaussTree::SoaRun>& runs,
+          std::vector<uint32_t> positions, size_t dim)
+      : runs_(runs),
+        starts_(runs.size() + 1, 0),
+        positions_(std::move(positions)),
+        rows_(positions_.size()),
+        dim_(dim) {
     for (size_t r = 0; r < runs.size(); ++r) {
       starts_[r + 1] = starts_[r] + runs[r].n;
-      for (size_t j = 0; j < runs[r].n; ++j) {
-        *row++ = {runs[r].planes + j, runs[r].stride};
-      }
+    }
+    Row* row = rows_.data();
+    for (const uint32_t position : positions_) {
+      GAUSS_CHECK_MSG(position < starts_.back(),
+                      "BulkLoad: position past the end of the runs");
+      const size_t r = RunOf(position);
+      *row++ = {runs[r].planes + (position - starts_[r]), runs[r].stride};
     }
   }
 
-  size_t size() const { return starts_.back(); }
+  // Until Release().
+  size_t size() const { return positions_.size(); }
   double Key(uint32_t item, size_t axis) const { return *KeyAt(item, axis); }
   void PrefetchRow(uint32_t item) const {
     __builtin_prefetch(rows_.data() + item);
@@ -192,15 +201,19 @@ class SoaRows {
     *lo_out = *hi_out = buffer;
   }
 
-  // The handle of an object is its row: the run that holds it is found
-  // from the runs' first rows.
-  void Release(MappedArray<uint32_t>*) { rows_.Free(); }
-  GtLeafObject Object(uint32_t item) const {
-    const size_t r = static_cast<size_t>(
-        std::upper_bound(starts_.begin(), starts_.end(), item) -
-        starts_.begin() - 1);
+  // The handle of an object is its position; the list goes with the rows,
+  // as PfvRows' does.
+  void Release(MappedArray<uint32_t>* order) {
+    for (size_t i = 0; i < order->size(); ++i) {
+      (*order)[i] = positions_[(*order)[i]];
+    }
+    positions_ = std::vector<uint32_t>();
+    rows_.Free();
+  }
+  GtLeafObject Object(uint32_t position) const {
+    const size_t r = RunOf(position);
     const GaussTree::SoaRun& run = runs_[r];
-    const size_t j = item - starts_[r];
+    const size_t j = position - starts_[r];
     return {run.ids[j], run.planes + j, run.planes + dim_ * run.stride + j,
             run.stride};
   }
@@ -211,13 +224,21 @@ class SoaRows {
     size_t stride;
   };
 
+  // The run that holds `position`, found from the runs' first positions.
+  size_t RunOf(uint32_t position) const {
+    return static_cast<size_t>(
+        std::upper_bound(starts_.begin(), starts_.end(), position) -
+        starts_.begin() - 1);
+  }
+
   const double* KeyAt(uint32_t item, size_t axis) const {
     const Row& r = rows_[item];
     return r.first + axis * r.stride;
   }
 
   const std::vector<GaussTree::SoaRun>& runs_;
-  std::vector<size_t> starts_;  // run r's first row; then the row count
+  std::vector<size_t> starts_;  // run r's first position; then the count
+  std::vector<uint32_t> positions_;
   MappedArray<Row> rows_;
   size_t dim_;
 };
@@ -615,6 +636,17 @@ void GaussTree::BulkLoad(const PfvDataset& dataset,
 
 void GaussTree::BulkLoad(const std::vector<SoaRun>& runs, size_t threads) {
   size_t n = 0;
+  for (const SoaRun& run : runs) n += run.n;
+  GAUSS_CHECK_MSG(n <= std::numeric_limits<uint32_t>::max(),
+                  "BulkLoad indexes objects with 32-bit positions");
+  std::vector<uint32_t> positions(n);
+  std::iota(positions.begin(), positions.end(), uint32_t{0});
+  BulkLoad(runs, std::move(positions), threads);
+}
+
+void GaussTree::BulkLoad(const std::vector<SoaRun>& runs,
+                         std::vector<uint32_t> positions, size_t threads) {
+  size_t n = 0;
   for (const SoaRun& run : runs) {
     GAUSS_CHECK_MSG(run.stride >= run.n,
                     "BulkLoad: a run's stride must hold its objects");
@@ -622,13 +654,13 @@ void GaussTree::BulkLoad(const std::vector<SoaRun>& runs, size_t threads) {
   }
   GAUSS_CHECK_MSG(n <= std::numeric_limits<uint32_t>::max(),
                   "BulkLoad indexes objects with 32-bit positions");
-  LoadRows(SoaRows(runs, n, dim_), threads);
+  LoadRows(SoaRows(runs, std::move(positions), dim_), threads);
 }
 
 template <typename Rows>
 void GaussTree::LoadRows(Rows rows, size_t threads) {
   GAUSS_CHECK_MSG(size_ == 0, "BulkLoad requires an empty tree");
-  GAUSS_CHECK_MSG(!store_.finalized(), "BulkLoad requires build mode");
+  GAUSS_CHECK_MSG(!store_.finalized(), "BulkLoad on a finalized tree");
   const size_t n = rows.size();
   const std::vector<PageId> pages = TakeBulkLoadPages(n);
   if (n == 0) return;
@@ -652,12 +684,6 @@ void GaussTree::LoadRows(Rows rows, size_t threads) {
   const auto page_of = [&](size_t node) {
     return node == 0 ? root_ : pages[node - 1];
   };
-
-  // Nodes are written to the device below, past the pool: drop any frame a
-  // Definalize() left of the root page, and the empty in-memory root leaf,
-  // so no copy of the root page outlives the load.
-  pool_->Clear();
-  store_.DropNode(root_);
 
   // Leaf level, read in place. After the partition, leaf_order[i] is the
   // handle of the i-th object placed, and the row view is freed before any

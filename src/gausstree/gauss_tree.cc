@@ -1,12 +1,10 @@
 #include "gausstree/gauss_tree.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <deque>
 #include <limits>
 #include <memory>
-#include <numeric>
 #include <vector>
 
 #include "common/macros.h"
@@ -37,15 +35,6 @@ struct MetaPageLayout {
   uint32_t page_size;
 };
 
-// Parameter-space MBR entry describing a whole node.
-GtChildEntry MakeEntry(const GtNode& node, size_t dim) {
-  GtChildEntry entry;
-  entry.child = node.id;
-  entry.count = node.SubtreeCount();
-  entry.bounds = node.ComputeBounds(dim);
-  return entry;
-}
-
 // Plain parameter-space volume with an epsilon guard against degenerate
 // (zero-width) extents; used by the kVolume ablation strategy only.
 double VolumeCost(const std::vector<DimBounds>& bounds) {
@@ -66,7 +55,11 @@ GaussTree::GaussTree(PageCache* pool, size_t dim, GaussTreeOptions options)
       caps_(GtCapacities::ForPageSize(pool->device()->page_size(), dim)),
       store_(pool, dim) {
   meta_page_ = pool->device()->Allocate();
-  root_ = store_.Create(GtNodeKind::kLeaf)->id;
+  root_ = store_.AllocatePages(1)[0];
+  // A fresh tree is one empty root leaf, on its page; a load overwrites it.
+  std::vector<uint8_t> page(pool->page_size(), 0);
+  GtNode().Serialize(page.data(), dim_);
+  store_.WritePage(root_, page.data());
 }
 
 GaussTree::GaussTree(PageCache* pool, size_t dim, GaussTreeOptions options,
@@ -98,7 +91,7 @@ void GaussTree::WriteMetaPage() {
 }
 
 void GaussTree::Finalize() {
-  store_.Finalize();
+  if (store_.finalized()) return;
   WriteMetaPage();
   pool_->FlushAll();
   store_.PinRoot(root_);
@@ -172,7 +165,7 @@ std::unique_ptr<GaussTree> GaussTree::TryOpen(PageCache* pool,
       new GaussTree(pool, info.dim, info.options, meta_page, info.root,
                     static_cast<size_t>(info.size)));
   // Walks (and checksums) every root-reachable node page on the device,
-  // remembering the set so Definalize() can reload them.
+  // remembering the set (GtNodeStore::pages()).
   if (!tree->store_.OpenFinalized(info.root, tree->size_, error)) {
     return nullptr;
   }
@@ -239,157 +232,6 @@ GtChildEntry GaussTree::RootEntry() const {
   entry.count = root.SubtreeCount();
   entry.bounds = root.ComputeBounds(dim_);
   return entry;
-}
-
-PageId GaussTree::ChooseLeaf(const Pfv& pfv, std::vector<PageId>* path,
-                             std::vector<size_t>* slots) {
-  path->clear();
-  slots->clear();
-  PageId current = root_;
-  while (true) {
-    path->push_back(current);
-    GtNode* node = store_.GetMutable(current);
-    if (node->leaf()) return current;
-    const size_t best_slot = ChooseSubtree(node->children, pfv, options_);
-    slots->push_back(best_slot);
-    current = node->children[best_slot].child;
-  }
-}
-
-GtChildEntry GaussTree::SplitNode(GtNode* node) {
-  const size_t n = node->EntryCount();
-  GAUSS_CHECK(n >= 2);
-  const size_t median = n / 2;
-
-  // Key of entry `e` along split axis (`axis` < dim_: mu axis; otherwise
-  // sigma axis of dimension axis - dim_). Inner entries use MBR centers.
-  auto key_of = [&](size_t e, size_t axis) -> double {
-    if (node->leaf()) {
-      const Pfv& pfv = node->pfvs[e];
-      return axis < dim_ ? pfv.mu[axis] : pfv.sigma[axis - dim_];
-    }
-    const GtChildEntry& entry = node->children[e];
-    if (axis < dim_) {
-      return 0.5 * (entry.bounds[axis].mu_lo + entry.bounds[axis].mu_hi);
-    }
-    const DimBounds& b = entry.bounds[axis - dim_];
-    return 0.5 * (b.sigma_lo + b.sigma_hi);
-  };
-
-  // Bounds of an index subset.
-  auto subset_bounds = [&](const std::vector<size_t>& order, size_t from,
-                           size_t to) {
-    GtNode tmp;
-    tmp.kind = node->kind;
-    for (size_t i = from; i < to; ++i) {
-      if (node->leaf()) {
-        tmp.pfvs.push_back(node->pfvs[order[i]]);
-      } else {
-        tmp.children.push_back(node->children[order[i]]);
-      }
-    }
-    return tmp.ComputeBounds(dim_);
-  };
-
-  const size_t axis_count =
-      options_.split_strategy == SplitStrategy::kMuOnly ? dim_ : 2 * dim_;
-
-  double best_cost = std::numeric_limits<double>::infinity();
-  std::vector<size_t> best_order;
-  std::vector<size_t> order(n);
-  for (size_t axis = 0; axis < axis_count; ++axis) {
-    std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-      return key_of(a, axis) < key_of(b, axis);
-    });
-    const double cost = NodeCost(subset_bounds(order, 0, median)) +
-                        NodeCost(subset_bounds(order, median, n));
-    if (cost < best_cost) {
-      best_cost = cost;
-      best_order = order;
-    }
-  }
-  GAUSS_CHECK(!best_order.empty());
-
-  // Materialize: left half stays in `node`, right half moves to the sibling.
-  GtNode* sibling = store_.Create(node->kind);
-  if (node->leaf()) {
-    std::vector<Pfv> left, right;
-    for (size_t i = 0; i < median; ++i) left.push_back(node->pfvs[best_order[i]]);
-    for (size_t i = median; i < n; ++i)
-      right.push_back(node->pfvs[best_order[i]]);
-    node->pfvs = std::move(left);
-    sibling->pfvs = std::move(right);
-  } else {
-    std::vector<GtChildEntry> left, right;
-    for (size_t i = 0; i < median; ++i)
-      left.push_back(node->children[best_order[i]]);
-    for (size_t i = median; i < n; ++i)
-      right.push_back(node->children[best_order[i]]);
-    node->children = std::move(left);
-    sibling->children = std::move(right);
-  }
-  return MakeEntry(*sibling, dim_);
-}
-
-void GaussTree::RefreshParentEntry(GtNode* parent, size_t child_slot) {
-  GAUSS_CHECK(child_slot < parent->children.size());
-  GtChildEntry& entry = parent->children[child_slot];
-  GtNode child;
-  store_.Load(entry.child, &child);
-  entry = MakeEntry(child, dim_);
-}
-
-void GaussTree::HandleOverflow(const std::vector<PageId>& path,
-                               const std::vector<size_t>& slots) {
-  for (size_t level = path.size(); level-- > 0;) {
-    GtNode* node = store_.GetMutable(path[level]);
-    const size_t capacity = node->leaf() ? caps_.leaf : caps_.inner;
-    if (node->EntryCount() <= capacity) return;
-
-    GtChildEntry sibling_entry = SplitNode(node);
-    if (level == 0) {
-      // Root split: grow the tree by one level.
-      GtNode* new_root = store_.Create(GtNodeKind::kInner);
-      new_root->children.push_back(MakeEntry(*node, dim_));
-      new_root->children.push_back(std::move(sibling_entry));
-      root_ = new_root->id;
-      return;
-    }
-    GtNode* parent = store_.GetMutable(path[level - 1]);
-    RefreshParentEntry(parent, slots[level - 1]);
-    parent->children.push_back(std::move(sibling_entry));
-  }
-}
-
-void GaussTree::Insert(const Pfv& pfv) {
-  GAUSS_CHECK_MSG(!store_.finalized(),
-                  "Insert requires build mode (call Definalize first)");
-  GAUSS_CHECK(pfv.dim() == dim_);
-  GAUSS_CHECK(pfv.Valid());
-
-  std::vector<PageId> path;
-  std::vector<size_t> slots;
-  const PageId leaf_id = ChooseLeaf(pfv, &path, &slots);
-
-  GtNode* leaf = store_.GetMutable(leaf_id);
-  leaf->pfvs.push_back(pfv);
-  ++size_;
-
-  // Extend ancestor MBRs/counts along the insertion path.
-  for (size_t level = 0; level + 1 < path.size(); ++level) {
-    GtNode* inner = store_.GetMutable(path[level]);
-    GtChildEntry& entry = inner->children[slots[level]];
-    entry.Include(pfv);
-    entry.count += 1;
-  }
-
-  HandleOverflow(path, slots);
-}
-
-void GaussTree::BulkInsert(const PfvDataset& dataset) {
-  GAUSS_CHECK(dataset.dim() == dim_);
-  for (const Pfv& pfv : dataset.objects()) Insert(pfv);
 }
 
 GaussTreeStats GaussTree::ComputeStats() const {

@@ -39,7 +39,8 @@ struct GaussTreeOptions {
 
 // Cost of a parameter-space footprint under `options`' split strategy: the
 // hull-integral access probability (paper Section 5.3), or plain volume for
-// SplitStrategy::kVolume. What the split and the insertion rule minimize.
+// SplitStrategy::kVolume. What the bulk load's cuts and the insertion rule
+// minimize.
 double FootprintCost(const std::vector<DimBounds>& bounds,
                      const GaussTreeOptions& options);
 
@@ -48,9 +49,10 @@ double FootprintCost(const std::vector<DimBounds>& bounds,
 // selective); if none contains it, the one whose cost grows least. Ties on
 // (primary, cost) go to the lowest index. An entry with count 0 has no
 // footprint: it contains nothing, costs 0, and grows by the cost of `pfv`
-// alone. GaussTree::ChooseLeaf applies the rule at every inner node; a
-// sharded GaussDb applies it once more above the trees, to the shards' root
-// entries (api/partitioner.h). `entries` must not be empty.
+// alone. A sharded GaussDb applies the rule above the trees, to the shards'
+// root entries (api/partitioner.h); the paper's one-by-one insertion
+// (bench/insertion_builder.h) applies it at every inner node. `entries`
+// must not be empty.
 size_t ChooseSubtree(const std::vector<GtChildEntry>& entries, const Pfv& pfv,
                      const GaussTreeOptions& options);
 
@@ -81,22 +83,29 @@ struct GaussTreeStats {
 // own storage stack (experiments, ablations, custom caches):
 //   ShardedBufferPool pool(&device, capacity, /*num_shards=*/1);
 //   GaussTree tree(&pool, dim);
-//   for (...) tree.Insert(pfv);
-//   tree.Finalize();                       // serialize to pages
+//   tree.BulkLoad(dataset);                // writes every node's page
+//   tree.Finalize();                       // header, pinned root
 //   auto top = QueryMliq(tree, q, k);      // see mliq.h
 //   auto hits = QueryTiq(tree, q, 0.2);    // see tiq.h
+//
+// A tree is built once: a fresh tree takes one bulk load (or none, and
+// stays empty), then Finalize(); an opened one is finalized already. To add
+// objects to a built tree, bulk-load a new one from its leaves plus the new
+// objects (what GaussDb's Finalize() and a live-ingest merge do).
 class GaussTree {
  public:
+  // A fresh, empty tree: allocates its header page and its root page, and
+  // writes an empty root leaf there.
   GaussTree(PageCache* pool, size_t dim, GaussTreeOptions options = {});
 
   GaussTree(const GaussTree&) = delete;
   GaussTree& operator=(const GaussTree&) = delete;
 
   // Reopens a previously finalized tree from its meta page (persisted by
-  // Finalize()). The tree opens in query mode; call Definalize() to insert
-  // more objects. Opening reads the header and walks every node page on the
-  // device, past the pool, verifying each checksum: the pool is left as it
-  // was, cold when fresh (GtNodeStore::OpenFinalized).
+  // Finalize()); the tree opens finalized. Opening reads the header and
+  // walks every node page on the device, past the pool, verifying each
+  // checksum: the pool is left as it was, cold when fresh
+  // (GtNodeStore::OpenFinalized).
   // TryOpen returns nullptr with the reason in `*error` when `meta_page`
   // holds no v3 header for this page size, a malformed one (HeaderInfo),
   // a damaged node page (bad checksum, malformed, reached twice) or leaves
@@ -132,12 +141,6 @@ class GaussTree {
   // pass it to Open() to reattach.
   PageId meta_page() const { return meta_page_; }
 
-  // Inserts one pfv (build mode; call Definalize() first if finalized).
-  void Insert(const Pfv& pfv);
-
-  // Inserts every object of the dataset one by one.
-  void BulkInsert(const PfvDataset& dataset);
-
   // Bulk-loads an *empty* tree with the objects dataset[positions[i]], by a
   // top-down recursive median partitioning in (mu, sigma) space, minimizing
   // the paper's hull-integral objective at every cut. Much faster to build
@@ -163,10 +166,10 @@ class GaussTree {
   //
   // Memory: each node is written to its device page as soon as it is
   // complete, straight from where its objects or children lie (no GtNode,
-  // no pfv copied), so the tree stays in build mode with no node in memory,
-  // and reads, Validate() and queries go to the pages. The leaf partition
-  // reads the objects in place through one 16 B row per object (here a
-  // (mu, sigma) pointer pair) and copies no key. Besides the rows, it holds
+  // no pfv copied), so no node stays in memory, and reads and Validate() go
+  // to the pages. The leaf partition reads the objects in place through one
+  // 16 B row per object (here a (mu, sigma) pointer pair) and copies no
+  // key. Besides the rows, it holds
   // the permutation (4 B per object) and the split scratch (24 B per item
   // of each thread's first range). The rows and the position list are freed
   // once the leaf order is known; what stays is a node's parent entry, 32d
@@ -199,6 +202,12 @@ class GaussTree {
   // image at once; when it is smaller than that, it grows past its budget
   // until the load ends, by at most the image's leaf pages.
   void BulkLoad(const std::vector<SoaRun>& runs, size_t threads = UsableCpus());
+  // The objects of `runs` at `positions`, counted over the runs in order: the
+  // same tree as a load of runs holding exactly those objects in list order
+  // (GaussDb's Finalize() passes each shard's SplitSpatial part of the
+  // build-phase inserts). A position past the runs' objects aborts.
+  void BulkLoad(const std::vector<SoaRun>& runs,
+                std::vector<uint32_t> positions, size_t threads = UsableCpus());
 
   // Allocates now the pages the next BulkLoad, which must load `n`
   // objects, will write, besides the root page the constructor allocated.
@@ -219,26 +228,24 @@ class GaussTree {
   };
   const BulkLoadTimes& bulk_load_times() const { return load_times_; }
 
-  // Serializes the nodes still in memory to their pages and persists the
-  // header so the tree can be reattached with Open(); queries then pay
-  // honest page I/O.
+  // Persists the header so the tree can be reattached with Open() and pins
+  // the root; queries then pay honest page I/O. The tree takes no more
+  // objects.
   void Finalize();
-  // Reloads nodes into memory to allow further Insert calls.
-  void Definalize() { store_.Definalize(); }
 
   size_t size() const { return size_; }
   size_t dim() const { return dim_; }
   PageId root() const { return root_; }
   // The whole tree as one parent entry: root id, object count and root MBR
-  // (count 0 and inverted infinite bounds when empty). Works in build or
-  // query mode; a pinned root costs no pool fetch.
+  // (count 0 and inverted infinite bounds when empty). A pinned root costs
+  // no pool fetch.
   GtChildEntry RootEntry() const;
   const GaussTreeOptions& options() const { return options_; }
   const GtCapacities& capacities() const { return caps_; }
   const GtNodeStore& store() const { return store_; }
   PageCache* pool() const { return pool_; }
 
-  // Structural statistics (walks the whole tree; build or query mode).
+  // Structural statistics (walks the whole tree's pages).
   GaussTreeStats ComputeStats() const;
 
   // Checks every structural invariant (balance, fill factors, MBR
@@ -246,7 +253,9 @@ class GaussTree {
   void Validate() const;
 
  private:
-  friend class GaussTreeCrawler;  // test/bench access to internals
+  // The paper's one-by-one insertion (bench/insertion_builder.h) writes its
+  // nodes' pages itself, on pages of this tree, and sets root_ and size_.
+  friend class InsertionBuilder;
 
   // Open() constructor: attaches to an existing finalized tree.
   GaussTree(PageCache* pool, size_t dim, GaussTreeOptions options,
@@ -264,25 +273,8 @@ class GaussTree {
   // allocated.
   std::vector<PageId> TakeBulkLoadPages(size_t n);
 
-  // Descends to the leaf the pfv should go to; fills `path` with the page
-  // ids from root to leaf and `slots` with child indices taken at each inner
-  // node (paper Section 5.3 insertion rules).
-  PageId ChooseLeaf(const Pfv& pfv, std::vector<PageId>* path,
-                    std::vector<size_t>* slots);
-
   // Cost of a node's parameter-space footprint under the active strategy.
   double NodeCost(const std::vector<DimBounds>& bounds) const;
-
-  // Splits the overflowing node, redistributing entries by the best median
-  // split; returns the entry describing the new sibling.
-  GtChildEntry SplitNode(GtNode* node);
-
-  // Handles overflow propagation along `path` after inserting into `leaf_id`.
-  void HandleOverflow(const std::vector<PageId>& path,
-                      const std::vector<size_t>& slots);
-
-  // Recomputes the parent-entry MBR/count for `child_slot` of `parent`.
-  void RefreshParentEntry(GtNode* parent, size_t child_slot);
 
   PageCache* pool_;
   size_t dim_;

@@ -262,16 +262,6 @@ void GtNodeSoa::Decode(const uint8_t* page, size_t dim, PageId id,
        Peek<uint16_t>(page + 2), dim, out);
 }
 
-void GtNodeSoa::FromNode(const GtNode& node, size_t dim, GtNodeSoa* out) {
-  out->page.Release();
-  const size_t n = node.EntryCount();
-  out->owned.resize(
-      (kHeaderBytes + BodyBytes(node.kind, n, dim)) / sizeof(uint64_t));
-  uint8_t* page = reinterpret_cast<uint8_t*>(out->owned.data());
-  node.Serialize(page, dim);
-  Bind(page + kHeaderBytes, node.kind, node.id, n, dim, out);
-}
-
 void GtNodeSoa::Alias(const GtNodeSoa& other) {
   page.Release();
   id = other.id;

@@ -29,7 +29,9 @@ struct GtChildEntry {
 
 enum class GtNodeKind : uint8_t { kLeaf = 0, kInner = 1 };
 
-// A Gauss-tree node as the build phase edits it. Leaves hold pfv records;
+// A Gauss-tree node materialized from its page, for whole-tree walks
+// (statistics, validation, GaussDb::Upgrade) and for builders that edit
+// nodes in memory (bench/insertion_builder.h). Leaves hold pfv records;
 // inner nodes hold child MBR entries. Nodes serialize to fixed-size pages
 // in the node page format (see GtNodeSoa and node.cc); queries read those
 // pages through GtNodeSoa views and never materialize a GtNode.
@@ -112,10 +114,9 @@ size_t WriteInnerPage(const GtChildRef* children, size_t n, size_t dim,
 // the capacity keeps every offset 8-aligned and the body self-describing.
 // (Tree header v2 wrote row-record pages; only GaussDb::Upgrade reads them.)
 //
-// So the pointers below lead into one of three places: a cache frame the
-// view pins through `page` (GtNodeStore::LoadSoa), the view's own `owned`
-// scratch (in-memory build nodes, FromNode), or caller memory (Decode on a
-// page buffer the caller keeps alive).
+// So the pointers below lead into one of two places: a cache frame the view
+// pins through `page` (GtNodeStore::LoadSoa), or caller memory (Decode on a
+// page buffer the caller keeps alive, Alias on the store's pinned root).
 struct GtNodeSoa {
   PageId id = kInvalidPageId;
   GtNodeKind kind = GtNodeKind::kLeaf;
@@ -129,8 +130,6 @@ struct GtNodeSoa {
 
   // Pin on the cache frame the pointers lead into; empty otherwise.
   PageRef page;
-  // Page scratch for build nodes (FromNode), reused across loads.
-  std::vector<uint64_t> owned;
 
   bool leaf() const { return kind == GtNodeKind::kLeaf; }
 
@@ -156,9 +155,6 @@ struct GtNodeSoa {
   // exist.
   static const char* Validate(const uint8_t* page, uint32_t page_size,
                               size_t dim, bool check_crc);
-
-  // Views an in-memory node (build-mode NodeStore), through out->owned.
-  static void FromNode(const GtNode& node, size_t dim, GtNodeSoa* out);
 
   // Borrows `other`'s pointers without copying planes or pinning: the view
   // is valid while `other` is unchanged (the store's pinned root).

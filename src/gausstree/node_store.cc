@@ -1,7 +1,5 @@
 #include "gausstree/node_store.h"
 
-#include <algorithm>
-#include <cstring>
 #include <deque>
 #include <vector>
 
@@ -15,31 +13,8 @@ GtNodeStore::GtNodeStore(PageCache* pool, size_t dim)
   GAUSS_CHECK(dim > 0);
 }
 
-GtNode* GtNodeStore::Create(GtNodeKind kind) {
-  GAUSS_CHECK_MSG(!finalized_, "Create requires build mode (Definalize first)");
-  const PageId id = pool_->device()->Allocate();
-  auto node = std::make_unique<GtNode>();
-  node->id = id;
-  node->kind = kind;
-  GtNode* raw = node.get();
-  nodes_.emplace(id, std::move(node));
-  all_pages_.push_back(id);
-  return raw;
-}
-
-GtNode* GtNodeStore::GetMutable(PageId id) {
-  GAUSS_CHECK_MSG(!finalized_, "mutation requires build mode");
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) {
-    auto node = std::make_unique<GtNode>();
-    Load(id, node.get());
-    it = nodes_.emplace(id, std::move(node)).first;
-  }
-  return it->second.get();
-}
-
 std::vector<PageId> GtNodeStore::AllocatePages(size_t count) {
-  GAUSS_CHECK_MSG(!finalized_, "AllocatePages requires build mode");
+  GAUSS_CHECK_MSG(!finalized(), "AllocatePages on a finalized tree");
   std::vector<PageId> ids(count);
   for (PageId& id : ids) id = pool_->device()->Allocate();
   all_pages_.insert(all_pages_.end(), ids.begin(), ids.end());
@@ -47,32 +22,11 @@ std::vector<PageId> GtNodeStore::AllocatePages(size_t count) {
 }
 
 void GtNodeStore::WritePage(PageId id, const uint8_t* bytes) const {
-  GAUSS_CHECK_MSG(!finalized_, "WritePage requires build mode");
+  GAUSS_CHECK_MSG(!finalized(), "WritePage on a finalized tree");
   pool_->device()->Write(id, bytes);
 }
 
-void GtNodeStore::DropNode(PageId id) {
-  GAUSS_CHECK_MSG(!finalized_, "DropNode requires build mode");
-  nodes_.erase(id);
-}
-
-void GtNodeStore::WriteNode(const GtNode& node,
-                            std::vector<uint8_t>* buffer) const {
-  GAUSS_CHECK_MSG(node.SerializedSize(dim_) <= buffer->size(),
-                  "node exceeds page capacity");
-  std::fill(buffer->begin(), buffer->end(), 0);
-  node.Serialize(buffer->data(), dim_);
-  pool_->device()->Write(node.id, buffer->data());
-}
-
 void GtNodeStore::Load(PageId id, GtNode* scratch) const {
-  if (!finalized_) {
-    auto it = nodes_.find(id);
-    if (it != nodes_.end()) {
-      *scratch = *it->second;  // copy: callers own their view
-      return;
-    }
-  }
   GtNodeSoa view;  // a pinned root is aliased, not fetched
   const char* why = nullptr;
   const bool loaded = LoadSoa(id, &view, &why);
@@ -81,13 +35,7 @@ void GtNodeStore::Load(PageId id, GtNode* scratch) const {
 }
 
 bool GtNodeStore::LoadSoa(PageId id, GtNodeSoa* view, const char** why) const {
-  if (!finalized_) {
-    auto it = nodes_.find(id);
-    if (it != nodes_.end()) {
-      GtNodeSoa::FromNode(*it->second, dim_, view);
-      return true;
-    }
-  } else if (pinned_soa_ != nullptr && id == pinned_id_) {
+  if (pinned_soa_ != nullptr && id == pinned_id_) {
     view->Alias(*pinned_soa_);  // pinned root: no pool fetch, no copy
     return true;
   }
@@ -130,23 +78,8 @@ const uint8_t* GtNodeStore::DevicePage(PageId id,
   return reinterpret_cast<const uint8_t*>(scratch->data());
 }
 
-void GtNodeStore::Finalize() {
-  if (finalized_) return;
-  // Nodes go straight to the device: nothing in a build re-reads them, so
-  // the cache keeps no copy. Flush and drop what it holds first, so no
-  // frame of a node page outlives the write (Definalize read every page
-  // through the cache) and no dirty frame lands on top of one later.
-  pool_->Clear();
-  std::vector<uint8_t> buffer(pool_->page_size());
-  for (const auto& [id, node] : nodes_) WriteNode(*node, &buffer);
-  nodes_.clear();
-  finalized_ = true;
-}
-
 bool GtNodeStore::OpenFinalized(PageId root, size_t size, std::string* error) {
-  GAUSS_CHECK_MSG(nodes_.empty() && all_pages_.empty(),
-                  "OpenFinalized requires a fresh store");
-  finalized_ = true;
+  GAUSS_CHECK_MSG(all_pages_.empty(), "OpenFinalized requires a fresh store");
   size_t objects = 0;
   std::vector<bool> seen(pool_->device()->PageCount(), false);
   std::vector<uint64_t> scratch(PageWords());
@@ -186,7 +119,6 @@ bool GtNodeStore::OpenFinalized(PageId root, size_t size, std::string* error) {
 }
 
 void GtNodeStore::PinRoot(PageId id) {
-  GAUSS_CHECK_MSG(finalized_, "PinRoot requires query mode");
   pinned_soa_.reset();
   // Read from the device, past the pool: pinning leaves no frame behind.
   pinned_page_.assign(PageWords(), 0);
@@ -200,20 +132,6 @@ void GtNodeStore::PinRoot(PageId id) {
   pinned_bounds_.clear();
   if (root.EntryCount() > 0) pinned_bounds_ = root.ComputeBounds(dim_);
   pinned_id_ = id;
-}
-
-void GtNodeStore::Definalize() {
-  if (!finalized_) return;
-  pinned_soa_.reset();
-  pinned_page_.clear();
-  pinned_bounds_.clear();
-  pinned_id_ = kInvalidPageId;
-  for (PageId id : all_pages_) {
-    auto node = std::make_unique<GtNode>();
-    Load(id, node.get());
-    nodes_.emplace(id, std::move(node));
-  }
-  finalized_ = false;
 }
 
 }  // namespace gauss

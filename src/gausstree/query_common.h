@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/log_sum_exp.h"
+#include "common/macros.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/node.h"
 #include "math/hull.h"
@@ -113,18 +114,13 @@ class DenominatorTracker {
 };
 
 // Reference log scale for a query: the root's joint log upper hull, the
-// largest log density any stored object can attain against q. A finalized
-// tree's root MBR is cached at pin time; only build mode copies the root.
+// largest log density any stored object can attain against q, from the root
+// MBR the tree cached when it pinned its root. Queries need a finalized
+// tree (GaussTree::Finalize or Open).
 inline double ComputeLogRef(const GaussTree& tree, const Pfv& q) {
   const std::vector<DimBounds>* bounds =
       tree.store().PinnedBounds(tree.root());
-  std::vector<DimBounds> loaded;
-  if (bounds == nullptr) {
-    GtNode root;
-    tree.store().Load(tree.root(), &root);
-    if (root.EntryCount() > 0) loaded = root.ComputeBounds(tree.dim());
-    bounds = &loaded;
-  }
+  GAUSS_CHECK_MSG(bounds != nullptr, "queries need a finalized tree");
   if (bounds->empty()) return 0.0;
   return JointLogUpperHull(bounds->data(), q.mu.data(), q.sigma.data(),
                            tree.dim(), tree.options().sigma_policy);

@@ -48,6 +48,11 @@ size_t PageDevice::FreePageCount() const {
   return free_.size();
 }
 
+bool PageDevice::IsFree(PageId id) const {
+  std::lock_guard<std::mutex> lock(free_mu_);
+  return free_.count(id) != 0;
+}
+
 bool PageDevice::TakeRecycled(PageId* id) {
   std::lock_guard<std::mutex> lock(free_mu_);
   if (free_.empty()) return false;

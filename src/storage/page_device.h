@@ -89,6 +89,8 @@ class PageDevice {
 
   // Recycled pages not yet reused.
   size_t FreePageCount() const;
+  // Whether page `id` is one of them.
+  bool IsFree(PageId id) const;
 
   // The page's own bytes (page_size() of them), valid and at the same
   // address until the device is destroyed; nullptr when the device keeps no

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "api/partitioner.h"
+#include "bench/insertion_builder.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "data/paper_datasets.h"
@@ -637,9 +638,8 @@ void ExpectScanAnswers(const GaussTree& tree, const PfvDataset& dataset,
 }
 
 // The bulk load writes each node to the device as soon as it is complete:
-// afterwards the store holds no node object, and the still unfinalized tree
-// reads its pages for validation, statistics and queries. An Insert brings
-// the nodes on its path back into memory, and Finalize() writes them.
+// the still unfinalized tree reads its pages for validation and statistics,
+// and Finalize() adds only the header.
 TEST(BulkLoadTest, StreamsEveryNodeToTheDevice) {
   const PfvDataset dataset = RandomDataset(311, 2500, 3);
   for (size_t threads : {1, 2, 4}) {
@@ -648,48 +648,16 @@ TEST(BulkLoadTest, StreamsEveryNodeToTheDevice) {
     GaussTree tree(&pool, 3);
     tree.BulkLoad(dataset, threads);
     EXPECT_FALSE(tree.store().finalized());
-    EXPECT_EQ(tree.store().nodes_in_memory(), 0u) << "threads=" << threads;
     tree.Validate();
     const GaussTreeStats stats = tree.ComputeStats();
     EXPECT_EQ(stats.object_count, dataset.size());
     EXPECT_EQ(stats.node_count + 1, device.PageCount());  // + the meta page
+    tree.Finalize();
+    EXPECT_EQ(stats.node_count + 1, device.PageCount())
+        << "threads=" << threads;
+    tree.Validate();
     ExpectScanAnswers(tree, dataset, 312);
-
-    Rng rng(313);
-    PfvDataset grown = dataset;
-    for (uint64_t i = 0; i < 50; ++i) {
-      const Pfv pfv = RandomPfv(rng, 90000 + i, 3);
-      tree.Insert(pfv);
-      grown.Add(pfv);
-    }
-    EXPECT_GT(tree.store().nodes_in_memory(), 0u);
-    tree.Validate();
-    tree.Finalize();
-    EXPECT_EQ(tree.store().nodes_in_memory(), 0u);
-    tree.Validate();
-    EXPECT_EQ(tree.size(), grown.size());
-    ExpectScanAnswers(tree, grown, 314);
   }
-}
-
-// A tree finalized empty and reopened for building leaves its root page in
-// the cache (PinRoot fetched it). The bulk load writes that page past the
-// cache, so it must not leave the old copy there: over a file device the
-// frame holds a copy, and reading it would show the empty root.
-TEST(BulkLoadTest, BulkLoadAfterDefinalizeReadsItsOwnPages) {
-  const std::string path = ::testing::TempDir() + "/gauss_bulk_reload.db";
-  {
-    FilePageDevice device(path, 2048, /*truncate=*/true);
-    ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
-    GaussTree tree(&pool, 3);
-    tree.Finalize();
-    tree.Definalize();
-    const PfvDataset dataset = RandomDataset(315, 1500, 3);
-    tree.BulkLoad(dataset);
-    tree.Validate();
-    EXPECT_EQ(tree.ComputeStats().object_count, dataset.size());
-  }
-  std::remove(path.c_str());
 }
 
 TEST(BulkLoadTest, SameAnswersAsIncrementalBuild) {
@@ -706,8 +674,7 @@ TEST(BulkLoadTest, SameAnswersAsIncrementalBuild) {
   InMemoryPageDevice device_b(2048);
   ShardedBufferPool pool_b(&device_b, 1 << 14, /*num_shards=*/1);
   GaussTree incremental(&pool_b, 3);
-  incremental.BulkInsert(dataset);
-  incremental.Finalize();
+  InsertionBuild(&incremental, dataset);
 
   const MliqResult a = QueryMliq(bulk, q, 7);
   const MliqResult b = QueryMliq(incremental, q, 7);
@@ -728,7 +695,7 @@ TEST(BulkLoadTest, FullerLeavesThanIncrementalBuild) {
   InMemoryPageDevice device_b(2048);
   ShardedBufferPool pool_b(&device_b, 1 << 14, /*num_shards=*/1);
   GaussTree incremental(&pool_b, 3);
-  incremental.BulkInsert(dataset);
+  InsertionBuild(&incremental, dataset);
 
   const GaussTreeStats bulk_stats = bulk.ComputeStats();
   const GaussTreeStats incr_stats = incremental.ComputeStats();
@@ -755,6 +722,7 @@ TEST(BulkLoadTest, SmallInputsAndEdgeCases) {
     one.Add(Pfv(1, {0.5, 0.5}, {0.1, 0.1}));
     tree.BulkLoad(one);
     tree.Validate();
+    tree.Finalize();  // queries read a finalized tree
     const MliqResult r = QueryMliq(tree, Pfv(0, {0.5, 0.5}, {0.1, 0.1}), 1);
     ASSERT_EQ(r.items.size(), 1u);
     EXPECT_EQ(r.items[0].id, 1u);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/insertion_builder.h"
 #include "common/random.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/mliq.h"
@@ -47,9 +48,9 @@ TEST_P(EquivalenceSweep, TreeEqualsScan) {
   for (uint64_t i = 0; i < objects; ++i) {
     dataset.Add(RandomPfv(rng, i, dim, 0.01, 0.15));
   }
-  tree.BulkInsert(dataset);
+  // The split strategy steers the paper's insertion splits.
+  InsertionBuild(&tree, dataset);
   tree.Validate();
-  tree.Finalize();
   file.AppendAll(dataset);
   SeqScan scan(&file, policy);
 
@@ -122,7 +123,7 @@ TEST(GaussTreePropertyTest, MixedCertaintyEquivalence) {
     dataset.Add(RandomPfv(rng, i, 3, certain ? 0.001 : 0.2,
                           certain ? 0.01 : 0.8));
   }
-  tree.BulkInsert(dataset);
+  tree.BulkLoad(dataset);
   tree.Finalize();
   file.AppendAll(dataset);
   SeqScan scan(&file);
@@ -155,7 +156,7 @@ TEST(GaussTreePropertyTest, ClusteredDataEquivalence) {
                                  rng.Uniform(0.001, 0.05)};
     dataset.Add(Pfv(i, std::move(mu), std::move(sigma)));
   }
-  tree.BulkInsert(dataset);
+  tree.BulkLoad(dataset);
   tree.Validate();
   tree.Finalize();
   file.AppendAll(dataset);
@@ -188,12 +189,13 @@ TEST(GaussTreePropertyTest, InsertionOrderDoesNotAffectAnswers) {
     InMemoryPageDevice device(2048);
     ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
     GaussTree tree(&pool, 2);
+    InsertionBuilder builder(&tree);
     if (reversed) {
-      for (size_t i = dataset.size(); i-- > 0;) tree.Insert(dataset[i]);
+      for (size_t i = dataset.size(); i-- > 0;) builder.Insert(dataset[i]);
     } else {
-      for (size_t i = 0; i < dataset.size(); ++i) tree.Insert(dataset[i]);
+      for (size_t i = 0; i < dataset.size(); ++i) builder.Insert(dataset[i]);
     }
-    tree.Finalize();
+    builder.Finish();
     return QueryMliq(tree, q, 5);
   };
 
@@ -219,7 +221,7 @@ TEST(GaussTreePropertyTest, ProbabilityIntervalsBracketTruth) {
   for (uint64_t i = 0; i < 1500; ++i) {
     dataset.Add(RandomPfv(rng, i, 2, 0.01, 0.3));
   }
-  tree.BulkInsert(dataset);
+  tree.BulkLoad(dataset);
   tree.Finalize();
   file.AppendAll(dataset);
   SeqScan scan(&file);

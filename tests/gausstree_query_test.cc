@@ -42,7 +42,7 @@ class GaussTreeQueryTest : public ::testing::Test {
     for (uint64_t i = 0; i < kObjects; ++i) {
       dataset.Add(RandomPfv(rng, i, kDim));
     }
-    tree_.BulkInsert(dataset);
+    tree_.BulkLoad(dataset);
     tree_.Finalize();
     file_.AppendAll(dataset);
     queries_.reserve(32);
@@ -277,7 +277,9 @@ TEST(GaussTreeQueryEdgeTest, SingleObjectHasProbabilityOne) {
   InMemoryPageDevice device(2048);
   ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
-  tree.Insert(Pfv(9, {0.5, 0.5}, {0.1, 0.1}));
+  PfvDataset dataset(2);
+  dataset.Add(Pfv(9, {0.5, 0.5}, {0.1, 0.1}));
+  tree.BulkLoad(dataset);
   tree.Finalize();
   const Pfv q(1, {10.0, -3.0}, {0.2, 0.2});  // far away — still the only one
   const MliqResult result = QueryMliq(tree, q, 1);
@@ -293,7 +295,9 @@ TEST(GaussTreeQueryEdgeTest, FarQueryDegeneratesGracefully) {
   ShardedBufferPool pool(&device, 256, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   Rng rng(63);
-  for (uint64_t i = 0; i < 200; ++i) tree.Insert(RandomPfv(rng, i, 2));
+  PfvDataset dataset(2);
+  for (uint64_t i = 0; i < 200; ++i) dataset.Add(RandomPfv(rng, i, 2));
+  tree.BulkLoad(dataset);
   tree.Finalize();
   const Pfv q(1, {1e6, -1e6}, {0.1, 0.1});
   const MliqResult mliq = QueryMliq(tree, q, 3);
@@ -310,7 +314,9 @@ TEST(GaussTreeQueryEdgeTest, VeryUncertainQueryIsIndifferent) {
   GaussTree tree(&pool, 2);
   Rng rng(64);
   const size_t n = 500;
-  for (uint64_t i = 0; i < n; ++i) tree.Insert(RandomPfv(rng, i, 2));
+  PfvDataset dataset(2);
+  for (uint64_t i = 0; i < n; ++i) dataset.Add(RandomPfv(rng, i, 2));
+  tree.BulkLoad(dataset);
   tree.Finalize();
   const Pfv q(1, {0.5, 0.5}, {1e5, 1e5});
   const MliqResult result = QueryMliq(tree, q, 10);
@@ -332,7 +338,7 @@ TEST(GaussTreeQueryEdgeTest, AdditivePolicyConsistentWithItsOwnScan) {
   Rng rng(65);
   PfvDataset dataset(3);
   for (uint64_t i = 0; i < 1000; ++i) dataset.Add(RandomPfv(rng, i, 3));
-  tree.BulkInsert(dataset);
+  tree.BulkLoad(dataset);
   tree.Finalize();
   file.AppendAll(dataset);
   SeqScan scan(&file, SigmaPolicy::kAdditive);

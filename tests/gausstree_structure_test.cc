@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "api/upgrade.h"
+#include "bench/insertion_builder.h"
 #include "common/random.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/node.h"
@@ -292,14 +293,26 @@ class GaussTreeStructureTest : public ::testing::TestWithParam<size_t> {
   ShardedBufferPool pool_;
 };
 
+// The paper's one-by-one insertion (bench/insertion_builder.h): its splits
+// and overflow handling must keep every invariant at every size.
 TEST_P(GaussTreeStructureTest, InvariantsHoldAfterRandomInserts) {
   const size_t dim = GetParam();
   Rng rng(54 + dim);
-  GaussTree tree(&pool_, dim);
-  for (uint64_t i = 0; i < 2000; ++i) {
-    tree.Insert(RandomPfv(rng, i, dim));
-    if (i % 500 == 499) tree.Validate();
+  PfvDataset dataset(dim);
+  for (uint64_t i = 0; i < 2000; ++i) dataset.Add(RandomPfv(rng, i, dim));
+  // Insertion is deterministic, so the tree of the first k objects is the
+  // tree the full build held after its k-th insert.
+  for (size_t k = 500; k < 2000; k += 500) {
+    InMemoryPageDevice device(2048);
+    ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
+    GaussTree prefix(&pool, dim);
+    InsertionBuilder builder(&prefix);
+    for (size_t i = 0; i < k; ++i) builder.Insert(dataset[i]);
+    builder.Finish();
+    prefix.Validate();
   }
+  GaussTree tree(&pool_, dim);
+  InsertionBuild(&tree, dataset);
   tree.Validate();
   EXPECT_EQ(tree.size(), 2000u);
 
@@ -327,7 +340,9 @@ TEST(GaussTreeTest, SingleObject) {
   InMemoryPageDevice device(2048);
   ShardedBufferPool pool(&device, 64, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
-  tree.Insert(Pfv(42, {0.5, 0.5}, {0.1, 0.1}));
+  PfvDataset dataset(2);
+  dataset.Add(Pfv(42, {0.5, 0.5}, {0.1, 0.1}));
+  tree.BulkLoad(dataset);
   tree.Validate();
   EXPECT_EQ(tree.size(), 1u);
 }
@@ -337,7 +352,9 @@ TEST(GaussTreeTest, DuplicatePfvsAreAllStored) {
   ShardedBufferPool pool(&device, 256, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   const Pfv pfv(7, {0.5, 0.5}, {0.1, 0.1});
-  for (int i = 0; i < 300; ++i) tree.Insert(pfv);
+  InsertionBuilder builder(&tree);
+  for (int i = 0; i < 300; ++i) builder.Insert(pfv);
+  builder.Finish();
   tree.Validate();
   EXPECT_EQ(tree.size(), 300u);
 }
@@ -347,7 +364,9 @@ TEST(GaussTreeTest, FinalizeThenLoadPreservesStructure) {
   ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
   GaussTree tree(&pool, 3);
   Rng rng(55);
-  for (uint64_t i = 0; i < 1000; ++i) tree.Insert(RandomPfv(rng, i, 3));
+  PfvDataset dataset(3);
+  for (uint64_t i = 0; i < 1000; ++i) dataset.Add(RandomPfv(rng, i, 3));
+  tree.BulkLoad(dataset);
   const GaussTreeStats before = tree.ComputeStats();
   tree.Finalize();
   const GaussTreeStats after = tree.ComputeStats();
@@ -357,29 +376,18 @@ TEST(GaussTreeTest, FinalizeThenLoadPreservesStructure) {
   tree.Validate();
 }
 
-TEST(GaussTreeTest, DefinalizeAllowsFurtherInserts) {
-  InMemoryPageDevice device(2048);
-  ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
-  GaussTree tree(&pool, 3);
-  Rng rng(56);
-  for (uint64_t i = 0; i < 500; ++i) tree.Insert(RandomPfv(rng, i, 3));
-  tree.Finalize();
-  tree.Definalize();
-  for (uint64_t i = 500; i < 1000; ++i) tree.Insert(RandomPfv(rng, i, 3));
-  tree.Validate();
-  EXPECT_EQ(tree.size(), 1000u);
-}
-
 TEST(GaussTreeTest, AllIdsRetrievableAfterBuild) {
   InMemoryPageDevice device(2048);
   ShardedBufferPool pool(&device, 1024, /*num_shards=*/1);
   GaussTree tree(&pool, 2);
   Rng rng(57);
   std::set<uint64_t> inserted;
+  PfvDataset dataset(2);
   for (uint64_t i = 0; i < 1500; ++i) {
-    tree.Insert(RandomPfv(rng, i, 2));
+    dataset.Add(RandomPfv(rng, i, 2));
     inserted.insert(i);
   }
+  tree.BulkLoad(dataset);
   // Walk all leaves and collect ids.
   std::set<uint64_t> found;
   std::vector<PageId> stack{tree.root()};
@@ -407,7 +415,9 @@ TEST(GaussTreeSplitStrategyTest, AllStrategiesProduceValidTrees) {
     options.split_strategy = strategy;
     GaussTree tree(&pool, 3, options);
     Rng rng(58);
-    for (uint64_t i = 0; i < 1200; ++i) tree.Insert(RandomPfv(rng, i, 3));
+    InsertionBuilder builder(&tree);
+    for (uint64_t i = 0; i < 1200; ++i) builder.Insert(RandomPfv(rng, i, 3));
+    builder.Finish();
     tree.Validate();
     EXPECT_EQ(tree.size(), 1200u);
   }
@@ -423,7 +433,9 @@ TEST(GaussTreeTest, PaperDegreeConstraintsViaCapacities) {
   GaussTree tree(&pool, 4);
   EXPECT_EQ(tree.capacities().leaf_min * 2, tree.capacities().leaf);
   Rng rng(59);
-  for (uint64_t i = 0; i < 3000; ++i) tree.Insert(RandomPfv(rng, i, 4));
+  InsertionBuilder builder(&tree);
+  for (uint64_t i = 0; i < 3000; ++i) builder.Insert(RandomPfv(rng, i, 4));
+  builder.Finish();
   tree.Validate();
 }
 

@@ -274,6 +274,46 @@ TEST(IngestDifferentialTest, EmptyBaseColdStartEnrollmentMatchesOracle) {
                          /*num_shards=*/0, /*seed=*/4444);
 }
 
+// Build-phase inserts into a built base rebuild the shards they reach at
+// Serve(), recycling the old images' pages; the live engine then finds those
+// pages free already, and serves and merges the union exactly.
+TEST(IngestDifferentialTest, BuildPhaseInsertsIntoBuiltBaseThenLiveIngest) {
+  constexpr size_t kDim = 3;
+  for (const size_t shards : {size_t{0}, size_t{3}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    Rng rng(8181 + shards);
+    const PfvDataset base = MakeDataset(400, kDim, 6, /*seed=*/8181);
+    const std::vector<Pfv> held =
+        MakeExtras(60, kDim, /*first_id=*/3000000, /*seed=*/8182);
+    const std::vector<Pfv> live_extras =
+        MakeExtras(30, kDim, /*first_id=*/3100000, /*seed=*/8183);
+
+    GaussDbOptions options;
+    options.shards.num_shards = shards;
+    options.ingest.enabled = true;
+    options.ingest.merge_policy = MergePolicy::kManual;
+    GaussDb db = GaussDb::CreateInMemory(kDim, options);
+    db.Build(base);
+    std::vector<Pfv> enrolled(base.objects());
+    for (const Pfv& pfv : held) {
+      ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToBuild);
+      enrolled.push_back(pfv);
+    }
+    Session live = db.Serve({.num_workers = 2});
+    EXPECT_EQ(db.size(), enrolled.size());
+    EXPECT_GT(db.ingest_stats().free_pages, 0u);
+    ExpectMatchesRebuiltOracle(live, enrolled, kDim, rng);
+
+    for (const Pfv& pfv : live_extras) {
+      ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToDelta);
+      enrolled.push_back(pfv);
+    }
+    ASSERT_TRUE(db.MergeIngest());
+    EXPECT_EQ(db.size(), enrolled.size());
+    ExpectMatchesRebuiltOracle(live, enrolled, kDim, rng);
+  }
+}
+
 // Background policy: the merge thread swaps epochs on its own schedule; the
 // differential contract must hold at every interleaving point regardless,
 // and at least one background merge must complete mid-schedule.

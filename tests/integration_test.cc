@@ -47,7 +47,7 @@ class IntegrationTest : public ::testing::Test {
     sigma_model_ = config.sigma_model;
 
     file_.AppendAll(dataset_);
-    tree_.BulkInsert(dataset_);
+    tree_.BulkLoad(dataset_);
     tree_.Finalize();
     for (uint32_t i = 0; i < dataset_.size(); ++i) {
       xtree_.Insert(dataset_[i], i);
@@ -167,7 +167,7 @@ TEST_F(IntegrationTest, FilePersistenceRoundTrip) {
     FilePageDevice file_device(path, kDefaultPageSize, /*truncate=*/true);
     ShardedBufferPool file_pool(&file_device, 1 << 14, /*num_shards=*/1);
     GaussTree disk_tree(&file_pool, 10);
-    disk_tree.BulkInsert(dataset_);
+    disk_tree.BulkLoad(dataset_);
     disk_tree.Finalize();
     file_pool.FlushAll();
     file_device.Sync();
@@ -190,7 +190,7 @@ TEST_F(IntegrationTest, HistogramDatasetEndToEnd) {
   ShardedBufferPool pool(&device, 1 << 16, /*num_shards=*/1);
   GaussTree tree(&pool, 27);
   PfvFile file(&pool, 27);
-  tree.BulkInsert(histo);
+  tree.BulkLoad(histo);
   tree.Validate();
   tree.Finalize();
   file.AppendAll(histo);

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "api/gauss_db.h"
+#include "api/serving_engine.h"
 #include "common/random.h"
+#include "gausstree/delta_tree.h"
 #include "gausstree/gauss_tree.h"
 #include "gausstree/mliq.h"
 #include "gausstree/tiq.h"
@@ -33,11 +35,13 @@ TEST(GaussTreePersistenceTest, OpenReturnsIdenticalAnswers) {
 
   GaussTree original(&pool, 3);
   PfvFile file(&pool, 3);
+  PfvDataset dataset(3);
   for (uint64_t i = 0; i < 1500; ++i) {
     const Pfv pfv = RandomPfv(rng, i, 3);
-    original.Insert(pfv);
+    dataset.Add(pfv);
     file.Append(pfv);
   }
+  original.BulkLoad(dataset);
   original.Finalize();
   const PageId meta = original.meta_page();
 
@@ -71,7 +75,9 @@ TEST(GaussTreePersistenceTest, OpenPreservesOptions) {
   options.integral_method = IntegralMethod::kSigmoidPoly5;
   GaussTree tree(&pool, 2, options);
   Rng rng(202);
-  for (uint64_t i = 0; i < 100; ++i) tree.Insert(RandomPfv(rng, i, 2));
+  PfvDataset dataset(2);
+  for (uint64_t i = 0; i < 100; ++i) dataset.Add(RandomPfv(rng, i, 2));
+  tree.BulkLoad(dataset);
   tree.Finalize();
 
   auto reopened = GaussTree::Open(&pool, tree.meta_page());
@@ -85,19 +91,29 @@ TEST(GaussTreePersistenceTest, ReopenedTreeAcceptsInserts) {
   InMemoryPageDevice device(2048);
   ShardedBufferPool pool(&device, 1 << 14, /*num_shards=*/1);
   Rng rng(203);
+  PfvDataset dataset(2);
+  for (uint64_t i = 0; i < 500; ++i) dataset.Add(RandomPfv(rng, i, 2));
   GaussTree tree(&pool, 2);
-  for (uint64_t i = 0; i < 500; ++i) tree.Insert(RandomPfv(rng, i, 2));
+  tree.BulkLoad(dataset);
   tree.Finalize();
   const PageId meta = tree.meta_page();
 
+  // A finalized tree takes more objects as a rebuild from its leaves plus
+  // them, whose header replaces the tree's (what GaussDb::Finalize and a
+  // live-ingest merge run).
   auto reopened = GaussTree::Open(&pool, meta);
-  reopened->Definalize();
+  DeltaTree added(2, 500);
   for (uint64_t i = 500; i < 1000; ++i) {
-    reopened->Insert(RandomPfv(rng, i, 2));
+    ASSERT_TRUE(added.Append(RandomPfv(rng, i, 2)));
   }
-  reopened->Validate();
-  EXPECT_EQ(reopened->size(), 1000u);
-  reopened->Finalize();
+  const std::vector<std::vector<PageId>> retired = RebuildShards(
+      {{reopened.get(), &device, meta,
+        {{added.ids(), added.mu_planes(), added.plane_stride(),
+          added.size()}}}},
+      /*threads=*/1);
+  reopened.reset();
+  pool.Clear();  // the header page was rewritten past the pool
+  device.Recycle(retired[0]);
 
   // Second reopen sees all 1000 objects.
   auto again = GaussTree::Open(&pool, meta);
@@ -118,7 +134,7 @@ TEST(GaussTreePersistenceTest, SurvivesProcessStyleReopenOnDisk) {
     FilePageDevice device(path, 2048, /*truncate=*/true);
     ShardedBufferPool pool(&device, 1 << 12, /*num_shards=*/1);
     GaussTree tree(&pool, 4);
-    tree.BulkInsert(dataset);
+    tree.BulkLoad(dataset);
     tree.Finalize();
     meta = tree.meta_page();
     for (const auto& item : QueryMliq(tree, q, 3).items) {

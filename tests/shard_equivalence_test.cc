@@ -658,8 +658,8 @@ TEST(ShardEquivalenceTest, SpatialImageRoutesInsertsByRootMbr) {
     ++want[owner];
     probe.id = off_hash_id(9'200'000);
     ASSERT_TRUE(db.Insert(probe).ok());
+    db.Finalize();  // loads the held insert into the shard it was routed to
     EXPECT_EQ(BuildTreeSizes(db), want);
-    db.Finalize();
   }
   {
     GaussDbOptions options;
@@ -837,12 +837,15 @@ TEST(ShardEquivalenceTest, OpenDirectoryCollectsStaleManifestTmpFiles) {
   RemoveDirectoryLayout(dir, kShards);
 }
 
-// Reopened sharded databases keep routing Insert() to the right shard: the
-// partitioner is a pure function of the object id.
+// Inserts into a reopened sharded database are routed by the shards' root
+// MBRs and rebuild the shards they reach from their images plus the new
+// objects (GaussDb::Finalize): the served trees hold the union and answer
+// like the oracles over it.
 TEST(ShardEquivalenceTest, ReopenedShardedFileAcceptsMoreInserts) {
   const std::string path = ::testing::TempDir() + "/gauss_db_sharded_grow.db";
   const PfvDataset first = MakeDataset(300, 3, 6, /*seed=*/606);
   const PfvDataset second = MakeDataset(200, 3, 6, /*seed=*/607);
+  PfvDataset both = first;
   {
     GaussDbOptions options;
     options.shards.num_shards = 4;
@@ -855,8 +858,10 @@ TEST(ShardEquivalenceTest, ReopenedShardedFileAcceptsMoreInserts) {
     for (size_t i = 0; i < second.size(); ++i) {
       Pfv pfv = second[i];
       pfv.id += 1'000'000;
-      db.Insert(pfv);
+      EXPECT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToBuild);
+      both.Add(pfv);
     }
+    EXPECT_EQ(db.size(), both.size());
     Session session = db.Serve({.num_workers = 4});
     size_t total = 0;
     for (size_t s = 0; s < session.num_shards(); ++s) {
@@ -864,6 +869,121 @@ TEST(ShardEquivalenceTest, ReopenedShardedFileAcceptsMoreInserts) {
       total += session.shard_tree(s).size();
     }
     EXPECT_EQ(total, first.size() + second.size());
+    const Reference ref(both, /*probes=*/6, /*seed=*/608);
+    ExpectMatchesReference(session.ExecuteBatch(ref.batch()), ref);
+  }
+  std::remove(path.c_str());
+}
+
+// A build-phase rebuild retires the shard's old image, and a device's free
+// list does not outlive the process: the next process's rebuild finds those
+// pages again and writes there first. So a file that goes through
+// reopen-insert-serve cycles holds at most two images, not one per cycle.
+TEST(ShardEquivalenceTest, ReopenInsertCyclesReuseRetiredPages) {
+  const std::string path = ::testing::TempDir() + "/gauss_db_reopen_cycles.db";
+  const PfvDataset base = MakeDataset(1500, 3, 6, /*seed=*/615);
+  for (const size_t shards : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    GaussDbOptions options;
+    options.shards.num_shards = shards;
+    {
+      GaussDb db = GaussDb::CreateOnFile(path, base.dim(), options);
+      db.Build(base);
+    }
+    PfvDataset all = base;
+    for (uint64_t cycle = 1; cycle <= 3; ++cycle) {
+      SCOPED_TRACE("cycle " + std::to_string(cycle));
+      GaussDb db = GaussDb::OpenFile(path, options).value();
+      const PfvDataset more = MakeDataset(100, 3, 6, /*seed=*/615 + cycle);
+      for (Pfv pfv : more.objects()) {
+        pfv.id += cycle * 1'000'000;
+        ASSERT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToBuild);
+        all.Add(pfv);
+      }
+      Session session = db.Serve({.num_workers = 2});
+      const Reference ref(all, /*probes=*/4, /*seed=*/619 + cycle);
+      ExpectMatchesReference(session.ExecuteBatch(ref.batch()), ref);
+      GaussDb fresh = GaussDb::CreateInMemory(base.dim(), options);
+      fresh.Build(all);
+      EXPECT_LE(db.device().PageCount(), 2 * fresh.device().PageCount());
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// One build path: a gallery Insert()ed into an empty database and served
+// writes the device image Build() of the same objects in the same order
+// writes — unsharded, over one shard and over four, in memory and on file —
+// so both answer byte for byte alike, at the same logical page reads.
+TEST(ShardEquivalenceTest, InsertThenServeWritesTheBuildImage) {
+  const std::string path = ::testing::TempDir() + "/gauss_db_insert_image.db";
+  const PfvDataset dataset = MakeDataset(3000, 4, 10, /*seed=*/611);
+  const Reference ref(dataset, /*probes=*/6, /*seed=*/612);
+  for (const bool on_file : {false, true}) {
+    for (const size_t shards : {size_t{0}, size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(std::string(on_file ? "file" : "memory") +
+                   " num_shards=" + std::to_string(shards));
+      struct Served {
+        uint64_t image;
+        BatchResult answers;
+        uint64_t reads;
+      };
+      const auto serve = [&](bool by_insert) {
+        GaussDbOptions options;
+        options.shards.num_shards = shards;
+        GaussDb db =
+            on_file ? GaussDb::CreateOnFile(path, dataset.dim(), options)
+                    : GaussDb::CreateInMemory(dataset.dim(), options);
+        if (by_insert) {
+          for (const Pfv& pfv : dataset.objects()) {
+            EXPECT_EQ(db.Insert(pfv).outcome, InsertOutcome::kRoutedToBuild);
+          }
+          EXPECT_EQ(db.size(), dataset.size());
+          EXPECT_FALSE(db.finalized());
+        } else {
+          db.Build(dataset);
+        }
+        auto [answers, reads] =
+            ServeWithCache(db, /*workers=*/2, /*cache_pages=*/1 << 14,
+                           ref.batch());
+        return Served{ImageHash(db.device()), std::move(answers), reads};
+      };
+      const Served built = serve(/*by_insert=*/false);
+      const Served inserted = serve(/*by_insert=*/true);
+      EXPECT_EQ(inserted.image, built.image);
+      EXPECT_EQ(inserted.reads, built.reads);
+      ExpectBatchBytesEqual(inserted.answers, built.answers);
+      ExpectMatchesReference(inserted.answers, ref);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// A database finalized empty takes its gallery by Insert() afterwards: each
+// shard is rebuilt from its empty image plus its objects, on file, where a
+// stale cache frame of a rewritten page would show.
+TEST(ShardEquivalenceTest, FinalizedEmptyFileGrowsByInsert) {
+  const std::string path = ::testing::TempDir() + "/gauss_db_empty_grow.db";
+  const PfvDataset dataset = MakeDataset(1500, 3, 6, /*seed=*/613);
+  const Reference ref(dataset, /*probes=*/6, /*seed=*/614);
+  for (const size_t shards : {size_t{0}, size_t{4}}) {
+    SCOPED_TRACE("num_shards=" + std::to_string(shards));
+    GaussDbOptions options;
+    options.shards.num_shards = shards;
+    GaussDb db = GaussDb::CreateOnFile(path, dataset.dim(), options);
+    db.Finalize();
+    EXPECT_TRUE(db.finalized());
+    for (const Pfv& pfv : dataset.objects()) ASSERT_TRUE(db.Insert(pfv).ok());
+    db.Finalize();
+    EXPECT_EQ(db.size(), dataset.size());
+    Session session = db.Serve({.num_workers = 2});
+    size_t total = 0;
+    for (size_t s = 0; s < session.num_shards(); ++s) {
+      session.shard_tree(s).Validate();
+      total += session.shard_tree(s).size();
+    }
+    EXPECT_EQ(total, dataset.size());
+    ExpectMatchesReference(session.ExecuteBatch(ref.batch()), ref);
   }
   std::remove(path.c_str());
 }
