@@ -22,7 +22,7 @@
 // most of its work. A second table shows, per shard count and shard, the
 // logical pages per query that shard read and the share of queries it
 // seeded, measured through a coordinator wired over the session's own shard
-// services.
+// trees.
 //
 // --devices=dir switches the sharded databases onto the multi-device
 // directory layout (GaussDb::CreateOnDirectory under $TMPDIR): one
@@ -35,15 +35,15 @@
 // parallel through their own async engines.
 //
 // --backend=rpc serves every cell through the distributed transport
-// (src/net/): each shard's QueryService is exported by a loopback
-// ShardServer and the measured session is a GaussDb::ServeRemote() front
-// door speaking the binary wire protocol — Start/Refine/Release frames and
-// batched refinement rounds included. Every RPC cell is cross-checked
-// BYTE-identically against the in-process coordinator over the very same
-// shard services before the usual tolerance check, so the wire path cannot
-// quietly compute something different. The QPS delta between
-// sweep_shards and sweep_shards_rpc cells is the transport tax on a
-// loopback network.
+// (src/net/): each shard's tree is exported by a loopback ShardServer over a
+// QueryService of the cell's workers per shard, and the measured session is
+// a GaussDb::ServeRemote() front door speaking the binary wire protocol —
+// Start/Refine/Release frames and batched refinement rounds included. Every
+// RPC cell is cross-checked BYTE-identically against the in-process
+// coordinator over the very same shard trees before the usual tolerance
+// check, so the wire path cannot quietly compute something different. The
+// QPS delta between sweep_shards and sweep_shards_rpc cells is the
+// transport tax on a loopback network.
 //
 // GAUSS_BENCH_SCALE in (0,1] shrinks the dataset for quick runs; the ci
 // smoke tests (sweep_shards_smoke, sweep_shards_dir_smoke and
@@ -71,6 +71,7 @@
 #include "net/net_error.h"
 #include "net/shard_backend.h"
 #include "net/shard_server.h"
+#include "service/query_service.h"
 #include "service/shard_coordinator.h"
 
 namespace gauss::bench {
@@ -148,15 +149,15 @@ void RemoveDirectoryLayout(const std::string& dir, size_t num_shards) {
 }
 
 // Per-shard pages/query and seed share of one warm session: the batch runs
-// once more through a coordinator wired over the session's shard services,
-// so each shard's cache counters and seed count are its own.
+// once more through a coordinator wired over the session's shard trees, so
+// each shard's cache counters and seed count are its own.
 void AddShardLoadRows(Session& session, const std::vector<Query>& batch,
                       Table* load) {
   std::vector<std::unique_ptr<InProcessBackend>> backends;
   std::vector<ShardBackend*> pointers;
   for (size_t s = 0; s < session.num_shards(); ++s) {
     backends.push_back(
-        std::make_unique<InProcessBackend>(session.shard_service(s)));
+        std::make_unique<InProcessBackend>(session.shard_tree(s)));
     pointers.push_back(backends.back().get());
   }
   std::vector<uint64_t> reads_before;
@@ -294,20 +295,25 @@ void Run(bool directory_devices, bool rpc_backend) {
       session.ExecuteBatch(batch);  // warm the caches and the threads
       BatchResult result = session.ExecuteBatch(batch);
 
-      // RPC mode: export each shard's QueryService through a loopback
-      // ShardServer, dial them all from a ServeRemote() front door, and
-      // measure the wire path. The in-process result just computed over the
-      // same shard services is the byte-level cross-check. (Teardown order:
-      // the remote session hangs up before its servers go away.)
+      // RPC mode: export each shard's tree through a loopback ShardServer
+      // over `workers` workers, dial them all from a ServeRemote() front
+      // door, and measure the wire path. The in-process result just computed
+      // over the same shard trees is the byte-level cross-check. (Teardown
+      // order: the remote session hangs up before its servers go away, and
+      // they before their services.)
       if (workers == 1) AddShardLoadRows(session, batch, &load);
 
+      std::vector<std::unique_ptr<QueryService>> services;
       std::vector<std::unique_ptr<ShardServer>> servers;
       if (rpc_backend) {
         std::vector<std::string> endpoints;
         for (size_t s = 0; s < session.num_shards(); ++s) {
+          services.push_back(std::make_unique<QueryService>(
+              session.shard_tree(s),
+              QueryServiceOptions{.num_workers = workers}));
           NetError error;
           std::unique_ptr<ShardServer> server =
-              ShardServer::Listen(session.shard_service(s), {}, &error);
+              ShardServer::Listen(services.back().get(), {}, &error);
           if (server == nullptr) {
             std::cout << "ERROR: ShardServer::Listen: " << error.ToString()
                       << "\n";
@@ -376,7 +382,7 @@ void Run(bool directory_devices, bool rpc_backend) {
   }
   if (rpc_backend) {
     std::cout << "every RPC cell additionally byte-identical to the "
-                 "in-process coordinator over the same shard services\n";
+                 "in-process coordinator over the same shard trees\n";
   }
 }
 

@@ -15,9 +15,11 @@
 //
 // The server answers Start/Refine/Release/Stats requests from any number of
 // coordinator connections concurrently; admission control (deadlines,
-// shedding) stays at the coordinator. SIGINT/SIGTERM (or --max-seconds,
-// handy for scripted smoke tests) shut the server down cleanly: in-flight
-// requests drain, then the aggregate ServiceStats are printed.
+// shedding) stays at the coordinator. Its one shard gets the whole budget:
+// --workers worker threads and a --cache-pages page cache. SIGINT/SIGTERM
+// (or --max-seconds, handy for scripted smoke tests) shut the server down
+// cleanly: in-flight requests drain, then the aggregate ServiceStats are
+// printed.
 
 #include <csignal>
 #include <cstdio>
@@ -58,8 +60,8 @@ int main(int argc, char** argv) {
   std::string directory;
   size_t shard = 0;
   ShardServerOptions server_options;
-  ServeOptions serve;
-  serve.num_workers = 2;
+  size_t workers = 2;
+  size_t cache_pages = ServeOptions{}.cache_pages;
   uint64_t max_seconds = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -75,9 +77,9 @@ int main(int argc, char** argv) {
     } else if (std::strncmp(arg, "--port=", 7) == 0) {
       server_options.port = static_cast<uint16_t>(std::atoi(arg + 7));
     } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      serve.num_workers = static_cast<size_t>(std::atoll(arg + 10));
+      workers = static_cast<size_t>(std::atoll(arg + 10));
     } else if (std::strncmp(arg, "--cache-pages=", 14) == 0) {
-      serve.cache_pages = static_cast<size_t>(std::atoll(arg + 14));
+      cache_pages = static_cast<size_t>(std::atoll(arg + 14));
     } else if (std::strncmp(arg, "--max-seconds=", 14) == 0) {
       max_seconds = static_cast<uint64_t>(std::atoll(arg + 14));
     } else {
@@ -115,18 +117,24 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // ---- Serving stack + listening socket. -----------------------------------
-  Session session = db.Serve(serve);
-  if (shard >= session.num_shards()) {
+  if (shard >= db.num_shards()) {
     std::fprintf(stderr, "gauss_shardd: --shard=%zu out of range (%zu shards)\n",
-                 shard, session.num_shards());
+                 shard, db.num_shards());
     return 1;
   }
-  QueryService* service = session.shard_service(shard);
+
+  // ---- Serving stack + listening socket. -----------------------------------
+  // The served shard alone, not a Session over every shard: its tree header
+  // sits at page 0 of its device (the one file, or its file of the
+  // directory), Open() checked its pages, and nothing writes them while it
+  // serves.
+  ShardedBufferPool pool(&db.device(shard), cache_pages);
+  std::unique_ptr<GaussTree> tree = GaussTree::Open(&pool, /*meta_page=*/0);
+  QueryService service(*tree, {.num_workers = workers});
 
   NetError listen_error;
   std::unique_ptr<ShardServer> server =
-      ShardServer::Listen(service, server_options, &listen_error);
+      ShardServer::Listen(&service, server_options, &listen_error);
   if (server == nullptr) {
     std::fprintf(stderr, "gauss_shardd: cannot listen on %s:%u: %s\n",
                  server_options.host.c_str(), server_options.port,
@@ -137,9 +145,10 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  std::printf("gauss_shardd: serving %zu objects (dim %zu) on %s:%u\n",
-              db.size(), db.dim(), server_options.host.c_str(),
-              server->port());
+  std::printf("gauss_shardd: serving shard %zu: %zu objects (dim %zu) on "
+              "%s:%u with %zu workers and %zu cache pages\n",
+              shard, tree->size(), db.dim(), server_options.host.c_str(),
+              server->port(), service.num_workers(), cache_pages);
   std::fflush(stdout);
 
   const auto started = std::chrono::steady_clock::now();

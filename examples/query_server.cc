@@ -237,13 +237,13 @@ int main(int argc, char** argv) {
                   "%s, %zu coordinator threads behind a scatter-gather front "
                   "door, %zu batch clients + 1 streaming client\n",
                   db->size(), session->num_shards(), directory.c_str(),
-                  session->coordinator_threads(), kClients);
+                  session->num_workers(), kClients);
     } else if (db->sharded()) {
       std::printf("GaussDb: %zu enrolled persons over %zu shards, %zu "
                   "coordinator threads behind a scatter-gather front door, "
                   "%zu batch clients + 1 streaming client\n",
                   db->size(), session->num_shards(),
-                  session->coordinator_threads(), kClients);
+                  session->num_workers(), kClients);
     } else {
       std::printf("GaussDb: %zu enrolled persons, %zu workers, %zu batch "
                   "clients + 1 streaming client\n",

@@ -125,15 +125,7 @@ size_t Session::num_shards() const { return engine_->num_shards(); }
 
 bool Session::sharded() const { return engine_->sharded(); }
 
-QueryService* Session::shard_service(size_t shard) {
-  return engine_->shard_service(shard);
-}
-
 size_t Session::num_workers() const { return engine_->num_workers(); }
-
-size_t Session::coordinator_threads() const {
-  return engine_->coordinator_threads();
-}
 
 const char* InsertOutcomeName(InsertOutcome outcome) {
   switch (outcome) {

@@ -47,10 +47,11 @@ namespace gauss {
 //
 // A Session is a share of a serving engine (api/serving_engine.h). The
 // engine publishes immutable epochs — per-shard serving stacks (cache +
-// reopened tree + worker pool) behind one front door — and every Session
-// call forwards to the current epoch. The two serving states differ only in
-// the engine's shape: a static engine has a single epoch without deltas,
-// a live one keeps publishing new epochs as enrollments merge.
+// reopened tree) behind one front door, whose threads are the only ones that
+// execute queries — and every Session call forwards to the current epoch.
+// The two serving states differ only in the engine's shape: a static engine
+// has a single epoch without deltas, a live one keeps publishing new epochs
+// as enrollments merge.
 //
 //   * Building — CreateInMemory()/CreateOnFile()/CreateOnDirectory() pick
 //     the page device(s) and attach one-stripe ShardedBufferPool(s) plus
@@ -63,9 +64,11 @@ namespace gauss {
 //   * Serving (static) — Serve() switches the stack: it flushes and tears
 //     down the build pool(s), then builds a new engine whose one epoch
 //     reattaches the finalized tree(s) via GaussTree::Open() over
-//     latch-striped ShardedBufferPool(s) and starts QueryService worker
-//     pools. The returned Session is that engine's only share; queries go
-//     through Session::Submit()/ExecuteBatch(). The pages are immutable:
+//     latch-striped ShardedBufferPool(s) and starts the front door's
+//     threads: a QueryService's workers over the one tree, or a
+//     ShardCoordinator's threads over the shards. The returned Session is
+//     that engine's only share; queries go through
+//     Session::Submit()/ExecuteBatch(). The pages are immutable:
 //     Insert() now returns InsertResult{kFinalized} — a typed, recoverable
 //     rejection, never an abort (enrollment pipelines race serving cutover
 //     all the time; a lost race must be reportable).
@@ -120,9 +123,10 @@ namespace gauss {
 // Insert()s of an empty database are cut the same way at Finalize(); once
 // the shards are built, Insert() routes an object to a shard by the paper's
 // Section 5.3 insertion rule applied to the shards' root MBRs. Serve()
-// returns a Session whose front door is a
-// ShardCoordinator scatter-gathering every query across per-shard
-// QueryServices and combining the per-shard Bayes-denominator bounds — with
+// returns a Session whose front door is a ShardCoordinator scatter-gathering
+// every query across the shard trees, each traversed on the coordinator
+// thread that runs the query, and combining the per-shard
+// Bayes-denominator bounds — with
 // refinement rounds when the combined interval is too loose — so MLIQ/TIQ
 // answers equal the single-tree algorithm's (see service/shard_coordinator.h
 // for the algorithm and its correctness argument, including the seeded Start
@@ -138,7 +142,7 @@ namespace gauss {
 // GaussDb::ServeRemote({"hostA:7001", "hostB:7001", ...}) — the returned
 // Session shares an engine whose epoch scatter-gathers over RpcBackends
 // speaking the versioned binary wire protocol (src/net/README.md) instead
-// of in-process worker pools. Remote sessions serve; they do not enroll.
+// of in-process backends. Remote sessions serve; they do not enroll.
 // Answers are byte-identical to local serving (the loopback differential in
 // tests/shard_equivalence_test.cc proves it); a dead or too-slow shard
 // fails queries with a typed QueryResponse::Status::kShardError instead of
@@ -172,7 +176,7 @@ namespace gauss {
 // Lifetime rules: GaussDb owns the device(s); every engine borrows them, so
 // a Session must be destroyed before its GaussDb. Serve() may be called
 // multiple times — without ingest each call builds an independent engine
-// (own cache budget, own workers) over the same read-only pages, which is
+// (own cache budget, own threads) over the same read-only pages, which is
 // how several differently-sized frontends can share one database. With
 // ingest enabled there is one engine per database (inserts must have a
 // single routing authority); the first Serve() call's options build it and
@@ -181,8 +185,8 @@ namespace gauss {
 // images, so a second process serving the same file could read a page
 // while it is rewritten. Replacing or destroying a Session releases its
 // share; the last share tears the engine down in dependency order: the
-// coordinator drains the queries still in flight, the backends close,
-// then each shard's service, tree and cache go.
+// front door drains the queries still in flight, the backends close, then
+// each shard's tree and cache go.
 //
 // The low-level layers stay public and documented for callers that need
 // them: QueryMliq()/QueryTiq() over a GaussTree are the re-entrant query
@@ -295,18 +299,15 @@ struct IngestStats {
 
 // Serving-stack configuration for one GaussDb::Serve() call.
 struct ServeOptions {
-  // Worker threads; 0 = one per usable CPU (common/cpus.h). For a sharded
-  // database this is the *total* budget, split evenly over the shards (at
-  // least one worker per shard). A sharded or live session executes its
-  // queries on min(budget, usable CPUs) coordinator threads.
+  // Threads that execute the session's queries (Session::num_workers());
+  // 0 = one per usable CPU (common/cpus.h). A sharded or live session runs
+  // at most one per usable CPU; no shard has threads of its own.
   size_t num_workers = 0;
   // Cache budget of the serving pool(s), in pages. For a sharded database
   // the budget is split evenly over the per-shard pools.
   size_t cache_pages = 1 << 12;
-  // Bound of the admission queue (backpressure/shedding threshold). Behind
-  // a ShardCoordinator (sharded or live-ingest sessions) this bounds the
-  // coordinator's front-door queue, where every query is admitted, and
-  // each per-shard queue, which sees only ShardServer work, never a query.
+  // Bound of the front door's admission queue (backpressure/shedding
+  // threshold), where every query is admitted.
   size_t queue_capacity = 1024;
   // ServeRemote() only: TCP connect + handshake patience per shard endpoint,
   // and the per-request ceiling (a query's own deadline tightens the latter;
@@ -357,7 +358,7 @@ class ServingEngine;
 // is invisible here. A static Serve() call gets an engine of its own; a
 // live-ingest database has one engine that every Serve() shares. Move-only;
 // releasing the last share of an engine drains its outstanding queries and
-// joins all its workers. A local session must not outlive the GaussDb it
+// joins all its threads. A local session must not outlive the GaussDb it
 // came from; a remote one has no GaussDb.
 class Session {
  public:
@@ -419,21 +420,10 @@ class Session {
   // sharded database, or a remote fleet.
   bool sharded() const;
 
-  // The per-shard QueryService of a local static session — what a
-  // gauss_shardd process hands to its ShardServer, and what the loopback
-  // tests wrap in per-shard RPC servers.
-  QueryService* shard_service(size_t shard);
-
-  // Total workers of the per-shard QueryService pools (0 for remote
-  // sessions). They execute an unsharded session's queries and serve a
-  // ShardServer over shard_service(); a sharded or live session's queries
-  // run on its coordinator threads instead (coordinator_threads()).
+  // Threads that execute this session's queries, the front door's: the
+  // ServeOptions budget for an unsharded static session, min(budget,
+  // UsableCpus()) for a sharded or live one, 2 for a remote one.
   size_t num_workers() const;
-
-  // Threads of the ShardCoordinator front door: min(ServeOptions budget,
-  // UsableCpus()) for a local session, 2 for a remote one, 0 when the
-  // front door is the one QueryService.
-  size_t coordinator_threads() const;
 
  private:
   friend class GaussDb;
@@ -568,15 +558,18 @@ class GaussDb {
 
   // Switches to the serve phase: tears down the build pool(s) and returns a
   // Session serving the finalized pages. Unsharded: one ShardedBufferPool +
-  // QueryService stack. Sharded: one stack per shard behind a
-  // ShardCoordinator — under the directory layout each stack's cache sits
-  // on its shard's own device, so shard reads never queue behind another
-  // shard's device. May be called repeatedly; after the first call the
-  // build phase is over (Insert() then reports kFinalized, or keeps
-  // routing to the delta under live ingest). Without ingest every call
-  // builds a new serving engine from its `options`; with
-  // GaussDbOptions::ingest.enabled the first call builds the database's one
-  // live engine and later calls return Sessions sharing it.
+  // tree behind a QueryService. Sharded or live: one pool + tree per shard
+  // behind a ShardCoordinator, whose threads traverse the shards — under the
+  // directory layout each shard's cache sits on its shard's own device, so
+  // shard reads never queue behind another shard's device. A call that
+  // builds an engine starts exactly Session::num_workers() threads, plus
+  // the merge thread of a live engine under MergePolicy::kBackground. May
+  // be called repeatedly; after the first call the build phase is over
+  // (Insert() then reports kFinalized, or keeps routing to the delta under
+  // live ingest). Without ingest every call builds a new serving engine
+  // from its `options`; with GaussDbOptions::ingest.enabled the first call
+  // builds the database's one live engine and later calls return Sessions
+  // sharing it.
   Session Serve(ServeOptions options = {});
 
   // Connects a scatter-gather front door to shard servers on other hosts:

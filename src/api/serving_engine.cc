@@ -14,26 +14,13 @@ namespace gauss {
 
 namespace {
 
-// A ServeOptions worker budget: num_workers, or UsableCpus() when 0.
-size_t ServeBudget(const ServeOptions& options) {
-  return options.num_workers != 0 ? options.num_workers : UsableCpus();
-}
-
-// Per-shard share of a ServeOptions budget: the worker pool split evenly
-// over the shards (at least one each), and the cache split the same way
-// with a floor of 16 pages, enough for a root-to-leaf path plus headers.
-// Every epoch builds its stacks from this one split, so enabling ingest
-// changes *what* is served (base + delta), never *how* the base is served.
-struct ServeSplit {
-  size_t workers_per_shard = 1;
-  size_t pages_per_shard = 16;
-};
-
-ServeSplit SplitServeBudget(const ServeOptions& options, size_t shards) {
-  ServeSplit split;
-  split.workers_per_shard = std::max<size_t>(1, ServeBudget(options) / shards);
-  split.pages_per_shard = std::max<size_t>(16, options.cache_pages / shards);
-  return split;
+// Per-shard share of a ServeOptions cache budget: split evenly over the
+// shards with a floor of 16 pages, enough for a root-to-leaf path plus
+// headers. Every epoch builds its stacks from this one split, so enabling
+// ingest changes *what* is served (base + delta), never *how* the base is
+// cached.
+size_t SplitServeBudget(const ServeOptions& options, size_t shards) {
+  return std::max<size_t>(16, options.cache_pages / shards);
 }
 
 // The leaves of a finalized tree, breadth first, each viewed in place and
@@ -168,7 +155,7 @@ ServingEngine::~ServingEngine() {
     wake_cv_.notify_all();
     merge_thread_.join();
   }
-  // epoch_ destruction drains the coordinator before the stacks tear down.
+  // epoch_ destruction drains the front door before the stacks tear down.
 }
 
 std::shared_ptr<ServingEngine::Epoch> ServingEngine::Current() const {
@@ -179,7 +166,7 @@ std::shared_ptr<ServingEngine::Epoch> ServingEngine::Current() const {
 std::shared_ptr<ServingEngine::Epoch> ServingEngine::BuildLocalEpoch(
     uint64_t id) {
   const size_t shards = sources_.size();
-  const ServeSplit split = SplitServeBudget(serve_, shards);
+  const size_t pages_per_shard = SplitServeBudget(serve_, shards);
 
   auto epoch = std::make_shared<Epoch>();
   epoch->id = id;
@@ -189,14 +176,9 @@ std::shared_ptr<ServingEngine::Epoch> ServingEngine::BuildLocalEpoch(
     // Directory layout: each shard's serving cache sits on the shard's own
     // device, so its misses never queue behind another shard's reads.
     stack.pool = std::make_unique<ShardedBufferPool>(sources_[s].device,
-                                                     split.pages_per_shard);
+                                                     pages_per_shard);
     stack.tree = GaussTree::Open(stack.pool.get(), sources_[s].meta_page);
     epoch->base_objects += stack.tree->size();
-    QueryServiceOptions service_options;
-    service_options.num_workers = split.workers_per_shard;
-    service_options.queue_capacity = serve_.queue_capacity;
-    stack.service =
-        std::make_unique<QueryService>(*stack.tree, service_options);
     if (ingest_.enabled && shards > 1) {
       epoch->routes.push_back(stack.tree->RootEntry());
     }
@@ -206,15 +188,21 @@ std::shared_ptr<ServingEngine::Epoch> ServingEngine::BuildLocalEpoch(
           std::make_shared<DeltaTree>(dim_, ingest_.delta_capacity));
     }
   }
-  if (!sharded_ && epoch->deltas.empty()) return epoch;  // direct front door
+  if (!sharded_ && epoch->deltas.empty()) {
+    // The direct front door: one pool of workers over the one tree.
+    epoch->service = std::make_unique<QueryService>(
+        *epoch->stacks[0].tree,
+        QueryServiceOptions{.num_workers = serve_.num_workers,
+                            .queue_capacity = serve_.queue_capacity});
+    return epoch;
+  }
 
   // Backend list: the base shards first, then their deltas. The coordinator
   // treats every entry uniformly; a delta's exact degenerate interval means
   // it is never asked to refine.
   epoch->backends.reserve(shards + epoch->deltas.size());
   for (const ShardServingStack& stack : epoch->stacks) {
-    epoch->backends.push_back(
-        std::make_unique<InProcessBackend>(stack.service.get()));
+    epoch->backends.push_back(std::make_unique<InProcessBackend>(*stack.tree));
   }
   for (const auto& delta : epoch->deltas) {
     epoch->backends.push_back(
@@ -233,10 +221,12 @@ void ServingEngine::AttachCoordinator(Epoch* epoch) const {
   ShardCoordinatorOptions coordinator_options;
   coordinator_options.queue_capacity = serve_.queue_capacity;
   // Local threads run the traversals (see "Threads" in the class comment);
-  // more of them than CPUs only lengthens the tail.
+  // more of them than CPUs only lengthens the tail. A budget of 0 reads as
+  // UsableCpus().
   if (!epoch->stacks.empty()) {
+    const size_t cpus = UsableCpus();
     coordinator_options.num_threads =
-        std::min(ServeBudget(serve_), UsableCpus());
+        serve_.num_workers != 0 ? std::min(serve_.num_workers, cpus) : cpus;
   }
   epoch->coordinator = std::make_unique<ShardCoordinator>(
       std::move(backend_ptrs), coordinator_options);
@@ -298,15 +288,14 @@ std::future<QueryResponse> ServingEngine::Submit(Query query) {
   // once the front door has the query, epoch retirement waits on the
   // coordinator's own drain.
   std::shared_ptr<Epoch> epoch = Current();
-  return epoch->coordinator
-             ? epoch->coordinator->Submit(std::move(query))
-             : epoch->stacks[0].service->Submit(std::move(query));
+  return epoch->coordinator ? epoch->coordinator->Submit(std::move(query))
+                            : epoch->service->Submit(std::move(query));
 }
 
 BatchResult ServingEngine::ExecuteBatch(const std::vector<Query>& batch) {
   std::shared_ptr<Epoch> epoch = Current();
   return epoch->coordinator ? epoch->coordinator->ExecuteBatch(batch)
-                            : epoch->stacks[0].service->ExecuteBatch(batch);
+                            : epoch->service->ExecuteBatch(batch);
 }
 
 bool ServingEngine::MergeNow() {
@@ -465,18 +454,10 @@ size_t ServingEngine::size() const {
   return total;
 }
 
-size_t ServingEngine::coordinator_threads() const {
-  std::shared_ptr<Epoch> epoch = Current();
-  return epoch->coordinator ? epoch->coordinator->num_threads() : 0;
-}
-
 size_t ServingEngine::num_workers() const {
   std::shared_ptr<Epoch> epoch = Current();
-  size_t total = 0;
-  for (const ShardServingStack& stack : epoch->stacks) {
-    total += stack.service->num_workers();
-  }
-  return total;
+  return epoch->coordinator ? epoch->coordinator->num_threads()
+                            : epoch->service->num_workers();
 }
 
 const ShardServingStack& ServingEngine::StaticStack(size_t shard) const {
@@ -492,10 +473,6 @@ const ShardServingStack& ServingEngine::StaticStack(size_t shard) const {
 
 const GaussTree& ServingEngine::shard_tree(size_t shard) const {
   return *StaticStack(shard).tree;
-}
-
-QueryService* ServingEngine::shard_service(size_t shard) const {
-  return StaticStack(shard).service.get();
 }
 
 const GaussTree& ServingEngine::tree() const {

@@ -55,13 +55,12 @@ std::vector<std::vector<PageId>> RebuildShards(
 void RecycleUnreachable(PageDevice* device,
                         const std::vector<PageId>& reached);
 
-// One per-shard serving stack: sharded page cache + reopened tree + worker
-// pool. Destruction order (reverse of declaration): service joins its
-// workers first, then the tree detaches, then the cache flushes away.
+// One per-shard serving stack: sharded page cache + reopened tree.
+// Destruction order (reverse of declaration): the tree detaches, then the
+// cache flushes away.
 struct ShardServingStack {
   std::unique_ptr<ShardedBufferPool> pool;
   std::unique_ptr<GaussTree> tree;
-  std::unique_ptr<QueryService> service;
 };
 
 // ============================= ServingEngine ================================
@@ -76,23 +75,23 @@ struct ShardServingStack {
 // trees (one ShardServingStack each), one append-only DeltaTree per base
 // shard under live ingest, and a front door. The front door is a
 // ShardCoordinator exactly when the database is sharded or the epoch has
-// deltas; its backend list is the base shards *plus one DeltaBackend per
-// delta*. Otherwise it is the one shard's QueryService, and queries skip the
-// scatter-gather entirely. Because a DeltaBackend reports exact degenerate
-// denominator intervals (lo == hi, exhausted), the coordinator's combination
-// and refinement mathematics treat the delta as just another
-// already-converged shard — MLIQ top-k and TIQ answers over base + delta are
-// provably exact, by the same argument (and differential proof) that covers
-// ordinary shards. A static engine's single epoch has no deltas and is never
-// replaced; a remote engine's epoch has no local stacks, only the
-// RpcBackends and their coordinator.
+// deltas; its backend list is one InProcessBackend per base shard *plus one
+// DeltaBackend per delta*. Otherwise it is a QueryService over the one tree,
+// and queries skip the scatter-gather entirely. Because a DeltaBackend
+// reports exact degenerate denominator intervals (lo == hi, exhausted), the
+// coordinator's combination and refinement mathematics treat the delta as
+// just another already-converged shard — MLIQ top-k and TIQ answers over
+// base + delta are provably exact, by the same argument (and differential
+// proof) that covers ordinary shards. A static engine's single epoch has no
+// deltas and is never replaced; a remote engine's epoch has no local
+// stacks, only the RpcBackends and their coordinator.
 //
-// Threads. A local coordinator's threads run the shard traversals
-// themselves (InProcessBackend runs on the calling thread), so they are
-// sized like workers: min(serve budget, UsableCpus()). The per-shard
-// QueryService pools then serve only a ShardServer wrapped around
-// Session::shard_service(). A remote coordinator keeps 2 threads, which
-// block on the wire.
+// Threads. Only the front door's threads execute queries; num_workers()
+// counts them. A QueryService front door runs the serve budget
+// (ServeOptions::num_workers; 0 = UsableCpus()). A local coordinator's
+// threads run the shard traversals themselves (InProcessBackend runs on the
+// calling thread), so it runs min(budget, UsableCpus()): more only lengthen
+// the tail. A remote coordinator keeps 2 threads, which block on the wire.
 //
 // Snapshot isolation without reader latching. The current epoch is published
 // as a shared_ptr; Submit()/ExecuteBatch() copy it at admission and route
@@ -194,33 +193,31 @@ class ServingEngine {
   bool sharded() const { return sharded_; }
   bool live() const { return ingest_.enabled; }
 
-  // Total per-shard QueryService workers of the current epoch (0 for
-  // remote).
+  // Threads that execute the current epoch's queries: the front door's
+  // (see "Threads" above).
   size_t num_workers() const;
-  // Threads of the current epoch's ShardCoordinator (0 when the front door
-  // is the one QueryService).
-  size_t coordinator_threads() const;
 
-  // The serving stack of `shard`: local engines without live ingest only
+  // The serving tree of `shard`: local engines without live ingest only
   // (a live epoch's stacks retire on merge; remote shards have none here).
   const GaussTree& shard_tree(size_t shard) const;
-  QueryService* shard_service(size_t shard) const;
   // Unsharded local engines without live ingest only.
   const GaussTree& tree() const;
   ShardedBufferPool& cache() const;
 
  private:
   // One immutable serving generation. Destruction order (reverse of
-  // declaration): the coordinator drains its in-flight scatter-gathers
-  // first, then the backends close, then the deltas go, then each serving
-  // stack tears down service -> tree -> cache.
+  // declaration): the front door drains its in-flight queries first, then
+  // the backends close, then the deltas go, then each serving stack tears
+  // down tree -> cache.
   struct Epoch {
     uint64_t id = 1;
     size_t base_objects = 0;
     std::vector<ShardServingStack> stacks;  // empty for remote engines
     std::vector<std::shared_ptr<DeltaTree>> deltas;  // live ingest only
     std::vector<std::unique_ptr<ShardBackend>> backends;
-    std::unique_ptr<ShardCoordinator> coordinator;  // null: direct front door
+    // The front door: exactly one of the two is set.
+    std::unique_ptr<ShardCoordinator> coordinator;
+    std::unique_ptr<QueryService> service;  // unsharded static epochs
     // Live ingest over > 1 shard: each shard's root entry grown by its
     // delta, what deltas are routed against (empty: every object goes to
     // shard 0). Guarded by the engine's insert_mu_ (only inserts and the

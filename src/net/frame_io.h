@@ -24,8 +24,10 @@ inline NetError WriteFrame(TcpSocket& sock, MsgType type, uint64_t request_id,
   return sock.SendAll(wire.data(), wire.size(), deadline);
 }
 
+// A prefix above `max_payload` is a kProtocolError, before the body is read.
 inline NetError ReadFrame(TcpSocket& sock, Frame* frame,
-                          SocketDeadline deadline) {
+                          SocketDeadline deadline,
+                          size_t max_payload = kMaxFramePayload) {
   uint8_t prefix[4];
   if (NetError error = sock.RecvAll(prefix, sizeof(prefix), deadline);
       !error.ok()) {
@@ -35,7 +37,7 @@ inline NetError ReadFrame(TcpSocket& sock, Frame* frame,
   for (int i = 0; i < 4; ++i) {
     payload_len |= static_cast<uint32_t>(prefix[i]) << (8 * i);
   }
-  if (payload_len > kMaxFramePayload || payload_len < 1 + 8) {
+  if (payload_len > max_payload || payload_len < 1 + 8) {
     return {NetErrorCode::kProtocolError, "bad frame length prefix"};
   }
   std::vector<uint8_t> buf(4 + payload_len);

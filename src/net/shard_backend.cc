@@ -88,34 +88,35 @@ ShardSketch BuildShardSketch(const GaussTree& tree) {
   return sketch;
 }
 
-InProcessBackend::InProcessBackend(QueryService* service) : service_(service) {
-  GAUSS_CHECK(service_ != nullptr);
-  GAUSS_CHECK_MSG(service_->tree().pool()->thread_safe(),
+InProcessBackend::InProcessBackend(const GaussTree& tree) : tree_(tree) {
+  GAUSS_CHECK_MSG(tree_.pool()->thread_safe(),
                   "multi-worker serving needs a thread-safe PageCache "
                   "(use ShardedBufferPool)");
 }
 
-size_t InProcessBackend::dim() const { return service_->tree().dim(); }
+InProcessBackend::InProcessBackend(QueryService* service)
+    : InProcessBackend(service->tree()) {}
+
+size_t InProcessBackend::dim() const { return tree_.dim(); }
 
 std::future<ShardBackend::StartResult> InProcessBackend::Start(
     uint64_t traversal, const Query& query) {
   StartResult result;
   Traversal t;
   if (query.kind() == QueryKind::kMliq) {
-    t.mliq = std::make_shared<MliqTraversal>(service_->tree(), query.pfv(),
-                                             query.k(), query.mliq_options());
+    t.mliq = std::make_shared<MliqTraversal>(tree_, query.pfv(), query.k(),
+                                             query.mliq_options());
     t.mliq->Run();
     FillPartial(*t.mliq, &result.partial);
     result.partial.items = t.mliq->top_items();
   } else {
-    t.tiq = std::make_shared<TiqTraversal>(service_->tree(), query.pfv(),
-                                           query.threshold(),
-                                           query.tiq_options());
+    t.tiq = std::make_shared<TiqTraversal>(
+        tree_, query.pfv(), query.threshold(), query.tiq_options());
     t.tiq->Run();
     FillPartial(*t.tiq, &result.partial);
     result.partial.items = t.tiq->candidates();
   }
-  result.partial.tree_size = service_->tree().size();
+  result.partial.tree_size = tree_.size();
   if (t.mliq ? t.mliq->corrupt() : t.tiq->corrupt()) {
     result.error = CorruptPageError();
   }
@@ -172,13 +173,13 @@ void InProcessBackend::Release(const std::vector<uint64_t>& traversals) {
 
 ShardBackend::StatsResult InProcessBackend::FetchStats() {
   StatsResult result;
-  result.io = service_->tree().pool()->stats();
+  result.io = tree_.pool()->stats();
   return result;
 }
 
 ShardBackend::SketchResult InProcessBackend::FetchSketch() {
   SketchResult result;
-  result.sketch = BuildShardSketch(service_->tree());
+  result.sketch = BuildShardSketch(tree_);
   return result;
 }
 

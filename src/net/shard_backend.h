@@ -23,7 +23,7 @@ namespace gauss {
 //
 // The transport seam of a sharded GaussDb: everything a ShardCoordinator
 // needs from one shard, abstracted so the shard may live in this process
-// (InProcessBackend over a QueryService) or on another host (RpcBackend over
+// (InProcessBackend over a GaussTree) or on another host (RpcBackend over
 // the wire protocol in net/wire.h, served by net/shard_server.h /
 // examples/gauss_shardd). The coordinator's merge mathematics — rebase the
 // per-shard denominator intervals onto a common reference scale, sum them,
@@ -209,12 +209,15 @@ class ShardBackend {
 // completes with a typed kProtocolError and no updates, before any
 // refinement runs. A Release racing a Refine frees the traversal once the
 // round is done; one traversal is refined by one Refine at a time. Every
-// thread traverses the tree, so its PageCache must be
-// thread-safe (checked at construction). The QueryService (only its tree is
-// used) must outlive the backend.
+// calling thread traverses the tree, so its PageCache must be thread-safe
+// (checked at construction). The tree must outlive the backend.
 // ============================================================================
 class InProcessBackend : public ShardBackend {
  public:
+  explicit InProcessBackend(const GaussTree& tree);
+  // Over `service`'s tree; the service's workers are not used. Only
+  // bench/e2e/gauss_e2e_trace.cc still calls it, and it goes with the next
+  // change to that benchmark (ROADMAP item 4).
   explicit InProcessBackend(QueryService* service);
 
   size_t dim() const override;
@@ -234,7 +237,7 @@ class InProcessBackend : public ShardBackend {
     std::shared_ptr<TiqTraversal> tiq;
   };
 
-  QueryService* const service_;
+  const GaussTree& tree_;
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, Traversal> traversals_;  // guarded by mu_
   BackendRefineCounters counters_;                      // guarded by mu_

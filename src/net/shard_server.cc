@@ -1,7 +1,9 @@
 #include "net/shard_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <future>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -74,23 +76,19 @@ void ShardServer::Shutdown() {
   std::call_once(shutdown_once_, [this] {
     stopping_.store(true);
     listener_.Shutdown();
-    std::vector<std::shared_ptr<Connection>> live;
     {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (const auto& weak : conns_) {
-        if (auto conn = weak.lock()) live.push_back(std::move(conn));
-      }
+      std::lock_guard<std::mutex> lock(handlers_mu_);
+      for (const Handler& handler : handlers_) handler.conn->sock.Shutdown();
     }
-    for (const auto& conn : live) conn->sock.Shutdown();
     acceptor_.join();
-    std::vector<std::thread> handlers;
+    std::vector<Handler> handlers;
     {
-      std::lock_guard<std::mutex> lock(conns_mu_);
+      std::lock_guard<std::mutex> lock(handlers_mu_);
       handlers.swap(handlers_);
     }
     // Handlers drain their in-flight worker closures before exiting, so
     // after this join no closure still references connection state.
-    for (std::thread& t : handlers) t.join();
+    for (Handler& handler : handlers) handler.thread.join();
   });
 }
 
@@ -108,15 +106,30 @@ void ShardServer::AcceptLoop() {
     NetError error;
     TcpSocket sock = listener_.Accept(&error);
     if (!sock.valid()) return;  // Shutdown() or a fatal listener error
-    auto conn = std::make_shared<Connection>(service_);
+    auto conn = std::make_shared<Connection>(service_->tree());
     conn->sock = std::move(sock);
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    if (stopping_.load()) {
-      conn->sock.Shutdown();
-      return;
+    std::vector<Handler> closed;
+    {
+      std::lock_guard<std::mutex> lock(handlers_mu_);
+      if (stopping_.load()) {
+        conn->sock.Shutdown();
+        return;
+      }
+      // Take out the handlers whose connections have closed, to join them.
+      const auto open_end = std::partition(
+          handlers_.begin(), handlers_.end(),
+          [](const Handler& h) { return !h.conn->finished.load(); });
+      std::move(open_end, handlers_.end(), std::back_inserter(closed));
+      handlers_.erase(open_end, handlers_.end());
+      handlers_.push_back({conn, std::thread([this, conn] {
+                             HandleConnection(conn);
+                             // The peer sees the close now; the socket
+                             // itself goes when the handler is joined.
+                             conn->sock.Shutdown();
+                             conn->finished.store(true);
+                           })});
     }
-    conns_.push_back(conn);
-    handlers_.emplace_back([this, conn] { HandleConnection(conn); });
+    for (Handler& handler : closed) handler.thread.join();
   }
 }
 
@@ -140,11 +153,17 @@ void ShardServer::SendError(const std::shared_ptr<Connection>& conn,
 
 void ShardServer::HandleConnection(const std::shared_ptr<Connection>& conn) {
   // Handshake first: anything but a well-formed, version-matching kHello
-  // gets a typed kError frame and the connection closes.
+  // gets a typed kError frame and the connection closes. A peer that closes
+  // or stalls gets nothing.
   Frame frame;
   const SocketDeadline handshake_deadline =
       std::chrono::steady_clock::now() + options_.handshake_timeout;
-  if (!ReadFrame(conn->sock, &frame, handshake_deadline).ok()) return;
+  if (NetError err = ReadFrame(conn->sock, &frame, handshake_deadline,
+                               kHelloFramePayload);
+      !err.ok()) {
+    if (err.code == NetErrorCode::kProtocolError) SendError(conn, 0, err);
+    return;
+  }
   if (frame.type != MsgType::kHello) {
     SendError(conn, frame.request_id,
               {NetErrorCode::kProtocolError, "expected hello"});

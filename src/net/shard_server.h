@@ -30,20 +30,25 @@ struct ShardServerOptions {
 
 // Serves one shard's QueryService over the wire protocol — the library core
 // of examples/gauss_shardd, and what the loopback tests spin up in-process.
+// The caller owns the service, built over the shard's tree; its workers are
+// the server's alone.
 //
-// Execution: every connection owns one InProcessBackend (net/shard_backend.h),
-// the same traversal table the in-process coordinator path uses, and
-// answers kStart, kRefine, kRelease, kFetchSketch and kStats through it, so
-// a remote shard's partials and updates are the in-process ones by
-// construction. The traversal steps run on the shard's own worker pool
-// (QueryService::SubmitWork).
+// Execution: every connection owns one InProcessBackend (net/shard_backend.h)
+// over the service's tree, the same traversal table the in-process
+// coordinator path uses, and answers kStart, kRefine, kRelease, kFetchSketch
+// and kStats through it, so a remote shard's partials and updates are the
+// in-process ones by construction. The traversal steps run on the service's
+// workers (QueryService::SubmitWork).
 //
 // Concurrency model: an acceptor thread plus one handler thread per
-// connection. The handler reads frames sequentially but executes kStart
-// requests asynchronously on the workers, so concurrent queries from one
-// coordinator pipeline instead of serializing. A kRefine batch runs as ONE
-// worker closure — the server-side half of "one frame per shard per round"
-// — and the handler reads the next frame only once it is answered.
+// connection, joined at the next accept once its connection has closed. The
+// handler reads frames sequentially but executes kStart requests
+// asynchronously on the workers, so concurrent queries from one coordinator
+// pipeline instead of serializing. A kRefine batch runs as ONE worker
+// closure — the server-side half of "one frame per shard per round" — and
+// the handler reads the next frame only once it is answered. Before the
+// handshake, a length prefix longer than a kHello frame is refused at once
+// with a typed kError (kProtocolError), before any body byte is buffered.
 //
 // Handles belong to their connection. A kRefine naming a handle that is not
 // registered (never started, still starting, or released) gets a typed
@@ -80,7 +85,7 @@ class ShardServer {
 
  private:
   struct Connection {
-    explicit Connection(QueryService* service) : backend(service) {}
+    explicit Connection(const GaussTree& tree) : backend(tree) {}
     TcpSocket sock;
     InProcessBackend backend;  // this connection's traversals
     std::mutex write_mu;       // one reply frame at a time
@@ -88,6 +93,13 @@ class ShardServer {
     // Handles whose kStart is queued or running, and whether a kRelease
     // overtook it (then the finished Start releases its traversal).
     std::unordered_map<uint64_t, bool> starting;
+    std::atomic<bool> finished{false};  // the handler is done: join it
+  };
+
+  // One connection and the thread that handles it.
+  struct Handler {
+    std::shared_ptr<Connection> conn;
+    std::thread thread;
   };
 
   ShardServer(QueryService* service, const ShardServerOptions& options,
@@ -114,9 +126,8 @@ class ShardServer {
 
   std::atomic<bool> stopping_{false};
   std::once_flag shutdown_once_;
-  std::mutex conns_mu_;  // conns_ + handlers_
-  std::vector<std::weak_ptr<Connection>> conns_;
-  std::vector<std::thread> handlers_;
+  std::mutex handlers_mu_;
+  std::vector<Handler> handlers_;  // guarded by handlers_mu_
   std::thread acceptor_;
 
   std::atomic<uint64_t> mliq_starts_{0};

@@ -47,6 +47,9 @@ inline constexpr uint64_t kWireMagic = 0x4754424a47415553ull;  // "GAUSSJBTG"
 // read-ahead counters.
 inline constexpr uint32_t kWireVersion = 3;
 inline constexpr size_t kMaxFramePayload = 1u << 24;  // 16 MiB
+// Payload of a kHello frame: msg_type, request_id, then the body's magic and
+// version. The longest frame a server reads before the handshake.
+inline constexpr size_t kHelloFramePayload = 1 + 8 + 8 + 4;
 
 enum class MsgType : uint8_t {
   kHello = 1,         // client -> server: magic + version

@@ -24,12 +24,13 @@ namespace gauss {
 // below assumes it: the merge is exact over any partition.
 //
 // The coordinator talks to its shards exclusively through the ShardBackend
-// seam (net/shard_backend.h) — a shard may be an in-process
-// QueryService (InProcessBackend, what GaussDb::Serve wires) or a remote
-// gauss_shardd reached over the binary wire protocol (RpcBackend, what
-// GaussDb::ServeRemote wires). The merge mathematics below is transport-
-// agnostic, and the loopback differential in tests/shard_equivalence_test.cc
-// proves both transports byte-identical.
+// seam (net/shard_backend.h) — a shard may be an in-process tree
+// (InProcessBackend, what GaussDb::Serve wires, traversed on the
+// coordinator's own threads) or a remote gauss_shardd reached over the
+// binary wire protocol (RpcBackend, what GaussDb::ServeRemote wires). The
+// merge mathematics below is transport-agnostic, and the loopback
+// differential in tests/shard_equivalence_test.cc proves both transports
+// byte-identical.
 //
 // Why sharding is not just a union of per-shard answers: the identification
 // probability P(v|q) is the object's density normalized by a denominator
@@ -155,8 +156,8 @@ namespace gauss {
 //
 // Shutdown: the destructor closes the queue, drains every admitted query
 // (in-flight scatter-gathers complete, or fail typed if their shard died),
-// and joins the coordinator threads. The backends (and any QueryServices
-// under them) must outlive the coordinator.
+// and joins the coordinator threads. The backends (and the trees under
+// in-process ones) must outlive the coordinator.
 // ============================================================================
 
 // One shard's sketch entries as the coordinator plans with them: their
@@ -189,8 +190,9 @@ class SketchHulls {
 struct ShardCoordinatorOptions {
   // Threads executing queries: planning, merge and refinement, and — over
   // in-process backends — every shard traversal, which runs on the calling
-  // thread. A local engine sizes them like workers (min(serve budget,
-  // UsableCpus())); over RPC each blocks on the wire, so a few go a long way.
+  // thread, so no shard needs threads of its own. A local engine sizes them
+  // like workers (min(serve budget, UsableCpus())); over RPC each blocks on
+  // the wire, so a few go a long way.
   size_t num_threads = 2;
   // Bound of the front-door admission queue.
   size_t queue_capacity = 1024;

@@ -118,7 +118,8 @@ class PageRef {
 //
 // `thread_safe()` advertises whether Fetch may be called concurrently from
 // multiple threads. The pool always may; a decorator may not, so the serving
-// layer (QueryService, InProcessBackend) checks it before fanning out.
+// layer checks it before fanning out: QueryService for its workers, and
+// InProcessBackend for the coordinator threads that traverse its tree.
 class PageCache {
  public:
   virtual ~PageCache() = default;

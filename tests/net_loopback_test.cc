@@ -2,7 +2,7 @@
 // net/shard_server.h): a real ShardServer on 127.0.0.1 answers a real
 // RpcBackend, so every frame crosses an actual kernel socket. Covers the
 // happy path (RPC partials bit-identical to InProcessBackend over the same
-// QueryService), the RefineChannel batching contract, and the typed failure
+// tree), the RefineChannel batching contract, and the typed failure
 // taxonomy — refused connections, foreign/future handshakes, silent peers
 // (timeout), and a shard server dying with requests in flight. None of these
 // may hang or crash; each must produce its NetErrorCode.
@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <future>
 #include <limits>
@@ -64,11 +65,12 @@ void ExpectPartialsBitIdentical(const ShardPartial& got,
   }
 }
 
-// One served single-tree database plus a loopback shard server over its
-// QueryService — the fixture most tests below start from.
+// One served single-tree database plus a loopback shard server over a
+// QueryService of the fixture's own, built over the session's tree — the
+// fixture most tests below start from.
 class ServedShard {
  public:
-  explicit ServedShard(size_t objects = 400) {
+  explicit ServedShard(size_t objects = 400, ShardServerOptions options = {}) {
     ClusteredDatasetConfig config;
     config.size = objects;
     config.dim = 3;
@@ -77,9 +79,10 @@ class ServedShard {
     dataset_ = GenerateClusteredDataset(config);
     db_ = GaussDb::CreateInMemory(dataset_.dim());
     db_->Build(dataset_);
-    session_.emplace(db_->Serve({.num_workers = 2}));
+    session_.emplace(db_->Serve({.num_workers = 1}));
+    service_.emplace(session_->tree(), QueryServiceOptions{.num_workers = 2});
     NetError error;
-    server_ = ShardServer::Listen(session_->shard_service(0), {}, &error);
+    server_ = ShardServer::Listen(&*service_, options, &error);
     EXPECT_TRUE(server_ != nullptr) << error.ToString();
   }
 
@@ -90,7 +93,8 @@ class ServedShard {
   }
 
   const PfvDataset& dataset() const { return dataset_; }
-  QueryService* service() { return session_->shard_service(0); }
+  const GaussTree& tree() const { return session_->tree(); }
+  QueryService* service() { return &*service_; }
   ShardServer* server() { return server_.get(); }
   uint16_t port() const { return server_->port(); }
   size_t size() const { return dataset_.size(); }
@@ -100,6 +104,7 @@ class ServedShard {
   PfvDataset dataset_{0};
   std::optional<GaussDb> db_;
   std::optional<Session> session_;
+  std::optional<QueryService> service_;
   std::unique_ptr<ShardServer> server_;
 };
 
@@ -125,7 +130,7 @@ TEST(NetLoopbackTest, StartRefineReleaseBitIdenticalToInProcess) {
   ServedShard shard;
   auto rpc = MustConnect(shard.port());
   ASSERT_TRUE(rpc != nullptr);
-  InProcessBackend local(shard.service());
+  InProcessBackend local(shard.tree());
 
   // Loose accuracy leaves the denominator gap wide open, so the later
   // refinement rounds below have real work to do.
@@ -527,7 +532,7 @@ TEST_P(MalformedStartTest, FailsTypedAndServerKeepsAnswering) {
 
   auto rpc = MustConnect(shard.port());
   ASSERT_TRUE(rpc != nullptr);
-  InProcessBackend local(shard.service());
+  InProcessBackend local(shard.tree());
   ShardCoordinator over_rpc(std::vector<ShardBackend*>{rpc.get()});
   ShardCoordinator in_process(std::vector<ShardBackend*>{&local});
   const std::vector<Query> batch = {
@@ -632,7 +637,7 @@ TEST(NetLoopbackTest, RefineOfUnknownHandleFailsTypedAndServerKeepsAnswering) {
 
   auto rpc = MustConnect(shard.port());
   ASSERT_TRUE(rpc != nullptr);
-  InProcessBackend local(shard.service());
+  InProcessBackend local(shard.tree());
   const Query query = Query::Mliq(shard.Probe(), /*k=*/3).Accuracy(0.5);
   const ShardBackend::StartResult over_rpc = rpc->Start(1, query).get();
   const ShardBackend::StartResult in_process = local.Start(1, query).get();
@@ -686,6 +691,89 @@ TEST(NetLoopbackTest, ReleaseOvertakingItsStartFreesTheTraversal) {
   EXPECT_EQ(reply.type, MsgType::kStartReply);
   EXPECT_EQ(reply.request_id, 1u);
   ExpectRefineRefusedTyped(sock, 5, 4, deadline);
+}
+
+// Before the handshake the server reads no frame longer than a kHello: a
+// peer that sends only a length prefix above it gets a typed kProtocolError
+// at once, and the connection closes — no body buffer is allocated, and none
+// is held until the handshake times out. That timeout is far longer than
+// the test's own wait, so a server that waits for the body fails the test.
+TEST(NetLoopbackTest, OversizedFrameBeforeHandshakeIsRefusedAtOnce) {
+  ShardServerOptions options;
+  options.handshake_timeout = std::chrono::minutes(10);
+  ServedShard shard(400, options);
+  for (const size_t payload_len : {kHelloFramePayload + 1, kMaxFramePayload}) {
+    SCOPED_TRACE("length prefix " + std::to_string(payload_len));
+    NetError error;
+    TcpSocket sock = TcpSocket::Connect("127.0.0.1", shard.port(),
+                                        std::chrono::seconds(5), &error);
+    ASSERT_TRUE(sock.valid()) << error.ToString();
+    const SocketDeadline deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    uint8_t prefix[4];
+    for (int i = 0; i < 4; ++i) {
+      prefix[i] = static_cast<uint8_t>(payload_len >> (8 * i));
+    }
+    ASSERT_TRUE(sock.SendAll(prefix, sizeof(prefix), deadline).ok());
+    Frame reply;
+    ASSERT_TRUE(ReadFrame(sock, &reply, deadline).ok());
+    ASSERT_EQ(reply.type, MsgType::kError);
+    NetError remote;
+    ASSERT_TRUE(
+        DecodeError(reply.body.data(), reply.body.size(), &remote).ok());
+    EXPECT_EQ(remote.code, NetErrorCode::kProtocolError);
+    EXPECT_EQ(ReadFrame(sock, &reply, deadline).code,
+              NetErrorCode::kPeerClosed);
+  }
+  // The server keeps serving.
+  auto rpc = MustConnect(shard.port());
+  ASSERT_TRUE(rpc != nullptr);
+  EXPECT_EQ(rpc->tree_size(), shard.size());
+}
+
+// The value of a "Key:   N kB" line of /proc/self/status, in kB.
+size_t ProcStatusKb(const std::string& key) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(key + ":", 0) == 0) {
+      return static_cast<size_t>(std::stoull(line.substr(key.size() + 1)));
+    }
+  }
+  ADD_FAILURE() << key << " not found in /proc/self/status";
+  return 0;
+}
+
+// A server that has seen many short connections holds the threads of only
+// the open ones: each accept joins the handlers whose connections closed. A
+// handler never joined keeps its stack mapped, about 8 MiB of address space
+// per connection.
+TEST(NetLoopbackTest, ClosedConnectionsDoNotAccumulate) {
+  ServedShard shard;
+  // Each cycle ends only once the server has closed the connection (an
+  // unexpected frame type closes it), so its handler is done by the next
+  // accept however the threads are scheduled.
+  const auto cycles = [&](size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      const SocketDeadline deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      TcpSocket sock = RawConnect(shard.port(), deadline);
+      ASSERT_TRUE(sock.valid());
+      ASSERT_TRUE(WriteFrame(sock, MsgType::kHelloAck, 1, {}, deadline).ok());
+      Frame reply;
+      ASSERT_TRUE(ReadFrame(sock, &reply, deadline).ok());
+      ASSERT_EQ(reply.type, MsgType::kError);
+      ASSERT_EQ(ReadFrame(sock, &reply, deadline).code,
+                NetErrorCode::kPeerClosed);
+    }
+  };
+  cycles(20);  // warm: the first handlers' stacks, the allocator's arenas
+  const size_t before_kb = ProcStatusKb("VmSize");
+  cycles(300);
+  const size_t after_kb = ProcStatusKb("VmSize");
+  EXPECT_LT(after_kb, before_kb + 128 * 1024)
+      << "VmSize grew from " << before_kb << " kB to " << after_kb
+      << " kB over 300 connect-disconnect cycles";
 }
 
 }  // namespace

@@ -998,9 +998,11 @@ TEST(ShardEquivalenceTest, FinalizedEmptyFileGrowsByInsert) {
 // batching divergence into a bit mismatch here.
 
 // One sharded database served twice: in-process, and through per-shard
-// ShardServers plus a ServeRemote() session dialing 127.0.0.1. Member order
-// is load-bearing — destruction runs remote session (hangs up), then the
-// servers it spoke to, then the local session owning the shard services.
+// ShardServers plus a ServeRemote() session dialing 127.0.0.1. Each server
+// answers on a QueryService of its own over the local session's shard tree.
+// Member order is load-bearing — destruction runs remote session (hangs up),
+// then the servers it spoke to, then their services, then the local session
+// owning the shard trees.
 class LoopbackStack {
  public:
   LoopbackStack(const PfvDataset& dataset, size_t num_shards) {
@@ -1011,9 +1013,11 @@ class LoopbackStack {
     local_.emplace(db_->Serve({.num_workers = 2 * num_shards}));
     std::vector<std::string> endpoints;
     for (size_t s = 0; s < local_->num_shards(); ++s) {
+      services_.push_back(std::make_unique<QueryService>(
+          local_->shard_tree(s), QueryServiceOptions{.num_workers = 2}));
       NetError error;
       std::unique_ptr<ShardServer> server =
-          ShardServer::Listen(local_->shard_service(s), {}, &error);
+          ShardServer::Listen(services_.back().get(), {}, &error);
       if (server == nullptr) {
         ADD_FAILURE() << "ShardServer::Listen: " << error.ToString();
         return;
@@ -1041,6 +1045,7 @@ class LoopbackStack {
  private:
   std::optional<GaussDb> db_;
   std::optional<Session> local_;
+  std::vector<std::unique_ptr<QueryService>> services_;
   std::vector<std::unique_ptr<ShardServer>> servers_;
   std::optional<Session> remote_;
 };
@@ -1061,6 +1066,7 @@ TEST(ShardEquivalenceTest, LoopbackRpcMatchesInProcessAcrossShardCounts) {
     SCOPED_TRACE("shards " + std::to_string(shards));
     LoopbackStack stack(dataset, shards);
     ASSERT_TRUE(stack.ok());
+    EXPECT_EQ(stack.remote().num_workers(), 2u);  // coordinator threads
     const BatchResult local = stack.local().ExecuteBatch(ref.batch());
     const BatchResult remote = stack.remote().ExecuteBatch(ref.batch());
     ASSERT_EQ(remote.responses.size(), ref.batch().size());
@@ -1250,7 +1256,8 @@ TEST(ShardEquivalenceTest, ShardServerShutdownMidBatchResolvesEveryQuery) {
 // at the probe are loose (distance inflates the upper/lower hull spread)
 // but whose absolute contribution is negligible. GaussDb cuts its shards by
 // space and would never produce this split, so the parts are wired by hand
-// over per-shard QueryServices, the way shard_serving_test does.
+// as InProcessBackends over per-shard trees, the way shard_serving_test
+// does.
 struct SkewedParts {
   PfvDataset all;
   PfvDataset heavy;
@@ -1274,11 +1281,10 @@ SkewedParts SkewedDataset(size_t size, size_t dim, double heavy_fraction) {
   return parts;
 }
 
-// One hand-wired shard: a bulk-loaded tree reopened over a serving cache
-// and served by its own worker pool.
+// One hand-wired shard: a bulk-loaded tree reopened over a serving cache.
 class WiredShard {
  public:
-  WiredShard(const PfvDataset& part, size_t workers) {
+  explicit WiredShard(const PfvDataset& part) {
     PageId meta = kInvalidPageId;
     {
       ShardedBufferPool build(&device_, 1 << 14, /*num_shards=*/1);
@@ -1289,17 +1295,14 @@ class WiredShard {
     }
     pool_ = std::make_unique<ShardedBufferPool>(&device_, 1 << 12);
     tree_ = GaussTree::Open(pool_.get(), meta);
-    service_ = std::make_unique<QueryService>(
-        *tree_, QueryServiceOptions{.num_workers = workers});
   }
 
-  QueryService* service() { return service_.get(); }
+  const GaussTree& tree() const { return *tree_; }
 
  private:
   InMemoryPageDevice device_;
   std::unique_ptr<ShardedBufferPool> pool_;
   std::unique_ptr<GaussTree> tree_;
-  std::unique_ptr<QueryService> service_;
 };
 
 // Logical page reads of the tight batch below under mass-proportional
@@ -1322,10 +1325,10 @@ TEST(ShardEquivalenceTest, SkewedPartitionProportionalBudgetsBeatUniform) {
   const SkewedParts parts = SkewedDataset(kSize, 3, /*heavy=*/0.9);
   const Reference ref(parts.all, /*probes=*/6, /*seed=*/2223);
 
-  WiredShard heavy(parts.heavy, /*workers=*/2);
-  WiredShard light(parts.light, /*workers=*/2);
-  InProcessBackend shard0(heavy.service());
-  InProcessBackend shard1(light.service());
+  WiredShard heavy(parts.heavy);
+  WiredShard light(parts.light);
+  InProcessBackend shard0(heavy.tree());
+  InProcessBackend shard1(light.tree());
   ShardCoordinator proportional(std::vector<ShardBackend*>{&shard0, &shard1});
   const BatchResult prop = proportional.ExecuteBatch(ref.batch());
 

@@ -12,8 +12,10 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -97,10 +99,8 @@ TEST_F(ShardServingTest, FrontDoorShedsAndExpiresDeterministically) {
   GatedPageCache gated(&pool0);
   auto tree0 = GaussTree::Open(&gated, metas_[0]);  // gate open: loads fine
   auto tree1 = GaussTree::Open(&pool1, metas_[1]);
-  QueryService shard0(*tree0, {.num_workers = 1, .queue_capacity = 8});
-  QueryService shard1(*tree1, {.num_workers = 1, .queue_capacity = 8});
-  InProcessBackend backend0(&shard0);
-  InProcessBackend backend1(&shard1);
+  InProcessBackend backend0(*tree0);
+  InProcessBackend backend1(*tree1);
   ShardCoordinator coordinator(
       std::vector<ShardBackend*>{&backend0, &backend1},
       {.num_threads = 1, .queue_capacity = 2});
@@ -161,17 +161,15 @@ TEST_F(ShardServingTest, FrontDoorShedsAndExpiresDeterministically) {
 
 // Destroying the coordinator with cross-shard queries in flight drains
 // them: every future is ready — with a real answer — once the destructor
-// returns, and only then may the shard services die.
+// returns, and only then may the shard trees go.
 TEST_F(ShardServingTest, DestructorDrainsInFlightCrossShardQueries) {
   ShardedBufferPool pool0(&devices_[0], 1 << 12);
   ShardedBufferPool pool1(&devices_[1], 1 << 12);
   GatedPageCache gated(&pool0);
   auto tree0 = GaussTree::Open(&gated, metas_[0]);
   auto tree1 = GaussTree::Open(&pool1, metas_[1]);
-  QueryService shard0(*tree0, {.num_workers = 1, .queue_capacity = 8});
-  QueryService shard1(*tree1, {.num_workers = 1, .queue_capacity = 8});
-  InProcessBackend backend0(&shard0);
-  InProcessBackend backend1(&shard1);
+  InProcessBackend backend0(*tree0);
+  InProcessBackend backend1(*tree1);
   auto coordinator = std::make_unique<ShardCoordinator>(
       std::vector<ShardBackend*>{&backend0, &backend1},
       ShardCoordinatorOptions{.num_threads = 1, .queue_capacity = 8});
@@ -207,10 +205,8 @@ TEST_F(ShardServingTest, MergedStatsCountAdmissionOutcomesOnce) {
   ShardedBufferPool pool1(&devices_[1], 1 << 12);
   auto tree0 = GaussTree::Open(&pool0, metas_[0]);
   auto tree1 = GaussTree::Open(&pool1, metas_[1]);
-  QueryService shard0(*tree0, {.num_workers = 1, .queue_capacity = 8});
-  QueryService shard1(*tree1, {.num_workers = 1, .queue_capacity = 8});
-  InProcessBackend backend0(&shard0);
-  InProcessBackend backend1(&shard1);
+  InProcessBackend backend0(*tree0);
+  InProcessBackend backend1(*tree1);
   ShardCoordinator coordinator(
       std::vector<ShardBackend*>{&backend0, &backend1},
       {.num_threads = 2, .queue_capacity = 8});
@@ -330,22 +326,14 @@ TEST_F(ShardServingTest, ConcurrentSubmittersSeeConsistentAnswers) {
   }
 }
 
-// In-process backends run to completion on the calling thread: with the
-// shard's only worker held busy, Start, Refine and FetchSketch still
-// complete, and their futures are ready when the call returns. Each Refine
-// call counts as one round of its specs.
+// In-process backends run to completion on the calling thread: a backend
+// over a bare tree has no other thread to hand work to, and Start, Refine
+// and FetchSketch futures are ready when the call returns. Each Refine call
+// counts as one round of its specs.
 TEST_F(ShardServingTest, InProcessBackendRunsOnTheCallingThread) {
   ShardedBufferPool pool(&devices_[0], 1 << 12);
   auto tree = GaussTree::Open(&pool, metas_[0]);
-  QueryService service(*tree, {.num_workers = 1});
-  InProcessBackend backend(&service);
-
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::future<QueryResponse> busy = service.SubmitWork([released] {
-    released.wait();
-    return QueryResponse{};
-  });
+  InProcessBackend backend(*tree);
 
   const Query mliq = Query::Mliq(workload_[0].query, 3).Accuracy(0.5);
   const Query tiq = Query::Tiq(workload_[1].query, 0.2).Accuracy(0.5);
@@ -376,27 +364,19 @@ TEST_F(ShardServingTest, InProcessBackendRunsOnTheCallingThread) {
   const ShardBackend::SketchResult sketch = backend.FetchSketch();
   ASSERT_TRUE(sketch.error.ok());
   EXPECT_EQ(sketch.sketch.tree_size, tree->size());
-
-  // Nothing above went through the held worker.
-  EXPECT_NE(busy.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  release.set_value();
-  busy.get();
   backend.Release({1, 2});
 }
 
 // Every coordinator thread traverses an in-process shard's tree, so a
-// backend over a cache that is not thread-safe is refused at construction,
-// even when the shard's own service runs one worker.
+// backend over a cache that is not thread-safe is refused at construction.
 TEST_F(ShardServingTest, InProcessBackendRefusesAnUnsafeCache) {
-  // Re-executed, not forked: the child starts the service's worker thread.
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   EXPECT_DEATH(
       {
         ShardedBufferPool pool(&devices_[0], 1 << 12);
         UnsafePageCache cache(&pool);
         auto tree = GaussTree::Open(&cache, metas_[0]);
-        QueryService service(*tree, {.num_workers = 1});
-        InProcessBackend backend(&service);
+        InProcessBackend backend(*tree);
       },
       "thread-safe PageCache");
 }
@@ -408,8 +388,7 @@ TEST_F(ShardServingTest, InProcessBackendRefusesAnUnsafeCache) {
 TEST_F(ShardServingTest, InProcessBackendRefusesUnknownHandlesTyped) {
   ShardedBufferPool pool(&devices_[0], 1 << 12);
   auto tree = GaussTree::Open(&pool, metas_[0]);
-  QueryService service(*tree, {.num_workers = 1});
-  InProcessBackend backend(&service);
+  InProcessBackend backend(*tree);
 
   const ShardBackend::RefineResult never_started =
       backend.Refine({{7, 0.0}}).get();
@@ -538,31 +517,65 @@ TEST(ShardServingConcurrencyTest,
   }
 }
 
-// A local sharded session runs min(num_workers, usable CPUs) coordinator
-// threads (num_workers = 0 reads as usable CPUs), while num_workers() still
-// reports the per-shard pools; an unsharded session has no coordinator.
-TEST_F(ShardServingTest, CoordinatorThreadsFollowTheServeBudget) {
-  const size_t cpus = UsableCpus();
-  GaussDbOptions options;
-  options.shards.num_shards = 2;
-  GaussDb db = GaussDb::CreateInMemory(kDim, options);
-  db.Build(dataset_);
-  for (const size_t k : {size_t{0}, size_t{1}, size_t{2}, cpus + 2}) {
-    SCOPED_TRACE("num_workers " + std::to_string(k));
-    Session session = db.Serve({.num_workers = k});
-    const size_t budget = k == 0 ? cpus : k;
-    EXPECT_EQ(session.coordinator_threads(), std::min(budget, cpus));
-    EXPECT_EQ(session.num_workers(), 2 * std::max<size_t>(1, budget / 2));
+// Threads of this process, from /proc/self/task, read until five reads in
+// a row agree: a thread just joined can linger there for a moment.
+size_t ProcessThreads() {
+  const auto count = [] {
+    const std::filesystem::directory_iterator tasks("/proc/self/task");
+    return static_cast<size_t>(std::distance(std::filesystem::begin(tasks),
+                                             std::filesystem::end(tasks)));
+  };
+  size_t threads = count();
+  for (int same = 0; same < 5;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const size_t now = count();
+    same = now == threads ? same + 1 : 0;
+    threads = now;
   }
+  return threads;
+}
 
-  GaussDb single = GaussDb::CreateInMemory(kDim);
-  single.Build(dataset_);
-  EXPECT_EQ(single.Serve({.num_workers = 2}).coordinator_threads(), 0u);
+// Serve() starts the threads that answer and no others: exactly
+// num_workers() of them, plus the merge thread of a live engine under
+// MergePolicy::kBackground. A sharded or live session answers on
+// min(num_workers, usable CPUs) coordinator threads (num_workers = 0 reads
+// as usable CPUs) and no shard has a worker pool; an unsharded static one
+// answers on its QueryService's num_workers workers.
+TEST_F(ShardServingTest, ServeStartsOnlyTheThreadsThatAnswer) {
+  const size_t cpus = UsableCpus();
+  struct Case {
+    const char* name;
+    size_t shards;  // ShardOptions::num_shards; 0 = one unsharded tree
+    bool live;
+  };
+  for (const Case& c : {Case{"static, 4 shards", 4, false},
+                        Case{"live, 1 tree", 0, true},
+                        Case{"live, 2 shards", 2, true},
+                        Case{"static, 1 tree", 0, false}}) {
+    GaussDbOptions options;
+    options.shards.num_shards = c.shards;
+    options.ingest.enabled = c.live;
+    GaussDb db = GaussDb::CreateInMemory(kDim, options);
+    db.Build(dataset_);
+    for (const size_t budget : {size_t{4}, size_t{0}, size_t{1}, cpus + 2}) {
+      SCOPED_TRACE(std::string(c.name) + ", num_workers " +
+                   std::to_string(budget));
+      const size_t before = ProcessThreads();
+      Session session = db.Serve({.num_workers = budget});
+      const size_t started = ProcessThreads() - before;
+      const size_t resolved = budget == 0 ? cpus : budget;
+      const bool coordinated = c.shards > 0 || c.live;
+      EXPECT_EQ(session.num_workers(),
+                coordinated ? std::min(resolved, cpus) : resolved);
+      EXPECT_EQ(started, session.num_workers() + (c.live ? 1 : 0));
+      // A live database has one engine: the first Serve() built it.
+      if (c.live) break;
+    }
+  }
 
   ShardedBufferPool pool(&devices_[0], 1 << 12);
   auto tree = GaussTree::Open(&pool, metas_[0]);
-  QueryService service(*tree, {.num_workers = 1});
-  InProcessBackend backend(&service);
+  InProcessBackend backend(*tree);
   EXPECT_EQ(ShardCoordinator({&backend}, {.num_threads = 3}).num_threads(),
             3u);
   EXPECT_EQ(ShardCoordinator({&backend}, {.num_threads = 0}).num_threads(),
@@ -573,7 +586,7 @@ TEST_F(ShardServingTest, CoordinatorThreadsFollowTheServeBudget) {
 // with a typed error, counting the Starts and Releases it sees.
 class FailableBackend : public ShardBackend {
  public:
-  explicit FailableBackend(QueryService* service) : inner_(service) {}
+  explicit FailableBackend(const GaussTree& tree) : inner_(tree) {}
 
   void set_fail(bool fail) { fail_ = fail; }
   // Inverts the mu bounds of the first sketch entry's first dimension.
@@ -626,10 +639,8 @@ TEST_F(ShardServingTest, SeedStartFailureFailsTypedAndReleasesEveryHandle) {
   ShardedBufferPool pool1(&devices_[1], 1 << 12);
   auto tree0 = GaussTree::Open(&pool0, metas_[0]);
   auto tree1 = GaussTree::Open(&pool1, metas_[1]);
-  QueryService shard0(*tree0, {.num_workers = 1});
-  QueryService shard1(*tree1, {.num_workers = 1});
-  FailableBackend backend0(&shard0);
-  FailableBackend backend1(&shard1);
+  FailableBackend backend0(*tree0);
+  FailableBackend backend1(*tree1);
   ShardCoordinator coordinator(
       std::vector<ShardBackend*>{&backend0, &backend1}, {.num_threads = 1});
 
@@ -668,10 +679,8 @@ TEST_F(ShardServingTest, InvalidSketchBoundsDisablePlanning) {
   ShardedBufferPool pool1(&devices_[1], 1 << 12);
   auto tree0 = GaussTree::Open(&pool0, metas_[0]);
   auto tree1 = GaussTree::Open(&pool1, metas_[1]);
-  QueryService shard0(*tree0, {.num_workers = 1});
-  QueryService shard1(*tree1, {.num_workers = 1});
-  FailableBackend honest0(&shard0), honest1(&shard1);
-  FailableBackend damaged0(&shard0), damaged1(&shard1);
+  FailableBackend honest0(*tree0), honest1(*tree1);
+  FailableBackend damaged0(*tree0), damaged1(*tree1);
   damaged1.set_damage_sketch(true);
   ShardCoordinator honest(std::vector<ShardBackend*>{&honest0, &honest1},
                           {.num_threads = 1});
